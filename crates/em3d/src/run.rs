@@ -7,7 +7,7 @@
 use crate::graph::{Em3dGraph, Em3dParams, Endpoint};
 use splitc::{GlobalPtr, RecEvent, SplitC};
 use std::collections::HashMap;
-use t3d_machine::{EngineMode, MachineConfig, OpStats, PerfMode, PerfReport, PhaseDriver};
+use t3d_machine::{MachineConfig, OpStats, PerfMode, PerfReport, PhaseDriver};
 
 /// Which optimization level to run (Section 8, in paper order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -431,47 +431,10 @@ pub fn run_version_with(
     params: Em3dParams,
     version: Version,
 ) -> Em3dResult {
-    run_version_inner(
-        driver,
-        EngineMode::from_env(),
-        nprocs,
-        params,
-        version,
-        false,
-        false,
-        false,
-    )
-    .0
+    run_version_inner(driver, nprocs, params, version, false, false, false).0
 }
 
-/// [`run_version_with`] pinning the time-advance engine explicitly —
-/// the in-process cross-engine differential oracle
-/// ([`EngineMode::Cycle`] checks [`EngineMode::Event`]).
-pub fn run_version_engine(
-    driver: PhaseDriver,
-    engine: EngineMode,
-    nprocs: u32,
-    params: Em3dParams,
-    version: Version,
-) -> Em3dResult {
-    run_version_inner(driver, engine, nprocs, params, version, false, false, false).0
-}
-
-/// [`run_version_profiled`] pinning the time-advance engine explicitly,
-/// so attribution ledgers can be compared across engines in one
-/// process.
-pub fn run_version_profiled_engine(
-    driver: PhaseDriver,
-    engine: EngineMode,
-    nprocs: u32,
-    params: Em3dParams,
-    version: Version,
-) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(driver, engine, nprocs, params, version, true, false, false);
-    (r, p.expect("profiling was requested"))
-}
-
-/// [`run_version_profiled_engine`] with the opt-in contention models
+/// [`run_version_profiled`] with the opt-in contention models
 /// enabled (target-shell queueing plus per-link occupancy on every
 /// dimension-order route, as in
 /// [`MachineConfig::t3d_link_contended`]). The contended arm of the
@@ -479,12 +442,11 @@ pub fn run_version_profiled_engine(
 /// reference — contention reshapes time, never data.
 pub fn run_version_profiled_contended(
     driver: PhaseDriver,
-    engine: EngineMode,
     nprocs: u32,
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(driver, engine, nprocs, params, version, true, false, true);
+    let (r, p, _) = run_version_inner(driver, nprocs, params, version, true, false, true);
     (r, p.expect("profiling was requested"))
 }
 
@@ -499,16 +461,7 @@ pub fn run_version_recorded(
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, Vec<Vec<RecEvent>>) {
-    let (r, _, log) = run_version_inner(
-        driver,
-        EngineMode::from_env(),
-        nprocs,
-        params,
-        version,
-        false,
-        true,
-        false,
-    );
+    let (r, _, log) = run_version_inner(driver, nprocs, params, version, false, true, false);
     (r, log)
 }
 
@@ -523,23 +476,12 @@ pub fn run_version_profiled(
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(
-        driver,
-        EngineMode::from_env(),
-        nprocs,
-        params,
-        version,
-        true,
-        false,
-        false,
-    );
+    let (r, p, _) = run_version_inner(driver, nprocs, params, version, true, false, false);
     (r, p.expect("profiling was requested"))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_version_inner(
     driver: PhaseDriver,
-    engine: EngineMode,
     nprocs: u32,
     params: Em3dParams,
     version: Version,
@@ -549,7 +491,6 @@ fn run_version_inner(
 ) -> (Em3dResult, Option<PerfReport>, Vec<Vec<RecEvent>>) {
     let g = Em3dGraph::generate(params, nprocs);
     let mut cfg = MachineConfig::t3d_with_mem(nprocs, 4 * 1024 * 1024);
-    cfg.engine = engine;
     if contended {
         cfg.contention = true;
         cfg.link_contention = true;

@@ -33,7 +33,6 @@
 
 pub mod config;
 pub mod cpu;
-pub mod event;
 pub mod machine;
 pub mod node;
 pub mod ops;
@@ -44,9 +43,8 @@ pub mod trace;
 
 pub use config::MachineConfig;
 pub use cpu::Cpu;
-pub use event::{EngineMode, Event, EventKind, EventQueue, EventStats};
 pub use machine::{BltHandle, Machine, MachineSizeError};
-pub use node::{Node, NodeHot, OpStats};
+pub use node::{EventStats, Node, NodeHot, OpStats};
 pub use ops::MachineOps;
 pub use phase::PhaseDriver;
 pub use snapshot::{MemSnapshot, SnapshotDiff};

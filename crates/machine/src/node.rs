@@ -1,9 +1,8 @@
 //! One node: Alpha core state, memory port and shell units.
 
 use crate::config::MachineConfig;
-use crate::event::EventQueue;
 use t3d_memsys::MemPort;
-use t3d_perf::PerfAccum;
+use t3d_perf::{CostClass, PerfAccum};
 
 /// Counters of the operations a node has issued (instrumentation: the
 /// communication/computation breakdowns in the application study).
@@ -57,19 +56,45 @@ impl OpStats {
         self.loads_remote + self.stores_remote + self.fetches + self.blts + self.atomics
     }
 }
-use t3d_shell::{AckTracker, Annex, BltUnit, FetchIncRegs, MsgQueue, PrefetchUnit, SwapUnit};
+use t3d_shell::{
+    AckTracker, Annex, BltUnit, FetchIncRegs, MsgQueue, PopError, PrefetchUnit, SwapUnit,
+};
+
+/// Counters of the completions a PE's waits ran past. Deliberately
+/// *not* part of the perf registry or report: they describe how the
+/// waits resolved, not what the program cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventStats {
+    /// Completions waited past: one per pending write-buffer entry or
+    /// ack at a drain, one per prefetch head or BLT stream that had not
+    /// yet arrived, one per barrier settle.
+    pub events_fast_forwarded: u64,
+    /// Cycles the clock advanced past those completions.
+    pub cycles_fast_forwarded: u64,
+}
+
+impl EventStats {
+    /// Records a wait starting at `now` that ran past `n` completions,
+    /// the last of them due at `last_due`.
+    pub(crate) fn wait(&mut self, n: u64, now: u64, last_due: u64) {
+        self.events_fast_forwarded += n;
+        self.cycles_fast_forwarded += last_due.saturating_sub(now);
+    }
+
+    /// Records a wait past one completion due at `due`, if it was still
+    /// in the future at `now`.
+    pub(crate) fn wait_one(&mut self, now: u64, due: u64) {
+        if due > now {
+            self.wait(1, now, due);
+        }
+    }
+}
 
 /// The hot scalar state of one PE, held in a struct-of-arrays arena on
 /// the machine (`Vec<NodeHot>`) rather than inside the pointer-rich
-/// [`Node`]. The whole-machine scans — "max clock across PEs", "any
-/// in-flight traffic in this sub-cube", contention-window checks —
-/// stride over these few words per PE instead of ~500-byte nodes, so a
+/// [`Node`]. Whole-machine scans such as "max clock across PEs" stride
+/// over these few words per PE instead of ~500-byte nodes, so a
 /// 1024-PE machine's scan state stays cache-hot.
-///
-/// `wbuf_pending`/`acks_inflight`/`prefetch_outstanding` mirror the
-/// authoritative unit state in the cold node; the machine re-syncs them
-/// at every point where that state can change, and debug builds assert
-/// the mirror against the units on every contention-window scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeHot {
     /// Virtual time, in cycles.
@@ -77,20 +102,6 @@ pub struct NodeHot {
     /// When this node's shell finishes servicing its current remote
     /// request (used only when contention modeling is on).
     pub shell_busy_until: u64,
-    /// Mirror of `port.wbuf_pending()`.
-    pub wbuf_pending: u32,
-    /// Mirror of `acks.clear_time().is_some()`.
-    pub acks_inflight: bool,
-    /// Mirror of `prefetch.outstanding()`.
-    pub prefetch_outstanding: u32,
-}
-
-impl NodeHot {
-    /// Whether this PE has in-flight remote traffic that shell queueing
-    /// could couple to another PE's timing.
-    pub fn inflight(&self) -> bool {
-        self.wbuf_pending > 0 || self.acks_inflight
-    }
 }
 
 /// A processing element: memory system + shell units. The per-PE hot
@@ -124,9 +135,8 @@ pub struct Node {
     /// ledger for the costs it returns. Node-owned so the sharded phase
     /// engine carries it thread-privately.
     pub perf: PerfAccum,
-    /// Pending-completion queue for the event engine (empty between
-    /// operations; see [`crate::event`]).
-    pub events: EventQueue,
+    /// Completions this node's waits ran past.
+    pub events: EventStats,
 }
 
 impl Node {
@@ -144,8 +154,62 @@ impl Node {
             incoming: Vec::new(),
             ops: OpStats::default(),
             perf: PerfAccum::default(),
-            events: EventQueue::default(),
+            events: EventStats::default(),
         }
+    }
+
+    /// Memory barrier at `hot.clock`: drains the write buffer in one
+    /// closed form and returns the cost. The port ledger takes the
+    /// `WbufDrain` credit.
+    pub(crate) fn memory_barrier(&mut self, hot: &mut NodeHot) -> u64 {
+        let now = hot.clock;
+        let (n, last) = self
+            .port
+            .wbuf_due_times()
+            .fold((0, 0), |(n, last), due| (n + 1, last.max(due)));
+        self.events.wait(n, now, last);
+        let cost = self.port.memory_barrier(now);
+        hot.clock = now + cost;
+        cost
+    }
+
+    /// Spins on the status bit until every outstanding write is acked:
+    /// the wait to the last ack plus one final poll, all `AckWait`.
+    pub(crate) fn wait_write_acks(&mut self, hot: &mut NodeHot) -> u64 {
+        let now = hot.clock;
+        let pending = self.acks.pending_times().len() as u64;
+        self.events
+            .wait(pending, now, self.acks.clear_time().unwrap_or(0));
+        let cost = self.acks.wait_clear(now);
+        hot.clock = now + cost;
+        self.perf.credit(CostClass::AckWait, cost);
+        cost
+    }
+
+    /// Pops the prefetch queue at `hot.clock`, waiting for the head's
+    /// data if it has not arrived. Returns `(value, cost)`.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`PrefetchUnit::pop`], before any clock motion.
+    pub(crate) fn pop_prefetch(&mut self, hot: &mut NodeHot) -> Result<(u64, u64), PopError> {
+        let now = hot.clock;
+        self.events.wait_one(now, self.prefetch.head_arrival()?);
+        let (value, cost) = self.prefetch.pop(now)?;
+        hot.clock = now + cost;
+        self.perf.credit(CostClass::PrefetchWait, cost);
+        Ok((value, cost))
+    }
+
+    /// Joins a BLT stream that completes at `completion`; returns the
+    /// cycles waited, all `BltWait`.
+    pub(crate) fn blt_wait(&mut self, hot: &mut NodeHot, completion: u64) -> u64 {
+        let now = hot.clock;
+        self.events.wait_one(now, completion);
+        hot.clock = now.max(completion);
+        let waited = hot.clock - now;
+        self.perf.credit(CostClass::BltWait, waited);
+        waited
     }
 
     /// Total bytes of remote-write data that had arrived by `now`.

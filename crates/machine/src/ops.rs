@@ -118,9 +118,9 @@ pub trait MachineOps {
 
     /// A node's operation counters.
     fn op_stats(&self, pe: usize) -> OpStats;
-    /// A node's event-engine counters (zero under the cycle engine).
-    fn event_stats(&self, pe: usize) -> crate::event::EventStats {
-        self.node(pe).events.stats
+    /// Completions a node's waits have run past.
+    fn event_stats(&self, pe: usize) -> crate::node::EventStats {
+        self.node(pe).events
     }
     /// Earliest virtual time at which `target_bytes` of remote-write
     /// data had arrived at `pe`.

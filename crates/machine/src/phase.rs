@@ -250,17 +250,6 @@ impl<'a> PhasePe<'a> {
         t3d_shell::annex::split_pa(va, self.sh.cfg.mem.offset_bits)
     }
 
-    /// Mirrors `Machine::use_event_path`. A shard cannot see other
-    /// shards' in-flight traffic, so with contention modeling on (shell
-    /// or link) it conservatively stays cycle-accurate for the whole
-    /// phase; with contention off (the default) the fast-forward is
-    /// exact and the gate reduces to the engine mode.
-    fn use_event_path(&self) -> bool {
-        self.sh.cfg.engine == crate::event::EngineMode::Event
-            && !self.sh.cfg.contention
-            && !self.sh.cfg.link_contention
-    }
-
     fn line_mask(&self) -> u64 {
         self.sh.cfg.mem.l1.line as u64 - 1
     }
@@ -626,14 +615,7 @@ impl MachineOps for PhasePe<'_> {
     fn memory_barrier(&mut self, pe: usize) {
         self.own(pe);
         self.node.ops.memory_barriers += 1;
-        let now = self.hot.clock;
-        let cost = if self.use_event_path() {
-            crate::event::memory_barrier_event(self.hot, self.node)
-        } else {
-            let c = self.node.port.memory_barrier(now);
-            self.hot.clock = now + c;
-            c
-        };
+        let cost = self.node.memory_barrier(self.hot);
         self.node.perf.sample(OpKind::Fence, cost);
         let t = self.hot.clock;
         self.node.prefetch.note_memory_barrier(t);
@@ -652,17 +634,8 @@ impl MachineOps for PhasePe<'_> {
     fn wait_write_acks(&mut self, pe: usize) {
         self.own(pe);
         self.node.ops.ack_waits += 1;
-        let now = self.hot.clock;
-        let cost = if self.use_event_path() {
-            crate::event::wait_write_acks_event(self.hot, self.node)
-        } else {
-            let c = self.node.acks.wait_clear(now);
-            self.hot.clock = now + c;
-            self.node.perf.credit(CostClass::AckWait, c);
-            c
-        };
+        let cost = self.node.wait_write_acks(self.hot);
         self.node.perf.sample(OpKind::AckWait, cost);
-        let _ = now;
     }
 
     fn fetch(&mut self, pe: usize, va: u64) -> bool {
@@ -722,15 +695,7 @@ impl MachineOps for PhasePe<'_> {
     fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
         self.own(pe);
         self.node.ops.pops += 1;
-        let now = self.hot.clock;
-        let (value, cost) = if self.use_event_path() {
-            crate::event::pop_prefetch_event(self.hot, self.node)?
-        } else {
-            let (v, c) = self.node.prefetch.pop(now)?;
-            self.hot.clock = now + c;
-            self.node.perf.credit(CostClass::PrefetchWait, c);
-            (v, c)
-        };
+        let (value, cost) = self.node.pop_prefetch(self.hot)?;
         self.node.perf.sample(OpKind::Pop, cost);
         Ok(value)
     }
@@ -885,15 +850,7 @@ impl MachineOps for PhasePe<'_> {
 
     fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
         self.own(pe);
-        let now = self.hot.clock;
-        let waited = if self.use_event_path() {
-            crate::event::blt_wait_event(self.hot, self.node, handle.completion)
-        } else {
-            self.hot.clock = self.hot.clock.max(handle.completion);
-            let w = self.hot.clock - now;
-            self.node.perf.credit(CostClass::BltWait, w);
-            w
-        };
+        let waited = self.node.blt_wait(self.hot, handle.completion);
         self.node.perf.sample(OpKind::BltWait, waited);
     }
 
@@ -1225,7 +1182,6 @@ impl Machine {
         };
         effects.sort_by_key(|e| (e.time, e.src, e.seq));
         self.apply_effects(effects);
-        self.resync_inflight_all();
     }
 
     /// Applies merged shard effects to the real nodes, in the already

@@ -329,9 +329,7 @@ impl MemPort {
     }
 
     /// Integer completion times of every pending write-buffer entry, in
-    /// FIFO retire order (nondecreasing). The event engine schedules one
-    /// `WbufRetire` event per value and retires each via
-    /// [`MemPort::apply_due`] at exactly its due time.
+    /// FIFO retire order (nondecreasing).
     pub fn wbuf_due_times(&self) -> impl Iterator<Item = u64> + '_ {
         self.wbuf.due_times()
     }

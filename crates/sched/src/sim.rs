@@ -1,9 +1,7 @@
 //! The job-stream simulation driver.
 //!
 //! Virtual time advances event-style — the next event is the earlier
-//! of the next arrival and the next job completion, the same
-//! skip-to-next-event discipline the machine core uses under
-//! `T3D_EVENT`. At each event the driver retires completions, admits
+//! of the next arrival and the next job completion. At each event the driver retires completions, admits
 //! arrivals, and dispatches from the FCFS queue onto torus partitions;
 //! each dispatched job runs its kernel on a right-sized simulated
 //! machine and the kernel's elapsed virtual cycles become the job's
@@ -34,7 +32,7 @@ pub struct SimParams {
     /// to start (aggressive backfill, no reservations). Off = strict
     /// FCFS.
     pub backfill: bool,
-    /// Phase driver and time-advance engine the kernels run under.
+    /// Phase driver the kernels run under.
     pub env: ExecEnv,
 }
 

@@ -137,9 +137,8 @@ impl PrefetchUnit {
     }
 
     /// Arrival time of the oldest prefetch (departure + remote latency),
-    /// without popping it. The event engine fast-forwards a waiting PE's
-    /// clock to this time, after which [`PrefetchUnit::pop`] costs
-    /// exactly the off-chip pop.
+    /// without popping it: a [`PrefetchUnit::pop`] at or after this time
+    /// costs exactly the off-chip pop.
     ///
     /// # Errors
     ///

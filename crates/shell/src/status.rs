@@ -68,8 +68,7 @@ impl AckTracker {
     }
 
     /// Arrival times of every acknowledgement not yet observed, in
-    /// registration order. The event engine turns these into
-    /// `AckArrival` events; [`AckTracker::wait_clear`] at the latest of
+    /// registration order; [`AckTracker::wait_clear`] at the latest of
     /// them costs exactly one final poll.
     pub fn pending_times(&self) -> &[u64] {
         &self.times

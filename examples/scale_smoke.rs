@@ -5,16 +5,15 @@
 //! cargo run --release --example scale_smoke
 //! ```
 //!
-//! The `scale-smoke` CI job runs this under the full
-//! `T3D_PAR`×`T3D_EVENT` matrix and requires every combination to print
-//! the *same* line: the phase driver and the time-advance engine must
-//! be invisible in every clock, memory byte and ledger of a full-size
+//! The `scale-smoke` CI job runs this under `T3D_PAR=0` and `T3D_PAR=1`
+//! and requires both to print the *same* line: the phase driver must be
+//! invisible in every clock, memory byte and ledger of a full-size
 //! sub-machine, with the opt-in contention models both off and on.
 //! (The contended arm pins its own timing: link queueing is
 //! deterministic too, it just models a different machine.)
 
-use em3d::{run_version_profiled_contended, run_version_profiled_engine, Em3dParams, Version};
-use t3d_machine::{EngineMode, PhaseDriver};
+use em3d::{run_version_profiled, run_version_profiled_contended, Em3dParams, Version};
+use t3d_machine::PhaseDriver;
 
 /// FNV-1a over a stream of words — the same chaining idiom the
 /// scheduler's `ledger_fnv` uses.
@@ -31,14 +30,13 @@ fn fnv_chain(words: &[u64]) -> u64 {
 
 fn main() {
     let driver = PhaseDriver::from_env();
-    let engine = EngineMode::from_env();
     let params = Em3dParams::tiny(30.0);
     let mut words = Vec::new();
     for contended in [false, true] {
         let (r, p) = if contended {
-            run_version_profiled_contended(driver, engine, 256, params, Version::Bulk)
+            run_version_profiled_contended(driver, 256, params, Version::Bulk)
         } else {
-            run_version_profiled_engine(driver, engine, 256, params, Version::Bulk)
+            run_version_profiled(driver, 256, params, Version::Bulk)
         };
         words.extend([r.mem_fnv, r.clock_fnv, r.cycles, r.edges, p.total()]);
         println!(

@@ -51,10 +51,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use em3d::{run_version_profiled_contended, run_version_profiled_engine, Em3dParams, Version};
-use t3d_machine::{
-    BltHandle, EngineMode, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver,
-};
+use em3d::{run_version_profiled, run_version_profiled_contended, Em3dParams, Version};
+use t3d_machine::{BltHandle, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_microbench::probes::attribution;
 use t3d_perf::{
     compare, measure, measure_split, BenchDoc, BenchEntry, RunSample, SplitSample, Throughput,
@@ -107,72 +105,38 @@ fn entry_from_report(name: &str, report: &PerfReport, throughput: Throughput) ->
     }
 }
 
-/// Measures one scenario under one engine, with machine-construction
-/// time folded into the throughput block's `setup` stat.
-fn measure_scenario(
-    s: &attribution::Scenario,
-    driver: PhaseDriver,
-    engine: EngineMode,
-    spec: ThroughputSpec,
-    first: &mut Option<PerfReport>,
-) -> Result<Throughput, String> {
-    measure_split(spec, || {
-        let run = (s.run)(driver, engine);
-        let sample = RunSample {
-            sim_cycles: run.report.total(),
-            sim_ops: sim_ops(&run.report),
-            checksum: run.checksum,
-        };
-        let setup_secs = run.setup_secs;
-        first.get_or_insert(run.report);
-        SplitSample { sample, setup_secs }
-    })
-    .map_err(|e| format!("{} [{engine:?}]: {e}", s.name))
-}
-
-fn run_micro(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<BenchDoc, String> {
+fn run_micro(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("micro");
     let scenarios = attribution::all()
         .iter()
         .filter(|s| name_matches(s.name, opts.filter.as_deref()));
     for s in scenarios {
         let mut first: Option<PerfReport> = None;
-        // The published throughput block measures the session engine;
-        // a second measurement under the other engine yields the
-        // event-core speedup extra and doubles as a differential check.
-        let main = measure_scenario(s, driver, engine, opts.spec, &mut first)?;
-        let other_engine = match engine {
-            EngineMode::Event => EngineMode::Cycle,
-            EngineMode::Cycle => EngineMode::Event,
-        };
-        let mut other_first = None;
-        let other = measure_scenario(s, driver, other_engine, opts.spec, &mut other_first)?;
-        if (main.checksum, main.sim_cycles) != (other.checksum, other.sim_cycles) {
-            return Err(format!(
-                "{}: engines diverged: {engine:?} (cycles={}, checksum={:#018x}) vs \
-                 {other_engine:?} (cycles={}, checksum={:#018x})",
-                s.name, main.sim_cycles, main.checksum, other.sim_cycles, other.checksum
-            ));
-        }
-        let (event_rate, cycle_rate) = match engine {
-            EngineMode::Event => (main.cycles_per_sec.mean, other.cycles_per_sec.mean),
-            EngineMode::Cycle => (other.cycles_per_sec.mean, main.cycles_per_sec.mean),
-        };
+        // Machine-construction time folds into the throughput block's
+        // `setup` stat.
+        let throughput = measure_split(opts.spec, || {
+            let run = (s.run)(driver);
+            let sample = RunSample {
+                sim_cycles: run.report.total(),
+                sim_ops: sim_ops(&run.report),
+                checksum: run.checksum,
+            };
+            let setup_secs = run.setup_secs;
+            first.get_or_insert(run.report);
+            SplitSample { sample, setup_secs }
+        })
+        .map_err(|e| format!("{}: {e}", s.name))?;
         let report = first.expect("measure ran the scenario at least once");
         if opts.report {
             println!("=== {} ===\n{}", s.name, report.render());
         }
-        let mut e = entry_from_report(s.name, &report, main);
-        if cycle_rate > 0.0 {
-            e.extras
-                .insert("event_speedup".to_string(), event_rate / cycle_rate);
-        }
-        doc.entries.push(e);
+        doc.entries
+            .push(entry_from_report(s.name, &report, throughput));
     }
     Ok(doc)
 }
 
-fn run_em3d(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<BenchDoc, String> {
+fn run_em3d(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("em3d");
     let params = Em3dParams::tiny(30.0);
     for v in Version::all() {
@@ -182,7 +146,7 @@ fn run_em3d(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Benc
         // is no setup/simulation split to observe; `measure` leaves the
         // setup stat unset (the micro suite isolates setup).
         let throughput = measure(opts.spec, || {
-            let (result, report) = run_version_profiled_engine(driver, engine, 4, params, v);
+            let (result, report) = run_version_profiled(driver, 4, params, v);
             let sample = RunSample {
                 sim_cycles: report.total(),
                 sim_ops: sim_ops(&report),
@@ -329,24 +293,22 @@ fn scale_scenarios() -> [ScaleScenario; 4] {
     ]
 }
 
-fn scale_machine(pes: u32, engine: EngineMode, contended: bool) -> (Machine, f64) {
+fn scale_machine(pes: u32, contended: bool) -> (Machine, f64) {
     let t = std::time::Instant::now();
-    let mut cfg = if contended {
+    let cfg = if contended {
         MachineConfig::t3d_link_contended(pes)
     } else {
         MachineConfig::t3d(pes)
     };
-    cfg.engine = engine;
     let mut m = Machine::new(cfg);
     m.set_perf_mode(PerfMode::Counters);
     (m, t.elapsed().as_secs_f64())
 }
 
 /// The Figure-9-style scaling sweep: EM3D plus four micro scenarios
-/// over 8→1024 PEs, with the contention models off and on. Measures
-/// only the session engine (the CI matrix covers the other), and gates
-/// on [`check_setup_scaling`] before returning the document.
-fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<BenchDoc, String> {
+/// over 8→1024 PEs, with the contention models off and on. Gates on
+/// [`check_setup_scaling`] before returning the document.
+fn run_scale(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("scale");
     for contended in [false, true] {
         let suffix = if contended { ".cont" } else { "" };
@@ -356,7 +318,7 @@ fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Ben
                 let snap = SCALE_SNAP_TOTAL / u64::from(pes);
                 let mut first: Option<PerfReport> = None;
                 let throughput = measure_split(opts.spec, || {
-                    let (mut m, mut setup) = scale_machine(pes, engine, contended);
+                    let (mut m, mut setup) = scale_machine(pes, contended);
                     (s.run)(&mut m, driver);
                     let t = std::time::Instant::now();
                     let checksum = m.snapshot_region(0, snap).fnv64();
@@ -391,9 +353,9 @@ fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Ben
             let mut first: Option<(f64, PerfReport)> = None;
             let throughput = measure(opts.spec, || {
                 let (result, report) = if contended {
-                    run_version_profiled_contended(driver, engine, pes, params, Version::Bulk)
+                    run_version_profiled_contended(driver, pes, params, Version::Bulk)
                 } else {
-                    run_version_profiled_engine(driver, engine, pes, params, Version::Bulk)
+                    run_version_profiled(driver, pes, params, Version::Bulk)
                 };
                 let sample = RunSample {
                     sim_cycles: report.total(),
@@ -599,10 +561,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let driver = PhaseDriver::from_env();
-    let engine = EngineMode::from_env();
     let mut docs = Vec::new();
     if matches!(cmd, "micro" | "all") {
-        match run_micro(driver, engine, &opts) {
+        match run_micro(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
                 eprintln!("DETERMINISM FAILURE [micro]: {e}");
@@ -611,7 +572,7 @@ fn main() -> ExitCode {
         }
     }
     if matches!(cmd, "em3d" | "all") {
-        match run_em3d(driver, engine, &opts) {
+        match run_em3d(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
                 eprintln!("DETERMINISM FAILURE [em3d]: {e}");
@@ -620,7 +581,7 @@ fn main() -> ExitCode {
         }
     }
     if cmd == "scale" {
-        match run_scale(driver, engine, &opts) {
+        match run_scale(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
                 eprintln!("FAILURE [scale]: {e}");

@@ -18,7 +18,7 @@
 //!
 //! `gen` writes a `t3d-sched-trace-v1` trace; `run` schedules one and
 //! prints the per-job ledger (ending with the ledger FNV fingerprint
-//! the CI smoke matrix compares across `T3D_PAR`/`T3D_EVENT`); `sweep`
+//! the CI smoke job compares across `T3D_PAR`); `sweep`
 //! runs the same job bodies at a ladder of offered loads and writes
 //! `BENCH_sched.json`, optionally comparing against a baseline
 //! directory (exit non-zero on regression). `sweep --pes N` sizes the
@@ -27,8 +27,7 @@
 //! (`--pes 256` → an 8x8x4 torus), so the saturation ladder runs on
 //! full-size sub-machines without hand-picking dims. Everything is
 //! virtual-time deterministic: the same seed yields byte-identical
-//! traces and bit-identical ledgers under both phase drivers and both
-//! time-advance engines.
+//! traces and bit-identical ledgers under both phase drivers.
 
 use std::process::ExitCode;
 
@@ -141,14 +140,13 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
     let run = run_trace(&trace, &params, &mut cache);
 
     println!(
-        "{} jobs on a {}x{}x{} machine ({}, {:?} driver, {:?} engine)",
+        "{} jobs on a {}x{}x{} machine ({}, {:?} driver)",
         trace.jobs.len(),
         machine.0,
         machine.1,
         machine.2,
         if backfill { "backfill" } else { "strict FCFS" },
         params.env.driver,
-        params.env.engine,
     );
     println!(
         "{:>4} {:<16} {:>4} {:>12} {:>12} {:>12} {:>12}  block",

@@ -1,19 +1,17 @@
-//! Differential micro tests for the event-driven time-advance engine.
+//! Regression pins for the closed-form waits.
 //!
 //! Each test stimulates exactly one wait class (plus one mixed
-//! workload), runs it under both engines, and asserts three things:
+//! workload) and asserts two things:
 //!
-//! * **bit-identity** — final clocks, memory fingerprint and the full
-//!   per-PE attribution ledgers match the cycle engine's exactly;
-//! * **event structure** — the event engine consumed at least the
-//!   expected number of typed events (`events_fast_forwarded`), so the
-//!   fast path demonstrably ran rather than silently degrading to the
-//!   cycle path;
+//! * **wait structure** — the machine counted at least the expected
+//!   number of completions waited past (`events_fast_forwarded`), so
+//!   every pending write-buffer entry, ack, prefetch head, BLT stream
+//!   and barrier settle is accounted for;
 //! * **pinned history** — the cycle totals and FNV fingerprints equal
-//!   checked-in constants, so a timing-model change cannot hide behind
-//!   the differential (both engines drifting together still fails).
+//!   checked-in constants, so a timing-model change cannot slip in
+//!   unnoticed.
 
-use t3d_machine::{EngineMode, Machine, MachineConfig, PerfMode};
+use t3d_machine::{Machine, MachineConfig, PerfMode};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode};
 
@@ -22,10 +20,8 @@ use t3d_shell::{AnnexEntry, FuncCode};
 const NODE_MEM: usize = 2 << 20;
 const SNAP_BYTES: u64 = 1 << 20;
 
-fn machine(pes: u32, engine: EngineMode) -> Machine {
-    let mut cfg = MachineConfig::t3d_with_mem(pes, NODE_MEM);
-    cfg.engine = engine;
-    let mut m = Machine::new(cfg);
+fn machine(pes: u32) -> Machine {
+    let mut m = Machine::new(MachineConfig::t3d_with_mem(pes, NODE_MEM));
     m.set_perf_mode(PerfMode::Counters);
     m
 }
@@ -42,36 +38,18 @@ fn aim(m: &mut Machine, pe: usize, target: u32) -> u64 {
     m.va(1, 0)
 }
 
-/// Runs `workload` under both engines and asserts bit-identity of
-/// clocks, state fingerprint and attribution; returns the event-engine
-/// machine (for event-structure assertions) plus the shared
-/// `(clock-of-PE0, fnv)` pair for pinning.
-fn differential(pes: u32, workload: impl Fn(&mut Machine)) -> (Machine, u64, u64) {
-    let mut cycle = machine(pes, EngineMode::Cycle);
-    workload(&mut cycle);
-    let mut event = machine(pes, EngineMode::Event);
-    workload(&mut event);
-    for pe in 0..pes as usize {
-        assert_eq!(
-            cycle.clock(pe),
-            event.clock(pe),
-            "PE{pe}: engines land on different clocks"
-        );
-        assert_eq!(
-            cycle.event_stats(pe).events_fast_forwarded,
-            0,
-            "PE{pe}: the cycle engine must not consume events"
-        );
-    }
-    let fnv_c = cycle.snapshot_region(0, SNAP_BYTES).fnv64();
-    let fnv_e = event.snapshot_region(0, SNAP_BYTES).fnv64();
-    assert_eq!(fnv_c, fnv_e, "state fingerprints diverge");
-    assert_eq!(cycle.perf(), event.perf(), "attribution ledgers diverge");
-    let clock0 = event.clock(0);
-    (event, clock0, fnv_e)
+/// Runs `workload` on a fresh machine and returns it (for
+/// wait-structure assertions) plus the `(clock-of-PE0, fnv)` pair for
+/// pinning.
+fn pinned(pes: u32, workload: impl Fn(&mut Machine)) -> (Machine, u64, u64) {
+    let mut m = machine(pes);
+    workload(&mut m);
+    let fnv = m.snapshot_region(0, SNAP_BYTES).fnv64();
+    let clock0 = m.clock(0);
+    (m, clock0, fnv)
 }
 
-/// Sum of `events_fast_forwarded` over all PEs of the event-engine run.
+/// Sum of `events_fast_forwarded` over all PEs.
 fn events_consumed(m: &Machine) -> u64 {
     (0..m.nodes())
         .map(|pe| m.event_stats(pe).events_fast_forwarded)
@@ -80,7 +58,7 @@ fn events_consumed(m: &Machine) -> u64 {
 
 #[test]
 fn barrier_only_fast_forwards_every_episode() {
-    let (m, clock0, fnv) = differential(4, |m| {
+    let (m, clock0, fnv) = pinned(4, |m| {
         for round in 0..8u64 {
             for pe in 0..4usize {
                 m.advance(pe, 50 + (pe as u64) * 37 + round * 11);
@@ -88,7 +66,7 @@ fn barrier_only_fast_forwards_every_episode() {
             m.barrier_all();
         }
     });
-    // One BarrierSettle per PE per episode: 8 rounds x 4 PEs.
+    // One barrier settle per PE per episode: 8 rounds x 4 PEs.
     assert!(
         events_consumed(&m) >= 32,
         "only {} events consumed",
@@ -99,7 +77,7 @@ fn barrier_only_fast_forwards_every_episode() {
 
 #[test]
 fn ack_only_fast_forwards_every_arrival() {
-    let (m, clock0, fnv) = differential(2, |m| {
+    let (m, clock0, fnv) = pinned(2, |m| {
         let base = aim(m, 0, 1);
         for i in 0..16u64 {
             m.st8(0, base + i * 64, i);
@@ -120,7 +98,7 @@ fn ack_only_fast_forwards_every_arrival() {
 
 #[test]
 fn prefetch_only_fast_forwards_every_pop() {
-    let (m, clock0, fnv) = differential(2, |m| {
+    let (m, clock0, fnv) = pinned(2, |m| {
         let base = aim(m, 0, 1);
         for g in 0..4u64 {
             for i in 0..4u64 {
@@ -132,7 +110,7 @@ fn prefetch_only_fast_forwards_every_pop() {
             }
         }
     });
-    // At least the first pop of each group waits on a PrefetchArrival.
+    // At least the first pop of each group waits on the head's arrival.
     assert!(
         events_consumed(&m) >= 4,
         "only {} events consumed",
@@ -143,14 +121,14 @@ fn prefetch_only_fast_forwards_every_pop() {
 
 #[test]
 fn blt_only_fast_forwards_the_completion() {
-    let (m, clock0, fnv) = differential(2, |m| {
+    let (m, clock0, fnv) = pinned(2, |m| {
         for i in 0..64u64 {
             m.poke_mem(0, 0x8000 + i * 8, &i.to_le_bytes());
         }
         let h = m.blt_start(0, BltDirection::Write, 0x8000, 1, 0x8000, 512);
         m.blt_wait(0, h);
     });
-    // The issuing PE waits on one BltComplete.
+    // The issuing PE waits on one BLT completion.
     assert!(
         events_consumed(&m) >= 1,
         "only {} events consumed",
@@ -161,7 +139,7 @@ fn blt_only_fast_forwards_the_completion() {
 
 #[test]
 fn mixed_workload_stays_bit_identical() {
-    let (m, clock0, fnv) = differential(4, |m| {
+    let (m, clock0, fnv) = pinned(4, |m| {
         let base = aim(m, 0, 1);
         // Pipelined puts + fence + ack wait...
         for i in 0..8u64 {
@@ -200,10 +178,10 @@ fn mixed_workload_stays_bit_identical() {
 
 #[test]
 fn cycle_skips_match_clock_motion() {
-    // The cycles_fast_forwarded counter must equal exactly the clock
-    // motion the skips produced: re-run the ack scenario and check the
-    // skipped cycles never exceed the elapsed virtual time.
-    let mut m = machine(2, EngineMode::Event);
+    // The cycles_fast_forwarded counter records clock motion past
+    // pending completions: re-run the ack scenario and check the
+    // counted cycles never exceed the elapsed virtual time.
+    let mut m = machine(2);
     let base = aim(&mut m, 0, 1);
     for i in 0..16u64 {
         m.st8(0, base + i * 64, i);
@@ -221,33 +199,6 @@ fn cycle_skips_match_clock_motion() {
     assert!(
         stats.cycles_fast_forwarded > 0,
         "an ack-dominated workload must skip quiescent cycles"
-    );
-}
-
-#[test]
-fn perturbing_an_event_diverges_the_clocks() {
-    // The differential harness's teeth: skewing one event's due-time
-    // must change the final clocks, or the oracle could never catch a
-    // wrong event schedule. (Under the cycle engine the perturbation is
-    // a no-op — there is no queue to skew.)
-    let run = |engine: EngineMode, skew: u64| {
-        let mut m = machine(4, engine);
-        for pe in 0..4usize {
-            m.advance(pe, 100 + pe as u64 * 53);
-        }
-        if skew > 0 {
-            m.perturb_next_event(0, skew);
-        }
-        m.barrier_all();
-        m.clock(0)
-    };
-    let clean = run(EngineMode::Event, 0);
-    let skewed = run(EngineMode::Event, 1 << 20);
-    assert_ne!(clean, skewed, "a skewed settle must move the clock");
-    assert_eq!(
-        run(EngineMode::Cycle, 1 << 20),
-        clean,
-        "under the cycle engine the skew hook is inert"
     );
 }
 

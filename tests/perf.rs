@@ -2,10 +2,8 @@
 //! attributed cycles, sequential/parallel bit-identity, and the
 //! pure-observation guarantee (profiling never changes virtual time).
 
-use em3d::{
-    run_version_profiled, run_version_profiled_engine, run_version_with, Em3dParams, Version,
-};
-use t3d_machine::{EngineMode, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
+use em3d::{run_version_profiled, run_version_with, Em3dParams, Version};
+use t3d_machine::{Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_microbench::probes::attribution;
 
 /// The conservation invariant: on every PE, the cycles attributed to
@@ -27,26 +25,22 @@ fn assert_conserves(name: &str, report: &PerfReport) {
 #[test]
 fn every_scenario_conserves_cycles_under_seq() {
     for s in attribution::all() {
-        for engine in [EngineMode::Cycle, EngineMode::Event] {
-            assert_conserves(s.name, &(s.run)(PhaseDriver::Seq, engine).report);
-        }
+        assert_conserves(s.name, &(s.run)(PhaseDriver::Seq).report);
     }
 }
 
 #[test]
 fn every_scenario_conserves_cycles_under_par() {
     for s in attribution::all() {
-        for engine in [EngineMode::Cycle, EngineMode::Event] {
-            assert_conserves(s.name, &(s.run)(PhaseDriver::Par(4), engine).report);
-        }
+        assert_conserves(s.name, &(s.run)(PhaseDriver::Par(4)).report);
     }
 }
 
 #[test]
 fn scenario_reports_are_bit_identical_across_drivers() {
     for s in attribution::all() {
-        let seq = (s.run)(PhaseDriver::Seq, EngineMode::Cycle);
-        let par = (s.run)(PhaseDriver::Par(4), EngineMode::Cycle);
+        let seq = (s.run)(PhaseDriver::Seq);
+        let par = (s.run)(PhaseDriver::Par(4));
         // ScenarioRun equality covers the report AND the state checksum.
         assert_eq!(seq, par, "{}: Seq and Par(4) runs differ", s.name);
         assert_eq!(
@@ -59,45 +53,9 @@ fn scenario_reports_are_bit_identical_across_drivers() {
 }
 
 #[test]
-fn scenario_ledgers_are_bit_identical_across_engines() {
-    // The event engine's bit-identity contract, over the full
-    // attribution corpus: per-PE CostClass ledgers, histograms and the
-    // machine-state fingerprint must all match the cycle engine's, on
-    // both phase drivers. ScenarioRun equality covers the whole report.
-    for s in attribution::all() {
-        for driver in [PhaseDriver::Seq, PhaseDriver::Par(4)] {
-            let cycle = (s.run)(driver, EngineMode::Cycle);
-            let event = (s.run)(driver, EngineMode::Event);
-            assert_eq!(cycle, event, "{}: engines diverge under {driver:?}", s.name);
-        }
-    }
-}
-
-#[test]
-fn em3d_attribution_is_bit_identical_across_engines() {
-    // All seven EM3D versions under both engines: timing result and
-    // attribution report must match exactly.
-    let p = Em3dParams::tiny(30.0);
-    for v in Version::all() {
-        let (r_cy, perf_cy) =
-            run_version_profiled_engine(PhaseDriver::Seq, EngineMode::Cycle, 4, p, v);
-        let (r_ev, perf_ev) =
-            run_version_profiled_engine(PhaseDriver::Seq, EngineMode::Event, 4, p, v);
-        assert_eq!(r_cy, r_ev, "{}: results differ across engines", v.label());
-        assert_eq!(
-            perf_cy,
-            perf_ev,
-            "{}: attribution differs across engines",
-            v.label()
-        );
-        assert_conserves(v.label(), &perf_ev);
-    }
-}
-
-#[test]
 fn em3d_attribution_is_bit_identical_across_drivers() {
     let p = Em3dParams::tiny(30.0);
-    for v in [Version::Simple, Version::Bulk, Version::StoreSync] {
+    for v in Version::all() {
         let (r_seq, perf_seq) = run_version_profiled(PhaseDriver::Seq, 4, p, v);
         let (r_par, perf_par) = run_version_profiled(PhaseDriver::Par(4), 4, p, v);
         assert_eq!(r_seq, r_par, "{}: results differ", v.label());
