@@ -248,13 +248,12 @@ impl Machine {
         if !self.cfg.link_contention || pe == target {
             return 0;
         }
-        let path = self.torus.route(pe as u32, target as u32);
-        let mut start = ready;
-        for w in path.windows(2) {
-            start = start.max(self.link_busy[self.torus.step_link_id(w[0], w[1])]);
-        }
-        for w in path.windows(2) {
-            self.link_busy[self.torus.step_link_id(w[0], w[1])] = start + occupancy_cy;
+        let walk = self.torus.walk(pe as u32, target as u32);
+        let start = walk
+            .clone()
+            .fold(ready, |s, (_, l)| s.max(self.link_busy[l]));
+        for (_, l) in walk {
+            self.link_busy[l] = start + occupancy_cy;
         }
         start - ready
     }
@@ -816,18 +815,15 @@ impl Machine {
     pub fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
         self.nodes[pe].ops.atomics += 1;
         let now = self.hot[pe].clock;
-        let ready = now + self.cfg.shell.remote_read_shell_cy / 2 + self.one_way_cy(pe, target_pe);
+        let one_way = self.one_way_cy(pe, target_pe);
+        let rtt = 2 * one_way;
+        let ready = now + self.cfg.shell.remote_read_shell_cy / 2 + one_way;
         let lqueue = self.link_contend(pe, target_pe, ready, link_occupancy_cy(8));
         let queue = self.contend(target_pe, ready + lqueue, 20);
-        let cost = self.cfg.shell.remote_read_shell_cy
-            + self.rtt_cy(pe, target_pe)
-            + self.cfg.shell.amo_extra_cy
-            + queue
-            + lqueue;
-        self.hot[pe].clock += cost;
         let shell = self.cfg.shell.remote_read_shell_cy;
-        let rtt = self.rtt_cy(pe, target_pe);
         let amo = self.cfg.shell.amo_extra_cy;
+        let cost = shell + rtt + amo + queue + lqueue;
+        self.hot[pe].clock += cost;
         let p = &mut self.nodes[pe].perf;
         p.credit(CostClass::ShellLaunch, shell);
         p.credit(CostClass::NetHop, rtt);

@@ -11,15 +11,21 @@
 //!
 //! The sharded engine splits a phase into independent *shards*. Each
 //! shard ([`PhasePe`]) owns its node's entire state — caches, write
-//! buffer, DRAM timing, clock, prefetch queue — plus *private snapshots*
-//! of every other node's DRAM timing, shell occupancy and
-//! fetch&increment registers, taken at phase start. During the phase a
+//! buffer, DRAM timing, clock, prefetch queue — plus a private
+//! *copy-on-touch* view of every other node's DRAM timing, shell
+//! occupancy and fetch&increment registers and of the link-occupancy
+//! clocks. The view is a small overlay over one phase-entry snapshot
+//! shared by all shards: the first time a shard touches a remote node or
+//! link, that entry is copied into the shard's overlay and evolves
+//! there; reads of untouched entries go straight to the snapshot. A
+//! shard sees exactly what a full private copy would show, but setting
+//! one up costs nothing per PE of the machine. During the phase a
 //! shard:
 //!
 //! * mutates only its own node,
 //! * reads other nodes' memory bytes through shared [`MemArena`] handles
 //!   (safe: the BSP contract below),
-//! * computes remote *timing* against its private snapshots, and
+//! * computes remote *timing* against its private view, and
 //! * appends outbound effects — remote stores, DRAM touches, message
 //!   deliveries, fetch&increment bumps, BLT deposits — to a per-shard
 //!   log stamped with virtual time.
@@ -56,6 +62,8 @@ use crate::cpu::Cpu;
 use crate::machine::{link_occupancy_cy, BltHandle, Machine};
 use crate::node::{Node, NodeHot, OpStats};
 use crate::ops::MachineOps;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget};
 use t3d_perf::{CostClass, OpKind};
@@ -155,6 +163,35 @@ struct TimedEffect {
     eff: Effect,
 }
 
+/// Multiplicative (Fibonacci) hashing for the small integer keys — PE
+/// and link ids — of a shard's overlays: one multiply per lookup.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A shard's copy-on-touch entries over one [`PhaseShared`] snapshot
+/// table, keyed by PE or link id.
+type Overlay<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
+
 /// Read-only state shared by every shard of one phase.
 struct PhaseShared {
     cfg: MachineConfig,
@@ -207,34 +244,48 @@ pub struct PhasePe<'a> {
     /// for the phase like the node itself.
     hot: &'a mut NodeHot,
     sh: &'a PhaseShared,
-    /// Private evolution of every other node's DRAM timing, seeded from
-    /// the phase-start snapshot.
-    rdram: Vec<Dram>,
-    /// Private evolution of every other node's shell occupancy.
-    rbusy: Vec<u64>,
-    /// Private evolution of the link-occupancy clocks.
-    rlink: Vec<u64>,
+    /// Private evolution of the remote nodes' DRAM timing this shard has
+    /// touched, each seeded from the phase-start snapshot on first touch.
+    rdram: Overlay<Dram>,
+    /// Private evolution of the remote shell occupancies touched.
+    rbusy: Overlay<u64>,
+    /// Private evolution of the link-occupancy clocks touched.
+    rlink: Overlay<u64>,
     /// This shard's own increments of remote fetch&increment registers.
-    finc_bumps: Vec<[u64; 2]>,
+    finc_bumps: Overlay<[u64; 2]>,
     effects: Vec<TimedEffect>,
     seq: u64,
 }
 
 impl<'a> PhasePe<'a> {
     fn new(pe: usize, node: &'a mut Node, hot: &'a mut NodeHot, sh: &'a PhaseShared) -> Self {
-        let n = sh.mems.len();
         PhasePe {
             pe,
             node,
             hot,
             sh,
-            rdram: sh.dram.clone(),
-            rbusy: sh.busy.clone(),
-            rlink: sh.links.clone(),
-            finc_bumps: vec![[0u64; 2]; n],
+            rdram: Overlay::default(),
+            rbusy: Overlay::default(),
+            rlink: Overlay::default(),
+            finc_bumps: Overlay::default(),
             effects: Vec::new(),
             seq: 0,
         }
+    }
+
+    /// This shard's view of remote `target`'s DRAM timing, for an access:
+    /// copied from the phase-start snapshot on first touch.
+    fn rdram_mut(&mut self, target: usize) -> &mut Dram {
+        let sh = self.sh;
+        self.rdram
+            .entry(target)
+            .or_insert_with(|| sh.dram[target].clone())
+    }
+
+    /// This shard's view of remote `target`'s DRAM timing, for a peek:
+    /// the overlay entry if touched, else the snapshot (nothing copied).
+    fn rdram(&self, target: usize) -> &Dram {
+        self.rdram.get(&target).unwrap_or(&self.sh.dram[target])
     }
 
     #[inline]
@@ -266,7 +317,7 @@ impl<'a> PhasePe<'a> {
 
     /// The shard-local mirror of `Machine::contend`: queueing against the
     /// real occupancy for this shard's own shell, against the private
-    /// snapshot for a remote one.
+    /// view for a remote one.
     fn contend(&mut self, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
         if !self.sh.cfg.contention {
             return 0;
@@ -274,7 +325,7 @@ impl<'a> PhasePe<'a> {
         let busy = if target == self.pe {
             &mut self.hot.shell_busy_until
         } else {
-            &mut self.rbusy[target]
+            self.rbusy.entry(target).or_insert(self.sh.busy[target])
         };
         let start = ready.max(*busy);
         *busy = start + occupancy_cy;
@@ -282,20 +333,20 @@ impl<'a> PhasePe<'a> {
     }
 
     /// The shard-local mirror of `Machine::link_contend`: queueing on the
-    /// dimension-order route against the private phase-start link
-    /// snapshot. The reservation is replayed against the global link
+    /// dimension-order route against the private view of the phase-start
+    /// link clocks. The reservation is replayed against the global link
     /// clocks at merge time via [`TimedEffect::link`].
     fn link_contend(&mut self, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
         if !self.sh.cfg.link_contention || target == self.pe {
             return 0;
         }
-        let path = self.sh.torus.route(self.pe as u32, target as u32);
-        let mut start = ready;
-        for w in path.windows(2) {
-            start = start.max(self.rlink[self.sh.torus.step_link_id(w[0], w[1])]);
-        }
-        for w in path.windows(2) {
-            self.rlink[self.sh.torus.step_link_id(w[0], w[1])] = start + occupancy_cy;
+        let links = &self.sh.links;
+        let walk = self.sh.torus.walk(self.pe as u32, target as u32);
+        let start = walk.clone().fold(ready, |s, (_, l)| {
+            s.max(*self.rlink.get(&l).unwrap_or(&links[l]))
+        });
+        for (_, l) in walk {
+            self.rlink.insert(l, start + occupancy_cy);
         }
         start - ready
     }
@@ -364,7 +415,7 @@ impl<'a> PhasePe<'a> {
                 self.node.incoming.push((arrival, bytes));
                 self.node.acks.expect_ack(ack);
             } else {
-                let dram = self.rdram[target].access(sink.remote_line_pa);
+                let dram = self.rdram_mut(target).access(sink.remote_line_pa);
                 let ready = r.completion + sink.ack_rtt_cy / 2;
                 let lqueue = self.link_contend(target, ready, link_occupancy_cy(bytes));
                 let queue = self.contend(target, ready + lqueue, dram + 5);
@@ -489,7 +540,7 @@ impl MachineOps for PhasePe<'_> {
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
             } else {
-                dram = self.rdram[target].access(line_off);
+                dram = self.rdram_mut(target).access(line_off);
                 self.sh.mems[target].read(line_off, &mut line_buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
@@ -535,7 +586,7 @@ impl MachineOps for PhasePe<'_> {
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
             } else {
-                dram = self.rdram[target].access(off);
+                dram = self.rdram_mut(target).access(off);
                 self.sh.mems[target].read(off, buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
@@ -588,7 +639,7 @@ impl MachineOps for PhasePe<'_> {
             let page_cy = if target == self.pe {
                 self.node.port.dram().peek(line_off)
             } else {
-                self.rdram[target].peek(line_off)
+                self.rdram(target).peek(line_off)
             };
             let page_penalty = page_cy.saturating_sub(self.sh.cfg.mem.dram.page_hit_cy);
             let sink = RemoteSink {
@@ -657,7 +708,7 @@ impl MachineOps for PhasePe<'_> {
             self.flush_outbox();
             dram = self.node.port.service_remote_read(off, &mut buf);
         } else {
-            dram = self.rdram[target].access(off);
+            dram = self.rdram_mut(target).access(off);
             self.sh.mems[target].read(off, &mut buf);
         }
         let ready = now + tlb + self.sh.cfg.shell.prefetch_net_cy / 2 + self.one_way(target);
@@ -807,7 +858,7 @@ impl MachineOps for PhasePe<'_> {
             let dram = if target_pe == self.pe {
                 self.node.port.dram_mut().access(line)
             } else {
-                let d = self.rdram[target_pe].access(line);
+                let d = self.rdram_mut(target_pe).access(line);
                 self.push(now, target_pe, None, None, Effect::DramTouch { off: line });
                 d
             };
@@ -898,13 +949,13 @@ impl MachineOps for PhasePe<'_> {
         self.node.ops.atomics += 1;
         let now = self.hot.clock;
         let shell = self.sh.cfg.shell;
-        let ready = now + shell.remote_read_shell_cy / 2 + self.one_way(target_pe);
+        let one_way = self.one_way(target_pe);
+        let rtt = 2 * one_way;
+        let ready = now + shell.remote_read_shell_cy / 2 + one_way;
         let lqueue = self.link_contend(target_pe, ready, link_occupancy_cy(8));
         let queue = self.contend(target_pe, ready + lqueue, 20);
-        let cost =
-            shell.remote_read_shell_cy + self.rtt(target_pe) + shell.amo_extra_cy + queue + lqueue;
+        let cost = shell.remote_read_shell_cy + rtt + shell.amo_extra_cy + queue + lqueue;
         self.hot.clock += cost;
-        let rtt = self.rtt(target_pe);
         let p = &mut self.node.perf;
         p.credit(CostClass::ShellLaunch, shell.remote_read_shell_cy);
         p.credit(CostClass::NetHop, rtt);
@@ -914,8 +965,9 @@ impl MachineOps for PhasePe<'_> {
         if target_pe == self.pe {
             self.node.fetchinc.fetch_inc(reg)
         } else {
-            let value = self.sh.finc[target_pe].get(reg) + self.finc_bumps[target_pe][reg];
-            self.finc_bumps[target_pe][reg] += 1;
+            let bumps = self.finc_bumps.entry(target_pe).or_default();
+            let value = self.sh.finc[target_pe].get(reg) + bumps[reg];
+            bumps[reg] += 1;
             self.push(
                 ready,
                 target_pe,
@@ -1407,6 +1459,74 @@ mod tests {
             fingerprint(&m)
         };
         assert_eq!(run(PhaseDriver::Seq), run(PhaseDriver::Par(4)));
+    }
+
+    /// Per-shard observations of [`isolation_phase`]: two remote load
+    /// costs and two fetch&increment tickets.
+    type Seen = [u64; 4];
+
+    /// PEs 2 and 3 of a 4-PE (2×2×1) machine with shell and link
+    /// contention each warm their TLB with a load from PE 0's bank 1,
+    /// then load twice from one closed DRAM page on PE 0's bank 0 and
+    /// take two tickets from PE 0's fetch&increment register 0 (5 at
+    /// phase entry). Only the PEs in `active` run the body. Their routes
+    /// to PE 0 share the (0,1,0)→(0,0,0) link.
+    fn isolation_phase(driver: PhaseDriver, active: &[usize]) -> (Vec<Seen>, Vec<u64>) {
+        let mut m = Machine::new(MachineConfig::t3d_link_contended(4));
+        for _ in 0..5 {
+            let _ = m.fetch_inc(1, 0, 0);
+        }
+        m.barrier_all();
+        let mut seen = vec![Seen::default(); 4];
+        m.sharded_phase_zip(driver, &mut seen, |ops, pe, seen| {
+            if !active.contains(&pe) {
+                return;
+            }
+            let mut cpu = Cpu::new(ops, pe);
+            cpu.annex_set(1, 0, t3d_shell::FuncCode::Uncached);
+            let _ = cpu.ld8(cpu.va(1, 0x4100));
+            for (i, off) in [0x1000u64, 0x1008].into_iter().enumerate() {
+                let t = cpu.clock();
+                let _ = cpu.ld8(cpu.va(1, off));
+                seen[i] = cpu.clock() - t;
+            }
+            seen[2] = cpu.fetch_inc(0, 0);
+            seen[3] = cpu.fetch_inc(0, 0);
+        });
+        m.barrier_all();
+        assert_eq!(
+            m.node(0).fetchinc.get(0),
+            5 + 2 * active.len() as u64,
+            "every shard's tickets merge into the register"
+        );
+        (seen, fingerprint(&m))
+    }
+
+    #[test]
+    fn shards_see_phase_entry_state_and_their_own_touches() {
+        let dram = MachineConfig::t3d(4).mem.dram;
+        let (both, fp) = isolation_phase(PhaseDriver::Seq, &[2, 3]);
+        for pe in [2usize, 3] {
+            let [first, second, t1, t2] = both[pe];
+            // The second access sees the shard's own first one: the page
+            // it opened, with no queueing behind its own reservations.
+            assert_eq!(
+                first - second,
+                dram.page_miss_cy - dram.page_hit_cy,
+                "PE {pe}: second load must hit the page the first opened"
+            );
+            assert_eq!((t1, t2), (5, 6), "PE {pe}: entry value, then its own bump");
+            // The first access sees phase-entry state only: the shard
+            // observes exactly what it observes running alone, whatever
+            // the other shard touched first.
+            let (alone, _) = isolation_phase(PhaseDriver::Seq, &[pe]);
+            assert_eq!(both[pe], alone[pe], "PE {pe} saw another shard's touches");
+        }
+        assert_eq!(
+            isolation_phase(PhaseDriver::Par(2), &[2, 3]),
+            (both, fp),
+            "Seq and Par(2) must give identical observations, clocks and memory"
+        );
     }
 
     #[test]

@@ -1,64 +1,168 @@
-//! The backing byte array of one node's local memory, shareable across
+//! The backing bytes of one node's local memory, shareable across
 //! threads.
 //!
 //! During a sharded (parallel) phase, each processing element's thread
 //! owns its node's caches, write buffer and DRAM timing state
 //! exclusively, but *remote reads must still observe other nodes' memory
 //! bytes*. [`MemArena`] makes that possible: the bytes live in
-//! `AtomicU8` cells accessed with `Relaxed` ordering, so a port can hand
-//! out `Arc` clones of its arena to every other shard.
+//! little-endian `AtomicU64` word cells accessed with `Relaxed` ordering,
+//! so a port can hand out `Arc` clones of its arena to every other
+//! shard.
+//!
+//! Word cells make bulk traffic cheap: an aligned span (a BLT deposit, a
+//! cache-line fill, a snapshot checksum) moves eight bytes per atomic
+//! load or store. Only a span's unaligned head and tail, and masked
+//! writes that select part of a word, touch a word partially; those are
+//! atomic read-modify-writes that replace exactly the selected bytes, so
+//! two threads writing different bytes of one word both land.
 //!
 //! The arena is **demand-chunked**: the byte space is divided into
 //! fixed-size chunks that are allocated lazily, zero-filled, on first
 //! write. A fresh 16 MB arena is a table of empty [`OnceLock`] slots —
-//! a few hundred bytes — so constructing a 1024-PE machine no longer
-//! eagerly commits gigabytes. Reads of untouched chunks observe zeros,
-//! exactly as the old eager allocation did, which keeps
+//! a few hundred bytes — so constructing a 1024-PE machine does not
+//! eagerly commit gigabytes. Reads of untouched chunks observe zeros,
+//! exactly as an eager zeroed allocation would, which keeps
 //! `snapshot_region`/`fnv64` checksums bit-identical.
 //!
-//! Relaxed per-byte atomics compile to plain loads and stores on every
-//! platform we care about; there is no synchronization cost on the hot
-//! path. Determinism is *not* provided by this type — it comes from the
+//! Relaxed atomics compile to plain loads and stores on every platform
+//! we care about; there is no synchronization cost on the hot path.
+//! Determinism is *not* provided by this type — it comes from the
 //! sharded phase contract (a location written by its owner during a
 //! phase must not be read remotely in the same phase), enforced by
 //! convention and checked by the determinism oracle tests. Chunk
 //! *initialization* is thread-safe regardless: `OnceLock` guarantees a
 //! single zeroed allocation wins even under racing first writes.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Bytes per lazily-allocated chunk. 64 KB: big enough that chunk-table
 /// indexing is invisible next to DRAM-model costs, small enough that a
 /// microbenchmark touching one page commits one chunk, not a node's
-/// whole memory.
+/// whole memory. A multiple of the word size, so no word straddles two
+/// chunks.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
-/// Allocates `len` zeroed bytes as an atomic slice.
+/// Bytes per word cell.
+const WORD: usize = 8;
+
+/// `SPREAD[m]` sets byte `i` of a word to `0xFF` for every set bit `i`
+/// of the byte-select mask `m`.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut i = 0;
+        while i < WORD {
+            if m >> i & 1 != 0 {
+                t[m] |= 0xFF << (8 * i);
+            }
+            i += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// Allocates `words` zeroed word cells.
 ///
-/// The allocation is requested as a zeroed `Box<[u8]>` — which the
-/// allocator satisfies from the OS's pre-zeroed pages (calloc fast
-/// path) — and reinterpreted in place, rather than initializing `len`
-/// atomic cells one by one.
+/// The memory comes from `alloc_zeroed` rather than from initializing
+/// each atomic cell: the allocator satisfies it from the OS's pre-zeroed
+/// pages (calloc fast path), so a chunk's untouched pages are never
+/// committed.
 #[allow(unsafe_code)]
-fn zeroed_atomic(len: usize) -> Box<[AtomicU8]> {
-    let zeroed: Box<[u8]> = vec![0u8; len].into_boxed_slice();
-    let raw = Box::into_raw(zeroed);
-    // SAFETY: `AtomicU8` is documented to have the same size,
-    // alignment and bit validity as `u8`, so a zeroed `u8`
-    // allocation is a valid `[AtomicU8]` of the same length. The
-    // pointer comes from `Box::into_raw` and ownership passes
-    // directly back into `Box::from_raw`, with no aliasing in
-    // between.
-    unsafe { Box::from_raw(raw as *mut [AtomicU8]) }
+fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
+    assert!(words > 0, "chunks are never empty");
+    let layout = Layout::array::<AtomicU64>(words).expect("chunk layout");
+    // SAFETY: `layout` has non-zero size (asserted above). All-zero bits
+    // are a valid `AtomicU64` (it has the bit validity of `u64`), so the
+    // zeroed allocation is `words` initialized cells. The pointer was
+    // allocated by the global allocator with exactly the layout of
+    // `[AtomicU64; words]`, which is what `Box<[AtomicU64]>` frees with,
+    // and ownership passes straight into the box.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<AtomicU64>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, words))
+    }
+}
+
+/// Copies bytes `co..co + out.len()` of one chunk's cells into `out`:
+/// an unaligned head word, whole words, then a tail word.
+fn read_cells(cells: &[AtomicU64], co: usize, out: &mut [u8]) {
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed).to_le_bytes();
+    let (head, rest) = out.split_at_mut((co.wrapping_neg() % WORD).min(out.len()));
+    if !head.is_empty() {
+        let b = co % WORD;
+        head.copy_from_slice(&load(&cells[co / WORD])[b..b + head.len()]);
+    }
+    let (first, n) = (co.div_ceil(WORD), rest.len() / WORD);
+    let (body, tail) = rest.split_at_mut(n * WORD);
+    for (d, c) in body.chunks_exact_mut(WORD).zip(&cells[first..first + n]) {
+        d.copy_from_slice(&load(c));
+    }
+    if !tail.is_empty() {
+        tail.copy_from_slice(&load(&cells[first + n])[..tail.len()]);
+    }
+}
+
+/// Writes `src` over bytes `co..co + src.len()` of one chunk's cells:
+/// an unaligned head word, whole-word stores, then a tail word.
+fn write_cells(cells: &[AtomicU64], co: usize, src: &[u8]) {
+    let (head, rest) = src.split_at((co.wrapping_neg() % WORD).min(src.len()));
+    if !head.is_empty() {
+        store_bytes(&cells[co / WORD], co % WORD, head, low_bits(head.len()));
+    }
+    let (first, n) = (co.div_ceil(WORD), rest.len() / WORD);
+    let (body, tail) = rest.split_at(n * WORD);
+    for (s, c) in body.chunks_exact(WORD).zip(&cells[first..first + n]) {
+        c.store(
+            u64::from_le_bytes(s.try_into().expect("whole word")),
+            Ordering::Relaxed,
+        );
+    }
+    if !tail.is_empty() {
+        store_bytes(&cells[first + n], 0, tail, low_bits(tail.len()));
+    }
+}
+
+/// A byte-select mask with the low `n` bits set (`n <= 8`).
+fn low_bits(n: usize) -> u8 {
+    (u16::MAX >> (16 - n)) as u8
+}
+
+/// Writes the bytes of `src` selected by `sel` (bit `k` → `src[k]`; no
+/// bit at or above `src.len()` set) into `cell` starting at byte `b`. A
+/// whole word is one store; a partial word is one atomic
+/// read-modify-write that leaves every other byte as it is, even when
+/// another thread writes those bytes concurrently.
+fn store_bytes(cell: &AtomicU64, b: usize, src: &[u8], sel: u8) {
+    if sel == u8::MAX {
+        cell.store(
+            u64::from_le_bytes(src.try_into().expect("whole word")),
+            Ordering::Relaxed,
+        );
+        return;
+    }
+    let mut bytes = [0u8; WORD];
+    bytes[b..b + src.len()].copy_from_slice(src);
+    let mask = SPREAD[sel as usize] << (8 * b);
+    let value = u64::from_le_bytes(bytes) & mask;
+    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+        Some(old & !mask | value)
+    });
 }
 
 /// A fixed-size, zero-initialized byte array with interior mutability
-/// and demand-allocated backing chunks.
+/// and demand-allocated backing chunks of word cells.
 #[derive(Debug)]
 pub struct MemArena {
     len: usize,
-    chunks: Box<[OnceLock<Box<[AtomicU8]>>]>,
+    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
 }
 
 impl MemArena {
@@ -84,10 +188,9 @@ impl MemArena {
     /// footprint, as opposed to [`len`](Self::len), the addressable
     /// size.
     pub fn resident_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter_map(|c| c.get())
-            .map(|c| c.len())
+        (0..self.chunks.len())
+            .filter(|&i| self.chunks[i].get().is_some())
+            .map(|i| self.chunk_len(i))
             .sum()
     }
 
@@ -97,9 +200,24 @@ impl MemArena {
     }
 
     /// The chunk backing byte `i * CHUNK_BYTES`, allocating it (zeroed)
-    /// on first use.
-    fn chunk_mut(&self, i: usize) -> &[AtomicU8] {
-        self.chunks[i].get_or_init(|| zeroed_atomic(self.chunk_len(i)))
+    /// on first use. A short tail chunk rounds up to whole words; the
+    /// padding bytes past [`len`](Self::len) are never addressed.
+    fn chunk_mut(&self, i: usize) -> &[AtomicU64] {
+        self.chunks[i].get_or_init(|| zeroed_words(self.chunk_len(i).div_ceil(WORD)))
+    }
+
+    /// Splits `off..off + len` at chunk boundaries and calls `f` with
+    /// each piece's chunk index, offset within the chunk and range
+    /// within the span.
+    fn spans(&self, off: usize, len: usize, mut f: impl FnMut(usize, usize, Range<usize>)) {
+        let mut done = 0;
+        while done < len {
+            let pos = off + done;
+            let (ci, co) = (pos / CHUNK_BYTES, pos % CHUNK_BYTES);
+            let span = (len - done).min(self.chunk_len(ci) - co);
+            f(ci, co, done..done + span);
+            done += span;
+        }
     }
 
     /// Copies `buf.len()` bytes starting at `offset` into `buf`.
@@ -116,38 +234,20 @@ impl MemArena {
             off + buf.len(),
             self.len
         );
-        let mut pos = off;
-        let mut out = buf;
-        while !out.is_empty() {
-            let ci = pos / CHUNK_BYTES;
-            let co = pos % CHUNK_BYTES;
-            let span = out.len().min(self.chunk_len(ci) - co);
-            let (head, tail) = out.split_at_mut(span);
+        self.spans(off, buf.len(), |ci, co, r| {
+            let out = &mut buf[r];
             match self.chunks[ci].get() {
-                Some(chunk) => {
-                    for (d, s) in head.iter_mut().zip(&chunk[co..co + span]) {
-                        *d = s.load(Ordering::Relaxed);
-                    }
-                }
-                None => head.fill(0),
+                Some(cells) => read_cells(cells, co, out),
+                None => out.fill(0),
             }
-            out = tail;
-            pos += span;
-        }
+        });
     }
 
     /// Reads one byte.
     pub fn get(&self, offset: u64) -> u8 {
-        let off = offset as usize;
-        assert!(
-            off < self.len,
-            "byte {off} exceeds arena of {} bytes",
-            self.len
-        );
-        match self.chunks[off / CHUNK_BYTES].get() {
-            Some(chunk) => chunk[off % CHUNK_BYTES].load(Ordering::Relaxed),
-            None => 0,
-        }
+        let mut b = [0u8; 1];
+        self.read(offset, &mut b);
+        b[0]
     }
 
     /// Writes `bytes` starting at `offset`.
@@ -164,30 +264,14 @@ impl MemArena {
             off + bytes.len(),
             self.len
         );
-        let mut pos = off;
-        let mut src = bytes;
-        while !src.is_empty() {
-            let ci = pos / CHUNK_BYTES;
-            let co = pos % CHUNK_BYTES;
-            let span = src.len().min(self.chunk_len(ci) - co);
-            let chunk = self.chunk_mut(ci);
-            for (d, s) in chunk[co..co + span].iter().zip(src) {
-                d.store(*s, Ordering::Relaxed);
-            }
-            src = &src[span..];
-            pos += span;
-        }
+        self.spans(off, bytes.len(), |ci, co, r| {
+            write_cells(self.chunk_mut(ci), co, &bytes[r]);
+        });
     }
 
     /// Writes one byte.
     pub fn set(&self, offset: u64, byte: u8) {
-        let off = offset as usize;
-        assert!(
-            off < self.len,
-            "byte {off} exceeds arena of {} bytes",
-            self.len
-        );
-        self.chunk_mut(off / CHUNK_BYTES)[off % CHUNK_BYTES].store(byte, Ordering::Relaxed);
+        self.write(offset, &[byte]);
     }
 
     /// Writes the bytes of `bytes` selected by the low bits of `mask`
@@ -195,7 +279,8 @@ impl MemArena {
     ///
     /// # Panics
     ///
-    /// Panics if the span exceeds the arena.
+    /// Panics if the span exceeds the arena or `bytes` is longer than
+    /// the 64 bytes a mask can select.
     pub fn write_masked(&self, offset: u64, bytes: &[u8], mask: u64) {
         let off = offset as usize;
         assert!(
@@ -205,11 +290,20 @@ impl MemArena {
             off + bytes.len(),
             self.len
         );
-        for (i, b) in bytes.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                let pos = off + i;
-                self.chunk_mut(pos / CHUNK_BYTES)[pos % CHUNK_BYTES].store(*b, Ordering::Relaxed);
+        assert!(bytes.len() <= 64, "a mask selects at most 64 bytes");
+        // Word by word (a word never straddles two chunks); chunks are
+        // only committed for words the mask selects.
+        let mut i = 0;
+        while i < bytes.len() {
+            let pos = off + i;
+            let b = pos % WORD;
+            let n = (WORD - b).min(bytes.len() - i);
+            let sel = (mask >> i) as u8 & low_bits(n);
+            if sel != 0 {
+                let cells = self.chunk_mut(pos / CHUNK_BYTES);
+                store_bytes(&cells[pos % CHUNK_BYTES / WORD], b, &bytes[i..i + n], sel);
             }
+            i += n;
         }
     }
 
@@ -365,5 +459,159 @@ mod tests {
     fn out_of_bounds_write_panics() {
         let a = MemArena::new(16);
         a.write(10, &[0u8; 8]);
+    }
+
+    /// A byte-array reference model of the arena.
+    fn model_read(a: &MemArena) -> Vec<u8> {
+        let mut all = vec![0u8; a.len()];
+        a.read(0, &mut all);
+        all
+    }
+
+    #[test]
+    fn unaligned_heads_and_tails_leave_neighbours_alone() {
+        for off in 0..8u64 {
+            for len in 0..20usize {
+                let a = MemArena::new(64);
+                a.write(0, &[0xAA; 64]);
+                let data: Vec<u8> = (1..=len as u8).collect();
+                a.write(off + 16, &data);
+                let mut want = vec![0xAAu8; 64];
+                want[off as usize + 16..off as usize + 16 + len].copy_from_slice(&data);
+                assert_eq!(model_read(&a), want, "write at +{off}, {len} bytes");
+                let mut got = vec![0u8; len];
+                a.read(off + 16, &mut got);
+                assert_eq!(got, data, "read at +{off}, {len} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_writes_within_one_word_replace_selected_bytes() {
+        let a = MemArena::new(32);
+        a.write(0, &[0x11; 32]);
+        // Offset 5, 12 bytes: bytes 5..8 of word 0, all of word 1, byte
+        // 0 of word 2; the mask selects a ragged subset of each.
+        let data: Vec<u8> = (0xE0..0xECu8).collect();
+        let mask = 0b1010_0110_1101u64;
+        a.write_masked(5, &data, mask);
+        let mut want = vec![0x11u8; 32];
+        for (i, &b) in data.iter().enumerate() {
+            if mask >> i & 1 != 0 {
+                want[5 + i] = b;
+            }
+        }
+        assert_eq!(model_read(&a), want);
+        // An empty mask writes nothing and commits nothing new.
+        let b = MemArena::new(CHUNK_BYTES);
+        b.write_masked(3, &[9; 8], 0);
+        assert_eq!(b.get(3), 0);
+    }
+
+    #[test]
+    fn spans_crossing_a_chunk_at_an_odd_offset() {
+        let a = MemArena::new(2 * CHUNK_BYTES);
+        let off = CHUNK_BYTES as u64 - 5;
+        let data: Vec<u8> = (1..=19u8).collect();
+        a.write(off, &data);
+        let mut buf = [0u8; 19];
+        a.read(off, &mut buf);
+        assert_eq!(&buf[..], &data[..]);
+        // A masked write straddling the same boundary.
+        a.write_masked(off + 1, &[0xF0; 8], 0b1001_0110);
+        let mut want = data.clone();
+        for i in [1usize, 2, 4, 7] {
+            want[1 + i] = 0xF0;
+        }
+        a.read(off, &mut buf);
+        assert_eq!(&buf[..], &want[..]);
+        assert_eq!(a.resident_bytes(), 2 * CHUNK_BYTES);
+    }
+
+    #[test]
+    fn tail_chunk_shorter_than_a_word_multiple() {
+        let len = CHUNK_BYTES + 13;
+        let a = MemArena::new(len);
+        let data: Vec<u8> = (100..113u8).collect();
+        a.write(CHUNK_BYTES as u64, &data);
+        assert_eq!(
+            a.resident_bytes(),
+            13,
+            "tail chunk counts its bytes, not its words"
+        );
+        let mut buf = [0u8; 13];
+        a.read(CHUNK_BYTES as u64, &mut buf);
+        assert_eq!(&buf[..], &data[..]);
+        a.set(len as u64 - 1, 0x7F);
+        assert_eq!(a.get(len as u64 - 1), 0x7F);
+        assert_eq!(a.get(len as u64 - 2), 111);
+        let c = a.deep_clone();
+        assert_eq!(model_read(&c), model_read(&a));
+        assert_eq!(c.resident_bytes(), 13);
+    }
+
+    #[test]
+    fn threads_writing_different_bytes_of_one_word_all_land() {
+        // Partial-word writes are read-modify-writes on a shared cell; a
+        // plain load-then-store would let one thread's write erase the
+        // other's. Every thread owns one byte of word 0 and keeps
+        // rewriting it; each byte must end at its thread's last value.
+        const ROUNDS: u32 = 20_000;
+        let a = std::sync::Arc::new(MemArena::new(64));
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let a = std::sync::Arc::clone(&a);
+                s.spawn(move || {
+                    for r in 0..ROUNDS {
+                        let v = (r % 251) as u8 ^ t as u8;
+                        if r % 2 == 0 {
+                            a.set(t, v);
+                        } else {
+                            a.write_masked(0, &[v; 8], 1 << t);
+                        }
+                    }
+                });
+            }
+        });
+        for t in 0..8u64 {
+            assert_eq!(a.get(t), ((ROUNDS - 1) % 251) as u8 ^ t as u8, "byte {t}");
+        }
+    }
+
+    #[test]
+    fn random_spans_match_a_byte_model() {
+        let len = 2 * CHUNK_BYTES + 29;
+        let a = MemArena::new(len);
+        let mut model = vec![0u8; len];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for i in 0..2000 {
+            let n = (next() % 70) as usize;
+            let off = (next() as usize) % (len - n + 1);
+            let data: Vec<u8> = (0..n).map(|_| next() as u8).collect();
+            if i % 2 == 0 || n > 64 {
+                a.write(off as u64, &data);
+                model[off..off + n].copy_from_slice(&data);
+            } else {
+                let mask = next();
+                a.write_masked(off as u64, &data, mask);
+                for (k, &b) in data.iter().enumerate() {
+                    if mask >> k & 1 != 0 {
+                        model[off + k] = b;
+                    }
+                }
+            }
+            let r = (next() % 90) as usize;
+            let roff = (next() as usize) % (len - r + 1);
+            let mut buf = vec![0u8; r];
+            a.read(roff as u64, &mut buf);
+            assert_eq!(buf, model[roff..roff + r], "op {i}");
+        }
+        assert_eq!(model_read(&a), model);
     }
 }

@@ -35,10 +35,10 @@
 //! assert_eq!(cost, port.config().l1.hit_cy);
 //! ```
 
-// `deny` rather than `forbid`: `MemArena::new` carries the crate's one
-// audited `#[allow(unsafe_code)]` block (an in-place `Box<[u8]>` →
-// `Box<[AtomicU8]>` reinterpretation that keeps the zeroed allocation
-// on the calloc fast path). Everything else stays unsafe-free.
+// `deny` rather than `forbid`: the arena carries the crate's one
+// audited `#[allow(unsafe_code)]` block (a zeroed `alloc_zeroed`
+// allocation boxed as `[AtomicU64]`, which keeps chunk allocation on
+// the calloc fast path). Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -189,36 +189,35 @@ impl Torus {
 
     /// The dimension-order route from `a` to `b`, inclusive of both
     /// endpoints. X is resolved first, then Y, then Z, taking the shorter
-    /// way around each ring.
+    /// way around each ring. This collects [`walk`](Self::walk).
     pub fn route(&self, a: u32, b: u32) -> Vec<Coord> {
-        let mut cur = self.coord_of(a);
-        let dst = self.coord_of(b);
-        let mut path = vec![cur];
+        std::iter::once(self.coord_of(a))
+            .chain(self.walk(a, b).map(|(c, _)| c))
+            .collect()
+    }
+
+    /// Walks the dimension-order route from `a` to `b` without
+    /// allocating: one item per hop, the node the hop reaches and the
+    /// dense id of the link it crosses (equal to
+    /// [`step_link_id`](Self::step_link_id) of the hop's endpoints). The
+    /// walk has exactly [`hops`](Self::hops)`(a, b)` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
+    pub fn walk(&self, a: u32, b: u32) -> RouteWalk {
+        let (ca, cb) = (self.coord_of(a), self.coord_of(b));
         let (nx, ny, nz) = self.cfg.dims;
-        for dim in 0..3 {
-            let (extent, cur_v, dst_v) = match dim {
-                0 => (nx, cur.x, dst.x),
-                1 => (ny, cur.y, dst.y),
-                _ => (nz, cur.z, dst.z),
-            };
-            let mut v = cur_v;
-            while v != dst_v {
-                let fwd = (dst_v + extent - v) % extent;
-                let bwd = (v + extent - dst_v) % extent;
-                v = if fwd <= bwd {
-                    (v + 1) % extent
-                } else {
-                    (v + extent - 1) % extent
-                };
-                match dim {
-                    0 => cur.x = v,
-                    1 => cur.y = v,
-                    _ => cur.z = v,
-                }
-                path.push(cur);
-            }
-        }
-        path
+        let mut w = RouteWalk {
+            dims: [nx, ny, nz],
+            cur: [ca.x, ca.y, ca.z],
+            dst: [cb.x, cb.y, cb.z],
+            dim: 0,
+            left: 0,
+            minus: false,
+        };
+        w.enter(0);
+        w
     }
 
     /// Number of directed links: six per node (±X, ±Y, ±Z). Dense link
@@ -323,6 +322,69 @@ impl Torus {
             }
         };
         self.node_of(n)
+    }
+}
+
+/// The allocation-free dimension-order route walk of
+/// [`Torus::walk`]: yields `(node reached, link id crossed)` per hop.
+#[derive(Debug, Clone)]
+pub struct RouteWalk {
+    dims: [u32; 3],
+    cur: [u32; 3],
+    dst: [u32; 3],
+    /// Dimension being resolved (3 once the walk has arrived).
+    dim: usize,
+    /// Hops left along `dim`.
+    left: u32,
+    /// Whether `dim` is resolved in the minus direction.
+    minus: bool,
+}
+
+impl RouteWalk {
+    /// Moves to the first dimension at or after `from` that still
+    /// differs, choosing the shorter way around its ring (ties go plus,
+    /// so an extent-2 ring always steps plus).
+    fn enter(&mut self, from: usize) {
+        for d in from..3 {
+            let (e, v, t) = (self.dims[d], self.cur[d], self.dst[d]);
+            let fwd = (t + e - v) % e;
+            if fwd != 0 {
+                let bwd = e - fwd;
+                self.dim = d;
+                self.minus = fwd > bwd;
+                self.left = if self.minus { bwd } else { fwd };
+                return;
+            }
+        }
+        self.dim = 3;
+        self.left = 0;
+    }
+}
+
+impl Iterator for RouteWalk {
+    type Item = (Coord, usize);
+
+    fn next(&mut self) -> Option<(Coord, usize)> {
+        if self.left == 0 {
+            return None;
+        }
+        let [nx, ny, _] = self.dims;
+        let [x, y, z] = self.cur;
+        let from = (x + nx * (y + ny * z)) as usize;
+        let d = self.dim;
+        let e = self.dims[d];
+        self.cur[d] = if self.minus {
+            (self.cur[d] + e - 1) % e
+        } else {
+            (self.cur[d] + 1) % e
+        };
+        let link = from * 6 + d * 2 + usize::from(self.minus);
+        self.left -= 1;
+        if self.left == 0 {
+            self.enter(d + 1);
+        }
+        let [x, y, z] = self.cur;
+        Some((Coord { x, y, z }, link))
     }
 }
 

@@ -45,9 +45,8 @@ impl TrafficMatrix {
             self.links = vec![0; torus.num_links()];
         }
         self.messages += 1;
-        let path = torus.route(src, dst);
-        for w in path.windows(2) {
-            self.links[torus.step_link_id(w[0], w[1])] += bytes;
+        for (_, link) in torus.walk(src, dst) {
+            self.links[link] += bytes;
         }
     }
 

@@ -82,9 +82,25 @@ fn torus_hops_is_a_metric() {
     });
 }
 
-/// Dimension-order routes have exactly `hops` links and stay in bounds.
+/// Dimension-order routes have exactly `hops` links and stay in bounds,
+/// and the allocation-free walk crosses exactly the route's links.
 #[test]
 fn torus_route_consistency() {
+    let check = |t: &Torus, a: u32, b: u32| {
+        let (nx, ny, nz) = t.config().dims;
+        let route = t.route(a, b);
+        assert_eq!(route.len() as u32, t.hops(a, b) + 1);
+        for &c in &route {
+            assert!(c.x < nx && c.y < ny && c.z < nz);
+        }
+        let links: Vec<usize> = route
+            .windows(2)
+            .map(|w| t.step_link_id(w[0], w[1]))
+            .collect();
+        let walked: Vec<usize> = t.walk(a, b).map(|(_, l)| l).collect();
+        assert_eq!(walked, links, "walk {a} -> {b} on {:?}", (nx, ny, nz));
+        assert_eq!(walked.len() as u32, t.hops(a, b));
+    };
     Rng::cases(0x5005, 256, |_, rng| {
         let dims = (
             rng.gen_range(1u32..5),
@@ -96,11 +112,36 @@ fn torus_route_consistency() {
         let n = t.nodes();
         let a = (seed % n as u64) as u32;
         let b = ((seed >> 20) % n as u64) as u32;
-        let route = t.route(a, b);
-        assert_eq!(route.len() as u32, t.hops(a, b) + 1);
-        for c in route {
-            assert!(c.x < dims.0 && c.y < dims.1 && c.z < dims.2);
+        check(&t, a, b);
+    });
+    // Every pair on tori whose extent-1 and extent-2 rings exercise the
+    // degenerate and wire-sharing directions.
+    for dims in [
+        (1, 1, 1),
+        (2, 1, 1),
+        (1, 2, 1),
+        (1, 1, 2),
+        (2, 2, 2),
+        (2, 3, 1),
+        (1, 4, 2),
+        (3, 1, 2),
+    ] {
+        let t = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+        for a in 0..t.nodes() {
+            for b in 0..t.nodes() {
+                check(&t, a, b);
+            }
         }
+    }
+    // Sampled pairs on the 1024-PE machine's 8×8×16 torus.
+    let t = Torus::new(TorusConfig {
+        dims: (8, 8, 16),
+        hop_cy: 2.5,
+    });
+    Rng::cases(0x5015, 4096, |_, rng| {
+        let a = rng.gen_range(0u32..1024);
+        let b = rng.gen_range(0u32..1024);
+        check(&t, a, b);
     });
 }
 
