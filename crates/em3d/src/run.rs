@@ -127,8 +127,9 @@ struct BulkRegion {
 /// Communication plan for one half step (E-update or H-update).
 #[derive(Debug, Clone)]
 struct HalfPlan {
-    /// Consumer PE -> endpoint -> ghost slot.
-    slot_of: Vec<HashMap<Endpoint, u64>>,
+    /// Consumer PE -> ghost slot of each edge, in `deps` order (node by
+    /// node, edge by edge); [`LOCAL_EDGE`] for an edge to a local node.
+    edge_slot: Vec<Vec<u32>>,
     /// Consumer PE -> regions grouped by source.
     regions: Vec<Vec<BulkRegion>>,
     /// Producer PE -> (consumer, my index, consumer slot).
@@ -137,10 +138,13 @@ struct HalfPlan {
     gather_list: Vec<Vec<(u32, u64, Vec<u32>)>>,
 }
 
+/// [`HalfPlan::edge_slot`] entry of an edge whose endpoint is local.
+const LOCAL_EDGE: u32 = u32::MAX;
+
 impl HalfPlan {
     fn build(deps: &[Vec<Vec<Endpoint>>], nprocs: u32) -> Self {
         let n = nprocs as usize;
-        let mut slot_of = vec![HashMap::new(); n];
+        let mut edge_slot = Vec::with_capacity(n);
         let mut regions: Vec<Vec<BulkRegion>> = vec![Vec::new(); n];
         for c in 0..n {
             // Unique remote endpoints, grouped by source PE, first-seen
@@ -154,19 +158,20 @@ impl HalfPlan {
                     }
                 }
             }
+            // Endpoint -> ghost slot, needed only to resolve the edges.
+            let mut slot_of = HashMap::with_capacity(seen.len());
             let mut slot = 0u64;
             for (s, indices) in per_src.into_iter().enumerate() {
                 if indices.is_empty() {
                     continue;
                 }
                 for (k, idx) in indices.iter().enumerate() {
-                    slot_of[c].insert(
-                        Endpoint {
-                            pe: s as u32,
-                            idx: *idx,
-                        },
-                        slot + k as u64,
-                    );
+                    let ep = Endpoint {
+                        pe: s as u32,
+                        idx: *idx,
+                    };
+                    let ghost = u32::try_from(slot + k as u64).expect("ghost slot fits u32");
+                    slot_of.insert(ep, ghost);
                 }
                 regions[c].push(BulkRegion {
                     src: s as u32,
@@ -176,6 +181,19 @@ impl HalfPlan {
                 });
                 slot += indices.len() as u64;
             }
+            edge_slot.push(
+                deps[c]
+                    .iter()
+                    .flatten()
+                    .map(|ep| {
+                        if ep.pe as usize == c {
+                            LOCAL_EDGE
+                        } else {
+                            slot_of[ep]
+                        }
+                    })
+                    .collect(),
+            );
         }
         // Send-buffer offsets at each source: consumers in PE order.
         let mut send_cursor = vec![0u64; n];
@@ -197,7 +215,7 @@ impl HalfPlan {
             }
         }
         HalfPlan {
-            slot_of,
+            edge_slot,
             regions,
             push_list,
             gather_list,
@@ -382,10 +400,12 @@ fn compute_half(
     ghost_off: u64,
 ) {
     let pe = ctx.pe();
+    let mut slots = plan.edge_slot[pe].iter();
     for (i, node) in deps.iter().enumerate() {
         let mut acc = 0.0f64;
         ctx.advance(NODE_CY);
         for (j, ep) in node.iter().enumerate() {
+            let slot = *slots.next().expect("one slot per edge");
             // The graph is pointer-based: each edge costs a load of the
             // neighbour's (packed) global pointer from the edge list.
             let packed = ctx.ops().ld8(pe, adj + (i * node.len() + j) as u64 * 8);
@@ -396,8 +416,8 @@ fn compute_half(
             } else if version == Version::Simple {
                 f64::from_bits(ctx.read_u64(GlobalPtr::new(ep.pe, src_vals + ep.idx as u64 * 8)))
             } else {
-                let slot = plan.slot_of[pe][ep];
-                f64::from_bits(ctx.ops().ld8(pe, ghost_off + slot * 8))
+                debug_assert_ne!(slot, LOCAL_EDGE);
+                f64::from_bits(ctx.ops().ld8(pe, ghost_off + u64::from(slot) * 8))
             };
             acc += w * v;
             ctx.advance(FLOP_CY + version.loop_cy());

@@ -4,7 +4,7 @@
 use crate::config::MachineConfig;
 use crate::node::{EventStats, Node, NodeHot};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use t3d_memsys::{RemoteSink, WriteTarget};
+use t3d_memsys::{RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{
     chrome_trace, CostClass, Ledger, OpHists, OpKind, PePerf, PerfMode, PerfReport, PhaseLog,
     Registry, Span,
@@ -352,10 +352,11 @@ impl Machine {
                 self.nodes[target].port.apply_due(target_clock);
                 self.deliver_outbox(target);
                 let line_off = off & !self.line_mask();
-                let mut line_buf = vec![0u8; self.cfg.mem.l1.line];
+                let mut line = [0u8; MAX_LINE];
+                let line_buf = &mut line[..self.cfg.mem.l1.line];
                 let dram = self.nodes[target]
                     .port
-                    .service_remote_read(line_off, &mut line_buf);
+                    .service_remote_read(line_off, line_buf);
                 let ready = now
                     + cost
                     + self.cfg.shell.remote_read_shell_cy / 2
@@ -382,9 +383,9 @@ impl Machine {
                 p.credit(CostClass::RemoteDram, dram);
                 p.credit(CostClass::Contention, queue + lqueue);
                 if self.nodes[pe].port.has_pending_line(line_pa) {
-                    self.nodes[pe].port.forward_pending(line_pa, &mut line_buf);
+                    self.nodes[pe].port.forward_pending(line_pa, line_buf);
                 }
-                self.nodes[pe].port.install_remote_line(line_pa, &line_buf);
+                self.nodes[pe].port.install_remote_line(line_pa, line_buf);
                 let o = (va - line_pa) as usize;
                 buf.copy_from_slice(&line_buf[o..o + buf.len()]);
             }
@@ -418,10 +419,11 @@ impl Machine {
                 p.credit(CostClass::Contention, queue + lqueue);
                 // Our own pending stores to the same full PA forward.
                 if self.nodes[pe].port.has_pending_line(line_pa) {
-                    let mut line_buf = vec![0u8; self.cfg.mem.l1.line];
+                    let mut line = [0u8; MAX_LINE];
+                    let line_buf = &mut line[..self.cfg.mem.l1.line];
                     let line_off = off & !self.line_mask();
-                    self.nodes[target].port.peek_mem(line_off, &mut line_buf);
-                    self.nodes[pe].port.forward_pending(line_pa, &mut line_buf);
+                    self.nodes[target].port.peek_mem(line_off, line_buf);
+                    self.nodes[pe].port.forward_pending(line_pa, line_buf);
                     let o = (va - line_pa) as usize;
                     buf.copy_from_slice(&line_buf[o..o + buf.len()]);
                 }
@@ -531,16 +533,17 @@ impl Machine {
 
     /// Delivers retired remote writes from `pe`'s write buffer to their
     /// targets, charging target DRAM and scheduling acknowledgements.
+    /// Returns at once when nothing has retired (almost every op).
     fn deliver_outbox(&mut self, pe: usize) {
-        let retired = self.nodes[pe].port.take_outbox();
-        for r in retired {
+        let line = self.cfg.mem.l1.line;
+        while let Some(r) = self.nodes[pe].port.pop_outbox() {
             let WriteTarget::Remote(sink) = r.target else {
                 unreachable!("outbox only carries remote writes")
             };
             let target = sink.pe as usize;
             let dram = self.nodes[target].port.service_remote_write(
                 sink.remote_line_pa,
-                &r.data,
+                &r.data[..line],
                 Some(r.mask),
             );
             let bytes = r.mask.count_ones() as u64;

@@ -65,7 +65,7 @@ use crate::ops::MachineOps;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget};
+use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{CostClass, OpKind};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FetchIncRegs, FuncCode, Message, PopError};
@@ -120,13 +120,15 @@ impl PhaseDriver {
 #[derive(Debug)]
 enum Effect {
     /// A retired remote write: service the target's DRAM, update memory
-    /// under the mask, invalidate the covered cache line, and (if
-    /// `arrival` is set) log the data arrival for `storeSync`.
+    /// under the mask, invalidate the covered cache line, and log the
+    /// data arrival `(time, bytes)` for `storeSync`. The line is carried
+    /// inline, like the write-buffer entry it retired from; only its
+    /// first `line` bytes are applied.
     Write {
         off: u64,
-        data: Vec<u8>,
-        mask: Option<u64>,
-        arrival: Option<(u64, u64)>,
+        data: [u8; MAX_LINE],
+        mask: u64,
+        arrival: (u64, u64),
     },
     /// A functional deposit (BLT): write bytes and invalidate covered
     /// lines, no DRAM timing.
@@ -142,15 +144,13 @@ enum Effect {
     LinkReserve,
 }
 
-/// An [`Effect`] with its deterministic merge key.
+/// An [`Effect`] with the time that orders it in the merge. The rest of
+/// its merge key — issuing PE and issue order — is where it sits: shard
+/// `src`'s log, position `seq` (see [`MergeKey`]).
 #[derive(Debug)]
 struct TimedEffect {
     /// Virtual time at which the effect reaches the target.
     time: u64,
-    /// Issuing PE.
-    src: u32,
-    /// Issue order within the source shard (merge tiebreaker).
-    seq: u64,
     /// Target PE.
     target: u32,
     /// Shell-occupancy replay `(ready, occupancy_cy)` for contention
@@ -253,8 +253,8 @@ pub struct PhasePe<'a> {
     rlink: Overlay<u64>,
     /// This shard's own increments of remote fetch&increment registers.
     finc_bumps: Overlay<[u64; 2]>,
+    /// Outbound effects in issue order.
     effects: Vec<TimedEffect>,
-    seq: u64,
 }
 
 impl<'a> PhasePe<'a> {
@@ -269,7 +269,6 @@ impl<'a> PhasePe<'a> {
             rlink: Overlay::default(),
             finc_bumps: Overlay::default(),
             effects: Vec::new(),
-            seq: 0,
         }
     }
 
@@ -359,12 +358,8 @@ impl<'a> PhasePe<'a> {
         link: Option<(u64, u64)>,
         eff: Effect,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
         self.effects.push(TimedEffect {
             time,
-            src: self.pe as u32,
-            seq,
             target: target as u32,
             busy,
             link,
@@ -397,18 +392,19 @@ impl<'a> PhasePe<'a> {
     /// is registered source-side immediately, with the delivery timing
     /// computed against the private target snapshots).
     fn flush_outbox(&mut self) {
-        let retired = self.node.port.take_outbox();
-        for r in retired {
+        let line = self.sh.cfg.mem.l1.line;
+        while let Some(r) = self.node.port.pop_outbox() {
             let WriteTarget::Remote(sink) = r.target else {
                 unreachable!("outbox only carries remote writes")
             };
             let target = sink.pe as usize;
             let bytes = r.mask.count_ones() as u64;
             if target == self.pe {
-                let dram =
-                    self.node
-                        .port
-                        .service_remote_write(sink.remote_line_pa, &r.data, Some(r.mask));
+                let dram = self.node.port.service_remote_write(
+                    sink.remote_line_pa,
+                    &r.data[..line],
+                    Some(r.mask),
+                );
                 let queue = self.contend(target, r.completion + sink.ack_rtt_cy / 2, dram + 5);
                 let arrival = r.completion + sink.ack_rtt_cy / 2 + dram + queue;
                 let ack = r.completion + sink.ack_rtt_cy + dram + queue;
@@ -429,8 +425,8 @@ impl<'a> PhasePe<'a> {
                     Effect::Write {
                         off: sink.remote_line_pa,
                         data: r.data,
-                        mask: Some(r.mask),
-                        arrival: Some((arrival, bytes)),
+                        mask: r.mask,
+                        arrival: (arrival, bytes),
                     },
                 );
                 self.node.acks.expect_ack(ack);
@@ -531,17 +527,18 @@ impl MachineOps for PhasePe<'_> {
         let shell = self.sh.cfg.shell;
         if entry.func == FuncCode::Cached {
             let line_off = off & !self.line_mask();
-            let mut line_buf = vec![0u8; self.sh.cfg.mem.l1.line];
+            let mut line = [0u8; MAX_LINE];
+            let line_buf = &mut line[..self.sh.cfg.mem.l1.line];
             let occ = link_occupancy_cy(self.sh.cfg.mem.l1.line as u64);
             let (dram, queue, lqueue);
             if target == self.pe {
-                dram = self.node.port.service_remote_read(line_off, &mut line_buf);
+                dram = self.node.port.service_remote_read(line_off, line_buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
             } else {
                 dram = self.rdram_mut(target).access(line_off);
-                self.sh.mems[target].read(line_off, &mut line_buf);
+                self.sh.mems[target].read(line_off, line_buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
@@ -567,9 +564,9 @@ impl MachineOps for PhasePe<'_> {
             p.credit(CostClass::RemoteDram, dram);
             p.credit(CostClass::Contention, queue + lqueue);
             if self.node.port.has_pending_line(line_pa) {
-                self.node.port.forward_pending(line_pa, &mut line_buf);
+                self.node.port.forward_pending(line_pa, line_buf);
             }
-            self.node.port.install_remote_line(line_pa, &line_buf);
+            self.node.port.install_remote_line(line_pa, line_buf);
             let o = (va - line_pa) as usize;
             buf.copy_from_slice(&line_buf[o..o + buf.len()]);
         } else {
@@ -608,10 +605,11 @@ impl MachineOps for PhasePe<'_> {
             p.credit(CostClass::Contention, queue + lqueue);
             // Our own pending stores to the same full PA forward.
             if self.node.port.has_pending_line(line_pa) {
-                let mut line_buf = vec![0u8; self.sh.cfg.mem.l1.line];
+                let mut line = [0u8; MAX_LINE];
+                let line_buf = &mut line[..self.sh.cfg.mem.l1.line];
                 let line_off = off & !self.line_mask();
-                self.read_target_mem(target, line_off, &mut line_buf);
-                self.node.port.forward_pending(line_pa, &mut line_buf);
+                self.read_target_mem(target, line_off, line_buf);
+                self.node.port.forward_pending(line_pa, line_buf);
                 let o = (va - line_pa) as usize;
                 buf.copy_from_slice(&line_buf[o..o + buf.len()]);
             }
@@ -1105,6 +1103,31 @@ fn permute_in_place<T>(items: &mut [T], order: &[usize]) {
     }
 }
 
+/// Merge key of one effect: `(time, src, seq)`, where `seq` is the
+/// effect's position in shard `src`'s log — its issue order. The key is
+/// unique and locates its effect, so the merge sorts these 16-byte keys
+/// and never moves the effect records themselves.
+type MergeKey = (u64, u32, u32);
+
+/// The deterministic merge order of one phase's effects: every effect's
+/// key, sorted. `logs[pe]` is shard `pe`'s log in issue order.
+fn merge_order(logs: &[Vec<TimedEffect>]) -> Vec<MergeKey> {
+    let mut keys = Vec::with_capacity(logs.iter().map(Vec::len).sum());
+    for (pe, log) in logs.iter().enumerate() {
+        let src = u32::try_from(pe).expect("PE id fits u32");
+        let n = u32::try_from(log.len()).expect("shard log length fits u32");
+        keys.extend(log.iter().zip(0..n).map(|(e, seq)| (e.time, src, seq)));
+    }
+    keys.sort_unstable();
+    debug_assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "merge keys must be strictly increasing"
+    );
+    keys
+}
+
+/// Runs the shards on `threads` workers and returns every shard's effect
+/// log, indexed by PE.
 fn run_parallel<T: Send>(
     nodes: &mut [Node],
     hot: &mut [NodeHot],
@@ -1112,7 +1135,7 @@ fn run_parallel<T: Send>(
     sh: &PhaseShared,
     threads: usize,
     f: &(impl Fn(&mut dyn MachineOps, usize, &mut T) + Sync),
-) -> Vec<TimedEffect> {
+) -> Vec<Vec<TimedEffect>> {
     // Partition the torus into canonical sub-cubes — the same shapes the
     // gang scheduler allocates — and give each worker one sub-cube. A
     // worker's PEs are topological neighbours, so the snapshot lines its
@@ -1129,7 +1152,7 @@ fn run_parallel<T: Send>(
     permute_in_place(nodes, &order);
     permute_in_place(hot, &order);
     permute_in_place(states, &order);
-    let mut results: Vec<Vec<TimedEffect>> = Vec::with_capacity(blocks.len());
+    let mut logs: Vec<Vec<TimedEffect>> = Vec::with_capacity(order.len());
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         let mut node_rest = &mut *nodes;
@@ -1147,21 +1170,18 @@ fn run_parallel<T: Send>(
             let pes = &order[base..base + take];
             base += take;
             handles.push(s.spawn(move || {
-                let mut out = Vec::new();
-                for (((node, hot), state), &pe) in nchunk
+                nchunk
                     .iter_mut()
                     .zip(hchunk.iter_mut())
                     .zip(schunk.iter_mut())
                     .zip(pes.iter())
-                {
-                    out.append(&mut run_shard(pe, node, hot, sh, state, f));
-                }
-                out
+                    .map(|(((node, hot), state), &pe)| run_shard(pe, node, hot, sh, state, f))
+                    .collect::<Vec<_>>()
             }));
         }
         for h in handles {
             match h.join() {
-                Ok(v) => results.push(v),
+                Ok(v) => logs.extend(v),
                 Err(e) => std::panic::resume_unwind(e),
             }
         }
@@ -1173,7 +1193,8 @@ fn run_parallel<T: Send>(
     permute_in_place(nodes, &inv);
     permute_in_place(hot, &inv);
     permute_in_place(states, &inv);
-    results.into_iter().flatten().collect()
+    permute_in_place(&mut logs, &inv);
+    logs
 }
 
 impl Machine {
@@ -1213,77 +1234,76 @@ impl Machine {
             states.len()
         );
         self.normalize_for_phase();
-        let mut effects = {
+        let logs = {
             let (cfg, torus, nodes, hot, links) = self.phase_parts();
             let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
             let threads = driver.threads_for(n);
             if threads <= 1 {
-                let mut all = Vec::new();
-                for (pe, ((node, hot), state)) in nodes
+                nodes
                     .iter_mut()
                     .zip(hot.iter_mut())
                     .zip(states.iter_mut())
                     .enumerate()
-                {
-                    all.append(&mut run_shard(pe, node, hot, &sh, state, &f));
-                }
-                all
+                    .map(|(pe, ((node, hot), state))| run_shard(pe, node, hot, &sh, state, &f))
+                    .collect()
             } else {
                 run_parallel(nodes, hot, states, &sh, threads, &f)
             }
         };
-        effects.sort_by_key(|e| (e.time, e.src, e.seq));
-        self.apply_effects(effects);
+        self.apply_effects(&logs, &merge_order(&logs));
     }
 
-    /// Applies merged shard effects to the real nodes, in the already
-    /// deterministic order. Consecutive records for the same target are
-    /// applied as one run against a single node borrow, so a burst of
-    /// effects landing on one PE (the common shape after the
+    /// Applies the shards' effects to the real nodes in merge order
+    /// (`keys`, from [`merge_order`]). Consecutive effects for the same
+    /// target are applied as one run against a single node borrow, so a
+    /// burst of effects landing on one PE (the common shape after the
     /// `(time, src, seq)` sort) resolves the node once per run instead
-    /// of once per record.
-    fn apply_effects(&mut self, effects: Vec<TimedEffect>) {
+    /// of once per effect.
+    fn apply_effects(&mut self, logs: &[Vec<TimedEffect>], keys: &[MergeKey]) {
         let contention = self.config().contention;
         let link_contention = self.config().link_contention;
-        let line = self.config().mem.l1.line as u64;
-        let mut it = effects.into_iter().peekable();
-        while let Some(first) = it.next() {
-            let t = first.target as usize;
-            let mut run = vec![first];
-            while let Some(e) = it.next_if(|e| e.target as usize == t) {
-                run.push(e);
-            }
+        let line = self.config().mem.l1.line;
+        let effect = |&(_, src, seq): &MergeKey| &logs[src as usize][seq as usize];
+        for run in keys.chunk_by(|a, b| effect(a).target == effect(b).target) {
+            let t = effect(&run[0]).target as usize;
             if link_contention {
-                for e in &run {
-                    if let Some((ready, occ)) = e.link {
-                        self.replay_link(e.src as usize, t, ready, occ);
+                for key in run {
+                    if let Some((ready, occ)) = effect(key).link {
+                        self.replay_link(key.1 as usize, t, ready, occ);
                     }
                 }
             }
             let (node, hot) = self.node_and_hot_mut(t);
-            for e in run {
-                apply_effect(node, hot, e, line, contention);
+            for key in run {
+                apply_effect(node, hot, effect(key), line, contention);
             }
         }
     }
 }
 
 /// Applies one merged shard effect to its target node.
-fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: TimedEffect, line: u64, contention: bool) {
-    match e.eff {
+fn apply_effect(
+    node: &mut Node,
+    hot: &mut NodeHot,
+    e: &TimedEffect,
+    line: usize,
+    contention: bool,
+) {
+    match &e.eff {
         Effect::Write {
             off,
             data,
             mask,
             arrival,
         } => {
-            let _ = node.port.service_remote_write(off, &data, mask);
-            if let Some((at, bytes)) = arrival {
-                node.incoming.push((at, bytes));
-            }
+            let _ = node
+                .port
+                .service_remote_write(*off, &data[..line], Some(*mask));
+            node.incoming.push(*arrival);
         }
         Effect::Poke { off, data } => {
-            node.port.poke_mem(off, &data);
+            node.port.poke_mem(*off, data);
+            let line = line as u64;
             let mut a = off & !(line - 1);
             while a < off + data.len() as u64 {
                 node.port.l1_mut().invalidate(a);
@@ -1291,11 +1311,11 @@ fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: TimedEffect, line: u64, c
             }
         }
         Effect::DramTouch { off } => {
-            let _ = node.port.dram_mut().access(off);
+            let _ = node.port.dram_mut().access(*off);
         }
-        Effect::Msg(msg) => node.msgq.deliver(msg),
+        Effect::Msg(msg) => node.msgq.deliver(*msg),
         Effect::FetchInc { reg } => {
-            let _ = node.fetchinc.fetch_inc(reg);
+            let _ = node.fetchinc.fetch_inc(*reg);
         }
         Effect::LinkReserve => {}
     }
@@ -1527,6 +1547,103 @@ mod tests {
             (both, fp),
             "Seq and Par(2) must give identical observations, clocks and memory"
         );
+    }
+
+    fn link_reserve(time: u64) -> TimedEffect {
+        TimedEffect {
+            time,
+            target: 0,
+            busy: None,
+            link: None,
+            eff: Effect::LinkReserve,
+        }
+    }
+
+    #[test]
+    fn merge_order_breaks_time_ties_by_source_then_issue_order() {
+        // Three shard logs whose times tie across sources and, within a
+        // source, across issue order. The keys must come out exactly in
+        // the order a stable sort of the records by (time, src, seq)
+        // gives.
+        let times: [&[u64]; 3] = [&[5, 3, 5, 5], &[5, 5, 1], &[3, 5, 3, 9]];
+        let logs: Vec<Vec<TimedEffect>> = times
+            .iter()
+            .map(|ts| ts.iter().map(|&t| link_reserve(t)).collect())
+            .collect();
+        let mut expect: Vec<(u64, u32, u32)> = Vec::new();
+        for (src, ts) in times.iter().enumerate() {
+            for (seq, &t) in ts.iter().enumerate() {
+                expect.push((t, src as u32, seq as u32));
+            }
+        }
+        expect.sort_by_key(|&(t, src, seq)| (t, src, seq));
+        assert_eq!(merge_order(&logs), expect);
+        assert_eq!(
+            merge_order(&logs)[..4],
+            [(1, 1, 2), (3, 0, 1), (3, 2, 0), (3, 2, 2)]
+        );
+    }
+
+    /// PEs 1 and 2 — one hop from PE 0 each, with equal clocks — deposit
+    /// overlapping strided BLT windows into PE 0 at the same time: every
+    /// DRAM touch of one transfer ties on `(time, src)`, and the two
+    /// transfers tie on `time`.
+    fn tied_deposits(cpu: &mut Cpu) {
+        let pe = cpu.pe();
+        if pe == 1 || pe == 2 {
+            for i in 0..8u64 {
+                cpu.poke8(0x4000 + i * 8, (pe as u64) << 32 | i);
+            }
+            let h = cpu.blt_start_strided(
+                t3d_shell::blt::BltDirection::Write,
+                0x4000,
+                0,
+                0x6000,
+                8,
+                8,
+                64,
+            );
+            cpu.blt_wait(h);
+        }
+    }
+
+    #[test]
+    fn tied_merge_keys_apply_identically_under_seq_and_par() {
+        // The body really produces both kinds of tie.
+        let mut m = Machine::new(MachineConfig::t3d(4));
+        let logs = {
+            let (cfg, torus, nodes, hot, links) = m.phase_parts();
+            let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
+            let f = |ops: &mut dyn MachineOps, pe: usize, (): &mut ()| {
+                tied_deposits(&mut Cpu::new(ops, pe));
+            };
+            nodes
+                .iter_mut()
+                .zip(hot.iter_mut())
+                .enumerate()
+                .map(|(pe, (node, hot))| run_shard(pe, node, hot, &sh, &mut (), &f))
+                .collect::<Vec<_>>()
+        };
+        let keys = merge_order(&logs);
+        let tie_across_sources = keys
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+        let tie_within_source = keys
+            .windows(2)
+            .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1));
+        assert!(tie_across_sources && tie_within_source, "{keys:?}");
+
+        let run = |driver: PhaseDriver| {
+            let mut m = Machine::new(MachineConfig::t3d(4));
+            m.sharded_phase(driver, tied_deposits);
+            m.barrier_all();
+            let last: Vec<u64> = (0..8).map(|i| m.peek8(0, 0x6000 + i * 64)).collect();
+            (fingerprint(&m), last)
+        };
+        let (seq, last) = run(PhaseDriver::Seq);
+        assert_eq!((seq.clone(), last.clone()), run(PhaseDriver::Par(2)));
+        // At equal time the higher source applies last, so PE 2 wins.
+        assert_eq!(last, (0..8).map(|i| 2 << 32 | i).collect::<Vec<u64>>());
     }
 
     #[test]

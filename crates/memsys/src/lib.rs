@@ -58,7 +58,7 @@ pub use dram::Dram;
 pub use l2::L2Cache;
 pub use port::{MemPort, PortStats};
 pub use tlb::Tlb;
-pub use wbuf::{RemoteSink, Retired, WriteBuffer, WriteTarget};
+pub use wbuf::{RemoteSink, Retired, WriteBuffer, WriteTarget, MAX_LINE};
 
 /// Converts a cycle count to nanoseconds at the given clock (MHz).
 ///

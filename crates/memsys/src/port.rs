@@ -18,6 +18,7 @@
 use crate::arena::MemArena;
 use crate::cache::L1Cache;
 use crate::config::MemConfig;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use t3d_perf::{CostClass, Ledger};
 
@@ -53,7 +54,7 @@ impl PortStats {
 use crate::dram::Dram;
 use crate::l2::L2Cache;
 use crate::tlb::Tlb;
-use crate::wbuf::{Retired, WriteBuffer, WriteTarget};
+use crate::wbuf::{Retired, WriteBuffer, WriteTarget, MAX_LINE};
 
 /// A node's complete local memory system, functional and timed.
 ///
@@ -78,9 +79,14 @@ pub struct MemPort {
     dram: Dram,
     mem: Arc<MemArena>,
     offset_mask: u64,
+    /// The write buffer's retire sink: entries it retired during the
+    /// current operation, before they are applied locally or moved to the
+    /// outbox. Always empty between operations; kept only so its
+    /// allocation is reused.
+    retired: Vec<Retired>,
     /// Remote writes that have retired from the write buffer and await
-    /// delivery by the machine layer.
-    outbox: Vec<Retired>,
+    /// delivery by the machine layer, oldest first.
+    outbox: VecDeque<Retired>,
     /// Cached [`WriteBuffer::next_due`] (`u64::MAX` when the buffer is
     /// empty). Every timed operation calls [`MemPort::apply_due`]; this
     /// cache lets that call return without touching the write buffer at
@@ -111,7 +117,8 @@ impl MemPort {
             wbuf: WriteBuffer::new(cfg.wbuf, cfg.l1.line),
             dram: Dram::new(cfg.dram),
             mem: Arc::new(MemArena::new(cfg.mem_bytes)),
-            outbox: Vec::new(),
+            retired: Vec::new(),
+            outbox: VecDeque::new(),
             wbuf_next_due: u64::MAX,
             stats: PortStats::default(),
             perf_on: false,
@@ -200,11 +207,12 @@ impl MemPort {
                         dram_cy
                     }
                 };
-                let mut line_buf = vec![0u8; line as usize];
-                self.mem.read(self.offset_of(line_pa), &mut line_buf);
+                let mut fill = [0u8; MAX_LINE];
+                let line_buf = &mut fill[..line as usize];
+                self.mem.read(self.offset_of(line_pa), line_buf);
                 // Same-PA pending stores forward into the fill.
-                self.wbuf.forward(line_pa, &mut line_buf);
-                self.l1.fill(line_pa, &line_buf);
+                self.wbuf.forward(line_pa, line_buf);
+                self.l1.fill(line_pa, line_buf);
                 buf[done..done + take].copy_from_slice(&line_buf[off_in_line..off_in_line + take]);
             }
             done += take;
@@ -243,7 +251,9 @@ impl MemPort {
             WriteTarget::Local => self.dram.access(self.offset_of(pa & !self.line_mask())),
             WriteTarget::Remote(_) => 0,
         };
-        let (out, retired) = self.wbuf.push(now + cost, pa, bytes, target, dram_cy);
+        let out = self
+            .wbuf
+            .push(now + cost, pa, bytes, target, dram_cy, &mut self.retired);
         self.refresh_next_due();
         if out.merged {
             self.stats.wbuf_merges += 1;
@@ -255,16 +265,16 @@ impl MemPort {
         self.credit(CostClass::WbufIssue, issue);
         self.credit(CostClass::WbufStall, out.cycles - issue);
         cost += out.cycles;
-        self.apply_retired(retired);
+        self.apply_retired();
         cost
     }
 
     /// Issues a memory barrier: drains the write buffer and returns the
     /// cost in cycles. Retired remote entries land in the outbox.
     pub fn memory_barrier(&mut self, now: u64) -> u64 {
-        let (cost, retired) = self.wbuf.drain_all(now);
+        let cost = self.wbuf.drain_all(now, &mut self.retired);
         self.wbuf_next_due = u64::MAX;
-        self.apply_retired(retired);
+        self.apply_retired();
         self.credit(CostClass::WbufDrain, cost);
         cost
     }
@@ -275,30 +285,34 @@ impl MemPort {
         if now < self.wbuf_next_due {
             return;
         }
-        let retired = self.wbuf.drain_due(now);
+        self.wbuf.drain_due(now, &mut self.retired);
         self.refresh_next_due();
-        self.apply_retired(retired);
+        self.apply_retired();
     }
 
     fn refresh_next_due(&mut self) {
         self.wbuf_next_due = self.wbuf.next_due().unwrap_or(u64::MAX);
     }
 
-    /// Takes the remote writes that have retired since the last call; the
-    /// machine layer delivers them to their target nodes.
-    pub fn take_outbox(&mut self) -> Vec<Retired> {
-        std::mem::take(&mut self.outbox)
+    /// Takes the oldest remote write that has retired and not yet been
+    /// taken; the machine layer delivers them to their target nodes in
+    /// retire order. `None` (the common case) costs one length check.
+    pub fn pop_outbox(&mut self) -> Option<Retired> {
+        self.outbox.pop_front()
     }
 
-    fn apply_retired(&mut self, retired: Vec<Retired>) {
-        for r in retired {
+    /// Applies the entries the write buffer just retired into the sink:
+    /// local ones are committed to memory (the line only, never the rest
+    /// of the inline array), remote ones queue in the outbox.
+    fn apply_retired(&mut self) {
+        let line = self.cfg.l1.line;
+        for r in self.retired.drain(..) {
             match r.target {
                 WriteTarget::Local => {
-                    let base = self.offset_of(r.line_pa);
-                    self.mem
-                        .write_masked(base, &r.data[..self.cfg.l1.line], r.mask);
+                    let base = r.line_pa & self.offset_mask;
+                    self.mem.write_masked(base, &r.data[..line], r.mask);
                 }
-                WriteTarget::Remote(_) => self.outbox.push(r),
+                WriteTarget::Remote(_) => self.outbox.push_back(r),
             }
         }
     }
@@ -492,9 +506,9 @@ impl MemPort {
         self.dram.reset();
         // Any pending writes are applied instantly; remote entries land
         // in the outbox for the machine layer to deliver.
-        let (_, retired) = self.wbuf.drain_all(u64::MAX / 2);
+        let _ = self.wbuf.drain_all(u64::MAX / 2, &mut self.retired);
         self.wbuf_next_due = u64::MAX;
-        self.apply_retired(retired);
+        self.apply_retired();
         self.wbuf.reset();
     }
 }
@@ -513,6 +527,7 @@ impl Clone for MemPort {
             dram: self.dram.clone(),
             mem: Arc::new(self.mem.deep_clone()),
             offset_mask: self.offset_mask,
+            retired: Vec::new(),
             outbox: self.outbox.clone(),
             wbuf_next_due: self.wbuf_next_due,
             stats: self.stats,

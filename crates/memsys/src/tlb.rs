@@ -27,6 +27,9 @@ use crate::config::TlbConfig;
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
+    /// `log2(page_bytes)` when the page size is a power of two, so the
+    /// page number is a shift; `None` falls back to a division.
+    page_shift: Option<u32>,
     /// Resident page numbers, most recently used last.
     pages: Vec<u64>,
     misses: u64,
@@ -39,6 +42,10 @@ impl Tlb {
         assert!(cfg.entries > 0, "TLB must have at least one entry");
         Tlb {
             cfg,
+            page_shift: cfg
+                .page_bytes
+                .is_power_of_two()
+                .then(|| cfg.page_bytes.trailing_zeros()),
             pages: Vec::with_capacity(cfg.entries),
             misses: 0,
             hits: 0,
@@ -52,13 +59,22 @@ impl Tlb {
 
     /// Page number containing the given address.
     pub fn page_of(&self, pa: u64) -> u64 {
-        pa / self.cfg.page_bytes
+        match self.page_shift {
+            Some(shift) => pa >> shift,
+            None => pa / self.cfg.page_bytes,
+        }
     }
 
     /// Translates one access, returning its cost in cycles (0 on a hit,
     /// [`TlbConfig::miss_cy`] on a miss).
     pub fn access(&mut self, pa: u64) -> u64 {
         let page = self.page_of(pa);
+        // Most accesses repeat the last page. It is already the most
+        // recently used entry, so the hit leaves the LRU order as it is.
+        if self.pages.last() == Some(&page) {
+            self.hits += 1;
+            return 0;
+        }
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
             self.pages.remove(pos);
             self.pages.push(page);
@@ -150,6 +166,58 @@ mod tests {
         tlb.access(8192); // page 2 evicts page 1 (LRU)
         assert_eq!(tlb.access(0), 0, "page 0 survived");
         assert_eq!(tlb.access(4096), 10, "page 1 was evicted");
+    }
+
+    /// Runs a mixed access sequence (repeats of the last page, hits on
+    /// older pages, capacity misses) through a 4-entry TLB with the given
+    /// page size and returns the cost of each access.
+    fn mixed_costs(page_bytes: u64) -> (Vec<u64>, Tlb) {
+        let mut tlb = Tlb::new(TlbConfig {
+            entries: 4,
+            page_bytes,
+            miss_cy: 7,
+        });
+        // Pages named by index; each access lands mid-page.
+        let seq = [0u64, 0, 1, 1, 0, 2, 3, 3, 4, 1, 0, 0, 5, 2, 4, 4, 1, 3];
+        let costs = seq
+            .iter()
+            .map(|&p| tlb.access(p * page_bytes + page_bytes / 2))
+            .collect();
+        (costs, tlb)
+    }
+
+    #[test]
+    fn mixed_sequence_pins_counters_and_eviction() {
+        // Expected LRU trace (MRU last), identical at every page size:
+        //  0 m [0] · 0 h · 1 m [0 1] · 1 h · 0 h [1 0] · 2 m [1 0 2]
+        //  3 m [1 0 2 3] · 3 h · 4 m evicts 1 [0 2 3 4] · 1 m evicts 0
+        //  [2 3 4 1] · 0 m evicts 2 [3 4 1 0] · 0 h · 5 m evicts 3
+        //  [4 1 0 5] · 2 m evicts 4 [1 0 5 2] · 4 m evicts 1 [0 5 2 4]
+        //  · 4 h · 1 m evicts 0 [5 2 4 1] · 3 m evicts 5 [2 4 1 3]
+        let expect = [7, 0, 7, 0, 0, 7, 7, 0, 7, 7, 7, 0, 7, 7, 7, 0, 7, 7];
+        let dec = MemConfig::dec_workstation().tlb.page_bytes;
+        let t3d = MemConfig::t3d().tlb.page_bytes;
+        for page_bytes in [3000, dec, t3d] {
+            let (costs, tlb) = mixed_costs(page_bytes);
+            assert_eq!(costs, expect, "page size {page_bytes}");
+            assert_eq!(
+                (tlb.hits(), tlb.misses()),
+                (6, 12),
+                "page size {page_bytes}"
+            );
+            assert_eq!(tlb.pages, [2, 4, 1, 3], "page size {page_bytes}");
+        }
+    }
+
+    #[test]
+    fn page_of_shifts_or_divides() {
+        let mut cfg = MemConfig::t3d().tlb;
+        let t3d = Tlb::new(cfg);
+        assert_eq!(t3d.page_of(cfg.page_bytes * 3 + 1), 3);
+        cfg.page_bytes = 3000;
+        let odd = Tlb::new(cfg);
+        assert_eq!(odd.page_of(5999), 1);
+        assert_eq!(odd.page_of(6000), 2);
     }
 
     #[test]

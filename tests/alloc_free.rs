@@ -1,0 +1,163 @@
+//! Host-heap discipline of the memory-system op path.
+//!
+//! Loads and stores are the simulator's most common operations. In
+//! steady state a local load that misses and fills L1, and a local store
+//! that merges into or retires a write-buffer entry, must not touch the
+//! host heap at all: the write buffer keeps its lines inline, its retire
+//! sink and the outbox reuse their allocations, and line buffers live on
+//! the stack. Remote loads and stores may allocate only where a log grows
+//! (the target's arrival log, amortised doubling).
+//!
+//! The binary installs a counting global allocator. Counts are kept per
+//! thread, so the test harness's own threads do not disturb them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use t3d_machine::{Machine, MachineConfig, PerfMode};
+use t3d_shell::{AnnexEntry, FuncCode};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to the system allocator unchanged; the
+// counter is a const-initialised thread-local with no destructor, so
+// bumping it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations made on this thread while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// 64 KB: eight times the 8 KB direct-mapped L1, so a 32-byte-stride
+/// sweep misses and fills on every load.
+const SWEEP: u64 = 64 * 1024;
+
+/// One local op of the steady-state mix on PE 0, in groups of eight:
+/// four loads sweep at line stride (every one an L1 miss and fill), then
+/// four stores fill one line of a second region word by word, so stores
+/// issued back to back merge into the youngest write-buffer entry, and
+/// entries retire to memory while the loads advance the clock.
+fn local_op(m: &mut Machine, i: u64) {
+    let (group, k) = (i / 8, i % 8);
+    if k < 4 {
+        let _ = m.ld8(0, ((group * 4 + k) * 32) % SWEEP);
+    } else {
+        m.st8(0, SWEEP + (group * 32 + (k - 4) * 8) % SWEEP, i);
+    }
+}
+
+fn machine() -> Machine {
+    let mut m = Machine::new(MachineConfig::t3d(16));
+    // Profiling off whatever the environment says: counters are state
+    // this test does not measure.
+    m.set_perf_mode(PerfMode::Off);
+    m
+}
+
+#[test]
+fn steady_state_local_loads_and_stores_never_allocate() {
+    let mut m = machine();
+    // Warm-up: one full pass over the store region (and four over the
+    // load sweep) commits every arena chunk the mix touches and grows the
+    // port's reusable buffers to their working size.
+    for i in 0..(SWEEP / 32) * 8 {
+        local_op(&mut m, i);
+    }
+    let before = m.node(0).port.stats();
+    let n = 100_000u64;
+    let groups = n / 8;
+    let allocs = allocations(|| {
+        for i in 0..n {
+            local_op(&mut m, i);
+        }
+    });
+    let stats = m.node(0).port.stats();
+    let misses = stats.l1_misses - before.l1_misses;
+    let merges = stats.wbuf_merges - before.wbuf_merges;
+    assert_eq!(misses, n / 2, "every load missed and filled L1");
+    assert!(merges >= groups, "stores merged: {merges}");
+    println!("{misses} L1 fills, {merges} write-buffer merges");
+    // Retired entries reached memory: the last store is visible once the
+    // buffer drains.
+    m.memory_barrier(0);
+    let last = n - 1;
+    assert_eq!(m.peek8(0, SWEEP + (last / 8 * 32 + 24) % SWEEP), last);
+    assert_eq!(allocs, 0, "{n} steady-state local ops allocated");
+}
+
+#[test]
+fn remote_loads_and_fenced_remote_stores_rarely_allocate() {
+    let mut m = machine();
+    m.annex_set(
+        0,
+        1,
+        AnnexEntry {
+            pe: 1,
+            func: FuncCode::Uncached,
+        },
+    );
+    let op = |m: &mut Machine, i: u64| {
+        let va = m.va(1, (i * 8) % SWEEP);
+        match i % 4 {
+            0 | 1 => {
+                let _ = m.ld8(0, va);
+            }
+            2 => m.st8(0, va, i),
+            _ => {
+                m.st8(0, va, i);
+                m.memory_barrier(0);
+            }
+        }
+    };
+    for i in 0..10_000 {
+        op(&mut m, i);
+    }
+    m.wait_write_acks(0);
+    let n = 100_000u64;
+    let allocs = allocations(|| {
+        for i in 0..n {
+            op(&mut m, i);
+            if i % 1000 == 999 {
+                m.wait_write_acks(0);
+            }
+        }
+    });
+    println!("{allocs} allocations over {n} remote ops");
+    assert!(
+        allocs * 1000 < n,
+        "{allocs} allocations over {n} remote ops (limit: under 1 per 1,000)"
+    );
+    assert_eq!(m.node(0).ops.stores_remote, (10_000 + n) / 2);
+}
