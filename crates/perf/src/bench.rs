@@ -233,21 +233,25 @@ impl BenchDoc {
 /// Compares a fresh run against a baseline. Returns one message per
 /// problem; empty result = pass.
 ///
-/// Three gates, in decreasing strictness:
+/// Four gates, in decreasing strictness:
 ///
 /// * an entry present in the baseline but missing from the new run
 ///   always fails;
 /// * **checksums** (when both entries carry a throughput block) must
 ///   match exactly — they are virtual-state fingerprints, so any
 ///   difference means the engine computed something else;
-/// * **cycles** may grow by at most `tol` (fractional, e.g. `0.25` =
-///   +25%) — virtual cycles are deterministic, the tolerance only
-///   absorbs deliberate timing-model changes;
+/// * **cycles** and **every attribution class** (the union of both
+///   sides' classes, a missing class counting as zero) may move by at
+///   most `tol` of the baseline value in *either* direction (fractional,
+///   e.g. `0.25` = ±25%). Virtual cycles are deterministic, so a drop is
+///   as suspicious as a rise — a dropped charge or a cost moved between
+///   classes is a behaviour change. At `tol = 0` both checks are exact;
 /// * **host rates** (`cycles_per_sec` mean) may drop to no less than
 ///   `1 - host_tol` of the baseline mean — host timing is noisy and
 ///   machine-dependent, so `host_tol` should be generous (e.g. `0.5`).
+///   A faster host rate never fails.
 ///
-/// Faster entries and brand-new entries never fail.
+/// Brand-new entries never fail.
 pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, tol: f64, host_tol: f64) -> Vec<String> {
     let mut problems = Vec::new();
     for old in &baseline.entries {
@@ -258,21 +262,19 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, tol: f64, host_tol: f64) -
             ));
             continue;
         };
-        let limit = old.cycles as f64 * (1.0 + tol);
-        if new.cycles as f64 > limit {
-            let ratio = if old.cycles == 0 {
-                f64::INFINITY
-            } else {
-                new.cycles as f64 / old.cycles as f64
-            };
-            problems.push(format!(
-                "{}: {} -> {} cycles ({:+.1}% > allowed {:+.1}%)",
-                old.name,
-                old.cycles,
-                new.cycles,
-                (ratio - 1.0) * 100.0,
-                tol * 100.0
-            ));
+        if let Some(drift) = drift(old.cycles, new.cycles, tol) {
+            problems.push(format!("{}: {drift} cycles", old.name));
+        }
+        let classes: std::collections::BTreeSet<&String> = old
+            .attribution
+            .keys()
+            .chain(new.attribution.keys())
+            .collect();
+        for class in classes {
+            let cy = |e: &BenchEntry| e.attribution.get(class).copied().unwrap_or(0);
+            if let Some(drift) = drift(cy(old), cy(new), tol) {
+                problems.push(format!("{}: attribution {class} {drift}", old.name));
+            }
         }
         if let (Some(ot), Some(nt)) = (&old.throughput, &new.throughput) {
             if ot.checksum != nt.checksum {
@@ -296,6 +298,23 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, tol: f64, host_tol: f64) -
         }
     }
     problems
+}
+
+/// `Some("old -> new (±x% outside ±tol%)")` when a virtual figure moved
+/// by more than `tol` of its baseline value, in either direction.
+fn drift(old: u64, new: u64, tol: f64) -> Option<String> {
+    if old.abs_diff(new) as f64 <= old as f64 * tol {
+        return None;
+    }
+    let change = if old == 0 {
+        "new".to_string()
+    } else {
+        format!("{:+.1}%", (new as f64 / old as f64 - 1.0) * 100.0)
+    };
+    Some(format!(
+        "{old} -> {new} ({change} outside ±{:.1}%)",
+        tol * 100.0
+    ))
 }
 
 #[cfg(test)]
@@ -433,14 +452,75 @@ mod tests {
         fresh.entries.push(entry("b", 1300)); // over +25%
         fresh.entries.push(entry("brand-new", 1)); // never a failure
         let problems = compare(&base, &fresh, 0.25, 0.5);
-        assert_eq!(problems.len(), 2);
-        assert!(problems.iter().any(|p| p.starts_with("b:")));
+        // `b` fails on its cycles and on its one attribution class.
+        assert_eq!(problems.len(), 3, "{problems:?}");
+        assert!(problems.iter().any(|p| p.starts_with("b: 1000 -> 1300")));
+        assert!(problems.iter().any(|p| p.starts_with("b: attribution")));
         assert!(problems.iter().any(|p| p.starts_with("gone:")));
-        // faster is always fine
-        let mut faster = fresh.clone();
-        faster.entries[1].cycles = 10;
-        faster.entries.push(entry("gone", 10));
-        assert!(compare(&base, &faster, 0.25, 0.5).is_empty());
+        let mut fixed = fresh.clone();
+        fixed.entries[1] = entry("b", 900);
+        fixed.entries.push(entry("gone", 10));
+        assert!(compare(&base, &fixed, 0.25, 0.5).is_empty());
+    }
+
+    #[test]
+    fn compare_fails_a_cycle_decrease() {
+        let mut base = BenchDoc::new("micro");
+        base.entries.push(entry("a", 1000));
+        let mut fresh = BenchDoc::new("micro");
+        fresh.entries.push(entry("a", 700)); // -30%: outside ±25%
+        let problems = compare(&base, &fresh, 0.25, 0.5);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].starts_with("a: 1000 -> 700 (-30.0% outside"));
+        fresh.entries[0] = entry("a", 800); // -20%: inside
+        assert!(compare(&base, &fresh, 0.25, 0.5).is_empty());
+        // At tol 0 a one-cycle drop fails.
+        fresh.entries[0] = entry("a", 999);
+        assert!(!compare(&base, &fresh, 0.0, 0.5).is_empty());
+        assert!(compare(&base, &base, 0.0, 0.5).is_empty());
+    }
+
+    #[test]
+    fn compare_fails_a_cycle_shift_between_classes() {
+        let mut base = BenchDoc::new("micro");
+        let mut a = entry("a", 1000);
+        a.attribution = [("compute".to_string(), 600), ("net_hop".to_string(), 400)]
+            .into_iter()
+            .collect();
+        base.entries.push(a.clone());
+        // Same total, 100 cycles moved from compute to net_hop.
+        let mut shifted = a;
+        shifted.attribution = [("compute".to_string(), 500), ("net_hop".to_string(), 500)]
+            .into_iter()
+            .collect();
+        let fresh = BenchDoc {
+            suite: "micro".to_string(),
+            entries: vec![shifted],
+        };
+        let problems = compare(&base, &fresh, 0.1, 0.5);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].starts_with("a: attribution compute 600 -> 500"));
+        assert!(problems[1].starts_with("a: attribution net_hop 400 -> 500"));
+        // Inside a 25% tolerance both classes pass; exact at tol 0 fails.
+        assert!(compare(&base, &fresh, 0.25, 0.5).is_empty());
+        assert_eq!(compare(&base, &fresh, 0.0, 0.5).len(), 2);
+    }
+
+    #[test]
+    fn compare_fails_a_class_appearing_or_disappearing() {
+        let mut base = BenchDoc::new("micro");
+        base.entries.push(entry("a", 1000));
+        let mut fresh = base.clone();
+        fresh.entries[0]
+            .attribution
+            .insert("contention".to_string(), 1);
+        let problems = compare(&base, &fresh, 0.5, 0.5);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("a: attribution contention 0 -> 1 (new"));
+        // The same class missing from the fresh run fails the other way.
+        let problems = compare(&fresh, &base, 0.5, 0.5);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("a: attribution contention 1 -> 0"));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! virtual-cycle totals, attribution vectors, and a host-throughput
 //! block per entry). A checked-in pair of those documents is the
 //! repository's performance trajectory: the `compare` mode flags any
-//! benchmark whose virtual-cycle total grew past a tolerance, whose
-//! determinism checksum changed at all, or whose host throughput
-//! collapsed below the host tolerance.
+//! benchmark whose virtual-cycle total or any attribution class moved
+//! past a tolerance in either direction, whose determinism checksum
+//! changed at all, or whose host throughput collapsed below the host
+//! tolerance.
 //!
 //! Usage:
 //!
@@ -30,9 +31,11 @@
 //!
 //! `--out DIR` writes the fresh documents (default: current directory);
 //! `--compare DIR` additionally checks them against `DIR/BENCH_*.json`
-//! and exits non-zero on regression; `--tol` sets the fractional cycle
-//! tolerance (default 0.25) — virtual cycles are deterministic, so it
-//! exists only to absorb deliberate timing-model changes; `--host-tol`
+//! and exits non-zero on regression; `--tol` sets the fractional
+//! two-sided tolerance on cycles and on each attribution class
+//! (default 0.25; `0` gates them exactly) — virtual cycles are
+//! deterministic, so it exists only to absorb deliberate timing-model
+//! changes; `--host-tol`
 //! sets the host-throughput regression tolerance (default 0.5: a run
 //! must achieve at least half the baseline's sim-cycles/host-sec);
 //! `--runs`/`--warmup` shape the throughput measurement (defaults 3/1);
