@@ -3,22 +3,16 @@
 
 use crate::config::MachineConfig;
 use crate::node::{EventStats, Node, NodeHot};
+use crate::ops::{core_ops, OpCore, TimedEffect};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use t3d_memsys::{RemoteSink, WriteTarget, MAX_LINE};
+use t3d_memsys::Dram;
 use t3d_perf::{
     chrome_trace, CostClass, Ledger, OpHists, OpKind, PePerf, PerfMode, PerfReport, PhaseLog,
     Registry, Span,
 };
 use t3d_shell::blt::BltDirection;
-use t3d_shell::{AnnexEntry, BarrierUnit, FuncCode, Message, PopError};
+use t3d_shell::{AnnexEntry, BarrierUnit, Message, PopError};
 use t3d_torus::Torus;
-
-/// Cycles a transfer of `bytes` occupies each link of its route: the
-/// T3D moves two bytes per link per cycle, and even a one-byte request
-/// holds the link for a cycle.
-pub(crate) fn link_occupancy_cy(bytes: u64) -> u64 {
-    bytes.div_ceil(2).max(1)
-}
 
 /// Error from [`Machine::try_new`]: the torus construction and the
 /// sub-cube machinery (shard partition, buddy allocation) require a
@@ -149,12 +143,6 @@ impl Machine {
         self.hot[pe].clock
     }
 
-    /// Charges `cycles` of computation to a node.
-    pub fn advance(&mut self, pe: usize, cycles: u64) {
-        self.hot[pe].clock += cycles;
-        self.nodes[pe].perf.credit(CostClass::Compute, cycles);
-    }
-
     /// Number of physical-address bits forming the local offset.
     pub fn offset_bits(&self) -> u32 {
         self.cfg.mem.offset_bits
@@ -168,22 +156,6 @@ impl Machine {
     /// Splits a virtual address into `(annex index, local offset)`.
     pub fn split_va(&self, va: u64) -> (usize, u64) {
         t3d_shell::annex::split_pa(va, self.offset_bits())
-    }
-
-    fn line_mask(&self) -> u64 {
-        self.cfg.mem.l1.line as u64 - 1
-    }
-
-    /// Integer round-trip latency: exactly twice the rounded one-way
-    /// latency, so `rtt_cy(a,b) == 2 * one_way_cy(a,b)` even when the
-    /// fractional one-way lands on a half cycle (2.5 rounds to 3, and
-    /// the round trip is 6, not `5.0.round()`).
-    fn rtt_cy(&self, a: usize, b: usize) -> u64 {
-        2 * self.one_way_cy(a, b)
-    }
-
-    fn one_way_cy(&self, a: usize, b: usize) -> u64 {
-        self.torus.one_way_cy(a as u32, b as u32).round() as u64
     }
 
     /// Enables event tracing with a buffer of `cap` events.
@@ -206,88 +178,23 @@ impl Machine {
         self.tracer.clear();
     }
 
-    #[inline]
-    fn trace(&mut self, pe: usize, kind: TraceKind, addr: u64, start: u64) {
-        if self.tracer.is_enabled() {
-            let cycles = self.hot[pe].clock - start;
-            self.tracer.record(TraceEvent {
-                pe: pe as u32,
-                kind,
-                addr,
-                start,
-                cycles,
-            });
-        }
-    }
-
     /// Completions `pe`'s waits have run past, and the cycles its clock
     /// advanced past them.
     pub fn event_stats(&self, pe: usize) -> EventStats {
         self.nodes[pe].events
     }
 
-    /// Queueing delay at `target`'s shell for a request that becomes
-    /// eligible at `ready` and occupies the shell for `occupancy_cy`.
-    /// Zero unless contention modeling is enabled.
-    fn contend(&mut self, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
-        if !self.cfg.contention {
-            return 0;
-        }
-        let start = ready.max(self.hot[target].shell_busy_until);
-        self.hot[target].shell_busy_until = start + occupancy_cy;
-        start - ready
-    }
-
-    /// Queueing delay on the dimension-order route `pe -> target` for a
-    /// transfer that reaches the network at `ready` and occupies each
-    /// route link for `occupancy_cy` (its bytes at two per cycle). The
-    /// transfer waits for the hottest link of its route to clear, then
-    /// holds every link of the route until it finishes. Zero unless link
-    /// contention modeling is enabled.
-    fn link_contend(&mut self, pe: usize, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
-        if !self.cfg.link_contention || pe == target {
-            return 0;
-        }
-        let walk = self.torus.walk(pe as u32, target as u32);
-        let start = walk
-            .clone()
-            .fold(ready, |s, (_, l)| s.max(self.link_busy[l]));
-        for (_, l) in walk {
-            self.link_busy[l] = start + occupancy_cy;
-        }
-        start - ready
-    }
-
     // ------------------------------------------------------------------
-    // Annex management
+    // Operations: each body is the op core's (`OpCore` in `ops.rs`), run
+    // here under the `Live` policy.
     // ------------------------------------------------------------------
 
-    /// Updates an annex register (23 cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is 0 or the target PE does not exist.
-    pub fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry) {
-        assert!(
-            (entry.pe as usize) < self.nodes.len(),
-            "annex target PE {} does not exist",
-            entry.pe
-        );
-        let now = self.hot[pe].clock;
-        let cost = self.nodes[pe].annex.update(idx, entry);
-        self.hot[pe].clock += cost;
-        self.nodes[pe].perf.credit(CostClass::AnnexUpdate, cost);
-        self.trace(pe, TraceKind::AnnexSet(entry.pe), idx as u64, now);
-    }
+    core_ops!(pub);
 
     /// Reads an annex register (free: it is processor state).
     pub fn annex_entry(&self, pe: usize, idx: usize) -> AnnexEntry {
         self.nodes[pe].annex.entry(idx)
     }
-
-    // ------------------------------------------------------------------
-    // Loads and stores
-    // ------------------------------------------------------------------
 
     /// Loads a 64-bit word at `va`.
     pub fn ld8(&mut self, pe: usize, va: u64) -> u64 {
@@ -296,604 +203,14 @@ impl Machine {
         u64::from_le_bytes(buf)
     }
 
-    /// Loads `buf.len()` bytes at `va` (annex-translated). Remote loads
-    /// must not cross a cache line.
-    ///
-    /// Issuing a remote load through an annex entry whose function code
-    /// is not a read flavour (e.g. `Swap`) is a program error: debug
-    /// builds fail a `debug_assert!`; release builds perform the access
-    /// as `Uncached` (the defined behavior — the real shell would issue
-    /// the request with the flavour bits it was given).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range accesses.
-    pub fn ld(&mut self, pe: usize, va: u64, buf: &mut [u8]) {
-        let (aidx, off) = self.split_va(va);
-        if aidx == 0 {
-            self.nodes[pe].ops.loads_local += 1;
-            let now = self.hot[pe].clock;
-            let cost = self.nodes[pe].port.read(now, va, buf);
-            self.hot[pe].clock = now + cost;
-            self.nodes[pe].perf.sample(OpKind::LdLocal, cost);
-            self.deliver_outbox(pe);
-            self.trace(pe, TraceKind::LoadLocal, va, now);
-            return;
-        }
-        let line_pa = va & !self.line_mask();
-        assert!(
-            (va - line_pa) as usize + buf.len() <= self.cfg.mem.l1.line,
-            "remote load must not cross a cache line"
-        );
-        self.nodes[pe].ops.loads_remote += 1;
-        let entry = self.nodes[pe].annex.entry(aidx);
-        let target = entry.pe as usize;
-        let now = self.hot[pe].clock;
-        // Push out anything due, so our own earlier stores can land.
-        self.nodes[pe].port.apply_due(now);
-        self.deliver_outbox(pe);
-
-        let mut cost = self.nodes[pe].port.tlb_access(va);
-        // A line previously brought over by a cached read may satisfy
-        // this load entirely locally (and possibly stale!).
-        if let Some(line) = self.nodes[pe].port.l1().lookup(va) {
-            let o = (va - line_pa) as usize;
-            buf.copy_from_slice(&line[o..o + buf.len()]);
-            self.hot[pe].clock = now + cost + self.cfg.mem.l1.hit_cy;
-            let hit = self.cfg.mem.l1.hit_cy;
-            self.nodes[pe].perf.credit(CostClass::L1Hit, hit);
-            self.nodes[pe].perf.sample(OpKind::LdRemote, cost + hit);
-            self.trace(pe, TraceKind::LoadRemote(entry.pe), va, now);
-            return;
-        }
-        match entry.func {
-            FuncCode::Cached => {
-                let target_clock = self.hot[target].clock;
-                self.nodes[target].port.apply_due(target_clock);
-                self.deliver_outbox(target);
-                let line_off = off & !self.line_mask();
-                let mut line = [0u8; MAX_LINE];
-                let line_buf = &mut line[..self.cfg.mem.l1.line];
-                let dram = self.nodes[target]
-                    .port
-                    .service_remote_read(line_off, line_buf);
-                let ready = now
-                    + cost
-                    + self.cfg.shell.remote_read_shell_cy / 2
-                    + self.one_way_cy(pe, target);
-                let lqueue = self.link_contend(
-                    pe,
-                    target,
-                    ready,
-                    link_occupancy_cy(self.cfg.mem.l1.line as u64),
-                );
-                let queue = self.contend(target, ready + lqueue, dram + 5);
-                cost += self.cfg.shell.remote_read_shell_cy
-                    + self.cfg.shell.cached_read_extra_cy
-                    + self.rtt_cy(pe, target)
-                    + dram
-                    + queue
-                    + lqueue;
-                let shell =
-                    self.cfg.shell.remote_read_shell_cy + self.cfg.shell.cached_read_extra_cy;
-                let rtt = self.rtt_cy(pe, target);
-                let p = &mut self.nodes[pe].perf;
-                p.credit(CostClass::ShellLaunch, shell);
-                p.credit(CostClass::NetHop, rtt);
-                p.credit(CostClass::RemoteDram, dram);
-                p.credit(CostClass::Contention, queue + lqueue);
-                if self.nodes[pe].port.has_pending_line(line_pa) {
-                    self.nodes[pe].port.forward_pending(line_pa, line_buf);
-                }
-                self.nodes[pe].port.install_remote_line(line_pa, line_buf);
-                let o = (va - line_pa) as usize;
-                buf.copy_from_slice(&line_buf[o..o + buf.len()]);
-            }
-            other => {
-                debug_assert!(
-                    other == FuncCode::Uncached,
-                    "annex function code {other:?} is not a load flavour"
-                );
-                let target_clock = self.hot[target].clock;
-                self.nodes[target].port.apply_due(target_clock);
-                self.deliver_outbox(target);
-                let dram = self.nodes[target].port.service_remote_read(off, buf);
-                let ready = now
-                    + cost
-                    + self.cfg.shell.remote_read_shell_cy / 2
-                    + self.one_way_cy(pe, target);
-                let lqueue =
-                    self.link_contend(pe, target, ready, link_occupancy_cy(buf.len() as u64));
-                let queue = self.contend(target, ready + lqueue, dram + 5);
-                cost += self.cfg.shell.remote_read_shell_cy
-                    + self.rtt_cy(pe, target)
-                    + dram
-                    + queue
-                    + lqueue;
-                let shell = self.cfg.shell.remote_read_shell_cy;
-                let rtt = self.rtt_cy(pe, target);
-                let p = &mut self.nodes[pe].perf;
-                p.credit(CostClass::ShellLaunch, shell);
-                p.credit(CostClass::NetHop, rtt);
-                p.credit(CostClass::RemoteDram, dram);
-                p.credit(CostClass::Contention, queue + lqueue);
-                // Our own pending stores to the same full PA forward.
-                if self.nodes[pe].port.has_pending_line(line_pa) {
-                    let mut line = [0u8; MAX_LINE];
-                    let line_buf = &mut line[..self.cfg.mem.l1.line];
-                    let line_off = off & !self.line_mask();
-                    self.nodes[target].port.peek_mem(line_off, line_buf);
-                    self.nodes[pe].port.forward_pending(line_pa, line_buf);
-                    let o = (va - line_pa) as usize;
-                    buf.copy_from_slice(&line_buf[o..o + buf.len()]);
-                }
-            }
-        }
-        self.hot[pe].clock = now + cost;
-        self.nodes[pe].perf.sample(OpKind::LdRemote, cost);
-        self.trace(pe, TraceKind::LoadRemote(entry.pe), va, now);
-    }
-
     /// Stores a 64-bit word at `va`.
     pub fn st8(&mut self, pe: usize, va: u64, value: u64) {
         self.st(pe, va, &value.to_le_bytes());
     }
 
-    /// Stores `bytes` at `va` (annex-translated). The store is
-    /// non-blocking: it enters the write buffer and, for remote targets,
-    /// is acknowledged asynchronously (poll with
-    /// [`Machine::wait_write_acks`] after a [`Machine::memory_barrier`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store crosses a cache line or is out of range.
-    pub fn st(&mut self, pe: usize, va: u64, bytes: &[u8]) {
-        let (aidx, off) = self.split_va(va);
-        let now = self.hot[pe].clock;
-        let cost = if aidx == 0 {
-            self.nodes[pe].ops.stores_local += 1;
-            self.nodes[pe].port.write(now, va, bytes)
-        } else {
-            self.nodes[pe].ops.stores_remote += 1;
-            let entry = self.nodes[pe].annex.entry(aidx);
-            let target = entry.pe as usize;
-            assert!(
-                target < self.nodes.len(),
-                "store to nonexistent PE {target}"
-            );
-            // Off-page accesses at the target slow the injection stream:
-            // the Figure 7 sensitivity at 16 KB strides.
-            let line_off = off & !self.line_mask();
-            let page_penalty = self.nodes[target]
-                .port
-                .dram()
-                .peek(line_off)
-                .saturating_sub(self.cfg.mem.dram.page_hit_cy);
-            let sink = RemoteSink {
-                pe: entry.pe,
-                remote_line_pa: line_off,
-                base_cy: self.cfg.shell.remote_write_base_cy + page_penalty,
-                per_word_cy: self.cfg.shell.remote_write_word_cy,
-                ack_rtt_cy: self.cfg.shell.write_ack_rtt_cy + self.rtt_cy(pe, target),
-            };
-            self.nodes[pe]
-                .port
-                .write_to(now, va, bytes, WriteTarget::Remote(sink))
-        };
-        self.hot[pe].clock = now + cost;
-        let kind_op = if aidx == 0 {
-            OpKind::StLocal
-        } else {
-            OpKind::StRemote
-        };
-        self.nodes[pe].perf.sample(kind_op, cost);
-        self.deliver_outbox(pe);
-        let kind = if aidx == 0 {
-            TraceKind::StoreLocal
-        } else {
-            TraceKind::StoreRemote(self.nodes[pe].annex.entry(aidx).pe)
-        };
-        self.trace(pe, kind, va, now);
-    }
-
-    /// Issues a memory barrier: drains the write buffer (pushing out any
-    /// pending prefetch requests with it).
-    pub fn memory_barrier(&mut self, pe: usize) {
-        self.nodes[pe].ops.memory_barriers += 1;
-        let now = self.hot[pe].clock;
-        let cost = self.nodes[pe].memory_barrier(&mut self.hot[pe]);
-        self.nodes[pe].perf.sample(OpKind::Fence, cost);
-        let t = self.hot[pe].clock;
-        self.nodes[pe].prefetch.note_memory_barrier(t);
-        self.deliver_outbox(pe);
-        self.trace(pe, TraceKind::MemoryBarrier, 0, now);
-    }
-
-    /// Polls the remote-write status bit once: `true` if no remote write
-    /// *known to the shell* is outstanding. Writes still in the write
-    /// buffer are invisible — the Section 4.3 trap.
-    pub fn poll_status(&mut self, pe: usize) -> bool {
-        let now = self.hot[pe].clock;
-        let (clear, cost) = self.nodes[pe].acks.poll(now);
-        self.hot[pe].clock = now + cost;
-        self.nodes[pe].perf.credit(CostClass::AckWait, cost);
-        self.trace(pe, TraceKind::StatusPoll, 0, now);
-        clear
-    }
-
-    /// Spins until every remote write that has left the processor is
-    /// acknowledged. (Fence first — see [`Machine::poll_status`].)
-    pub fn wait_write_acks(&mut self, pe: usize) {
-        self.nodes[pe].ops.ack_waits += 1;
-        let now = self.hot[pe].clock;
-        let cost = self.nodes[pe].wait_write_acks(&mut self.hot[pe]);
-        self.nodes[pe].perf.sample(OpKind::AckWait, cost);
-        self.trace(pe, TraceKind::AckWait, 0, now);
-    }
-
-    /// Delivers retired remote writes from `pe`'s write buffer to their
-    /// targets, charging target DRAM and scheduling acknowledgements.
-    /// Returns at once when nothing has retired (almost every op).
-    fn deliver_outbox(&mut self, pe: usize) {
-        let line = self.cfg.mem.l1.line;
-        while let Some(r) = self.nodes[pe].port.pop_outbox() {
-            let WriteTarget::Remote(sink) = r.target else {
-                unreachable!("outbox only carries remote writes")
-            };
-            let target = sink.pe as usize;
-            let dram = self.nodes[target].port.service_remote_write(
-                sink.remote_line_pa,
-                &r.data[..line],
-                Some(r.mask),
-            );
-            let bytes = r.mask.count_ones() as u64;
-            let ready = r.completion + sink.ack_rtt_cy / 2;
-            let lqueue = self.link_contend(pe, target, ready, link_occupancy_cy(bytes));
-            let queue = self.contend(target, ready + lqueue, dram + 5);
-            let arrival = ready + lqueue + dram + queue;
-            let ack = r.completion + sink.ack_rtt_cy + lqueue + dram + queue;
-            self.nodes[target].incoming.push((arrival, bytes));
-            self.nodes[pe].acks.expect_ack(ack);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Prefetch
-    // ------------------------------------------------------------------
-
-    /// Issues a binding prefetch of the word at `va`. Returns `false` if
-    /// the 16-entry queue is full (the caller must pop first).
-    pub fn fetch(&mut self, pe: usize, va: u64) -> bool {
-        self.nodes[pe].ops.fetches += 1;
-        let (aidx, off) = self.split_va(va);
-        let target = if aidx == 0 {
-            pe
-        } else {
-            self.nodes[pe].annex.entry(aidx).pe as usize
-        };
-        let now = self.hot[pe].clock;
-        let tlb = self.nodes[pe].port.tlb_access(va);
-        let target_clock = self.hot[target].clock;
-        self.nodes[target].port.apply_due(target_clock);
-        self.deliver_outbox(target);
-        let mut buf = [0u8; 8];
-        let dram = self.nodes[target].port.service_remote_read(off, &mut buf);
-        let ready = now + tlb + self.cfg.shell.prefetch_net_cy / 2 + self.one_way_cy(pe, target);
-        let lqueue = self.link_contend(pe, target, ready, link_occupancy_cy(8));
-        let queue = self.contend(target, ready + lqueue, dram + 5);
-        let latency =
-            self.cfg.shell.prefetch_net_cy + self.rtt_cy(pe, target) + dram + queue + lqueue;
-        let issued =
-            match self.nodes[pe]
-                .prefetch
-                .issue(now + tlb, u64::from_le_bytes(buf), latency)
-            {
-                Some(c) => {
-                    self.hot[pe].clock = now + tlb + c;
-                    self.nodes[pe].perf.credit(CostClass::PrefetchIssue, c);
-                    self.nodes[pe].perf.sample(OpKind::Fetch, tlb + c);
-                    true
-                }
-                None => {
-                    self.hot[pe].clock = now + tlb;
-                    self.nodes[pe].perf.sample(OpKind::Fetch, tlb);
-                    false
-                }
-            };
-        self.trace(pe, TraceKind::Fetch(target as u32), va, now);
-        issued
-    }
-
-    /// Pops the prefetch queue (a 23-cycle off-chip load), waiting for
-    /// the data to arrive if necessary.
-    ///
-    /// # Errors
-    ///
-    /// [`PopError::Empty`] if nothing is outstanding;
-    /// [`PopError::NotDeparted`] if the oldest fetch is still in the
-    /// write buffer (fence first).
-    pub fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
-        self.nodes[pe].ops.pops += 1;
-        let now = self.hot[pe].clock;
-        let (value, cost) = self.nodes[pe].pop_prefetch(&mut self.hot[pe])?;
-        self.nodes[pe].perf.sample(OpKind::Pop, cost);
-        self.trace(pe, TraceKind::Pop, 0, now);
-        Ok(value)
-    }
-
     /// Outstanding prefetches on a node.
     pub fn prefetch_outstanding(&self, pe: usize) -> usize {
         self.nodes[pe].prefetch.outstanding()
-    }
-
-    // ------------------------------------------------------------------
-    // Block transfer engine
-    // ------------------------------------------------------------------
-
-    /// Starts a BLT transfer of `bytes` between `pe`'s local memory at
-    /// `local_off` and `target_pe`'s memory at `remote_off`. The
-    /// initiating processor is stalled for the OS invocation (180 µs);
-    /// the DMA itself completes at `BltHandle::completion` and can be
-    /// overlapped. Data moves immediately in simulation; destination
-    /// cache lines are invalidated (DMA bypasses caches).
-    pub fn blt_start(
-        &mut self,
-        pe: usize,
-        dir: BltDirection,
-        local_off: u64,
-        target_pe: usize,
-        remote_off: u64,
-        bytes: u64,
-    ) -> BltHandle {
-        self.nodes[pe].ops.blts += 1;
-        let mut data = vec![0u8; bytes as usize];
-        match dir {
-            BltDirection::Read => {
-                self.nodes[target_pe].port.peek_mem(remote_off, &mut data);
-                self.poke_and_invalidate(pe, local_off, &data);
-            }
-            BltDirection::Write => {
-                self.nodes[pe].port.peek_mem(local_off, &mut data);
-                self.poke_and_invalidate(target_pe, remote_off, &data);
-            }
-        }
-        let now = self.hot[pe].clock;
-        let timing = self.nodes[pe].blt.start(now, dir, bytes);
-        // The DMA stream holds its route from the moment it starts
-        // injecting (after the OS startup stall) until the last byte.
-        let lqueue = self.link_contend(
-            pe,
-            target_pe,
-            now + timing.startup_cy,
-            link_occupancy_cy(bytes),
-        );
-        self.hot[pe].clock = now + timing.startup_cy;
-        self.nodes[pe]
-            .perf
-            .credit(CostClass::BltStartup, timing.startup_cy);
-        self.nodes[pe]
-            .perf
-            .sample(OpKind::BltStart, timing.startup_cy);
-        self.trace(pe, TraceKind::Blt(target_pe as u32), remote_off, now);
-        BltHandle {
-            completion: now + timing.total_cy() + lqueue,
-            startup_cy: timing.startup_cy,
-            stream_cy: timing.stream_cy,
-        }
-    }
-
-    /// Starts a *strided* BLT transfer: `count` elements of
-    /// `elem_bytes`, read from consecutive positions on the local side
-    /// and placed `stride_bytes` apart on the remote side (`Write`), or
-    /// gathered from `stride_bytes` apart remotely into consecutive
-    /// local positions (`Read`). The engine moves the same number of
-    /// bytes as the contiguous form but pays the remote DRAM's page
-    /// behaviour on every element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` or `elem_bytes` is zero, or if
-    /// `stride_bytes < elem_bytes` (overlapping elements).
-    #[allow(clippy::too_many_arguments)]
-    pub fn blt_start_strided(
-        &mut self,
-        pe: usize,
-        dir: BltDirection,
-        local_off: u64,
-        target_pe: usize,
-        remote_off: u64,
-        count: u64,
-        elem_bytes: u64,
-        stride_bytes: u64,
-    ) -> BltHandle {
-        self.nodes[pe].ops.blts += 1;
-        assert!(count > 0 && elem_bytes > 0, "strided BLT must move data");
-        assert!(
-            stride_bytes >= elem_bytes,
-            "stride must not overlap elements"
-        );
-        let mut elem = vec![0u8; elem_bytes as usize];
-        // Strided access defeats the remote controller's open page when
-        // the stride crosses DRAM pages; charge it element by element.
-        let mut extra = 0u64;
-        for i in 0..count {
-            let r_off = remote_off + i * stride_bytes;
-            let l_off = local_off + i * elem_bytes;
-            match dir {
-                BltDirection::Read => {
-                    self.nodes[target_pe].port.peek_mem(r_off, &mut elem);
-                    self.poke_and_invalidate(pe, l_off, &elem);
-                }
-                BltDirection::Write => {
-                    self.nodes[pe].port.peek_mem(l_off, &mut elem);
-                    self.poke_and_invalidate(target_pe, r_off, &elem);
-                }
-            }
-            let line = r_off & !self.line_mask();
-            let dram = self.nodes[target_pe].port.dram_mut().access(line);
-            extra += dram.saturating_sub(self.cfg.mem.dram.page_hit_cy);
-        }
-        let now = self.hot[pe].clock;
-        let timing = self.nodes[pe].blt.start(now, dir, count * elem_bytes);
-        let lqueue = self.link_contend(
-            pe,
-            target_pe,
-            now + timing.startup_cy,
-            link_occupancy_cy(count * elem_bytes),
-        );
-        self.hot[pe].clock = now + timing.startup_cy;
-        self.nodes[pe]
-            .perf
-            .credit(CostClass::BltStartup, timing.startup_cy);
-        self.nodes[pe]
-            .perf
-            .sample(OpKind::BltStart, timing.startup_cy);
-        self.trace(pe, TraceKind::Blt(target_pe as u32), remote_off, now);
-        BltHandle {
-            completion: now + timing.total_cy() + extra + lqueue,
-            startup_cy: timing.startup_cy,
-            stream_cy: timing.stream_cy + extra,
-        }
-    }
-
-    /// Blocks until a BLT transfer completes.
-    pub fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
-        let now = self.hot[pe].clock;
-        let waited = self.nodes[pe].blt_wait(&mut self.hot[pe], handle.completion);
-        self.nodes[pe].perf.sample(OpKind::BltWait, waited);
-        self.trace(pe, TraceKind::BltWait, 0, now);
-    }
-
-    fn poke_and_invalidate(&mut self, pe: usize, off: u64, data: &[u8]) {
-        self.nodes[pe].port.poke_mem(off, data);
-        let line = self.cfg.mem.l1.line as u64;
-        let mut a = off & !self.line_mask();
-        while a < off + data.len() as u64 {
-            self.nodes[pe].port.l1_mut().invalidate(a);
-            a += line;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Messages
-    // ------------------------------------------------------------------
-
-    /// Sends a four-word message (the 122-cycle PAL call).
-    pub fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]) {
-        self.nodes[pe].ops.msgs_sent += 1;
-        let now = self.hot[pe].clock;
-        self.hot[pe].clock += self.cfg.shell.msg_send_cy;
-        let send_cy = self.cfg.shell.msg_send_cy;
-        self.nodes[pe].perf.credit(CostClass::MsgSend, send_cy);
-        self.nodes[pe].perf.sample(OpKind::MsgSend, send_cy);
-        let sent = self.hot[pe].clock;
-        let lqueue = self.link_contend(pe, dst, sent, link_occupancy_cy(32));
-        let arrival = sent + lqueue + self.one_way_cy(pe, dst);
-        self.nodes[dst].msgq.deliver(Message {
-            from: pe as u32,
-            words,
-            arrival,
-        });
-        self.trace(pe, TraceKind::MsgSend(dst as u32), 0, now);
-    }
-
-    /// Receives the oldest arrived message, paying the 25 µs interrupt
-    /// (plus dispatch, in handler mode). `None` if nothing has arrived.
-    pub fn msg_receive(&mut self, pe: usize) -> Option<Message> {
-        let now = self.hot[pe].clock;
-        self.nodes[pe].ops.msgs_received += 1;
-        let (msg, cost) = self.nodes[pe].msgq.receive(now)?;
-        self.hot[pe].clock = now + cost;
-        self.nodes[pe].perf.credit(CostClass::MsgRecv, cost);
-        self.nodes[pe].perf.sample(OpKind::MsgRecv, cost);
-        self.trace(pe, TraceKind::MsgRecv, 0, now);
-        Some(msg)
-    }
-
-    // ------------------------------------------------------------------
-    // Atomic operations
-    // ------------------------------------------------------------------
-
-    /// Remote fetch&increment on `target_pe`'s register `reg`.
-    pub fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
-        self.nodes[pe].ops.atomics += 1;
-        let now = self.hot[pe].clock;
-        let one_way = self.one_way_cy(pe, target_pe);
-        let rtt = 2 * one_way;
-        let ready = now + self.cfg.shell.remote_read_shell_cy / 2 + one_way;
-        let lqueue = self.link_contend(pe, target_pe, ready, link_occupancy_cy(8));
-        let queue = self.contend(target_pe, ready + lqueue, 20);
-        let shell = self.cfg.shell.remote_read_shell_cy;
-        let amo = self.cfg.shell.amo_extra_cy;
-        let cost = shell + rtt + amo + queue + lqueue;
-        self.hot[pe].clock += cost;
-        let p = &mut self.nodes[pe].perf;
-        p.credit(CostClass::ShellLaunch, shell);
-        p.credit(CostClass::NetHop, rtt);
-        p.credit(CostClass::Amo, amo);
-        p.credit(CostClass::Contention, queue + lqueue);
-        p.sample(OpKind::FetchInc, cost);
-        self.trace(pe, TraceKind::FetchInc(target_pe as u32), reg as u64, now);
-        self.nodes[target_pe].fetchinc.fetch_inc(reg)
-    }
-
-    /// Loads this node's swap operand register.
-    pub fn swap_load(&mut self, pe: usize, value: u64) {
-        let now = self.hot[pe].clock;
-        self.nodes[pe].swap.load(value);
-        self.trace(pe, TraceKind::SwapLoad, 0, now);
-    }
-
-    /// Atomically exchanges the swap register with the word at `va`
-    /// (annex function code `Swap` for remote targets). Returns the old
-    /// memory value (now also in the register).
-    pub fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
-        self.nodes[pe].ops.atomics += 1;
-        let (aidx, off) = self.split_va(va);
-        let target = if aidx == 0 {
-            pe
-        } else {
-            let entry = self.nodes[pe].annex.entry(aidx);
-            assert_eq!(
-                entry.func,
-                FuncCode::Swap,
-                "annex entry must select the swap flavour"
-            );
-            entry.pe as usize
-        };
-        let target_clock = self.hot[target].clock;
-        self.nodes[target].port.apply_due(target_clock);
-        self.deliver_outbox(target);
-        let mut buf = [0u8; 8];
-        let dram = self.nodes[target].port.service_remote_read(off, &mut buf);
-        let old_mem = u64::from_le_bytes(buf);
-        let to_mem = self.nodes[pe].swap.exchange(old_mem);
-        self.nodes[target]
-            .port
-            .service_remote_write(off, &to_mem.to_le_bytes(), None);
-        let now = self.hot[pe].clock;
-        let ready = now + self.cfg.shell.remote_read_shell_cy / 2 + self.one_way_cy(pe, target);
-        let lqueue = self.link_contend(pe, target, ready, link_occupancy_cy(8));
-        let queue = self.contend(target, ready + lqueue, dram + 20);
-        let cost = self.cfg.shell.remote_read_shell_cy
-            + self.rtt_cy(pe, target)
-            + self.cfg.shell.amo_extra_cy
-            + dram
-            + queue
-            + lqueue;
-        self.hot[pe].clock += cost;
-        let shell = self.cfg.shell.remote_read_shell_cy;
-        let rtt = self.rtt_cy(pe, target);
-        let amo = self.cfg.shell.amo_extra_cy;
-        let p = &mut self.nodes[pe].perf;
-        p.credit(CostClass::ShellLaunch, shell);
-        p.credit(CostClass::NetHop, rtt);
-        p.credit(CostClass::Amo, amo);
-        p.credit(CostClass::RemoteDram, dram);
-        p.credit(CostClass::Contention, queue + lqueue);
-        p.sample(OpKind::Swap, cost);
-        self.trace(pe, TraceKind::Swap(target as u32), va, now);
-        old_mem
     }
 
     // ------------------------------------------------------------------
@@ -997,7 +314,7 @@ impl Machine {
     /// Writes a node's memory functionally (no timing); flushes any
     /// cached copy so the value is authoritative.
     pub fn poke_mem(&mut self, pe: usize, off: u64, bytes: &[u8]) {
-        self.poke_and_invalidate(pe, off, bytes);
+        self.nodes[pe].poke_and_invalidate(off, bytes);
     }
 
     /// Reads a u64 functionally.
@@ -1217,9 +534,7 @@ impl Machine {
     /// pre-phase state is pending when the shards start.
     pub(crate) fn normalize_for_phase(&mut self) {
         for pe in 0..self.nodes.len() {
-            let now = self.hot[pe].clock;
-            self.nodes[pe].port.apply_due(now);
-            self.deliver_outbox(pe);
+            self.settle(pe);
         }
     }
 
@@ -1238,24 +553,73 @@ impl Machine {
             &self.link_busy,
         )
     }
+}
 
-    /// Replays one sharded-phase link reservation against the global
-    /// link-occupancy clocks (merge-order deterministic, so Seq and Par
-    /// runs evolve identical link state).
-    pub(crate) fn replay_link(&mut self, src: usize, target: usize, ready: u64, occupancy_cy: u64) {
-        let _ = self.link_contend(src, target, ready, occupancy_cy);
+/// The `Live` policy: every node is the machine's own, acted on now.
+impl OpCore for Machine {
+    fn cfg(&self) -> &MachineConfig {
+        &self.cfg
     }
-
-    /// Split borrow of one PE's cold node and hot record (effect
-    /// application after a sharded phase).
-    pub(crate) fn node_and_hot_mut(&mut self, pe: usize) -> (&mut Node, &mut NodeHot) {
+    fn torus(&self) -> &Torus {
+        &self.torus
+    }
+    fn pe_count(&self) -> usize {
+        self.nodes.len()
+    }
+    fn parts(&mut self, pe: usize) -> (&mut Node, &mut NodeHot) {
         (&mut self.nodes[pe], &mut self.hot[pe])
+    }
+    fn link_busy(&self, l: usize) -> u64 {
+        self.link_busy[l]
+    }
+    fn set_link_busy(&mut self, l: usize, until: u64) {
+        self.link_busy[l] = until;
+    }
+    #[inline]
+    fn trace(&mut self, pe: usize, kind: TraceKind, addr: u64, start: u64) {
+        if self.tracer.is_enabled() {
+            let cycles = self.hot[pe].clock - start;
+            self.tracer.record(TraceEvent {
+                pe: pe as u32,
+                kind,
+                addr,
+                start,
+                cycles,
+            });
+        }
+    }
+    fn remote_busy(&mut self, target: usize) -> &mut u64 {
+        &mut self.hot[target].shell_busy_until
+    }
+    fn remote_dram(&mut self, target: usize) -> &mut Dram {
+        self.nodes[target].port.dram_mut()
+    }
+    fn remote_peek(&self, target: usize, off: u64, buf: &mut [u8]) {
+        self.nodes[target].port.peek_mem(off, buf);
+    }
+    fn remote_read(&mut self, target: usize, off: u64, buf: &mut [u8]) -> u64 {
+        self.read_live(target, off, buf)
+    }
+    fn remote_write(&mut self, target: usize, off: u64, data: &[u8], mask: u64) -> u64 {
+        self.nodes[target]
+            .port
+            .service_remote_write(off, data, Some(mask))
+    }
+    fn remote_fetch_inc(&mut self, target: usize, reg: usize) -> u64 {
+        self.nodes[target].fetchinc.fetch_inc(reg)
+    }
+    fn remote_swap(&mut self, pe: usize, target: usize, off: u64) -> (u64, u64) {
+        self.swap_live(pe, target, off)
+    }
+    fn remote_effect(&mut self, e: TimedEffect) {
+        e.eff.deposit(&mut self.nodes[e.target as usize]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use t3d_shell::FuncCode;
 
     fn machine2() -> Machine {
         Machine::new(MachineConfig::t3d(2))
@@ -1282,13 +646,13 @@ mod tests {
         assert_eq!(m.cfg.torus.dims, (2, 2, 2));
         for a in 0..8 {
             for b in 0..8 {
-                assert_eq!(m.rtt_cy(a, b), 2 * m.one_way_cy(a, b), "pair ({a},{b})");
+                assert_eq!(m.rtt(a, b), 2 * m.one_way(a, b), "pair ({a},{b})");
             }
         }
         // Pin the adjacent-pair values the rest of the calibration
         // suite builds on.
-        assert_eq!(m.one_way_cy(0, 1), 3);
-        assert_eq!(m.rtt_cy(0, 1), 6);
+        assert_eq!(m.one_way(0, 1), 3);
+        assert_eq!(m.rtt(0, 1), 6);
     }
 
     #[test]

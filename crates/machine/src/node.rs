@@ -212,6 +212,19 @@ impl Node {
         waited
     }
 
+    /// Writes `data` at `off` functionally and invalidates every L1 line
+    /// it covers: DMA deposits and setup writes bypass the cache, so no
+    /// stale copy may survive them.
+    pub(crate) fn poke_and_invalidate(&mut self, off: u64, data: &[u8]) {
+        self.port.poke_mem(off, data);
+        let line = self.port.config().l1.line as u64;
+        let mut a = off & !(line - 1);
+        while a < off + data.len() as u64 {
+            self.port.l1_mut().invalidate(a);
+            a += line;
+        }
+    }
+
     /// Total bytes of remote-write data that had arrived by `now`.
     pub fn bytes_arrived_by(&self, now: u64) -> u64 {
         self.incoming
