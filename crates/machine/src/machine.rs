@@ -3,9 +3,10 @@
 
 use crate::config::MachineConfig;
 use crate::node::{EventStats, Node, NodeHot};
-use crate::ops::{core_ops, OpCore, TimedEffect};
+use crate::ops::{core_ops, Deposit, OpCore, TimedEffect};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use t3d_memsys::Dram;
+use std::sync::Arc;
+use t3d_memsys::{Dram, MemArena};
 use t3d_perf::{
     chrome_trace, CostClass, Ledger, OpHists, OpKind, PePerf, PerfMode, PerfReport, PhaseLog,
     Registry, Span,
@@ -594,8 +595,8 @@ impl OpCore for Machine {
     fn remote_dram(&mut self, target: usize) -> &mut Dram {
         self.nodes[target].port.dram_mut()
     }
-    fn remote_peek(&self, target: usize, off: u64, buf: &mut [u8]) {
-        self.nodes[target].port.peek_mem(off, buf);
+    fn remote_arena(&self, target: usize) -> &Arc<MemArena> {
+        self.nodes[target].port.mem_arena()
     }
     fn remote_read(&mut self, target: usize, off: u64, buf: &mut [u8]) -> u64 {
         self.read_live(target, off, buf)
@@ -613,6 +614,10 @@ impl OpCore for Machine {
     }
     fn remote_effect(&mut self, e: TimedEffect) {
         e.eff.deposit(&mut self.nodes[e.target as usize]);
+    }
+    fn remote_deposit(&mut self, pe: usize, d: Deposit) {
+        let src = Arc::clone(self.nodes[pe].port.mem_arena());
+        self.nodes[d.target].deposit_from(d.dst, &src, d.src, d.len);
     }
 }
 

@@ -1,7 +1,7 @@
 //! One node: Alpha core state, memory port and shell units.
 
 use crate::config::MachineConfig;
-use t3d_memsys::MemPort;
+use t3d_memsys::{MemArena, MemPort};
 use t3d_perf::{CostClass, PerfAccum};
 
 /// Counters of the operations a node has issued (instrumentation: the
@@ -217,12 +217,18 @@ impl Node {
     /// stale copy may survive them.
     pub(crate) fn poke_and_invalidate(&mut self, off: u64, data: &[u8]) {
         self.port.poke_mem(off, data);
-        let line = self.port.config().l1.line as u64;
-        let mut a = off & !(line - 1);
-        while a < off + data.len() as u64 {
-            self.port.l1_mut().invalidate(a);
-            a += line;
-        }
+        self.port.l1_mut().invalidate_span(off, data.len() as u64);
+    }
+
+    /// Lands `len` bytes of `src` at `src_off` at `off` in this node's
+    /// memory, arena to arena, and invalidates every L1 line they cover:
+    /// [`poke_and_invalidate`](Self::poke_and_invalidate) for a BLT whose
+    /// source is an arena. `src` may be this node's own arena; the copy
+    /// is a memmove.
+    pub(crate) fn deposit_from(&mut self, off: u64, src: &MemArena, src_off: u64, len: u64) {
+        let arena = self.port.mem_arena();
+        arena.copy_from(off, src, src_off, len as usize);
+        self.port.l1_mut().invalidate_span(off, len);
     }
 
     /// Total bytes of remote-write data that had arrived by `now`.

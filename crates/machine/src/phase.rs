@@ -72,7 +72,7 @@ use crate::config::MachineConfig;
 use crate::cpu::Cpu;
 use crate::machine::{BltHandle, Machine};
 use crate::node::{Node, NodeHot, OpStats};
-use crate::ops::{core_ops, Effect, MachineOps, OpCore, TimedEffect};
+use crate::ops::{core_ops, Deposit, Effect, MachineOps, OpCore, TimedEffect};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -281,12 +281,12 @@ impl OpCore for PhasePe<'_> {
             .entry(target)
             .or_insert_with(|| sh.dram[target].clone())
     }
-    fn remote_peek(&self, target: usize, off: u64, buf: &mut [u8]) {
-        self.sh.mems[target].read(off, buf);
+    fn remote_arena(&self, target: usize) -> &Arc<MemArena> {
+        &self.sh.mems[target]
     }
     fn remote_read(&mut self, target: usize, off: u64, buf: &mut [u8]) -> u64 {
         let dram = self.remote_dram(target).access(off);
-        self.remote_peek(target, off, buf);
+        self.sh.mems[target].read(off, buf);
         dram
     }
     fn remote_write(&mut self, target: usize, off: u64, _data: &[u8], _mask: u64) -> u64 {
@@ -306,6 +306,17 @@ impl OpCore for PhasePe<'_> {
     }
     fn remote_effect(&mut self, e: TimedEffect) {
         self.effects.push(e);
+    }
+    fn remote_deposit(&mut self, _pe: usize, d: Deposit) {
+        let mut data = vec![0u8; d.len as usize];
+        self.node.port.peek_mem(d.src, &mut data);
+        self.effects.push(TimedEffect {
+            time: d.time,
+            target: d.target as u32,
+            busy: None,
+            link: d.link,
+            eff: Effect::Poke { off: d.dst, data },
+        });
     }
 }
 
@@ -341,7 +352,7 @@ impl MachineOps for PhasePe<'_> {
         if pe == self.pe {
             self.node.port.peek_mem(off, buf);
         } else {
-            self.remote_peek(pe, off, buf);
+            self.sh.mems[pe].read(off, buf);
         }
     }
     fn poke_mem(&mut self, pe: usize, off: u64, bytes: &[u8]) {

@@ -137,6 +137,7 @@ impl Torus {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn coord_of(&self, node: u32) -> Coord {
         assert!(node < self.nodes(), "node {node} out of range");
         let (nx, ny, _) = self.cfg.dims;
@@ -202,16 +203,22 @@ impl Torus {
     /// [`step_link_id`](Self::step_link_id) of the hop's endpoints). The
     /// walk has exactly [`hops`](Self::hops)`(a, b)` items.
     ///
+    /// Setting out divides each endpoint into coordinates; each hop
+    /// after that is a compare and an add, with no division.
+    ///
     /// # Panics
     ///
     /// Panics if `a` or `b` is out of range.
+    #[inline]
     pub fn walk(&self, a: u32, b: u32) -> RouteWalk {
         let (ca, cb) = (self.coord_of(a), self.coord_of(b));
         let (nx, ny, nz) = self.cfg.dims;
         let mut w = RouteWalk {
             dims: [nx, ny, nz],
+            strides: [1, nx, nx * ny],
             cur: [ca.x, ca.y, ca.z],
             dst: [cb.x, cb.y, cb.z],
+            node: a,
             dim: 0,
             left: 0,
             minus: false,
@@ -327,11 +334,19 @@ impl Torus {
 
 /// The allocation-free dimension-order route walk of
 /// [`Torus::walk`]: yields `(node reached, link id crossed)` per hop.
+///
+/// The walk keeps the current node's id next to its coordinates and
+/// steps both together: a hop adds or subtracts the dimension's node
+/// stride, and a hop off the end of a ring wraps with one compare.
 #[derive(Debug, Clone)]
 pub struct RouteWalk {
     dims: [u32; 3],
+    /// Node-id distance of one step along each dimension.
+    strides: [u32; 3],
     cur: [u32; 3],
     dst: [u32; 3],
+    /// Node id of `cur`.
+    node: u32,
     /// Dimension being resolved (3 once the walk has arrived).
     dim: usize,
     /// Hops left along `dim`.
@@ -344,15 +359,16 @@ impl RouteWalk {
     /// Moves to the first dimension at or after `from` that still
     /// differs, choosing the shorter way around its ring (ties go plus,
     /// so an extent-2 ring always steps plus).
+    #[inline]
     fn enter(&mut self, from: usize) {
         for d in from..3 {
             let (e, v, t) = (self.dims[d], self.cur[d], self.dst[d]);
-            let fwd = (t + e - v) % e;
-            if fwd != 0 {
+            if v != t {
+                let fwd = if t > v { t - v } else { t + e - v };
                 let bwd = e - fwd;
                 self.dim = d;
                 self.minus = fwd > bwd;
-                self.left = if self.minus { bwd } else { fwd };
+                self.left = fwd.min(bwd);
                 return;
             }
         }
@@ -364,20 +380,29 @@ impl RouteWalk {
 impl Iterator for RouteWalk {
     type Item = (Coord, usize);
 
+    #[inline]
     fn next(&mut self) -> Option<(Coord, usize)> {
         if self.left == 0 {
             return None;
         }
-        let [nx, ny, _] = self.dims;
-        let [x, y, z] = self.cur;
-        let from = (x + nx * (y + ny * z)) as usize;
-        let d = self.dim;
-        let e = self.dims[d];
-        self.cur[d] = if self.minus {
-            (self.cur[d] + e - 1) % e
+        let (d, from) = (self.dim, self.node as usize);
+        let (last, stride) = (self.dims[d] - 1, self.strides[d]);
+        let c = &mut self.cur[d];
+        if self.minus {
+            if *c == 0 {
+                *c = last;
+                self.node += stride * last;
+            } else {
+                *c -= 1;
+                self.node -= stride;
+            }
+        } else if *c == last {
+            *c = 0;
+            self.node -= stride * last;
         } else {
-            (self.cur[d] + 1) % e
-        };
+            *c += 1;
+            self.node += stride;
+        }
         let link = from * 6 + d * 2 + usize::from(self.minus);
         self.left -= 1;
         if self.left == 0 {

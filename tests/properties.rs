@@ -145,6 +145,71 @@ fn torus_route_consistency() {
     });
 }
 
+/// The dimension-order route from `a` to `b`, written independently of
+/// the torus crate with plain `%` arithmetic: X, then Y, then Z, each
+/// the shorter way around its ring, ties going plus. One item per hop:
+/// the coordinates reached and the dense id (`node * 6 + dim * 2 +
+/// minus`) of the link crossed.
+fn reference_route(dims: (u32, u32, u32), a: u32, b: u32) -> Vec<([u32; 3], usize)> {
+    let (nx, ny, nz) = dims;
+    let extent = [nx, ny, nz];
+    let coord = |n: u32| [n % nx, (n / nx) % ny, n / (nx * ny)];
+    let node = |c: [u32; 3]| c[0] + nx * (c[1] + ny * c[2]);
+    let (mut cur, dst) = (coord(a), coord(b));
+    let mut hops = Vec::new();
+    for d in 0..3 {
+        let e = extent[d];
+        let fwd = (dst[d] + e - cur[d]) % e;
+        let plus = fwd <= e - fwd;
+        while cur[d] != dst[d] {
+            let from = node(cur) as usize;
+            cur[d] = if plus {
+                (cur[d] + 1) % e
+            } else {
+                (cur[d] + e - 1) % e
+            };
+            hops.push((cur, from * 6 + d * 2 + usize::from(!plus)));
+        }
+    }
+    hops
+}
+
+/// The torus walk crosses exactly the links of the independent
+/// reference route: every pair of every torus with extents 1–5, and
+/// sampled pairs of the 1024-PE machine's 16×8×8 torus.
+#[test]
+fn torus_walk_matches_an_independent_reference() {
+    let check = |dims: (u32, u32, u32), a: u32, b: u32| {
+        let t = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+        let walked: Vec<([u32; 3], usize)> =
+            t.walk(a, b).map(|(c, l)| ([c.x, c.y, c.z], l)).collect();
+        assert_eq!(
+            walked,
+            reference_route(dims, a, b),
+            "{a} -> {b} on {dims:?}"
+        );
+    };
+    for nx in 1..=5 {
+        for ny in 1..=5 {
+            for nz in 1..=5 {
+                let n = nx * ny * nz;
+                for a in 0..n {
+                    for b in 0..n {
+                        check((nx, ny, nz), a, b);
+                    }
+                }
+            }
+        }
+    }
+    let dims = TorusConfig::for_nodes(1024).dims;
+    assert_eq!(dims, (16, 8, 8));
+    Rng::cases(0x5016, 4096, |_, rng| {
+        let a = rng.gen_range(0u32..1024);
+        let b = rng.gen_range(0u32..1024);
+        check(dims, a, b);
+    });
+}
+
 /// Spread arrays partition ownership completely and disjointly.
 #[test]
 fn spread_partition() {
