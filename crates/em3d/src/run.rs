@@ -314,7 +314,7 @@ fn fill_ghosts(
                     let gp = GlobalPtr::new(regions.src, vals_off + *idx as u64 * 8);
                     let v = ctx.read_u64(gp);
                     ctx.ops()
-                        .st8(pe, ghost_off + (regions.first_slot + k as u64) * 8, v);
+                        .st8(ghost_off + (regions.first_slot + k as u64) * 8, v);
                 }
             }
         }
@@ -329,7 +329,7 @@ fn fill_ghosts(
         }
         (Version::Put, CommPhase::Push) => {
             for &(consumer, my_idx, slot) in &plan.push_list[pe] {
-                let v = ctx.ops().ld8(pe, vals_off + my_idx as u64 * 8);
+                let v = ctx.ops().ld8(vals_off + my_idx as u64 * 8);
                 ctx.put(GlobalPtr::new(consumer, ghost_off + slot * 8), v);
             }
             ctx.sync();
@@ -339,10 +339,10 @@ fn fill_ghosts(
             // fence so everything leaves the processor (and gets its
             // arrival logged at the consumers).
             for &(consumer, my_idx, slot) in &plan.push_list[pe] {
-                let v = ctx.ops().ld8(pe, vals_off + my_idx as u64 * 8);
+                let v = ctx.ops().ld8(vals_off + my_idx as u64 * 8);
                 ctx.store_u64(GlobalPtr::new(consumer, ghost_off + slot * 8), v);
             }
-            ctx.ops().memory_barrier(pe);
+            ctx.ops().memory_barrier();
         }
         (Version::StoreSync, CommPhase::Pull) => {
             // Message-driven completion: wait for exactly the ghost
@@ -358,11 +358,11 @@ fn fill_ghosts(
             // buffer (local copies).
             for (_, src_off, indices) in &plan.gather_list[pe] {
                 for (k, idx) in indices.iter().enumerate() {
-                    let v = ctx.ops().ld8(pe, vals_off + *idx as u64 * 8);
-                    ctx.ops().st8(pe, send_off + src_off + k as u64 * 8, v);
+                    let v = ctx.ops().ld8(vals_off + *idx as u64 * 8);
+                    ctx.ops().st8(send_off + src_off + k as u64 * 8, v);
                 }
             }
-            ctx.ops().memory_barrier(pe);
+            ctx.ops().memory_barrier();
         }
         (Version::Bulk, CommPhase::Pull) => {
             for region in &plan.regions[pe] {
@@ -408,21 +408,21 @@ fn compute_half(
             let slot = *slots.next().expect("one slot per edge");
             // The graph is pointer-based: each edge costs a load of the
             // neighbour's (packed) global pointer from the edge list.
-            let packed = ctx.ops().ld8(pe, adj + (i * node.len() + j) as u64 * 8);
+            let packed = ctx.ops().ld8(adj + (i * node.len() + j) as u64 * 8);
             debug_assert_eq!(packed, pack_endpoint(*ep), "adjacency list layout");
-            let w = f64::from_bits(ctx.ops().ld8(pe, weights + (i * node.len() + j) as u64 * 8));
+            let w = f64::from_bits(ctx.ops().ld8(weights + (i * node.len() + j) as u64 * 8));
             let v = if ep.pe as usize == pe {
-                f64::from_bits(ctx.ops().ld8(pe, src_vals + ep.idx as u64 * 8))
+                f64::from_bits(ctx.ops().ld8(src_vals + ep.idx as u64 * 8))
             } else if version == Version::Simple {
                 f64::from_bits(ctx.read_u64(GlobalPtr::new(ep.pe, src_vals + ep.idx as u64 * 8)))
             } else {
                 debug_assert_ne!(slot, LOCAL_EDGE);
-                f64::from_bits(ctx.ops().ld8(pe, ghost_off + u64::from(slot) * 8))
+                f64::from_bits(ctx.ops().ld8(ghost_off + u64::from(slot) * 8))
             };
             acc += w * v;
             ctx.advance(FLOP_CY + version.loop_cy());
         }
-        ctx.ops().st8(pe, dst_vals + i as u64 * 8, acc.to_bits());
+        ctx.ops().st8(dst_vals + i as u64 * 8, acc.to_bits());
     }
 }
 

@@ -1,8 +1,18 @@
-//! A processor-eye view of the machine: the handle micro-benchmark
-//! probes are written against.
+//! A processor-eye view of the machine: the one per-PE handle every
+//! probe, phase closure and Split-C runtime primitive issues its ops
+//! through.
+//!
+//! A `Cpu` is bound to one PE and holds the op core (`OpCore`, in
+//! `ops.rs`) of the backend it runs on: the whole [`Machine`] for
+//! the direct engine, or one shard of a sharded phase. Every method is
+//! one call into that core for this PE, so the same probe code runs
+//! under both. A shard's handle is built only by the phase driver, for
+//! the shard's own PE, so a phase closure cannot issue ops as another
+//! PE.
 
 use crate::machine::{BltHandle, Machine};
-use crate::ops::MachineOps;
+use crate::node::Node;
+use crate::ops::OpCore;
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
 
@@ -10,10 +20,6 @@ use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
 ///
 /// Probes written against `Cpu` read like the paper's assembly probes:
 /// loads, stores, `fetch` hints, memory barriers, annex updates.
-///
-/// A `Cpu` borrows any [`MachineOps`] backend — the whole [`Machine`]
-/// (direct engine) or one shard of a sharded phase — so the same probe
-/// code runs under both.
 ///
 /// # Example
 ///
@@ -26,29 +32,41 @@ use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
 /// assert_eq!(cpu.ld8(0x100), 7);
 /// ```
 pub struct Cpu<'m> {
-    m: &'m mut dyn MachineOps,
-    pe: usize,
+    pub(crate) m: &'m mut dyn OpCore,
+    pub(crate) pe: usize,
 }
 
 impl<'m> Cpu<'m> {
-    /// Binds a CPU handle to node `pe`.
+    /// Binds a CPU handle to node `pe` of the direct engine.
     ///
     /// # Panics
     ///
     /// Panics if `pe` does not exist.
-    pub fn new(m: &'m mut dyn MachineOps, pe: usize) -> Self {
+    pub fn new(m: &'m mut Machine, pe: usize) -> Self {
         assert!(pe < m.nodes(), "PE {pe} out of range");
         Cpu { m, pe }
     }
 
+    /// A handle to the same PE that borrows this one, for callers that
+    /// hold a `Cpu` for a shorter time than its backend lives.
+    #[inline]
+    pub fn reborrow(&mut self) -> Cpu<'_> {
+        Cpu {
+            m: &mut *self.m,
+            pe: self.pe,
+        }
+    }
+
     /// This node's id.
+    #[inline]
     pub fn pe(&self) -> usize {
         self.pe
     }
 
     /// Number of nodes in the machine.
+    #[inline]
     pub fn nodes(&self) -> usize {
-        self.m.nodes()
+        self.m.pe_count()
     }
 
     /// The underlying machine.
@@ -63,73 +81,107 @@ impl<'m> Cpu<'m> {
             .expect("whole-machine access is not available inside a sharded phase")
     }
 
-    /// The operation backend this CPU is bound to.
-    pub fn ops(&mut self) -> &mut dyn MachineOps {
-        self.m
+    /// This node's state.
+    #[inline]
+    pub fn node(&self) -> &Node {
+        self.m.part(self.pe).0
+    }
+
+    /// This node's state, mutably (advanced probes).
+    #[inline]
+    pub fn node_mut(&mut self) -> &mut Node {
+        self.m.parts(self.pe).0
+    }
+
+    /// Node `pe`'s state, read-only.
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a sharded phase if `pe` is not this node: a shard
+    /// sees only its own node.
+    #[inline]
+    pub fn node_of(&self, pe: usize) -> &Node {
+        self.m.part(pe).0
     }
 
     /// This node's virtual time in cycles.
+    #[inline]
     pub fn clock(&self) -> u64 {
-        self.m.clock(self.pe)
+        self.m.part(self.pe).1.clock
     }
 
     /// This node's virtual time in nanoseconds.
     pub fn clock_ns(&self) -> f64 {
-        self.m.clock(self.pe) as f64 * self.m.cycle_ns()
+        self.clock() as f64 * self.m.cfg().cycle_ns()
     }
 
     /// Charges computation cycles.
+    #[inline]
     pub fn advance(&mut self, cycles: u64) {
         self.m.advance(self.pe, cycles);
     }
 
     /// Builds a virtual address from an annex index and offset.
+    #[inline]
     pub fn va(&self, annex_idx: usize, offset: u64) -> u64 {
-        self.m.va(annex_idx, offset)
+        t3d_shell::annex::pa_with_annex(offset, annex_idx, self.m.cfg().mem.offset_bits)
     }
 
-    /// Updates an annex register (23 cycles).
+    /// Updates an annex register (23 cycles). See [`Machine::annex_set`].
+    #[inline]
     pub fn annex_set(&mut self, idx: usize, pe: u32, func: FuncCode) {
         self.m.annex_set(self.pe, idx, AnnexEntry { pe, func });
     }
 
     /// Loads a 64-bit word.
+    #[inline]
     pub fn ld8(&mut self, va: u64) -> u64 {
-        self.m.ld8(self.pe, va)
+        let mut buf = [0u8; 8];
+        self.m.ld(self.pe, va, &mut buf);
+        u64::from_le_bytes(buf)
     }
 
-    /// Loads bytes.
+    /// Loads bytes. See [`Machine::ld`].
+    #[inline]
     pub fn ld(&mut self, va: u64, buf: &mut [u8]) {
         self.m.ld(self.pe, va, buf);
     }
 
     /// Stores a 64-bit word (non-blocking).
+    #[inline]
     pub fn st8(&mut self, va: u64, value: u64) {
-        self.m.st8(self.pe, va, value);
+        self.m.st(self.pe, va, &value.to_le_bytes());
     }
 
-    /// Stores bytes (non-blocking, within one cache line).
+    /// Stores bytes (non-blocking, within one cache line). See
+    /// [`Machine::st`].
+    #[inline]
     pub fn st(&mut self, va: u64, bytes: &[u8]) {
         self.m.st(self.pe, va, bytes);
     }
 
     /// Memory barrier.
+    #[inline]
     pub fn memory_barrier(&mut self) {
         self.m.memory_barrier(self.pe);
     }
 
-    /// Polls the remote-write status bit once.
+    /// Polls the remote-write status bit once. See
+    /// [`Machine::poll_status`].
+    #[inline]
     pub fn poll_status(&mut self) -> bool {
         self.m.poll_status(self.pe)
     }
 
     /// Waits for all remote writes that left the processor to be
     /// acknowledged.
+    #[inline]
     pub fn wait_write_acks(&mut self) {
         self.m.wait_write_acks(self.pe);
     }
 
     /// Issues a binding prefetch; `false` if the queue is full.
+    #[inline]
     pub fn fetch(&mut self, va: u64) -> bool {
         self.m.fetch(self.pe, va)
     }
@@ -139,11 +191,13 @@ impl<'m> Cpu<'m> {
     /// # Errors
     ///
     /// See [`Machine::pop_prefetch`].
+    #[inline]
     pub fn pop_prefetch(&mut self) -> Result<u64, PopError> {
         self.m.pop_prefetch(self.pe)
     }
 
-    /// Starts a BLT transfer.
+    /// Starts a BLT transfer. See [`Machine::blt_start`].
+    #[inline]
     pub fn blt_start(
         &mut self,
         dir: BltDirection,
@@ -156,8 +210,9 @@ impl<'m> Cpu<'m> {
             .blt_start(self.pe, dir, local_off, target_pe, remote_off, bytes)
     }
 
-    /// Starts a strided BLT transfer.
+    /// Starts a strided BLT transfer. See [`Machine::blt_start_strided`].
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn blt_start_strided(
         &mut self,
         dir: BltDirection,
@@ -181,43 +236,64 @@ impl<'m> Cpu<'m> {
     }
 
     /// Waits for a BLT transfer to complete.
+    #[inline]
     pub fn blt_wait(&mut self, handle: BltHandle) {
         self.m.blt_wait(self.pe, handle);
     }
 
     /// Sends a four-word message.
+    #[inline]
     pub fn msg_send(&mut self, dst: usize, words: [u64; 4]) {
         self.m.msg_send(self.pe, dst, words);
     }
 
     /// Receives a message, if one has arrived.
+    #[inline]
     pub fn msg_receive(&mut self) -> Option<Message> {
         self.m.msg_receive(self.pe)
     }
 
     /// Remote fetch&increment.
+    #[inline]
     pub fn fetch_inc(&mut self, target_pe: usize, reg: usize) -> u64 {
         self.m.fetch_inc(self.pe, target_pe, reg)
     }
 
     /// Loads the swap operand register.
+    #[inline]
     pub fn swap_load(&mut self, value: u64) {
         self.m.swap_load(self.pe, value);
     }
 
-    /// Atomic exchange of the swap register with the word at `va`.
+    /// Atomic exchange of the swap register with the word at `va`. See
+    /// [`Machine::atomic_swap`].
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a sharded phase if `va` names another PE.
+    #[inline]
     pub fn atomic_swap(&mut self, va: u64) -> u64 {
         self.m.atomic_swap(self.pe, va)
     }
 
-    /// Functional memory read (no timing).
-    pub fn peek8(&self, off: u64) -> u64 {
-        self.m.peek8(self.pe, off)
+    /// Functional memory write (no timing); flushes any cached copy.
+    #[inline]
+    pub fn poke_mem(&mut self, off: u64, bytes: &[u8]) {
+        self.node_mut().poke_and_invalidate(off, bytes);
     }
 
-    /// Functional memory write (no timing).
+    /// Functional 64-bit read (no timing).
+    #[inline]
+    pub fn peek8(&self, off: u64) -> u64 {
+        let mut b = [0u8; 8];
+        self.node().port.peek_mem(off, &mut b);
+        u64::from_le_bytes(b)
+    }
+
+    /// Functional 64-bit write (no timing).
+    #[inline]
     pub fn poke8(&mut self, off: u64, v: u64) {
-        self.m.poke8(self.pe, off, v);
+        self.poke_mem(off, &v.to_le_bytes());
     }
 }
 

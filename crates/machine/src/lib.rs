@@ -4,14 +4,20 @@
 //! Each node owns a cycle clock; every operation's cost is a
 //! deterministic function of machine state, so runs are exactly
 //! repeatable. The "assembly level" interface the paper's probes are
-//! written against is [`Cpu`]: loads and stores on (annex-translated)
-//! virtual addresses, `fetch` hints, memory barriers, annex updates,
-//! message sends, BLT invocations, atomic operations and barriers.
+//! written against is [`Cpu`], a handle bound to one PE: loads and
+//! stores on (annex-translated) virtual addresses, `fetch` hints, memory
+//! barriers, annex updates, message sends, BLT invocations and atomic
+//! operations. Each of its methods is one call into the op core, the
+//! single body of every op; [`Machine`]'s op methods, which name the
+//! issuing PE, call the same core.
 //!
 //! Cross-node programs use the [`spmd`] phase driver: within a phase the
 //! per-node closure runs for node 0..P−1 sequentially against the shared
 //! machine, and barriers align the clocks — deterministic and correct for
-//! the race-free bulk-synchronous programs the paper studies.
+//! the race-free bulk-synchronous programs the paper studies. The
+//! [`phase`] engine runs the same closures as independent shards, on
+//! threads if asked, bit-identically to running them in turn; each
+//! closure gets a [`Cpu`] bound to its own PE's shard.
 //!
 //! # Example
 //!
@@ -35,7 +41,7 @@ pub mod config;
 pub mod cpu;
 pub mod machine;
 pub mod node;
-pub mod ops;
+mod ops;
 pub mod phase;
 pub mod snapshot;
 pub mod spmd;
@@ -45,7 +51,6 @@ pub use config::MachineConfig;
 pub use cpu::Cpu;
 pub use machine::{BltHandle, Machine, MachineSizeError};
 pub use node::{EventStats, Node, NodeHot, OpStats};
-pub use ops::MachineOps;
 pub use phase::PhaseDriver;
 pub use snapshot::{MemSnapshot, SnapshotDiff};
 pub use spmd::Spmd;

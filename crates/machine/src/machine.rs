@@ -3,7 +3,7 @@
 
 use crate::config::MachineConfig;
 use crate::node::{EventStats, Node, NodeHot};
-use crate::ops::{core_ops, Deposit, OpCore, TimedEffect};
+use crate::ops::{Deposit, OpCore, TimedEffect};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena};
@@ -190,11 +190,171 @@ impl Machine {
     // here under the `Live` policy.
     // ------------------------------------------------------------------
 
-    core_ops!(pub);
+    /// Charges `cycles` of computation to a node.
+    pub fn advance(&mut self, pe: usize, cycles: u64) {
+        OpCore::advance(self, pe, cycles);
+    }
 
-    /// Reads an annex register (free: it is processor state).
-    pub fn annex_entry(&self, pe: usize, idx: usize) -> AnnexEntry {
-        self.nodes[pe].annex.entry(idx)
+    /// Updates an annex register (23 cycles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is 0 or the target PE does not exist.
+    pub fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry) {
+        OpCore::annex_set(self, pe, idx, entry);
+    }
+
+    /// Loads `buf.len()` bytes at `va` (annex-translated). Remote loads
+    /// must not cross a cache line.
+    ///
+    /// Issuing a remote load through an annex entry whose function code
+    /// is not a read flavour (e.g. `Swap`) is a program error: debug
+    /// builds fail a `debug_assert!`; release builds perform the access
+    /// as `Uncached` (the defined behavior — the real shell would issue
+    /// the request with the flavour bits it was given).
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range accesses.
+    pub fn ld(&mut self, pe: usize, va: u64, buf: &mut [u8]) {
+        OpCore::ld(self, pe, va, buf);
+    }
+
+    /// Stores `bytes` at `va` (annex-translated). The store is
+    /// non-blocking: it enters the write buffer and, for remote targets,
+    /// is acknowledged asynchronously (poll with `wait_write_acks` after
+    /// a `memory_barrier`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store crosses a cache line or is out of range.
+    pub fn st(&mut self, pe: usize, va: u64, bytes: &[u8]) {
+        OpCore::st(self, pe, va, bytes);
+    }
+
+    /// Issues a memory barrier: drains the write buffer (pushing out any
+    /// pending prefetch requests with it).
+    pub fn memory_barrier(&mut self, pe: usize) {
+        OpCore::memory_barrier(self, pe);
+    }
+
+    /// Polls the remote-write status bit once: `true` if no remote write
+    /// *known to the shell* is outstanding. Writes still in the write
+    /// buffer are invisible — the Section 4.3 trap.
+    pub fn poll_status(&mut self, pe: usize) -> bool {
+        OpCore::poll_status(self, pe)
+    }
+
+    /// Spins until every remote write that has left the processor is
+    /// acknowledged. (Fence first — see `poll_status`.)
+    pub fn wait_write_acks(&mut self, pe: usize) {
+        OpCore::wait_write_acks(self, pe);
+    }
+
+    /// Issues a binding prefetch of the word at `va`. Returns `false` if
+    /// the 16-entry queue is full (the caller must pop first).
+    pub fn fetch(&mut self, pe: usize, va: u64) -> bool {
+        OpCore::fetch(self, pe, va)
+    }
+
+    /// Pops the prefetch queue (a 23-cycle off-chip load), waiting for
+    /// the data to arrive if necessary.
+    ///
+    /// # Errors
+    ///
+    /// [`PopError::Empty`] if nothing is outstanding;
+    /// [`PopError::NotDeparted`] if the oldest fetch is still in the
+    /// write buffer (fence first).
+    pub fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
+        OpCore::pop_prefetch(self, pe)
+    }
+
+    /// Starts a BLT transfer of `bytes` between `pe`'s local memory at
+    /// `local_off` and `target_pe`'s memory at `remote_off`. The
+    /// initiating processor is stalled for the OS invocation (180 µs);
+    /// the DMA itself completes at `BltHandle::completion` and can be
+    /// overlapped. Data moves immediately in simulation; destination
+    /// cache lines are invalidated (DMA bypasses caches).
+    pub fn blt_start(
+        &mut self,
+        pe: usize,
+        dir: BltDirection,
+        local_off: u64,
+        target_pe: usize,
+        remote_off: u64,
+        bytes: u64,
+    ) -> BltHandle {
+        OpCore::blt_start(self, pe, dir, local_off, target_pe, remote_off, bytes)
+    }
+
+    /// Starts a *strided* BLT transfer: `count` elements of
+    /// `elem_bytes`, read from consecutive positions on the local side
+    /// and placed `stride_bytes` apart on the remote side (`Write`), or
+    /// gathered from `stride_bytes` apart remotely into consecutive
+    /// local positions (`Read`). The engine moves the same number of
+    /// bytes as the contiguous form but pays the remote DRAM's page
+    /// behaviour on every element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` or `elem_bytes` is zero, or if
+    /// `stride_bytes < elem_bytes` (overlapping elements).
+    #[allow(clippy::too_many_arguments)]
+    pub fn blt_start_strided(
+        &mut self,
+        pe: usize,
+        dir: BltDirection,
+        local_off: u64,
+        target_pe: usize,
+        remote_off: u64,
+        count: u64,
+        elem_bytes: u64,
+        stride_bytes: u64,
+    ) -> BltHandle {
+        OpCore::blt_start_strided(
+            self,
+            pe,
+            dir,
+            local_off,
+            target_pe,
+            remote_off,
+            count,
+            elem_bytes,
+            stride_bytes,
+        )
+    }
+
+    /// Blocks until a BLT transfer completes.
+    pub fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
+        OpCore::blt_wait(self, pe, handle);
+    }
+
+    /// Sends a four-word message (the 122-cycle PAL call).
+    pub fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]) {
+        OpCore::msg_send(self, pe, dst, words);
+    }
+
+    /// Receives the oldest arrived message, paying the 25 µs interrupt
+    /// (plus dispatch, in handler mode). `None` if nothing has arrived.
+    pub fn msg_receive(&mut self, pe: usize) -> Option<Message> {
+        OpCore::msg_receive(self, pe)
+    }
+
+    /// Remote fetch&increment on `target_pe`'s register `reg`.
+    pub fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
+        OpCore::fetch_inc(self, pe, target_pe, reg)
+    }
+
+    /// Loads this node's swap operand register.
+    pub fn swap_load(&mut self, pe: usize, value: u64) {
+        OpCore::swap_load(self, pe, value);
+    }
+
+    /// Atomically exchanges the swap register with the word at `va`
+    /// (annex function code `Swap` for remote targets). Returns the old
+    /// memory value (now also in the register).
+    pub fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
+        OpCore::atomic_swap(self, pe, va)
     }
 
     /// Loads a 64-bit word at `va`.
@@ -569,6 +729,12 @@ impl OpCore for Machine {
     }
     fn parts(&mut self, pe: usize) -> (&mut Node, &mut NodeHot) {
         (&mut self.nodes[pe], &mut self.hot[pe])
+    }
+    fn part(&self, pe: usize) -> (&Node, &NodeHot) {
+        (&self.nodes[pe], &self.hot[pe])
+    }
+    fn as_machine(&mut self) -> Option<&mut Machine> {
+        Some(self)
     }
     fn link_busy(&self, l: usize) -> u64 {
         self.link_busy[l]

@@ -1,15 +1,14 @@
-//! The operation surface a simulated processor programs against, and
-//! the one op core both execution backends run.
-//!
-//! [`Cpu`](crate::Cpu) and the Split-C runtime hold `&mut dyn
-//! MachineOps`, so probe and application code is written once and runs
-//! under either backend.
+//! The one op core both execution backends run.
 //!
 //! Every op — loads, stores, fences, prefetch, BLT, messages, atomics —
-//! has exactly one body: a provided method of `OpCore`. A backend
-//! hands the core the state it may act on now and a *remote-target
-//! policy*, which answers only "what happens at a PE other than the
-//! issuer". The issuer's own node is acted on at once under both.
+//! has exactly one body: a provided method of the crate-private
+//! `OpCore` trait. [`Cpu`](crate::Cpu), the per-PE handle probes and
+//! the Split-C runtime program against, holds `&mut dyn OpCore` and
+//! calls it once per op; [`Machine`]'s inherent op methods call it
+//! directly. A backend hands the core the state it may act on now and a
+//! *remote-target policy*, which answers only "what happens at a PE
+//! other than the issuer". The issuer's own node is acted on at once
+//! under both.
 //!
 //! * **Live** — [`Machine`], the direct engine — acts on the target
 //!   now: before a read it applies the target's due writes and delivers
@@ -28,7 +27,7 @@
 
 use crate::config::MachineConfig;
 use crate::machine::{BltHandle, Machine};
-use crate::node::{Node, NodeHot, OpStats};
+use crate::node::{Node, NodeHot};
 use crate::trace::TraceKind;
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
@@ -36,386 +35,6 @@ use t3d_perf::{CostClass, OpKind};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
 use t3d_torus::{RouteWalk, Torus};
-
-/// Processor-visible operations of the simulated T3D, with the issuing
-/// PE passed explicitly (mirrors [`Machine`]'s inherent methods).
-///
-/// A backend may restrict which PEs it accepts: a [`Machine`] accepts
-/// all of them, a `PhasePe` only its own (calls naming another PE
-/// panic — that is the sharded-phase correctness contract surfacing).
-pub trait MachineOps {
-    /// Number of processing elements.
-    fn nodes(&self) -> usize;
-    /// Nanoseconds per cycle.
-    fn cycle_ns(&self) -> f64;
-    /// Number of physical-address bits forming the local offset.
-    fn offset_bits(&self) -> u32;
-
-    /// Immutable access to a node's state.
-    fn node(&self, pe: usize) -> &Node;
-    /// Mutable access to a node's state.
-    fn node_mut(&mut self, pe: usize) -> &mut Node;
-
-    /// A node's virtual time, in cycles.
-    fn clock(&self, pe: usize) -> u64;
-    /// Charges `cycles` of computation to a node.
-    fn advance(&mut self, pe: usize, cycles: u64);
-
-    /// Updates an annex register (23 cycles).
-    fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry);
-    /// Reads an annex register (free: it is processor state).
-    fn annex_entry(&self, pe: usize, idx: usize) -> AnnexEntry;
-
-    /// Loads `buf.len()` bytes at `va` (annex-translated).
-    fn ld(&mut self, pe: usize, va: u64, buf: &mut [u8]);
-    /// Stores `bytes` at `va` (annex-translated, non-blocking).
-    fn st(&mut self, pe: usize, va: u64, bytes: &[u8]);
-    /// Issues a memory barrier (drains the write buffer).
-    fn memory_barrier(&mut self, pe: usize);
-    /// Polls the remote-write status bit once.
-    fn poll_status(&mut self, pe: usize) -> bool;
-    /// Spins until every departed remote write is acknowledged.
-    fn wait_write_acks(&mut self, pe: usize);
-
-    /// Issues a binding prefetch; `false` if the queue is full.
-    fn fetch(&mut self, pe: usize, va: u64) -> bool;
-    /// Pops the prefetch queue.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::pop_prefetch`].
-    fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError>;
-
-    /// Starts a BLT transfer.
-    fn blt_start(
-        &mut self,
-        pe: usize,
-        dir: BltDirection,
-        local_off: u64,
-        target_pe: usize,
-        remote_off: u64,
-        bytes: u64,
-    ) -> BltHandle;
-    /// Starts a strided BLT transfer.
-    #[allow(clippy::too_many_arguments)]
-    fn blt_start_strided(
-        &mut self,
-        pe: usize,
-        dir: BltDirection,
-        local_off: u64,
-        target_pe: usize,
-        remote_off: u64,
-        count: u64,
-        elem_bytes: u64,
-        stride_bytes: u64,
-    ) -> BltHandle;
-    /// Blocks until a BLT transfer completes.
-    fn blt_wait(&mut self, pe: usize, handle: BltHandle);
-
-    /// Sends a four-word message.
-    fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]);
-    /// Receives the oldest arrived message, if any.
-    fn msg_receive(&mut self, pe: usize) -> Option<Message>;
-
-    /// Remote fetch&increment on `target_pe`'s register `reg`.
-    fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64;
-    /// Loads this node's swap operand register.
-    fn swap_load(&mut self, pe: usize, value: u64);
-    /// Atomic exchange of the swap register with the word at `va`.
-    fn atomic_swap(&mut self, pe: usize, va: u64) -> u64;
-
-    /// Reads a node's memory functionally (no timing).
-    fn peek_mem(&self, pe: usize, off: u64, buf: &mut [u8]);
-    /// Writes a node's memory functionally (no timing), flushing any
-    /// cached copy.
-    fn poke_mem(&mut self, pe: usize, off: u64, bytes: &[u8]);
-
-    /// A node's operation counters.
-    fn op_stats(&self, pe: usize) -> OpStats;
-    /// Completions a node's waits have run past.
-    fn event_stats(&self, pe: usize) -> crate::node::EventStats {
-        self.node(pe).events
-    }
-    /// Earliest virtual time at which `target_bytes` of remote-write
-    /// data had arrived at `pe`.
-    fn arrival_time_of(&self, pe: usize, target_bytes: u64) -> Option<u64>;
-    /// Clears a node's arrival log (a new `storeSync` epoch).
-    fn clear_incoming(&mut self, pe: usize);
-
-    /// The whole machine, when this backend is the direct engine.
-    /// `None` inside a sharded phase — whole-machine access would break
-    /// shard isolation.
-    fn as_machine(&mut self) -> Option<&mut Machine>;
-
-    // ---- derived helpers (same for every backend) --------------------
-
-    /// Builds a virtual address from an annex index and local offset.
-    fn va(&self, annex_idx: usize, offset: u64) -> u64 {
-        t3d_shell::annex::pa_with_annex(offset, annex_idx, self.offset_bits())
-    }
-
-    /// Splits a virtual address into `(annex index, local offset)`.
-    fn split_va(&self, va: u64) -> (usize, u64) {
-        t3d_shell::annex::split_pa(va, self.offset_bits())
-    }
-
-    /// Loads a 64-bit word at `va`.
-    fn ld8(&mut self, pe: usize, va: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.ld(pe, va, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Stores a 64-bit word at `va`.
-    fn st8(&mut self, pe: usize, va: u64, value: u64) {
-        self.st(pe, va, &value.to_le_bytes());
-    }
-
-    /// Reads a u64 functionally.
-    fn peek8(&self, pe: usize, off: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.peek_mem(pe, off, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a u64 functionally.
-    fn poke8(&mut self, pe: usize, off: u64, v: u64) {
-        self.poke_mem(pe, off, &v.to_le_bytes());
-    }
-}
-
-/// The op entry points, written once and stamped into each backend.
-/// Every body is a call into the op core. `Machine` takes them as its
-/// inherent methods (`core_ops!(pub)`) and in its [`MachineOps`] impl
-/// (`core_ops!()`); `PhasePe` in its [`MachineOps`] impl
-/// (`core_ops!(; own)`), where each first checks that the shard owns
-/// `pe`.
-macro_rules! core_ops {
-    ($($vis:ident)? $(; $accept:ident)?) => {
-        /// Charges `cycles` of computation to a node.
-        $($vis)? fn advance(&mut self, pe: usize, cycles: u64) {
-            $(self.$accept(pe);)?
-            OpCore::advance(self, pe, cycles);
-        }
-
-        /// Updates an annex register (23 cycles).
-        ///
-        /// # Panics
-        ///
-        /// Panics if `idx` is 0 or the target PE does not exist.
-        $($vis)? fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry) {
-            $(self.$accept(pe);)?
-            OpCore::annex_set(self, pe, idx, entry);
-        }
-
-        /// Loads `buf.len()` bytes at `va` (annex-translated). Remote
-        /// loads must not cross a cache line.
-        ///
-        /// Issuing a remote load through an annex entry whose function
-        /// code is not a read flavour (e.g. `Swap`) is a program error:
-        /// debug builds fail a `debug_assert!`; release builds perform
-        /// the access as `Uncached` (the defined behavior — the real
-        /// shell would issue the request with the flavour bits it was
-        /// given).
-        ///
-        /// # Panics
-        ///
-        /// Panics on out-of-range accesses.
-        $($vis)? fn ld(&mut self, pe: usize, va: u64, buf: &mut [u8]) {
-            $(self.$accept(pe);)?
-            OpCore::ld(self, pe, va, buf);
-        }
-
-        /// Stores `bytes` at `va` (annex-translated). The store is
-        /// non-blocking: it enters the write buffer and, for remote
-        /// targets, is acknowledged asynchronously (poll with
-        /// `wait_write_acks` after a `memory_barrier`).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the store crosses a cache line or is out of range.
-        $($vis)? fn st(&mut self, pe: usize, va: u64, bytes: &[u8]) {
-            $(self.$accept(pe);)?
-            OpCore::st(self, pe, va, bytes);
-        }
-
-        /// Issues a memory barrier: drains the write buffer (pushing out
-        /// any pending prefetch requests with it).
-        $($vis)? fn memory_barrier(&mut self, pe: usize) {
-            $(self.$accept(pe);)?
-            OpCore::memory_barrier(self, pe);
-        }
-
-        /// Polls the remote-write status bit once: `true` if no remote
-        /// write *known to the shell* is outstanding. Writes still in the
-        /// write buffer are invisible — the Section 4.3 trap.
-        $($vis)? fn poll_status(&mut self, pe: usize) -> bool {
-            $(self.$accept(pe);)?
-            OpCore::poll_status(self, pe)
-        }
-
-        /// Spins until every remote write that has left the processor is
-        /// acknowledged. (Fence first — see `poll_status`.)
-        $($vis)? fn wait_write_acks(&mut self, pe: usize) {
-            $(self.$accept(pe);)?
-            OpCore::wait_write_acks(self, pe);
-        }
-
-        /// Issues a binding prefetch of the word at `va`. Returns `false`
-        /// if the 16-entry queue is full (the caller must pop first).
-        $($vis)? fn fetch(&mut self, pe: usize, va: u64) -> bool {
-            $(self.$accept(pe);)?
-            OpCore::fetch(self, pe, va)
-        }
-
-        /// Pops the prefetch queue (a 23-cycle off-chip load), waiting
-        /// for the data to arrive if necessary.
-        ///
-        /// # Errors
-        ///
-        /// [`PopError::Empty`] if nothing is outstanding;
-        /// [`PopError::NotDeparted`] if the oldest fetch is still in the
-        /// write buffer (fence first).
-        $($vis)? fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
-            $(self.$accept(pe);)?
-            OpCore::pop_prefetch(self, pe)
-        }
-
-        /// Starts a BLT transfer of `bytes` between `pe`'s local memory
-        /// at `local_off` and `target_pe`'s memory at `remote_off`. The
-        /// initiating processor is stalled for the OS invocation
-        /// (180 µs); the DMA itself completes at `BltHandle::completion`
-        /// and can be overlapped. Data moves immediately in simulation;
-        /// destination cache lines are invalidated (DMA bypasses caches).
-        $($vis)? fn blt_start(
-            &mut self,
-            pe: usize,
-            dir: BltDirection,
-            local_off: u64,
-            target_pe: usize,
-            remote_off: u64,
-            bytes: u64,
-        ) -> BltHandle {
-            $(self.$accept(pe);)?
-            OpCore::blt_start(self, pe, dir, local_off, target_pe, remote_off, bytes)
-        }
-
-        /// Starts a *strided* BLT transfer: `count` elements of
-        /// `elem_bytes`, read from consecutive positions on the local
-        /// side and placed `stride_bytes` apart on the remote side
-        /// (`Write`), or gathered from `stride_bytes` apart remotely into
-        /// consecutive local positions (`Read`). The engine moves the
-        /// same number of bytes as the contiguous form but pays the
-        /// remote DRAM's page behaviour on every element.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `count` or `elem_bytes` is zero, or if
-        /// `stride_bytes < elem_bytes` (overlapping elements).
-        #[allow(clippy::too_many_arguments)]
-        $($vis)? fn blt_start_strided(
-            &mut self,
-            pe: usize,
-            dir: BltDirection,
-            local_off: u64,
-            target_pe: usize,
-            remote_off: u64,
-            count: u64,
-            elem_bytes: u64,
-            stride_bytes: u64,
-        ) -> BltHandle {
-            $(self.$accept(pe);)?
-            OpCore::blt_start_strided(
-                self, pe, dir, local_off, target_pe, remote_off, count, elem_bytes, stride_bytes,
-            )
-        }
-
-        /// Blocks until a BLT transfer completes.
-        $($vis)? fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
-            $(self.$accept(pe);)?
-            OpCore::blt_wait(self, pe, handle);
-        }
-
-        /// Sends a four-word message (the 122-cycle PAL call).
-        $($vis)? fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]) {
-            $(self.$accept(pe);)?
-            OpCore::msg_send(self, pe, dst, words);
-        }
-
-        /// Receives the oldest arrived message, paying the 25 µs
-        /// interrupt (plus dispatch, in handler mode). `None` if nothing
-        /// has arrived.
-        $($vis)? fn msg_receive(&mut self, pe: usize) -> Option<Message> {
-            $(self.$accept(pe);)?
-            OpCore::msg_receive(self, pe)
-        }
-
-        /// Remote fetch&increment on `target_pe`'s register `reg`.
-        $($vis)? fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
-            $(self.$accept(pe);)?
-            OpCore::fetch_inc(self, pe, target_pe, reg)
-        }
-
-        /// Loads this node's swap operand register.
-        $($vis)? fn swap_load(&mut self, pe: usize, value: u64) {
-            $(self.$accept(pe);)?
-            OpCore::swap_load(self, pe, value);
-        }
-
-        /// Atomically exchanges the swap register with the word at `va`
-        /// (annex function code `Swap` for remote targets). Returns the
-        /// old memory value (now also in the register).
-        $($vis)? fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
-            $(self.$accept(pe);)?
-            OpCore::atomic_swap(self, pe, va)
-        }
-    };
-}
-pub(crate) use core_ops;
-
-impl MachineOps for Machine {
-    core_ops!();
-
-    fn nodes(&self) -> usize {
-        Machine::nodes(self)
-    }
-    fn cycle_ns(&self) -> f64 {
-        Machine::cycle_ns(self)
-    }
-    fn offset_bits(&self) -> u32 {
-        Machine::offset_bits(self)
-    }
-    fn node(&self, pe: usize) -> &Node {
-        Machine::node(self, pe)
-    }
-    fn node_mut(&mut self, pe: usize) -> &mut Node {
-        Machine::node_mut(self, pe)
-    }
-    fn clock(&self, pe: usize) -> u64 {
-        Machine::clock(self, pe)
-    }
-    fn annex_entry(&self, pe: usize, idx: usize) -> AnnexEntry {
-        Machine::annex_entry(self, pe, idx)
-    }
-    fn peek_mem(&self, pe: usize, off: u64, buf: &mut [u8]) {
-        Machine::peek_mem(self, pe, off, buf);
-    }
-    fn poke_mem(&mut self, pe: usize, off: u64, bytes: &[u8]) {
-        Machine::poke_mem(self, pe, off, bytes);
-    }
-    fn op_stats(&self, pe: usize) -> OpStats {
-        Machine::op_stats(self, pe)
-    }
-    fn arrival_time_of(&self, pe: usize, target_bytes: u64) -> Option<u64> {
-        Machine::arrival_time_of(self, pe, target_bytes)
-    }
-    fn clear_incoming(&mut self, pe: usize) {
-        Machine::clear_incoming(self, pe);
-    }
-    fn as_machine(&mut self) -> Option<&mut Machine> {
-        Some(self)
-    }
-}
 
 /// Cycles a transfer of `bytes` occupies each link of its route: the
 /// T3D moves two bytes per link per cycle, and even a one-byte request
@@ -520,6 +139,13 @@ pub(crate) trait OpCore {
     /// A node and its hot record, to act on now: any PE under `Live`,
     /// only the shard's own under `Logged`.
     fn parts(&mut self, pe: usize) -> (&mut Node, &mut NodeHot);
+    /// A node and its hot record, read-only: any PE under `Live`; under
+    /// `Logged`, the shard's own, and a panic for any other.
+    fn part(&self, pe: usize) -> (&Node, &NodeHot);
+    /// The whole machine, when this backend is the direct engine.
+    fn as_machine(&mut self) -> Option<&mut Machine> {
+        None
+    }
     /// Occupancy-until clock of directed link `l`.
     fn link_busy(&self, l: usize) -> u64;
     /// Sets directed link `l`'s occupancy-until clock.

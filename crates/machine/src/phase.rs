@@ -31,13 +31,14 @@
 //!   log stamped with virtual time.
 //!
 //! No op is written here. A shard runs the one op core of
-//! [`crate::ops`] — the same bodies the direct engine runs — and
+//! `ops.rs` — the same bodies the direct engine runs — and
 //! [`PhasePe`] supplies only its state and the core's `Logged`
 //! remote-target policy: price a remote target against the overlays and
-//! log a `TimedEffect`. Its [`MachineOps`] methods check that the
-//! shard owns the PE they name, then call the core. Sharded phases
-//! record no per-op [`TraceKind`](crate::TraceKind) events: the
-//! tracer belongs to the machine, which a shard cannot reach.
+//! log a `TimedEffect`. The phase closure reaches its shard through a
+//! [`Cpu`] the driver binds to the shard's own PE, so it cannot issue
+//! ops as another PE. Sharded phases record no per-op
+//! [`TraceKind`](crate::TraceKind) events: the tracer belongs to the
+//! machine, which a shard cannot reach.
 //!
 //! When every shard has run, the logs are merged in deterministic order
 //! — `(virtual time, source PE, issue sequence)` — and applied to the
@@ -61,24 +62,24 @@
 //! sharded drivers. With one active PE there is nothing to deviate, and
 //! `tests/direct_vs_shard.rs` pins the two engines equal.
 //!
-//! Two operations are deliberately restricted inside a sharded phase:
-//! `atomic_swap` on a *remote* PE panics (swap-based locks serialize by
-//! nature; take them through [`Machine`] directly), and a remote
-//! `fetch_inc` returns the phase-start value plus this shard's own
-//! increments — concurrent increments from *other* shards are merged
-//! afterwards, so tickets are only unique per shard within one phase.
+//! Three accesses panic inside a sharded phase: `atomic_swap` on a
+//! *remote* PE (swap-based locks serialize by nature; take them through
+//! [`Machine`] directly), [`Cpu::machine`], and a read of another PE's
+//! node ([`Cpu::node_of`]). A remote `fetch_inc` returns the
+//! phase-start value plus this shard's own increments — concurrent
+//! increments from *other* shards are merged afterwards, so tickets are
+//! only unique per shard within one phase.
 
 use crate::config::MachineConfig;
 use crate::cpu::Cpu;
-use crate::machine::{BltHandle, Machine};
-use crate::node::{Node, NodeHot, OpStats};
-use crate::ops::{core_ops, Deposit, Effect, MachineOps, OpCore, TimedEffect};
+use crate::machine::Machine;
+use crate::node::{Node, NodeHot};
+use crate::ops::{Deposit, Effect, OpCore, TimedEffect};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena};
-use t3d_shell::blt::BltDirection;
-use t3d_shell::{AnnexEntry, FetchIncRegs, Message, PopError};
+use t3d_shell::FetchIncRegs;
 use t3d_torus::{subcube, Torus};
 
 /// Which execution engine drives a sharded phase.
@@ -194,12 +195,9 @@ impl PhaseShared {
     }
 }
 
-/// One PE's shard of a sharded phase: a [`MachineOps`] backend that owns
-/// its node exclusively and runs the op core under the `Logged` policy.
-///
-/// All operations must name this shard's own PE (except the explicit
-/// `target_pe` of `fetch_inc`, BLT transfers and `msg_send`, and
-/// annex-translated loads and stores, which are the point).
+/// One PE's shard of a sharded phase: it owns its node exclusively and
+/// runs the op core under the `Logged` policy. The phase closure drives
+/// it through a [`Cpu`] bound to the shard's PE.
 pub struct PhasePe<'a> {
     pe: usize,
     node: &'a mut Node,
@@ -234,19 +232,6 @@ impl<'a> PhasePe<'a> {
             effects: Vec::new(),
         }
     }
-
-    #[inline]
-    fn own(&self, pe: usize) {
-        assert_eq!(
-            pe, self.pe,
-            "a sharded phase closure may only drive its own PE (got {pe}, shard owns {})",
-            self.pe
-        );
-    }
-
-    fn into_effects(self) -> Vec<TimedEffect> {
-        self.effects
-    }
 }
 
 /// The `Logged` policy: a remote target is priced against this shard's
@@ -264,6 +249,14 @@ impl OpCore for PhasePe<'_> {
     }
     fn parts(&mut self, pe: usize) -> (&mut Node, &mut NodeHot) {
         debug_assert_eq!(pe, self.pe, "a shard acts on its own node only");
+        (self.node, self.hot)
+    }
+    fn part(&self, pe: usize) -> (&Node, &NodeHot) {
+        assert_eq!(
+            pe, self.pe,
+            "a sharded phase closure may only read its own node (got {pe}, shard owns {})",
+            self.pe
+        );
         (self.node, self.hot)
     }
     fn link_busy(&self, l: usize) -> u64 {
@@ -320,77 +313,17 @@ impl OpCore for PhasePe<'_> {
     }
 }
 
-impl MachineOps for PhasePe<'_> {
-    core_ops!(; own);
-
-    fn nodes(&self) -> usize {
-        self.sh.mems.len()
-    }
-    fn cycle_ns(&self) -> f64 {
-        self.sh.cfg.cycle_ns()
-    }
-    fn offset_bits(&self) -> u32 {
-        self.sh.cfg.mem.offset_bits
-    }
-    fn node(&self, pe: usize) -> &Node {
-        self.own(pe);
-        self.node
-    }
-    fn node_mut(&mut self, pe: usize) -> &mut Node {
-        self.own(pe);
-        self.node
-    }
-    fn clock(&self, pe: usize) -> u64 {
-        self.own(pe);
-        self.hot.clock
-    }
-    fn annex_entry(&self, pe: usize, idx: usize) -> AnnexEntry {
-        self.own(pe);
-        self.node.annex.entry(idx)
-    }
-    fn peek_mem(&self, pe: usize, off: u64, buf: &mut [u8]) {
-        if pe == self.pe {
-            self.node.port.peek_mem(off, buf);
-        } else {
-            self.sh.mems[pe].read(off, buf);
-        }
-    }
-    fn poke_mem(&mut self, pe: usize, off: u64, bytes: &[u8]) {
-        assert_eq!(
-            pe, self.pe,
-            "poke_mem on a remote PE is not supported inside a sharded phase \
-             (it could not invalidate the target's cache deterministically)"
-        );
-        self.node.poke_and_invalidate(off, bytes);
-    }
-    fn op_stats(&self, pe: usize) -> OpStats {
-        self.own(pe);
-        self.node.ops
-    }
-    fn arrival_time_of(&self, pe: usize, target_bytes: u64) -> Option<u64> {
-        self.own(pe);
-        self.node.arrival_time_of(target_bytes)
-    }
-    fn clear_incoming(&mut self, pe: usize) {
-        self.own(pe);
-        self.node.incoming.clear();
-    }
-    fn as_machine(&mut self) -> Option<&mut Machine> {
-        None
-    }
-}
-
 fn run_shard<T>(
     pe: usize,
     node: &mut Node,
     hot: &mut NodeHot,
     sh: &PhaseShared,
     state: &mut T,
-    f: &(impl Fn(&mut dyn MachineOps, usize, &mut T) + Sync),
+    f: &(impl Fn(&mut Cpu, &mut T) + Sync),
 ) -> Vec<TimedEffect> {
     let mut shard = PhasePe::new(pe, node, hot, sh);
-    f(&mut shard, pe, state);
-    shard.into_effects()
+    f(&mut Cpu { m: &mut shard, pe }, state);
+    shard.effects
 }
 
 /// Reorders `items` in place so position `i` holds the element that was
@@ -446,7 +379,7 @@ fn run_parallel<T: Send>(
     states: &mut [T],
     sh: &PhaseShared,
     threads: usize,
-    f: &(impl Fn(&mut dyn MachineOps, usize, &mut T) + Sync),
+    f: &(impl Fn(&mut Cpu, &mut T) + Sync),
 ) -> Vec<Vec<TimedEffect>> {
     // Partition the torus into canonical sub-cubes — the same shapes the
     // gang scheduler allocates — and give each worker one sub-cube. A
@@ -518,16 +451,13 @@ impl Machine {
     /// bulk-synchronous contract phase closures must follow.
     pub fn sharded_phase(&mut self, driver: PhaseDriver, f: impl Fn(&mut Cpu) + Sync) {
         let mut unit = vec![(); self.nodes()];
-        self.sharded_phase_zip(driver, &mut unit, |ops, pe, ()| {
-            let mut cpu = Cpu::new(ops, pe);
-            f(&mut cpu);
-        });
+        self.sharded_phase_zip(driver, &mut unit, |cpu, ()| f(cpu));
     }
 
     /// Runs one sharded SPMD phase with per-PE state: `states[pe]` is
-    /// handed to the closure alongside PE `pe`'s shard. This is the
-    /// building block runtimes (Split-C) use to carry their own per-node
-    /// structures through a parallel phase.
+    /// handed to the closure alongside the [`Cpu`] of PE `pe`'s shard.
+    /// This is the building block runtimes (Split-C) use to carry their
+    /// own per-node structures through a parallel phase.
     ///
     /// # Panics
     ///
@@ -536,7 +466,7 @@ impl Machine {
         &mut self,
         driver: PhaseDriver,
         states: &mut [T],
-        f: impl Fn(&mut dyn MachineOps, usize, &mut T) + Sync,
+        f: impl Fn(&mut Cpu, &mut T) + Sync,
     ) {
         let n = self.nodes();
         assert_eq!(
@@ -799,11 +729,10 @@ mod tests {
         }
         m.barrier_all();
         let mut seen = vec![Seen::default(); 4];
-        m.sharded_phase_zip(driver, &mut seen, |ops, pe, seen| {
-            if !active.contains(&pe) {
+        m.sharded_phase_zip(driver, &mut seen, |cpu, seen| {
+            if !active.contains(&cpu.pe()) {
                 return;
             }
-            let mut cpu = Cpu::new(ops, pe);
             cpu.annex_set(1, 0, t3d_shell::FuncCode::Uncached);
             let _ = cpu.ld8(cpu.va(1, 0x4100));
             for (i, off) in [0x1000u64, 0x1008].into_iter().enumerate() {
@@ -915,9 +844,7 @@ mod tests {
         let logs = {
             let (cfg, torus, nodes, hot, links) = m.phase_parts();
             let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
-            let f = |ops: &mut dyn MachineOps, pe: usize, (): &mut ()| {
-                tied_deposits(&mut Cpu::new(ops, pe));
-            };
+            let f = |cpu: &mut Cpu, (): &mut ()| tied_deposits(cpu);
             nodes
                 .iter_mut()
                 .zip(hot.iter_mut())
@@ -947,14 +874,39 @@ mod tests {
         assert_eq!(last, (0..8).map(|i| 2 << 32 | i).collect::<Vec<u64>>());
     }
 
-    #[test]
-    #[should_panic(expected = "may only drive its own PE")]
-    fn shard_rejects_foreign_pe() {
+    /// Runs `f` as PE 0 of a 2-PE sharded phase, with PE 1's swap word
+    /// at 0x100 reachable through annex register 1.
+    fn shard_of_pe0(f: impl Fn(&mut Cpu) + Sync) {
         let mut m = Machine::new(MachineConfig::t3d(2));
         m.sharded_phase(PhaseDriver::Seq, |cpu| {
             if cpu.pe() == 0 {
-                let _ = cpu.ops().clock(1);
+                cpu.annex_set(1, 1, t3d_shell::FuncCode::Swap);
+                f(cpu);
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "whole-machine access is not available inside a sharded phase")]
+    fn shard_denies_whole_machine_access() {
+        shard_of_pe0(|cpu| {
+            let _ = cpu.machine();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "atomic_swap on a remote PE is not supported inside a sharded phase")]
+    fn shard_denies_remote_swap() {
+        shard_of_pe0(|cpu| {
+            let _ = cpu.atomic_swap(cpu.va(1, 0x100));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "may only read its own node (got 1, shard owns 0)")]
+    fn shard_denies_foreign_node_reads() {
+        shard_of_pe0(|cpu| {
+            let _ = cpu.node_of(1);
         });
     }
 

@@ -271,9 +271,9 @@ fn direct(cfg: MachineConfig) -> Observed {
 fn sharded(cfg: MachineConfig) -> Observed {
     let mut m = prepared(cfg);
     let mut seen = vec![Vec::new(); PES as usize];
-    m.sharded_phase_zip(PhaseDriver::Seq, &mut seen, |ops, pe, seen| {
-        if pe == ACTIVE {
-            op_stream(&mut Cpu::new(ops, pe), seen);
+    m.sharded_phase_zip(PhaseDriver::Seq, &mut seen, |cpu, seen| {
+        if cpu.pe() == ACTIVE {
+            op_stream(cpu, seen);
         }
     });
     let mine = std::mem::take(&mut seen[ACTIVE]);
@@ -487,9 +487,9 @@ fn run_blt(b: &Blt, sharded: bool) -> BltRun {
     }
     let completion = if sharded {
         let mut out = vec![0u64; PES as usize];
-        m.sharded_phase_zip(PhaseDriver::Seq, &mut out, |ops, pe, out| {
-            if pe == ACTIVE {
-                *out = start_blt(&mut Cpu::new(ops, pe), b);
+        m.sharded_phase_zip(PhaseDriver::Seq, &mut out, |cpu, out| {
+            if cpu.pe() == ACTIVE {
+                *out = start_blt(cpu, b);
             }
         });
         out[ACTIVE]

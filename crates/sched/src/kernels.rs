@@ -263,15 +263,15 @@ pub fn run_stencil(
             let right_ghost_at_left = cell_base + (cells + 1) * 8;
             match comm {
                 StencilComm::Write => {
-                    let v = ctx.ops().ld8(pe, my_last);
+                    let v = ctx.ops().ld8(my_last);
                     ctx.write_u64(GlobalPtr::new(right as u32, left_ghost_at_right), v);
-                    let v = ctx.ops().ld8(pe, my_first);
+                    let v = ctx.ops().ld8(my_first);
                     ctx.write_u64(GlobalPtr::new(left as u32, right_ghost_at_left), v);
                 }
                 StencilComm::Store => {
-                    let v = ctx.ops().ld8(pe, my_last);
+                    let v = ctx.ops().ld8(my_last);
                     ctx.store_u64(GlobalPtr::new(right as u32, left_ghost_at_right), v);
-                    let v = ctx.ops().ld8(pe, my_first);
+                    let v = ctx.ops().ld8(my_first);
                     ctx.store_u64(GlobalPtr::new(left as u32, right_ghost_at_left), v);
                 }
                 StencilComm::Bulk => {
@@ -297,14 +297,13 @@ pub fn run_stencil(
         // Relax: new[i] = (old[i-1] + old[i+1]) / 2, in place with a
         // rolling previous value.
         sc.par_phase_with(env.driver, |ctx| {
-            let pe = ctx.pe();
-            let mut prev = f64::from_bits(ctx.ops().ld8(pe, cell_base));
+            let mut prev = f64::from_bits(ctx.ops().ld8(cell_base));
             for i in 1..=cells {
-                let here = f64::from_bits(ctx.ops().ld8(pe, cell_base + i * 8));
-                let next = f64::from_bits(ctx.ops().ld8(pe, cell_base + (i + 1) * 8));
+                let here = f64::from_bits(ctx.ops().ld8(cell_base + i * 8));
+                let next = f64::from_bits(ctx.ops().ld8(cell_base + (i + 1) * 8));
                 let new = 0.5 * (prev + next);
                 prev = here;
-                ctx.ops().st8(pe, cell_base + i * 8, new.to_bits());
+                ctx.ops().st8(cell_base + i * 8, new.to_bits());
                 ctx.advance(8); // FP add + multiply
             }
         });

@@ -42,35 +42,34 @@ impl ScCtx<'_> {
         assert!(target_pe < self.m.nodes(), "PE {target_pe} out of range");
         self.rt.stats.am_deposits += 1;
         // Allocate a slot with the target's fetch&increment register 0.
-        let ticket = self.m.fetch_inc(self.pe, target_pe, 0);
+        let ticket = self.m.fetch_inc(target_pe, 0);
         let slot = ticket % self.cfg.am_slots;
         let base = self.am_region + slot * AM_SLOT_BYTES;
-        if target_pe == self.pe {
+        if target_pe == self.pe() {
             // Local deposit: plain stores.
-            self.m.st8(self.pe, base + 8, id);
+            self.m.st8(base + 8, id);
             for (i, a) in args.iter().enumerate() {
-                self.m.st8(self.pe, base + 16 + i as u64 * 8, *a);
+                self.m.st8(base + 16 + i as u64 * 8, *a);
             }
-            self.m.st8(self.pe, base, ticket + 1);
-            self.m.memory_barrier(self.pe);
+            self.m.st8(base, ticket + 1);
+            self.m.memory_barrier();
         } else {
             let idx = self
                 .rt
                 .annex
-                .ensure(self.m, self.pe, target_pe as u32, FuncCode::Uncached);
-            self.m.st8(self.pe, self.m.va(idx, base + 8), id);
+                .ensure(&mut self.m, target_pe as u32, FuncCode::Uncached);
+            self.m.st8(self.m.va(idx, base + 8), id);
             for (i, a) in args.iter().enumerate() {
-                self.m
-                    .st8(self.pe, self.m.va(idx, base + 16 + i as u64 * 8), *a);
+                self.m.st8(self.m.va(idx, base + 16 + i as u64 * 8), *a);
             }
             // Data words must be visible before the sequence word.
-            self.m.memory_barrier(self.pe);
-            self.m.wait_write_acks(self.pe);
-            self.m.st8(self.pe, self.m.va(idx, base), ticket + 1);
-            self.m.memory_barrier(self.pe);
-            self.m.wait_write_acks(self.pe);
+            self.m.memory_barrier();
+            self.m.wait_write_acks();
+            self.m.st8(self.m.va(idx, base), ticket + 1);
+            self.m.memory_barrier();
+            self.m.wait_write_acks();
         }
-        self.m.advance(self.pe, self.cfg.am_deposit_overhead_cy);
+        self.m.advance(self.cfg.am_deposit_overhead_cy);
         self.san_emit(
             SanOp::AmDeposit {
                 target: target_pe as u32,
@@ -94,33 +93,33 @@ impl ScCtx<'_> {
             // The poll is an ordinary (cached) load of the seq word; an
             // arriving store flushes the line, so the next poll re-reads
             // memory.
-            let seq = self.m.ld8(self.pe, base);
+            let seq = self.m.ld8(base);
             if seq != next + 1 {
                 // A slot overwritten by a wrapped-around later ticket
                 // means deposits outran the polls: the queue overflowed.
                 assert!(
                     seq <= next || !(seq - 1 - next).is_multiple_of(self.cfg.am_slots),
                     "AM-equivalent queue on PE {} overflowed: {} slots,                      expected seq {} found {} (poll more often or enlarge                      SplitcConfig::am_slots)",
-                    self.pe,
+                    self.pe(),
                     self.cfg.am_slots,
                     next + 1,
                     seq
                 );
                 break;
             }
-            let id = self.m.ld8(self.pe, base + 8);
+            let id = self.m.ld8(base + 8);
             let mut args = [0u64; 4];
             for (i, a) in args.iter_mut().enumerate() {
-                *a = self.m.ld8(self.pe, base + 16 + i as u64 * 8);
+                *a = self.m.ld8(base + 16 + i as u64 * 8);
             }
             self.rt.am_consumed += 1;
-            self.m.advance(self.pe, self.cfg.am_dispatch_overhead_cy);
+            self.m.advance(self.cfg.am_dispatch_overhead_cy);
             let handler = self
                 .handlers
                 .get(id as usize)
                 .and_then(|h| *h)
                 .unwrap_or_else(|| panic!("AM handler {id} not registered"));
-            handler(self.m, self.pe, args);
+            handler(&mut self.m, args);
             dispatched += 1;
         }
         if dispatched > 0 {
@@ -144,6 +143,7 @@ impl ScCtx<'_> {
 mod tests {
     use crate::runtime::{SplitC, AM_ADD_U64, AM_USER_BASE};
     use t3d_machine::MachineConfig;
+    use t3d_machine::PhaseDriver;
 
     fn sc() -> SplitC {
         SplitC::new(MachineConfig::t3d(4))
@@ -227,12 +227,46 @@ mod tests {
     fn user_handlers_dispatch() {
         let mut s = sc();
         let cell = s.alloc(8, 8);
-        let id = s.register_handler(AM_USER_BASE, |m, pe, args| {
-            m.poke8(pe, args[0], args[1] * args[2]);
+        let id = s.register_handler(AM_USER_BASE, |cpu, args| {
+            cpu.poke8(args[0], args[1] * args[2]);
         });
         s.on(2, |ctx| ctx.am_deposit(0, id, [cell, 6, 7, 0]));
         s.on(0, |ctx| ctx.am_poll());
         assert_eq!(s.machine().peek8(0, cell), 42);
+    }
+
+    #[test]
+    fn user_handlers_dispatch_in_sharded_phases() {
+        // Every PE deposits to its right neighbour in one sharded phase
+        // and polls in the next, so each handler runs on the receiving
+        // PE's shard, through that shard's `Cpu`.
+        let run = |driver: PhaseDriver| {
+            let mut s = sc();
+            let cell = s.alloc(8, 8);
+            let id = s.register_handler(AM_USER_BASE, |cpu, args| {
+                let v = cpu.peek8(args[0]) + args[1] * (cpu.pe() as u64 + 1);
+                cpu.poke8(args[0], v);
+                cpu.advance(args[1]);
+            });
+            s.par_phase_with(driver, |ctx| {
+                let right = (ctx.pe() + 1) % ctx.nodes();
+                ctx.am_deposit(right, id, [cell, 10 + ctx.pe() as u64, 0, 0]);
+            });
+            s.par_phase_with(driver, |ctx| assert_eq!(ctx.am_poll(), 1));
+            let n = s.nodes();
+            let cells: Vec<u64> = (0..n).map(|pe| s.machine().peek8(pe, cell)).collect();
+            let clocks: Vec<u64> = (0..n).map(|pe| s.machine_ref().clock(pe)).collect();
+            (cells, clocks)
+        };
+        let (cells, clocks) = run(PhaseDriver::Seq);
+        let left = |pe: u64| (pe + 3) % 4;
+        let want: Vec<u64> = (0..4).map(|pe| (10 + left(pe)) * (pe + 1)).collect();
+        assert_eq!(cells, want, "each PE's handler ran on its own node");
+        assert_eq!(
+            (cells, clocks),
+            run(PhaseDriver::Par(2)),
+            "Seq and Par(2) must give identical memory and clocks"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   buffer then admits stale reads. It exists here to reproduce that
 //!   probe; do not use it for real programs.
 
-use t3d_machine::MachineOps;
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_machine::Cpu;
+use t3d_shell::FuncCode;
 
 /// How a node assigns annex registers to remote accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,33 +76,27 @@ impl AnnexState {
     }
 
     /// Ensures some annex register names `(target_pe, func)` and returns
-    /// its index, charging the policy's costs to node `pe` on `m`.
-    pub fn ensure(
-        &mut self,
-        m: &mut dyn MachineOps,
-        pe: usize,
-        target_pe: u32,
-        func: FuncCode,
-    ) -> usize {
+    /// its index, charging the policy's costs to `cpu`'s node.
+    pub fn ensure(&mut self, cpu: &mut Cpu, target_pe: u32, func: FuncCode) -> usize {
         match self.policy {
             AnnexPolicy::SingleRegister => {
-                self.set(m, pe, 1, target_pe, func);
+                self.set(cpu, 1, target_pe, func);
                 1
             }
             AnnexPolicy::SingleRegisterCached => {
-                m.advance(pe, CACHE_CHECK_CY);
+                cpu.advance(CACHE_CHECK_CY);
                 if self.shadow[1] != Some((target_pe, func)) {
-                    self.set(m, pe, 1, target_pe, func);
+                    self.set(cpu, 1, target_pe, func);
                 } else {
                     self.skips += 1;
                 }
                 1
             }
             AnnexPolicy::HashedMulti => {
-                m.advance(pe, HASH_LOOKUP_CY);
+                cpu.advance(HASH_LOOKUP_CY);
                 let idx = 1 + (target_pe as usize % (self.shadow.len() - 1));
                 if self.shadow[idx] != Some((target_pe, func)) {
-                    self.set(m, pe, idx, target_pe, func);
+                    self.set(cpu, idx, target_pe, func);
                 } else {
                     self.skips += 1;
                 }
@@ -111,28 +105,14 @@ impl AnnexState {
             AnnexPolicy::UnsafeMulti => {
                 let idx = self.next_rr;
                 self.next_rr = 1 + (self.next_rr % (self.shadow.len() - 1));
-                self.set(m, pe, idx, target_pe, func);
+                self.set(cpu, idx, target_pe, func);
                 idx
             }
         }
     }
 
-    fn set(
-        &mut self,
-        m: &mut dyn MachineOps,
-        pe: usize,
-        idx: usize,
-        target_pe: u32,
-        func: FuncCode,
-    ) {
-        m.annex_set(
-            pe,
-            idx,
-            AnnexEntry {
-                pe: target_pe,
-                func,
-            },
-        );
+    fn set(&mut self, cpu: &mut Cpu, idx: usize, target_pe: u32, func: FuncCode) {
+        cpu.annex_set(idx, target_pe, func);
         self.shadow[idx] = Some((target_pe, func));
         self.updates += 1;
     }
@@ -162,7 +142,10 @@ mod tests {
         let mut m = machine();
         let mut st = AnnexState::new(AnnexPolicy::SingleRegister, 32);
         for _ in 0..3 {
-            assert_eq!(st.ensure(&mut m, 0, 2, FuncCode::Uncached), 1);
+            assert_eq!(
+                st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached),
+                1
+            );
         }
         assert_eq!(st.updates(), 3);
         assert_eq!(m.clock(0), 3 * 23);
@@ -172,13 +155,13 @@ mod tests {
     fn cached_register_skips_repeats() {
         let mut m = machine();
         let mut st = AnnexState::new(AnnexPolicy::SingleRegisterCached, 32);
-        st.ensure(&mut m, 0, 2, FuncCode::Uncached);
-        st.ensure(&mut m, 0, 2, FuncCode::Uncached);
-        st.ensure(&mut m, 0, 3, FuncCode::Uncached);
+        st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
+        st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
+        st.ensure(&mut Cpu::new(&mut m, 0), 3, FuncCode::Uncached);
         assert_eq!(st.updates(), 2);
         assert_eq!(st.skips(), 1);
         // Changing the flavour forces an update too.
-        st.ensure(&mut m, 0, 3, FuncCode::Cached);
+        st.ensure(&mut Cpu::new(&mut m, 0), 3, FuncCode::Cached);
         assert_eq!(st.updates(), 3);
     }
 
@@ -186,9 +169,9 @@ mod tests {
     fn hashed_multi_is_synonym_free() {
         let mut m = machine();
         let mut st = AnnexState::new(AnnexPolicy::HashedMulti, 32);
-        let i2 = st.ensure(&mut m, 0, 2, FuncCode::Uncached);
-        let i3 = st.ensure(&mut m, 0, 3, FuncCode::Uncached);
-        let i2b = st.ensure(&mut m, 0, 2, FuncCode::Uncached);
+        let i2 = st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
+        let i3 = st.ensure(&mut Cpu::new(&mut m, 0), 3, FuncCode::Uncached);
+        let i2b = st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
         assert_eq!(i2, i2b, "one PE always maps to one register");
         assert_ne!(i2, i3);
         assert_eq!(st.updates(), 2);
@@ -200,8 +183,8 @@ mod tests {
     fn unsafe_multi_creates_synonyms() {
         let mut m = machine();
         let mut st = AnnexState::new(AnnexPolicy::UnsafeMulti, 32);
-        let a = st.ensure(&mut m, 0, 2, FuncCode::Uncached);
-        let b = st.ensure(&mut m, 0, 2, FuncCode::Uncached);
+        let a = st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
+        let b = st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
         assert_ne!(a, b, "round-robin hands out a fresh register");
         assert_eq!(
             m.node(0).annex.synonyms_of(2).len(),
@@ -219,15 +202,15 @@ mod tests {
         // Alternate PEs: every access still pays lookup, none update
         // after warm-up.
         for _ in 0..4 {
-            st.ensure(&mut m, 0, 2, FuncCode::Uncached);
-            st.ensure(&mut m, 0, 3, FuncCode::Uncached);
+            st.ensure(&mut Cpu::new(&mut m, 0), 2, FuncCode::Uncached);
+            st.ensure(&mut Cpu::new(&mut m, 0), 3, FuncCode::Uncached);
         }
         let hashed = m.clock(0);
         let mut m2 = machine();
         let mut st2 = AnnexState::new(AnnexPolicy::SingleRegister, 32);
         for _ in 0..4 {
-            st2.ensure(&mut m2, 0, 2, FuncCode::Uncached);
-            st2.ensure(&mut m2, 0, 3, FuncCode::Uncached);
+            st2.ensure(&mut Cpu::new(&mut m2, 0), 2, FuncCode::Uncached);
+            st2.ensure(&mut Cpu::new(&mut m2, 0), 3, FuncCode::Uncached);
         }
         let single = m2.clock(0);
         assert!(hashed < single, "hashed wins on alternating PEs");

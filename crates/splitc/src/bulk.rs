@@ -61,12 +61,12 @@ impl ScCtx<'_> {
             "bulk transfers move whole words"
         );
         self.rt.stats.bulk_ops += 1;
-        if src.pe() as usize == self.pe {
+        if src.pe() as usize == self.pe() {
             self.local_copy(local_off, src.addr(), bytes);
         } else if bytes <= 8 {
             // Delegates to read_u64, which emits its own event.
             let v = self.read_u64(src);
-            self.m.st8(self.pe, local_off, v);
+            self.m.st8(local_off, v);
             return;
         } else if bytes < self.cfg.bulk_blt_read_min {
             self.bulk_read_prefetch(local_off, src, bytes);
@@ -101,12 +101,12 @@ impl ScCtx<'_> {
             "bulk transfers move whole words"
         );
         self.rt.stats.bulk_ops += 1;
-        if dst.pe() as usize == self.pe {
+        if dst.pe() as usize == self.pe() {
             self.local_copy(dst.addr(), local_off, bytes);
         } else {
             self.bulk_write_stores(dst, local_off, bytes);
-            self.m.memory_barrier(self.pe);
-            self.m.wait_write_acks(self.pe);
+            self.m.memory_barrier();
+            self.m.wait_write_acks();
         }
         self.san_emit(
             SanOp::Write {
@@ -137,7 +137,7 @@ impl ScCtx<'_> {
             "bulk transfers move whole words"
         );
         self.rt.stats.bulk_ops += 1;
-        if src.pe() as usize == self.pe {
+        if src.pe() as usize == self.pe() {
             self.local_copy(local_off, src.addr(), bytes);
         } else if bytes < self.cfg.bulk_get_blt_min {
             // Below the BLT's own start-up budget: the prefetch loop is
@@ -145,7 +145,6 @@ impl ScCtx<'_> {
             self.bulk_read_prefetch(local_off, src, bytes);
         } else {
             let h = self.m.blt_start(
-                self.pe,
                 BltDirection::Read,
                 local_off,
                 src.pe() as usize,
@@ -182,7 +181,7 @@ impl ScCtx<'_> {
             "bulk transfers move whole words"
         );
         self.rt.stats.bulk_ops += 1;
-        if dst.pe() as usize == self.pe {
+        if dst.pe() as usize == self.pe() {
             self.local_copy(dst.addr(), local_off, bytes);
         } else {
             self.bulk_write_stores(dst, local_off, bytes);
@@ -236,7 +235,7 @@ impl ScCtx<'_> {
         );
         self.rt.stats.bulk_ops += 1;
         let total = count * elem_bytes;
-        if src.pe() as usize == self.pe {
+        if src.pe() as usize == self.pe() {
             for i in 0..count {
                 self.local_copy(
                     local_off + i * elem_bytes,
@@ -254,7 +253,6 @@ impl ScCtx<'_> {
             }
         } else {
             let h = self.m.blt_start_strided(
-                self.pe,
                 BltDirection::Read,
                 local_off,
                 src.pe() as usize,
@@ -263,7 +261,7 @@ impl ScCtx<'_> {
                 elem_bytes,
                 stride_bytes,
             );
-            self.m.blt_wait(self.pe, h);
+            self.m.blt_wait(h);
         }
         // Conservative span: the whole strided extent at the source.
         self.san_emit(
@@ -311,7 +309,7 @@ impl ScCtx<'_> {
         );
         self.rt.stats.bulk_ops += 1;
         let total = count * elem_bytes;
-        if dst.pe() as usize == self.pe {
+        if dst.pe() as usize == self.pe() {
             for i in 0..count {
                 self.local_copy(
                     dst.addr() + i * stride_bytes,
@@ -329,8 +327,8 @@ impl ScCtx<'_> {
                     elem_bytes,
                 );
             }
-            self.m.memory_barrier(self.pe);
-            self.m.wait_write_acks(self.pe);
+            self.m.memory_barrier();
+            self.m.wait_write_acks();
         }
         self.san_emit(
             SanOp::Write {
@@ -354,12 +352,12 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, src.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, src.pe(), FuncCode::Uncached);
         for w in 0..bytes / 8 {
             let va = self.m.va(idx, src.addr() + w * 8);
-            let v = self.m.ld8(self.pe, va);
-            self.m.st8(self.pe, local_off + w * 8, v);
-            self.m.advance(self.pe, self.cfg.bulk_loop_cy);
+            let v = self.m.ld8(va);
+            self.m.st8(local_off + w * 8, v);
+            self.m.advance(self.cfg.bulk_loop_cy);
         }
     }
 
@@ -371,25 +369,25 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, src.pe(), FuncCode::Cached);
+            .ensure(&mut self.m, src.pe(), FuncCode::Cached);
         let line = 32u64;
         let batched_flush = bytes >= 8 * 1024;
         let mut w = 0u64;
         while w * 8 < bytes {
             let va = self.m.va(idx, src.addr() + w * 8);
-            let v = self.m.ld8(self.pe, va);
-            self.m.st8(self.pe, local_off + w * 8, v);
-            self.m.advance(self.pe, self.cfg.bulk_loop_cy);
+            let v = self.m.ld8(va);
+            self.m.st8(local_off + w * 8, v);
+            self.m.advance(self.cfg.bulk_loop_cy);
             let at_line_end = ((src.addr() + w * 8) % line == line - 8) || (w + 1) * 8 >= bytes;
             if at_line_end && !batched_flush {
-                let cost = self.m.node_mut(self.pe).port.flush_line(va);
-                self.m.advance(self.pe, cost);
+                let cost = self.m.node_mut().port.flush_line(va);
+                self.m.advance(cost);
             }
             w += 1;
         }
         if batched_flush {
-            self.m.node_mut(self.pe).port.l1_mut().invalidate_all();
-            self.m.advance(self.pe, FULL_CACHE_FLUSH_CY);
+            self.m.node_mut().port.l1_mut().invalidate_all();
+            self.m.advance(FULL_CACHE_FLUSH_CY);
         }
     }
 
@@ -400,22 +398,22 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, src.pe(), FuncCode::Uncached);
-        let depth = self.m.node(self.pe).prefetch.depth() as u64;
+            .ensure(&mut self.m, src.pe(), FuncCode::Uncached);
+        let depth = self.m.node().prefetch.depth() as u64;
         let words = bytes / 8;
         let mut done = 0u64;
         while done < words {
             let group = depth.min(words - done);
             for i in 0..group {
                 let va = self.m.va(idx, src.addr() + (done + i) * 8);
-                let ok = self.m.fetch(self.pe, va);
+                let ok = self.m.fetch(va);
                 debug_assert!(ok, "queue drained each group");
-                self.m.advance(self.pe, self.cfg.bulk_loop_cy);
+                self.m.advance(self.cfg.bulk_loop_cy);
             }
-            self.m.memory_barrier(self.pe);
+            self.m.memory_barrier();
             for i in 0..group {
-                let v = self.m.pop_prefetch(self.pe).expect("fenced group");
-                self.m.st8(self.pe, local_off + (done + i) * 8, v);
+                let v = self.m.pop_prefetch().expect("fenced group");
+                self.m.st8(local_off + (done + i) * 8, v);
             }
             done += group;
         }
@@ -424,14 +422,13 @@ impl ScCtx<'_> {
     /// Bulk read via the block transfer engine (blocking).
     pub fn bulk_read_blt(&mut self, local_off: u64, src: GlobalPtr, bytes: u64) {
         let h = self.m.blt_start(
-            self.pe,
             BltDirection::Read,
             local_off,
             src.pe() as usize,
             src.addr(),
             bytes,
         );
-        self.m.blt_wait(self.pe, h);
+        self.m.blt_wait(h);
     }
 
     /// Bulk write via non-blocking stores (write-merging batches whole
@@ -440,41 +437,38 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, dst.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, dst.pe(), FuncCode::Uncached);
         for w in 0..bytes / 8 {
-            let mut buf = [0u8; 8];
-            self.m.peek_mem(self.pe, local_off + w * 8, &mut buf);
             // Charge the local load of the source word.
             let va_local = local_off + w * 8;
-            let v = self.m.ld8(self.pe, va_local);
-            debug_assert_eq!(v.to_le_bytes(), buf);
+            let v = self.m.ld8(va_local);
+            debug_assert_eq!(v, self.m.peek8(va_local));
             let va = self.m.va(idx, dst.addr() + w * 8);
-            self.m.st8(self.pe, va, v);
-            self.m.advance(self.pe, self.cfg.bulk_loop_cy);
+            self.m.st8(va, v);
+            self.m.advance(self.cfg.bulk_loop_cy);
         }
     }
 
     /// Bulk write via the BLT (blocking) — measured *slower* than stores
     /// at every size; present for the Figure 8 comparison.
     pub fn bulk_write_blt(&mut self, dst: GlobalPtr, local_off: u64, bytes: u64) {
-        self.m.memory_barrier(self.pe); // source words must be in memory
+        self.m.memory_barrier(); // source words must be in memory
         let h = self.m.blt_start(
-            self.pe,
             BltDirection::Write,
             local_off,
             dst.pe() as usize,
             dst.addr(),
             bytes,
         );
-        self.m.blt_wait(self.pe, h);
+        self.m.blt_wait(h);
     }
 
     /// Local memory-to-memory copy through the cache hierarchy.
     fn local_copy(&mut self, dst_off: u64, src_off: u64, bytes: u64) {
         for w in 0..bytes / 8 {
-            let v = self.m.ld8(self.pe, src_off + w * 8);
-            self.m.st8(self.pe, dst_off + w * 8, v);
-            self.m.advance(self.pe, self.cfg.bulk_loop_cy);
+            let v = self.m.ld8(src_off + w * 8);
+            self.m.st8(dst_off + w * 8, v);
+            self.m.advance(self.cfg.bulk_loop_cy);
         }
     }
 }

@@ -22,13 +22,13 @@ impl ScCtx<'_> {
     /// latest, the next [`crate::SplitC::barrier`]).
     pub fn byte_write(&mut self, gp: GlobalPtr, value: u8) {
         self.rec(ScOp::ByteWrite { dst: gp, value });
-        if gp.pe() as usize == self.pe {
+        if gp.pe() as usize == self.pe() {
             // The owner can update its own byte without a race.
             let word_off = gp.addr() & !7;
             let shift = (gp.addr() & 7) * 8;
-            let w = self.m.ld8(self.pe, word_off);
+            let w = self.m.ld8(word_off);
             let w = (w & !(0xFFu64 << shift)) | ((value as u64) << shift);
-            self.m.st8(self.pe, word_off, w);
+            self.m.st8(word_off, w);
             return;
         }
         self.am_deposit(
@@ -66,12 +66,12 @@ impl ScCtx<'_> {
     pub fn write_u32(&mut self, gp: GlobalPtr, value: u32) {
         self.rec(ScOp::WriteU32 { dst: gp, value });
         assert_eq!(gp.addr() % 4, 0, "u32 writes must be 4-byte aligned");
-        if gp.pe() as usize == self.pe {
+        if gp.pe() as usize == self.pe() {
             let word_off = gp.addr() & !7;
             let shift = (gp.addr() & 7) * 8;
-            let w = self.m.ld8(self.pe, word_off);
+            let w = self.m.ld8(word_off);
             let w = (w & !(0xFFFF_FFFFu64 << shift)) | ((value as u64) << shift);
-            self.m.st8(self.pe, word_off, w);
+            self.m.st8(word_off, w);
             return;
         }
         self.am_deposit(

@@ -42,10 +42,10 @@ impl ScCtx<'_> {
     pub fn get(&mut self, local_off: u64, gp: GlobalPtr) {
         self.rec(ScOp::Get { local_off, src: gp });
         self.rt.stats.gets += 1;
-        if gp.pe() as usize == self.pe {
+        if gp.pe() as usize == self.pe() {
             // Local get degenerates to a copy.
-            let v = self.m.ld8(self.pe, gp.addr());
-            self.m.st8(self.pe, local_off, v);
+            let v = self.m.ld8(gp.addr());
+            self.m.st8(local_off, v);
             self.san_emit(
                 SanOp::Read {
                     target: gp.pe(),
@@ -59,7 +59,7 @@ impl ScCtx<'_> {
         }
         // The hardware queue holds 16; drain when full, as the runtime
         // described in Section 5.4 does.
-        if self.rt.pending_gets.len() == self.m.node(self.pe).prefetch.depth() {
+        if self.rt.pending_gets.len() == self.m.node().prefetch.depth() {
             self.drain_gets(true);
             // The auto-drain fences and pops but does not ack-wait: gets
             // complete, puts may still be in flight.
@@ -68,11 +68,11 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, gp.pe(), FuncCode::Uncached);
         let va = self.m.va(idx, gp.addr());
-        let issued = self.m.fetch(self.pe, va);
+        let issued = self.m.fetch(va);
         debug_assert!(issued, "queue was drained above");
-        self.m.advance(self.pe, self.cfg.get_table_cy);
+        self.m.advance(self.cfg.get_table_cy);
         self.rt.pending_gets.push(local_off);
         self.san_emit(
             SanOp::GetIssue {
@@ -108,9 +108,9 @@ impl ScCtx<'_> {
     pub fn put(&mut self, gp: GlobalPtr, value: u64) {
         self.rec(ScOp::Put { dst: gp, value });
         self.rt.stats.puts += 1;
-        if gp.pe() as usize == self.pe {
-            self.m.st8(self.pe, gp.addr(), value);
-            self.m.advance(self.pe, self.cfg.put_check_cy);
+        if gp.pe() as usize == self.pe() {
+            self.m.st8(gp.addr(), value);
+            self.m.advance(self.cfg.put_check_cy);
             self.san_emit(
                 SanOp::Write {
                     target: gp.pe(),
@@ -126,10 +126,10 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, gp.pe(), FuncCode::Uncached);
         let va = self.m.va(idx, gp.addr());
-        self.m.st8(self.pe, va, value);
-        self.m.advance(self.pe, self.cfg.put_check_cy);
+        self.m.st8(va, value);
+        self.m.advance(self.cfg.put_check_cy);
         self.san_emit(
             SanOp::Write {
                 target: gp.pe(),
@@ -154,14 +154,14 @@ impl ScCtx<'_> {
         self.drain_gets(false);
         // The fence performed in drain (or here, if no gets) pushes puts
         // out of the write buffer; then the status bit covers them.
-        self.m.memory_barrier(self.pe);
-        self.m.wait_write_acks(self.pe);
+        self.m.memory_barrier();
+        self.m.wait_write_acks();
         // Outstanding non-blocking BLTs (bulk_get/bulk_put) also complete.
         let pending = std::mem::take(&mut self.rt.pending_blts);
         for completion in pending {
-            let now = self.m.clock(self.pe);
+            let now = self.m.clock();
             if completion > now {
-                self.m.advance(self.pe, completion - now);
+                self.m.advance(completion - now);
             }
         }
         self.san_emit(SanOp::GetSync, "sync");
@@ -173,16 +173,16 @@ impl ScCtx<'_> {
         if self.rt.pending_gets.is_empty() {
             return;
         }
-        self.m.memory_barrier(self.pe);
+        self.m.memory_barrier();
         let pending = std::mem::take(&mut self.rt.pending_gets);
         for local_off in pending {
             let v = self
                 .m
-                .pop_prefetch(self.pe)
+                .pop_prefetch()
                 .expect("gets were fenced, the queue must pop");
             // The 3-cycle local store that completes the get (the store
             // issue cost of the simulated write).
-            self.m.st8(self.pe, local_off, v);
+            self.m.st8(local_off, v);
         }
     }
 

@@ -56,17 +56,14 @@ impl ScCtx<'_> {
         self.rec(ScOp::LockTryAcquire { word: lock.word() });
         self.rt.stats.lock_ops += 1;
         let gp = lock.word();
-        let va = if gp.pe() as usize == self.pe {
+        let va = if gp.pe() as usize == self.pe() {
             gp.addr()
         } else {
-            let idx = self
-                .rt
-                .annex
-                .ensure(self.m, self.pe, gp.pe(), FuncCode::Swap);
+            let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Swap);
             self.m.va(idx, gp.addr())
         };
-        self.m.swap_load(self.pe, 1);
-        let acquired = self.m.atomic_swap(self.pe, va) == 0;
+        self.m.swap_load(1);
+        let acquired = self.m.atomic_swap(va) == 0;
         if acquired {
             self.san_emit(
                 SanOp::LockAcquire {
@@ -89,17 +86,14 @@ impl ScCtx<'_> {
         self.rec(ScOp::LockRelease { word: lock.word() });
         self.rt.stats.lock_ops += 1;
         let gp = lock.word();
-        let va = if gp.pe() as usize == self.pe {
+        let va = if gp.pe() as usize == self.pe() {
             gp.addr()
         } else {
-            let idx = self
-                .rt
-                .annex
-                .ensure(self.m, self.pe, gp.pe(), FuncCode::Swap);
+            let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Swap);
             self.m.va(idx, gp.addr())
         };
-        self.m.swap_load(self.pe, 0);
-        let old = self.m.atomic_swap(self.pe, va);
+        self.m.swap_load(0);
+        let old = self.m.atomic_swap(va);
         assert_eq!(old, 1, "released a lock that was not held");
         self.san_emit(
             SanOp::LockRelease {
@@ -111,11 +105,16 @@ impl ScCtx<'_> {
     }
 
     /// Whether `lock` is currently held (functional peek; no timing).
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a sharded phase if the lock word lives on another
+    /// PE: a shard sees only its own node.
     pub fn lock_is_held(&self, lock: GlobalLock) -> bool {
         let gp = lock.word();
         let mut b = [0u8; 8];
         self.m
-            .node(gp.pe() as usize)
+            .node_of(gp.pe() as usize)
             .port
             .peek_mem(gp.addr(), &mut b);
         u64::from_le_bytes(b) != 0
@@ -180,6 +179,33 @@ mod tests {
             ctx.lock_try_acquire(lock);
             ctx.lock_release(lock);
             ctx.lock_release(lock);
+        });
+    }
+
+    #[test]
+    fn lock_is_held_reads_another_pes_lock_live_in_run_phase() {
+        // The lock word lives on PE 2; every PE, in node order, sees the
+        // value PE 0 left in it, whatever PE it runs as.
+        let (mut sc, lock) = setup();
+        assert!(sc.on(0, |ctx| ctx.lock_try_acquire(lock)));
+        let mut seen = Vec::new();
+        sc.run_phase(|ctx| {
+            seen.push(ctx.lock_is_held(lock));
+            if ctx.pe() == 1 {
+                ctx.machine().poke8(2, lock.word().addr(), 0);
+            }
+        });
+        assert_eq!(seen, [true, true, false, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "may only read its own node (got 2, shard owns 0)")]
+    fn lock_is_held_on_another_pes_lock_panics_in_a_sharded_phase() {
+        let (mut sc, lock) = setup();
+        sc.par_phase_with(t3d_machine::PhaseDriver::Seq, |ctx| {
+            if ctx.pe() == 0 {
+                let _ = ctx.lock_is_held(lock);
+            }
         });
     }
 

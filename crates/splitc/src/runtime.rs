@@ -7,14 +7,14 @@ use crate::annex::AnnexState;
 use crate::config::SplitcConfig;
 use crate::op::ScOp;
 use crate::record::{RecEvent, RecLog};
-use t3d_machine::{Machine, MachineConfig, MachineOps, PhaseDriver};
+use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver};
 use t3dsan::{Report, SanEvent, SanLog, SanOp, SanitizeMode, Sanitizer};
 
-/// An Active-Message-equivalent handler: runs at the *receiving* node
-/// against its machine backend (the whole machine in direct mode, the
-/// node's own shard in a sharded phase). Arguments are the four payload
-/// words.
-pub type AmHandler = fn(&mut dyn MachineOps, usize, [u64; 4]);
+/// An Active-Message-equivalent handler: runs at the *receiving* node,
+/// through that node's [`Cpu`] (on the whole machine in direct mode, on
+/// the node's own shard in a sharded phase). Arguments are the four
+/// payload words.
+pub type AmHandler = fn(&mut Cpu, [u64; 4]);
 
 /// Reserved handler id: write one byte (`args = [offset, value, 0, 0]`).
 /// This is the paper's correct byte-write (Section 4.5 / 7.4).
@@ -138,17 +138,15 @@ impl SplitC {
         let annex_regs = mcfg.shell.annex_entries;
         let am_region = mcfg.mem.mem_bytes as u64 - cfg.am_slots * AM_SLOT_BYTES;
         let mut handlers: Vec<Option<AmHandler>> = vec![None; AM_USER_BASE as usize];
-        handlers[AM_BYTE_WRITE as usize] = Some(|m, pe, args| {
-            let mut word = [0u8; 1];
-            word[0] = args[1] as u8;
-            m.poke_mem(pe, args[0], &word);
+        handlers[AM_BYTE_WRITE as usize] = Some(|cpu, args| {
+            cpu.poke_mem(args[0], &[args[1] as u8]);
         });
-        handlers[AM_ADD_U64 as usize] = Some(|m, pe, args| {
-            let v = m.peek8(pe, args[0]).wrapping_add(args[1]);
-            m.poke8(pe, args[0], v);
+        handlers[AM_ADD_U64 as usize] = Some(|cpu, args| {
+            let v = cpu.peek8(args[0]).wrapping_add(args[1]);
+            cpu.poke8(args[0], v);
         });
-        handlers[AM_WRITE_U32 as usize] = Some(|m, pe, args| {
-            m.poke_mem(pe, args[0], &(args[1] as u32).to_le_bytes());
+        handlers[AM_WRITE_U32 as usize] = Some(|cpu, args| {
+            cpu.poke_mem(args[0], &(args[1] as u32).to_le_bytes());
         });
         let san = cfg
             .sanitize
@@ -273,14 +271,13 @@ impl SplitC {
             let m = &mut self.m;
             let rts = &mut rts;
             catch_unwind(AssertUnwindSafe(move || {
-                m.sharded_phase_zip(driver, rts, |ops, pe, rt| {
+                m.sharded_phase_zip(driver, rts, |cpu, rt| {
                     let mut ctx = ScCtx {
-                        m: ops,
+                        m: cpu.reborrow(),
                         rt,
                         cfg,
                         handlers,
                         am_region,
-                        pe,
                     };
                     f(&mut ctx);
                 });
@@ -310,12 +307,11 @@ impl SplitC {
         );
         let result = {
             let mut ctx = ScCtx {
-                m: &mut self.m,
+                m: Cpu::new(&mut self.m, pe),
                 rt: &mut rt,
                 cfg: &self.cfg,
                 handlers: &self.handlers,
                 am_region: self.am_region,
-                pe,
             };
             catch_unwind(AssertUnwindSafe(move || f(&mut ctx)))
         };
@@ -426,18 +422,17 @@ impl SplitC {
 /// The per-node Split-C execution context: what a compiled Split-C
 /// function body sees.
 pub struct ScCtx<'a> {
-    pub(crate) m: &'a mut dyn MachineOps,
+    pub(crate) m: Cpu<'a>,
     pub(crate) rt: &'a mut NodeRt,
     pub(crate) cfg: &'a SplitcConfig,
     pub(crate) handlers: &'a [Option<AmHandler>],
     pub(crate) am_region: u64,
-    pub(crate) pe: usize,
 }
 
-impl ScCtx<'_> {
+impl<'a> ScCtx<'a> {
     /// This node's id (`MYPROC` in Split-C).
     pub fn pe(&self) -> usize {
-        self.pe
+        self.m.pe()
     }
 
     /// Number of processors (`PROCS` in Split-C).
@@ -447,17 +442,17 @@ impl ScCtx<'_> {
 
     /// This node's virtual time in cycles.
     pub fn clock(&self) -> u64 {
-        self.m.clock(self.pe)
+        self.m.clock()
     }
 
     /// This node's virtual time in nanoseconds.
     pub fn clock_ns(&self) -> f64 {
-        self.m.clock(self.pe) as f64 * self.m.cycle_ns()
+        self.m.clock_ns()
     }
 
     /// Charges local computation cycles.
     pub fn advance(&mut self, cycles: u64) {
-        self.m.advance(self.pe, cycles);
+        self.m.advance(cycles);
     }
 
     /// The underlying machine (escape hatch for probes).
@@ -468,14 +463,12 @@ impl ScCtx<'_> {
     /// whole-machine access would break shard isolation; use the per-op
     /// methods instead.
     pub fn machine(&mut self) -> &mut Machine {
-        self.m
-            .as_machine()
-            .expect("whole-machine access is not available inside a sharded phase")
+        self.m.machine()
     }
 
-    /// The operation backend this context is bound to.
-    pub fn ops(&mut self) -> &mut dyn MachineOps {
-        self.m
+    /// This node's [`Cpu`]: machine ops issued as this node.
+    pub fn ops(&mut self) -> &mut Cpu<'a> {
+        &mut self.m
     }
 
     /// The runtime state of this node (instrumentation).
@@ -487,8 +480,8 @@ impl ScCtx<'_> {
     /// (free when the sanitizer is off; never touches the machine).
     pub(crate) fn san_emit(&mut self, op: SanOp, source: &'static str) {
         if self.rt.san.is_enabled() {
-            let t = self.m.clock(self.pe);
-            self.rt.san.push(self.pe as u32, t, op, source);
+            let t = self.m.clock();
+            self.rt.san.push(self.pe() as u32, t, op, source);
         }
     }
 
@@ -545,7 +538,7 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn reserved_handler_ids_rejected() {
         let mut s = sc();
-        s.register_handler(0, |_, _, _| {});
+        s.register_handler(0, |_, _| {});
     }
 
     #[test]

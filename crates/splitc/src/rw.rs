@@ -22,9 +22,9 @@ impl ScCtx<'_> {
     pub fn read_u64(&mut self, gp: GlobalPtr) -> u64 {
         self.rec(ScOp::ReadU64 { src: gp });
         self.rt.stats.reads += 1;
-        if gp.pe() as usize == self.pe {
+        if gp.pe() as usize == self.pe() {
             // Local region of the global space: an ordinary load.
-            let v = self.m.ld8(self.pe, gp.addr());
+            let v = self.m.ld8(gp.addr());
             self.san_emit(
                 SanOp::Read {
                     target: gp.pe(),
@@ -39,10 +39,10 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, gp.pe(), FuncCode::Uncached);
         let va = self.m.va(idx, gp.addr());
-        let v = self.m.ld8(self.pe, va);
-        self.m.advance(self.pe, self.cfg.read_overhead_cy);
+        let v = self.m.ld8(va);
+        self.m.advance(self.cfg.read_overhead_cy);
         self.san_emit(
             SanOp::Read {
                 target: gp.pe(),
@@ -67,8 +67,8 @@ impl ScCtx<'_> {
     /// bulk-transfer comparison of Figure 8 needs it.
     pub fn read_u64_cached(&mut self, gp: GlobalPtr) -> u64 {
         self.rt.stats.reads += 1;
-        if gp.pe() as usize == self.pe {
-            let v = self.m.ld8(self.pe, gp.addr());
+        if gp.pe() as usize == self.pe() {
+            let v = self.m.ld8(gp.addr());
             self.san_emit(
                 SanOp::Read {
                     target: gp.pe(),
@@ -80,13 +80,10 @@ impl ScCtx<'_> {
             );
             return v;
         }
-        let idx = self
-            .rt
-            .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Cached);
+        let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Cached);
         let va = self.m.va(idx, gp.addr());
-        let v = self.m.ld8(self.pe, va);
-        self.m.advance(self.pe, self.cfg.read_overhead_cy);
+        let v = self.m.ld8(va);
+        self.m.advance(self.cfg.read_overhead_cy);
         self.san_emit(
             SanOp::CachedRead {
                 target: gp.pe(),
@@ -104,13 +101,10 @@ impl ScCtx<'_> {
     pub fn flush_remote_line(&mut self, gp: GlobalPtr) {
         // The line may be cached under whichever annex index was used;
         // with the single-register policies that is register 1.
-        let idx = self
-            .rt
-            .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Cached);
+        let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Cached);
         let va = self.m.va(idx, gp.addr());
-        let cost = self.m.node_mut(self.pe).port.flush_line(va);
-        self.m.advance(self.pe, cost);
+        let cost = self.m.node_mut().port.flush_line(va);
+        self.m.advance(cost);
         self.san_emit(
             SanOp::CacheFlush {
                 target: gp.pe(),
@@ -127,9 +121,9 @@ impl ScCtx<'_> {
     pub fn write_u64(&mut self, gp: GlobalPtr, value: u64) {
         self.rec(ScOp::WriteU64 { dst: gp, value });
         self.rt.stats.writes += 1;
-        if gp.pe() as usize == self.pe {
-            self.m.st8(self.pe, gp.addr(), value);
-            self.m.memory_barrier(self.pe);
+        if gp.pe() as usize == self.pe() {
+            self.m.st8(gp.addr(), value);
+            self.m.memory_barrier();
             self.san_emit(
                 SanOp::Write {
                     target: gp.pe(),
@@ -145,14 +139,14 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, gp.pe(), FuncCode::Uncached);
         let va = self.m.va(idx, gp.addr());
-        self.m.st8(self.pe, va, value);
+        self.m.st8(va, value);
         // The status bit cannot see writes still in the buffer: fence
         // first (the Section 4.3 subtlety), then poll.
-        self.m.memory_barrier(self.pe);
-        self.m.wait_write_acks(self.pe);
-        self.m.advance(self.pe, self.cfg.write_overhead_cy);
+        self.m.memory_barrier();
+        self.m.wait_write_acks();
+        self.m.advance(self.cfg.write_overhead_cy);
         self.san_emit(
             SanOp::Write {
                 target: gp.pe(),

@@ -42,9 +42,9 @@ impl ScCtx<'_> {
     pub fn store_u64(&mut self, gp: GlobalPtr, value: u64) {
         self.rec(ScOp::StoreU64 { dst: gp, value });
         self.rt.stats.stores += 1;
-        if gp.pe() as usize == self.pe {
-            self.m.st8(self.pe, gp.addr(), value);
-            self.m.advance(self.pe, self.cfg.store_check_cy);
+        if gp.pe() as usize == self.pe() {
+            self.m.st8(gp.addr(), value);
+            self.m.advance(self.cfg.store_check_cy);
             self.san_emit(
                 SanOp::Write {
                     target: gp.pe(),
@@ -60,10 +60,10 @@ impl ScCtx<'_> {
         let idx = self
             .rt
             .annex
-            .ensure(self.m, self.pe, gp.pe(), FuncCode::Uncached);
+            .ensure(&mut self.m, gp.pe(), FuncCode::Uncached);
         let va = self.m.va(idx, gp.addr());
-        self.m.st8(self.pe, va, value);
-        self.m.advance(self.pe, self.cfg.store_check_cy);
+        self.m.st8(va, value);
+        self.m.advance(self.cfg.store_check_cy);
         self.san_emit(
             SanOp::Write {
                 target: gp.pe(),
@@ -93,24 +93,25 @@ impl ScCtx<'_> {
     pub fn store_sync(&mut self, bytes: u64) {
         self.rec(ScOp::StoreSync { bytes });
         let target = self.rt.store_watermark + bytes;
-        let t = self.m.arrival_time_of(self.pe, target).unwrap_or_else(|| {
+        let t = self.m.node().arrival_time_of(target).unwrap_or_else(|| {
             panic!(
                 "storeSync deadlock on PE {}: waiting for {} bytes, fewer ever stored",
-                self.pe, target
+                self.pe(),
+                target
             )
         });
         self.rt.store_watermark = target;
-        let now = self.m.clock(self.pe);
+        let now = self.m.clock();
         let wait = t.saturating_sub(now);
-        self.m.advance(self.pe, wait + self.cfg.store_sync_check_cy);
+        self.m.advance(wait + self.cfg.store_sync_check_cy);
         self.san_emit(SanOp::StoreSyncWait, "store_sync");
     }
 
     /// Bytes of store data that have arrived but not yet been awaited.
     pub fn store_bytes_pending(&self) -> u64 {
-        let now = self.m.clock(self.pe);
+        let now = self.m.clock();
         self.m
-            .node(self.pe)
+            .node()
             .bytes_arrived_by(now)
             .saturating_sub(self.rt.store_watermark)
     }

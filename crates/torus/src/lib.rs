@@ -6,17 +6,15 @@
 //! (2–3 cycle) cost per hop" (Section 4.2); all of its other probes run
 //! between *adjacent* nodes. This crate provides the geometry: node ↔
 //! coordinate mapping, minimal wraparound hop counts, the dimension-order
-//! route itself, and per-link traffic accounting used by the bulk-transfer
-//! instrumentation.
+//! route itself with the directed-link ids link contention is charged
+//! on, and the canonical sub-cube partitions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod subcube;
-pub mod traffic;
 
 pub use subcube::SubCube;
-pub use traffic::TrafficMatrix;
 
 /// A position in the torus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]

@@ -182,10 +182,10 @@ fn user_am_handler_protocol() {
     const P: u32 = 4;
     let mut sc = SplitC::new(MachineConfig::t3d(P));
     let maxes = sc.alloc(8, 8);
-    let id = sc.register_handler(AM_USER_BASE + 1, |m, pe, args| {
-        let cur = m.peek8(pe, args[0]);
+    let id = sc.register_handler(AM_USER_BASE + 1, |cpu, args| {
+        let cur = cpu.peek8(args[0]);
         if args[1] > cur {
-            m.poke8(pe, args[0], args[1]);
+            cpu.poke8(args[0], args[1]);
         }
     });
     sc.run_phase(|ctx| {
