@@ -30,7 +30,7 @@ use crate::machine::{BltHandle, Machine};
 use crate::node::{Node, NodeHot};
 use crate::trace::TraceKind;
 use std::sync::Arc;
-use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
+use t3d_memsys::{round_u64, Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{CostClass, OpKind};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
@@ -258,7 +258,7 @@ pub(crate) trait OpCore {
 
     /// Integer one-way latency `a -> b`.
     fn one_way(&self, a: usize, b: usize) -> u64 {
-        self.torus().one_way_cy(a as u32, b as u32).round() as u64
+        round_u64(self.torus().one_way_cy(a as u32, b as u32))
     }
 
     /// Integer round-trip latency: exactly twice the rounded one-way

@@ -98,6 +98,7 @@ fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
 
 /// Copies bytes `co..co + out.len()` of one chunk's cells into `out`:
 /// an unaligned head word, whole words, then a tail word.
+#[inline]
 fn read_cells(cells: &[AtomicU64], co: usize, out: &mut [u8]) {
     let load = |c: &AtomicU64| c.load(Ordering::Relaxed).to_le_bytes();
     let (head, rest) = out.split_at_mut((co.wrapping_neg() % WORD).min(out.len()));
@@ -117,6 +118,7 @@ fn read_cells(cells: &[AtomicU64], co: usize, out: &mut [u8]) {
 
 /// Writes `src` over bytes `co..co + src.len()` of one chunk's cells:
 /// an unaligned head word, whole-word stores, then a tail word.
+#[inline]
 fn write_cells(cells: &[AtomicU64], co: usize, src: &[u8]) {
     let (head, rest) = src.split_at((co.wrapping_neg() % WORD).min(src.len()));
     if !head.is_empty() {
@@ -136,12 +138,14 @@ fn write_cells(cells: &[AtomicU64], co: usize, src: &[u8]) {
 }
 
 /// A byte-select mask with the low `n` bits set (`n <= 8`).
+#[inline]
 fn low_bits(n: usize) -> u8 {
     (u16::MAX >> (16 - n)) as u8
 }
 
 /// Writes the bytes of `src` selected by `sel` (bit `k` → `src[k]`; no
 /// bit at or above `src.len()` set) into `cell` starting at byte `b`.
+#[inline]
 fn store_bytes(cell: &AtomicU64, b: usize, src: &[u8], sel: u8) {
     let mut bytes = [0u8; WORD];
     bytes[b..b + src.len()].copy_from_slice(src);
@@ -156,6 +160,7 @@ fn store_bytes(cell: &AtomicU64, b: usize, src: &[u8], sel: u8) {
 /// into `cell`. A whole word is one store; a partial word is one atomic
 /// read-modify-write that leaves every other byte as it is, even when
 /// another thread writes those bytes concurrently.
+#[inline]
 fn store_masked(cell: &AtomicU64, value: u64, mask: u64) {
     if mask == u64::MAX {
         cell.store(value, Ordering::Relaxed);
@@ -215,6 +220,7 @@ impl MemArena {
     }
 
     /// Size in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -235,6 +241,7 @@ impl MemArena {
     }
 
     /// The byte length of chunk `i` (the last chunk may be short).
+    #[inline]
     fn chunk_len(&self, i: usize) -> usize {
         CHUNK_BYTES.min(self.len - i * CHUNK_BYTES)
     }
@@ -242,6 +249,7 @@ impl MemArena {
     /// The chunk backing byte `i * CHUNK_BYTES`, allocating it (zeroed)
     /// on first use. A short tail chunk rounds up to whole words; the
     /// padding bytes past [`len`](Self::len) are never addressed.
+    #[inline]
     fn chunk_mut(&self, i: usize) -> &[AtomicU64] {
         self.chunks[i].get_or_init(|| zeroed_words(self.chunk_len(i).div_ceil(WORD)))
     }
@@ -249,6 +257,7 @@ impl MemArena {
     /// Splits `off..off + len` at chunk boundaries and calls `f` with
     /// each piece's chunk index, offset within the chunk and range
     /// within the span.
+    #[inline]
     fn spans(&self, off: usize, len: usize, mut f: impl FnMut(usize, usize, Range<usize>)) {
         let mut done = 0;
         while done < len {
@@ -265,6 +274,7 @@ impl MemArena {
     /// # Panics
     ///
     /// Panics if the span exceeds the arena.
+    #[inline]
     pub fn read(&self, offset: u64, buf: &mut [u8]) {
         let off = offset as usize;
         assert!(
@@ -331,20 +341,32 @@ impl MemArena {
             self.len
         );
         assert!(bytes.len() <= 64, "a mask selects at most 64 bytes");
-        // Word by word (a word never straddles two chunks); chunks are
-        // only committed for words the mask selects.
-        let mut i = 0;
-        while i < bytes.len() {
-            let pos = off + i;
-            let b = pos % WORD;
-            let n = (WORD - b).min(bytes.len() - i);
-            let sel = (mask >> i) as u8 & low_bits(n);
-            if sel != 0 {
-                let cells = self.chunk_mut(pos / CHUNK_BYTES);
-                store_bytes(&cells[pos % CHUNK_BYTES / WORD], b, &bytes[i..i + n], sel);
+        // One chunk lookup per piece (a write-buffer line never straddles
+        // a chunk, so one per line), and only for a piece the mask
+        // selects bytes of; then word by word, a fully selected word as
+        // one plain store.
+        self.spans(off, bytes.len(), |ci, co, r| {
+            let sel_piece = (mask >> r.start) & (u64::MAX >> (64 - r.len()));
+            if sel_piece == 0 {
+                return;
             }
-            i += n;
-        }
+            let cells = self.chunk_mut(ci);
+            let src = &bytes[r];
+            let mut i = 0;
+            while i < src.len() {
+                let pos = co + i;
+                let b = pos % WORD;
+                let n = (WORD - b).min(src.len() - i);
+                let sel = (sel_piece >> i) as u8 & low_bits(n);
+                if sel == u8::MAX {
+                    let word = src[i..i + WORD].try_into().expect("whole word");
+                    cells[pos / WORD].store(u64::from_le_bytes(word), Ordering::Relaxed);
+                } else if sel != 0 {
+                    store_bytes(&cells[pos / WORD], b, &src[i..i + n], sel);
+                }
+                i += n;
+            }
+        });
     }
 
     /// Copies `len` bytes of `src` starting at `src_offset` to

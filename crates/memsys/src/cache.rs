@@ -14,6 +14,7 @@
 //! caching does not admit synonym inconsistencies (the write buffer does).
 
 use crate::config::L1Config;
+use crate::copy_bytes;
 
 /// Direct-mapped L1 data cache holding real bytes.
 ///
@@ -86,24 +87,29 @@ impl L1Cache {
     }
 
     /// Physical address of the start of the line containing `pa`.
+    #[inline]
     pub fn line_base(&self, pa: u64) -> u64 {
         pa & !((self.cfg.line as u64) - 1)
     }
 
+    #[inline]
     fn index(&self, pa: u64) -> usize {
         ((pa >> self.line_shift) & self.index_mask) as usize
     }
 
+    #[inline]
     fn tag(&self, pa: u64) -> u64 {
         pa >> self.line_shift
     }
 
     /// Byte range of line `idx` in the flat data arena.
+    #[inline]
     fn span(&self, idx: usize) -> std::ops::Range<usize> {
         idx * self.cfg.line..(idx + 1) * self.cfg.line
     }
 
     /// Returns the line data if `pa`'s line is resident.
+    #[inline]
     pub fn lookup(&self, pa: u64) -> Option<&[u8]> {
         let idx = self.index(pa);
         (self.valid[idx] && self.tags[idx] == self.tag(pa)).then(|| &self.data[self.span(idx)])
@@ -120,6 +126,7 @@ impl L1Cache {
     /// # Panics
     ///
     /// Panics if `data` is not exactly one line long.
+    #[inline]
     pub fn fill(&mut self, pa: u64, data: &[u8]) {
         assert_eq!(data.len(), self.cfg.line, "fill must supply one full line");
         let tag = self.tag(pa);
@@ -133,6 +140,7 @@ impl L1Cache {
 
     /// Write-through update: if the line is resident, update its bytes in
     /// place (stores that miss do not allocate). Returns whether it hit.
+    #[inline]
     pub fn update(&mut self, pa: u64, bytes: &[u8]) -> bool {
         let tag = self.tag(pa);
         let idx = self.index(pa);
@@ -143,7 +151,7 @@ impl L1Cache {
         );
         if self.valid[idx] && self.tags[idx] == tag {
             let base = idx * self.cfg.line + off;
-            self.data[base..base + bytes.len()].copy_from_slice(bytes);
+            copy_bytes(&mut self.data[base..base + bytes.len()], bytes);
             true
         } else {
             false
@@ -155,6 +163,7 @@ impl L1Cache {
     /// Used both by the explicit cache-line flush the compiler must emit
     /// after cached remote reads, and by the shell's cache-invalidate mode
     /// on incoming remote writes.
+    #[inline]
     pub fn invalidate(&mut self, pa: u64) -> bool {
         let tag = self.tag(pa);
         let idx = self.index(pa);

@@ -89,6 +89,7 @@ impl Dram {
 
     /// Performs one access and returns its cost in cycles, updating the
     /// open-page and last-bank state.
+    #[inline]
     pub fn access(&mut self, pa: u64) -> u64 {
         let (page, bank) = self.decode(pa);
         let open = self.open[bank as usize];
@@ -105,6 +106,7 @@ impl Dram {
     }
 
     /// Cost the next access to `pa` *would* pay, without changing state.
+    #[inline]
     pub fn peek(&self, pa: u64) -> u64 {
         let (page, bank) = self.decode(pa);
         if self.open[bank as usize] == Some(page) {

@@ -58,7 +58,7 @@ pub use dram::Dram;
 pub use l2::L2Cache;
 pub use port::{MemPort, PortStats};
 pub use tlb::Tlb;
-pub use wbuf::{RemoteSink, Retired, WriteBuffer, WriteTarget, MAX_LINE};
+pub use wbuf::{RemoteSink, RetireSink, Retired, WriteBuffer, WriteTarget, MAX_LINE};
 
 /// Converts a cycle count to nanoseconds at the given clock (MHz).
 ///
@@ -76,4 +76,89 @@ pub fn cycles_to_ns(cycles: u64, clock_mhz: f64) -> f64 {
 /// ```
 pub fn ns_to_cycles(ns: f64, clock_mhz: f64) -> u64 {
     (ns * clock_mhz / 1000.0).round() as u64
+}
+
+/// `dst.copy_from_slice(src)`, with the 8-byte word — nearly every
+/// load and store — moved as one fixed-size copy rather than through a
+/// `memcpy` call for a length known only at run time.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[inline]
+pub(crate) fn copy_bytes(dst: &mut [u8], src: &[u8]) {
+    match (
+        <&mut [u8; 8]>::try_from(&mut *dst),
+        <&[u8; 8]>::try_from(src),
+    ) {
+        (Ok(d), Ok(s)) => *d = *s,
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// `x.ceil() as u64`, computed without a call into libm.
+///
+/// Baseline x86-64 has no rounding instruction, so `f64::ceil` is a
+/// library call; the write buffer rounds a completion time on every
+/// store that reaches it. Exact for finite `0 <= x < 2^52`, where the
+/// truncation and the conversion back are both exact.
+///
+/// ```
+/// assert_eq!(t3d_memsys::ceil_u64(2.25), 3);
+/// assert_eq!(t3d_memsys::ceil_u64(3.0), 3);
+/// ```
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from((t as f64) < x)
+}
+
+/// `x.round() as u64` (halves away from zero), computed without a call
+/// into libm; see [`ceil_u64`]. Exact for finite `0 <= x < 2^52`: the
+/// fraction `x - trunc(x)` is then representable, so comparing it with
+/// one half is exact.
+///
+/// ```
+/// assert_eq!(t3d_memsys::round_u64(2.5), 3);
+/// assert_eq!(t3d_memsys::round_u64(2.49), 2);
+/// ```
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Values at and around integers, halves and the top of the domain,
+    /// one ulp either side of each.
+    fn probes() -> Vec<f64> {
+        let mut v = vec![0.0, f64::MIN_POSITIVE];
+        let ks = (0..64u64).chain([1 << 20, (1 << 51) - 1, (1 << 52) - 2]);
+        for k in ks {
+            for base in [k as f64, k as f64 + 0.5, k as f64 + 0.25] {
+                v.extend([base.next_down(), base, base.next_up()]);
+            }
+        }
+        v.push((1u64 << 52) as f64 - 0.5);
+        v.push(((1u64 << 52) as f64).next_down());
+        v.retain(|&x| (0.0..(1u64 << 52) as f64).contains(&x));
+        v
+    }
+
+    #[test]
+    fn ceil_matches_libm_on_the_domain() {
+        for x in probes() {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil({x:e})");
+        }
+    }
+
+    #[test]
+    fn round_matches_libm_on_the_domain() {
+        for x in probes() {
+            assert_eq!(round_u64(x), x.round() as u64, "round({x:e})");
+        }
+    }
 }

@@ -18,6 +18,7 @@
 use crate::arena::MemArena;
 use crate::cache::L1Cache;
 use crate::config::MemConfig;
+use crate::copy_bytes;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use t3d_perf::{CostClass, Ledger};
@@ -54,7 +55,30 @@ impl PortStats {
 use crate::dram::Dram;
 use crate::l2::L2Cache;
 use crate::tlb::Tlb;
-use crate::wbuf::{Retired, WriteBuffer, WriteTarget, MAX_LINE};
+use crate::wbuf::{RetireSink, Retired, WriteBuffer, WriteTarget, MAX_LINE};
+
+/// The port's retire sink: a local entry commits straight to the arena
+/// (the line only, never the rest of the inline array), a remote one
+/// queues in the outbox.
+struct Commit<'a> {
+    mem: &'a MemArena,
+    offset_mask: u64,
+    line: usize,
+    outbox: &'a mut VecDeque<Retired>,
+}
+
+impl RetireSink for Commit<'_> {
+    #[inline]
+    fn retire(&mut self, r: Retired) {
+        match r.target {
+            WriteTarget::Local => {
+                let base = r.line_pa & self.offset_mask;
+                self.mem.write_masked(base, &r.data[..self.line], r.mask);
+            }
+            WriteTarget::Remote(_) => self.outbox.push_back(r),
+        }
+    }
+}
 
 /// A node's complete local memory system, functional and timed.
 ///
@@ -79,11 +103,6 @@ pub struct MemPort {
     dram: Dram,
     mem: Arc<MemArena>,
     offset_mask: u64,
-    /// The write buffer's retire sink: entries it retired during the
-    /// current operation, before they are applied locally or moved to the
-    /// outbox. Always empty between operations; kept only so its
-    /// allocation is reused.
-    retired: Vec<Retired>,
     /// Remote writes that have retired from the write buffer and await
     /// delivery by the machine layer, oldest first.
     outbox: VecDeque<Retired>,
@@ -117,7 +136,6 @@ impl MemPort {
             wbuf: WriteBuffer::new(cfg.wbuf, cfg.l1.line),
             dram: Dram::new(cfg.dram),
             mem: Arc::new(MemArena::new(cfg.mem_bytes)),
-            retired: Vec::new(),
             outbox: VecDeque::new(),
             wbuf_next_due: u64::MAX,
             stats: PortStats::default(),
@@ -138,14 +156,17 @@ impl MemPort {
     }
 
     /// Local-memory offset named by a full physical address.
+    #[inline]
     pub fn offset_of(&self, pa: u64) -> u64 {
         pa & self.offset_mask
     }
 
+    #[inline]
     fn line_mask(&self) -> u64 {
         (self.cfg.l1.line as u64) - 1
     }
 
+    #[inline]
     fn check_range(&self, pa: u64, len: usize) {
         let off = self.offset_of(pa) as usize;
         assert!(
@@ -182,7 +203,10 @@ impl MemPort {
             let off_in_line = (cur & self.line_mask()) as usize;
             let take = (buf.len() - done).min(self.cfg.l1.line - off_in_line);
             if let Some(data) = self.l1.lookup(cur) {
-                buf[done..done + take].copy_from_slice(&data[off_in_line..off_in_line + take]);
+                copy_bytes(
+                    &mut buf[done..done + take],
+                    &data[off_in_line..off_in_line + take],
+                );
                 cost += self.cfg.l1.hit_cy;
                 self.stats.l1_hits += 1;
                 self.credit(CostClass::L1Hit, self.cfg.l1.hit_cy);
@@ -213,7 +237,10 @@ impl MemPort {
                 // Same-PA pending stores forward into the fill.
                 self.wbuf.forward(line_pa, line_buf);
                 self.l1.fill(line_pa, line_buf);
-                buf[done..done + take].copy_from_slice(&line_buf[off_in_line..off_in_line + take]);
+                copy_bytes(
+                    &mut buf[done..done + take],
+                    &line_buf[off_in_line..off_in_line + take],
+                );
             }
             done += take;
         }
@@ -251,9 +278,8 @@ impl MemPort {
             WriteTarget::Local => self.dram.access(self.offset_of(pa & !self.line_mask())),
             WriteTarget::Remote(_) => 0,
         };
-        let out = self
-            .wbuf
-            .push(now + cost, pa, bytes, target, dram_cy, &mut self.retired);
+        let (wbuf, mut sink) = self.wbuf_and_sink();
+        let out = wbuf.push(now + cost, pa, bytes, target, dram_cy, &mut sink);
         self.refresh_next_due();
         if out.merged {
             self.stats.wbuf_merges += 1;
@@ -265,31 +291,32 @@ impl MemPort {
         self.credit(CostClass::WbufIssue, issue);
         self.credit(CostClass::WbufStall, out.cycles - issue);
         cost += out.cycles;
-        self.apply_retired();
         cost
     }
 
     /// Issues a memory barrier: drains the write buffer and returns the
     /// cost in cycles. Retired remote entries land in the outbox.
     pub fn memory_barrier(&mut self, now: u64) -> u64 {
-        let cost = self.wbuf.drain_all(now, &mut self.retired);
+        let (wbuf, mut sink) = self.wbuf_and_sink();
+        let cost = wbuf.drain_all(now, &mut sink);
         self.wbuf_next_due = u64::MAX;
-        self.apply_retired();
         self.credit(CostClass::WbufDrain, cost);
         cost
     }
 
     /// Applies every write whose retire time has passed; remote entries
     /// land in the outbox.
+    #[inline]
     pub fn apply_due(&mut self, now: u64) {
         if now < self.wbuf_next_due {
             return;
         }
-        self.wbuf.drain_due(now, &mut self.retired);
+        let (wbuf, mut sink) = self.wbuf_and_sink();
+        wbuf.drain_due(now, &mut sink);
         self.refresh_next_due();
-        self.apply_retired();
     }
 
+    #[inline]
     fn refresh_next_due(&mut self) {
         self.wbuf_next_due = self.wbuf.next_due().unwrap_or(u64::MAX);
     }
@@ -297,28 +324,26 @@ impl MemPort {
     /// Takes the oldest remote write that has retired and not yet been
     /// taken; the machine layer delivers them to their target nodes in
     /// retire order. `None` (the common case) costs one length check.
+    #[inline]
     pub fn pop_outbox(&mut self) -> Option<Retired> {
         self.outbox.pop_front()
     }
 
-    /// Applies the entries the write buffer just retired into the sink:
-    /// local ones are committed to memory (the line only, never the rest
-    /// of the inline array), remote ones queue in the outbox.
-    fn apply_retired(&mut self) {
-        let line = self.cfg.l1.line;
-        for r in self.retired.drain(..) {
-            match r.target {
-                WriteTarget::Local => {
-                    let base = r.line_pa & self.offset_mask;
-                    self.mem.write_masked(base, &r.data[..line], r.mask);
-                }
-                WriteTarget::Remote(_) => self.outbox.push_back(r),
-            }
-        }
+    /// The write buffer, and the sink its retirements go to.
+    #[inline]
+    fn wbuf_and_sink(&mut self) -> (&mut WriteBuffer, Commit<'_>) {
+        let sink = Commit {
+            mem: &self.mem,
+            offset_mask: self.offset_mask,
+            line: self.cfg.l1.line,
+            outbox: &mut self.outbox,
+        };
+        (&mut self.wbuf, sink)
     }
 
     /// Charges one TLB translation for `pa` (the remote-access path
     /// translates through the local TLB before reaching the shell).
+    #[inline]
     pub fn tlb_access(&mut self, pa: u64) -> u64 {
         let cost = self.tlb.access(pa);
         self.credit(CostClass::Tlb, cost);
@@ -328,11 +353,13 @@ impl MemPort {
     /// Overlays bytes pending in the write buffer for exactly this full
     /// physical line address onto `line_buf`. Used by the machine layer
     /// to forward same-PA pending remote stores to remote reads.
+    #[inline]
     pub fn forward_pending(&self, line_pa: u64, line_buf: &mut [u8]) -> bool {
         self.wbuf.forward(line_pa, line_buf)
     }
 
     /// Whether a write is pending for this full physical line address.
+    #[inline]
     pub fn has_pending_line(&self, line_pa: u64) -> bool {
         self.wbuf.has_pending_line(line_pa)
     }
@@ -420,11 +447,13 @@ impl MemPort {
     /// Shared handle to the raw memory bytes. The sharded phase engine
     /// clones this `Arc` so remote reads can observe other nodes' memory
     /// while each node's timing state stays thread-private.
+    #[inline]
     pub fn mem_arena(&self) -> &Arc<MemArena> {
         &self.mem
     }
 
     /// The L1 cache (for instrumentation and tests).
+    #[inline]
     pub fn l1(&self) -> &L1Cache {
         &self.l1
     }
@@ -446,6 +475,7 @@ impl MemPort {
 
     /// Mutable DRAM access (the shell's BLT and remote-service paths
     /// charge DRAM time directly).
+    #[inline]
     pub fn dram_mut(&mut self) -> &mut Dram {
         &mut self.dram
     }
@@ -461,6 +491,7 @@ impl MemPort {
     /// configured plateau values. `Dram::access` returns exactly one of
     /// the three configured costs, so equality is a faithful decode;
     /// `bank_busy` is checked first in case configurations alias values.
+    #[inline]
     fn classify_dram(&self, cy: u64) -> CostClass {
         let d = &self.cfg.dram;
         if cy == d.bank_busy_cy {
@@ -506,10 +537,10 @@ impl MemPort {
         self.dram.reset();
         // Any pending writes are applied instantly; remote entries land
         // in the outbox for the machine layer to deliver.
-        let _ = self.wbuf.drain_all(u64::MAX / 2, &mut self.retired);
+        let (wbuf, mut sink) = self.wbuf_and_sink();
+        let _ = wbuf.drain_all(u64::MAX / 2, &mut sink);
+        wbuf.reset();
         self.wbuf_next_due = u64::MAX;
-        self.apply_retired();
-        self.wbuf.reset();
     }
 }
 
@@ -527,7 +558,6 @@ impl Clone for MemPort {
             dram: self.dram.clone(),
             mem: Arc::new(self.mem.deep_clone()),
             offset_mask: self.offset_mask,
-            retired: Vec::new(),
             outbox: self.outbox.clone(),
             wbuf_next_due: self.wbuf_next_due,
             stats: self.stats,

@@ -58,6 +58,7 @@ impl Tlb {
     }
 
     /// Page number containing the given address.
+    #[inline]
     pub fn page_of(&self, pa: u64) -> u64 {
         match self.page_shift {
             Some(shift) => pa >> shift,
@@ -67,6 +68,7 @@ impl Tlb {
 
     /// Translates one access, returning its cost in cycles (0 on a hit,
     /// [`TlbConfig::miss_cy`] on a miss).
+    #[inline]
     pub fn access(&mut self, pa: u64) -> u64 {
         let page = self.page_of(pa);
         // Most accesses repeat the last page. It is already the most
@@ -75,6 +77,13 @@ impl Tlb {
             self.hits += 1;
             return 0;
         }
+        self.access_lru(page)
+    }
+
+    /// [`access`](Self::access) of a page other than the most recent:
+    /// the LRU scan, out of line so the common hit inlines small.
+    #[inline(never)]
+    fn access_lru(&mut self, page: u64) -> u64 {
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
             self.pages.remove(pos);
             self.pages.push(page);

@@ -22,7 +22,9 @@
 //!
 //! Time inside the buffer is tracked in fractional cycles so that the
 //! pipelined retire interval (DRAM cost / 4) reproduces the measured
-//! 35 ns steady-state store cost.
+//! 35 ns steady-state store cost. They round up to whole cycles through
+//! [`ceil_u64`], which is exact for any virtual time below 2^52 cycles
+//! and calls no library routine.
 //!
 //! # Storage
 //!
@@ -30,14 +32,17 @@
 //! does no heap work per store. Each entry keeps its line *inline* as a
 //! `[u8; MAX_LINE]` array: [`MAX_LINE`] is 64 bytes, the widest line the
 //! 64-bit per-byte valid mask can describe, and only the first `line`
-//! bytes of it are ever used. Entries that retire are appended to a
-//! `Vec<Retired>` the *caller* owns and reuses (the retire sink), so
+//! bytes of it are ever used. Entries that retire are handed, oldest
+//! first, to a [`RetireSink`] the *caller* supplies: the memory port's
+//! sink commits local entries straight to its arena and queues remote
+//! ones, and a `Vec<Retired>` sink collects them. So
 //! [`WriteBuffer::push`], [`WriteBuffer::drain_due`] and
-//! [`WriteBuffer::drain_all`] allocate nothing once that vector has
-//! grown to the buffer's depth. Consumers of a [`Retired`] slice its
-//! data to the configured line (`&r.data[..line]`) before committing it.
+//! [`WriteBuffer::drain_all`] allocate nothing of their own. Consumers
+//! of a [`Retired`] slice its data to the configured line
+//! (`&r.data[..line]`) before committing it.
 
 use crate::config::WbufConfig;
+use crate::{ceil_u64, copy_bytes};
 use std::collections::VecDeque;
 
 /// The widest cache line a write buffer supports: one valid bit per byte
@@ -48,6 +53,7 @@ pub const MAX_LINE: usize = 64;
 /// Byte mask covering `len` bytes from byte `off` of a line
 /// (`1 <= len`, `off + len <= 64`). A full 64-byte span is `u64::MAX`:
 /// the shift never reaches 64.
+#[inline]
 fn span_mask(off: usize, len: usize) -> u64 {
     debug_assert!(len >= 1 && off + len <= MAX_LINE);
     (u64::MAX >> (MAX_LINE - len)) << off
@@ -80,8 +86,23 @@ pub struct RemoteSink {
 
 impl RemoteSink {
     /// Injection interval for an entry carrying `words` valid quadwords.
+    #[inline]
     pub fn interval_cy(&self, words: u64) -> u64 {
         self.base_cy + self.per_word_cy * words
+    }
+}
+
+/// Where a [`WriteBuffer`] hands the entries it retires, in FIFO order.
+pub trait RetireSink {
+    /// Takes one retired entry.
+    fn retire(&mut self, r: Retired);
+}
+
+/// Collects retirements, appended after whatever the vector holds.
+impl RetireSink for Vec<Retired> {
+    #[inline]
+    fn retire(&mut self, r: Retired) {
+        self.push(r);
     }
 }
 
@@ -135,7 +156,7 @@ impl Entry {
             mask: self.mask,
             data: self.data,
             target: self.target,
-            completion: self.completion.ceil() as u64,
+            completion: ceil_u64(self.completion),
         }
     }
 }
@@ -159,7 +180,7 @@ pub struct PushOutcome {
 ///
 /// let cfg = MemConfig::t3d();
 /// let mut wb = WriteBuffer::new(cfg.wbuf, cfg.l1.line);
-/// // Retirements land in a caller-owned sink, reused across calls.
+/// // Retirements land in a caller-owned sink (here a `Vec`).
 /// let mut retired = Vec::new();
 /// // Two stores to the same 32 B line merge into one entry.
 /// wb.push(0, 0x100, &[1u8; 8], WriteTarget::Local, 22, &mut retired);
@@ -197,13 +218,14 @@ impl WriteBuffer {
 
     /// Whether any entry is pending for exactly this full physical line
     /// address (annex bits included).
+    #[inline]
     pub fn has_pending_line(&self, line_pa: u64) -> bool {
         self.entries.iter().any(|e| e.line_pa == line_pa)
     }
 
     /// Completion time of the last pending entry, if any.
     pub fn drain_time(&self) -> Option<u64> {
-        self.entries.back().map(|e| e.completion.ceil() as u64)
+        self.entries.back().map(|e| ceil_u64(e.completion))
     }
 
     /// Earliest cycle at which [`WriteBuffer::drain_due`] could retire
@@ -212,8 +234,9 @@ impl WriteBuffer {
     /// `now >= next_due()` exactly when the head is due (`⌈c⌉ <= now` iff
     /// `c <= now`). The port caches this to skip the drain call on the
     /// per-operation fast path.
+    #[inline]
     pub fn next_due(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.completion.ceil() as u64)
+        self.entries.front().map(|e| ceil_u64(e.completion))
     }
 
     /// Integer completion times of every pending entry, in FIFO (retire)
@@ -222,9 +245,10 @@ impl WriteBuffer {
     /// `completion` the entry will carry when it retires through
     /// [`WriteBuffer::drain_due`] or [`WriteBuffer::drain_all`].
     pub fn due_times(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.completion.ceil() as u64)
+        self.entries.iter().map(|e| ceil_u64(e.completion))
     }
 
+    #[inline]
     fn line_base(&self, pa: u64) -> u64 {
         pa & !((self.line as u64) - 1)
     }
@@ -234,7 +258,7 @@ impl WriteBuffer {
     /// `local_dram_cy` is the DRAM service cost the entry will pay when it
     /// retires locally (ignored for remote targets, whose interval comes
     /// from their [`RemoteSink`]). Returns the processor-visible cost; an
-    /// entry forced out to make room is appended to `retired`.
+    /// entry forced out to make room goes to `retired`.
     ///
     /// # Panics
     ///
@@ -246,7 +270,7 @@ impl WriteBuffer {
         bytes: &[u8],
         target: WriteTarget,
         local_dram_cy: u64,
-        retired: &mut Vec<Retired>,
+        retired: &mut impl RetireSink,
     ) -> PushOutcome {
         assert!(!bytes.is_empty(), "store must carry at least one byte");
         let line_pa = self.line_base(pa);
@@ -266,7 +290,7 @@ impl WriteBuffer {
         if can_merge {
             let line = self.line;
             let tail = self.entries.back_mut().expect("tail exists");
-            tail.data[off..end].copy_from_slice(bytes);
+            copy_bytes(&mut tail.data[off..end], bytes);
             tail.mask |= span_mask(off, bytes.len());
             if let WriteTarget::Remote(sink) = tail.target {
                 // A wider entry takes longer to inject through the shell.
@@ -284,15 +308,15 @@ impl WriteBuffer {
         if self.entries.len() == self.cfg.entries {
             let head_done = self.entries.front().expect("buffer full").completion;
             if head_done > tnow {
-                cost += (head_done - tnow).ceil() as u64;
+                cost += ceil_u64(head_done - tnow);
             }
             let head = self.entries.pop_front().expect("buffer full");
-            retired.push(head.retire());
+            retired.retire(head.retire());
         }
 
         let issue = (now + cost) as f64;
         let mut data = [0u8; MAX_LINE];
-        data[off..end].copy_from_slice(bytes);
+        copy_bytes(&mut data[off..end], bytes);
         let interval = match target {
             WriteTarget::Local => local_dram_cy as f64 / self.cfg.pipeline as f64,
             WriteTarget::Remote(sink) => {
@@ -319,28 +343,30 @@ impl WriteBuffer {
     }
 
     /// Retires every entry whose completion time is at or before `now`,
-    /// appending them to `retired` in FIFO order.
-    pub fn drain_due(&mut self, now: u64, retired: &mut Vec<Retired>) {
+    /// handing them to `retired` in FIFO order.
+    pub fn drain_due(&mut self, now: u64, retired: &mut impl RetireSink) {
         while let Some(head) = self.entries.front() {
             if head.completion > now as f64 {
                 break;
             }
             let e = self.entries.pop_front().expect("head exists");
-            retired.push(e.retire());
+            retired.retire(e.retire());
         }
     }
 
-    /// Drains the whole buffer (memory-barrier semantics): appends every
+    /// Drains the whole buffer (memory-barrier semantics): hands every
     /// entry to `retired` in FIFO order and returns the cost in cycles to
     /// the issuing processor (barrier issue + wait for the last entry).
-    pub fn drain_all(&mut self, now: u64, retired: &mut Vec<Retired>) -> u64 {
+    pub fn drain_all(&mut self, now: u64, retired: &mut impl RetireSink) -> u64 {
         let mut cost = self.cfg.mb_issue_cy;
         if let Some(last) = self.entries.back() {
             if last.completion > now as f64 {
-                cost += (last.completion - now as f64).ceil() as u64;
+                cost += ceil_u64(last.completion - now as f64);
             }
         }
-        retired.extend(self.entries.drain(..).map(Entry::retire));
+        for e in self.entries.drain(..) {
+            retired.retire(e.retire());
+        }
         cost
     }
 

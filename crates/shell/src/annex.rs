@@ -92,6 +92,7 @@ impl Annex {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     pub fn entry(&self, idx: usize) -> AnnexEntry {
         self.entries[idx]
     }
@@ -140,6 +141,7 @@ pub fn pa_with_annex(offset: u64, annex_idx: usize, offset_bits: u32) -> u64 {
 }
 
 /// Extracts `(annex_idx, offset)` from a physical address.
+#[inline]
 pub fn split_pa(pa: u64, offset_bits: u32) -> (usize, u64) {
     ((pa >> offset_bits) as usize, pa & ((1 << offset_bits) - 1))
 }

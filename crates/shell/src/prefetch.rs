@@ -130,6 +130,7 @@ impl PrefetchUnit {
     }
 
     /// A memory barrier flushes any fetches still in the write buffer.
+    #[inline]
     pub fn note_memory_barrier(&mut self, now: u64) {
         for s in self.slots.iter_mut().filter(|s| s.departed.is_none()) {
             s.departed = Some(now);

@@ -33,23 +33,21 @@ impl SplitC {
     pub fn broadcast_u64(&mut self, root: usize, off: u64) {
         let p = self.nodes();
         assert!(root < p, "root {root} out of range");
-        // Rotate ranks so the tree is rooted at `root`.
-        let mut have = vec![false; p];
-        have[root] = true;
+        // Virtual ranks rotate the tree onto `root`: node `s` has rank
+        // `(s - root) mod p`. Entering the round of `stride`, exactly the
+        // ranks below it hold the word; each sends to rank + stride.
+        // Senders go in physical order.
         let mut stride = 1usize;
         while stride < p {
-            let senders: Vec<usize> = (0..p).filter(|&n| have[n]).collect();
-            for s in senders {
-                let virt = (s + p - root) % p;
-                let dst_virt = virt + stride;
-                if dst_virt < p {
+            for s in 0..p {
+                let dst_virt = (s + p - root) % p + stride;
+                if dst_virt < 2 * stride && dst_virt < p {
                     let dst = (dst_virt + root) % p;
                     self.on(s, |ctx| {
                         let pe = ctx.pe();
                         let v = ctx.machine().ld8(pe, off);
                         ctx.store_u64(GlobalPtr::new(dst as u32, off), v);
                     });
-                    have[dst] = true;
                 }
             }
             self.all_store_sync();

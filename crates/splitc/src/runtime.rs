@@ -296,26 +296,24 @@ impl SplitC {
 
     /// Runs a closure as node `pe` (single-node probes and setup).
     ///
+    /// The closure works on the node's runtime state in place, so a call
+    /// costs no allocation: the SPMD driver calls this once per PE on
+    /// every [`run_phase`](Self::run_phase), barrier and collective step.
     /// Panics from the closure (and the sanitizer's panic mode)
-    /// propagate only after the node's runtime state is restored — the
-    /// runtime stays usable, with every counter drained to where the
-    /// program actually got.
+    /// propagate only after the unwind is caught and the sanitizer logs
+    /// are drained — the runtime stays usable, with every counter where
+    /// the program actually got.
     pub fn on<R>(&mut self, pe: usize, f: impl FnOnce(&mut ScCtx) -> R) -> R {
-        let mut rt = std::mem::replace(
-            &mut self.rts[pe],
-            NodeRt::new(&self.cfg, self.m.config().shell.annex_entries),
-        );
         let result = {
             let mut ctx = ScCtx {
                 m: Cpu::new(&mut self.m, pe),
-                rt: &mut rt,
+                rt: &mut self.rts[pe],
                 cfg: &self.cfg,
                 handlers: &self.handlers,
                 am_region: self.am_region,
             };
             catch_unwind(AssertUnwindSafe(move || f(&mut ctx)))
         };
-        self.rts[pe] = rt;
         self.drain_san_logs();
         match result {
             Ok(r) => {

@@ -160,6 +160,7 @@ impl Torus {
         c.x + nx * (c.y + ny * c.z)
     }
 
+    #[inline]
     fn ring_dist(extent: u32, a: u32, b: u32) -> u32 {
         let d = a.abs_diff(b);
         d.min(extent - d)
@@ -167,6 +168,7 @@ impl Torus {
 
     /// Minimal hop count between two nodes (dimension-order routing on a
     /// torus is minimal in each dimension independently).
+    #[inline]
     pub fn hops(&self, a: u32, b: u32) -> u32 {
         let ca = self.coord_of(a);
         let cb = self.coord_of(b);
@@ -177,6 +179,7 @@ impl Torus {
     }
 
     /// One-way network cost between two nodes, in (fractional) cycles.
+    #[inline]
     pub fn one_way_cy(&self, a: u32, b: u32) -> f64 {
         self.hops(a, b) as f64 * self.cfg.hop_cy
     }

@@ -12,9 +12,14 @@
 //! fetch&increment walks its route without a buffer, and a BLT lands its
 //! bytes arena to arena.
 //!
+//! The Split-C driver steps hold to it as well: entering a node with
+//! `SplitC::on` borrows its runtime state in place, so a barrier, an
+//! empty SPMD phase and a tree collective cost no heap work per PE.
+//!
 //! The binary installs a counting global allocator. Counts are kept per
 //! thread, so the test harness's own threads do not disturb them.
 
+use splitc::SplitC;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
@@ -218,4 +223,37 @@ fn direct_contiguous_blts_never_allocate() {
     }
     assert_eq!(m.peek8(3, 0x8000), u64::from_le_bytes([12; 8]));
     assert_eq!(m.peek8(3, 0x2000), u64::from_le_bytes([4; 8]));
+}
+
+#[test]
+fn splitc_driver_steps_never_allocate() {
+    let mut sc = SplitC::new(MachineConfig::t3d(32));
+    sc.machine().set_perf_mode(PerfMode::Off);
+    let (off, scratch) = (sc.alloc(8, 8), sc.alloc(8, 8));
+    for pe in 0..32 {
+        sc.machine().poke8(pe, off, pe as u64 + 1);
+    }
+    let step = |sc: &mut SplitC| {
+        sc.barrier();
+        sc.run_phase(|_| {});
+        sc.all_reduce_u64(off, scratch, u64::max)
+    };
+    // Warm-up grows the reusable buffers (acknowledgement trackers,
+    // write-buffer sinks, arrival logs) to their working size.
+    let _ = step(&mut sc);
+    let mut allocs = 0;
+    for _ in 0..20 {
+        // Each collective appends to the arrival logs that `storeSync`
+        // counts; start every step in a fresh epoch, as the warm-up did,
+        // so the logs reuse their capacity.
+        for pe in 0..32 {
+            sc.machine().clear_incoming(pe);
+        }
+        allocs += allocations(|| assert_eq!(step(&mut sc), 32));
+    }
+    // `T3D_SAN` switches the sanitizer on whatever the configuration
+    // says, and its event logs do grow.
+    if sc.sanitizer().is_none() {
+        assert_eq!(allocs, 0, "20 barrier + phase + all-reduce steps allocated");
+    }
 }
