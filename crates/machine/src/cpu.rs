@@ -127,7 +127,12 @@ impl<'m> Cpu<'m> {
         t3d_shell::annex::pa_with_annex(offset, annex_idx, self.m.cfg().mem.offset_bits)
     }
 
-    /// Updates an annex register (23 cycles). See [`Machine::annex_set`].
+    /// Updates annex register `idx` (23 cycles) to name PE `pe` with
+    /// function code `func`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is 0 or PE `pe` does not exist.
     #[inline]
     pub fn annex_set(&mut self, idx: usize, pe: u32, func: FuncCode) {
         self.m.annex_set(self.pe, idx, AnnexEntry { pe, func });
@@ -141,7 +146,18 @@ impl<'m> Cpu<'m> {
         u64::from_le_bytes(buf)
     }
 
-    /// Loads bytes. See [`Machine::ld`].
+    /// Loads `buf.len()` bytes at `va` (annex-translated). Remote loads
+    /// must not cross a cache line.
+    ///
+    /// Issuing a remote load through an annex entry whose function code
+    /// is not a read flavour (e.g. `Swap`) is a program error: debug
+    /// builds fail a `debug_assert!`; release builds perform the access
+    /// as `Uncached` (the defined behavior — the real shell would issue
+    /// the request with the flavour bits it was given).
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range accesses.
     #[inline]
     pub fn ld(&mut self, va: u64, buf: &mut [u8]) {
         self.m.ld(self.pe, va, buf);
@@ -153,50 +169,67 @@ impl<'m> Cpu<'m> {
         self.m.st(self.pe, va, &value.to_le_bytes());
     }
 
-    /// Stores bytes (non-blocking, within one cache line). See
-    /// [`Machine::st`].
+    /// Stores `bytes` at `va` (annex-translated). The store is
+    /// non-blocking: it enters the write buffer and, for remote targets,
+    /// is acknowledged asynchronously (poll with
+    /// [`Cpu::wait_write_acks`] after a [`Cpu::memory_barrier`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store crosses a cache line or is out of range.
     #[inline]
     pub fn st(&mut self, va: u64, bytes: &[u8]) {
         self.m.st(self.pe, va, bytes);
     }
 
-    /// Memory barrier.
+    /// Issues a memory barrier: drains the write buffer (pushing out any
+    /// pending prefetch requests with it).
     #[inline]
     pub fn memory_barrier(&mut self) {
         self.m.memory_barrier(self.pe);
     }
 
-    /// Polls the remote-write status bit once. See
-    /// [`Machine::poll_status`].
+    /// Polls the remote-write status bit once: `true` if no remote write
+    /// *known to the shell* is outstanding. Writes still in the write
+    /// buffer are invisible — the Section 4.3 trap.
     #[inline]
     pub fn poll_status(&mut self) -> bool {
         self.m.poll_status(self.pe)
     }
 
-    /// Waits for all remote writes that left the processor to be
-    /// acknowledged.
+    /// Spins until every remote write that has left the processor is
+    /// acknowledged. (Fence first — see [`Cpu::poll_status`].)
     #[inline]
     pub fn wait_write_acks(&mut self) {
         self.m.wait_write_acks(self.pe);
     }
 
-    /// Issues a binding prefetch; `false` if the queue is full.
+    /// Issues a binding prefetch of the word at `va`. Returns `false` if
+    /// the 16-entry queue is full (the caller must pop first).
     #[inline]
     pub fn fetch(&mut self, va: u64) -> bool {
         self.m.fetch(self.pe, va)
     }
 
-    /// Pops the prefetch queue.
+    /// Pops the prefetch queue (a 23-cycle off-chip load), waiting for
+    /// the data to arrive if necessary.
     ///
     /// # Errors
     ///
-    /// See [`Machine::pop_prefetch`].
+    /// [`PopError::Empty`] if nothing is outstanding;
+    /// [`PopError::NotDeparted`] if the oldest fetch is still in the
+    /// write buffer (fence first).
     #[inline]
     pub fn pop_prefetch(&mut self) -> Result<u64, PopError> {
         self.m.pop_prefetch(self.pe)
     }
 
-    /// Starts a BLT transfer. See [`Machine::blt_start`].
+    /// Starts a BLT transfer of `bytes` between this PE's local memory at
+    /// `local_off` and `target_pe`'s memory at `remote_off`. The
+    /// initiating processor is stalled for the OS invocation (180 µs);
+    /// the DMA itself completes at [`BltHandle::completion`] and can be
+    /// overlapped. Data moves immediately in simulation; destination
+    /// cache lines are invalidated (DMA bypasses caches).
     #[inline]
     pub fn blt_start(
         &mut self,
@@ -210,7 +243,18 @@ impl<'m> Cpu<'m> {
             .blt_start(self.pe, dir, local_off, target_pe, remote_off, bytes)
     }
 
-    /// Starts a strided BLT transfer. See [`Machine::blt_start_strided`].
+    /// Starts a *strided* BLT transfer: `count` elements of
+    /// `elem_bytes`, read from consecutive positions on the local side
+    /// and placed `stride_bytes` apart on the remote side (`Write`), or
+    /// gathered from `stride_bytes` apart remotely into consecutive
+    /// local positions (`Read`). The engine moves the same number of
+    /// bytes as the contiguous form but pays the remote DRAM's page
+    /// behaviour on every element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` or `elem_bytes` is zero, or if
+    /// `stride_bytes < elem_bytes` (overlapping elements).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn blt_start_strided(
@@ -235,38 +279,40 @@ impl<'m> Cpu<'m> {
         )
     }
 
-    /// Waits for a BLT transfer to complete.
+    /// Blocks until a BLT transfer completes.
     #[inline]
     pub fn blt_wait(&mut self, handle: BltHandle) {
         self.m.blt_wait(self.pe, handle);
     }
 
-    /// Sends a four-word message.
+    /// Sends a four-word message to `dst` (the 122-cycle PAL call).
     #[inline]
     pub fn msg_send(&mut self, dst: usize, words: [u64; 4]) {
         self.m.msg_send(self.pe, dst, words);
     }
 
-    /// Receives a message, if one has arrived.
+    /// Receives the oldest arrived message, paying the 25 µs interrupt
+    /// (plus dispatch, in handler mode). `None` if nothing has arrived.
     #[inline]
     pub fn msg_receive(&mut self) -> Option<Message> {
         self.m.msg_receive(self.pe)
     }
 
-    /// Remote fetch&increment.
+    /// Remote fetch&increment on `target_pe`'s register `reg`.
     #[inline]
     pub fn fetch_inc(&mut self, target_pe: usize, reg: usize) -> u64 {
         self.m.fetch_inc(self.pe, target_pe, reg)
     }
 
-    /// Loads the swap operand register.
+    /// Loads this node's swap operand register.
     #[inline]
     pub fn swap_load(&mut self, value: u64) {
         self.m.swap_load(self.pe, value);
     }
 
-    /// Atomic exchange of the swap register with the word at `va`. See
-    /// [`Machine::atomic_swap`].
+    /// Atomically exchanges the swap register with the word at `va`
+    /// (annex function code `Swap` for remote targets). Returns the old
+    /// memory value (now also in the register).
     ///
     /// # Panics
     ///

@@ -8,30 +8,27 @@
 //! stores on (annex-translated) virtual addresses, `fetch` hints, memory
 //! barriers, annex updates, message sends, BLT invocations and atomic
 //! operations. Each of its methods is one call into the op core, the
-//! single body of every op; [`Machine`]'s op methods, which name the
-//! issuing PE, call the same core.
+//! single body of every op, for the PE it is bound to.
 //!
-//! Cross-node programs use the [`spmd`] phase driver: within a phase the
-//! per-node closure runs for node 0..P−1 sequentially against the shared
-//! machine, and barriers align the clocks — deterministic and correct for
-//! the race-free bulk-synchronous programs the paper studies. The
-//! [`phase`] engine runs the same closures as independent shards, on
-//! threads if asked, bit-identically to running them in turn; each
-//! closure gets a [`Cpu`] bound to its own PE's shard.
+//! Cross-node programs run in bulk-synchronous phases: the [`phase`]
+//! engine runs one closure per PE as independent shards, on threads if
+//! asked, bit-identically to running them in turn; each closure gets a
+//! [`Cpu`] bound to its own PE's shard, and [`Machine::barrier_all`]
+//! aligns the clocks between phases.
 //!
 //! # Example
 //!
 //! ```
-//! use t3d_machine::{Machine, MachineConfig};
-//! use t3d_shell::{AnnexEntry, FuncCode};
+//! use t3d_machine::{Cpu, Machine, MachineConfig};
+//! use t3d_shell::FuncCode;
 //!
 //! let mut m = Machine::new(MachineConfig::t3d(2));
-//! // Point annex register 1 at PE 1 and read its word 0x1000.
-//! m.poke_mem(1, 0x1000, &99u64.to_le_bytes());
-//! m.annex_set(0, 1, AnnexEntry { pe: 1, func: FuncCode::Uncached });
-//! let va = m.va(1, 0x1000);
-//! let v = m.ld8(0, va);
-//! assert_eq!(v, 99);
+//! m.poke8(1, 0x1000, 99);
+//! // PE 0 points annex register 1 at PE 1 and reads its word 0x1000.
+//! let mut cpu = Cpu::new(&mut m, 0);
+//! cpu.annex_set(1, 1, FuncCode::Uncached);
+//! let va = cpu.va(1, 0x1000);
+//! assert_eq!(cpu.ld8(va), 99);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +41,6 @@ pub mod node;
 mod ops;
 pub mod phase;
 pub mod snapshot;
-pub mod spmd;
 pub mod trace;
 
 pub use config::MachineConfig;
@@ -53,7 +49,6 @@ pub use machine::{BltHandle, Machine, MachineSizeError};
 pub use node::{EventStats, Node, NodeHot, OpStats};
 pub use phase::PhaseDriver;
 pub use snapshot::{MemSnapshot, SnapshotDiff};
-pub use spmd::Spmd;
 pub use trace::{TraceEvent, TraceKind, Tracer};
 
 pub use t3d_perf as perf;

@@ -12,7 +12,7 @@ use t3d_perf::{
     Registry, Span,
 };
 use t3d_shell::blt::BltDirection;
-use t3d_shell::{AnnexEntry, BarrierUnit, Message, PopError};
+use t3d_shell::BarrierUnit;
 use t3d_torus::Torus;
 
 /// Error from [`Machine::try_new`]: the torus construction and the
@@ -186,95 +186,15 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Operations: each body is the op core's (`OpCore` in `ops.rs`), run
-    // here under the `Live` policy.
+    // Ops by a named PE: only what `perfbench` calls; the rest are `Cpu`'s
     // ------------------------------------------------------------------
 
-    /// Charges `cycles` of computation to a node.
-    pub fn advance(&mut self, pe: usize, cycles: u64) {
-        OpCore::advance(self, pe, cycles);
+    /// [`Cpu::fetch_inc`](crate::Cpu::fetch_inc) as `pe`; kept for `perfbench`'s scale workload.
+    pub fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
+        OpCore::fetch_inc(self, pe, target_pe, reg)
     }
 
-    /// Updates an annex register (23 cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is 0 or the target PE does not exist.
-    pub fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry) {
-        OpCore::annex_set(self, pe, idx, entry);
-    }
-
-    /// Loads `buf.len()` bytes at `va` (annex-translated). Remote loads
-    /// must not cross a cache line.
-    ///
-    /// Issuing a remote load through an annex entry whose function code
-    /// is not a read flavour (e.g. `Swap`) is a program error: debug
-    /// builds fail a `debug_assert!`; release builds perform the access
-    /// as `Uncached` (the defined behavior — the real shell would issue
-    /// the request with the flavour bits it was given).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range accesses.
-    pub fn ld(&mut self, pe: usize, va: u64, buf: &mut [u8]) {
-        OpCore::ld(self, pe, va, buf);
-    }
-
-    /// Stores `bytes` at `va` (annex-translated). The store is
-    /// non-blocking: it enters the write buffer and, for remote targets,
-    /// is acknowledged asynchronously (poll with `wait_write_acks` after
-    /// a `memory_barrier`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store crosses a cache line or is out of range.
-    pub fn st(&mut self, pe: usize, va: u64, bytes: &[u8]) {
-        OpCore::st(self, pe, va, bytes);
-    }
-
-    /// Issues a memory barrier: drains the write buffer (pushing out any
-    /// pending prefetch requests with it).
-    pub fn memory_barrier(&mut self, pe: usize) {
-        OpCore::memory_barrier(self, pe);
-    }
-
-    /// Polls the remote-write status bit once: `true` if no remote write
-    /// *known to the shell* is outstanding. Writes still in the write
-    /// buffer are invisible — the Section 4.3 trap.
-    pub fn poll_status(&mut self, pe: usize) -> bool {
-        OpCore::poll_status(self, pe)
-    }
-
-    /// Spins until every remote write that has left the processor is
-    /// acknowledged. (Fence first — see `poll_status`.)
-    pub fn wait_write_acks(&mut self, pe: usize) {
-        OpCore::wait_write_acks(self, pe);
-    }
-
-    /// Issues a binding prefetch of the word at `va`. Returns `false` if
-    /// the 16-entry queue is full (the caller must pop first).
-    pub fn fetch(&mut self, pe: usize, va: u64) -> bool {
-        OpCore::fetch(self, pe, va)
-    }
-
-    /// Pops the prefetch queue (a 23-cycle off-chip load), waiting for
-    /// the data to arrive if necessary.
-    ///
-    /// # Errors
-    ///
-    /// [`PopError::Empty`] if nothing is outstanding;
-    /// [`PopError::NotDeparted`] if the oldest fetch is still in the
-    /// write buffer (fence first).
-    pub fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
-        OpCore::pop_prefetch(self, pe)
-    }
-
-    /// Starts a BLT transfer of `bytes` between `pe`'s local memory at
-    /// `local_off` and `target_pe`'s memory at `remote_off`. The
-    /// initiating processor is stalled for the OS invocation (180 µs);
-    /// the DMA itself completes at `BltHandle::completion` and can be
-    /// overlapped. Data moves immediately in simulation; destination
-    /// cache lines are invalidated (DMA bypasses caches).
+    /// [`Cpu::blt_start`](crate::Cpu::blt_start) as `pe`; kept for `perfbench`'s scale workload.
     pub fn blt_start(
         &mut self,
         pe: usize,
@@ -287,91 +207,9 @@ impl Machine {
         OpCore::blt_start(self, pe, dir, local_off, target_pe, remote_off, bytes)
     }
 
-    /// Starts a *strided* BLT transfer: `count` elements of
-    /// `elem_bytes`, read from consecutive positions on the local side
-    /// and placed `stride_bytes` apart on the remote side (`Write`), or
-    /// gathered from `stride_bytes` apart remotely into consecutive
-    /// local positions (`Read`). The engine moves the same number of
-    /// bytes as the contiguous form but pays the remote DRAM's page
-    /// behaviour on every element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` or `elem_bytes` is zero, or if
-    /// `stride_bytes < elem_bytes` (overlapping elements).
-    #[allow(clippy::too_many_arguments)]
-    pub fn blt_start_strided(
-        &mut self,
-        pe: usize,
-        dir: BltDirection,
-        local_off: u64,
-        target_pe: usize,
-        remote_off: u64,
-        count: u64,
-        elem_bytes: u64,
-        stride_bytes: u64,
-    ) -> BltHandle {
-        OpCore::blt_start_strided(
-            self,
-            pe,
-            dir,
-            local_off,
-            target_pe,
-            remote_off,
-            count,
-            elem_bytes,
-            stride_bytes,
-        )
-    }
-
-    /// Blocks until a BLT transfer completes.
+    /// [`Cpu::blt_wait`](crate::Cpu::blt_wait) as `pe`; kept for `perfbench`'s scale workload.
     pub fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
         OpCore::blt_wait(self, pe, handle);
-    }
-
-    /// Sends a four-word message (the 122-cycle PAL call).
-    pub fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]) {
-        OpCore::msg_send(self, pe, dst, words);
-    }
-
-    /// Receives the oldest arrived message, paying the 25 µs interrupt
-    /// (plus dispatch, in handler mode). `None` if nothing has arrived.
-    pub fn msg_receive(&mut self, pe: usize) -> Option<Message> {
-        OpCore::msg_receive(self, pe)
-    }
-
-    /// Remote fetch&increment on `target_pe`'s register `reg`.
-    pub fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
-        OpCore::fetch_inc(self, pe, target_pe, reg)
-    }
-
-    /// Loads this node's swap operand register.
-    pub fn swap_load(&mut self, pe: usize, value: u64) {
-        OpCore::swap_load(self, pe, value);
-    }
-
-    /// Atomically exchanges the swap register with the word at `va`
-    /// (annex function code `Swap` for remote targets). Returns the old
-    /// memory value (now also in the register).
-    pub fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
-        OpCore::atomic_swap(self, pe, va)
-    }
-
-    /// Loads a 64-bit word at `va`.
-    pub fn ld8(&mut self, pe: usize, va: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.ld(pe, va, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Stores a 64-bit word at `va`.
-    pub fn st8(&mut self, pe: usize, va: u64, value: u64) {
-        self.st(pe, va, &value.to_le_bytes());
-    }
-
-    /// Outstanding prefetches on a node.
-    pub fn prefetch_outstanding(&self, pe: usize) -> usize {
-        self.nodes[pe].prefetch.outstanding()
     }
 
     // ------------------------------------------------------------------
@@ -383,7 +221,7 @@ impl Machine {
     /// All pending writes are fenced first, as `allStoreSync` requires.
     pub fn barrier_all(&mut self) {
         for pe in 0..self.nodes.len() {
-            self.memory_barrier(pe);
+            OpCore::memory_barrier(self, pe);
         }
         for pe in 0..self.nodes.len() {
             let t = self.hot[pe].clock + self.cfg.shell.barrier_start_cy;
@@ -790,21 +628,19 @@ impl OpCore for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use t3d_shell::FuncCode;
+    use crate::cpu::Cpu;
+    use t3d_shell::{FuncCode, PopError};
 
     fn machine2() -> Machine {
         Machine::new(MachineConfig::t3d(2))
     }
 
-    fn set_annex(m: &mut Machine, pe: usize, idx: usize, target: u32, func: FuncCode) {
-        m.annex_set(pe, idx, AnnexEntry { pe: target, func });
-    }
-
     #[test]
     fn local_load_store_roundtrip() {
         let mut m = machine2();
-        m.st8(0, 0x1000, 77);
-        assert_eq!(m.ld8(0, 0x1000), 77);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.st8(0x1000, 77);
+        assert_eq!(cpu.ld8(0x1000), 77);
     }
 
     #[test]
@@ -812,30 +648,26 @@ mod tests {
         // 2x2x2 torus: hop_cy = 2.5 puts odd hop counts on half cycles,
         // exactly where rounding the doubled latency used to diverge
         // from doubling the rounded one-way (1 hop: one-way 2.5 -> 3,
-        // rtt must be 6, not 5.0.round() = 5).
+        // a round trip must be 6, not 5.0.round() = 5). Every remote op
+        // now writes its round trip out as `2 * one_way`; pin the
+        // adjacent-pair value the rest of the calibration suite builds
+        // on.
         let m = Machine::new(MachineConfig::t3d(8));
         assert_eq!(m.cfg.torus.dims, (2, 2, 2));
-        for a in 0..8 {
-            for b in 0..8 {
-                assert_eq!(m.rtt(a, b), 2 * m.one_way(a, b), "pair ({a},{b})");
-            }
-        }
-        // Pin the adjacent-pair values the rest of the calibration
-        // suite builds on.
         assert_eq!(m.one_way(0, 1), 3);
-        assert_eq!(m.rtt(0, 1), 6);
     }
 
     #[test]
     fn uncached_remote_read_costs_about_91_cycles() {
         let mut m = machine2();
         m.poke8(1, 0x2000, 5);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
         // Warm the TLB so we measure the steady-state cost the paper plots.
-        let _ = m.ld8(0, m.va(1, 0x2008));
-        let t0 = m.clock(0);
-        let v = m.ld8(0, m.va(1, 0x2000));
-        let cost = m.clock(0) - t0;
+        let _ = cpu.ld8(cpu.va(1, 0x2008));
+        let t0 = cpu.clock();
+        let v = cpu.ld8(cpu.va(1, 0x2000));
+        let cost = cpu.clock() - t0;
         assert_eq!(v, 5);
         assert!(
             (85..=97).contains(&cost),
@@ -848,55 +680,59 @@ mod tests {
         let mut m = machine2();
         m.poke8(1, 0x3000, 9);
         m.poke8(1, 0x3008, 10);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Cached);
-        let _ = m.ld8(0, m.va(1, 0x4000)); // TLB warm
-        let t0 = m.clock(0);
-        assert_eq!(m.ld8(0, m.va(1, 0x3000)), 9);
-        let first = m.clock(0) - t0;
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Cached);
+        let _ = cpu.ld8(cpu.va(1, 0x4000)); // TLB warm
+        let t0 = cpu.clock();
+        assert_eq!(cpu.ld8(cpu.va(1, 0x3000)), 9);
+        let first = cpu.clock() - t0;
         assert!(
             (105..=125).contains(&first),
             "cached adjacent remote read cost {first} cy (paper: ~114)"
         );
-        let t1 = m.clock(0);
+        let t1 = cpu.clock();
         assert_eq!(
-            m.ld8(0, m.va(1, 0x3008)),
+            cpu.ld8(cpu.va(1, 0x3008)),
             10,
             "next word came with the line"
         );
-        assert_eq!(m.clock(0) - t1, 1, "line hit");
+        assert_eq!(cpu.clock() - t1, 1, "line hit");
     }
 
     #[test]
     fn cached_remote_line_goes_stale() {
         let mut m = machine2();
         m.poke8(1, 0x3000, 1);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Cached);
-        assert_eq!(m.ld8(0, m.va(1, 0x3000)), 1);
-        // Owner updates its memory; no coherence traffic.
-        m.st8(1, 0x3000, 2);
-        m.memory_barrier(1);
-        assert_eq!(m.ld8(0, m.va(1, 0x3000)), 1, "stale cached copy");
-        // Explicit flush (23 cycles) makes the next read fresh.
         let va = m.va(1, 0x3000);
-        let flush = m.node_mut(0).port.flush_line(va);
-        m.advance(0, flush);
-        assert_eq!(m.ld8(0, va), 2);
+        Cpu::new(&mut m, 0).annex_set(1, 1, FuncCode::Cached);
+        assert_eq!(Cpu::new(&mut m, 0).ld8(va), 1);
+        // Owner updates its memory; no coherence traffic.
+        let mut owner = Cpu::new(&mut m, 1);
+        owner.st8(0x3000, 2);
+        owner.memory_barrier();
+        let mut cpu = Cpu::new(&mut m, 0);
+        assert_eq!(cpu.ld8(va), 1, "stale cached copy");
+        // Explicit flush (23 cycles) makes the next read fresh.
+        let flush = cpu.node_mut().port.flush_line(va);
+        cpu.advance(flush);
+        assert_eq!(cpu.ld8(va), 2);
     }
 
     #[test]
     fn blocking_remote_write_costs_about_130_cycles() {
         let mut m = machine2();
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        let va = m.va(1, 0x5000);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        let va = cpu.va(1, 0x5000);
         // Warm TLB.
-        m.st8(0, va, 1);
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
-        let t0 = m.clock(0);
-        m.st8(0, va, 42);
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
-        let cost = m.clock(0) - t0;
+        cpu.st8(va, 1);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        let t0 = cpu.clock();
+        cpu.st8(va, 42);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        let cost = cpu.clock() - t0;
         assert!(
             (120..=140).contains(&cost),
             "blocking remote write cost {cost} cy (paper: ~130)"
@@ -907,14 +743,14 @@ mod tests {
     #[test]
     fn nonblocking_remote_write_sustains_17_cycles() {
         let mut m = machine2();
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        let t0 = m.clock(0);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        let t0 = cpu.clock();
         let n = 128u64;
         for i in 0..n {
-            let va = m.va(1, 0x8000 + i * 64);
-            m.st8(0, va, i);
+            cpu.st8(cpu.va(1, 0x8000 + i * 64), i);
         }
-        let avg = (m.clock(0) - t0) as f64 / n as f64;
+        let avg = (cpu.clock() - t0) as f64 / n as f64;
         assert!(
             (15.0..20.0).contains(&avg),
             "non-blocking remote write interval {avg} cy (paper: ~17)"
@@ -926,16 +762,16 @@ mod tests {
         // Section 4.3: poll without fencing sees a clear bit even though
         // a write sits in the buffer.
         let mut m = machine2();
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        let va = m.va(1, 0x6000);
-        m.st8(0, va, 1);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        cpu.st8(cpu.va(1, 0x6000), 1);
         assert!(
-            m.poll_status(0),
+            cpu.poll_status(),
             "bit appears clear: the write is still buffered"
         );
-        m.memory_barrier(0);
+        cpu.memory_barrier();
         assert!(
-            !m.poll_status(0),
+            !cpu.poll_status(),
             "after the fence the write is visible in flight"
         );
     }
@@ -944,19 +780,20 @@ mod tests {
     fn prefetch_roundtrip() {
         let mut m = machine2();
         m.poke8(1, 0x7000, 123);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        let va = m.va(1, 0x7000);
-        assert!(m.fetch(0, va));
-        m.memory_barrier(0);
-        assert_eq!(m.pop_prefetch(0), Ok(123));
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        assert!(cpu.fetch(cpu.va(1, 0x7000)));
+        cpu.memory_barrier();
+        assert_eq!(cpu.pop_prefetch(), Ok(123));
     }
 
     #[test]
     fn prefetch_pop_without_fence_is_a_hazard() {
         let mut m = machine2();
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        m.fetch(0, m.va(1, 0x7000));
-        assert_eq!(m.pop_prefetch(0), Err(PopError::NotDeparted));
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        cpu.fetch(cpu.va(1, 0x7000));
+        assert_eq!(cpu.pop_prefetch(), Err(PopError::NotDeparted));
     }
 
     #[test]
@@ -965,13 +802,14 @@ mod tests {
         for i in 0..64u64 {
             m.poke8(1, 0x9000 + i * 8, i);
         }
-        let t0 = m.clock(0);
-        let h = m.blt_start(0, BltDirection::Read, 0xA000, 1, 0x9000, 512);
+        let mut cpu = Cpu::new(&mut m, 0);
+        let t0 = cpu.clock();
+        let h = cpu.blt_start(BltDirection::Read, 0xA000, 1, 0x9000, 512);
         assert!(
-            m.clock(0) - t0 >= 27_000,
+            cpu.clock() - t0 >= 27_000,
             "OS invocation stalls the processor"
         );
-        m.blt_wait(0, h);
+        cpu.blt_wait(h);
         for i in 0..64u64 {
             assert_eq!(m.peek8(0, 0xA000 + i * 8), i);
         }
@@ -986,8 +824,8 @@ mod tests {
                 m.poke8(1, 0x4000 + (r * 8 + c) * 8, r * 100 + c);
             }
         }
-        let h = m.blt_start_strided(
-            0,
+        let mut cpu = Cpu::new(&mut m, 0);
+        let h = cpu.blt_start_strided(
             BltDirection::Read,
             0x5000,
             1,
@@ -996,7 +834,7 @@ mod tests {
             8,  // elem bytes
             64, // stride: one row
         );
-        m.blt_wait(0, h);
+        cpu.blt_wait(h);
         for r in 0..8u64 {
             assert_eq!(m.peek8(0, 0x5000 + r * 8), r * 100 + 3, "row {r}");
         }
@@ -1009,8 +847,9 @@ mod tests {
         for i in 0..4u64 {
             m.poke8(0, 0x6000 + i * 8, 7 + i);
         }
-        let h = m.blt_start_strided(0, BltDirection::Write, 0x6000, 1, 0x7000, 4, 8, 256);
-        m.blt_wait(0, h);
+        let mut cpu = Cpu::new(&mut m, 0);
+        let h = cpu.blt_start_strided(BltDirection::Write, 0x6000, 1, 0x7000, 4, 8, 256);
+        cpu.blt_wait(h);
         for i in 0..4u64 {
             assert_eq!(m.peek8(1, 0x7000 + i * 256), 7 + i);
         }
@@ -1019,9 +858,18 @@ mod tests {
     #[test]
     fn strided_blt_page_misses_slow_the_stream() {
         let mut m = machine2();
-        let contiguous = m.blt_start_strided(0, BltDirection::Read, 0x1000, 1, 0x0, 64, 8, 8);
+        let contiguous =
+            Cpu::new(&mut m, 0).blt_start_strided(BltDirection::Read, 0x1000, 1, 0x0, 64, 8, 8);
         let mut m2 = machine2();
-        let strided = m2.blt_start_strided(0, BltDirection::Read, 0x1000, 1, 0x0, 64, 8, 16 * 1024);
+        let strided = Cpu::new(&mut m2, 0).blt_start_strided(
+            BltDirection::Read,
+            0x1000,
+            1,
+            0x0,
+            64,
+            8,
+            16 * 1024,
+        );
         assert!(
             strided.stream_cy > contiguous.stream_cy,
             "page-missing stride streams slower: {} vs {}",
@@ -1033,10 +881,11 @@ mod tests {
     #[test]
     fn message_send_receive() {
         let mut m = machine2();
-        m.msg_send(0, 1, [1, 2, 3, 4]);
+        Cpu::new(&mut m, 0).msg_send(1, [1, 2, 3, 4]);
         // Receiver polls; arrival takes network time.
-        m.advance(1, 200);
-        let msg = m.msg_receive(1).expect("message arrived");
+        let mut rx = Cpu::new(&mut m, 1);
+        rx.advance(200);
+        let msg = rx.msg_receive().expect("message arrived");
         assert_eq!(msg.words, [1, 2, 3, 4]);
         assert_eq!(msg.from, 0);
     }
@@ -1044,11 +893,12 @@ mod tests {
     #[test]
     fn message_receive_costs_the_interrupt() {
         let mut m = machine2();
-        m.msg_send(0, 1, [0; 4]);
-        m.advance(1, 1000);
-        let t0 = m.clock(1);
-        m.msg_receive(1).unwrap();
-        assert!(m.clock(1) - t0 >= 3750, "25 us interrupt");
+        Cpu::new(&mut m, 0).msg_send(1, [0; 4]);
+        let mut rx = Cpu::new(&mut m, 1);
+        rx.advance(1000);
+        let t0 = rx.clock();
+        rx.msg_receive().unwrap();
+        assert!(rx.clock() - t0 >= 3750, "25 us interrupt");
     }
 
     #[test]
@@ -1056,12 +906,13 @@ mod tests {
         let mut cfg = MachineConfig::t3d(2);
         cfg.msg_mode = t3d_shell::ReceiveMode::Handler;
         let mut m = Machine::new(cfg);
-        m.msg_send(0, 1, [0; 4]);
-        m.advance(1, 1_000);
-        let t0 = m.clock(1);
-        m.msg_receive(1).unwrap();
+        Cpu::new(&mut m, 0).msg_send(1, [0; 4]);
+        let mut rx = Cpu::new(&mut m, 1);
+        rx.advance(1_000);
+        let t0 = rx.clock();
+        rx.msg_receive().unwrap();
         assert!(
-            m.clock(1) - t0 >= 3_750 + 4_950,
+            rx.clock() - t0 >= 3_750 + 4_950,
             "interrupt + handler switch charged"
         );
     }
@@ -1069,12 +920,18 @@ mod tests {
     #[test]
     fn fetch_inc_is_remote_and_atomic() {
         let mut m = machine2();
-        assert_eq!(m.fetch_inc(0, 1, 0), 0);
-        assert_eq!(m.fetch_inc(0, 1, 0), 1);
-        assert_eq!(m.fetch_inc(1, 1, 0), 2, "owner sees the same counter");
-        let t0 = m.clock(0);
-        m.fetch_inc(0, 1, 1);
-        let cost = m.clock(0) - t0;
+        let mut cpu = Cpu::new(&mut m, 0);
+        assert_eq!(cpu.fetch_inc(1, 0), 0);
+        assert_eq!(cpu.fetch_inc(1, 0), 1);
+        assert_eq!(
+            Cpu::new(&mut m, 1).fetch_inc(1, 0),
+            2,
+            "owner sees the same counter"
+        );
+        let mut cpu = Cpu::new(&mut m, 0);
+        let t0 = cpu.clock();
+        cpu.fetch_inc(1, 1);
+        let cost = cpu.clock() - t0;
         assert!(
             (100..200).contains(&cost),
             "f&i cost {cost} cy (paper: ~1 us incl. overheads)"
@@ -1085,9 +942,10 @@ mod tests {
     fn atomic_swap_exchanges() {
         let mut m = machine2();
         m.poke8(1, 0xB000, 5);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Swap);
-        m.swap_load(0, 9);
-        let old = m.atomic_swap(0, m.va(1, 0xB000));
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Swap);
+        cpu.swap_load(9);
+        let old = cpu.atomic_swap(cpu.va(1, 0xB000));
         assert_eq!(old, 5);
         assert_eq!(m.peek8(1, 0xB000), 9);
     }
@@ -1096,26 +954,58 @@ mod tests {
     fn fuzzy_barrier_overlaps_work() {
         // Plain barrier: arrive, wait, then do 2000 cycles of work.
         let mut m = machine2();
-        m.advance(0, 100);
-        m.advance(1, 3_000); // the straggler
+        Cpu::new(&mut m, 0).advance(100);
+        Cpu::new(&mut m, 1).advance(3_000); // the straggler
         m.barrier_all();
-        m.advance(0, 2_000);
+        Cpu::new(&mut m, 0).advance(2_000);
         let plain = m.clock(0);
 
         // Fuzzy barrier: announce arrival, do the 2000 cycles while the
         // straggler arrives, then complete.
         let mut m = machine2();
-        m.advance(0, 100);
-        m.advance(1, 3_000);
+        Cpu::new(&mut m, 0).advance(100);
+        Cpu::new(&mut m, 1).advance(3_000);
         m.fuzzy_barrier_start(0);
         m.fuzzy_barrier_start(1);
-        m.advance(0, 2_000); // overlapped with the wait
+        Cpu::new(&mut m, 0).advance(2_000); // overlapped with the wait
         m.fuzzy_barrier_end_all();
         let fuzzy = m.clock(0);
 
         assert!(
             fuzzy + 1_500 < plain,
             "fuzzy barrier hides the overlapped work: {fuzzy} vs {plain} cy"
+        );
+    }
+
+    #[test]
+    fn fuzzy_barrier_lets_each_node_pass_once_the_wire_settles() {
+        // Node `pe` arrives after 1000 * pe cycles of work, fences,
+        // starts the barrier and does 500 cycles of overlappable work.
+        let mut m = Machine::new(MachineConfig::t3d(4));
+        for pe in 0..4 {
+            Cpu::new(&mut m, pe).advance(1000 * pe as u64);
+        }
+        for pe in 0..4 {
+            Cpu::new(&mut m, pe).memory_barrier();
+            m.fuzzy_barrier_start(pe);
+            Cpu::new(&mut m, pe).advance(500);
+        }
+        m.fuzzy_barrier_end_all();
+        let clocks: Vec<u64> = (0..4).map(|pe| m.clock(pe)).collect();
+        // Unlike a plain barrier, the fuzzy barrier does NOT align the
+        // clocks: each node merely cannot pass before the wire settled
+        // (last arrival ~3009 + 50). The fast nodes' overlapped work is
+        // hidden inside the wait.
+        let settle = 3_000 + 4 + 5 + 50;
+        assert!(clocks.iter().all(|&c| c >= settle), "{clocks:?}");
+        assert!(
+            clocks[0] < clocks[3],
+            "fast node exits near the wire settle, straggler later: {clocks:?}"
+        );
+        assert!(
+            clocks[3] >= 3_500 && clocks[3] < 3_600,
+            "straggler clock {}",
+            clocks[3]
         );
     }
 
@@ -1130,8 +1020,8 @@ mod tests {
     #[test]
     fn barrier_aligns_clocks() {
         let mut m = machine2();
-        m.advance(0, 100);
-        m.advance(1, 5000);
+        Cpu::new(&mut m, 0).advance(100);
+        Cpu::new(&mut m, 1).advance(5000);
         m.barrier_all();
         assert_eq!(m.clock(0), m.clock(1));
         assert!(m.clock(0) >= 5000 + 50);
@@ -1142,11 +1032,12 @@ mod tests {
     fn trace_records_the_operation_stream() {
         let mut m = machine2();
         m.enable_trace(64);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        m.st8(0, m.va(1, 0x100), 1);
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
-        let _ = m.ld8(0, m.va(1, 0x100));
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        cpu.st8(cpu.va(1, 0x100), 1);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        let _ = cpu.ld8(cpu.va(1, 0x100));
         let kinds: Vec<TraceKind> = m.tracer().events().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -1168,7 +1059,7 @@ mod tests {
     #[test]
     fn tracing_off_costs_nothing_and_records_nothing() {
         let mut m = machine2();
-        m.st8(0, 0x40, 1);
+        Cpu::new(&mut m, 0).st8(0x40, 1);
         assert!(m.tracer().is_empty());
     }
 
@@ -1184,7 +1075,7 @@ mod tests {
             };
             let mut m = Machine::new(cfg);
             for pe in 1..8 {
-                let _ = m.fetch_inc(pe, 0, 0);
+                let _ = Cpu::new(&mut m, pe).fetch_inc(0, 0);
             }
             (1..8).map(|pe| m.clock(pe)).max().unwrap()
         };
@@ -1200,11 +1091,12 @@ mod tests {
     #[test]
     fn contention_off_by_default_changes_nothing() {
         let mut m = machine2();
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        let _ = m.ld8(0, m.va(1, 0x2008));
-        let t0 = m.clock(0);
-        let _ = m.ld8(0, m.va(1, 0x2000));
-        let cost = m.clock(0) - t0;
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        let _ = cpu.ld8(cpu.va(1, 0x2008));
+        let t0 = cpu.clock();
+        let _ = cpu.ld8(cpu.va(1, 0x2000));
+        let cost = cpu.clock() - t0;
         assert!((85..=97).contains(&cost), "calibration intact: {cost} cy");
     }
 
@@ -1214,28 +1106,30 @@ mod tests {
         // to an immediately following load through the other.
         let mut m = machine2();
         m.poke8(1, 0xC000, 1);
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        set_annex(&mut m, 0, 2, 1, FuncCode::Uncached);
-        m.st8(0, m.va(1, 0xC000), 2);
-        let stale = m.ld8(0, m.va(2, 0xC000));
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        cpu.annex_set(2, 1, FuncCode::Uncached);
+        cpu.st8(cpu.va(1, 0xC000), 2);
+        let stale = cpu.ld8(cpu.va(2, 0xC000));
         assert_eq!(stale, 1, "synonym read bypassed the buffered store");
         // Same-annex read forwards correctly.
-        let fresh = m.ld8(0, m.va(1, 0xC000));
+        let fresh = cpu.ld8(cpu.va(1, 0xC000));
         assert_eq!(fresh, 2);
         // After fencing and acknowledgement everything agrees.
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
-        assert_eq!(m.ld8(0, m.va(2, 0xC000)), 2);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        assert_eq!(cpu.ld8(cpu.va(2, 0xC000)), 2);
     }
 
     #[test]
     fn store_arrivals_logged_for_store_sync() {
         let mut m = machine2();
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
         for i in 0..4u64 {
-            m.st8(0, m.va(1, 0xD000 + i * 64), i);
+            cpu.st8(cpu.va(1, 0xD000 + i * 64), i);
         }
-        m.memory_barrier(0);
+        cpu.memory_barrier();
         let t = m.arrival_time_of(1, 32).expect("32 bytes arrived");
         assert!(t > 0);
         assert_eq!(m.arrival_time_of(1, 33), None);
@@ -1280,15 +1174,16 @@ mod tests {
             let mut cfg = MachineConfig::t3d(8);
             cfg.link_contention = link;
             let mut m = Machine::new(cfg);
-            set_annex(&mut m, 0, 1, 7, FuncCode::Uncached);
+            let mut cpu = Cpu::new(&mut m, 0);
+            cpu.annex_set(1, 7, FuncCode::Uncached);
             for i in 0..4u64 {
-                m.st8(0, m.va(1, 0x2000 + i * 8), i);
+                cpu.st8(cpu.va(1, 0x2000 + i * 8), i);
             }
-            m.memory_barrier(0);
-            m.wait_write_acks(0);
-            let _ = m.ld8(0, m.va(1, 0x2000));
-            let _ = m.fetch_inc(0, 7, 0);
-            m.clock(0)
+            cpu.memory_barrier();
+            cpu.wait_write_acks();
+            let _ = cpu.ld8(cpu.va(1, 0x2000));
+            let _ = cpu.fetch_inc(7, 0);
+            cpu.clock()
         };
         assert_eq!(run(false), run(true));
     }
@@ -1303,10 +1198,10 @@ mod tests {
             let mut cfg = MachineConfig::t3d(8);
             cfg.link_contention = link;
             let mut m = Machine::new(cfg);
-            let h5 = m.blt_start(5, BltDirection::Write, 0x1000, 0, 0x8000, 2048);
-            let h7 = m.blt_start(7, BltDirection::Write, 0x1000, 0, 0x9000, 2048);
-            m.blt_wait(5, h5);
-            m.blt_wait(7, h7);
+            let h5 = Cpu::new(&mut m, 5).blt_start(BltDirection::Write, 0x1000, 0, 0x8000, 2048);
+            let h7 = Cpu::new(&mut m, 7).blt_start(BltDirection::Write, 0x1000, 0, 0x9000, 2048);
+            Cpu::new(&mut m, 5).blt_wait(h5);
+            Cpu::new(&mut m, 7).blt_wait(h7);
             m.clock(5).max(m.clock(7))
         };
         let free = run(false);
@@ -1322,14 +1217,15 @@ mod tests {
         let mut m = machine2();
         // Owner caches its own line.
         m.poke8(1, 0xE000, 1);
-        assert_eq!(m.ld8(1, 0xE000), 1);
+        assert_eq!(Cpu::new(&mut m, 1).ld8(0xE000), 1);
         // Remote write arrives; owner's next read must see it.
-        set_annex(&mut m, 0, 1, 1, FuncCode::Uncached);
-        m.st8(0, m.va(1, 0xE000), 2);
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        cpu.st8(cpu.va(1, 0xE000), 2);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
         assert_eq!(
-            m.ld8(1, 0xE000),
+            Cpu::new(&mut m, 1).ld8(0xE000),
             2,
             "cache-invalidate mode flushed the line"
         );

@@ -4,8 +4,9 @@
 //! has exactly one body: a provided method of the crate-private
 //! `OpCore` trait. [`Cpu`](crate::Cpu), the per-PE handle probes and
 //! the Split-C runtime program against, holds `&mut dyn OpCore` and
-//! calls it once per op; [`Machine`]'s inherent op methods call it
-//! directly. A backend hands the core the state it may act on now and a
+//! calls it once per op. [`Machine`] calls it directly too, for its
+//! barriers' fences and the three ops `perfbench` issues by a named
+//! PE. A backend hands the core the state it may act on now and a
 //! *remote-target policy*, which answers only "what happens at a PE
 //! other than the issuer". The issuer's own node is acted on at once
 //! under both.
@@ -256,17 +257,12 @@ pub(crate) trait OpCore {
         }
     }
 
-    /// Integer one-way latency `a -> b`.
+    /// Integer one-way latency `a -> b`. A round trip is charged as
+    /// exactly twice this, even when the fractional one-way lands on a
+    /// half cycle (2.5 rounds to 3, and the round trip is 6, not
+    /// `5.0.round()`); each op computes it once and doubles it.
     fn one_way(&self, a: usize, b: usize) -> u64 {
         round_u64(self.torus().one_way_cy(a as u32, b as u32))
-    }
-
-    /// Integer round-trip latency: exactly twice the rounded one-way
-    /// latency, so `rtt(a,b) == 2 * one_way(a,b)` even when the
-    /// fractional one-way lands on a half cycle (2.5 rounds to 3, and
-    /// the round trip is 6, not `5.0.round()`).
-    fn rtt(&self, a: usize, b: usize) -> u64 {
-        2 * self.one_way(a, b)
     }
 
     /// Queueing delay at `target`'s shell for a request from `pe` that
@@ -387,14 +383,14 @@ pub(crate) trait OpCore {
 
     // ---- the ops ----------------------------------------------------------
 
-    /// See [`Machine::advance`].
+    /// See [`crate::Cpu::advance`].
     fn advance(&mut self, pe: usize, cycles: u64) {
         let (node, hot) = self.parts(pe);
         hot.clock += cycles;
         node.perf.credit(CostClass::Compute, cycles);
     }
 
-    /// See [`Machine::annex_set`].
+    /// See [`crate::Cpu::annex_set`].
     fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry) {
         assert!(
             (entry.pe as usize) < self.pe_count(),
@@ -409,7 +405,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::AnnexSet(entry.pe), idx as u64, now);
     }
 
-    /// See [`Machine::ld`].
+    /// See [`crate::Cpu::ld`].
     fn ld(&mut self, pe: usize, va: u64, buf: &mut [u8]) {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let l1 = self.cfg().mem.l1;
@@ -470,9 +466,10 @@ pub(crate) trait OpCore {
         } else {
             (off, &mut *buf, shell.remote_read_shell_cy)
         };
-        let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(pe, target);
+        let one_way = self.one_way(pe, target);
+        let ready = now + cost + shell.remote_read_shell_cy / 2 + one_way;
         let (dram, queue) = self.serve_read(pe, target, req_off, req, ready);
-        let rtt = self.rtt(pe, target);
+        let rtt = 2 * one_way;
         cost += launch + rtt + dram + queue;
         let p = &mut self.parts(pe).0.perf;
         p.credit(CostClass::ShellLaunch, launch);
@@ -499,7 +496,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::LoadRemote(entry.pe), va, now);
     }
 
-    /// See [`Machine::st`].
+    /// See [`crate::Cpu::st`].
     fn st(&mut self, pe: usize, va: u64, bytes: &[u8]) {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let (node, hot) = self.parts(pe);
@@ -527,7 +524,7 @@ pub(crate) trait OpCore {
                 remote_line_pa: line_off,
                 base_cy: shell.remote_write_base_cy + page_penalty,
                 per_word_cy: shell.remote_write_word_cy,
-                ack_rtt_cy: shell.write_ack_rtt_cy + self.rtt(pe, target),
+                ack_rtt_cy: shell.write_ack_rtt_cy + 2 * self.one_way(pe, target),
             };
             let port = &mut self.parts(pe).0.port;
             let cost = port.write_to(now, va, bytes, WriteTarget::Remote(sink));
@@ -540,7 +537,7 @@ pub(crate) trait OpCore {
         self.trace(pe, kind, va, now);
     }
 
-    /// See [`Machine::memory_barrier`].
+    /// See [`crate::Cpu::memory_barrier`].
     fn memory_barrier(&mut self, pe: usize) {
         let (node, hot) = self.parts(pe);
         node.ops.memory_barriers += 1;
@@ -552,7 +549,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::MemoryBarrier, 0, now);
     }
 
-    /// See [`Machine::poll_status`].
+    /// See [`crate::Cpu::poll_status`].
     fn poll_status(&mut self, pe: usize) -> bool {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
@@ -563,7 +560,7 @@ pub(crate) trait OpCore {
         clear
     }
 
-    /// See [`Machine::wait_write_acks`].
+    /// See [`crate::Cpu::wait_write_acks`].
     fn wait_write_acks(&mut self, pe: usize) {
         let (node, hot) = self.parts(pe);
         node.ops.ack_waits += 1;
@@ -573,7 +570,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::AckWait, 0, now);
     }
 
-    /// See [`Machine::fetch`].
+    /// See [`crate::Cpu::fetch`].
     fn fetch(&mut self, pe: usize, va: u64) -> bool {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let (node, hot) = self.parts(pe);
@@ -586,10 +583,11 @@ pub(crate) trait OpCore {
         let now = hot.clock;
         let tlb = node.port.tlb_access(va);
         let net = self.cfg().shell.prefetch_net_cy;
-        let ready = now + tlb + net / 2 + self.one_way(pe, target);
+        let one_way = self.one_way(pe, target);
+        let ready = now + tlb + net / 2 + one_way;
         let mut buf = [0u8; 8];
         let (dram, queue) = self.serve_read(pe, target, off, &mut buf, ready);
-        let latency = net + self.rtt(pe, target) + dram + queue;
+        let latency = net + 2 * one_way + dram + queue;
         let (node, hot) = self.parts(pe);
         let issued = match node
             .prefetch
@@ -611,7 +609,7 @@ pub(crate) trait OpCore {
         issued
     }
 
-    /// See [`Machine::pop_prefetch`].
+    /// See [`crate::Cpu::pop_prefetch`].
     fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
         let (node, hot) = self.parts(pe);
         node.ops.pops += 1;
@@ -622,7 +620,7 @@ pub(crate) trait OpCore {
         Ok(value)
     }
 
-    /// See [`Machine::blt_start`].
+    /// See [`crate::Cpu::blt_start`].
     fn blt_start(
         &mut self,
         pe: usize,
@@ -672,7 +670,7 @@ pub(crate) trait OpCore {
         }
     }
 
-    /// See [`Machine::blt_start_strided`].
+    /// See [`crate::Cpu::blt_start_strided`].
     #[allow(clippy::too_many_arguments)]
     fn blt_start_strided(
         &mut self,
@@ -758,7 +756,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::Blt(target as u32), remote_off, now);
     }
 
-    /// See [`Machine::blt_wait`].
+    /// See [`crate::Cpu::blt_wait`].
     fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
@@ -767,7 +765,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::BltWait, 0, now);
     }
 
-    /// See [`Machine::msg_send`].
+    /// See [`crate::Cpu::msg_send`].
     fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]) {
         let send_cy = self.cfg().shell.msg_send_cy;
         let (node, hot) = self.parts(pe);
@@ -796,7 +794,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::MsgSend(dst as u32), 0, now);
     }
 
-    /// See [`Machine::msg_receive`].
+    /// See [`crate::Cpu::msg_receive`].
     fn msg_receive(&mut self, pe: usize) -> Option<Message> {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
@@ -809,7 +807,7 @@ pub(crate) trait OpCore {
         Some(msg)
     }
 
-    /// See [`Machine::fetch_inc`].
+    /// See [`crate::Cpu::fetch_inc`].
     fn fetch_inc(&mut self, pe: usize, target: usize, reg: usize) -> u64 {
         let shell = self.cfg().shell;
         let (node, hot) = self.parts(pe);
@@ -847,7 +845,7 @@ pub(crate) trait OpCore {
         ticket
     }
 
-    /// See [`Machine::swap_load`].
+    /// See [`crate::Cpu::swap_load`].
     fn swap_load(&mut self, pe: usize, value: u64) {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
@@ -855,7 +853,7 @@ pub(crate) trait OpCore {
         self.trace(pe, TraceKind::SwapLoad, 0, now);
     }
 
-    /// See [`Machine::atomic_swap`].
+    /// See [`crate::Cpu::atomic_swap`].
     fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let node = self.parts(pe).0;
@@ -878,10 +876,11 @@ pub(crate) trait OpCore {
         };
         let shell = self.cfg().shell;
         let now = self.parts(pe).1.clock;
-        let ready = now + shell.remote_read_shell_cy / 2 + self.one_way(pe, target);
+        let one_way = self.one_way(pe, target);
+        let ready = now + shell.remote_read_shell_cy / 2 + one_way;
         let lqueue = self.link_contend(pe, target, ready, link_occupancy_cy(8));
         let queue = self.contend(pe, target, ready + lqueue, dram + 20);
-        let rtt = self.rtt(pe, target);
+        let rtt = 2 * one_way;
         let cost = shell.remote_read_shell_cy + rtt + shell.amo_extra_cy + dram + queue + lqueue;
         let (node, hot) = self.parts(pe);
         hot.clock += cost;

@@ -51,7 +51,8 @@
 //! # The contract
 //!
 //! The engine is exact for programs that follow the bulk-synchronous
-//! discipline the paper's benchmarks use (and [`crate::Spmd`] assumes):
+//! discipline the paper's benchmarks use (and Split-C's phase driver
+//! assumes):
 //! within a phase, no node may read a location that another node writes
 //! in the same phase — communication produced in phase *k* is consumed
 //! in phase *k + 1*, after a barrier. Under that contract the sharded
@@ -666,9 +667,10 @@ mod tests {
             }
         });
         assert_eq!(m.node(0).fetchinc.get(0), 3, "three merged increments");
-        m.advance(0, 1_000_000);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.advance(1_000_000);
         let mut froms = Vec::new();
-        while let Some(msg) = m.msg_receive(0) {
+        while let Some(msg) = cpu.msg_receive() {
             froms.push(msg.from);
         }
         froms.sort_unstable();
@@ -724,8 +726,9 @@ mod tests {
     /// to PE 0 share the (0,1,0)→(0,0,0) link.
     fn isolation_phase(driver: PhaseDriver, active: &[usize]) -> (Vec<Seen>, Vec<u64>) {
         let mut m = Machine::new(MachineConfig::t3d_link_contended(4));
+        let mut cpu = Cpu::new(&mut m, 1);
         for _ in 0..5 {
-            let _ = m.fetch_inc(1, 0, 0);
+            let _ = cpu.fetch_inc(0, 0);
         }
         m.barrier_all();
         let mut seen = vec![Seen::default(); 4];

@@ -184,6 +184,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use crate::cpu::Cpu;
 
     #[test]
     fn identical_machines_have_no_diff() {
@@ -237,7 +238,7 @@ mod tests {
     fn clock_divergence_is_reported_before_memory() {
         let mut m = Machine::new(MachineConfig::t3d(2));
         let a = m.snapshot_region(0x100, 8);
-        m.advance(0, 10);
+        Cpu::new(&mut m, 0).advance(10);
         m.poke_mem(0, 0x100, &[1]);
         let b = m.snapshot_region(0x100, 8);
         assert_eq!(a.diff(&b), Some(SnapshotDiff::Clock { pe: 0, a: 0, b: 10 }));
@@ -275,7 +276,7 @@ mod tests {
         }
         // Clocks feed the hash too.
         let mut mc = Machine::new(MachineConfig::t3d(2));
-        mc.advance(0, 1);
+        Cpu::new(&mut mc, 0).advance(1);
         assert_ne!(a.fnv64(), mc.snapshot_region(0x100, 61).fnv64());
     }
 
@@ -376,7 +377,7 @@ mod tests {
                         m.poke_mem(pe, at, &[next() as u8 | 1]);
                     }
                 }
-                m.advance(pe, next() % 100);
+                Cpu::new(&mut m, pe).advance(next() % 100);
             }
             let a = m.snapshot_region(base, len);
             let da = dense(&m, base, len);
@@ -392,7 +393,7 @@ mod tests {
                 if !d.is_empty() {
                     m2.poke_mem(pe, base, d);
                 }
-                m2.advance(pe, clocks[pe]);
+                Cpu::new(&mut m2, pe).advance(clocks[pe]);
             }
             if len > 0 && case % 5 != 0 {
                 let (pe, at) = ((next() % 4) as usize, base + next() % len);

@@ -101,12 +101,13 @@ pub struct TraceEvent {
 /// # Example
 ///
 /// ```
-/// use t3d_machine::{Machine, MachineConfig};
+/// use t3d_machine::{Cpu, Machine, MachineConfig};
 ///
 /// let mut m = Machine::new(MachineConfig::t3d(2));
 /// m.enable_trace(128);
-/// m.st8(0, 0x40, 7);
-/// m.memory_barrier(0);
+/// let mut cpu = Cpu::new(&mut m, 0);
+/// cpu.st8(0x40, 7);
+/// cpu.memory_barrier();
 /// assert_eq!(m.tracer().len(), 2);
 /// print!("{}", m.tracer().dump());
 /// ```

@@ -164,7 +164,7 @@ fn prepared(cfg: MachineConfig) -> Machine {
         }
     }
     // PE 0 caches the line the op stream's BLT later deposits into.
-    let _ = m.ld8(0, 0x9000);
+    let _ = Cpu::new(&mut m, 0).ld8(0x9000);
     let mut cpu = Cpu::new(&mut m, BUSY_MAKER);
     cpu.advance(50_000);
     cpu.annex_set(1, 0, FuncCode::Uncached);
@@ -221,29 +221,25 @@ fn observe(mut m: Machine, seen: Vec<u64>) -> Observed {
         (4, 6, 0x2000),
         (0, 6, 0xE000),
     ] {
-        m.annex_set(
-            from,
-            1,
-            t3d_machine::shell::AnnexEntry {
-                pe: target,
-                func: FuncCode::Uncached,
-            },
-        );
-        let t = m.clock(from);
-        let v = m.ld8(from, m.va(1, off));
-        probe.extend([v, m.clock(from) - t]);
+        let mut cpu = Cpu::new(&mut m, from);
+        cpu.annex_set(1, target, FuncCode::Uncached);
+        let t = cpu.clock();
+        let v = cpu.ld8(cpu.va(1, off));
+        probe.extend([v, cpu.clock() - t]);
     }
-    let t = m.clock(0);
-    let v = m.ld8(0, 0x9000);
-    probe.extend([v, m.clock(0) - t]);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let t = cpu.clock();
+    let v = cpu.ld8(0x9000);
+    probe.extend([v, cpu.clock() - t]);
     for (from, target, reg) in [(6, 0, 0), (7, 5, 1), (4, ACTIVE, 0)] {
-        let t = m.clock(from);
-        let v = m.fetch_inc(from, target, reg);
-        probe.extend([v, m.clock(from) - t]);
+        let mut cpu = Cpu::new(&mut m, from);
+        let t = cpu.clock();
+        let v = cpu.fetch_inc(target, reg);
+        probe.extend([v, cpu.clock() - t]);
     }
     m.barrier_all();
     let n = PES as usize;
-    let msg = m.msg_receive(5);
+    let msg = Cpu::new(&mut m, 5).msg_receive();
     Observed {
         seen,
         probe,
@@ -483,7 +479,7 @@ fn run_blt(b: &Blt, sharded: bool) -> BltRun {
     let mut m = patterned();
     let words = cached_words(b);
     for &(pe, off) in &words {
-        let _ = m.ld8(pe, off);
+        let _ = Cpu::new(&mut m, pe).ld8(off);
     }
     let completion = if sharded {
         let mut out = vec![0u64; PES as usize];
@@ -497,7 +493,10 @@ fn run_blt(b: &Blt, sharded: bool) -> BltRun {
         start_blt(&mut Cpu::new(&mut m, ACTIVE), b)
     };
     let n = PES as usize;
-    let reloaded = words.iter().map(|&(pe, off)| m.ld8(pe, off)).collect();
+    let reloaded = words
+        .iter()
+        .map(|&(pe, off)| Cpu::new(&mut m, pe).ld8(off))
+        .collect();
     BltRun {
         completion,
         clocks: (0..n).map(|pe| m.clock(pe)).collect(),

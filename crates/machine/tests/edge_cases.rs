@@ -1,9 +1,10 @@
 //! Edge-case and misuse tests for the machine layer: the places where a
 //! compiler writer gets bitten.
 
-use t3d_machine::{Cpu, Machine, MachineConfig, Spmd};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver};
 use t3d_shell::blt::BltDirection;
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_shell::FuncCode;
 
 fn machine(n: u32) -> Machine {
     Machine::new(MachineConfig::t3d(n))
@@ -13,19 +14,13 @@ fn machine(n: u32) -> Machine {
 fn sub_word_remote_loads_work_within_a_line() {
     let mut m = machine(2);
     m.poke8(1, 0x100, 0x0807_0605_0403_0201);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
     let mut b4 = [0u8; 4];
-    m.ld(0, m.va(1, 0x100), &mut b4);
+    cpu.ld(cpu.va(1, 0x100), &mut b4);
     assert_eq!(u32::from_le_bytes(b4), 0x0403_0201);
     let mut b2 = [0u8; 2];
-    m.ld(0, m.va(1, 0x104), &mut b2);
+    cpu.ld(cpu.va(1, 0x104), &mut b2);
     assert_eq!(u16::from_le_bytes(b2), 0x0605);
 }
 
@@ -33,16 +28,10 @@ fn sub_word_remote_loads_work_within_a_line() {
 #[should_panic(expected = "must not cross a cache line")]
 fn remote_load_across_a_line_panics() {
     let mut m = machine(2);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
     let mut buf = [0u8; 8];
-    m.ld(0, m.va(1, 28), &mut buf);
+    cpu.ld(cpu.va(1, 28), &mut buf);
 }
 
 #[test]
@@ -50,15 +39,9 @@ fn remote_load_across_a_line_panics() {
 #[should_panic(expected = "not a load flavour")]
 fn loading_through_a_swap_entry_panics_in_debug() {
     let mut m = machine(2);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Swap,
-        },
-    );
-    let _ = m.ld8(0, m.va(1, 0x100));
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Swap);
+    let _ = cpu.ld8(cpu.va(1, 0x100));
 }
 
 #[test]
@@ -68,29 +51,16 @@ fn loading_through_a_swap_entry_reads_uncached_in_release() {
     // Uncached read (debug builds catch it with a debug_assert).
     let mut m = machine(2);
     m.poke8(1, 0x100, 31);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Swap,
-        },
-    );
-    assert_eq!(m.ld8(0, m.va(1, 0x100)), 31);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Swap);
+    assert_eq!(cpu.ld8(cpu.va(1, 0x100)), 31);
 }
 
 #[test]
 #[should_panic(expected = "does not exist")]
 fn annex_to_nonexistent_pe_panics() {
     let mut m = machine(2);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 9,
-            func: FuncCode::Uncached,
-        },
-    );
+    Cpu::new(&mut m, 0).annex_set(1, 9, FuncCode::Uncached);
 }
 
 #[test]
@@ -100,7 +70,7 @@ fn multi_line_local_reads_cross_lines_fine() {
         m.poke8(0, 0x200 + i * 8, i);
     }
     let mut buf = [0u8; 64];
-    m.ld(0, 0x208, &mut buf); // crosses two line boundaries
+    Cpu::new(&mut m, 0).ld(0x208, &mut buf); // crosses two line boundaries
     for (w, chunk) in buf.chunks(8).enumerate() {
         assert_eq!(u64::from_le_bytes(chunk.try_into().unwrap()), w as u64 + 1);
     }
@@ -109,10 +79,11 @@ fn multi_line_local_reads_cross_lines_fine() {
 #[test]
 fn sub_word_stores_merge_into_the_word() {
     let mut m = machine(1);
-    m.st8(0, 0x300, 0);
-    m.st(0, 0x302, &[0xAB, 0xCD]);
-    m.memory_barrier(0);
-    assert_eq!(m.ld8(0, 0x300), 0x0000_0000_CDAB_0000);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.st8(0x300, 0);
+    cpu.st(0x302, &[0xAB, 0xCD]);
+    cpu.memory_barrier();
+    assert_eq!(cpu.ld8(0x300), 0x0000_0000_CDAB_0000);
 }
 
 #[test]
@@ -129,25 +100,25 @@ fn va_split_roundtrip() {
 #[test]
 fn blt_zero_handle_waits_are_idempotent() {
     let mut m = machine(2);
-    let h = m.blt_start(0, BltDirection::Read, 0x1000, 1, 0x2000, 64);
-    m.blt_wait(0, h);
-    let t = m.clock(0);
-    m.blt_wait(0, h); // second wait is free
-    assert_eq!(m.clock(0), t);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let h = cpu.blt_start(BltDirection::Read, 0x1000, 1, 0x2000, 64);
+    cpu.blt_wait(h);
+    let t = cpu.clock();
+    cpu.blt_wait(h); // second wait is free
+    assert_eq!(cpu.clock(), t);
 }
 
 #[test]
-fn spmd_on_a_single_node_machine() {
+fn sharded_phase_on_a_single_node_machine() {
     let mut m = machine(1);
-    let mut spmd = Spmd::new(&mut m);
-    let mut count = 0;
-    spmd.phase(|cpu| {
+    let count = AtomicUsize::new(0);
+    m.sharded_phase(PhaseDriver::from_env(), |cpu| {
         cpu.st8(0x10, 5);
-        count += 1;
+        count.fetch_add(1, Ordering::Relaxed);
     });
-    spmd.barrier();
-    assert_eq!(count, 1);
-    assert_eq!(spmd.machine().peek8(0, 0x10), 5);
+    m.barrier_all();
+    assert_eq!(count.into_inner(), 1);
+    assert_eq!(m.peek8(0, 0x10), 5);
 }
 
 #[test]
@@ -164,33 +135,21 @@ fn self_targeting_annex_goes_through_the_shell() {
     // the shell (and costs remote time) rather than the local path.
     let mut m = machine(2);
     m.poke8(0, 0x400, 77);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 0,
-            func: FuncCode::Uncached,
-        },
-    );
-    let t0 = m.clock(0);
-    assert_eq!(m.ld8(0, m.va(1, 0x400)), 77);
-    let cost = m.clock(0) - t0;
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 0, FuncCode::Uncached);
+    let t0 = cpu.clock();
+    assert_eq!(cpu.ld8(cpu.va(1, 0x400)), 77);
+    let cost = cpu.clock() - t0;
     assert!(cost > 50, "shell loop-back is not a local load: {cost} cy");
 }
 
 #[test]
 fn incoming_log_clears_between_epochs() {
     let mut m = machine(2);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.st8(0, m.va(1, 0x500), 1);
-    m.memory_barrier(0);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    cpu.st8(cpu.va(1, 0x500), 1);
+    cpu.memory_barrier();
     assert!(m.arrival_time_of(1, 8).is_some());
     m.clear_incoming(1);
     assert!(m.arrival_time_of(1, 8).is_none());
@@ -201,39 +160,27 @@ fn barrier_requires_no_stragglers_in_flight() {
     // barrier_all fences every node, so a remote write issued just
     // before the barrier is visible just after it.
     let mut m = machine(4);
-    m.annex_set(
-        2,
-        1,
-        AnnexEntry {
-            pe: 3,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.st8(2, m.va(1, 0x600), 9);
+    let mut cpu = Cpu::new(&mut m, 2);
+    cpu.annex_set(1, 3, FuncCode::Uncached);
+    cpu.st8(cpu.va(1, 0x600), 9);
     m.barrier_all();
-    assert_eq!(m.ld8(3, 0x600), 9);
+    assert_eq!(Cpu::new(&mut m, 3).ld8(0x600), 9);
 }
 
 #[test]
 fn op_stats_track_every_category() {
     let mut m = machine(2);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.st8(0, 0x10, 1); // local store
-    m.st8(0, m.va(1, 0x10), 1); // remote store
-    let _ = m.ld8(0, 0x10); // local load
-    let _ = m.ld8(0, m.va(1, 0x10)); // remote load
-    m.fetch(0, m.va(1, 0x20));
-    m.memory_barrier(0);
-    let _ = m.pop_prefetch(0);
-    m.msg_send(0, 1, [0; 4]);
-    let _ = m.fetch_inc(0, 1, 0);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    cpu.st8(0x10, 1); // local store
+    cpu.st8(cpu.va(1, 0x10), 1); // remote store
+    let _ = cpu.ld8(0x10); // local load
+    let _ = cpu.ld8(cpu.va(1, 0x10)); // remote load
+    cpu.fetch(cpu.va(1, 0x20));
+    cpu.memory_barrier();
+    let _ = cpu.pop_prefetch();
+    cpu.msg_send(1, [0; 4]);
+    let _ = cpu.fetch_inc(1, 0);
     let s = m.op_stats(0);
     assert_eq!(s.stores_local, 1);
     assert_eq!(s.stores_remote, 1);

@@ -8,9 +8,9 @@
 //! sequential and the parallel phase driver.
 
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
+use t3d_machine::{Cpu, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_shell::blt::BltDirection;
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_shell::FuncCode;
 
 /// What one scenario execution produced: the attribution report plus a
 /// determinism fingerprint of the final machine state.
@@ -142,20 +142,21 @@ fn machine(pes: u32) -> (Machine, f64) {
     (m, t.elapsed().as_secs_f64())
 }
 
-fn aim(m: &mut Machine, pe: usize, target: u32, func: FuncCode) -> u64 {
-    m.annex_set(pe, 1, AnnexEntry { pe: target, func });
-    m.va(1, 0)
+fn aim(cpu: &mut Cpu, target: u32, func: FuncCode) -> u64 {
+    cpu.annex_set(1, target, func);
+    cpu.va(1, 0)
 }
 
 /// Strided local reads: a miss pass over 16 KB, then a hit pass over the
 /// resident prefix — L1 hits, DRAM page hits and misses all appear.
 fn local_read_stream(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(1);
+    let mut cpu = Cpu::new(&mut m, 0);
     for i in 0..512u64 {
-        let _ = m.ld8(0, i * 32);
+        let _ = cpu.ld8(i * 32);
     }
     for i in 0..256u64 {
-        let _ = m.ld8(0, i * 8);
+        let _ = cpu.ld8(i * 8);
     }
     finish(&m, setup)
 }
@@ -164,13 +165,14 @@ fn local_read_stream(_d: PhaseDriver) -> ScenarioRun {
 /// that stall the write buffer, and the drain at the barrier.
 fn local_write_burst(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(1);
+    let mut cpu = Cpu::new(&mut m, 0);
     for i in 0..128u64 {
-        m.st8(0, i * 8, i);
+        cpu.st8(i * 8, i);
     }
     for i in 0..32u64 {
-        m.st8(0, i * 16 * 1024, i);
+        cpu.st8(i * 16 * 1024, i);
     }
-    m.memory_barrier(0);
+    cpu.memory_barrier();
     finish(&m, setup)
 }
 
@@ -178,9 +180,10 @@ fn local_write_burst(_d: PhaseDriver) -> ScenarioRun {
 /// remote DRAM should dominate.
 fn remote_read_uncached(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
-    let base = aim(&mut m, 0, 1, FuncCode::Uncached);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for i in 0..64u64 {
-        let _ = m.ld8(0, base + i * 64);
+        let _ = cpu.ld8(base + i * 64);
     }
     finish(&m, setup)
 }
@@ -189,9 +192,10 @@ fn remote_read_uncached(_d: PhaseDriver) -> ScenarioRun {
 /// three L1 hits.
 fn remote_read_cached(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
-    let base = aim(&mut m, 0, 1, FuncCode::Cached);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let base = aim(&mut cpu, 1, FuncCode::Cached);
     for i in 0..256u64 {
-        let _ = m.ld8(0, base + i * 8);
+        let _ = cpu.ld8(base + i * 8);
     }
     finish(&m, setup)
 }
@@ -199,11 +203,12 @@ fn remote_read_cached(_d: PhaseDriver) -> ScenarioRun {
 /// Blocking remote writes: store, fence, ack wait — every iteration.
 fn remote_write_block(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
-    let base = aim(&mut m, 0, 1, FuncCode::Uncached);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for i in 0..32u64 {
-        m.st8(0, base + i * 64, i);
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
+        cpu.st8(base + i * 64, i);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
     }
     finish(&m, setup)
 }
@@ -212,29 +217,31 @@ fn remote_write_block(_d: PhaseDriver) -> ScenarioRun {
 /// one fence, one ack wait.
 fn remote_write_pipeline(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
-    let base = aim(&mut m, 0, 1, FuncCode::Uncached);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for i in 0..64u64 {
-        m.st8(0, base + i * 64, i);
+        cpu.st8(base + i * 64, i);
     }
-    m.memory_barrier(0);
-    m.wait_write_acks(0);
+    cpu.memory_barrier();
+    cpu.wait_write_acks();
     finish(&m, setup)
 }
 
 /// Prefetch groups (Figure 6's group-of-4 sweep): issue, fence, pop.
 fn prefetch_pipeline(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
-    let base = aim(&mut m, 0, 1, FuncCode::Uncached);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for g in 0..16u64 {
         let mut issued = 0u64;
         for i in 0..4u64 {
-            if m.fetch(0, base + (g * 4 + i) * 64) {
+            if cpu.fetch(base + (g * 4 + i) * 64) {
                 issued += 1;
             }
         }
-        m.memory_barrier(0);
+        cpu.memory_barrier();
         for _ in 0..issued {
-            m.pop_prefetch(0).expect("fetched values must pop");
+            cpu.pop_prefetch().expect("fetched values must pop");
         }
     }
     finish(&m, setup)
@@ -246,8 +253,9 @@ fn bulk_blt(_d: PhaseDriver) -> ScenarioRun {
     for i in 0..512u64 {
         m.poke_mem(0, 0x8000 + i * 8, &i.to_le_bytes());
     }
-    let h = m.blt_start(0, BltDirection::Write, 0x8000, 1, 0x8000, 4096);
-    m.blt_wait(0, h);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let h = cpu.blt_start(BltDirection::Write, 0x8000, 1, 0x8000, 4096);
+    cpu.blt_wait(h);
     finish(&m, setup)
 }
 
@@ -256,7 +264,7 @@ fn sync_barrier(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(4);
     for round in 0..8u64 {
         for pe in 0..4usize {
-            m.advance(pe, 50 + (pe as u64) * 37 + round * 11);
+            Cpu::new(&mut m, pe).advance(50 + (pe as u64) * 37 + round * 11);
         }
         m.barrier_all();
     }
@@ -266,8 +274,9 @@ fn sync_barrier(_d: PhaseDriver) -> ScenarioRun {
 /// Fetch&increment tickets against a remote register.
 fn sync_fetchinc(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
+    let mut cpu = Cpu::new(&mut m, 0);
     for _ in 0..32 {
-        let _ = m.fetch_inc(0, 1, 0);
+        let _ = cpu.fetch_inc(1, 0);
     }
     finish(&m, setup)
 }
@@ -276,16 +285,16 @@ fn sync_fetchinc(_d: PhaseDriver) -> ScenarioRun {
 fn msg_pingpong(_d: PhaseDriver) -> ScenarioRun {
     let (mut m, setup) = machine(2);
     for round in 0..8u64 {
-        m.msg_send(0, 1, [round, 0, 0, 0]);
+        Cpu::new(&mut m, 0).msg_send(1, [round, 0, 0, 0]);
         let target = m.clock(0) + 10_000;
-        let now = m.clock(1);
-        m.advance(1, target.saturating_sub(now));
-        m.msg_receive(1).expect("ping arrived");
-        m.msg_send(1, 0, [round, 1, 0, 0]);
-        let target = m.clock(1) + 10_000;
-        let now = m.clock(0);
-        m.advance(0, target.saturating_sub(now));
-        m.msg_receive(0).expect("pong arrived");
+        let mut rx = Cpu::new(&mut m, 1);
+        rx.advance(target.saturating_sub(rx.clock()));
+        rx.msg_receive().expect("ping arrived");
+        rx.msg_send(0, [round, 1, 0, 0]);
+        let target = rx.clock() + 10_000;
+        let mut tx = Cpu::new(&mut m, 0);
+        tx.advance(target.saturating_sub(tx.clock()));
+        tx.msg_receive().expect("pong arrived");
     }
     finish(&m, setup)
 }

@@ -9,8 +9,8 @@
 //! N-to-1 queue allocator of Section 7.4) and for remote stores.
 
 use crate::report::Series;
-use t3d_machine::{Machine, MachineConfig};
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_machine::{Cpu, Machine, MachineConfig};
+use t3d_shell::FuncCode;
 
 /// Average cost (cycles) per fetch&increment when `requesters` nodes hit
 /// PE 0's register simultaneously.
@@ -25,8 +25,9 @@ pub fn fetch_inc_hotspot_cost(requesters: u32, contention: bool) -> f64 {
     let mut m = Machine::new(cfg);
     let per_node = 8u64;
     for pe in 1..=requesters as usize {
+        let mut cpu = Cpu::new(&mut m, pe);
         for _ in 0..per_node {
-            let _ = m.fetch_inc(pe, 0, 0);
+            let _ = cpu.fetch_inc(0, 0);
         }
     }
     let worst = (1..=requesters as usize)
@@ -49,20 +50,14 @@ pub fn store_hotspot_cost(requesters: u32, all_to_one: bool) -> f64 {
         } else {
             (pe + 1) % nodes as usize
         };
-        m.annex_set(
-            pe,
-            1,
-            AnnexEntry {
-                pe: target as u32,
-                func: FuncCode::Uncached,
-            },
-        );
+        let mut cpu = Cpu::new(&mut m, pe);
+        cpu.annex_set(1, target as u32, FuncCode::Uncached);
         for i in 0..per_node {
-            let va = m.va(1, 0x1000 + (pe as u64) * 4096 + i * 64);
-            m.st8(pe, va, i);
+            let va = cpu.va(1, 0x1000 + (pe as u64) * 4096 + i * 64);
+            cpu.st8(va, i);
         }
-        m.memory_barrier(pe);
-        m.wait_write_acks(pe);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
     }
     let worst = (1..=requesters as usize)
         .map(|pe| m.clock(pe))

@@ -9,7 +9,7 @@
 
 use crate::probes::{all_strides, strides_for};
 use crate::report::StrideProfile;
-use t3d_machine::{Machine, MachineConfig};
+use t3d_machine::{Cpu, Machine, MachineConfig};
 
 /// Which memory operation the probe performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,25 +24,26 @@ pub enum Op {
 /// average latency in cycles.
 fn probe_cell(m: &mut Machine, op: Op, size: u64, stride: u64) -> f64 {
     m.reset_timing();
+    let mut cpu = Cpu::new(m, 0);
     // Two passes: the first warms caches/TLB, the second is measured —
     // the probe's analogue of the paper's repetition loop with overhead
     // subtracted.
     for pass in 0..2 {
-        let t0 = m.clock(0);
+        let t0 = cpu.clock();
         let mut accesses = 0u64;
         let mut a = 0u64;
         while a < size {
             match op {
                 Op::Read => {
-                    let _ = m.ld8(0, a);
+                    let _ = cpu.ld8(a);
                 }
-                Op::Write => m.st8(0, a, a),
+                Op::Write => cpu.st8(a, a),
             }
             accesses += 1;
             a += stride;
         }
         if pass == 1 {
-            return (m.clock(0) - t0) as f64 / accesses as f64;
+            return (cpu.clock() - t0) as f64 / accesses as f64;
         }
     }
     unreachable!("second pass returns");

@@ -10,33 +10,27 @@
 
 use crate::report::{Series, Table};
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{Machine, MachineConfig};
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_machine::{Cpu, Machine, MachineConfig};
+use t3d_shell::FuncCode;
 
 /// Average per-element cost (ns) of a raw prefetch group of size `g`.
 pub fn raw_group_cost(m: &mut Machine, g: usize) -> f64 {
     m.reset_timing();
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    let mut cpu = Cpu::new(m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
     // Warm the TLB for the remote segment.
-    let _ = m.ld8(0, m.va(1, 0));
-    let t0 = m.clock(0);
+    let _ = cpu.ld8(cpu.va(1, 0));
+    let t0 = cpu.clock();
     for i in 0..g {
-        let ok = m.fetch(0, m.va(1, (i as u64) * 8));
+        let ok = cpu.fetch(cpu.va(1, (i as u64) * 8));
         assert!(ok, "group must fit the 16-entry queue");
     }
-    m.memory_barrier(0);
+    cpu.memory_barrier();
     for i in 0..g {
-        let v = m.pop_prefetch(0).expect("fenced");
-        m.st8(0, 0x10_0000 + (i as u64) * 8, v);
+        let v = cpu.pop_prefetch().expect("fenced");
+        cpu.st8(0x10_0000 + (i as u64) * 8, v);
     }
-    (m.clock(0) - t0) as f64 / g as f64 * m.cycle_ns()
+    (cpu.clock() - t0) as f64 / g as f64 * m.cycle_ns()
 }
 
 /// Average per-element cost (ns) of a Split-C `get` group of size `g`.
@@ -61,21 +55,15 @@ pub fn splitc_group_cost(sc: &mut SplitC, g: usize) -> f64 {
 /// reference line).
 pub fn blocking_group_cost(m: &mut Machine, g: usize) -> f64 {
     m.reset_timing();
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    let _ = m.ld8(0, m.va(1, 0));
-    let t0 = m.clock(0);
+    let mut cpu = Cpu::new(m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    let _ = cpu.ld8(cpu.va(1, 0));
+    let t0 = cpu.clock();
     for i in 0..g {
-        let v = m.ld8(0, m.va(1, (i as u64) * 8));
-        m.st8(0, 0x10_0000 + (i as u64) * 8, v);
+        let v = cpu.ld8(cpu.va(1, (i as u64) * 8));
+        cpu.st8(0x10_0000 + (i as u64) * 8, v);
     }
-    (m.clock(0) - t0) as f64 / g as f64 * m.cycle_ns()
+    (cpu.clock() - t0) as f64 / g as f64 * m.cycle_ns()
 }
 
 /// Figure 6: per-element latency vs group size for raw prefetch,
@@ -111,35 +99,29 @@ pub fn group_sweep() -> Vec<Series> {
 /// trip, pop — measured from the simulated mechanisms.
 pub fn cost_breakdown() -> Table {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    let _ = m.ld8(0, m.va(1, 0)); // warm TLB
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    let _ = cpu.ld8(cpu.va(1, 0)); // warm TLB
 
-    let t0 = m.clock(0);
-    m.fetch(0, m.va(1, 8));
-    let issue = m.clock(0) - t0;
+    let t0 = cpu.clock();
+    cpu.fetch(cpu.va(1, 8));
+    let issue = cpu.clock() - t0;
 
-    let t0 = m.clock(0);
-    m.memory_barrier(0);
-    let mb = m.clock(0) - t0;
+    let t0 = cpu.clock();
+    cpu.memory_barrier();
+    let mb = cpu.clock() - t0;
 
-    let t0 = m.clock(0);
-    let _ = m.pop_prefetch(0).expect("fenced");
-    let pop_plus_wait = m.clock(0) - t0;
+    let t0 = cpu.clock();
+    let _ = cpu.pop_prefetch().expect("fenced");
+    let pop_plus_wait = cpu.clock() - t0;
 
     // Pop cost alone: pop immediately after the data must have arrived.
-    m.fetch(0, m.va(1, 16));
-    m.memory_barrier(0);
-    m.advance(0, 10_000);
-    let t0 = m.clock(0);
-    let _ = m.pop_prefetch(0).expect("arrived long ago");
-    let pop = m.clock(0) - t0;
+    cpu.fetch(cpu.va(1, 16));
+    cpu.memory_barrier();
+    cpu.advance(10_000);
+    let t0 = cpu.clock();
+    let _ = cpu.pop_prefetch().expect("arrived long ago");
+    let pop = cpu.clock() - t0;
 
     let round_trip = pop_plus_wait - pop;
     Table {

@@ -9,34 +9,28 @@
 use crate::probes::{all_strides, strides_for};
 use crate::report::StrideProfile;
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{Machine, MachineConfig};
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_machine::{Cpu, Machine, MachineConfig};
+use t3d_shell::FuncCode;
 
 fn probe_raw(m: &mut Machine, size: u64, stride: u64) -> f64 {
     m.reset_timing();
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    let mut cpu = Cpu::new(m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
     for pass in 0..2 {
-        let t0 = m.clock(0);
+        let t0 = cpu.clock();
         let mut accesses = 0u64;
         let mut a = 0u64;
         while a < size {
-            m.st8(0, m.va(1, a), a);
+            cpu.st8(cpu.va(1, a), a);
             accesses += 1;
             a += stride;
         }
         if pass == 1 {
-            return (m.clock(0) - t0) as f64 / accesses as f64;
+            return (cpu.clock() - t0) as f64 / accesses as f64;
         }
         // Let the burst drain before the measured pass.
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
     }
     unreachable!()
 }

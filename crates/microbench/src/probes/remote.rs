@@ -8,8 +8,8 @@
 use crate::probes::{all_strides, strides_for};
 use crate::report::StrideProfile;
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{Machine, MachineConfig};
-use t3d_shell::{AnnexEntry, FuncCode, ShellConfig};
+use t3d_machine::{Cpu, Machine, MachineConfig};
+use t3d_shell::{FuncCode, ShellConfig};
 
 /// One remote probe flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,26 +46,27 @@ fn probe_raw_cell(m: &mut Machine, op: RemoteOp, size: u64, stride: u64) -> f64 
     } else {
         FuncCode::Uncached
     };
-    m.annex_set(0, 1, AnnexEntry { pe: 1, func });
+    let mut cpu = Cpu::new(m, 0);
+    cpu.annex_set(1, 1, func);
     for pass in 0..2 {
         // Cached reads must not be satisfied by the previous pass's
         // lines: flush, as the real probe effectively does by sizing.
         if op == RemoteOp::CachedRead {
-            m.node_mut(0).port.l1_mut().invalidate_all();
+            cpu.node_mut().port.l1_mut().invalidate_all();
         }
-        let t0 = m.clock(0);
+        let t0 = cpu.clock();
         let mut accesses = 0u64;
         let mut a = 0u64;
         while a < size {
-            let va = m.va(1, a);
+            let va = cpu.va(1, a);
             match op {
                 RemoteOp::UncachedRead | RemoteOp::CachedRead => {
-                    let _ = m.ld8(0, va);
+                    let _ = cpu.ld8(va);
                 }
                 RemoteOp::BlockingWrite => {
-                    m.st8(0, va, a);
-                    m.memory_barrier(0);
-                    m.wait_write_acks(0);
+                    cpu.st8(va, a);
+                    cpu.memory_barrier();
+                    cpu.wait_write_acks();
                 }
                 _ => unreachable!("Split-C flavours use probe_splitc_cell"),
             }
@@ -73,7 +74,7 @@ fn probe_raw_cell(m: &mut Machine, op: RemoteOp, size: u64, stride: u64) -> f64 
             a += stride;
         }
         if pass == 1 {
-            return (m.clock(0) - t0) as f64 / accesses as f64;
+            return (cpu.clock() - t0) as f64 / accesses as f64;
         }
     }
     unreachable!()
@@ -172,21 +173,15 @@ pub fn hop_sweep() -> (Vec<(u64, f64)>, f64) {
             .find(|&n| m.torus().hops(0, n) == hops)
             .expect("4x4x4 torus has all distances up to 6");
         m.reset_timing();
-        m.annex_set(
-            0,
-            1,
-            AnnexEntry {
-                pe: target,
-                func: FuncCode::Uncached,
-            },
-        );
-        let _ = m.ld8(0, m.va(1, 8)); // TLB warm
-        let t0 = m.clock(0);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, target, FuncCode::Uncached);
+        let _ = cpu.ld8(cpu.va(1, 8)); // TLB warm
+        let t0 = cpu.clock();
         let n = 16u64;
         for i in 0..n {
-            let _ = m.ld8(0, m.va(1, 0x1000 + i * 32));
+            let _ = cpu.ld8(cpu.va(1, 0x1000 + i * 32));
         }
-        let avg = (m.clock(0) - t0) as f64 / n as f64 * m.cycle_ns();
+        let avg = (cpu.clock() - t0) as f64 / n as f64 * m.cycle_ns();
         points.push((hops as u64, avg));
     }
     // Least-squares slope of latency (cycles) vs hops, halved for the
@@ -212,18 +207,12 @@ pub fn mpp_comparison() -> crate::report::Table {
         let mut cfg = MachineConfig::t3d(2);
         cfg.shell.remote_read_shell_cy = shell_cy;
         let mut m = Machine::new(cfg);
-        m.annex_set(
-            0,
-            1,
-            AnnexEntry {
-                pe: 1,
-                func: FuncCode::Uncached,
-            },
-        );
-        let _ = m.ld8(0, m.va(1, 8)); // TLB warm
-        let t0 = m.clock(0);
-        let _ = m.ld8(0, m.va(1, 0));
-        let ns = (m.clock(0) - t0) as f64 * m.cycle_ns();
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        let _ = cpu.ld8(cpu.va(1, 8)); // TLB warm
+        let t0 = cpu.clock();
+        let _ = cpu.ld8(cpu.va(1, 0));
+        let ns = (cpu.clock() - t0) as f64 * m.cycle_ns();
         rows.push(vec![
             label.to_string(),
             format!("{:.2} us", ns / 1000.0),

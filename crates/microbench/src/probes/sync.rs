@@ -9,8 +9,8 @@
 use crate::report::Table;
 use splitc::runtime::AM_ADD_U64;
 use splitc::SplitC;
-use t3d_machine::{Machine, MachineConfig};
-use t3d_shell::{AnnexEntry, FuncCode, MsgQueue, ReceiveMode};
+use t3d_machine::{Cpu, Machine, MachineConfig};
+use t3d_shell::{FuncCode, MsgQueue, ReceiveMode};
 
 /// One measured cost line.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,14 +31,7 @@ pub fn sync_costs() -> Vec<SyncCost> {
 
     // Annex update.
     let t0 = m.clock(0);
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    Cpu::new(&mut m, 0).annex_set(1, 1, FuncCode::Uncached);
     out.push(SyncCost {
         name: "annex register update".into(),
         cycles: m.clock(0) - t0,
@@ -47,7 +40,7 @@ pub fn sync_costs() -> Vec<SyncCost> {
 
     // Message send.
     let t0 = m.clock(0);
-    m.msg_send(0, 1, [1, 2, 3, 4]);
+    Cpu::new(&mut m, 0).msg_send(1, [1, 2, 3, 4]);
     out.push(SyncCost {
         name: "message send (PAL)".into(),
         cycles: m.clock(0) - t0,
@@ -55,9 +48,9 @@ pub fn sync_costs() -> Vec<SyncCost> {
     });
 
     // Message receive (interrupt only).
-    m.advance(1, 10_000);
+    Cpu::new(&mut m, 1).advance(10_000);
     let t0 = m.clock(1);
-    m.msg_receive(1).expect("delivered");
+    Cpu::new(&mut m, 1).msg_receive().expect("delivered");
     out.push(SyncCost {
         name: "message receive interrupt".into(),
         cycles: m.clock(1) - t0,
@@ -83,7 +76,7 @@ pub fn sync_costs() -> Vec<SyncCost> {
 
     // Remote fetch&increment.
     let t0 = m.clock(0);
-    let _ = m.fetch_inc(0, 1, 0);
+    let _ = Cpu::new(&mut m, 0).fetch_inc(1, 0);
     out.push(SyncCost {
         name: "remote fetch&increment".into(),
         cycles: m.clock(0) - t0,
@@ -91,29 +84,23 @@ pub fn sync_costs() -> Vec<SyncCost> {
     });
 
     // Atomic swap.
-    m.annex_set(
-        0,
-        2,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Swap,
-        },
-    );
-    m.swap_load(0, 7);
-    let va = m.va(2, 0x100);
-    let t0 = m.clock(0);
-    let _ = m.atomic_swap(0, va);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(2, 1, FuncCode::Swap);
+    cpu.swap_load(7);
+    let va = cpu.va(2, 0x100);
+    let t0 = cpu.clock();
+    let _ = cpu.atomic_swap(va);
     out.push(SyncCost {
         name: "atomic swap".into(),
-        cycles: m.clock(0) - t0,
+        cycles: cpu.clock() - t0,
         paper: "~remote read",
     });
 
     // Hardware barrier past last arrival.
     {
         let mut m2 = Machine::new(MachineConfig::t3d(2));
-        m2.advance(0, 1_000);
-        m2.advance(1, 1_000);
+        Cpu::new(&mut m2, 0).advance(1_000);
+        Cpu::new(&mut m2, 1).advance(1_000);
         m2.barrier_all();
         out.push(SyncCost {
             name: "hardware barrier (past last arrival)".into(),
@@ -125,10 +112,10 @@ pub fn sync_costs() -> Vec<SyncCost> {
     // Fuzzy barrier: how much overlapped work hides in the wait.
     {
         let mut m2 = Machine::new(MachineConfig::t3d(2));
-        m2.advance(1, 2_000); // straggler
+        Cpu::new(&mut m2, 1).advance(2_000); // straggler
         m2.fuzzy_barrier_start(0);
         m2.fuzzy_barrier_start(1);
-        m2.advance(0, 1_500); // overlapped work on the early arriver
+        Cpu::new(&mut m2, 0).advance(1_500); // overlapped work on the early arriver
         m2.fuzzy_barrier_end_all();
         // Cost to the early node beyond the straggler's arrival:
         let overhead = m2.clock(0).saturating_sub(2_000);

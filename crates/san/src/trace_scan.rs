@@ -12,17 +12,18 @@
 //! # Example
 //!
 //! ```
-//! use t3d_machine::{Machine, MachineConfig};
-//! use t3d_shell::{AnnexEntry, FuncCode};
+//! use t3d_machine::{Cpu, Machine, MachineConfig};
+//! use t3d_shell::FuncCode;
 //!
 //! let mut m = Machine::new(MachineConfig::t3d(2));
 //! m.enable_trace(256);
 //! // Store to PE 1 through annex register 1, read it back through
 //! // register 2 without a fence: the synonym trap.
-//! m.annex_set(0, 1, AnnexEntry { pe: 1, func: FuncCode::Uncached });
-//! m.annex_set(0, 2, AnnexEntry { pe: 1, func: FuncCode::Uncached });
-//! m.st8(0, m.va(1, 0x100), 7);
-//! let _ = m.ld8(0, m.va(2, 0x100));
+//! let mut cpu = Cpu::new(&mut m, 0);
+//! cpu.annex_set(1, 1, FuncCode::Uncached);
+//! cpu.annex_set(2, 1, FuncCode::Uncached);
+//! cpu.st8(cpu.va(1, 0x100), 7);
+//! let _ = cpu.ld8(cpu.va(2, 0x100));
 //! let report = t3dsan::trace_scan::scan_trace(&m);
 //! assert_eq!(report.kinds(), vec![t3dsan::DiagKind::AnnexSynonymHazard]);
 //! ```
@@ -235,8 +236,8 @@ pub fn scan_trace(m: &Machine) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use t3d_machine::{MachineConfig, Tracer};
-    use t3d_shell::{AnnexEntry, FuncCode};
+    use t3d_machine::{Cpu, MachineConfig, Tracer};
+    use t3d_shell::FuncCode;
 
     fn machine2() -> Machine {
         let mut m = Machine::new(MachineConfig::t3d(2));
@@ -244,34 +245,30 @@ mod tests {
         m
     }
 
-    fn annex(m: &mut Machine, pe: usize, idx: usize, target: u32) {
-        m.annex_set(
-            pe,
-            idx,
-            AnnexEntry {
-                pe: target,
-                func: FuncCode::Uncached,
-            },
-        );
+    /// PE 0's handle, with annex register 1 pointed at PE 1.
+    fn aimed(m: &mut Machine) -> Cpu<'_> {
+        let mut cpu = Cpu::new(m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        cpu
     }
 
     #[test]
     fn fenced_remote_traffic_is_clean() {
         let mut m = machine2();
-        annex(&mut m, 0, 1, 1);
-        m.st8(0, m.va(1, 0x100), 7);
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
-        let _ = m.ld8(0, m.va(1, 0x100));
+        let mut cpu = aimed(&mut m);
+        cpu.st8(cpu.va(1, 0x100), 7);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        let _ = cpu.ld8(cpu.va(1, 0x100));
         assert!(scan_trace(&m).is_empty());
     }
 
     #[test]
     fn status_poll_before_fence_is_flagged() {
         let mut m = machine2();
-        annex(&mut m, 0, 1, 1);
-        m.st8(0, m.va(1, 0x100), 7);
-        let _ = m.poll_status(0);
+        let mut cpu = aimed(&mut m);
+        cpu.st8(cpu.va(1, 0x100), 7);
+        let _ = cpu.poll_status();
         let r = scan_trace(&m);
         assert_eq!(r.kinds(), vec![DiagKind::StaleStoreRead]);
         assert!(r.diagnostics[0].detail.contains("status bit"));
@@ -280,20 +277,20 @@ mod tests {
     #[test]
     fn buffered_local_store_read_remotely_is_flagged() {
         let mut m = machine2();
-        m.st8(1, 0x200, 9); // PE 1 buffers a local store
-        annex(&mut m, 0, 1, 1);
-        let _ = m.ld8(0, m.va(1, 0x200));
+        Cpu::new(&mut m, 1).st8(0x200, 9); // PE 1 buffers a local store
+        let mut cpu = aimed(&mut m);
+        let _ = cpu.ld8(cpu.va(1, 0x200));
         assert_eq!(scan_trace(&m).kinds(), vec![DiagKind::StaleStoreRead]);
     }
 
     #[test]
     fn pop_after_store_to_source_is_flagged() {
         let mut m = machine2();
-        annex(&mut m, 0, 1, 1);
-        assert!(m.fetch(0, m.va(1, 0x300)));
-        m.st8(0, m.va(1, 0x300), 1);
-        m.memory_barrier(0);
-        let _ = m.pop_prefetch(0);
+        let mut cpu = aimed(&mut m);
+        assert!(cpu.fetch(cpu.va(1, 0x300)));
+        cpu.st8(cpu.va(1, 0x300), 1);
+        cpu.memory_barrier();
+        let _ = cpu.pop_prefetch();
         let r = scan_trace(&m);
         assert!(r.kinds().contains(&DiagKind::PrefetchOrderMisuse));
     }

@@ -17,7 +17,7 @@
 
 use em3d::{run_version_with, Em3dParams, Version};
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{MachineConfig, PhaseDriver};
+use t3d_machine::{Cpu, MachineConfig, PhaseDriver};
 use t3d_prng::Rng;
 
 use crate::metrics::fnv1a;
@@ -384,12 +384,12 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
     sc.run_phase(|ctx| {
         let pe = ctx.pe();
         let mut local: Vec<u64> = (0..keys_per_pe)
-            .map(|i| ctx.machine().ld8(pe, keys + i * 8))
+            .map(|i| ctx.ops().ld8(keys + i * 8))
             .collect();
         local.sort_unstable();
         ctx.advance(sort_cost(keys_per_pe));
         for (i, k) in local.iter().enumerate() {
-            ctx.machine().st8(pe, keys + i as u64 * 8, *k);
+            ctx.ops().st8(keys + i as u64 * 8, *k);
         }
         // Regular samples.
         for s in 0..OVERSAMPLE {
@@ -403,9 +403,7 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
     // Phase 2: PE 0 picks splitters, broadcasts.
     sc.on(0, |ctx| {
         let n = p_u64 * OVERSAMPLE;
-        let mut all: Vec<u64> = (0..n)
-            .map(|i| ctx.machine().ld8(0, samples + i * 8))
-            .collect();
+        let mut all: Vec<u64> = (0..n).map(|i| ctx.ops().ld8(samples + i * 8)).collect();
         all.sort_unstable();
         ctx.advance(sort_cost(n));
         for d in 1..p_u64 {
@@ -421,11 +419,11 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
     sc.run_phase(|ctx| {
         let pe = ctx.pe();
         let splits: Vec<u64> = (1..p_u64)
-            .map(|d| ctx.machine().ld8(pe, splitters + d * 8))
+            .map(|d| ctx.ops().ld8(splitters + d * 8))
             .collect();
         let mut c = vec![0u64; pe_count as usize];
         for i in 0..keys_per_pe {
-            let k = ctx.machine().ld8(pe, keys + i * 8);
+            let k = ctx.ops().ld8(keys + i * 8);
             let dst = splits.partition_point(|&s| s <= k);
             c[dst] += 1;
             ctx.advance(6);
@@ -443,7 +441,7 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
         for dst in 0..p_u64 {
             let mut cursor = 0u64;
             for src in 0..p_u64 {
-                let n = ctx.machine().ld8(0, counts + (src * p_u64 + dst) * 8);
+                let n = ctx.ops().ld8(counts + (src * p_u64 + dst) * 8);
                 for target in 0..pe_count {
                     ctx.store_u64(
                         GlobalPtr::new(target, offsets + (src * p_u64 + dst) * 8),
@@ -460,7 +458,7 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
     sc.run_phase(|ctx| {
         let pe = ctx.pe();
         let splits: Vec<u64> = (1..p_u64)
-            .map(|d| ctx.machine().ld8(pe, splitters + d * 8))
+            .map(|d| ctx.ops().ld8(splitters + d * 8))
             .collect();
         // Keys are sorted, so each destination's partition is one
         // contiguous run: one bulk_put per destination.
@@ -468,16 +466,14 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
         for dst in 0..p_u64 {
             let mut end = start;
             while end < keys_per_pe {
-                let k = ctx.machine().ld8(pe, keys + end * 8);
+                let k = ctx.ops().ld8(keys + end * 8);
                 if splits.partition_point(|&s| s <= k) as u64 != dst {
                     break;
                 }
                 end += 1;
             }
             if end > start {
-                let slot = ctx
-                    .machine()
-                    .ld8(pe, offsets + (pe as u64 * p_u64 + dst) * 8);
+                let slot = ctx.ops().ld8(offsets + (pe as u64 * p_u64 + dst) * 8);
                 ctx.bulk_put(
                     GlobalPtr::new(dst as u32, recv + slot * 8),
                     keys + start * 8,
@@ -506,7 +502,7 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
             .map(|i| sc.machine().peek8(pe, recv + i * 8))
             .collect();
         mine.sort_unstable();
-        sc.machine().advance(pe, sort_cost(n.max(1)));
+        Cpu::new(sc.machine(), pe).advance(sort_cost(n.max(1)));
         if let (Some(first), Some(last)) = (mine.first(), mine.last()) {
             boundaries.push((*first, *last));
         }
@@ -599,11 +595,11 @@ pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
         sc.run_phase(|ctx| {
             let pe = ctx.pe();
             if pe > 0 {
-                let first = ctx.machine().ld8(pe, p_cells);
+                let first = ctx.ops().ld8(p_cells);
                 ctx.store_u64(GlobalPtr::new(pe as u32 - 1, p + (local_n + 1) * 8), first);
             }
             if pe + 1 < ctx.nodes() {
-                let last = ctx.machine().ld8(pe, p_cells + (local_n - 1) * 8);
+                let last = ctx.ops().ld8(p_cells + (local_n - 1) * 8);
                 ctx.store_u64(GlobalPtr::new(pe as u32 + 1, p), last);
             }
         });
@@ -616,19 +612,19 @@ pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
             let pe = ctx.pe();
             let first_global = pe as u64 * local_n;
             for i in 0..local_n {
-                let here = f64::from_bits(ctx.machine().ld8(pe, p + (i + 1) * 8));
+                let here = f64::from_bits(ctx.ops().ld8(p + (i + 1) * 8));
                 let lo = if first_global + i == 0 {
                     0.0
                 } else {
-                    f64::from_bits(ctx.machine().ld8(pe, p + i * 8))
+                    f64::from_bits(ctx.ops().ld8(p + i * 8))
                 };
                 let hi = if first_global + i == n_total - 1 {
                     0.0
                 } else {
-                    f64::from_bits(ctx.machine().ld8(pe, p + (i + 2) * 8))
+                    f64::from_bits(ctx.ops().ld8(p + (i + 2) * 8))
                 };
                 let val = 2.0 * here - lo - hi;
-                ctx.machine().st8(pe, ap + i * 8, val.to_bits());
+                ctx.ops().st8(ap + i * 8, val.to_bits());
                 ctx.advance(20); // two FP adds + multiply + loop
             }
         });
@@ -638,18 +634,16 @@ pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
     // Global dot product of two local arrays via all-reduce.
     let dot = |sc: &mut SplitC, a_off: u64, a_stride_halo: bool, b_off: u64| -> f64 {
         sc.run_phase(|ctx| {
-            let pe = ctx.pe();
             let mut acc = 0.0;
             for i in 0..local_n {
                 let a_idx = if a_stride_halo { (i + 1) * 8 } else { i * 8 };
-                let a = f64::from_bits(ctx.machine().ld8(pe, a_off + a_idx));
-                let b = f64::from_bits(ctx.machine().ld8(pe, b_off + i * 8));
+                let a = f64::from_bits(ctx.ops().ld8(a_off + a_idx));
+                let b = f64::from_bits(ctx.ops().ld8(b_off + i * 8));
                 acc += a * b;
                 ctx.advance(16);
             }
-            ctx.machine().st8(pe, scalar, acc.to_bits());
-            let pe2 = ctx.pe();
-            ctx.machine().memory_barrier(pe2);
+            ctx.ops().st8(scalar, acc.to_bits());
+            ctx.ops().memory_barrier();
         });
         let bits = sc.all_reduce_u64(scalar, scratch, |a, b| {
             (f64::from_bits(a) + f64::from_bits(b)).to_bits()
@@ -667,16 +661,13 @@ pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
         let pap = dot(&mut sc, p, true, ap);
         let alpha = rr / pap;
         sc.run_phase(|ctx| {
-            let pe = ctx.pe();
             for i in 0..local_n {
-                let xv = f64::from_bits(ctx.machine().ld8(pe, x + i * 8));
-                let pi = f64::from_bits(ctx.machine().ld8(pe, p + (i + 1) * 8));
-                let rv = f64::from_bits(ctx.machine().ld8(pe, r + i * 8));
-                let apv = f64::from_bits(ctx.machine().ld8(pe, ap + i * 8));
-                ctx.machine()
-                    .st8(pe, x + i * 8, (xv + alpha * pi).to_bits());
-                ctx.machine()
-                    .st8(pe, r + i * 8, (rv - alpha * apv).to_bits());
+                let xv = f64::from_bits(ctx.ops().ld8(x + i * 8));
+                let pi = f64::from_bits(ctx.ops().ld8(p + (i + 1) * 8));
+                let rv = f64::from_bits(ctx.ops().ld8(r + i * 8));
+                let apv = f64::from_bits(ctx.ops().ld8(ap + i * 8));
+                ctx.ops().st8(x + i * 8, (xv + alpha * pi).to_bits());
+                ctx.ops().st8(r + i * 8, (rv - alpha * apv).to_bits());
                 ctx.advance(24);
             }
         });
@@ -685,12 +676,10 @@ pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
         let beta = rr_new / rr;
         rr = rr_new;
         sc.run_phase(|ctx| {
-            let pe = ctx.pe();
             for i in 0..local_n {
-                let rv = f64::from_bits(ctx.machine().ld8(pe, r + i * 8));
-                let pi = f64::from_bits(ctx.machine().ld8(pe, p + (i + 1) * 8));
-                ctx.machine()
-                    .st8(pe, p + (i + 1) * 8, (rv + beta * pi).to_bits());
+                let rv = f64::from_bits(ctx.ops().ld8(r + i * 8));
+                let pi = f64::from_bits(ctx.ops().ld8(p + (i + 1) * 8));
+                ctx.ops().st8(p + (i + 1) * 8, (rv + beta * pi).to_bits());
                 ctx.advance(16);
             }
         });

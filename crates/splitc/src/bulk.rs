@@ -35,7 +35,7 @@ impl ScCtx<'_> {
     ///
     /// ```
     /// use splitc::{GlobalPtr, SplitC};
-    /// use t3d_machine::MachineConfig;
+    /// use t3d_machine::{Cpu, MachineConfig};
     ///
     /// let mut sc = SplitC::new(MachineConfig::t3d(2));
     /// let src = sc.alloc(1024, 8);
@@ -43,7 +43,7 @@ impl ScCtx<'_> {
     /// sc.machine().poke8(1, src + 512, 7);
     /// // 1 KB: the runtime picks the prefetch queue automatically.
     /// sc.on(0, |ctx| ctx.bulk_read(dst, GlobalPtr::new(1, src), 1024));
-    /// sc.machine().memory_barrier(0);
+    /// Cpu::new(sc.machine(), 0).memory_barrier();
     /// assert_eq!(sc.machine().peek8(0, dst + 512), 7);
     /// ```
     ///
@@ -477,7 +477,7 @@ impl ScCtx<'_> {
 mod tests {
     use crate::runtime::SplitC;
     use crate::GlobalPtr;
-    use t3d_machine::MachineConfig;
+    use t3d_machine::{Cpu, MachineConfig};
 
     fn sc() -> SplitC {
         SplitC::new(MachineConfig::t3d(2))
@@ -490,7 +490,7 @@ mod tests {
     }
 
     fn check(s: &mut SplitC, pe: usize, off: u64, words: u64) {
-        s.machine().memory_barrier(pe); // retire any buffered local stores
+        Cpu::new(s.machine(), pe).memory_barrier(); // retire any buffered local stores
         for w in 0..words {
             assert_eq!(s.machine().peek8(pe, off + w * 8), 0xA000 + w, "word {w}");
         }
@@ -665,7 +665,7 @@ mod tests {
         s.on(0, |ctx| {
             ctx.bulk_read_strided(col, GlobalPtr::new(1, mat + 5 * 8), 16, 8, 16 * 8);
         });
-        s.machine().memory_barrier(0);
+        Cpu::new(s.machine(), 0).memory_barrier();
         for r in 0..16u64 {
             assert_eq!(s.machine().peek8(0, col + r * 8), r * 16 + 5, "row {r}");
         }

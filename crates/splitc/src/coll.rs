@@ -44,8 +44,7 @@ impl SplitC {
                 if dst_virt < 2 * stride && dst_virt < p {
                     let dst = (dst_virt + root) % p;
                     self.on(s, |ctx| {
-                        let pe = ctx.pe();
-                        let v = ctx.machine().ld8(pe, off);
+                        let v = ctx.ops().ld8(off);
                         ctx.store_u64(GlobalPtr::new(dst as u32, off), v);
                     });
                 }
@@ -83,8 +82,7 @@ impl SplitC {
                     let src = (partner + root) % p;
                     let dst = (virt + root) % p;
                     self.on(src, |ctx| {
-                        let pe = ctx.pe();
-                        let v = ctx.machine().ld8(pe, off);
+                        let v = ctx.ops().ld8(off);
                         ctx.store_u64(GlobalPtr::new(dst as u32, scratch_off), v);
                     });
                 }
@@ -95,11 +93,10 @@ impl SplitC {
                 if virt < stride && partner < p {
                     let dst = (virt + root) % p;
                     self.on(dst, |ctx| {
-                        let pe = ctx.pe();
-                        let mine = ctx.machine().ld8(pe, off);
-                        let theirs = ctx.machine().ld8(pe, scratch_off);
+                        let mine = ctx.ops().ld8(off);
+                        let theirs = ctx.ops().ld8(scratch_off);
                         let r = op(mine, theirs);
-                        ctx.machine().st8(pe, off, r);
+                        ctx.ops().st8(off, r);
                         ctx.advance(8);
                     });
                 }

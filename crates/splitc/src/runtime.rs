@@ -365,9 +365,10 @@ impl SplitC {
             rt.rec.push(RecEvent::AllStoreSync);
         }
         for pe in 0..self.m.nodes() {
-            self.m.memory_barrier(pe);
-            self.m.wait_write_acks(pe);
-            self.m.advance(pe, self.cfg.store_sync_check_cy);
+            let mut cpu = Cpu::new(&mut self.m, pe);
+            cpu.memory_barrier();
+            cpu.wait_write_acks();
+            cpu.advance(self.cfg.store_sync_check_cy);
         }
         self.barrier();
     }

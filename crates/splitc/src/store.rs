@@ -181,7 +181,7 @@ mod tests {
                 ctx.store_u64(GlobalPtr::new(1, buf + i * 8), i);
             }
             // Flush them out so the arrivals get logged.
-            ctx.machine().memory_barrier(0);
+            ctx.ops().memory_barrier();
         });
         s.on(1, |ctx| {
             ctx.store_sync(32);
@@ -204,7 +204,7 @@ mod tests {
             for i in 0..4u64 {
                 ctx.store_u64(GlobalPtr::new(1, buf + i * 8), i);
             }
-            ctx.machine().memory_barrier(0);
+            ctx.ops().memory_barrier();
         });
         s.on(1, |ctx| {
             ctx.store_sync(16);

@@ -2,7 +2,7 @@
 //! policy switching, misuse detection.
 
 use splitc::{AnnexPolicy, GlobalPtr, SplitC, SplitcConfig, SpreadArray};
-use t3d_machine::MachineConfig;
+use t3d_machine::{Cpu, MachineConfig};
 
 fn sc(p: u32) -> SplitC {
     SplitC::new(MachineConfig::t3d(p))
@@ -29,7 +29,7 @@ fn mixed_gets_puts_and_bulk_complete_at_one_sync() {
         }
         ctx.sync();
     });
-    s.machine().memory_barrier(0);
+    Cpu::new(s.machine(), 0).memory_barrier();
     for i in 0..8u64 {
         assert_eq!(s.machine().peek8(0, dst + i * 8), 100 + i, "first gets");
     }
@@ -62,7 +62,7 @@ fn more_gets_than_queue_depth_in_one_burst() {
         ctx.sync();
         assert_eq!(ctx.gets_outstanding(), 0);
     });
-    s.machine().memory_barrier(0);
+    Cpu::new(s.machine(), 0).memory_barrier();
     for i in 0..n {
         assert_eq!(s.machine().peek8(0, dst + i * 8), i * 3, "get {i}");
     }
@@ -110,8 +110,7 @@ fn spread_array_roundtrip_through_runtime() {
     s.barrier();
     s.run_phase(|ctx| {
         for i in a.owned_by(ctx.pe() as u32) {
-            let pe = ctx.pe();
-            assert_eq!(ctx.machine().ld8(pe, a.gptr(i).addr()), i * i);
+            assert_eq!(ctx.ops().ld8(a.gptr(i).addr()), i * i);
         }
     });
 }
@@ -124,8 +123,7 @@ fn store_bytes_pending_tracks_arrivals() {
         for i in 0..4u64 {
             ctx.store_u64(GlobalPtr::new(1, buf + i * 8), i);
         }
-        let pe = ctx.pe();
-        ctx.machine().memory_barrier(pe);
+        ctx.ops().memory_barrier();
     });
     s.on(1, |ctx| {
         // Advance past all arrivals, then observe.
@@ -177,17 +175,12 @@ fn collectives_compose_with_phases() {
     let scratch = s.alloc(8, 8);
     s.run_phase(|ctx| {
         let pe = ctx.pe();
-        ctx.machine().st8(pe, val, (pe as u64 + 1) * 7);
-        ctx.machine().memory_barrier(pe);
+        ctx.ops().st8(val, (pe as u64 + 1) * 7);
+        ctx.ops().memory_barrier();
     });
     let sum = s.all_reduce_u64(val, scratch, |a, b| a + b);
     assert_eq!(sum, (1..=8u64).map(|i| i * 7).sum::<u64>());
     s.run_phase(|ctx| {
-        let pe = ctx.pe();
-        assert_eq!(
-            ctx.machine().ld8(pe, val),
-            sum,
-            "every node holds the total"
-        );
+        assert_eq!(ctx.ops().ld8(val), sum, "every node holds the total");
     });
 }

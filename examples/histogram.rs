@@ -67,8 +67,8 @@ fn main() {
         for s in samples(pe) {
             let gp = bins.gptr(s);
             if gp.pe() as usize == pe {
-                let v = ctx.machine().ld8(pe, gp.addr()) + 1;
-                ctx.machine().st8(pe, gp.addr(), v);
+                let v = ctx.ops().ld8(gp.addr()) + 1;
+                ctx.ops().st8(gp.addr(), v);
             } else {
                 ctx.am_deposit(gp.pe() as usize, AM_ADD_U64, [gp.addr(), 1, 0, 0]);
             }
@@ -89,8 +89,8 @@ fn main() {
         let pe = ctx.pe();
         for s in samples(pe) {
             let off = private + s * 8;
-            let v = ctx.machine().ld8(pe, off) + 1;
-            ctx.machine().st8(pe, off, v);
+            let v = ctx.ops().ld8(off) + 1;
+            ctx.ops().st8(off, v);
             ctx.advance(2);
         }
     });
@@ -102,13 +102,13 @@ fn main() {
             let mut total = 0u64;
             for src in 0..ctx.nodes() {
                 total += if src == pe {
-                    ctx.machine().ld8(pe, private + b * 8)
+                    ctx.ops().ld8(private + b * 8)
                 } else {
                     ctx.read_u64(GlobalPtr::new(src as u32, private + b * 8))
                 };
             }
             let gp = bins.gptr(b);
-            ctx.machine().st8(pe, gp.addr(), total);
+            ctx.ops().st8(gp.addr(), total);
         }
     });
     sc.barrier();

@@ -60,8 +60,7 @@ fn run(strategy: Strategy) -> (f64, u64) {
                         for sr in 0..rows {
                             let gp = GlobalPtr::new(src as u32, off(a, sr, a_col));
                             let v = ctx.read_u64(gp);
-                            let pe = ctx.pe();
-                            ctx.machine().st8(pe, off(t, tr, src * rows + sr), v);
+                            ctx.ops().st8(off(t, tr, src * rows + sr), v);
                         }
                     }
                     Strategy::Gets => {

@@ -55,7 +55,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use em3d::{run_version_profiled, run_version_profiled_contended, Em3dParams, Version};
-use t3d_machine::{BltHandle, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
+use t3d_machine::{BltHandle, Cpu, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_microbench::probes::attribution;
 use t3d_perf::{
     compare, measure, measure_split, BenchDoc, BenchEntry, RunSample, SplitSample, Throughput,
@@ -221,7 +221,7 @@ fn scale_neighbor(m: &mut Machine, d: PhaseDriver) {
 /// per-sub-cube contention windows are exercised.
 fn scale_hotspot(m: &mut Machine, _d: PhaseDriver) {
     for pe in 1..m.nodes() {
-        let _ = m.fetch_inc(pe, 0, 0);
+        let _ = Cpu::new(m, pe).fetch_inc(0, 0);
     }
     m.barrier_all();
 }
@@ -236,18 +236,11 @@ fn scale_transpose(m: &mut Machine, _d: PhaseDriver) {
     let n = m.nodes();
     let handles: Vec<BltHandle> = (0..n)
         .map(|pe| {
-            m.blt_start(
-                pe,
-                BltDirection::Write,
-                0x2000,
-                (pe + n / 2) % n,
-                0x8000,
-                8192,
-            )
+            Cpu::new(m, pe).blt_start(BltDirection::Write, 0x2000, (pe + n / 2) % n, 0x8000, 8192)
         })
         .collect();
     for (pe, h) in handles.into_iter().enumerate() {
-        m.blt_wait(pe, h);
+        Cpu::new(m, pe).blt_wait(h);
     }
     m.barrier_all();
 }

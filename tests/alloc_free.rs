@@ -23,8 +23,8 @@ use splitc::SplitC;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
-use t3d_machine::{Machine, MachineConfig, PerfMode};
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_machine::{Cpu, Machine, MachineConfig, PerfMode};
+use t3d_shell::FuncCode;
 
 struct Counting;
 
@@ -79,12 +79,12 @@ const SWEEP: u64 = 64 * 1024;
 /// four stores fill one line of a second region word by word, so stores
 /// issued back to back merge into the youngest write-buffer entry, and
 /// entries retire to memory while the loads advance the clock.
-fn local_op(m: &mut Machine, i: u64) {
+fn local_op(cpu: &mut Cpu, i: u64) {
     let (group, k) = (i / 8, i % 8);
     if k < 4 {
-        let _ = m.ld8(0, ((group * 4 + k) * 32) % SWEEP);
+        let _ = cpu.ld8(((group * 4 + k) * 32) % SWEEP);
     } else {
-        m.st8(0, SWEEP + (group * 32 + (k - 4) * 8) % SWEEP, i);
+        cpu.st8(SWEEP + (group * 32 + (k - 4) * 8) % SWEEP, i);
     }
 }
 
@@ -99,21 +99,22 @@ fn machine() -> Machine {
 #[test]
 fn steady_state_local_loads_and_stores_never_allocate() {
     let mut m = machine();
+    let mut cpu = Cpu::new(&mut m, 0);
     // Warm-up: one full pass over the store region (and four over the
     // load sweep) commits every arena chunk the mix touches and grows the
     // port's reusable buffers to their working size.
     for i in 0..(SWEEP / 32) * 8 {
-        local_op(&mut m, i);
+        local_op(&mut cpu, i);
     }
-    let before = m.node(0).port.stats();
+    let before = cpu.node().port.stats();
     let n = 100_000u64;
     let groups = n / 8;
     let allocs = allocations(|| {
         for i in 0..n {
-            local_op(&mut m, i);
+            local_op(&mut cpu, i);
         }
     });
-    let stats = m.node(0).port.stats();
+    let stats = cpu.node().port.stats();
     let misses = stats.l1_misses - before.l1_misses;
     let merges = stats.wbuf_merges - before.wbuf_merges;
     assert_eq!(misses, n / 2, "every load missed and filled L1");
@@ -121,7 +122,7 @@ fn steady_state_local_loads_and_stores_never_allocate() {
     println!("{misses} L1 fills, {merges} write-buffer merges");
     // Retired entries reached memory: the last store is visible once the
     // buffer drains.
-    m.memory_barrier(0);
+    cpu.memory_barrier();
     let last = n - 1;
     assert_eq!(m.peek8(0, SWEEP + (last / 8 * 32 + 24) % SWEEP), last);
     assert_eq!(allocs, 0, "{n} steady-state local ops allocated");
@@ -130,37 +131,31 @@ fn steady_state_local_loads_and_stores_never_allocate() {
 #[test]
 fn remote_loads_and_fenced_remote_stores_rarely_allocate() {
     let mut m = machine();
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    let op = |m: &mut Machine, i: u64| {
-        let va = m.va(1, (i * 8) % SWEEP);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    let op = |cpu: &mut Cpu, i: u64| {
+        let va = cpu.va(1, (i * 8) % SWEEP);
         match i % 4 {
             0 | 1 => {
-                let _ = m.ld8(0, va);
+                let _ = cpu.ld8(va);
             }
-            2 => m.st8(0, va, i),
+            2 => cpu.st8(va, i),
             _ => {
-                m.st8(0, va, i);
-                m.memory_barrier(0);
+                cpu.st8(va, i);
+                cpu.memory_barrier();
             }
         }
     };
     for i in 0..10_000 {
-        op(&mut m, i);
+        op(&mut cpu, i);
     }
-    m.wait_write_acks(0);
+    cpu.wait_write_acks();
     let n = 100_000u64;
     let allocs = allocations(|| {
         for i in 0..n {
-            op(&mut m, i);
+            op(&mut cpu, i);
             if i % 1000 == 999 {
-                m.wait_write_acks(0);
+                cpu.wait_write_acks();
             }
         }
     });
@@ -186,7 +181,9 @@ fn link_contended_fetch_inc_never_allocates() {
     let round = |m: &mut Machine| {
         (0..m.nodes())
             .filter(|&pe| pe != target)
-            .fold(0u64, |acc, pe| acc.wrapping_add(m.fetch_inc(pe, target, 0)))
+            .fold(0u64, |acc, pe| {
+                acc.wrapping_add(Cpu::new(m, pe).fetch_inc(target, 0))
+            })
     };
     let _ = round(&mut m);
     let rounds = 50u64;
@@ -208,8 +205,9 @@ fn direct_contiguous_blts_never_allocate() {
     for dir in [BltDirection::Write, BltDirection::Read] {
         let sweep = |m: &mut Machine| {
             for pe in 0..16 {
-                let h = m.blt_start(pe, dir, 0x2000, (pe + 8) % 16, 0x8000, 8192);
-                m.blt_wait(pe, h);
+                let mut cpu = Cpu::new(m, pe);
+                let h = cpu.blt_start(dir, 0x2000, (pe + 8) % 16, 0x8000, 8192);
+                cpu.blt_wait(h);
             }
         };
         // The first sweep commits the landing chunks.

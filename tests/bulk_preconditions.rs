@@ -3,7 +3,7 @@
 //! against them), so a reworded or relocated assert fails here.
 
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{Machine, MachineConfig};
+use t3d_machine::{Cpu, Machine, MachineConfig};
 use t3d_shell::blt::BltDirection;
 
 fn runtime() -> (SplitC, u64) {
@@ -98,12 +98,12 @@ fn strided_write_rejects_overlapping_windows() {
 #[should_panic(expected = "stride must not overlap elements")]
 fn machine_strided_blt_rejects_overlapping_windows() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.blt_start_strided(0, BltDirection::Read, 0, 1, 0, 4, 16, 8);
+    Cpu::new(&mut m, 0).blt_start_strided(BltDirection::Read, 0, 1, 0, 4, 16, 8);
 }
 
 #[test]
 #[should_panic(expected = "strided BLT must move data")]
 fn machine_strided_blt_rejects_zero_count() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.blt_start_strided(0, BltDirection::Read, 0, 1, 0, 0, 8, 8);
+    Cpu::new(&mut m, 0).blt_start_strided(BltDirection::Read, 0, 1, 0, 0, 8, 8);
 }

@@ -9,7 +9,7 @@
 //! ([`PhaseDriver::Par`]).
 
 use em3d::{run_version, run_version_with, Em3dParams, Version};
-use t3d_machine::{Machine, MachineConfig, PhaseDriver, Spmd};
+use t3d_machine::{Machine, MachineConfig, PhaseDriver};
 use t3d_microbench::probes::{local, sync};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::FuncCode;
@@ -86,13 +86,12 @@ fn fingerprint(m: &Machine) -> Vec<u64> {
     fp
 }
 
-/// Remote-store + prefetch probe (the Figure 5/6 access patterns) as an
-/// SPMD phase program.
+/// Remote-store + prefetch probe (the Figure 5/6 access patterns) as a
+/// bulk-synchronous phase program.
 fn store_prefetch_probe(driver: PhaseDriver) -> Vec<u64> {
     let mut m = Machine::new(MachineConfig::t3d(8));
-    let mut spmd = Spmd::new(&mut m);
     for _ in 0..3 {
-        spmd.par_phase_with(driver, |cpu| {
+        m.sharded_phase(driver, |cpu| {
             let right = ((cpu.pe() + 1) % cpu.nodes()) as u32;
             cpu.annex_set(1, right, FuncCode::Uncached);
             for i in 0..16u64 {
@@ -107,25 +106,24 @@ fn store_prefetch_probe(driver: PhaseDriver) -> Vec<u64> {
                 let _ = cpu.pop_prefetch();
             }
         });
-        spmd.barrier();
+        m.barrier_all();
     }
-    fingerprint(spmd.machine())
+    fingerprint(&m)
 }
 
 /// Hotspot probe: every PE takes fetch&increment tickets at PE 0 and
 /// messages it — maximal cross-shard effect merging.
 fn hotspot_probe(driver: PhaseDriver) -> Vec<u64> {
     let mut m = Machine::new(MachineConfig::t3d(8));
-    let mut spmd = Spmd::new(&mut m);
-    spmd.par_phase_with(driver, |cpu| {
+    m.sharded_phase(driver, |cpu| {
         let pe = cpu.pe();
         for k in 0..8u64 {
             let _ = cpu.fetch_inc(0, 0);
             cpu.msg_send(0, [pe as u64, k, 0, 0]);
         }
     });
-    spmd.barrier();
-    fingerprint(spmd.machine())
+    m.barrier_all();
+    fingerprint(&m)
 }
 
 /// Bulk-transfer probe: BLT writes around a ring (the Figure 8
@@ -137,14 +135,13 @@ fn blt_ring_probe(driver: PhaseDriver) -> Vec<u64> {
             m.poke8(pe, 0x4000 + i * 8, (pe as u64) * 100 + i);
         }
     }
-    let mut spmd = Spmd::new(&mut m);
-    spmd.par_phase_with(driver, |cpu| {
+    m.sharded_phase(driver, |cpu| {
         let right = (cpu.pe() + 1) % cpu.nodes();
         let h = cpu.blt_start(BltDirection::Write, 0x4000, right, 0x6000, 512);
         cpu.blt_wait(h);
     });
-    spmd.barrier();
-    fingerprint(spmd.machine())
+    m.barrier_all();
+    fingerprint(&m)
 }
 
 #[test]
@@ -169,10 +166,9 @@ fn hundred_parallel_phases_hash_stably() {
     // nondeterminism in the shard pool would shift at least one hash.
     let run = |driver: PhaseDriver| {
         let mut m = Machine::new(MachineConfig::t3d(8));
-        let mut spmd = Spmd::new(&mut m);
         let mut hashes = Vec::with_capacity(100);
         for round in 0..100u64 {
-            spmd.par_phase_with(driver, |cpu| {
+            m.sharded_phase(driver, |cpu| {
                 let n = cpu.nodes();
                 let stride = 1 + (round as usize % (n - 1));
                 let peer = ((cpu.pe() + stride) % n) as u32;
@@ -184,9 +180,9 @@ fn hundred_parallel_phases_hash_stably() {
                 cpu.memory_barrier();
                 let _ = cpu.fetch_inc(peer as usize, 1);
             });
-            spmd.barrier();
+            m.barrier_all();
             hashes.push(
-                fingerprint(spmd.machine())
+                fingerprint(&m)
                     .iter()
                     .fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
                         (h ^ v).wrapping_mul(0x100_0000_01b3)

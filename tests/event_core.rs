@@ -11,9 +11,9 @@
 //!   checked-in constants, so a timing-model change cannot slip in
 //!   unnoticed.
 
-use t3d_machine::{Machine, MachineConfig, PerfMode};
+use t3d_machine::{Cpu, Machine, MachineConfig, PerfMode};
 use t3d_shell::blt::BltDirection;
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_shell::FuncCode;
 
 /// Node memory for the micro machines: traffic stays in the first
 /// megabyte, checksummed below.
@@ -26,16 +26,9 @@ fn machine(pes: u32) -> Machine {
     m
 }
 
-fn aim(m: &mut Machine, pe: usize, target: u32) -> u64 {
-    m.annex_set(
-        pe,
-        1,
-        AnnexEntry {
-            pe: target,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.va(1, 0)
+fn aim(cpu: &mut Cpu, target: u32) -> u64 {
+    cpu.annex_set(1, target, FuncCode::Uncached);
+    cpu.va(1, 0)
 }
 
 /// Runs `workload` on a fresh machine and returns it (for
@@ -61,7 +54,7 @@ fn barrier_only_fast_forwards_every_episode() {
     let (m, clock0, fnv) = pinned(4, |m| {
         for round in 0..8u64 {
             for pe in 0..4usize {
-                m.advance(pe, 50 + (pe as u64) * 37 + round * 11);
+                Cpu::new(m, pe).advance(50 + (pe as u64) * 37 + round * 11);
             }
             m.barrier_all();
         }
@@ -78,12 +71,13 @@ fn barrier_only_fast_forwards_every_episode() {
 #[test]
 fn ack_only_fast_forwards_every_arrival() {
     let (m, clock0, fnv) = pinned(2, |m| {
-        let base = aim(m, 0, 1);
+        let mut cpu = Cpu::new(m, 0);
+        let base = aim(&mut cpu, 1);
         for i in 0..16u64 {
-            m.st8(0, base + i * 64, i);
+            cpu.st8(base + i * 64, i);
         }
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
     });
     // One ack arrival per store at the status-bit spin, plus whatever
     // write-buffer entries were still pending at the fence (later
@@ -99,14 +93,15 @@ fn ack_only_fast_forwards_every_arrival() {
 #[test]
 fn prefetch_only_fast_forwards_every_pop() {
     let (m, clock0, fnv) = pinned(2, |m| {
-        let base = aim(m, 0, 1);
+        let mut cpu = Cpu::new(m, 0);
+        let base = aim(&mut cpu, 1);
         for g in 0..4u64 {
             for i in 0..4u64 {
-                assert!(m.fetch(0, base + (g * 4 + i) * 64), "queue full");
+                assert!(cpu.fetch(base + (g * 4 + i) * 64), "queue full");
             }
-            m.memory_barrier(0);
+            cpu.memory_barrier();
             for _ in 0..4 {
-                m.pop_prefetch(0).expect("fetched values must pop");
+                cpu.pop_prefetch().expect("fetched values must pop");
             }
         }
     });
@@ -125,8 +120,9 @@ fn blt_only_fast_forwards_the_completion() {
         for i in 0..64u64 {
             m.poke_mem(0, 0x8000 + i * 8, &i.to_le_bytes());
         }
-        let h = m.blt_start(0, BltDirection::Write, 0x8000, 1, 0x8000, 512);
-        m.blt_wait(0, h);
+        let mut cpu = Cpu::new(m, 0);
+        let h = cpu.blt_start(BltDirection::Write, 0x8000, 1, 0x8000, 512);
+        cpu.blt_wait(h);
     });
     // The issuing PE waits on one BLT completion.
     assert!(
@@ -140,27 +136,28 @@ fn blt_only_fast_forwards_the_completion() {
 #[test]
 fn mixed_workload_stays_bit_identical() {
     let (m, clock0, fnv) = pinned(4, |m| {
-        let base = aim(m, 0, 1);
+        let mut cpu = Cpu::new(m, 0);
+        let base = aim(&mut cpu, 1);
         // Pipelined puts + fence + ack wait...
         for i in 0..8u64 {
-            m.st8(0, base + i * 64, i);
+            cpu.st8(base + i * 64, i);
         }
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
         // ...a prefetch group...
         for i in 0..4u64 {
-            assert!(m.fetch(0, base + 0x1000 + i * 64), "queue full");
+            assert!(cpu.fetch(base + 0x1000 + i * 64), "queue full");
         }
-        m.memory_barrier(0);
+        cpu.memory_barrier();
         for _ in 0..4 {
-            m.pop_prefetch(0).expect("fetched values must pop");
+            cpu.pop_prefetch().expect("fetched values must pop");
         }
         // ...a BLT to another node...
-        let h = m.blt_start(0, BltDirection::Write, 0x4000, 2, 0x4000, 256);
-        m.blt_wait(0, h);
+        let h = cpu.blt_start(BltDirection::Write, 0x4000, 2, 0x4000, 256);
+        cpu.blt_wait(h);
         // ...and two skewed barriers.
         for pe in 0..4usize {
-            m.advance(pe, 100 + pe as u64 * 53);
+            Cpu::new(m, pe).advance(100 + pe as u64 * 53);
         }
         m.barrier_all();
         m.barrier_all();
@@ -182,12 +179,13 @@ fn cycle_skips_match_clock_motion() {
     // pending completions: re-run the ack scenario and check the
     // counted cycles never exceed the elapsed virtual time.
     let mut m = machine(2);
-    let base = aim(&mut m, 0, 1);
+    let mut cpu = Cpu::new(&mut m, 0);
+    let base = aim(&mut cpu, 1);
     for i in 0..16u64 {
-        m.st8(0, base + i * 64, i);
+        cpu.st8(base + i * 64, i);
     }
-    m.memory_barrier(0);
-    m.wait_write_acks(0);
+    cpu.memory_barrier();
+    cpu.wait_write_acks();
     let stats = m.event_stats(0);
     assert!(stats.events_fast_forwarded > 0);
     assert!(

@@ -2,8 +2,8 @@
 //! each one reproduced end-to-end through the public crate APIs.
 
 use splitc::{AnnexPolicy, GlobalPtr, SplitC, SplitcConfig};
-use t3d_machine::{Machine, MachineConfig};
-use t3d_shell::{AnnexEntry, FuncCode, PopError};
+use t3d_machine::{Cpu, Machine, MachineConfig};
+use t3d_shell::{FuncCode, PopError};
 
 /// Section 3.4: with multiple annex registers naming one processor, the
 /// write buffer admits stale reads through synonyms.
@@ -17,28 +17,14 @@ fn synonym_stale_read_through_unsafe_multi_policy() {
 
     // Raw machine sequence mirroring what compiled code would emit under
     // the unsafe policy: store via one register, load via another.
-    let m = sc.machine();
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.annex_set(
-        0,
-        2,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.st8(0, m.va(1, cell), 2);
-    let through_synonym = m.ld8(0, m.va(2, cell));
+    let mut cpu = Cpu::new(sc.machine(), 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    cpu.annex_set(2, 1, FuncCode::Uncached);
+    cpu.st8(cpu.va(1, cell), 2);
+    let through_synonym = cpu.ld8(cpu.va(2, cell));
     assert_eq!(through_synonym, 1, "stale value read through the synonym");
     // The same-register read forwards correctly.
-    assert_eq!(m.ld8(0, m.va(1, cell)), 2);
+    assert_eq!(cpu.ld8(cpu.va(1, cell)), 2);
 }
 
 /// Section 3.4 (the repair): the hashed multi-register policy maps each
@@ -68,26 +54,20 @@ fn hashed_policy_never_creates_synonyms() {
 #[test]
 fn status_bit_trap_requires_fence_before_poll() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
-    m.st8(0, m.va(1, 0x100), 7);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    cpu.st8(cpu.va(1, 0x100), 7);
     assert!(
-        m.poll_status(0),
+        cpu.poll_status(),
         "WRONG but faithful: the buffered write is invisible"
     );
-    m.memory_barrier(0);
+    cpu.memory_barrier();
     assert!(
-        !m.poll_status(0),
+        !cpu.poll_status(),
         "after the fence the in-flight write is visible"
     );
-    m.wait_write_acks(0);
-    assert!(m.poll_status(0));
+    cpu.wait_write_acks();
+    assert!(cpu.poll_status());
     assert_eq!(m.peek8(1, 0x100), 7);
 }
 
@@ -124,19 +104,13 @@ fn remote_writes_invalidate_owner_cache() {
     let mut sc = SplitC::new(MachineConfig::t3d(2));
     let cell = sc.alloc(8, 8);
     sc.on(1, |ctx| {
-        let pe = ctx.pe();
-        ctx.machine().st8(pe, cell, 1);
-        ctx.machine().memory_barrier(pe);
-        assert_eq!(ctx.machine().ld8(pe, cell), 1, "line now cached locally");
+        ctx.ops().st8(cell, 1);
+        ctx.ops().memory_barrier();
+        assert_eq!(ctx.ops().ld8(cell), 1, "line now cached locally");
     });
     sc.on(0, |ctx| ctx.write_u64(GlobalPtr::new(1, cell), 2));
     sc.on(1, |ctx| {
-        let pe = ctx.pe();
-        assert_eq!(
-            ctx.machine().ld8(pe, cell),
-            2,
-            "owner sees the remote write"
-        );
+        assert_eq!(ctx.ops().ld8(cell), 2, "owner sees the remote write");
     });
 }
 
@@ -176,25 +150,19 @@ fn byte_write_clobber_and_repair() {
 fn local_write_buffered_values_invisible_to_remote_readers() {
     let mut m = Machine::new(MachineConfig::t3d(2));
     // PE 1 writes locally (sits in its write buffer).
-    m.st8(1, 0x200, 99);
+    Cpu::new(&mut m, 1).st8(0x200, 99);
     // PE 0 reads it remotely right away: the memory controller path does
     // not see PE 1's write buffer.
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    let va = m.va(1, 0x200);
+    Cpu::new(&mut m, 0).annex_set(1, 1, FuncCode::Uncached);
     assert_eq!(
-        m.ld8(0, m.va(1, 0x200)),
+        Cpu::new(&mut m, 0).ld8(va),
         0,
         "remote read bypassed the buffer"
     );
     // After PE 1 fences, the value is visible.
-    m.memory_barrier(1);
-    assert_eq!(m.ld8(0, m.va(1, 0x200)), 99);
+    Cpu::new(&mut m, 1).memory_barrier();
+    assert_eq!(Cpu::new(&mut m, 0).ld8(va), 99);
 }
 
 /// Section 5.2: popping the prefetch queue before the fetch has left the
@@ -203,28 +171,22 @@ fn local_write_buffered_values_invisible_to_remote_readers() {
 #[test]
 fn prefetch_pop_hazard_below_four_outstanding() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.annex_set(
-        0,
-        1,
-        AnnexEntry {
-            pe: 1,
-            func: FuncCode::Uncached,
-        },
-    );
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
     for i in 0..3u64 {
-        m.fetch(0, m.va(1, i * 8));
+        cpu.fetch(cpu.va(1, i * 8));
     }
-    assert_eq!(m.pop_prefetch(0), Err(PopError::NotDeparted));
+    assert_eq!(cpu.pop_prefetch(), Err(PopError::NotDeparted));
     // The fourth fetch pushes the group out...
-    m.fetch(0, m.va(1, 24));
-    assert!(m.pop_prefetch(0).is_ok());
+    cpu.fetch(cpu.va(1, 24));
+    assert!(cpu.pop_prefetch().is_ok());
     // ...or a memory barrier does.
-    m.fetch(0, m.va(1, 32)); // fifth fetch: pending departure again
+    cpu.fetch(cpu.va(1, 32)); // fifth fetch: pending departure again
     for _ in 0..3 {
-        m.pop_prefetch(0).expect("departed pops succeed");
+        cpu.pop_prefetch().expect("departed pops succeed");
     }
-    assert_eq!(m.pop_prefetch(0), Err(PopError::NotDeparted));
-    m.memory_barrier(0);
-    assert!(m.pop_prefetch(0).is_ok());
-    assert_eq!(m.prefetch_outstanding(0), 0);
+    assert_eq!(cpu.pop_prefetch(), Err(PopError::NotDeparted));
+    cpu.memory_barrier();
+    assert!(cpu.pop_prefetch().is_ok());
+    assert_eq!(cpu.node().prefetch.outstanding(), 0);
 }

@@ -3,7 +3,7 @@
 //! pure-observation guarantee (profiling never changes virtual time).
 
 use em3d::{run_version_profiled, run_version_with, Em3dParams, Version};
-use t3d_machine::{Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
+use t3d_machine::{Cpu, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_microbench::probes::attribution;
 
 /// The conservation invariant: on every PE, the cycles attributed to
@@ -111,9 +111,10 @@ fn perf_off_collects_nothing_and_costs_nothing() {
     let mut m = Machine::new(MachineConfig::t3d(2));
     // Explicit Off (the default unless T3D_PERF says otherwise).
     m.set_perf_mode(PerfMode::Off);
-    m.st8(0, 0x100, 7);
-    m.memory_barrier(0);
-    let _ = m.ld8(0, 0x100);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.st8(0x100, 7);
+    cpu.memory_barrier();
+    let _ = cpu.ld8(0x100);
     let report = m.perf();
     assert_eq!(report.total(), 0, "no attribution collected when off");
     assert!(report.registry.hists().next().is_none());
@@ -123,10 +124,11 @@ fn perf_off_collects_nothing_and_costs_nothing() {
 fn timeline_mode_exports_a_chrome_trace() {
     let mut m = Machine::new(MachineConfig::t3d(2));
     m.set_perf_mode(PerfMode::Timeline);
-    m.st8(0, 0x100, 7);
-    m.memory_barrier(0);
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.st8(0x100, 7);
+    cpu.memory_barrier();
     m.perf_begin_phase("work");
-    let _ = m.ld8(0, 0x100);
+    let _ = Cpu::new(&mut m, 0).ld8(0x100);
     m.perf_end_phase();
     let trace = m.perf_chrome_trace();
     assert!(trace.contains("\"traceEvents\""));

@@ -63,15 +63,14 @@ fn reduction_with_store_sync() {
             let contribution = (me + 1) * 100;
             ctx.store_u64(GlobalPtr::new(0, slots + me * 8), contribution);
             // Push the store out so its arrival is logged.
-            let pe = ctx.pe();
-            ctx.machine().memory_barrier(pe);
+            ctx.ops().memory_barrier();
         }
     });
     let total = sc.on(0, |ctx| {
         ctx.store_sync((P as u64 - 1) * 8);
         let mut sum = 100u64; // own contribution
         for i in 1..P as u64 {
-            sum += ctx.machine().ld8(0, slots + i * 8);
+            sum += ctx.ops().ld8(slots + i * 8);
         }
         sum
     });
@@ -133,10 +132,10 @@ fn spread_array_saxpy() {
     sc.run_phase(|ctx| {
         let pe = ctx.pe();
         for i in xs.owned_by(pe as u32) {
-            let x = f64::from_bits(ctx.machine().ld8(pe, xs.gptr(i).addr()));
-            let y = f64::from_bits(ctx.machine().ld8(pe, ys.gptr(i).addr()));
+            let x = f64::from_bits(ctx.ops().ld8(xs.gptr(i).addr()));
+            let y = f64::from_bits(ctx.ops().ld8(ys.gptr(i).addr()));
             let r = 3.0 * x + y;
-            ctx.machine().st8(pe, ys.gptr(i).addr(), r.to_bits());
+            ctx.ops().st8(ys.gptr(i).addr(), r.to_bits());
             ctx.advance(12);
         }
     });
@@ -157,8 +156,7 @@ fn fetch_inc_work_queue() {
     let mut sc = SplitC::new(MachineConfig::t3d(P));
     let done = sc.alloc(TASKS * 8, 8);
     sc.run_phase(|ctx| loop {
-        let pe = ctx.pe();
-        let t = ctx.machine().fetch_inc(pe, 0, 1);
+        let t = ctx.ops().fetch_inc(0, 1);
         if t >= TASKS {
             break;
         }
@@ -205,14 +203,12 @@ fn user_am_handler_protocol() {
 fn native_message_queue_roundtrip() {
     let mut sc = SplitC::new(MachineConfig::t3d(2));
     sc.on(0, |ctx| {
-        let pe = ctx.pe();
-        ctx.machine().msg_send(pe, 1, [11, 22, 33, 44]);
+        ctx.ops().msg_send(1, [11, 22, 33, 44]);
     });
     sc.on(1, |ctx| {
-        let pe = ctx.pe();
-        ctx.machine().advance(pe, 1_000);
+        ctx.ops().advance(1_000);
         let t0 = ctx.clock();
-        let msg = ctx.machine().msg_receive(pe).expect("delivered");
+        let msg = ctx.ops().msg_receive().expect("delivered");
         assert_eq!(msg.words, [11, 22, 33, 44]);
         assert!(
             ctx.clock() - t0 >= 3_750,

@@ -8,10 +8,10 @@
 //! and the value stream matches the hand-written loop this replaces.
 
 use splitc::{GlobalPtr, SpreadArray};
-use t3d_machine::{Machine, MachineConfig};
+use t3d_machine::{Cpu, Machine, MachineConfig};
 use t3d_memsys::{MemConfig, MemPort};
 use t3d_prng::Rng;
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_shell::FuncCode;
 use t3d_torus::{Torus, TorusConfig};
 
 /// Global pointers round-trip through their packed representation.
@@ -277,29 +277,23 @@ fn machine_remote_ops_match_reference() {
     Rng::cases(0x5008, 24, |_, rng| {
         let n_ops = rng.gen_range(1usize..60);
         let mut m = Machine::new(MachineConfig::t3d(2));
-        m.annex_set(
-            0,
-            1,
-            AnnexEntry {
-                pe: 1,
-                func: FuncCode::Uncached,
-            },
-        );
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
         let mut reference = vec![0u64; 512];
         for _ in 0..n_ops {
             let op = rng.gen_range(0u8..2);
             let slot = rng.gen_range(0u64..512);
             let val = rng.next_u64();
-            let va = m.va(1, slot * 8);
+            let va = cpu.va(1, slot * 8);
             match op {
                 0 => {
-                    m.st8(0, va, val);
-                    m.memory_barrier(0);
-                    m.wait_write_acks(0);
+                    cpu.st8(va, val);
+                    cpu.memory_barrier();
+                    cpu.wait_write_acks();
                     reference[slot as usize] = val;
                 }
                 _ => {
-                    assert_eq!(m.ld8(0, va), reference[slot as usize]);
+                    assert_eq!(cpu.ld8(va), reference[slot as usize]);
                 }
             }
         }
@@ -316,33 +310,27 @@ fn clocks_are_monotone() {
     Rng::cases(0x5009, 24, |_, rng| {
         let n_ops = rng.gen_range(1usize..80);
         let mut m = Machine::new(MachineConfig::t3d(2));
-        m.annex_set(
-            0,
-            1,
-            AnnexEntry {
-                pe: 1,
-                func: FuncCode::Uncached,
-            },
-        );
-        let mut last = m.clock(0);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
+        let mut last = cpu.clock();
         for _ in 0..n_ops {
             let op = rng.gen_range(0u8..6);
             let slot = rng.gen_range(0u64..256);
             let val = rng.next_u64();
             let off = slot * 8;
             match op {
-                0 => m.st8(0, off, val),
+                0 => cpu.st8(off, val),
                 1 => {
-                    let _ = m.ld8(0, off);
+                    let _ = cpu.ld8(off);
                 }
-                2 => m.st8(0, m.va(1, off), val),
+                2 => cpu.st8(cpu.va(1, off), val),
                 3 => {
-                    let _ = m.ld8(0, m.va(1, off));
+                    let _ = cpu.ld8(cpu.va(1, off));
                 }
-                4 => m.memory_barrier(0),
-                _ => m.wait_write_acks(0),
+                4 => cpu.memory_barrier(),
+                _ => cpu.wait_write_acks(),
             }
-            let now = m.clock(0);
+            let now = cpu.clock();
             assert!(now >= last, "clock went backwards: {last} -> {now}");
             last = now;
         }

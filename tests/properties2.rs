@@ -8,10 +8,10 @@
 use em3d::{Em3dGraph, Em3dParams};
 use splitc::{AnnexPolicy, GlobalPtr, SplitC, SplitcConfig};
 use std::collections::HashMap;
-use t3d_machine::{Machine, MachineConfig};
+use t3d_machine::{Cpu, Machine, MachineConfig};
 use t3d_memsys::{L1Cache, MemConfig};
 use t3d_prng::Rng;
-use t3d_shell::{AnnexEntry, FuncCode, PrefetchUnit, ShellConfig};
+use t3d_shell::{FuncCode, PrefetchUnit, ShellConfig};
 
 /// The L1 cache is functionally a map from line address to bytes:
 /// fills and updates must never corrupt data, and lookups must return
@@ -152,30 +152,24 @@ fn machine_is_deterministic() {
         let run = |ops: &[(u8, u64, u64)]| -> (Vec<u64>, Vec<u64>) {
             let mut m = Machine::new(MachineConfig::t3d(4));
             for pe in 0..4usize {
-                m.annex_set(
-                    pe,
-                    1,
-                    AnnexEntry {
-                        pe: ((pe as u32) + 1) % 4,
-                        func: FuncCode::Uncached,
-                    },
-                );
+                Cpu::new(&mut m, pe).annex_set(1, ((pe as u32) + 1) % 4, FuncCode::Uncached);
             }
             for &(op, slot, val) in ops {
                 let pe = (val % 4) as usize;
                 let off = slot * 8;
+                let mut cpu = Cpu::new(&mut m, pe);
                 match op {
-                    0 => m.st8(pe, off, val),
+                    0 => cpu.st8(off, val),
                     1 => {
-                        let _ = m.ld8(pe, off);
+                        let _ = cpu.ld8(off);
                     }
-                    2 => m.st8(pe, m.va(1, off), val),
+                    2 => cpu.st8(cpu.va(1, off), val),
                     3 => {
-                        let _ = m.ld8(pe, m.va(1, off));
+                        let _ = cpu.ld8(cpu.va(1, off));
                     }
-                    4 => m.memory_barrier(pe),
+                    4 => cpu.memory_barrier(),
                     5 => {
-                        let _ = m.fetch_inc(pe, (pe + 1) % 4, 0);
+                        let _ = cpu.fetch_inc((pe + 1) % 4, 0);
                     }
                     _ => m.barrier_all(),
                 }
@@ -255,14 +249,8 @@ fn remote_write_buffer_is_byte_exact() {
     Rng::cases(0x6006, 24, |_, rng| {
         let n_ops = rng.gen_range(1usize..120);
         let mut m = Machine::new(MachineConfig::t3d(2));
-        m.annex_set(
-            0,
-            1,
-            AnnexEntry {
-                pe: 1,
-                func: FuncCode::Uncached,
-            },
-        );
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.annex_set(1, 1, FuncCode::Uncached);
         let mut reference = vec![0u8; 2048];
         for _ in 0..n_ops {
             let slot = rng.gen_range(0u64..256);
@@ -272,11 +260,11 @@ fn remote_write_buffer_is_byte_exact() {
             // 32-byte line).
             let off = slot * 8;
             let bytes = vec![val; len];
-            m.st(0, m.va(1, off), &bytes);
+            cpu.st(cpu.va(1, off), &bytes);
             reference[off as usize..off as usize + len].copy_from_slice(&bytes);
         }
-        m.memory_barrier(0);
-        m.wait_write_acks(0);
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
         let mut got = vec![0u8; 2048];
         m.peek_mem(1, 0, &mut got);
         assert_eq!(got, reference);

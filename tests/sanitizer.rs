@@ -4,8 +4,8 @@
 
 use splitc::{AnnexPolicy, DiagKind, GlobalLock, GlobalPtr, SanitizeMode, SplitC, SplitcConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use t3d_machine::{Machine, MachineConfig, PhaseDriver, Tracer};
-use t3d_shell::{AnnexEntry, FuncCode};
+use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver, Tracer};
+use t3d_shell::FuncCode;
 
 fn collect(nodes: u32) -> SplitC {
     let mut cfg = SplitcConfig::t3d();
@@ -42,7 +42,7 @@ fn store_without_store_sync_is_flagged_and_store_sync_clears_it() {
     let cell = sc.alloc(16, 8);
     sc.on(0, |ctx| {
         ctx.store_u64(GlobalPtr::new(1, cell), 1);
-        ctx.machine().memory_barrier(0); // flush so arrival is logged
+        ctx.ops().memory_barrier(); // flush so arrival is logged
     });
     sc.on(1, |ctx| {
         let _ = ctx.read_u64(GlobalPtr::new(1, cell)); // too early
@@ -175,17 +175,14 @@ fn hashed_policy_never_trips_the_synonym_hazard() {
 fn trace_scan_flags_the_raw_machine_hazards() {
     let mut m = Machine::new(MachineConfig::t3d(2));
     m.enable_trace(Tracer::env_cap(1024));
-    let annex = |pe: u32| AnnexEntry {
-        pe,
-        func: FuncCode::Uncached,
-    };
-    m.annex_set(0, 1, annex(1));
-    m.annex_set(0, 2, annex(1));
-    m.st8(1, 0x200, 99); // PE 1 buffers a local store
-    m.st8(0, m.va(1, 0x100), 7); // PE 0 buffers a remote store via reg 1
-    let _ = m.poll_status(0); // 4.3: poll without a fence
-    let _ = m.ld8(0, m.va(2, 0x100)); // 3.4: read through the synonym
-    let _ = m.ld8(0, m.va(1, 0x200)); // 4.5: sees PE 1's buffer bypass
+    Cpu::new(&mut m, 0).annex_set(1, 1, FuncCode::Uncached);
+    Cpu::new(&mut m, 0).annex_set(2, 1, FuncCode::Uncached);
+    Cpu::new(&mut m, 1).st8(0x200, 99); // PE 1 buffers a local store
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.st8(cpu.va(1, 0x100), 7); // PE 0 buffers a remote store via reg 1
+    let _ = cpu.poll_status(); // 4.3: poll without a fence
+    let _ = cpu.ld8(cpu.va(2, 0x100)); // 3.4: read through the synonym
+    let _ = cpu.ld8(cpu.va(1, 0x200)); // 4.5: sees PE 1's buffer bypass
     let r = t3dsan::trace_scan::scan_trace(&m);
     assert!(r.kinds().contains(&DiagKind::StaleStoreRead));
     assert!(r.kinds().contains(&DiagKind::AnnexSynonymHazard));

@@ -3,7 +3,7 @@
 //! repeated runs, and a corrupted run must fail the measurement instead
 //! of posting a rate — a fast-but-wrong engine never benchmarks well.
 
-use t3d_machine::{Machine, MachineConfig, PhaseDriver};
+use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver};
 use t3d_microbench::probes::attribution;
 use t3d_perf::{measure, RunSample, ThroughputSpec};
 
@@ -59,8 +59,9 @@ fn a_corrupted_run_fails_with_a_checksum_mismatch() {
     let mut runs = 0u32;
     let err = measure(ThroughputSpec { warmup: 0, runs: 3 }, || {
         let mut m = Machine::new(MachineConfig::t3d(2));
-        m.st8(0, 0x100, 7);
-        m.memory_barrier(0);
+        let mut cpu = Cpu::new(&mut m, 0);
+        cpu.st8(0x100, 7);
+        cpu.memory_barrier();
         runs += 1;
         if runs == 3 {
             // The fuzzer's fault-injection hook: one flipped byte in
