@@ -1156,13 +1156,19 @@ mod tests {
     #[test]
     fn fresh_machine_commits_no_node_memory() {
         // Construction must not touch the demand-chunked arenas: a
-        // 64-PE machine with 16 MB nodes is a 1 GB address space but a
-        // few-KB allocation until programs store to it.
-        let m = Machine::new(MachineConfig::t3d(64));
-        let resident: usize = (0..m.nodes())
-            .map(|pe| m.node(pe).port.mem_arena().resident_bytes())
-            .sum();
-        assert_eq!(resident, 0, "fresh machines commit no chunks");
+        // 1024-PE machine with 16 MB nodes is a 16 GB address space but
+        // a metadata-sized allocation until programs store to it.
+        for cfg in [
+            MachineConfig::t3d(64),
+            MachineConfig::t3d(1024),
+            MachineConfig::t3d_link_contended(1024),
+        ] {
+            let m = Machine::new(cfg);
+            for pe in 0..m.nodes() {
+                let resident = m.node(pe).port.mem_arena().resident_bytes();
+                assert_eq!(resident, 0, "PE {pe} of {} committed memory", m.nodes());
+            }
+        }
     }
 
     #[test]

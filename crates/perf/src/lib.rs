@@ -39,6 +39,7 @@ pub mod chrome;
 pub mod hist;
 pub mod json;
 pub mod ledger;
+pub mod reference;
 pub mod registry;
 pub mod report;
 pub mod throughput;
@@ -47,6 +48,7 @@ pub use bench::{compare, BenchDoc, BenchEntry};
 pub use chrome::{chrome_trace, Span};
 pub use hist::Hist;
 pub use ledger::{CostClass, Ledger, OpHists, OpKind, PerfAccum, COST_CLASSES, OP_KINDS};
+pub use reference::Reference;
 pub use registry::Registry;
 pub use report::{PePerf, PerfReport, PhaseLog, PhaseRecord};
 pub use throughput::{

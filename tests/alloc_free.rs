@@ -12,6 +12,10 @@
 //! fetch&increment walks its route without a buffer, and a BLT lands its
 //! bytes arena to arena.
 //!
+//! Machine construction costs metadata per PE, never node memory: the
+//! heap bytes per PE are the same at 8 and at 1024 PEs, and less than
+//! one arena chunk.
+//!
 //! The Split-C driver steps hold to it as well: entering a node with
 //! `SplitC::on` borrows its runtime state in place, so a barrier, an
 //! empty SPMD phase and a tree collective cost no heap work per PE.
@@ -24,16 +28,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
 use t3d_machine::{Cpu, Machine, MachineConfig, PerfMode};
+use t3d_memsys::arena::CHUNK_BYTES;
 use t3d_shell::FuncCode;
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards to the system allocator unchanged; the
@@ -41,17 +48,17 @@ fn count() {
 // bumping it never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -65,9 +72,18 @@ static GLOBAL: Counting = Counting;
 
 /// Heap allocations made on this thread while `f` runs.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    allocated(f).0
+}
+
+/// Heap allocations and bytes allocated on this thread while `f` runs.
+/// A reallocation counts its new size.
+fn allocated(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCS.with(Cell::get) - before
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
 
 /// 64 KB: eight times the 8 KB direct-mapped L1, so a 32-byte-stride
@@ -253,5 +269,29 @@ fn splitc_driver_steps_never_allocate() {
     // says, and its event logs do grow.
     if sc.sanitizer().is_none() {
         assert_eq!(allocs, 0, "20 barrier + phase + all-reduce steps allocated");
+    }
+}
+
+#[test]
+fn construction_heap_bytes_per_pe_do_not_grow_with_the_machine() {
+    for (arm, cfg) in [
+        ("plain", MachineConfig::t3d as fn(u32) -> _),
+        ("link-contended", MachineConfig::t3d_link_contended),
+    ] {
+        let per_pe = |pes: u32| {
+            let mut m = None;
+            let (_, bytes) = allocated(|| m = Some(Machine::new(cfg(pes))));
+            bytes / u64::from(pes)
+        };
+        let (small, big) = (per_pe(8), per_pe(1024));
+        println!("{arm}: {small} heap bytes per PE at 8 PEs, {big} at 1024");
+        assert!(
+            big * 4 <= small * 5,
+            "{arm}: {big} bytes per PE at 1024 PEs, over 1.25x the {small} at 8 PEs"
+        );
+        assert!(
+            big < CHUNK_BYTES as u64,
+            "{arm}: {big} bytes per PE, an arena chunk's worth or more"
+        );
     }
 }
