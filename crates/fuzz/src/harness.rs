@@ -152,9 +152,8 @@ fn run_program_inner(prog: &Program, driver: PhaseDriver, fault: Option<Fault>) 
 /// per-PE word arrays for one phase.
 fn ref_mismatch(snap: &MemSnapshot, ref_mem: &[Vec<u64>]) -> Option<String> {
     for (pe, words) in ref_mem.iter().enumerate() {
-        let bytes = snap.mem(pe);
         for (w, &expect) in words.iter().enumerate() {
-            let got = u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap());
+            let got = snap.word(pe, w);
             if got != expect {
                 return Some(format!(
                     "PE {pe} word {w}: machine {got:#x} vs reference {expect:#x}"

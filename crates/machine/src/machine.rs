@@ -337,7 +337,7 @@ impl Machine {
             self.deliver_outbox(pe);
         }
         for node in &mut self.nodes {
-            node.incoming.clear();
+            node.clear_arrivals();
             node.acks.wait_clear(u64::MAX / 2);
             // Rebase attribution at the zeroed clock (collection state is
             // preserved; accumulated credits from before the reset would
@@ -524,7 +524,7 @@ impl Machine {
 
     /// Clears a node's arrival log (a new `storeSync` epoch).
     pub fn clear_incoming(&mut self, pe: usize) {
-        self.nodes[pe].incoming.clear();
+        self.nodes[pe].clear_arrivals();
     }
 
     /// Pushes every write already due out of each node's write buffer and

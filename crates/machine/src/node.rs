@@ -125,9 +125,10 @@ pub struct Node {
     pub msgq: MsgQueue,
     /// Block transfer engine.
     pub blt: BltUnit,
-    /// Log of remote-write arrivals `(virtual time, bytes)` — the basis
-    /// for Split-C `storeSync` (data-counting completion detection).
-    pub incoming: Vec<(u64, u64)>,
+    /// Log of remote-write arrivals `(virtual time, bytes)` in time
+    /// order — the basis for Split-C `storeSync` (data-counting
+    /// completion detection).
+    incoming: Vec<(u64, u64)>,
     /// Operation counters.
     pub ops: OpStats,
     /// Cycle-attribution accumulator for costs the machine layer charges
@@ -231,11 +232,34 @@ impl Node {
         self.port.l1_mut().invalidate_span(off, len);
     }
 
+    /// Logs `bytes` of remote-write data arriving at virtual time `t`.
+    /// Arrivals come nearly in time order, so the entry is placed by a
+    /// search from the back, after every entry at or before `t`.
+    pub(crate) fn note_arrival(&mut self, t: u64, bytes: u64) {
+        let at = self
+            .incoming
+            .iter()
+            .rposition(|&(u, _)| u <= t)
+            .map_or(0, |i| i + 1);
+        self.incoming.insert(at, (t, bytes));
+    }
+
+    /// Empties the arrival log (a new `storeSync` epoch).
+    pub(crate) fn clear_arrivals(&mut self) {
+        self.incoming.clear();
+    }
+
+    /// The remote-write arrivals `(virtual time, bytes)` logged so far,
+    /// in time order.
+    pub fn arrivals(&self) -> &[(u64, u64)] {
+        &self.incoming
+    }
+
     /// Total bytes of remote-write data that had arrived by `now`.
     pub fn bytes_arrived_by(&self, now: u64) -> u64 {
         self.incoming
             .iter()
-            .filter(|&&(t, _)| t <= now)
+            .take_while(|&&(t, _)| t <= now)
             .map(|&(_, b)| b)
             .sum()
     }
@@ -246,16 +270,11 @@ impl Node {
         if target_bytes == 0 {
             return Some(0);
         }
-        let mut log: Vec<(u64, u64)> = self.incoming.clone();
-        log.sort_unstable();
         let mut acc = 0u64;
-        for (t, b) in log {
+        self.incoming.iter().find_map(|&(t, b)| {
             acc += b;
-            if acc >= target_bytes {
-                return Some(t);
-            }
-        }
-        None
+            (acc >= target_bytes).then_some(t)
+        })
     }
 }
 
@@ -266,13 +285,20 @@ mod tests {
     #[test]
     fn arrival_accounting() {
         let mut n = Node::new(&MachineConfig::t3d(2), 0);
-        n.incoming.push((100, 8));
-        n.incoming.push((50, 8));
-        n.incoming.push((200, 16));
+        n.note_arrival(100, 8);
+        n.note_arrival(50, 8);
+        n.note_arrival(200, 16);
         assert_eq!(n.bytes_arrived_by(99), 8);
         assert_eq!(n.bytes_arrived_by(100), 16);
         assert_eq!(n.arrival_time_of(16), Some(100));
         assert_eq!(n.arrival_time_of(32), Some(200));
         assert_eq!(n.arrival_time_of(33), None);
+        // The log stays in time order; a tie lands after the entries it
+        // ties with.
+        n.note_arrival(100, 4);
+        assert_eq!(n.arrivals(), [(50, 8), (100, 8), (100, 4), (200, 16)]);
+        assert_eq!(n.bytes_arrived_by(100), 20);
+        assert_eq!(n.arrival_time_of(20), Some(100));
+        assert_eq!(n.arrival_time_of(21), Some(200));
     }
 }

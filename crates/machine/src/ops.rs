@@ -79,7 +79,10 @@ impl Effect {
     /// target as the op runs, at the phase merge for a logged one.
     pub(crate) fn deposit(&self, node: &mut Node) {
         match self {
-            Effect::Write { arrival, .. } => node.incoming.push(*arrival),
+            Effect::Write {
+                arrival: (t, bytes),
+                ..
+            } => node.note_arrival(*t, *bytes),
             Effect::Poke { off, data } => node.poke_and_invalidate(*off, data),
             Effect::Msg(msg) => node.msgq.deliver(*msg),
             Effect::DramTouch { .. } | Effect::FetchInc { .. } | Effect::LinkReserve => {}

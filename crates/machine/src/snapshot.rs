@@ -6,6 +6,15 @@
 //! [`MemSnapshot::diff`], which reports the *first* divergence — the
 //! anchor the `t3d-fuzz` differential harness shrinks failures around.
 //!
+//! A snapshot costs the nonzero data it holds, not nodes × region: each
+//! node's capture keeps only the words from the first to the last one
+//! holding a nonzero byte, found by scanning the arena's committed
+//! chunks ([`MemArena::nonzero_span`](t3d_memsys::MemArena::nonzero_span));
+//! a node whose region lies in uncommitted chunks costs nothing. The
+//! checksum folds each run of `k` zero words in as one multiply by the
+//! FNV prime to the `k`th power — FNV-1a over a zero word is a multiply
+//! by the prime — so every value matches the dense hash bit for bit.
+//!
 //! [`Machine::corrupt_byte`] is the matching fault-injection hook: it
 //! flips one settled byte, exactly what a bug in the sharded phase
 //! engine's effect-log merge would look like, so the harness can prove
@@ -14,13 +23,61 @@
 
 use crate::machine::Machine;
 
+/// FNV-1a offset basis and prime, as in the EM3D clock fingerprint.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Bytes per checksum word.
+const WORD: usize = 8;
+
 /// A functional capture of `[base, base + bytes)` on every node, plus
 /// the virtual clocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSnapshot {
     base: u64,
+    /// Bytes captured per node.
+    len: usize,
     clocks: Vec<u64>,
-    mem: Vec<Vec<u8>>,
+    mem: Vec<Capture>,
+}
+
+/// One node's captured region: zero outside `data`, which starts
+/// `start` bytes in (a whole number of words) and runs from the first
+/// to the last word holding a nonzero byte — empty, at `start` 0, if
+/// there is none. The form is canonical, so two captures hold the same
+/// bytes iff they are equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Capture {
+    start: usize,
+    data: Vec<u8>,
+}
+
+impl Capture {
+    /// Byte `i` of the region.
+    fn byte(&self, i: usize) -> u8 {
+        i.checked_sub(self.start)
+            .and_then(|j| self.data.get(j))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The region bytes `data` covers.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.data.len()
+    }
+}
+
+/// `h` after FNV-1a over `k` zero words: `h * prime^k`.
+fn fold_zero_words(mut h: u64, mut k: usize) -> u64 {
+    let mut p = FNV_PRIME;
+    while k > 0 {
+        if k & 1 == 1 {
+            h = h.wrapping_mul(p);
+        }
+        p = p.wrapping_mul(p);
+        k >>= 1;
+    }
+    h
 }
 
 /// The first divergence between two snapshots.
@@ -67,9 +124,28 @@ impl MemSnapshot {
         self.base
     }
 
-    /// Captured bytes of one node.
-    pub fn mem(&self, pe: usize) -> &[u8] {
-        &self.mem[pe]
+    /// Captured word `w` of one node: the little-endian value of the
+    /// eight bytes at `base + 8 * w`, zero-padded past the region's end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word starts outside the region.
+    pub fn word(&self, pe: usize, w: usize) -> u64 {
+        let at = w * WORD;
+        assert!(
+            at < self.len,
+            "word {w} starts outside the {}-byte region",
+            self.len
+        );
+        let c = &self.mem[pe];
+        let mut bytes = [0u8; WORD];
+        // `start` is a whole number of words, so a word lies wholly
+        // before, within or after the captured data.
+        if let Some(rest) = at.checked_sub(c.start).and_then(|i| c.data.get(i..)) {
+            let n = rest.len().min(WORD);
+            bytes[..n].copy_from_slice(&rest[..n]);
+        }
+        u64::from_le_bytes(bytes)
     }
 
     /// Captured virtual clock of one node.
@@ -106,38 +182,45 @@ impl MemSnapshot {
     /// region (a zero-padded final word if the length is not a multiple
     /// of eight), then the clocks, using the same FNV-1a parameters as
     /// the EM3D clock fingerprint. Word granularity keeps the hash one
-    /// multiply per eight bytes — snapshots cover megabytes, and the
-    /// byte-serial variant dominated the throughput bench's host time.
+    /// multiply per eight bytes, and the zero words around each node's
+    /// captured data fold in without being visited (see the
+    /// [module docs](self)).
     pub fn fnv64(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut step = |word: u64| {
-            h = (h ^ word).wrapping_mul(0x100_0000_01b3);
-        };
-        for bytes in &self.mem {
-            let mut chunks = bytes.chunks_exact(8);
-            for c in &mut chunks {
-                step(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        let step = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
+        let words = self.len.div_ceil(WORD);
+        let mut h = FNV_BASIS;
+        for c in &self.mem {
+            h = fold_zero_words(h, c.start / WORD);
+            let mut chunks = c.data.chunks_exact(WORD);
+            for w in &mut chunks {
+                h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
             }
             let rem = chunks.remainder();
             if !rem.is_empty() {
-                let mut w = [0u8; 8];
+                let mut w = [0u8; WORD];
                 w[..rem.len()].copy_from_slice(rem);
-                step(u64::from_le_bytes(w));
+                h = step(h, u64::from_le_bytes(w));
             }
+            h = fold_zero_words(h, words - c.span().end.div_ceil(WORD));
         }
-        for &c in &self.clocks {
-            step(c);
-        }
-        h
+        self.clocks.iter().fold(h, |h, &c| step(h, c))
     }
 
     /// Like [`MemSnapshot::diff`] but ignoring clocks — the comparison
     /// against a reference model that has no notion of virtual time.
     pub fn mem_diff(&self, other: &MemSnapshot) -> Option<SnapshotDiff> {
         assert_eq!(self.base, other.base, "snapshots cover the same region");
-        for (pe, (ma, mb)) in self.mem.iter().zip(&other.mem).enumerate() {
-            assert_eq!(ma.len(), mb.len(), "same region length");
-            for (i, (&a, &b)) in ma.iter().zip(mb).enumerate() {
+        assert_eq!(self.len, other.len, "same region length");
+        for (pe, (ca, cb)) in self.mem.iter().zip(&other.mem).enumerate() {
+            // Outside both captures' data every byte is zero.
+            let (sa, sb) = (ca.span(), cb.span());
+            let lo = match (sa.is_empty(), sb.is_empty()) {
+                (true, _) => sb.start,
+                (_, true) => sa.start,
+                _ => sa.start.min(sb.start),
+            };
+            for i in lo..sa.end.max(sb.end) {
+                let (a, b) = (ca.byte(i), cb.byte(i));
                 if a != b {
                     return Some(SnapshotDiff::Byte {
                         pe,
@@ -155,18 +238,34 @@ impl MemSnapshot {
 impl Machine {
     /// Functionally captures `[base, base + bytes)` on every node plus
     /// the virtual clocks. Charges no time and perturbs no caches, so
-    /// snapshotting is invisible to the simulation.
+    /// snapshotting is invisible to the simulation. Each node's capture
+    /// costs the span of its region holding nonzero bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region exceeds a node's memory.
     pub fn snapshot_region(&self, base: u64, bytes: u64) -> MemSnapshot {
+        let len = bytes as usize;
         let n = self.nodes();
-        let mut mem = Vec::with_capacity(n);
-        let mut clocks = Vec::with_capacity(n);
-        for pe in 0..n {
-            let mut buf = vec![0u8; bytes as usize];
-            self.peek_mem(pe, base, &mut buf);
-            mem.push(buf);
-            clocks.push(self.clock(pe));
+        let mem = (0..n)
+            .map(|pe| {
+                let arena = self.node(pe).port.mem_arena();
+                let Some(nz) = arena.nonzero_span(base, len) else {
+                    return Capture::default();
+                };
+                let start = (nz.start - base) as usize / WORD * WORD;
+                let end = ((nz.end - base) as usize).next_multiple_of(WORD).min(len);
+                let mut data = vec![0u8; end - start];
+                arena.read(base + start as u64, &mut data);
+                Capture { start, data }
+            })
+            .collect();
+        MemSnapshot {
+            base,
+            len,
+            clocks: (0..n).map(|pe| self.clock(pe)).collect(),
+            mem,
         }
-        MemSnapshot { base, clocks, mem }
     }
 
     /// Fault-injection hook: flips every bit of the byte at `off` on
@@ -185,6 +284,23 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use crate::cpu::Cpu;
+
+    /// A node's captured bytes, read back word by word through
+    /// [`MemSnapshot::word`].
+    trait Bytes {
+        fn mem(&self, pe: usize) -> Vec<u8>;
+    }
+
+    impl Bytes for MemSnapshot {
+        fn mem(&self, pe: usize) -> Vec<u8> {
+            let words = self.len.div_ceil(WORD);
+            let mut bytes: Vec<u8> = (0..words)
+                .flat_map(|w| self.word(pe, w).to_le_bytes())
+                .collect();
+            bytes.truncate(self.len);
+            bytes
+        }
+    }
 
     #[test]
     fn identical_machines_have_no_diff() {

@@ -16,18 +16,22 @@
 //! atomic read-modify-writes that replace exactly the selected bytes, so
 //! two threads writing different bytes of one word both land.
 //!
-//! [`MemArena::copy_from`] moves bytes from one arena (or this one) to
-//! another without a host buffer the size of the span, word cell to
-//! word cell when both offsets sit at the same position within a word:
-//! a BLT deposit costs its bytes once.
+//! Two queries serve the bulk paths without a host buffer the size of
+//! the span. [`MemArena::copy_from`] moves bytes from one arena (or
+//! this one) to another, word cell to word cell when both offsets sit
+//! at the same position within a word: a BLT deposit costs its bytes
+//! once. [`MemArena::nonzero_span`] finds the first and last nonzero
+//! byte of a range reading only committed chunks, so a snapshot stores
+//! and hashes that span and treats the rest as zero.
 //!
 //! The arena is **demand-chunked**: the byte space is divided into
 //! fixed-size chunks that are allocated lazily, zero-filled, on first
 //! write. A fresh 16 MB arena is a table of empty [`OnceLock`] slots —
 //! a few hundred bytes — so constructing a 1024-PE machine does not
 //! eagerly commit gigabytes. Reads of untouched chunks observe zeros,
-//! exactly as an eager zeroed allocation would, which keeps
-//! `snapshot_region`/`fnv64` checksums bit-identical.
+//! exactly as an eager zeroed allocation would, and a snapshot skips
+//! them without reading, so `snapshot_region`/`fnv64` checksums are
+//! bit-identical to a dense pass and cost only the committed bytes.
 //!
 //! Relaxed atomics compile to plain loads and stores on every platform
 //! we care about; there is no synchronization cost on the hot path.
@@ -420,6 +424,53 @@ impl MemArena {
         }
     }
 
+    /// The shortest span holding every nonzero byte of
+    /// `offset..offset + len`, or `None` if they are all zero. Only
+    /// committed chunks are read: an uncommitted chunk is zero without
+    /// looking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span exceeds the arena.
+    pub fn nonzero_span(&self, offset: u64, len: usize) -> Option<Range<u64>> {
+        let off = offset as usize;
+        assert!(
+            off + len <= self.len,
+            "scan of {}..{} exceeds arena of {} bytes",
+            off,
+            off + len,
+            self.len
+        );
+        let mut span: Option<Range<usize>> = None;
+        self.spans(off, len, |ci, co, r| {
+            let Some(cells) = self.chunks[ci].get() else {
+                return;
+            };
+            let end = co + r.len();
+            let (w0, w1) = (co / WORD, end.div_ceil(WORD));
+            // Word `w` with any bytes outside `co..end` cleared.
+            let word = |w: usize| {
+                let mut v = cells[w].load(Ordering::Relaxed);
+                if w == w0 {
+                    v &= u64::MAX << (8 * (co % WORD));
+                }
+                if w + 1 == w1 && end % WORD != 0 {
+                    v &= u64::MAX >> (8 * (WORD - end % WORD));
+                }
+                v
+            };
+            let Some(first) = (w0..w1).find(|&w| word(w) != 0) else {
+                return;
+            };
+            let last = (first..w1).rev().find(|&w| word(w) != 0).unwrap_or(first);
+            let at = ci * CHUNK_BYTES;
+            let lo = at + first * WORD + word(first).trailing_zeros() as usize / 8;
+            let hi = at + (last + 1) * WORD - word(last).leading_zeros() as usize / 8;
+            span = Some(span.as_ref().map_or(lo, |s| s.start)..hi);
+        });
+        span.map(|s| s.start as u64..s.end as u64)
+    }
+
     /// A deep copy with the same contents (used by `MemPort::clone`).
     /// Only chunks the source has committed are allocated in the copy,
     /// so cloning a mostly-untouched arena stays cheap.
@@ -777,5 +828,29 @@ mod tests {
                 "case {case}: commits what a write would"
             );
         }
+    }
+
+    #[test]
+    fn nonzero_span_finds_the_outermost_nonzero_bytes() {
+        let len = 3 * CHUNK_BYTES + 13;
+        let a = MemArena::new(len);
+        assert_eq!(a.nonzero_span(0, len), None, "fresh arena");
+        a.write(CHUNK_BYTES as u64, &[0; 64]);
+        assert_eq!(a.nonzero_span(0, len), None, "a committed chunk of zeros");
+        a.set(CHUNK_BYTES as u64 + 5, 1);
+        a.set(2 * CHUNK_BYTES as u64 + 2, 7);
+        let (lo, hi) = (CHUNK_BYTES as u64 + 5, 2 * CHUNK_BYTES as u64 + 3);
+        assert_eq!(a.nonzero_span(0, len), Some(lo..hi));
+        // Windows that cut through the nonzero bytes' words.
+        assert_eq!(a.nonzero_span(lo, 1), Some(lo..lo + 1));
+        assert_eq!(a.nonzero_span(lo + 1, (hi - lo - 2) as usize), None);
+        assert_eq!(a.nonzero_span(lo - 3, 9), Some(lo..lo + 1));
+        a.set(len as u64 - 1, 9);
+        assert_eq!(a.nonzero_span(3, len - 3), Some(lo..len as u64));
+        assert_eq!(
+            a.resident_bytes(),
+            2 * CHUNK_BYTES + 13,
+            "scans commit nothing"
+        );
     }
 }

@@ -28,6 +28,11 @@
 //! `T3D_PAR` drivers (each PE's ledger lives in node-owned state that
 //! the sharded phase engine already keeps thread-private).
 //!
+//! Host time is the one thing here that is not deterministic. Host-time
+//! gates scale it by a fixed loop timed just before and after
+//! ([`mod@reference`]), so a co-tenant slowing the core does not read as a
+//! regression.
+//!
 //! This crate is a leaf: it depends on nothing, so every layer of the
 //! simulator (memsys, machine, splitc, em3d) can feed it.
 

@@ -194,9 +194,9 @@ const SCALE_NEW_SAMPLES: usize = 5;
 
 /// The most the fastest 1024-PE construction may take, in seconds at
 /// the reference speed (14.6 µs per PE). The fastest of five measured
-/// 3.4–4.2 ms on a 2-core KVM guest, plain and link-contended, so this
+/// 1.6–4.1 ms on a 2-core KVM guest, plain and link-contended, so this
 /// leaves over 3× headroom. Construction that grows with node memory
-/// rather than node count (zeroing even one 64 KB chunk per PE) is
+/// rather than node count (committing even one 64 KB chunk per PE) is
 /// caught exactly by the `resident_bytes` and heap-byte pins in the
 /// tests; this bound catches a per-PE slowdown they cannot see.
 const SCALE_NEW_BOUND_S: f64 = 0.015;

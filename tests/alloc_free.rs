@@ -12,13 +12,15 @@
 //! fetch&increment walks its route without a buffer, and a BLT lands its
 //! bytes arena to arena.
 //!
-//! Machine construction costs metadata per PE, never node memory: the
-//! heap bytes per PE are the same at 8 and at 1024 PEs, and less than
-//! one arena chunk.
-//!
 //! The Split-C driver steps hold to it as well: entering a node with
 //! `SplitC::on` borrows its runtime state in place, so a barrier, an
-//! empty SPMD phase and a tree collective cost no heap work per PE.
+//! empty SPMD phase and a tree collective cost no heap work per PE. A
+//! `storeSync` query scans the time-ordered arrival log in place.
+//!
+//! Machine construction costs metadata per PE, never node memory: the
+//! heap bytes per PE are the same at 8 and at 1024 PEs, and less than
+//! one arena chunk. A snapshot costs the nonzero span of each PE's
+//! region plus a few words per PE, not the region's bytes.
 //!
 //! The binary installs a counting global allocator. Counts are kept per
 //! thread, so the test harness's own threads do not disturb them.
@@ -294,4 +296,80 @@ fn construction_heap_bytes_per_pe_do_not_grow_with_the_machine() {
             "{arm}: {big} bytes per PE, an arena chunk's worth or more"
         );
     }
+}
+
+/// Bytes each PE's snapshot region covers in the pins below: 40 KB.
+const SNAP_REGION: u64 = 0xA000;
+
+#[test]
+fn snapshot_of_an_all_zero_region_costs_per_pe_not_per_byte() {
+    const PES: u32 = 1024;
+    let mut m = link_contended(PES);
+    // Half the PEs have committed the region's chunk, holding zeros.
+    for pe in (0..PES as usize).step_by(2) {
+        m.poke_mem(pe, 0, &[0]);
+    }
+    let mut fnv = 0;
+    let (allocs, bytes) = allocated(|| fnv = m.snapshot_region(0, SNAP_REGION).fnv64());
+    println!("{allocs} allocations, {bytes} bytes for a {PES}-PE all-zero snapshot");
+    let per_pe = bytes / u64::from(PES);
+    assert!(
+        per_pe <= 64,
+        "{per_pe} bytes per PE allocated (the region is {SNAP_REGION} bytes)"
+    );
+    let zero = Machine::new(MachineConfig::t3d(PES)).snapshot_region(0, SNAP_REGION);
+    assert_eq!(fnv, zero.fnv64());
+}
+
+#[test]
+fn snapshot_after_a_neighbour_exchange_costs_the_written_spans() {
+    const PES: usize = 1024;
+    const SPAN: u64 = 64;
+    let mut m = link_contended(PES as u32);
+    // Each PE's right neighbour stores eight words into it, as the
+    // scale sweep's ring exchange does.
+    for pe in 0..PES {
+        let mut cpu = Cpu::new(&mut m, pe);
+        cpu.annex_set(1, ((pe + 1) % PES) as u32, FuncCode::Uncached);
+        for i in 0..SPAN / 8 {
+            let va = cpu.va(1, 0x1000 + i * 8);
+            cpu.st8(va, ((pe as u64) << 8) | i | 1);
+        }
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+    }
+    let mut snap = None;
+    let (_, bytes) = allocated(|| snap = Some(m.snapshot_region(0, SNAP_REGION)));
+    let snap = snap.expect("snapshot taken");
+    println!("{bytes} bytes for a {PES}-PE snapshot of {SPAN} written bytes per PE");
+    let per_pe = bytes / PES as u64;
+    assert!(
+        per_pe <= SPAN + 64,
+        "{per_pe} bytes per PE allocated for {SPAN} written bytes per PE"
+    );
+    let left = PES - 1;
+    assert_eq!(snap.word(0, 0x1000 / 8), ((left as u64) << 8) | 1);
+}
+
+#[test]
+fn store_sync_arrival_queries_never_allocate() {
+    let mut m = machine();
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    for i in 0..256u64 {
+        let va = cpu.va(1, i * 8);
+        cpu.st8(va, i);
+    }
+    cpu.memory_barrier();
+    cpu.wait_write_acks();
+    let logged: u64 = m.node(1).arrivals().iter().map(|&(_, b)| b).sum();
+    assert_eq!(logged, 256 * 8);
+    let mut last = None;
+    let allocs = allocations(|| {
+        for target in (0..=logged).step_by(8) {
+            last = m.arrival_time_of(1, target);
+        }
+    });
+    assert!(last.is_some(), "every logged byte arrived");
+    assert_eq!(allocs, 0, "{} storeSync queries allocated", logged / 8 + 1);
 }
