@@ -6,26 +6,54 @@
 //! ```
 //!
 //! Defaults reproduce a reduced Figure 9; `--pes 32 --nodes 500
-//! --degree 20` is the paper's configuration.
+//! --degree 20` is the paper's configuration. `--seed` takes a decimal
+//! or `0x`-prefixed hex number. A malformed flag value exits with
+//! status 2 and names the flag.
 
 use em3d::{run_version, Em3dParams, Version};
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reports a bad command line and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("em3d: {msg} (see --help)");
+    std::process::exit(2);
 }
 
-fn parse_list(args: &[String], flag: &str, default: &str) -> Vec<String> {
-    let raw = args
-        .iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string());
-    raw.split(',').map(str::trim).map(String::from).collect()
+/// The value after `flag`, or `None` when the flag is absent.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v),
+        None => usage_error(&format!("{flag} needs a value")),
+    }
+}
+
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    match flag_value(args, flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} {v:?} is not a number"))),
+    }
+}
+
+/// `--seed`, decimal or `0x`-prefixed hex.
+fn parse_seed(args: &[String], default: u64) -> u64 {
+    let Some(v) = flag_value(args, "--seed") else {
+        return default;
+    };
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+    .unwrap_or_else(|| usage_error(&format!("--seed {v:?} is not a decimal or 0x-hex number")))
+}
+
+fn parse_list<'a>(args: &'a [String], flag: &str, default: &'a str) -> Vec<&'a str> {
+    flag_value(args, flag)
+        .unwrap_or(default)
+        .split(',')
+        .map(str::trim)
+        .collect()
 }
 
 fn version_by_name(name: &str) -> Option<Version> {
@@ -38,7 +66,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "usage: em3d [--pes N] [--nodes N] [--degree D] [--steps S] [--seed X]\n\
+            "usage: em3d [--pes N] [--nodes N] [--degree D] [--steps S] [--seed X|0xX]\n\
              \x20           [--remote P1,P2,...] [--versions Simple,Bundle,...]\n\
              versions: {}",
             Version::all().map(|v| v.label()).join(", ")
@@ -51,11 +79,14 @@ fn main() {
         degree: parse_flag(&args, "--degree", 10),
         pct_remote: 0.0,
         steps: parse_flag(&args, "--steps", 1),
-        seed: parse_flag(&args, "--seed", 0xE3D),
+        seed: parse_seed(&args, 0xE3D),
     };
     let pcts: Vec<f64> = parse_list(&args, "--remote", "0,5,10,20,40")
         .iter()
-        .map(|s| s.parse().expect("--remote takes numbers"))
+        .map(|s| {
+            s.parse()
+                .unwrap_or_else(|_| usage_error(&format!("--remote {s:?} is not a number")))
+        })
         .collect();
     let versions: Vec<Version> = parse_list(
         &args,
@@ -63,7 +94,7 @@ fn main() {
         "Simple,Bundle,Unroll,Get,Put,Bulk,StoreSync",
     )
     .iter()
-    .map(|s| version_by_name(s).unwrap_or_else(|| panic!("unknown version `{s}`")))
+    .map(|s| version_by_name(s).unwrap_or_else(|| usage_error(&format!("unknown version `{s}`"))))
     .collect();
 
     let show_stats = args.iter().any(|a| a == "--stats");

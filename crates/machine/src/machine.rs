@@ -66,9 +66,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine from a configuration. Profiling defaults to the
-    /// `T3D_PERF` environment variable (off when unset), mirroring the
-    /// sanitizer's `T3D_SAN` convention.
+    /// Builds a machine from a configuration, with profiling off (see
+    /// [`Machine::set_perf_mode`]).
     ///
     /// # Panics
     ///
@@ -91,7 +90,7 @@ impl Machine {
         }
         let torus = Torus::new(cfg.torus);
         let n = torus.nodes();
-        let mut m = Machine {
+        Ok(Machine {
             nodes: (0..n).map(|pe| Node::new(&cfg, pe)).collect(),
             hot: vec![NodeHot::default(); n as usize],
             link_busy: vec![0; torus.num_links()],
@@ -101,12 +100,7 @@ impl Machine {
             tracer: Tracer::default(),
             perf_mode: PerfMode::Off,
             phase_log: PhaseLog::default(),
-        };
-        let mode = PerfMode::effective(PerfMode::Off);
-        if mode.counters() {
-            m.set_perf_mode(mode);
-        }
-        Ok(m)
+        })
     }
 
     /// The configuration this machine was built with.
@@ -375,9 +369,8 @@ impl Machine {
 
     /// Sets the profiling mode, restarting collection: every PE's
     /// ledgers and histograms clear and rebase at its current clock, and
-    /// the phase log empties. `Timeline` also enables the tracer (with
-    /// the `T3D_TRACE_CAP` capacity, default 65536) if it is not already
-    /// on. Attribution is pure observation — no virtual time changes.
+    /// the phase log empties. Attribution is pure observation — no
+    /// virtual time changes.
     pub fn set_perf_mode(&mut self, mode: PerfMode) {
         self.perf_mode = mode;
         let on = mode.counters();
@@ -386,9 +379,6 @@ impl Machine {
             node.port.set_perf(on);
         }
         self.phase_log.clear();
-        if mode.timeline() && !self.tracer.is_enabled() {
-            self.tracer.enable(Tracer::env_cap(65_536));
-        }
     }
 
     /// All PEs' attribution ledgers (node + memory port) merged.
@@ -487,7 +477,7 @@ impl Machine {
     }
 
     /// Exports a `chrome://tracing` timeline: one row per PE built from
-    /// the tracer's events (enable `Timeline` mode or the tracer), plus
+    /// the tracer's events (see [`Machine::enable_trace`]), plus
     /// a machine-wide row (tid 10000) carrying the named phase spans.
     /// Returns pretty-printed Chrome-trace JSON.
     pub fn perf_chrome_trace(&self) -> String {

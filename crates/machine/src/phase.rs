@@ -95,22 +95,35 @@ pub enum PhaseDriver {
 }
 
 impl PhaseDriver {
-    /// Selects a driver from the `T3D_PAR` environment variable:
+    /// Selects a driver from the `T3D_PAR` environment variable
+    /// (surrounding whitespace ignored):
     ///
-    /// * unset or `1` — parallel, one thread per available core;
+    /// * unset, empty or `1` — parallel, one thread per available core;
     /// * `0` — sequential (shards still run through the sharded engine,
     ///   so results match the parallel driver bit for bit);
     /// * `N > 1` — parallel with `N` threads.
     ///
-    /// Unparsable values fall back to the parallel default.
+    /// # Panics
+    ///
+    /// On any other value, naming the variable, the value and the
+    /// accepted values: a mistyped knob must not silently pick a driver.
     pub fn from_env() -> Self {
-        match std::env::var("T3D_PAR") {
-            Err(_) => PhaseDriver::Par(Self::auto_threads()),
-            Ok(s) => match s.trim() {
-                "0" => PhaseDriver::Seq,
-                "" | "1" => PhaseDriver::Par(Self::auto_threads()),
-                n => PhaseDriver::Par(n.parse().unwrap_or_else(|_| Self::auto_threads())),
-            },
+        let value = std::env::var_os("T3D_PAR").map(|v| v.to_string_lossy().into_owned());
+        Self::from_knob(value.as_deref())
+    }
+
+    /// [`PhaseDriver::from_env`] on an explicit value (`None` = unset).
+    fn from_knob(value: Option<&str>) -> Self {
+        let raw = value.unwrap_or("");
+        match raw.trim() {
+            "0" => PhaseDriver::Seq,
+            "" | "1" => PhaseDriver::Par(Self::auto_threads()),
+            n => PhaseDriver::Par(n.parse().unwrap_or_else(|_| {
+                panic!(
+                    "T3D_PAR={raw:?} is not recognised; expected unset, empty, \
+                     0 (sequential), 1 (one thread per core) or a thread count N"
+                )
+            })),
         }
     }
 
@@ -914,9 +927,24 @@ mod tests {
     }
 
     #[test]
-    fn driver_from_env_parses() {
-        // No env mutation (tests run threaded): just exercise the
-        // constructors and clamping.
+    fn driver_knob_accepts_every_documented_value() {
+        let auto = PhaseDriver::Par(PhaseDriver::auto_threads());
+        assert_eq!(PhaseDriver::from_knob(None), auto);
+        assert_eq!(PhaseDriver::from_knob(Some("")), auto);
+        assert_eq!(PhaseDriver::from_knob(Some("1")), auto);
+        assert_eq!(PhaseDriver::from_knob(Some("0")), PhaseDriver::Seq);
+        assert_eq!(PhaseDriver::from_knob(Some(" 0 ")), PhaseDriver::Seq);
+        assert_eq!(PhaseDriver::from_knob(Some("3")), PhaseDriver::Par(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "T3D_PAR=\"abc\" is not recognised; expected unset, empty, 0")]
+    fn driver_knob_rejects_garbage() {
+        PhaseDriver::from_knob(Some("abc"));
+    }
+
+    #[test]
+    fn driver_clamps_threads_to_pes() {
         assert_eq!(PhaseDriver::Seq.threads_for(8), 1);
         assert_eq!(PhaseDriver::Par(0).threads_for(8), 1);
         assert_eq!(PhaseDriver::Par(64).threads_for(8), 8);

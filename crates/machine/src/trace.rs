@@ -120,36 +120,6 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Trace-buffer capacity from the `T3D_TRACE_CAP` environment
-    /// variable, or `fallback` when unset. Enable sites pass their old
-    /// hard-coded capacity as the fallback, so long runs can widen the
-    /// buffer without a rebuild.
-    ///
-    /// # Panics
-    ///
-    /// A set-but-broken knob panics instead of silently falling back:
-    /// `T3D_TRACE_CAP=abc` or `=0` is a misconfiguration the user must
-    /// see, matching the other env-knob conventions.
-    pub fn env_cap(fallback: usize) -> usize {
-        Self::cap_from(std::env::var("T3D_TRACE_CAP").ok().as_deref(), fallback)
-    }
-
-    /// [`Tracer::env_cap`] with the variable's value passed explicitly
-    /// (`None` = unset), so the policy is testable without mutating the
-    /// process environment under threaded tests.
-    pub fn cap_from(value: Option<&str>, fallback: usize) -> usize {
-        let Some(raw) = value else {
-            return fallback;
-        };
-        match raw.trim().parse::<usize>() {
-            Ok(cap) if cap > 0 => cap,
-            _ => panic!(
-                "T3D_TRACE_CAP={raw:?} is not a positive event count; \
-                 unset it or pass an integer >= 1"
-            ),
-        }
-    }
-
     /// Enables tracing with space for `cap` events.
     pub fn enable(&mut self, cap: usize) {
         assert!(cap > 0, "trace buffer needs capacity");
@@ -297,33 +267,6 @@ mod tests {
         assert!(t
             .dump()
             .starts_with("trace: 2 events held, 3 dropped (cap 2)"));
-    }
-
-    #[test]
-    fn env_cap_falls_back_when_unset() {
-        // The suite never sets T3D_TRACE_CAP (tests run threaded, so the
-        // live env path is exercised against the unset default only;
-        // the set paths go through cap_from below).
-        assert_eq!(Tracer::env_cap(4096), 4096);
-        assert_eq!(Tracer::cap_from(None, 4096), 4096);
-    }
-
-    #[test]
-    fn cap_from_accepts_positive_integers() {
-        assert_eq!(Tracer::cap_from(Some("128"), 4096), 128);
-        assert_eq!(Tracer::cap_from(Some("  7 "), 4096), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "T3D_TRACE_CAP=\"abc\"")]
-    fn cap_from_rejects_garbage_loudly() {
-        Tracer::cap_from(Some("abc"), 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "T3D_TRACE_CAP=\"0\"")]
-    fn cap_from_rejects_zero_loudly() {
-        Tracer::cap_from(Some("0"), 4096);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! remote loads satisfied by a stale L1 line, `poll_status`, `blt_wait`,
 //! `annex_set`, `swap_load` and the fuzzy barrier pair.
 
-use t3d_machine::{Cpu, Machine, MachineConfig, TraceKind, Tracer};
+use t3d_machine::{Cpu, Machine, MachineConfig, TraceKind};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::FuncCode;
 
@@ -16,7 +16,7 @@ fn count(m: &Machine, f: impl Fn(TraceKind) -> bool) -> usize {
 #[test]
 fn every_architectural_op_emits_exactly_one_trace_event() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.enable_trace(Tracer::env_cap(4096));
+    m.enable_trace(4096);
     let mut expected = 0usize;
 
     // Annex updates (3: two load flavours plus the swap flavour later).
@@ -127,7 +127,7 @@ fn failed_pop_is_not_an_architectural_completion() {
     // A pop that returns NotDeparted/Empty performs no operation; the
     // trace stays op-accurate by not recording it.
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.enable_trace(Tracer::env_cap(64));
+    m.enable_trace(64);
     assert!(Cpu::new(&mut m, 0).pop_prefetch().is_err());
     assert_eq!(count(&m, |k| matches!(k, TraceKind::Pop)), 0);
 }

@@ -11,21 +11,16 @@
 //! * **host** figures (the `throughput` block: sim-cycles/sec and
 //!   ops/sec) vary run to run and machine to machine, so they compare
 //!   with a separate, generous regression tolerance and never byte
-//!   equality. No raw wall-clock is written into baselines — the v1
-//!   schema's `wall_ms` field churned every regeneration and is gone.
+//!   equality. No raw wall-clock is written into baselines.
 
 use std::collections::BTreeMap;
 
 use crate::json::{parse, Value};
 use crate::throughput::{Stat, Throughput};
 
-/// Document schema tag, bumped on incompatible layout changes.
+/// Document schema tag, bumped on incompatible layout changes. Only
+/// this schema parses.
 pub const BENCH_SCHEMA: &str = "t3d-perf-bench-v2";
-
-/// The previous schema tag: still parseable (entries carry no
-/// throughput block; the nondeterministic `wall_ms` field is dropped on
-/// read), so trajectory tooling can compare across the migration.
-pub const BENCH_SCHEMA_V1: &str = "t3d-perf-bench-v1";
 
 /// One benchmark's record.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +33,9 @@ pub struct BenchEntry {
     pub attribution: BTreeMap<String, u64>,
     /// Extra derived metrics (e.g. `us_per_edge`), informational.
     pub extras: BTreeMap<String, f64>,
-    /// Host-throughput measurement, when the run recorded one. The
-    /// checksum inside compares strictly; the rates compare with the
-    /// host tolerance.
-    pub throughput: Option<Throughput>,
+    /// Host-throughput measurement. The checksum inside compares
+    /// strictly; the rates compare with the host tolerance.
+    pub throughput: Throughput,
 }
 
 /// A suite of benchmark records.
@@ -132,7 +126,7 @@ impl BenchDoc {
             .entries
             .iter()
             .map(|e| {
-                let mut fields = vec![
+                Value::obj(vec![
                     ("name", Value::Str(e.name.clone())),
                     ("cycles", Value::Int(e.cycles as i64)),
                     (
@@ -153,11 +147,8 @@ impl BenchDoc {
                                 .collect(),
                         ),
                     ),
-                ];
-                if let Some(t) = &e.throughput {
-                    fields.push(("throughput", throughput_json(t)));
-                }
-                Value::obj(fields)
+                    ("throughput", throughput_json(&e.throughput)),
+                ])
             })
             .collect();
         Value::obj(vec![
@@ -168,18 +159,17 @@ impl BenchDoc {
     }
 
     /// Parses a document previously produced by [`BenchDoc::to_json`].
-    /// Accepts the current schema and, for migration, v1 (whose
-    /// `wall_ms` host timings are dropped and whose entries carry no
-    /// throughput block).
+    /// Rejects any other schema and any entry without a throughput
+    /// block.
     pub fn from_json(text: &str) -> Result<BenchDoc, String> {
         let v = parse(text)?;
         let schema = v
             .get("schema")
             .and_then(|s| s.as_str())
             .ok_or("missing schema")?;
-        if schema != BENCH_SCHEMA && schema != BENCH_SCHEMA_V1 {
+        if schema != BENCH_SCHEMA {
             return Err(format!(
-                "schema mismatch: found {schema:?}, expected {BENCH_SCHEMA:?} (or {BENCH_SCHEMA_V1:?})"
+                "schema mismatch: found {schema:?}, expected {BENCH_SCHEMA:?}"
             ));
         }
         let suite = v
@@ -214,10 +204,10 @@ impl BenchDoc {
                     extras.insert(k.clone(), v.as_f64().unwrap_or(0.0));
                 }
             }
-            let throughput = match e.get("throughput") {
-                Some(t) => Some(throughput_from(t)?),
-                None => None,
-            };
+            let throughput = throughput_from(
+                e.get("throughput")
+                    .ok_or_else(|| format!("entry {name:?} missing throughput"))?,
+            )?;
             entries.push(BenchEntry {
                 name,
                 cycles,
@@ -237,9 +227,9 @@ impl BenchDoc {
 ///
 /// * an entry present in the baseline but missing from the new run
 ///   always fails;
-/// * **checksums** (when both entries carry a throughput block) must
-///   match exactly — they are virtual-state fingerprints, so any
-///   difference means the engine computed something else;
+/// * **checksums** must match exactly — they are virtual-state
+///   fingerprints, so any difference means the engine computed
+///   something else;
 /// * **cycles** and **every attribution class** (the union of both
 ///   sides' classes, a missing class counting as zero) may move by at
 ///   most `tol` of the baseline value in *either* direction (fractional,
@@ -276,25 +266,24 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, tol: f64, host_tol: f64) -
                 problems.push(format!("{}: attribution {class} {drift}", old.name));
             }
         }
-        if let (Some(ot), Some(nt)) = (&old.throughput, &new.throughput) {
-            if ot.checksum != nt.checksum {
-                problems.push(format!(
-                    "{}: determinism checksum {:#018x} -> {:#018x} (strict; the \
-                     engine's virtual state diverged from the baseline)",
-                    old.name, ot.checksum, nt.checksum
-                ));
-            }
-            let floor = ot.cycles_per_sec.mean * (1.0 - host_tol);
-            if nt.cycles_per_sec.mean < floor {
-                problems.push(format!(
-                    "{}: host throughput {:.3e} -> {:.3e} sim-cycles/sec \
-                     (below {:.0}% of baseline)",
-                    old.name,
-                    ot.cycles_per_sec.mean,
-                    nt.cycles_per_sec.mean,
-                    (1.0 - host_tol) * 100.0
-                ));
-            }
+        let (ot, nt) = (&old.throughput, &new.throughput);
+        if ot.checksum != nt.checksum {
+            problems.push(format!(
+                "{}: determinism checksum {:#018x} -> {:#018x} (strict; the \
+                 engine's virtual state diverged from the baseline)",
+                old.name, ot.checksum, nt.checksum
+            ));
+        }
+        let floor = ot.cycles_per_sec.mean * (1.0 - host_tol);
+        if nt.cycles_per_sec.mean < floor {
+            problems.push(format!(
+                "{}: host throughput {:.3e} -> {:.3e} sim-cycles/sec \
+                 (below {:.0}% of baseline)",
+                old.name,
+                ot.cycles_per_sec.mean,
+                nt.cycles_per_sec.mean,
+                (1.0 - host_tol) * 100.0
+            ));
         }
     }
     problems
@@ -349,7 +338,7 @@ mod tests {
             cycles,
             attribution: [("compute".to_string(), cycles)].into_iter().collect(),
             extras: [("us_per_edge".to_string(), 1.5)].into_iter().collect(),
-            throughput: Some(throughput(1.0e8, 0xFEED_FACE_CAFE_BEEF)),
+            throughput: throughput(1.0e8, 0xFEED_FACE_CAFE_BEEF),
         }
     }
 
@@ -358,13 +347,10 @@ mod tests {
         let mut doc = BenchDoc::new("micro");
         doc.entries.push(entry("remote.read.uncached", 912));
         doc.entries.push(entry("sync.barrier", 400));
-        // Entries without a throughput block round-trip too.
-        let mut bare = entry("no.throughput", 7);
-        bare.throughput = None;
-        doc.entries.push(bare);
-        // ...and throughput blocks measured without the setup split.
+        // Throughput blocks measured without the setup split round-trip
+        // too.
         let mut nosetup = entry("no.setup", 9);
-        nosetup.throughput.as_mut().unwrap().setup = None;
+        nosetup.throughput.setup = None;
         doc.entries.push(nosetup);
         let text = doc.to_json().render_pretty();
         let back = BenchDoc::from_json(&text).unwrap();
@@ -375,70 +361,34 @@ mod tests {
     fn checksum_survives_full_u64_range() {
         let mut doc = BenchDoc::new("micro");
         let mut e = entry("a", 1);
-        e.throughput.as_mut().unwrap().checksum = u64::MAX;
+        e.throughput.checksum = u64::MAX;
         doc.entries.push(e);
         let back = BenchDoc::from_json(&doc.to_json().render_pretty()).unwrap();
-        assert_eq!(
-            back.entries[0].throughput.as_ref().unwrap().checksum,
-            u64::MAX
-        );
-    }
-
-    #[test]
-    fn v1_documents_still_parse() {
-        // A v1 document as `t3d-perf` used to write it: wall_ms present,
-        // no throughput block.
-        let text = "{\"schema\":\"t3d-perf-bench-v1\",\"suite\":\"micro\",\"entries\":[\
-                    {\"name\":\"a\",\"cycles\":912,\
-                    \"attribution\":{\"compute\":912},\
-                    \"extras\":{\"remote_share\":0.5},\"wall_ms\":12.5}]}";
-        let doc = BenchDoc::from_json(text).unwrap();
-        assert_eq!(doc.suite, "micro");
-        assert_eq!(doc.entries[0].cycles, 912);
-        assert_eq!(doc.entries[0].throughput, None);
-        // Re-serializing writes the current schema without wall_ms.
-        let rendered = doc.to_json().render_pretty();
-        assert!(rendered.contains(BENCH_SCHEMA));
-        assert!(!rendered.contains("wall_ms"));
-    }
-
-    #[test]
-    fn the_committed_v1_fixture_parses_and_compares() {
-        // The last v1 document `t3d-perf` ever wrote, checked in
-        // verbatim as the schema-migration fixture: it must keep
-        // parsing, and a v1 baseline must gate cycles without
-        // tripping the (absent) throughput gates.
-        let doc = BenchDoc::from_json(include_str!("../fixtures/BENCH_micro_v1.json"))
-            .expect("v1 fixture parses");
-        assert_eq!(doc.suite, "micro");
-        assert_eq!(doc.entries.len(), 13);
-        assert!(doc.entries.iter().all(|e| e.throughput.is_none()));
-        assert!(compare(&doc, &doc, 0.25, 0.5).is_empty());
+        assert_eq!(back.entries[0].throughput.checksum, u64::MAX);
     }
 
     #[test]
     fn the_committed_v2_nosetup_fixture_parses_and_compares() {
         // The last v2 document written before the throughput block grew
         // its `setup` field, checked in verbatim as the migration
-        // fixture (same pattern as the v1 fixture above): it must keep
-        // parsing — with `setup` absent mapping to `None` — and serve
-        // as a baseline without tripping any gate.
+        // fixture: it must keep parsing — with `setup` absent mapping to
+        // `None` — and serve as a baseline without tripping any gate.
         let doc = BenchDoc::from_json(include_str!("../fixtures/BENCH_micro_v2_nosetup.json"))
             .expect("v2-nosetup fixture parses");
         assert_eq!(doc.suite, "micro");
         assert_eq!(doc.entries.len(), 13);
-        assert!(doc
-            .entries
-            .iter()
-            .all(|e| e.throughput.as_ref().is_some_and(|t| t.setup.is_none())));
+        assert!(doc.entries.iter().all(|e| e.throughput.setup.is_none()));
         assert!(compare(&doc, &doc, 0.25, 0.5).is_empty());
     }
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        let err = BenchDoc::from_json("{\"schema\":\"other\",\"suite\":\"x\",\"entries\":[]}")
-            .unwrap_err();
-        assert!(err.contains("schema mismatch"));
+        // The retired v1 schema included.
+        for schema in ["other", "t3d-perf-bench-v1"] {
+            let text = format!("{{\"schema\":\"{schema}\",\"suite\":\"x\",\"entries\":[]}}");
+            let err = BenchDoc::from_json(&text).unwrap_err();
+            assert!(err.contains("schema mismatch"), "{err}");
+        }
     }
 
     #[test]
@@ -528,7 +478,7 @@ mod tests {
         let mut base = BenchDoc::new("micro");
         base.entries.push(entry("a", 1000));
         let mut fresh = base.clone();
-        fresh.entries[0].throughput.as_mut().unwrap().checksum ^= 1;
+        fresh.entries[0].throughput.checksum ^= 1;
         let problems = compare(&base, &fresh, 0.25, 0.5);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("determinism checksum"));
@@ -540,33 +490,22 @@ mod tests {
         base.entries.push(entry("a", 1000));
         // 40% slower: inside a 50% host tolerance.
         let mut noisy = base.clone();
-        noisy.entries[0]
-            .throughput
-            .as_mut()
-            .unwrap()
-            .cycles_per_sec
-            .mean = 0.6e8;
+        noisy.entries[0].throughput.cycles_per_sec.mean = 0.6e8;
         assert!(compare(&base, &noisy, 0.25, 0.5).is_empty());
         // 60% slower: outside it.
         let mut slow = base.clone();
-        slow.entries[0]
-            .throughput
-            .as_mut()
-            .unwrap()
-            .cycles_per_sec
-            .mean = 0.4e8;
+        slow.entries[0].throughput.cycles_per_sec.mean = 0.4e8;
         let problems = compare(&base, &slow, 0.25, 0.5);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("host throughput"));
     }
 
     #[test]
-    fn compare_skips_host_gates_when_a_side_has_no_throughput() {
-        let mut base = BenchDoc::new("micro");
-        base.entries.push(entry("a", 1000));
-        let mut fresh = base.clone();
-        fresh.entries[0].throughput = None;
-        assert!(compare(&base, &fresh, 0.25, 0.5).is_empty());
-        assert!(compare(&fresh, &base, 0.25, 0.5).is_empty());
+    fn an_entry_without_throughput_fails_to_parse() {
+        let text = "{\"schema\":\"t3d-perf-bench-v2\",\"suite\":\"micro\",\"entries\":[\
+                    {\"name\":\"a\",\"cycles\":912,\
+                    \"attribution\":{\"compute\":912},\"extras\":{}}]}";
+        let err = BenchDoc::from_json(text).unwrap_err();
+        assert_eq!(err, "entry \"a\" missing throughput");
     }
 }

@@ -23,10 +23,11 @@
 //!   a tolerance-based regression comparator ([`mod@bench`]).
 //!
 //! Attribution is pure observation: crediting a ledger never changes a
-//! clock, so `T3D_PERF=0` runs are bit-identical to an uninstrumented
-//! build, and `T3D_PERF>=1` runs report bit-identically under both
-//! `T3D_PAR` drivers (each PE's ledger lives in node-owned state that
-//! the sharded phase engine already keeps thread-private).
+//! clock, so runs in [`PerfMode::Off`] (the default) are bit-identical
+//! to an uninstrumented build, and [`PerfMode::Counters`] runs report
+//! bit-identically under both `T3D_PAR` drivers (each PE's ledger lives
+//! in node-owned state that the sharded phase engine already keeps
+//! thread-private).
 //!
 //! Host time is the one thing here that is not deterministic. Host-time
 //! gates scale it by a fixed loop timed just before and after
@@ -60,9 +61,9 @@ pub use throughput::{
     measure, measure_split, RunSample, SplitSample, Stat, Throughput, ThroughputSpec,
 };
 
-/// How much observability a run collects. Mirrors the `T3D_SAN`
-/// precedent: an environment knob (`T3D_PERF`) fills in the default,
-/// explicit configuration wins.
+/// How much observability a run collects. A machine starts in
+/// [`PerfMode::Off`]; code that wants counters asks for them
+/// explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PerfMode {
     /// No collection (zero overhead beyond one branch per credit site).
@@ -70,50 +71,12 @@ pub enum PerfMode {
     Off,
     /// Cycle-attribution ledgers, counters and histograms.
     Counters,
-    /// Counters plus the event timeline (the machine's tracer is
-    /// enabled so a Chrome trace can be exported).
-    Timeline,
 }
 
 impl PerfMode {
-    /// Parses the `T3D_PERF` environment variable: `0`/`off` → [`Off`],
-    /// `1`/`counters` → [`Counters`], `2`/`timeline` → [`Timeline`].
-    /// Returns `None` when unset or unrecognized.
-    ///
-    /// [`Off`]: PerfMode::Off
-    /// [`Counters`]: PerfMode::Counters
-    /// [`Timeline`]: PerfMode::Timeline
-    pub fn from_env() -> Option<PerfMode> {
-        match std::env::var("T3D_PERF")
-            .ok()?
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "0" | "off" => Some(PerfMode::Off),
-            "1" | "counters" => Some(PerfMode::Counters),
-            "2" | "timeline" => Some(PerfMode::Timeline),
-            _ => None,
-        }
-    }
-
-    /// The mode in force: a deliberate configuration keeps its choice,
-    /// the `T3D_PERF` environment variable fills in the default
-    /// ([`PerfMode::Off`]) so profiling can be switched on suite-wide.
-    pub fn effective(configured: PerfMode) -> PerfMode {
-        match configured {
-            PerfMode::Off => Self::from_env().unwrap_or(PerfMode::Off),
-            set => set,
-        }
-    }
-
     /// Whether ledgers, counters and histograms are collected.
     pub fn counters(self) -> bool {
         self != PerfMode::Off
-    }
-
-    /// Whether the event timeline is collected too.
-    pub fn timeline(self) -> bool {
-        self == PerfMode::Timeline
     }
 }
 
@@ -122,17 +85,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn explicit_mode_wins_over_default() {
-        assert_eq!(PerfMode::effective(PerfMode::Counters), PerfMode::Counters);
-        assert_eq!(PerfMode::effective(PerfMode::Timeline), PerfMode::Timeline);
-    }
-
-    #[test]
     fn mode_predicates() {
         assert!(!PerfMode::Off.counters());
         assert!(PerfMode::Counters.counters());
-        assert!(!PerfMode::Counters.timeline());
-        assert!(PerfMode::Timeline.counters());
-        assert!(PerfMode::Timeline.timeline());
     }
 }

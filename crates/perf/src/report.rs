@@ -163,7 +163,6 @@ impl PerfReport {
         let mode = match self.mode {
             PerfMode::Off => "off",
             PerfMode::Counters => "counters",
-            PerfMode::Timeline => "timeline",
         };
         let mut out = String::new();
         out.push_str(&format!(
@@ -200,7 +199,6 @@ impl PerfReport {
         let mode = match self.mode {
             PerfMode::Off => "off",
             PerfMode::Counters => "counters",
-            PerfMode::Timeline => "timeline",
         };
         let pes = Value::Arr(
             self.pes

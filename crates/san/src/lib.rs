@@ -22,8 +22,8 @@
 //!   that never go through the runtime.
 //!
 //! Enable it through `SplitcConfig::sanitize` or the `T3D_SAN`
-//! environment variable (`1`/`collect` to collect, `panic` to abort on
-//! the first finding). Per-PE event logs are merged by
+//! environment variable (`1`/`collect` to collect, `2`/`panic` to abort
+//! on the first finding; any other non-empty value panics). Per-PE event logs are merged by
 //! `(time, pe, seq)` — the same discipline the sharded phase engine
 //! uses for its effect log — so sequential and parallel phase drivers
 //! produce bit-identical reports.
@@ -56,19 +56,37 @@ pub enum SanitizeMode {
 }
 
 impl SanitizeMode {
-    /// Parses the `T3D_SAN` environment variable: `0`/`off` → [`Off`],
-    /// `1`/`collect` → [`Collect`], `2`/`panic` → [`Panic`]. Returns
-    /// `None` when unset or unrecognized.
+    /// Parses the `T3D_SAN` environment variable (any case, surrounding
+    /// whitespace ignored): `0`/`off` → [`Off`], `1`/`collect` →
+    /// [`Collect`], `2`/`panic` → [`Panic`]. Returns `None` when unset or
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// On any other value, naming the variable, the value and the
+    /// accepted values: a mistyped knob must not silently leave the
+    /// sanitizer off.
     ///
     /// [`Off`]: SanitizeMode::Off
     /// [`Collect`]: SanitizeMode::Collect
     /// [`Panic`]: SanitizeMode::Panic
     pub fn from_env() -> Option<SanitizeMode> {
-        match std::env::var("T3D_SAN").ok()?.to_ascii_lowercase().as_str() {
+        let value = std::env::var_os("T3D_SAN").map(|v| v.to_string_lossy().into_owned());
+        Self::from_knob(value.as_deref())
+    }
+
+    /// [`SanitizeMode::from_env`] on an explicit value (`None` = unset).
+    fn from_knob(value: Option<&str>) -> Option<SanitizeMode> {
+        let raw = value.unwrap_or("");
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "" => None,
             "0" | "off" => Some(SanitizeMode::Off),
             "1" | "collect" => Some(SanitizeMode::Collect),
             "2" | "panic" => Some(SanitizeMode::Panic),
-            _ => None,
+            _ => panic!(
+                "T3D_SAN={raw:?} is not recognised; expected unset, empty, \
+                 0/off, 1/collect or 2/panic"
+            ),
         }
     }
 
@@ -87,5 +105,31 @@ impl SanitizeMode {
     /// Whether events should be recorded at all.
     pub fn is_on(self) -> bool {
         self != SanitizeMode::Off
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SanitizeMode::{self, Collect, Off, Panic};
+
+    #[test]
+    fn mode_knob_accepts_every_documented_value() {
+        assert_eq!(SanitizeMode::from_knob(None), None);
+        assert_eq!(SanitizeMode::from_knob(Some("")), None);
+        for (values, mode) in [
+            (["0", "off", "OFF"], Off),
+            (["1", "collect", "Collect"], Collect),
+            (["2", "panic", " PANIC "], Panic),
+        ] {
+            for v in values {
+                assert_eq!(SanitizeMode::from_knob(Some(v)), Some(mode), "{v:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "T3D_SAN=\"yes\" is not recognised; expected unset, empty, 0/off")]
+    fn mode_knob_rejects_garbage() {
+        SanitizeMode::from_knob(Some("yes"));
     }
 }

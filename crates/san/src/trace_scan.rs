@@ -236,12 +236,12 @@ pub fn scan_trace(m: &Machine) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use t3d_machine::{Cpu, MachineConfig, Tracer};
+    use t3d_machine::{Cpu, MachineConfig};
     use t3d_shell::FuncCode;
 
     fn machine2() -> Machine {
         let mut m = Machine::new(MachineConfig::t3d(2));
-        m.enable_trace(Tracer::env_cap(1024));
+        m.enable_trace(1024);
         m
     }
 

@@ -105,7 +105,7 @@ fn entry_from_report(name: &str, report: &PerfReport, throughput: Throughput) ->
         cycles: report.total(),
         attribution,
         extras,
-        throughput: Some(throughput),
+        throughput,
     }
 }
 
@@ -589,20 +589,19 @@ fn main() -> ExitCode {
             Ok(path) => {
                 println!("wrote {} ({} entries)", path.display(), doc.entries.len());
                 for e in &doc.entries {
-                    if let Some(t) = &e.throughput {
-                        println!(
-                            "  {:<24} {:>11.3e} cy/s (±{:.1}%), {:>10.3e} ops/s, checksum {:#018x}",
-                            e.name,
-                            t.cycles_per_sec.mean,
-                            if t.cycles_per_sec.mean > 0.0 {
-                                t.cycles_per_sec.stddev / t.cycles_per_sec.mean * 100.0
-                            } else {
-                                0.0
-                            },
-                            t.ops_per_sec.mean,
-                            t.checksum
-                        );
-                    }
+                    let t = &e.throughput;
+                    println!(
+                        "  {:<24} {:>11.3e} cy/s (±{:.1}%), {:>10.3e} ops/s, checksum {:#018x}",
+                        e.name,
+                        t.cycles_per_sec.mean,
+                        if t.cycles_per_sec.mean > 0.0 {
+                            t.cycles_per_sec.stddev / t.cycles_per_sec.mean * 100.0
+                        } else {
+                            0.0
+                        },
+                        t.ops_per_sec.mean,
+                        t.checksum
+                    );
                 }
             }
             Err(e) => {

@@ -109,7 +109,7 @@ fn profiling_never_changes_virtual_time() {
 #[test]
 fn perf_off_collects_nothing_and_costs_nothing() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    // Explicit Off (the default unless T3D_PERF says otherwise).
+    // Explicit Off (also the default).
     m.set_perf_mode(PerfMode::Off);
     let mut cpu = Cpu::new(&mut m, 0);
     cpu.st8(0x100, 7);
@@ -123,7 +123,8 @@ fn perf_off_collects_nothing_and_costs_nothing() {
 #[test]
 fn timeline_mode_exports_a_chrome_trace() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.set_perf_mode(PerfMode::Timeline);
+    m.set_perf_mode(PerfMode::Counters);
+    m.enable_trace(65_536);
     let mut cpu = Cpu::new(&mut m, 0);
     cpu.st8(0x100, 7);
     cpu.memory_barrier();
