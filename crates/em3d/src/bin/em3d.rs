@@ -2,15 +2,16 @@
 //!
 //! ```sh
 //! em3d [--pes N] [--nodes N] [--degree D] [--steps S] [--seed X]
-//!      [--remote P1,P2,...] [--versions V1,V2,...]
+//!      [--remote P1,P2,...] [--versions V1,V2,...] [--stats]
 //! ```
 //!
 //! Defaults reproduce a reduced Figure 9; `--pes 32 --nodes 500
 //! --degree 20` is the paper's configuration. `--seed` takes a decimal
-//! or `0x`-prefixed hex number. A malformed flag value exits with
-//! status 2 and names the flag.
+//! or `0x`-prefixed hex number. An unknown or repeated flag, or a
+//! malformed flag value, exits with status 2 and names the flag.
 
 use em3d::{run_version, Em3dParams, Version};
+use std::collections::HashMap;
 
 /// Reports a bad command line and exits with status 2.
 fn usage_error(msg: &str) -> ! {
@@ -18,17 +19,43 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The value after `flag`, or `None` when the flag is absent.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v),
-        None => usage_error(&format!("{flag} needs a value")),
+/// Flags that take a value.
+const VALUE_FLAGS: [&str; 7] = [
+    "--pes",
+    "--nodes",
+    "--degree",
+    "--steps",
+    "--seed",
+    "--remote",
+    "--versions",
+];
+
+/// The command line as flag -> value (`""` for `--stats`).
+type Flags<'a> = HashMap<&'a str, &'a str>;
+
+/// Reads the command line; an unknown or repeated flag, or a missing
+/// value, is a usage error.
+fn parse_args(args: &[String]) -> Flags<'_> {
+    let mut flags = HashMap::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        let value = if flag == "--stats" {
+            ""
+        } else if VALUE_FLAGS.contains(&flag) {
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        } else {
+            usage_error(&format!("unknown flag {flag:?}"))
+        };
+        if flags.insert(flag, value).is_some() {
+            usage_error(&format!("{flag} is given more than once"));
+        }
     }
+    flags
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
+fn parse_flag<T: std::str::FromStr>(flags: &Flags, flag: &str, default: T) -> T {
+    match flags.get(flag) {
         None => default,
         Some(v) => v
             .parse()
@@ -37,8 +64,8 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 }
 
 /// `--seed`, decimal or `0x`-prefixed hex.
-fn parse_seed(args: &[String], default: u64) -> u64 {
-    let Some(v) = flag_value(args, "--seed") else {
+fn parse_seed(flags: &Flags, default: u64) -> u64 {
+    let Some(v) = flags.get("--seed") else {
         return default;
     };
     match v.strip_prefix("0x") {
@@ -48,8 +75,10 @@ fn parse_seed(args: &[String], default: u64) -> u64 {
     .unwrap_or_else(|| usage_error(&format!("--seed {v:?} is not a decimal or 0x-hex number")))
 }
 
-fn parse_list<'a>(args: &'a [String], flag: &str, default: &'a str) -> Vec<&'a str> {
-    flag_value(args, flag)
+fn parse_list<'a>(flags: &Flags<'a>, flag: &str, default: &'a str) -> Vec<&'a str> {
+    flags
+        .get(flag)
+        .copied()
         .unwrap_or(default)
         .split(',')
         .map(str::trim)
@@ -67,21 +96,22 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: em3d [--pes N] [--nodes N] [--degree D] [--steps S] [--seed X|0xX]\n\
-             \x20           [--remote P1,P2,...] [--versions Simple,Bundle,...]\n\
+             \x20           [--remote P1,P2,...] [--versions Simple,Bundle,...] [--stats]\n\
              versions: {}",
             Version::all().map(|v| v.label()).join(", ")
         );
         return;
     }
-    let pes: u32 = parse_flag(&args, "--pes", 8);
+    let flags = parse_args(&args);
+    let pes: u32 = parse_flag(&flags, "--pes", 8);
     let base = Em3dParams {
-        nodes_per_pe: parse_flag(&args, "--nodes", 100),
-        degree: parse_flag(&args, "--degree", 10),
+        nodes_per_pe: parse_flag(&flags, "--nodes", 100),
+        degree: parse_flag(&flags, "--degree", 10),
         pct_remote: 0.0,
-        steps: parse_flag(&args, "--steps", 1),
-        seed: parse_seed(&args, 0xE3D),
+        steps: parse_flag(&flags, "--steps", 1),
+        seed: parse_seed(&flags, 0xE3D),
     };
-    let pcts: Vec<f64> = parse_list(&args, "--remote", "0,5,10,20,40")
+    let pcts: Vec<f64> = parse_list(&flags, "--remote", "0,5,10,20,40")
         .iter()
         .map(|s| {
             s.parse()
@@ -89,7 +119,7 @@ fn main() {
         })
         .collect();
     let versions: Vec<Version> = parse_list(
-        &args,
+        &flags,
         "--versions",
         "Simple,Bundle,Unroll,Get,Put,Bulk,StoreSync",
     )
@@ -97,7 +127,7 @@ fn main() {
     .map(|s| version_by_name(s).unwrap_or_else(|| usage_error(&format!("unknown version `{s}`"))))
     .collect();
 
-    let show_stats = args.iter().any(|a| a == "--stats");
+    let show_stats = flags.contains_key("--stats");
     println!(
         "EM3D: {pes} PEs, {} nodes/PE, degree {}, {} step(s) (us per edge)\n",
         base.nodes_per_pe, base.degree, base.steps

@@ -152,30 +152,6 @@ impl Em3dGraph {
         }
         remote as f64 / total as f64
     }
-
-    /// Unique remote endpoints PE `p` needs for its E-update (H values),
-    /// in deterministic order.
-    pub fn unique_remote_h(&self, p: u32) -> Vec<Endpoint> {
-        Self::unique_remote(&self.e_deps[p as usize], p)
-    }
-
-    /// Unique remote endpoints PE `p` needs for its H-update (E values).
-    pub fn unique_remote_e(&self, p: u32) -> Vec<Endpoint> {
-        Self::unique_remote(&self.h_deps[p as usize], p)
-    }
-
-    fn unique_remote(deps: &[Vec<Endpoint>], p: u32) -> Vec<Endpoint> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for node in deps {
-            for ep in node {
-                if ep.pe != p && seen.insert(*ep) {
-                    out.push(*ep);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -212,23 +188,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unique_remote_deduplicates() {
-        let g = Em3dGraph::generate(Em3dParams::tiny(100.0), 2);
-        let uniq = g.unique_remote_h(0);
-        let mut seen = std::collections::HashSet::new();
-        for ep in &uniq {
-            assert!(seen.insert(*ep), "duplicate endpoint in unique list");
-        }
-        // With 40 nodes x 5 edges onto 40 targets, duplicates are certain.
-        assert!(
-            uniq.len() < 200,
-            "dedup actually removed something: {}",
-            uniq.len()
-        );
-        assert!(!uniq.is_empty());
     }
 
     #[test]

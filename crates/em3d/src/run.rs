@@ -32,18 +32,6 @@ pub enum Version {
 }
 
 impl Version {
-    /// The paper's six versions, in paper order.
-    pub fn paper() -> [Version; 6] {
-        [
-            Version::Simple,
-            Version::Bundle,
-            Version::Unroll,
-            Version::Get,
-            Version::Put,
-            Version::Bulk,
-        ]
-    }
-
     /// All versions including the message-driven extension.
     pub fn all() -> [Version; 7] {
         [
@@ -294,43 +282,62 @@ fn reference(g: &Em3dGraph, steps: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     (e, h)
 }
 
+/// One half step of the leapfrog: the E half reads H values and
+/// updates E, the H half the reverse. Both run the same phase sequence
+/// over their own slice of the [`Layout`].
+struct Half<'a> {
+    /// Profiler label of the communication phases.
+    comm: &'static str,
+    /// Profiler label of the compute phase.
+    compute: &'static str,
+    plan: HalfPlan,
+    /// Per PE, per updated node: the endpoints it reads.
+    deps: &'a [Vec<Vec<Endpoint>>],
+    /// Values this half updates.
+    dst: u64,
+    /// Values it reads, locally or from their owners.
+    src: u64,
+    weights: u64,
+    adj: u64,
+    /// Where the remote `src` values are cached on the consumer.
+    ghost: u64,
+    send: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CommPhase {
+    Push,
+    Pull,
+}
+
 /// Fills the ghost region for one half step on one node, using the
 /// version's communication mechanism.
-#[allow(clippy::too_many_arguments)]
-fn fill_ghosts(
-    ctx: &mut splitc::ScCtx<'_>,
-    version: Version,
-    plan: &HalfPlan,
-    vals_off: u64,
-    ghost_off: u64,
-    send_off: u64,
-    phase: CommPhase,
-) {
+fn fill_ghosts(ctx: &mut splitc::ScCtx<'_>, version: Version, h: &Half, phase: CommPhase) {
     let pe = ctx.pe();
     match (version, phase) {
         (Version::Bundle | Version::Unroll, CommPhase::Pull) => {
-            for regions in &plan.regions[pe] {
+            for regions in &h.plan.regions[pe] {
                 for (k, idx) in regions.indices.iter().enumerate() {
-                    let gp = GlobalPtr::new(regions.src, vals_off + *idx as u64 * 8);
+                    let gp = GlobalPtr::new(regions.src, h.src + *idx as u64 * 8);
                     let v = ctx.read_u64(gp);
                     ctx.ops()
-                        .st8(ghost_off + (regions.first_slot + k as u64) * 8, v);
+                        .st8(h.ghost + (regions.first_slot + k as u64) * 8, v);
                 }
             }
         }
         (Version::Get, CommPhase::Pull) => {
-            for regions in &plan.regions[pe] {
+            for regions in &h.plan.regions[pe] {
                 for (k, idx) in regions.indices.iter().enumerate() {
-                    let gp = GlobalPtr::new(regions.src, vals_off + *idx as u64 * 8);
-                    ctx.get(ghost_off + (regions.first_slot + k as u64) * 8, gp);
+                    let gp = GlobalPtr::new(regions.src, h.src + *idx as u64 * 8);
+                    ctx.get(h.ghost + (regions.first_slot + k as u64) * 8, gp);
                 }
             }
             ctx.sync();
         }
         (Version::Put, CommPhase::Push) => {
-            for &(consumer, my_idx, slot) in &plan.push_list[pe] {
-                let v = ctx.ops().ld8(vals_off + my_idx as u64 * 8);
-                ctx.put(GlobalPtr::new(consumer, ghost_off + slot * 8), v);
+            for &(consumer, my_idx, slot) in &h.plan.push_list[pe] {
+                let v = ctx.ops().ld8(h.src + my_idx as u64 * 8);
+                ctx.put(GlobalPtr::new(consumer, h.ghost + slot * 8), v);
             }
             ctx.sync();
         }
@@ -338,16 +345,16 @@ fn fill_ghosts(
             // One-way signaling stores: no acknowledgement wait, just a
             // fence so everything leaves the processor (and gets its
             // arrival logged at the consumers).
-            for &(consumer, my_idx, slot) in &plan.push_list[pe] {
-                let v = ctx.ops().ld8(vals_off + my_idx as u64 * 8);
-                ctx.store_u64(GlobalPtr::new(consumer, ghost_off + slot * 8), v);
+            for &(consumer, my_idx, slot) in &h.plan.push_list[pe] {
+                let v = ctx.ops().ld8(h.src + my_idx as u64 * 8);
+                ctx.store_u64(GlobalPtr::new(consumer, h.ghost + slot * 8), v);
             }
             ctx.ops().memory_barrier();
         }
         (Version::StoreSync, CommPhase::Pull) => {
             // Message-driven completion: wait for exactly the ghost
             // bytes this half step owes us.
-            let expected: u64 = plan.regions[pe]
+            let expected: u64 = h.plan.regions[pe]
                 .iter()
                 .map(|r| r.indices.len() as u64 * 8)
                 .sum();
@@ -356,20 +363,20 @@ fn fill_ghosts(
         (Version::Bulk, CommPhase::Push) => {
             // Gather values destined for each consumer into the send
             // buffer (local copies).
-            for (_, src_off, indices) in &plan.gather_list[pe] {
+            for (_, src_off, indices) in &h.plan.gather_list[pe] {
                 for (k, idx) in indices.iter().enumerate() {
-                    let v = ctx.ops().ld8(vals_off + *idx as u64 * 8);
-                    ctx.ops().st8(send_off + src_off + k as u64 * 8, v);
+                    let v = ctx.ops().ld8(h.src + *idx as u64 * 8);
+                    ctx.ops().st8(h.send + src_off + k as u64 * 8, v);
                 }
             }
             ctx.ops().memory_barrier();
         }
         (Version::Bulk, CommPhase::Pull) => {
-            for region in &plan.regions[pe] {
+            for region in &h.plan.regions[pe] {
                 let bytes = region.indices.len() as u64 * 8;
                 ctx.bulk_get(
-                    ghost_off + region.first_slot * 8,
-                    GlobalPtr::new(region.src, send_off + region.src_off),
+                    h.ghost + region.first_slot * 8,
+                    GlobalPtr::new(region.src, h.send + region.src_off),
                     bytes,
                 );
             }
@@ -379,50 +386,33 @@ fn fill_ghosts(
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommPhase {
-    Push,
-    Pull,
-}
-
-/// One compute half step on one node: update `dst_vals` from neighbour
-/// values (`src_vals` locally, ghosts or blocking reads remotely).
-#[allow(clippy::too_many_arguments)]
-fn compute_half(
-    ctx: &mut splitc::ScCtx<'_>,
-    version: Version,
-    deps: &[Vec<Endpoint>],
-    plan: &HalfPlan,
-    dst_vals: u64,
-    src_vals: u64,
-    weights: u64,
-    adj: u64,
-    ghost_off: u64,
-) {
+/// One compute half step on one node: update `h.dst` from neighbour
+/// values (`h.src` locally, ghosts or blocking reads remotely).
+fn compute_half(ctx: &mut splitc::ScCtx<'_>, version: Version, h: &Half) {
     let pe = ctx.pe();
-    let mut slots = plan.edge_slot[pe].iter();
-    for (i, node) in deps.iter().enumerate() {
+    let mut slots = h.plan.edge_slot[pe].iter();
+    for (i, node) in h.deps[pe].iter().enumerate() {
         let mut acc = 0.0f64;
         ctx.advance(NODE_CY);
         for (j, ep) in node.iter().enumerate() {
             let slot = *slots.next().expect("one slot per edge");
             // The graph is pointer-based: each edge costs a load of the
             // neighbour's (packed) global pointer from the edge list.
-            let packed = ctx.ops().ld8(adj + (i * node.len() + j) as u64 * 8);
+            let packed = ctx.ops().ld8(h.adj + (i * node.len() + j) as u64 * 8);
             debug_assert_eq!(packed, pack_endpoint(*ep), "adjacency list layout");
-            let w = f64::from_bits(ctx.ops().ld8(weights + (i * node.len() + j) as u64 * 8));
+            let w = f64::from_bits(ctx.ops().ld8(h.weights + (i * node.len() + j) as u64 * 8));
             let v = if ep.pe as usize == pe {
-                f64::from_bits(ctx.ops().ld8(src_vals + ep.idx as u64 * 8))
+                f64::from_bits(ctx.ops().ld8(h.src + ep.idx as u64 * 8))
             } else if version == Version::Simple {
-                f64::from_bits(ctx.read_u64(GlobalPtr::new(ep.pe, src_vals + ep.idx as u64 * 8)))
+                f64::from_bits(ctx.read_u64(GlobalPtr::new(ep.pe, h.src + ep.idx as u64 * 8)))
             } else {
                 debug_assert_ne!(slot, LOCAL_EDGE);
-                f64::from_bits(ctx.ops().ld8(ghost_off + u64::from(slot) * 8))
+                f64::from_bits(ctx.ops().ld8(h.ghost + u64::from(slot) * 8))
             };
             acc += w * v;
             ctx.advance(FLOP_CY + version.loop_cy());
         }
-        ctx.ops().st8(dst_vals + i as u64 * 8, acc.to_bits());
+        ctx.ops().st8(h.dst + i as u64 * 8, acc.to_bits());
     }
 }
 
@@ -532,8 +522,6 @@ fn run_version_inner(
         ghost_e: sc.alloc(npp * deg * 8, 8),
         send: sc.alloc(npp * deg * 8, 8),
     };
-    let e_plan = HalfPlan::build(&g.e_deps, nprocs); // H values consumed by E update
-    let h_plan = HalfPlan::build(&g.h_deps, nprocs);
 
     // Initialize values, weights and the in-memory adjacency lists.
     for p in 0..nprocs as usize {
@@ -557,6 +545,33 @@ fn run_version_inner(
         }
     }
 
+    // E half first (H values flow to E consumers), then H.
+    let halves = [
+        Half {
+            comm: "comm.e",
+            compute: "compute.e",
+            plan: HalfPlan::build(&g.e_deps, nprocs),
+            deps: &g.e_deps,
+            dst: layout.e_vals,
+            src: layout.h_vals,
+            weights: layout.e_w,
+            adj: layout.e_adj,
+            ghost: layout.ghost_h,
+            send: layout.send,
+        },
+        Half {
+            comm: "comm.h",
+            compute: "compute.h",
+            plan: HalfPlan::build(&g.h_deps, nprocs),
+            deps: &g.h_deps,
+            dst: layout.h_vals,
+            src: layout.e_vals,
+            weights: layout.h_w,
+            adj: layout.h_adj,
+            ghost: layout.ghost_e,
+            send: layout.send,
+        },
+    ];
     // Phase markers for the profiler (no-ops unless profiling is on).
     let mark = |sc: &mut SplitC, label: &str| {
         if profile {
@@ -564,166 +579,28 @@ fn run_version_inner(
         }
     };
     let step = |sc: &mut SplitC| {
-        if version == Version::StoreSync {
-            // Message-driven: no global barriers inside the step.
-            mark(sc, "comm.e");
-            sc.par_phase_with(driver, |ctx| {
-                fill_ghosts(
-                    ctx,
-                    version,
-                    &e_plan,
-                    layout.h_vals,
-                    layout.ghost_h,
-                    layout.send,
-                    CommPhase::Push,
-                )
-            });
-            mark(sc, "compute.e");
-            sc.par_phase_with(driver, |ctx| {
-                fill_ghosts(
-                    ctx,
-                    version,
-                    &e_plan,
-                    layout.h_vals,
-                    layout.ghost_h,
-                    layout.send,
-                    CommPhase::Pull,
-                );
-                compute_half(
-                    ctx,
-                    version,
-                    &g.e_deps[ctx.pe()],
-                    &e_plan,
-                    layout.e_vals,
-                    layout.h_vals,
-                    layout.e_w,
-                    layout.e_adj,
-                    layout.ghost_h,
-                );
-            });
-            mark(sc, "comm.h");
-            sc.par_phase_with(driver, |ctx| {
-                fill_ghosts(
-                    ctx,
-                    version,
-                    &h_plan,
-                    layout.e_vals,
-                    layout.ghost_e,
-                    layout.send,
-                    CommPhase::Push,
-                )
-            });
-            mark(sc, "compute.h");
-            sc.par_phase_with(driver, |ctx| {
-                fill_ghosts(
-                    ctx,
-                    version,
-                    &h_plan,
-                    layout.e_vals,
-                    layout.ghost_e,
-                    layout.send,
-                    CommPhase::Pull,
-                );
-                compute_half(
-                    ctx,
-                    version,
-                    &g.h_deps[ctx.pe()],
-                    &h_plan,
-                    layout.h_vals,
-                    layout.e_vals,
-                    layout.h_w,
-                    layout.h_adj,
-                    layout.ghost_e,
-                );
-            });
-            return;
-        }
-        // E half: H values flow to E consumers.
-        mark(sc, "comm.e");
-        if matches!(version, Version::Put | Version::Bulk) {
-            sc.par_phase_with(driver, |ctx| {
-                fill_ghosts(
-                    ctx,
-                    version,
-                    &e_plan,
-                    layout.h_vals,
-                    layout.ghost_h,
-                    layout.send,
-                    CommPhase::Push,
-                )
-            });
+        for h in &halves {
+            mark(sc, h.comm);
+            if version == Version::StoreSync {
+                // Message-driven: no global barriers inside the step.
+                sc.par_phase_with(driver, |ctx| fill_ghosts(ctx, version, h, CommPhase::Push));
+                mark(sc, h.compute);
+                sc.par_phase_with(driver, |ctx| {
+                    fill_ghosts(ctx, version, h, CommPhase::Pull);
+                    compute_half(ctx, version, h);
+                });
+                continue;
+            }
+            if matches!(version, Version::Put | Version::Bulk) {
+                sc.par_phase_with(driver, |ctx| fill_ghosts(ctx, version, h, CommPhase::Push));
+                sc.barrier();
+            }
+            sc.par_phase_with(driver, |ctx| fill_ghosts(ctx, version, h, CommPhase::Pull));
+            sc.barrier();
+            mark(sc, h.compute);
+            sc.par_phase_with(driver, |ctx| compute_half(ctx, version, h));
             sc.barrier();
         }
-        sc.par_phase_with(driver, |ctx| {
-            fill_ghosts(
-                ctx,
-                version,
-                &e_plan,
-                layout.h_vals,
-                layout.ghost_h,
-                layout.send,
-                CommPhase::Pull,
-            )
-        });
-        sc.barrier();
-        mark(sc, "compute.e");
-        sc.par_phase_with(driver, |ctx| {
-            compute_half(
-                ctx,
-                version,
-                &g.e_deps[ctx.pe()],
-                &e_plan,
-                layout.e_vals,
-                layout.h_vals,
-                layout.e_w,
-                layout.e_adj,
-                layout.ghost_h,
-            )
-        });
-        sc.barrier();
-        // H half: E values flow to H consumers.
-        mark(sc, "comm.h");
-        if matches!(version, Version::Put | Version::Bulk) {
-            sc.par_phase_with(driver, |ctx| {
-                fill_ghosts(
-                    ctx,
-                    version,
-                    &h_plan,
-                    layout.e_vals,
-                    layout.ghost_e,
-                    layout.send,
-                    CommPhase::Push,
-                )
-            });
-            sc.barrier();
-        }
-        sc.par_phase_with(driver, |ctx| {
-            fill_ghosts(
-                ctx,
-                version,
-                &h_plan,
-                layout.e_vals,
-                layout.ghost_e,
-                layout.send,
-                CommPhase::Pull,
-            )
-        });
-        sc.barrier();
-        mark(sc, "compute.h");
-        sc.par_phase_with(driver, |ctx| {
-            compute_half(
-                ctx,
-                version,
-                &g.h_deps[ctx.pe()],
-                &h_plan,
-                layout.h_vals,
-                layout.e_vals,
-                layout.h_w,
-                layout.h_adj,
-                layout.ghost_e,
-            )
-        });
-        sc.barrier();
     };
 
     // Warm-up step, then measured steps.

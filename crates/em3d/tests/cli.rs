@@ -71,3 +71,41 @@ fn a_hex_seed_means_the_same_number_as_decimal() {
     // table happens to match seed 16's on this tiny run).
     assert_ne!(hex, run(None));
 }
+
+#[test]
+fn a_repeated_flag_exits_with_usage_status() {
+    let mut args = TINY.to_vec();
+    args.extend(["--pes", "abc"]);
+    let out = em3d(&args, &[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("--pes is given more than once"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn an_unknown_flag_exits_with_usage_status() {
+    let out = em3d(&["--pe", "4"], &[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("unknown flag \"--pe\""),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn stats_and_help_still_work() {
+    let mut args = TINY.to_vec();
+    args.push("--stats");
+    let out = em3d(&args, &[]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("remote ops"));
+    for help in ["--help", "-h"] {
+        let out = em3d(&[help], &[]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: em3d"));
+    }
+}

@@ -95,8 +95,9 @@ pub enum PhaseDriver {
 }
 
 impl PhaseDriver {
-    /// Selects a driver from the `T3D_PAR` environment variable
-    /// (surrounding whitespace ignored):
+    /// Selects a driver from the `T3D_PAR` environment variable, read
+    /// as a decimal number (surrounding whitespace ignored, so ` 00 `
+    /// means `0`):
     ///
     /// * unset, empty or `1` — parallel, one thread per available core;
     /// * `0` — sequential (shards still run through the sharded engine,
@@ -115,15 +116,19 @@ impl PhaseDriver {
     /// [`PhaseDriver::from_env`] on an explicit value (`None` = unset).
     fn from_knob(value: Option<&str>) -> Self {
         let raw = value.unwrap_or("");
-        match raw.trim() {
-            "0" => PhaseDriver::Seq,
-            "" | "1" => PhaseDriver::Par(Self::auto_threads()),
-            n => PhaseDriver::Par(n.parse().unwrap_or_else(|_| {
+        let n = match raw.trim() {
+            "" => 1,
+            n => n.parse().unwrap_or_else(|_| {
                 panic!(
                     "T3D_PAR={raw:?} is not recognised; expected unset, empty, \
                      0 (sequential), 1 (one thread per core) or a thread count N"
                 )
-            })),
+            }),
+        };
+        match n {
+            0 => PhaseDriver::Seq,
+            1 => PhaseDriver::Par(Self::auto_threads()),
+            n => PhaseDriver::Par(n),
         }
     }
 
@@ -935,6 +940,12 @@ mod tests {
         assert_eq!(PhaseDriver::from_knob(Some("0")), PhaseDriver::Seq);
         assert_eq!(PhaseDriver::from_knob(Some(" 0 ")), PhaseDriver::Seq);
         assert_eq!(PhaseDriver::from_knob(Some("3")), PhaseDriver::Par(3));
+        // The value is read as a number, whatever its spelling.
+        assert_eq!(PhaseDriver::from_knob(Some("00")), PhaseDriver::Seq);
+        assert_eq!(PhaseDriver::from_knob(Some("+0")), PhaseDriver::Seq);
+        assert_eq!(PhaseDriver::from_knob(Some("01")), auto);
+        assert_eq!(PhaseDriver::from_knob(Some("+1")), auto);
+        assert_eq!(PhaseDriver::from_knob(Some("003")), PhaseDriver::Par(3));
     }
 
     #[test]
