@@ -11,13 +11,7 @@
 //! malformed flag value, exits with status 2 and names the flag.
 
 use em3d::{run_version, Em3dParams, Version};
-use std::collections::HashMap;
-
-/// Reports a bad command line and exits with status 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("em3d: {msg} (see --help)");
-    std::process::exit(2);
-}
+use t3d_perf::cli;
 
 /// Flags that take a value.
 const VALUE_FLAGS: [&str; 7] = [
@@ -30,59 +24,39 @@ const VALUE_FLAGS: [&str; 7] = [
     "--versions",
 ];
 
-/// The command line as flag -> value (`""` for `--stats`).
-type Flags<'a> = HashMap<&'a str, &'a str>;
-
-/// Reads the command line; an unknown or repeated flag, or a missing
-/// value, is a usage error.
-fn parse_args(args: &[String]) -> Flags<'_> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let value = if flag == "--stats" {
-            ""
-        } else if VALUE_FLAGS.contains(&flag) {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        } else {
-            usage_error(&format!("unknown flag {flag:?}"))
-        };
-        if flags.insert(flag, value).is_some() {
-            usage_error(&format!("{flag} is given more than once"));
-        }
-    }
-    flags
+/// What a command line asks for.
+struct Run {
+    pes: u32,
+    base: Em3dParams,
+    pcts: Vec<f64>,
+    versions: Vec<Version>,
+    show_stats: bool,
 }
 
-fn parse_flag<T: std::str::FromStr>(flags: &Flags, flag: &str, default: T) -> T {
-    match flags.get(flag) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("{flag} {v:?} is not a number"))),
-    }
-}
-
-/// `--seed`, decimal or `0x`-prefixed hex.
-fn parse_seed(flags: &Flags, default: u64) -> u64 {
-    let Some(v) = flags.get("--seed") else {
-        return default;
-    };
-    match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
-    .unwrap_or_else(|| usage_error(&format!("--seed {v:?} is not a decimal or 0x-hex number")))
-}
-
-fn parse_list<'a>(flags: &Flags<'a>, flag: &str, default: &'a str) -> Vec<&'a str> {
-    flags
-        .get(flag)
-        .copied()
-        .unwrap_or(default)
-        .split(',')
-        .map(str::trim)
-        .collect()
+fn parse_run(argv: &[String]) -> Result<Run, String> {
+    let args = cli::parse(argv, &VALUE_FLAGS, &["--stats"])?;
+    args.positionals(0)?;
+    let list = |flag, default| args.get(flag).unwrap_or(default).split(',').map(str::trim);
+    Ok(Run {
+        pes: args.value("--pes")?.unwrap_or(8),
+        base: Em3dParams {
+            nodes_per_pe: args.value("--nodes")?.unwrap_or(100),
+            degree: args.value("--degree")?.unwrap_or(10),
+            pct_remote: 0.0,
+            steps: args.value("--steps")?.unwrap_or(1),
+            seed: args.value_with("--seed", cli::parse_seed)?.unwrap_or(0xE3D),
+        },
+        pcts: list("--remote", "0,5,10,20,40")
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("--remote {s:?} is not a number"))
+            })
+            .collect::<Result<_, _>>()?,
+        versions: list("--versions", "Simple,Bundle,Unroll,Get,Put,Bulk,StoreSync")
+            .map(|s| version_by_name(s).ok_or_else(|| format!("unknown version `{s}`")))
+            .collect::<Result<_, _>>()?,
+        show_stats: args.has("--stats"),
+    })
 }
 
 fn version_by_name(name: &str) -> Option<Version> {
@@ -102,32 +76,13 @@ fn main() {
         );
         return;
     }
-    let flags = parse_args(&args);
-    let pes: u32 = parse_flag(&flags, "--pes", 8);
-    let base = Em3dParams {
-        nodes_per_pe: parse_flag(&flags, "--nodes", 100),
-        degree: parse_flag(&flags, "--degree", 10),
-        pct_remote: 0.0,
-        steps: parse_flag(&flags, "--steps", 1),
-        seed: parse_seed(&flags, 0xE3D),
-    };
-    let pcts: Vec<f64> = parse_list(&flags, "--remote", "0,5,10,20,40")
-        .iter()
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| usage_error(&format!("--remote {s:?} is not a number")))
-        })
-        .collect();
-    let versions: Vec<Version> = parse_list(
-        &flags,
-        "--versions",
-        "Simple,Bundle,Unroll,Get,Put,Bulk,StoreSync",
-    )
-    .iter()
-    .map(|s| version_by_name(s).unwrap_or_else(|| usage_error(&format!("unknown version `{s}`"))))
-    .collect();
-
-    let show_stats = flags.contains_key("--stats");
+    let Run {
+        pes,
+        base,
+        pcts,
+        versions,
+        show_stats,
+    } = parse_run(&args).unwrap_or_else(|e| cli::usage_error("em3d", &format!("{e} (see --help)")));
     println!(
         "EM3D: {pes} PEs, {} nodes/PE, degree {}, {} step(s) (us per edge)\n",
         base.nodes_per_pe, base.degree, base.steps

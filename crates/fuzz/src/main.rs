@@ -12,6 +12,9 @@
 //! `--inject-fault` is the self-test: it flips one byte of the Par
 //! run's settled memory, requires the oracle to catch it, shrinks the
 //! case and fails unless the reproducer lowers to at most 12 ops.
+//!
+//! An unknown or repeated flag, a malformed value or a stray argument
+//! exits with status 2 and names the culprit.
 
 #![forbid(unsafe_code)]
 
@@ -23,6 +26,7 @@ use t3d_fuzz::{
     case_seed, check_case, fault_for_seed, parse_seed, program_for_seed, shrink, Program,
     DEFAULT_BUDGET,
 };
+use t3d_perf::cli;
 
 struct Args {
     cases: usize,
@@ -32,44 +36,23 @@ struct Args {
     inject_fault: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        cases: 100,
-        seed: 0x7E3D,
-        threads: 3,
-        out: PathBuf::from("target/fuzz-reproducers"),
-        inject_fault: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--cases" => {
-                args.cases = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?
-            }
-            "--seed" => args.seed = parse_seed(&value("--seed")?),
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if args.threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--inject-fault" => args.inject_fault = true,
-            "--help" | "-h" => {
-                println!(
-                    "t3d-fuzz [--cases N] [--seed S] [--threads T] [--out DIR] [--inject-fault]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
+fn read_args(argv: &[String]) -> Result<Args, String> {
+    let values = ["--cases", "--seed", "--threads", "--out"];
+    let args = cli::parse(argv, &values, &["--inject-fault"])?;
+    args.positionals(0)?;
+    let threads = args.value("--threads")?.unwrap_or(3);
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
     }
-    Ok(args)
+    Ok(Args {
+        cases: args.value("--cases")?.unwrap_or(100),
+        seed: args.get("--seed").map_or(0x7E3D, parse_seed),
+        threads,
+        out: args
+            .value("--out")?
+            .unwrap_or_else(|| PathBuf::from("target/fuzz-reproducers")),
+        inject_fault: args.has("--inject-fault"),
+    })
 }
 
 /// Silences the default panic printer for the process lifetime: the
@@ -208,13 +191,12 @@ fn run_inject_fault(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("t3d-fuzz: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("t3d-fuzz [--cases N] [--seed S] [--threads T] [--out DIR] [--inject-fault]");
+        return ExitCode::SUCCESS;
+    }
+    let args = read_args(&argv).unwrap_or_else(|e| cli::usage_error("t3d-fuzz", &e));
     hush_panics();
     if args.inject_fault {
         run_inject_fault(&args)

@@ -115,25 +115,6 @@ impl Rule {
         )
     }
 
-    /// The paper section motivating the rule (advisory thresholds come
-    /// from the measurements in that section).
-    pub fn paper_ref(self) -> &'static str {
-        match self {
-            Rule::H001ReadBeforeGetSync => "§5.1 (binding prefetch completes at sync)",
-            Rule::H002UnbalancedStoreSync => "§7.2 (storeSync counts arrived bytes)",
-            Rule::H003BarrierDivergence => "§2 (dedicated barrier network is global)",
-            Rule::H004ConflictingPuts => "§5 (puts complete in arbitrary order)",
-            Rule::H005StaleStoreRead => "§5/§7 (split-phase data binds at sync)",
-            Rule::H006PrefetchOrderMisuse => "§5.1 (prefetch binds the value at issue)",
-            Rule::H007OutOfBounds => "§3.2 (48-bit local-address window)",
-            Rule::P001ElementLoopTransfer => "§6.1 (BLT/prefetch bulk crossovers)",
-            Rule::P002SameBankStride => "§2 (16 KB strides hit the same DRAM page)",
-            Rule::P003NonMergingByteWrites => "§4.5 (4-entry write buffer merges by line)",
-            Rule::P004EagerSync => "§5.2 (overlap needs batched split-phase ops)",
-            Rule::P005PrefetchQueueOverflow => "§5.1 (16-deep binding prefetch queue)",
-        }
-    }
-
     /// The static rules that cover a dynamic `t3dsan` diagnostic kind:
     /// on a straight-line program, any dynamic report of `kind` must be
     /// accompanied by a static report of one of these rules. The match

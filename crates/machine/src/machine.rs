@@ -158,11 +158,6 @@ impl Machine {
         self.tracer.enable(cap);
     }
 
-    /// Disables event tracing.
-    pub fn disable_trace(&mut self) {
-        self.tracer.disable();
-    }
-
     /// The trace buffer (events, drop count, text dump).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer

@@ -5,7 +5,8 @@
 //!
 //! `--fast` shrinks the sweeps (for CI); `--out DIR` additionally writes
 //! each report to `DIR/<name>.txt`; `--csv` (with `--out`) also writes
-//! machine-readable CSV for the figure data.
+//! machine-readable CSV for the figure data. An unknown or repeated
+//! flag, or an argument beyond the one command, exits with status 2.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -14,6 +15,7 @@ use em3d::{fig9_sweep, Em3dParams};
 use t3d_microbench::probes::{bulk, local, prefetch, put, remote, sync};
 use t3d_microbench::report::{series_table, Series};
 use t3d_microbench::{analysis, probes};
+use t3d_perf::cli;
 
 struct Opts {
     fast: bool,
@@ -22,30 +24,18 @@ struct Opts {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Opts {
-        fast: false,
-        out: None,
-        csv: false,
-    };
-    if let Some(i) = args.iter().position(|a| a == "--fast") {
-        args.remove(i);
-        opts.fast = true;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        args.remove(i);
-        opts.csv = true;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        args.remove(i);
-        if i < args.len() {
-            opts.out = Some(args.remove(i).into());
-        } else {
-            eprintln!("--out requires a directory");
-            std::process::exit(2);
-        }
-    }
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = cli::parse(&argv, &["--out"], &["--fast", "--csv"]).and_then(|args| {
+        let cmd = args.positionals(1)?.first().cloned();
+        let opts = Opts {
+            fast: args.has("--fast"),
+            out: args.value("--out")?,
+            csv: args.has("--csv"),
+        };
+        Ok((cmd, opts))
+    });
+    let (cmd, opts) = parsed.unwrap_or_else(|e| cli::usage_error("t3d-bench", &e));
+    let cmd = cmd.as_deref().unwrap_or("all");
     let known = [
         "fig1",
         "fig2",
@@ -64,8 +54,8 @@ fn main() {
         "all",
     ];
     if !known.contains(&cmd) {
-        eprintln!("unknown command `{cmd}`; one of: {}", known.join(", "));
-        std::process::exit(2);
+        let msg = format!("unknown command `{cmd}`; one of: {}", known.join(", "));
+        cli::usage_error("t3d-bench", &msg);
     }
     let run = |name: &str| cmd == name || cmd == "all";
 

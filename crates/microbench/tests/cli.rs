@@ -59,3 +59,16 @@ fn out_dir_receives_reports() {
     assert!(report.contains("prefetch pop"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_mistyped_flag_or_stray_argument_exits_with_usage_status() {
+    for (args, culprit) in [
+        (["fig6", "--fats"], "unknown flag \"--fats\""),
+        (["fig6", "junk"], "unexpected argument \"junk\""),
+    ] {
+        let out = bench_cmd().args(args).output().expect("binary runs");
+        let s = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{s}");
+        assert!(s.contains(culprit), "{s}");
+    }
+}

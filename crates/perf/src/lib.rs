@@ -29,6 +29,9 @@
 //! in node-owned state that the sharded phase engine already keeps
 //! thread-private).
 //!
+//! The crate also holds [`cli`], the strict command-line parser every
+//! workspace binary shares.
+//!
 //! Host time is the one thing here that is not deterministic. Host-time
 //! gates scale it by a fixed loop timed just before and after
 //! ([`mod@reference`]), so a co-tenant slowing the core does not read as a
@@ -42,6 +45,7 @@
 
 pub mod bench;
 pub mod chrome;
+pub mod cli;
 pub mod hist;
 pub mod json;
 pub mod ledger;

@@ -29,8 +29,6 @@ use crate::config::ShellConfig;
 pub struct BarrierUnit {
     arrivals: Vec<Option<u64>>,
     barrier_cy: u64,
-    start_cy: u64,
-    end_cy: u64,
     episodes: u64,
 }
 
@@ -45,20 +43,8 @@ impl BarrierUnit {
         BarrierUnit {
             arrivals: vec![None; nodes],
             barrier_cy: cfg.barrier_cy,
-            start_cy: cfg.barrier_start_cy,
-            end_cy: cfg.barrier_end_cy,
             episodes: 0,
         }
-    }
-
-    /// Cost of the start-barrier instruction.
-    pub fn start_cost(&self) -> u64 {
-        self.start_cy
-    }
-
-    /// Cost of the end-barrier instruction.
-    pub fn end_cost(&self) -> u64 {
-        self.end_cy
     }
 
     /// Node `pe` executes start-barrier at time `now`.

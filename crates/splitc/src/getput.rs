@@ -142,11 +142,6 @@ impl ScCtx<'_> {
         );
     }
 
-    /// Split-phase write of a double.
-    pub fn put_f64(&mut self, gp: GlobalPtr, value: f64) {
-        self.put(gp, value.to_bits());
-    }
-
     /// Waits for every outstanding `get`, `put` and non-blocking bulk
     /// operation issued by this node.
     pub fn sync(&mut self) {

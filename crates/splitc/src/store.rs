@@ -76,11 +76,6 @@ impl ScCtx<'_> {
         );
     }
 
-    /// Signaling store of a double.
-    pub fn store_f64(&mut self, gp: GlobalPtr, value: f64) {
-        self.store_u64(gp, value.to_bits());
-    }
-
     /// `storeSync(bytes)`: returns once `bytes` further bytes (beyond
     /// any previously awaited) have been stored into this node's region
     /// of the address space. Supports message-driven execution.

@@ -259,26 +259,6 @@ impl Torus {
         (self.coord_of((id / 6) as u32), (id % 6) / 2, id % 2)
     }
 
-    /// The `(src, dst)` coordinates joined by a dense link id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn link_endpoints(&self, id: usize) -> (Coord, Coord) {
-        let (c, dim, dir) = self.link_of(id);
-        let (nx, ny, nz) = self.cfg.dims;
-        let mut d = c;
-        match (dim, dir) {
-            (0, 0) => d.x = (c.x + 1) % nx,
-            (0, _) => d.x = (c.x + nx - 1) % nx,
-            (1, 0) => d.y = (c.y + 1) % ny,
-            (1, _) => d.y = (c.y + ny - 1) % ny,
-            (_, 0) => d.z = (c.z + 1) % nz,
-            _ => d.z = (c.z + nz - 1) % nz,
-        }
-        (c, d)
-    }
-
     /// The dense link id of one adjacent route step `a → b` (as produced
     /// by consecutive [`route`](Self::route) entries). On an extent-2
     /// ring both directions are the same physical wire; the step is

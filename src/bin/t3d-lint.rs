@@ -28,7 +28,8 @@
 //! the aligned tables; `--out FILE` writes that document to `FILE` as
 //! well. Exit status: 0 when every linted program is hazard-free
 //! (advisories allowed), 1 when any hazard rule fired, 2 on usage
-//! errors.
+//! errors (an unknown or repeated flag, a missing value or a stray
+//! argument).
 
 use std::process::ExitCode;
 
@@ -37,6 +38,7 @@ use splitc::{GlobalPtr, ScOp, SplitcConfig};
 use t3d_fuzz::{case_seed, lint_case, parse_seed, program_for_seed};
 use t3d_lint::{lint, LintProgram, LintReport};
 use t3d_machine::{MachineConfig, PhaseDriver};
+use t3d_perf::cli;
 use t3d_perf::json::Value;
 
 /// One linted program: a display name plus its report.
@@ -215,67 +217,42 @@ fn doc(entries: &[Entry]) -> Value {
     ])
 }
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
-
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    args.remove(i);
-    if i >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    Ok(Some(args.remove(i)))
-}
-
 const USAGE: &str = "usage: t3d-lint [--json] [--out FILE] <em3d [VERSION|all] | corpus [SEEDS.txt] | seed SEED [CASES] | demo>";
 
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag(&mut args, "--json");
-    let out = match take_value_flag(&mut args, "--out") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+/// Lints the programs the command line names.
+fn lint_command(args: &cli::Args) -> Result<Vec<Entry>, String> {
+    let max = match args.command() {
+        Some("seed") => 3,
+        Some("demo") => 1,
+        _ => 2,
     };
-    let cmd = args.first().map(String::as_str).unwrap_or("");
-    let entries = match cmd {
-        "em3d" => lint_em3d(args.get(1).map(String::as_str).unwrap_or("all")),
-        "corpus" => lint_corpus(
-            args.get(1)
-                .map(String::as_str)
-                .unwrap_or("crates/fuzz/corpus/seeds.txt"),
-        ),
-        "seed" => match args.get(1) {
-            Some(s) => {
-                let cases = match args.get(2).map(|c| c.parse::<usize>()) {
-                    None => Ok(1),
-                    Some(Ok(n)) if n > 0 => Ok(n),
-                    Some(_) => Err("CASES must be a positive integer".to_string()),
-                };
-                cases.map(|n| lint_seed(parse_seed(s), n))
-            }
-            None => Err(USAGE.to_string()),
+    match args
+        .positionals(max)?
+        .iter()
+        .map(String::as_str)
+        .collect::<Vec<_>>()[..]
+    {
+        ["em3d"] => lint_em3d("all"),
+        ["em3d", which] => lint_em3d(which),
+        ["corpus"] => lint_corpus("crates/fuzz/corpus/seeds.txt"),
+        ["corpus", path] => lint_corpus(path),
+        ["seed", seed] => Ok(lint_seed(parse_seed(seed), 1)),
+        ["seed", seed, cases] => match cases.parse() {
+            Ok(n) if n > 0 => Ok(lint_seed(parse_seed(seed), n)),
+            _ => Err(format!("CASES {cases:?} is not a positive integer")),
         },
-        "demo" => Ok(lint_demo()),
+        ["demo"] => Ok(lint_demo()),
         _ => Err(USAGE.to_string()),
-    };
-    let entries = match entries {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(&argv, &["--out"], &["--json"])
+        .unwrap_or_else(|e| cli::usage_error("t3d-lint", &e));
+    let json = args.has("--json");
+    let out = args.get("--out");
+    let entries = lint_command(&args).unwrap_or_else(|e| cli::usage_error("t3d-lint", &e));
 
     let document = doc(&entries);
     if json {
@@ -294,7 +271,7 @@ fn main() -> ExitCode {
     if let Some(path) = out {
         let mut text = document.render_pretty();
         text.push('\n');
-        if let Err(e) = std::fs::write(&path, text) {
+        if let Err(e) = std::fs::write(path, text) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(2);
         }

@@ -51,6 +51,11 @@
 //! Every measured run must reproduce the first run's cycles, op count
 //! and FNV state checksum — a nondeterministic benchmark aborts the
 //! harness instead of writing a document.
+//!
+//! An unknown or repeated flag (`compare` takes only `--tol` and
+//! `--host-tol`), a missing or malformed value or a stray argument
+//! exits with status 2 before anything runs, so a mistyped gate such as
+//! `--compre` cannot silently skip the comparison.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -59,8 +64,8 @@ use em3d::{run_version_profiled, run_version_profiled_contended, Em3dParams, Ver
 use t3d_machine::{BltHandle, Cpu, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_microbench::probes::attribution;
 use t3d_perf::{
-    compare, measure, measure_split, BenchDoc, BenchEntry, Reference, RunSample, SplitSample,
-    Throughput, ThroughputSpec,
+    cli, compare, measure_split, BenchDoc, BenchEntry, Reference, RunSample, SplitSample,
+    ThroughputSpec,
 };
 use t3d_shell::blt::BltDirection;
 use t3d_shell::FuncCode;
@@ -92,21 +97,71 @@ fn sim_ops(report: &PerfReport) -> u64 {
         .sum()
 }
 
-fn entry_from_report(name: &str, report: &PerfReport, throughput: Throughput) -> BenchEntry {
-    let merged = report.merged();
-    let attribution: BTreeMap<String, u64> = merged
-        .entries()
-        .map(|(c, cy)| (c.label().to_string(), cy))
+/// What one run of a benchmark hands [`bench_entry`].
+struct Run {
+    report: PerfReport,
+    /// FNV checksum over the run's final machine state.
+    checksum: u64,
+    /// Host seconds the run spent outside simulation; `None` when the
+    /// run has no setup/simulation split to observe (EM3D builds its
+    /// graph and machine inside the run), which leaves the entry's
+    /// setup stat unset.
+    setup_secs: Option<f64>,
+    /// Entry extras besides `remote_share`.
+    extras: Vec<(&'static str, f64)>,
+}
+
+/// Measures `run` under `opts.spec` and builds the BENCH entry `name`
+/// from the first run: its report (rendered under `--report`), its
+/// attribution and its extras.
+fn bench_entry(
+    name: &str,
+    opts: &Opts,
+    mut run: impl FnMut() -> Run,
+) -> Result<BenchEntry, String> {
+    let mut first: Option<Run> = None;
+    let mut throughput = measure_split(opts.spec, || {
+        let r = run();
+        let split = SplitSample {
+            sample: RunSample {
+                sim_cycles: r.report.total(),
+                sim_ops: sim_ops(&r.report),
+                checksum: r.checksum,
+            },
+            setup_secs: r.setup_secs.unwrap_or(0.0),
+        };
+        first.get_or_insert(r);
+        split
+    })
+    .map_err(|e| format!("{name}: {e}"))?;
+    let Run {
+        report,
+        setup_secs,
+        extras,
+        ..
+    } = first.expect("measure ran the benchmark at least once");
+    if setup_secs.is_none() {
+        throughput.setup = None;
+    }
+    if opts.report {
+        println!("=== {name} ===\n{}", report.render());
+    }
+    let mut extras: BTreeMap<String, f64> = extras
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
         .collect();
-    let mut extras = BTreeMap::new();
     extras.insert("remote_share".to_string(), report.remote_share());
-    BenchEntry {
+    Ok(BenchEntry {
         name: name.to_string(),
         cycles: report.total(),
-        attribution,
+        attribution: report
+            .merged()
+            .entries()
+            .map(|(c, cy)| (c.label().to_string(), cy))
+            .collect(),
         extras,
         throughput,
-    }
+    })
 }
 
 fn run_micro(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
@@ -115,58 +170,43 @@ fn run_micro(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
         .iter()
         .filter(|s| name_matches(s.name, opts.filter.as_deref()));
     for s in scenarios {
-        let mut first: Option<PerfReport> = None;
         // Machine-construction time folds into the throughput block's
         // `setup` stat.
-        let throughput = measure_split(opts.spec, || {
+        doc.entries.push(bench_entry(s.name, opts, || {
             let run = (s.run)(driver);
-            let sample = RunSample {
-                sim_cycles: run.report.total(),
-                sim_ops: sim_ops(&run.report),
+            Run {
+                report: run.report,
                 checksum: run.checksum,
-            };
-            let setup_secs = run.setup_secs;
-            first.get_or_insert(run.report);
-            SplitSample { sample, setup_secs }
-        })
-        .map_err(|e| format!("{}: {e}", s.name))?;
-        let report = first.expect("measure ran the scenario at least once");
-        if opts.report {
-            println!("=== {} ===\n{}", s.name, report.render());
-        }
-        doc.entries
-            .push(entry_from_report(s.name, &report, throughput));
+                setup_secs: Some(run.setup_secs),
+                extras: Vec::new(),
+            }
+        })?);
     }
     Ok(doc)
 }
 
+/// One run of EM3D `version` on `pes` PEs at the tiny test size.
+fn em3d_run(driver: PhaseDriver, pes: u32, contended: bool, version: Version) -> Run {
+    let params = Em3dParams::tiny(30.0);
+    let (result, report) = if contended {
+        run_version_profiled_contended(driver, pes, params, version)
+    } else {
+        run_version_profiled(driver, pes, params, version)
+    };
+    Run {
+        report,
+        checksum: result.mem_fnv,
+        setup_secs: None,
+        extras: vec![("us_per_edge", result.us_per_edge)],
+    }
+}
+
 fn run_em3d(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("em3d");
-    let params = Em3dParams::tiny(30.0);
     for v in Version::all() {
         let name = format!("em3d.{}", v.label());
-        let mut first: Option<(f64, PerfReport)> = None;
-        // EM3D builds its graph and machine inside the run, so there
-        // is no setup/simulation split to observe; `measure` leaves the
-        // setup stat unset (the micro suite isolates setup).
-        let throughput = measure(opts.spec, || {
-            let (result, report) = run_version_profiled(driver, 4, params, v);
-            let sample = RunSample {
-                sim_cycles: report.total(),
-                sim_ops: sim_ops(&report),
-                checksum: result.mem_fnv,
-            };
-            first.get_or_insert((result.us_per_edge, report));
-            sample
-        })
-        .map_err(|e| format!("{name}: {e}"))?;
-        let (us_per_edge, report) = first.expect("measure ran the version at least once");
-        if opts.report {
-            println!("=== {name} ===\n{}", report.render());
-        }
-        let mut e = entry_from_report(&name, &report, throughput);
-        e.extras.insert("us_per_edge".to_string(), us_per_edge);
-        doc.entries.push(e);
+        doc.entries
+            .push(bench_entry(&name, opts, || em3d_run(driver, 4, false, v))?);
     }
     Ok(doc)
 }
@@ -312,70 +352,39 @@ fn run_scale(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("scale");
     for contended in [false, true] {
         let suffix = if contended { ".cont" } else { "" };
+        let size = |pes: u32| {
+            vec![
+                ("pes", f64::from(pes)),
+                ("contended", f64::from(u8::from(contended))),
+            ]
+        };
         for s in &scale_scenarios() {
             for &pes in &SCALE_PES {
                 let name = format!("{}.p{pes}{suffix}", s.name);
                 let snap = SCALE_SNAP_TOTAL / u64::from(pes);
-                let mut first: Option<PerfReport> = None;
-                let throughput = measure_split(opts.spec, || {
+                doc.entries.push(bench_entry(&name, opts, || {
                     let (mut m, mut setup) = scale_machine(pes, contended);
                     (s.run)(&mut m, driver);
                     let t = std::time::Instant::now();
                     let checksum = m.snapshot_region(0, snap).fnv64();
                     let report = m.perf();
                     setup += t.elapsed().as_secs_f64();
-                    let sample = RunSample {
-                        sim_cycles: report.total(),
-                        sim_ops: sim_ops(&report),
+                    Run {
+                        report,
                         checksum,
-                    };
-                    first.get_or_insert(report);
-                    SplitSample {
-                        sample,
-                        setup_secs: setup,
+                        setup_secs: Some(setup),
+                        extras: size(pes),
                     }
-                })
-                .map_err(|e| format!("{name}: {e}"))?;
-                let report = first.expect("measure ran the scenario at least once");
-                if opts.report {
-                    println!("=== {name} ===\n{}", report.render());
-                }
-                let mut e = entry_from_report(&name, &report, throughput);
-                e.extras.insert("pes".to_string(), f64::from(pes));
-                e.extras
-                    .insert("contended".to_string(), f64::from(u8::from(contended)));
-                doc.entries.push(e);
+                })?);
             }
         }
         for &pes in &SCALE_PES {
             let name = format!("em3d.bulk.p{pes}{suffix}");
-            let params = Em3dParams::tiny(30.0);
-            let mut first: Option<(f64, PerfReport)> = None;
-            let throughput = measure(opts.spec, || {
-                let (result, report) = if contended {
-                    run_version_profiled_contended(driver, pes, params, Version::Bulk)
-                } else {
-                    run_version_profiled(driver, pes, params, Version::Bulk)
-                };
-                let sample = RunSample {
-                    sim_cycles: report.total(),
-                    sim_ops: sim_ops(&report),
-                    checksum: result.mem_fnv,
-                };
-                first.get_or_insert((result.us_per_edge, report));
-                sample
-            })
-            .map_err(|e| format!("{name}: {e}"))?;
-            let (us_per_edge, report) = first.expect("measure ran the version at least once");
-            if opts.report {
-                println!("=== {name} ===\n{}", report.render());
-            }
-            let mut e = entry_from_report(&name, &report, throughput);
-            e.extras.insert("pes".to_string(), f64::from(pes));
-            e.extras
-                .insert("contended".to_string(), f64::from(u8::from(contended)));
-            e.extras.insert("us_per_edge".to_string(), us_per_edge);
-            doc.entries.push(e);
+            doc.entries.push(bench_entry(&name, opts, || {
+                let mut run = em3d_run(driver, pes, contended, Version::Bulk);
+                run.extras.extend(size(pes));
+                run
+            })?);
         }
     }
     check_construction_time()?;
@@ -431,109 +440,75 @@ fn check(doc: &BenchDoc, baseline_dir: &std::path::Path, opts: &Opts) -> Result<
     }
 }
 
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    args.remove(i);
-    if i >= args.len() {
-        return Err(format!("{flag} requires a value"));
+/// A suite runner: the BENCH document of one suite.
+type Suite = fn(PhaseDriver, &Opts) -> Result<BenchDoc, String>;
+
+/// Flags that take a value; `compare` takes only the two tolerances.
+const VALUE_FLAGS: [&str; 7] = [
+    "--tol",
+    "--host-tol",
+    "--out",
+    "--compare",
+    "--runs",
+    "--warmup",
+    "--filter",
+];
+
+/// Reads the command line into its positionals (the command first) and
+/// options.
+fn parse_opts(argv: &[String]) -> Result<(Vec<String>, Opts), String> {
+    let mut args = cli::parse(argv, &VALUE_FLAGS, &["--report"])?;
+    let compare = args.command() == Some("compare");
+    if compare {
+        args = cli::parse(argv, &VALUE_FLAGS[..2], &[])?;
     }
-    Ok(Some(args.remove(i)))
+    let positionals = args.positionals(if compare { 3 } else { 1 })?.to_vec();
+    let d = ThroughputSpec::default();
+    let scenarios = attribution::all();
+    let filter = |v: &str| {
+        if scenarios.iter().any(|s| s.name.contains(v)) {
+            Ok(v.to_string())
+        } else {
+            let n = scenarios.len();
+            Err(format!("matches none of the {n} micro scenarios"))
+        }
+    };
+    let opts = Opts {
+        out: args.value("--out")?.unwrap_or_else(|| ".".into()),
+        compare_dir: args.value("--compare")?,
+        tol: args.value("--tol")?.unwrap_or(0.25),
+        host_tol: args.value("--host-tol")?.unwrap_or(0.5),
+        spec: ThroughputSpec {
+            warmup: args.value("--warmup")?.unwrap_or(d.warmup),
+            runs: args.value("--runs")?.unwrap_or(d.runs),
+        },
+        report: args.has("--report"),
+        filter: args.value_with("--filter", filter)?,
+    };
+    if opts.spec.runs == 0 {
+        return Err("--runs must be at least 1".to_string());
+    }
+    Ok((positionals, opts))
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Opts {
-        out: ".".into(),
-        compare_dir: None,
-        tol: 0.25,
-        host_tol: 0.5,
-        spec: ThroughputSpec::default(),
-        report: false,
-        filter: None,
-    };
-    if let Some(i) = args.iter().position(|a| a == "--report") {
-        args.remove(i);
-        opts.report = true;
-    }
-    macro_rules! parse_flag {
-        ($flag:expr, $slot:expr) => {
-            match take_value_flag(&mut args, $flag) {
-                Ok(None) => {}
-                Ok(Some(v)) => match v.parse() {
-                    Ok(x) => $slot = x,
-                    Err(e) => {
-                        eprintln!("{}: {e}", $flag);
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            }
-        };
-    }
-    parse_flag!("--tol", opts.tol);
-    parse_flag!("--host-tol", opts.host_tol);
-    parse_flag!("--runs", opts.spec.runs);
-    parse_flag!("--warmup", opts.spec.warmup);
-    if opts.spec.runs == 0 {
-        eprintln!("--runs must be at least 1");
-        return ExitCode::from(2);
-    }
-    match take_value_flag(&mut args, "--filter") {
-        Ok(None) => {}
-        Ok(Some(v)) => {
-            if !attribution::all().iter().any(|s| s.name.contains(&v)) {
-                eprintln!(
-                    "--filter {v:?} matches none of the {} micro scenarios",
-                    attribution::all().len()
-                );
-                return ExitCode::from(2);
-            }
-            opts.filter = Some(v);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    }
-    match take_value_flag(&mut args, "--out") {
-        Ok(None) => {}
-        Ok(Some(v)) => opts.out = v.into(),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    }
-    match take_value_flag(&mut args, "--compare") {
-        Ok(None) => {}
-        Ok(Some(v)) => opts.compare_dir = Some(v.into()),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (args, opts) = parse_opts(&argv).unwrap_or_else(|e| cli::usage_error("t3d-perf", &e));
     let cmd = args.first().map(String::as_str).unwrap_or("all");
 
     // Standalone two-file comparison: `t3d-perf compare OLD NEW`.
     if cmd == "compare" {
-        if args.len() != 3 {
-            eprintln!("usage: t3d-perf compare OLD.json NEW.json [--tol F] [--host-tol F]");
-            return ExitCode::from(2);
-        }
-        let read = |p: &str| -> Result<BenchDoc, String> {
-            BenchDoc::from_json(&std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?)
+        let usage = "usage: t3d-perf compare OLD.json NEW.json [--tol F] [--host-tol F]";
+        let [_, old, new] = &args[..] else {
+            cli::usage_error("t3d-perf", usage)
         };
-        let (old, new) = match (read(&args[1]), read(&args[2])) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
+        let read = |p: &String| {
+            std::fs::read_to_string(p)
+                .map_err(|e| format!("{p}: {e}"))
+                .and_then(|text| BenchDoc::from_json(&text))
+                .unwrap_or_else(|e| cli::usage_error("t3d-perf", &e))
         };
+        let (old, new) = (read(old), read(new));
         let problems = compare(&old, &new, opts.tol, opts.host_tol);
         if problems.is_empty() {
             println!(
@@ -550,34 +525,29 @@ fn main() -> ExitCode {
     }
 
     if !matches!(cmd, "micro" | "em3d" | "scale" | "all") {
-        eprintln!("unknown command {cmd:?}; expected micro, em3d, scale, all or compare");
-        return ExitCode::from(2);
+        let msg = format!("unknown command {cmd:?}; expected micro, em3d, scale, all or compare");
+        cli::usage_error("t3d-perf", &msg);
     }
     let driver = PhaseDriver::from_env();
+    let suites: [(bool, &str, Suite); 3] = [
+        (
+            matches!(cmd, "micro" | "all"),
+            "DETERMINISM FAILURE [micro]",
+            run_micro,
+        ),
+        (
+            matches!(cmd, "em3d" | "all"),
+            "DETERMINISM FAILURE [em3d]",
+            run_em3d,
+        ),
+        (cmd == "scale", "FAILURE [scale]", run_scale),
+    ];
     let mut docs = Vec::new();
-    if matches!(cmd, "micro" | "all") {
-        match run_micro(driver, &opts) {
+    for (_, failure, run) in suites.into_iter().filter(|s| s.0) {
+        match run(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
-                eprintln!("DETERMINISM FAILURE [micro]: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if matches!(cmd, "em3d" | "all") {
-        match run_em3d(driver, &opts) {
-            Ok(doc) => docs.push(doc),
-            Err(e) => {
-                eprintln!("DETERMINISM FAILURE [em3d]: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if cmd == "scale" {
-        match run_scale(driver, &opts) {
-            Ok(doc) => docs.push(doc),
-            Err(e) => {
-                eprintln!("FAILURE [scale]: {e}");
+                eprintln!("{failure}: {e}");
                 return ExitCode::FAILURE;
             }
         }

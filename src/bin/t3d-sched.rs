@@ -28,9 +28,13 @@
 //! full-size sub-machines without hand-picking dims. Everything is
 //! virtual-time deterministic: the same seed yields byte-identical
 //! traces and bit-identical ledgers under both phase drivers.
+//!
+//! Seeds are decimal or `0x` hex. An unknown or repeated flag, a
+//! malformed value or a stray argument exits with status 2.
 
 use std::process::ExitCode;
 
+use t3d_perf::cli;
 use t3d_sched::{
     compare, run_trace, ExecEnv, GenParams, HistSummary, KernelCache, SchedDoc, SimParams,
     SweepPoint, Trace,
@@ -40,26 +44,6 @@ use t3d_sched::{
 /// saturation (gang scheduling plus power-of-two rounding caps
 /// achievable utilization well below 1, so the knee sits early).
 const LOADS: [f64; 6] = [0.25, 0.5, 0.75, 1.0, 2.0, 4.0];
-
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    args.remove(i);
-    if i >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    Ok(Some(args.remove(i)))
-}
-
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
 
 fn parse_machine(text: &str) -> Result<(u32, u32, u32), String> {
     let parts: Vec<&str> = text.split('x').collect();
@@ -74,41 +58,34 @@ fn parse_machine(text: &str) -> Result<(u32, u32, u32), String> {
     Ok((ext(0)?, ext(1)?, ext(2)?))
 }
 
-fn parse_seed(text: &str) -> Result<u64, String> {
-    if let Some(hex) = text.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).map_err(|e| format!("bad seed {text:?}: {e}"))
-    } else {
-        text.parse().map_err(|e| format!("bad seed {text:?}: {e}"))
-    }
-}
-
-fn cmd_gen(mut args: Vec<String>) -> Result<(), String> {
-    let mut p = GenParams::default();
-    if let Some(v) = take_value_flag(&mut args, "--jobs")? {
-        p.jobs = v.parse().map_err(|e| format!("--jobs: {e}"))?;
-    }
-    if let Some(v) = take_value_flag(&mut args, "--mean-gap")? {
-        p.mean_interarrival_cy = v.parse().map_err(|e| format!("--mean-gap: {e}"))?;
-    }
-    if let Some(v) = take_value_flag(&mut args, "--seed")? {
-        p.seed = parse_seed(&v)?;
-    }
-    if let Some(v) = take_value_flag(&mut args, "--min-order")? {
-        p.min_order = v.parse().map_err(|e| format!("--min-order: {e}"))?;
-    }
-    if let Some(v) = take_value_flag(&mut args, "--max-order")? {
-        p.max_order = v.parse().map_err(|e| format!("--max-order: {e}"))?;
-    }
-    let out = take_value_flag(&mut args, "--out")?;
-    if let Some(extra) = args.first() {
-        return Err(format!("unexpected argument {extra:?}"));
-    }
+fn cmd_gen(argv: &[String]) -> Result<(), String> {
+    let values = [
+        "--jobs",
+        "--mean-gap",
+        "--seed",
+        "--min-order",
+        "--max-order",
+        "--out",
+    ];
+    let args = cli::parse(argv, &values, &[])?;
+    args.positionals(0)?;
+    let d = GenParams::default();
+    let p = GenParams {
+        jobs: args.value("--jobs")?.unwrap_or(d.jobs),
+        mean_interarrival_cy: args.value("--mean-gap")?.unwrap_or(d.mean_interarrival_cy),
+        min_order: args.value("--min-order")?.unwrap_or(d.min_order),
+        max_order: args.value("--max-order")?.unwrap_or(d.max_order),
+        seed: args
+            .value_with("--seed", cli::parse_seed)?
+            .unwrap_or(d.seed),
+    };
+    let out = args.get("--out");
     let trace = Trace::generate(p);
     let mut text = trace.render();
     text.push('\n');
     match out {
         Some(path) => {
-            std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
+            std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
             println!(
                 "wrote {path}: {} jobs, trace fingerprint {:#018x}",
                 trace.jobs.len(),
@@ -120,13 +97,13 @@ fn cmd_gen(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
-    let mut machine = (4, 4, 2);
-    if let Some(v) = take_value_flag(&mut args, "--machine")? {
-        machine = parse_machine(&v)?;
-    }
-    let backfill = take_bool_flag(&mut args, "--backfill");
-    let [path] = args.as_slice() else {
+fn cmd_run(argv: &[String]) -> Result<(), String> {
+    let args = cli::parse(argv, &["--machine"], &["--backfill"])?;
+    let machine = args
+        .value_with("--machine", parse_machine)?
+        .unwrap_or((4, 4, 2));
+    let backfill = args.has("--backfill");
+    let [path] = args.positionals(1)? else {
         return Err("usage: t3d-sched run TRACE.json [--machine XxYxZ] [--backfill]".to_string());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -285,46 +262,45 @@ fn run_sweep(machine: (u32, u32, u32), jobs: u32, seed: u64, backfill: bool) -> 
     }
 }
 
-fn cmd_sweep(mut args: Vec<String>) -> Result<bool, String> {
-    let mut jobs = 96u32;
-    let mut seed = 0x5EED_u64;
-    let mut tol = 0.25f64;
-    let machine_flag = take_value_flag(&mut args, "--machine")?;
-    let pes_flag = take_value_flag(&mut args, "--pes")?;
-    let machine = match (machine_flag, pes_flag) {
+fn cmd_sweep(argv: &[String]) -> Result<bool, String> {
+    let values = [
+        "--machine",
+        "--pes",
+        "--jobs",
+        "--seed",
+        "--tol",
+        "--out",
+        "--compare",
+    ];
+    let args = cli::parse(argv, &values, &["--backfill"])?;
+    args.positionals(0)?;
+    let pes_dims = |v: &str| {
+        let pes: u32 = v.parse().map_err(|e| format!("{e}"))?;
+        // The partition allocator buddies over power-of-two extents,
+        // so the PE count must be one too; the near-cubic
+        // factorisation then yields power-of-two extents.
+        if !pes.is_power_of_two() {
+            return Err("must be a power of two".to_string());
+        }
+        Ok(t3d_torus::TorusConfig::for_nodes(pes).dims)
+    };
+    let machine = match (
+        args.value_with("--machine", parse_machine)?,
+        args.value_with("--pes", pes_dims)?,
+    ) {
         (Some(_), Some(_)) => {
             return Err("--machine and --pes are mutually exclusive".to_string());
         }
-        (Some(v), None) => parse_machine(&v)?,
-        (None, Some(v)) => {
-            let pes: u32 = v.parse().map_err(|e| format!("--pes: {e}"))?;
-            // The partition allocator buddies over power-of-two extents,
-            // so the PE count must be one too; the near-cubic
-            // factorisation then yields power-of-two extents.
-            if !pes.is_power_of_two() {
-                return Err(format!("--pes must be a power of two, got {pes}"));
-            }
-            t3d_torus::TorusConfig::for_nodes(pes).dims
-        }
-        (None, None) => (4, 4, 2),
+        (m, p) => m.or(p).unwrap_or((4, 4, 2)),
     };
-    if let Some(v) = take_value_flag(&mut args, "--jobs")? {
-        jobs = v.parse().map_err(|e| format!("--jobs: {e}"))?;
-    }
-    if let Some(v) = take_value_flag(&mut args, "--seed")? {
-        seed = parse_seed(&v)?;
-    }
-    if let Some(v) = take_value_flag(&mut args, "--tol")? {
-        tol = v.parse().map_err(|e| format!("--tol: {e}"))?;
-    }
-    let backfill = take_bool_flag(&mut args, "--backfill");
-    let out: std::path::PathBuf = take_value_flag(&mut args, "--out")?
-        .unwrap_or_else(|| ".".to_string())
-        .into();
-    let compare_dir = take_value_flag(&mut args, "--compare")?;
-    if let Some(extra) = args.first() {
-        return Err(format!("unexpected argument {extra:?}"));
-    }
+    let jobs = args.value("--jobs")?.unwrap_or(96u32);
+    let seed = args
+        .value_with("--seed", cli::parse_seed)?
+        .unwrap_or(0x5EED);
+    let tol = args.value("--tol")?.unwrap_or(0.25f64);
+    let backfill = args.has("--backfill");
+    let out = std::path::Path::new(args.get("--out").unwrap_or("."));
+    let compare_dir = args.get("--compare");
 
     let doc = run_sweep(machine, jobs, seed, backfill);
     let path = out.join("BENCH_sched.json");
@@ -338,7 +314,7 @@ fn cmd_sweep(mut args: Vec<String>) -> Result<bool, String> {
     );
 
     if let Some(dir) = compare_dir {
-        let base_path = std::path::Path::new(&dir).join("BENCH_sched.json");
+        let base_path = std::path::Path::new(dir).join("BENCH_sched.json");
         let base_text = std::fs::read_to_string(&base_path)
             .map_err(|e| format!("cannot read baseline {}: {e}", base_path.display()))?;
         let baseline = SchedDoc::parse(&base_text)?;
@@ -355,12 +331,10 @@ fn cmd_sweep(mut args: Vec<String>) -> Result<bool, String> {
     Ok(true)
 }
 
-fn cmd_compare(mut args: Vec<String>) -> Result<bool, String> {
-    let mut tol = 0.25f64;
-    if let Some(v) = take_value_flag(&mut args, "--tol")? {
-        tol = v.parse().map_err(|e| format!("--tol: {e}"))?;
-    }
-    let [old_path, new_path] = args.as_slice() else {
+fn cmd_compare(argv: &[String]) -> Result<bool, String> {
+    let args = cli::parse(argv, &["--tol"], &[])?;
+    let tol = args.value("--tol")?.unwrap_or(0.25f64);
+    let [old_path, new_path] = args.positionals(2)? else {
         return Err("usage: t3d-sched compare OLD.json NEW.json [--tol F]".to_string());
     };
     let read = |p: &str| -> Result<SchedDoc, String> {
@@ -383,17 +357,16 @@ fn cmd_compare(mut args: Vec<String>) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("usage: t3d-sched <gen|run|sweep|compare> [flags]");
         return ExitCode::from(2);
-    }
-    let cmd = args.remove(0);
+    };
     let result = match cmd.as_str() {
-        "gen" => cmd_gen(args).map(|()| true),
-        "run" => cmd_run(args).map(|()| true),
-        "sweep" => cmd_sweep(args),
-        "compare" => cmd_compare(args),
+        "gen" => cmd_gen(rest).map(|()| true),
+        "run" => cmd_run(rest).map(|()| true),
+        "sweep" => cmd_sweep(rest),
+        "compare" => cmd_compare(rest),
         other => {
             eprintln!("unknown command {other:?}; expected gen, run, sweep or compare");
             return ExitCode::from(2);
@@ -402,9 +375,6 @@ fn main() -> ExitCode {
     match result {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
+        Err(e) => cli::usage_error("t3d-sched", &e),
     }
 }
