@@ -15,11 +15,11 @@
 //! agree with
 //! the flat reference model's memory at every barrier and its predicted
 //! results; and the sanitizer report must be empty. The optional
-//! [`Fault`] flips one byte of the Par run's settled memory — exactly
-//! what an effect-log merge bug would look like — to prove the oracle
-//! and shrinker bite.
+//! [`Fault`] flips one byte of a word the Par run wrote remotely —
+//! exactly what a lost or misapplied merged effect would look like — to
+//! prove the oracle and shrinker bite.
 
-use crate::program::{LoweredPhase, Program, Terminator};
+use crate::program::{ActionKind, Cell, LoweredPhase, Phase, Program, Terminator, WORD};
 use crate::refmodel::{interpret, RefOutcome};
 use splitc::{SplitC, SplitcConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,16 +27,64 @@ use std::sync::Mutex;
 use t3d_machine::{MachineConfig, MemSnapshot, OpStats, PerfMode, PerfReport, PhaseDriver};
 use t3dsan::SanitizeMode;
 
-/// Fault injection: after phase `phase`'s terminator (clamped to the
-/// last phase), flip every bit of one settled byte.
+/// Fault injection: after the terminator of a phase that writes on
+/// another PE, flip every bit of one byte of a word it wrote there. A
+/// program with no remote write is left alone, so the fault depends on
+/// the program the way a merge bug does, and a shrunk reproducer must
+/// keep the write it corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
-    /// Phase after whose terminator the byte is flipped.
+    /// Which of the phases with a remote write is hit (mod their count).
     pub phase: usize,
-    /// Node whose memory is corrupted (mod `nodes`).
-    pub pe: usize,
-    /// Byte offset within the region (mod the region size).
-    pub off: u64,
+    /// Which of that phase's remote writes is hit (mod their count).
+    pub write: usize,
+    /// Byte within the written word (mod 8).
+    pub byte: u64,
+}
+
+impl Fault {
+    /// Where the fault lands in `prog`: the phase after whose
+    /// terminator it strikes, and the word and byte it flips. `None`
+    /// if no phase writes remotely.
+    fn site(&self, prog: &Program) -> Option<(usize, Cell, u64)> {
+        let hit: Vec<(usize, Vec<Cell>)> = prog
+            .phases
+            .iter()
+            .map(remote_writes)
+            .enumerate()
+            .filter(|(_, writes)| !writes.is_empty())
+            .collect();
+        let (phase, writes) = hit.get(self.phase % hit.len().max(1))?;
+        Some((*phase, writes[self.write % writes.len()], self.byte % WORD))
+    }
+}
+
+/// The first word of every remote write in `phase`, in action order.
+fn remote_writes(phase: &Phase) -> Vec<Cell> {
+    use ActionKind::*;
+    phase
+        .actions
+        .iter()
+        .filter_map(|a| {
+            let dst = match a.kind {
+                Write { dst, .. }
+                | WriteU32 { dst, .. }
+                | ByteWrite { dst, .. }
+                | Put { dst, .. }
+                | Store { dst, .. }
+                | BulkWrite { dst, .. }
+                | BulkPut { dst, .. }
+                | BulkWriteStrided { dst, .. }
+                | AmAdd { dst, .. } => dst,
+                LockGuardedWrite { lock, dst_pe, .. } => Cell {
+                    pe: dst_pe,
+                    slot: u64::from(lock),
+                },
+                _ => return None,
+            };
+            (dst.pe != a.pe).then_some(dst)
+        })
+        .collect()
 }
 
 /// What one execution produced.
@@ -90,7 +138,7 @@ fn run_program_inner(prog: &Program, driver: PhaseDriver, fault: Option<Fault>) 
     let lowered = prog.lower(base);
     let results: Vec<Mutex<Vec<u64>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
     let mut snaps = Vec::with_capacity(lowered.len());
-    let last = lowered.len().saturating_sub(1);
+    let site = fault.and_then(|f| f.site(prog));
     for (i, phase) in lowered.iter().enumerate() {
         let terminator = match phase {
             LoweredPhase::Sharded { ops, terminator } => {
@@ -121,11 +169,9 @@ fn run_program_inner(prog: &Program, driver: PhaseDriver, fault: Option<Fault>) 
             Terminator::Barrier => sc.barrier(),
             Terminator::AllStoreSync => sc.all_store_sync(),
         }
-        if let Some(f) = fault {
-            if i == f.phase.min(last) {
-                sc.machine()
-                    .corrupt_byte(f.pe % n, base + f.off % prog.region_bytes());
-            }
+        if let Some((_, c, byte)) = site.filter(|s| s.0 == i) {
+            sc.machine()
+                .corrupt_byte(c.pe as usize, base + c.slot * WORD + byte);
         }
         snaps.push(sc.machine_ref().snapshot_region(base, prog.region_bytes()));
     }
@@ -263,7 +309,7 @@ fn seq_par_divergence(seq: &RunRecord, par: &RunRecord) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Action, ActionKind, Cell, Phase, PhaseKind, Terminator};
+    use crate::program::{Action, PhaseKind};
 
     fn two_phase_prog() -> Program {
         Program {
@@ -375,23 +421,55 @@ mod tests {
         let p = two_phase_prog();
         let fault = Fault {
             phase: 0,
-            pe: 1,
-            off: 3 * 8,
+            write: 0,
+            byte: 3,
         };
         let failure = check_case(&p, 2, Some(fault));
         assert!(failure.is_some(), "flipped byte must be detected");
         let msg = failure.unwrap();
         assert!(msg.contains("divergence"), "{msg}");
+        assert!(msg.contains("PE 1"), "the Store's target is hit: {msg}");
     }
 
     #[test]
-    fn fault_phase_is_clamped_to_the_last_phase() {
+    fn faults_hit_only_words_written_remotely() {
         let p = two_phase_prog();
+        // Phase 0 writes PE 1 (Store), PE 2 (Put) and PE 2 (AmAdd);
+        // its Get writes only locally.
+        assert_eq!(
+            remote_writes(&p.phases[0]),
+            [
+                Cell { pe: 1, slot: 3 },
+                Cell { pe: 2, slot: 4 },
+                Cell { pe: 2, slot: 6 }
+            ]
+        );
+        // With the remote writes gone, the fault has nothing to hit.
+        let mut quiet = p.clone();
+        quiet.phases.truncate(1);
+        quiet.phases[0]
+            .actions
+            .retain(|a| matches!(a.kind, ActionKind::Get { .. }));
+        let fault = Fault {
+            phase: 0,
+            write: 0,
+            byte: 0,
+        };
+        assert_eq!(fault.site(&quiet), None);
+        assert_eq!(check_case(&quiet, 2, Some(fault)), None);
+    }
+
+    #[test]
+    fn fault_indices_wrap_over_the_remote_writes() {
+        let p = two_phase_prog();
+        // Both phases write remotely; the last one's only remote write
+        // is PE 0's lock-guarded write of group cell 1 on PE 2.
         let fault = Fault {
             phase: 99,
-            pe: 0,
-            off: 1,
+            write: 5,
+            byte: 9,
         };
+        assert_eq!(fault.site(&p), Some((1, Cell { pe: 2, slot: 1 }, 1)));
         assert!(check_case(&p, 2, Some(fault)).is_some());
     }
 

@@ -92,14 +92,14 @@ pub fn program_for_seed(seed: u64) -> Program {
 }
 
 /// The deterministic fault a seed denotes for `--inject-fault` runs:
-/// drawn from a stream decorrelated from the program's so the corrupted
-/// (phase, PE, byte) doesn't track program shape.
+/// drawn from a stream decorrelated from the program's, so the chosen
+/// phase, remote write and byte don't track program shape.
 pub fn fault_for_seed(seed: u64) -> Fault {
     let mut rng = Rng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
     Fault {
-        phase: rng.gen_range(0u64..8) as usize,
-        pe: rng.gen_range(0u64..8) as usize,
-        off: rng.gen_range(0u64..4096),
+        phase: rng.gen_range(0u64..64) as usize,
+        write: rng.gen_range(0u64..64) as usize,
+        byte: rng.gen_range(0u64..8),
     }
 }
 

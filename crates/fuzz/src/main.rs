@@ -9,9 +9,10 @@
 //! Failures are shrunk and written to `DIR` as self-contained
 //! reproducers; the exit code is the failure count (clamped to 1).
 //!
-//! `--inject-fault` is the self-test: it flips one byte of the Par
-//! run's settled memory, requires the oracle to catch it, shrinks the
-//! case and fails unless the reproducer lowers to at most 12 ops.
+//! `--inject-fault` is the self-test: it flips one byte of a word the
+//! Par run wrote remotely, requires the oracle to catch it, shrinks the
+//! case and fails unless the reproducer lowers to between 1 and 12 ops
+//! (the write the fault hits must survive shrinking).
 //!
 //! An unknown or repeated flag, a malformed value or a stray argument
 //! exits with status 2 and names the culprit.
@@ -165,8 +166,8 @@ fn run_inject_fault(args: &Args) -> ExitCode {
     let prog = program_for_seed(seed);
     let fault = fault_for_seed(seed);
     println!(
-        "self-test: flipping one byte after phase {} on PE {} (seed {seed:#x})",
-        fault.phase, fault.pe
+        "self-test: flipping byte {} of remote write {} of writing phase {} (seed {seed:#x})",
+        fault.byte, fault.write, fault.phase
     );
     let Some(why) = check_case(&prog, args.threads, Some(fault)) else {
         eprintln!("self-test FAILED: the injected fault was not detected");
@@ -182,8 +183,8 @@ fn run_inject_fault(args: &Args) -> ExitCode {
     println!("{}", small.render_reproducer(seed, region_base(&small)));
     let path = save_reproducer(&args.out, seed, &small, &why);
     println!("self-test reproducer saved to {}", path.display());
-    if ops > 12 {
-        eprintln!("self-test FAILED: shrunk reproducer has {ops} lowered ops (> 12)");
+    if !(1..=12).contains(&ops) {
+        eprintln!("self-test FAILED: shrunk reproducer has {ops} lowered ops (not 1..=12)");
         return ExitCode::FAILURE;
     }
     println!("self-test OK: shrunk to {ops} lowered ops");

@@ -288,8 +288,8 @@ mod tests {
         let p = noisy_prog();
         let fault = Fault {
             phase: 3,
-            pe: 0,
-            off: 9,
+            write: 0,
+            byte: 1,
         };
         assert!(
             check_case(&p, 2, Some(fault)).is_some(),
@@ -301,9 +301,16 @@ mod tests {
             "shrunk case still fails"
         );
         assert_eq!(small.phases.len(), 1, "one phase survives");
-        assert!(small.action_count() <= 1, "actions deleted: {small:?}");
+        assert_eq!(
+            small.action_count(),
+            1,
+            "one remote write survives: {small:?}"
+        );
         let ops: usize = small.lower(0x1000).iter().map(|p| p.op_count()).sum();
-        assert!(ops <= 12, "lowered ops within the acceptance bound: {ops}");
+        assert!(
+            (1..=12).contains(&ops),
+            "lowered ops within the acceptance bound: {ops}"
+        );
     }
 
     #[test]
@@ -338,8 +345,8 @@ mod tests {
         let p = noisy_prog();
         let fault = Fault {
             phase: 0,
-            pe: 0,
-            off: 0,
+            write: 0,
+            byte: 0,
         };
         // Zero budget: nothing shrinks, input returned unchanged.
         let same = shrink(&p, 2, Some(fault), 0);

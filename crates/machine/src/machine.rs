@@ -63,6 +63,9 @@ pub struct Machine {
     tracer: Tracer,
     perf_mode: PerfMode,
     phase_log: PhaseLog,
+    /// Every PE's sharded-phase effect log, kept empty between phases so
+    /// its capacity carries over (sized on the first sharded phase).
+    pub(crate) phase_logs: Vec<Vec<TimedEffect>>,
 }
 
 impl Machine {
@@ -100,6 +103,7 @@ impl Machine {
             tracer: Tracer::default(),
             perf_mode: PerfMode::Off,
             phase_log: PhaseLog::default(),
+            phase_logs: Vec::new(),
         })
     }
 

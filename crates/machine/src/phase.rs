@@ -48,6 +48,19 @@
 //! any number of threads**. [`PhaseDriver::Seq`] is therefore a true
 //! oracle for [`PhaseDriver::Par`].
 //!
+//! # Threads and buffers
+//!
+//! `Par(n)` partitions the torus into sub-cubes and runs each block's
+//! shards on one thread: the calling thread takes one block and `n - 1`
+//! scoped workers take the rest. The split is by reference — a thread
+//! gets a list of borrows of its PEs' state — so no node moves, and a
+//! panicking phase leaves every PE's state at its own index. The
+//! per-phase host work outside the shards is a few flat copies: the
+//! machine keeps every PE's effect log, cleared after the merge so its
+//! capacity carries over; a thread reuses one set of overlay tables for
+//! all its shards; and the phase-entry snapshot copies DRAM timing
+//! state without touching the heap (the bank table is inline).
+//!
 //! # The contract
 //!
 //! The engine is exact for programs that follow the bulk-synchronous
@@ -89,8 +102,9 @@ pub enum PhaseDriver {
     /// Run the shards one after another on the calling thread (the
     /// determinism oracle).
     Seq,
-    /// Run the shards on up to this many worker threads. `Par(1)` uses
-    /// the sequential path; results are identical for every value.
+    /// Run the shards on up to this many threads, the caller's
+    /// included. `Par(1)` uses the sequential path; results are
+    /// identical for every value.
     Par(usize),
 }
 
@@ -175,6 +189,31 @@ impl Hasher for IdHasher {
 /// table, keyed by PE or link id.
 type Overlay<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 
+/// One shard's copy-on-touch overlays of the [`PhaseShared`] snapshot.
+/// A thread reuses one set, cleared, for every shard it runs, so the
+/// tables are allocated once per thread and phase rather than per PE.
+#[derive(Default)]
+struct Overlays {
+    /// Private evolution of the remote nodes' DRAM timing the shard has
+    /// touched, each seeded from the phase-start snapshot on first touch.
+    dram: Overlay<Dram>,
+    /// Private evolution of the remote shell occupancies touched.
+    busy: Overlay<u64>,
+    /// Private evolution of the link-occupancy clocks touched.
+    link: Overlay<u64>,
+    /// The shard's own increments of remote fetch&increment registers.
+    finc_bumps: Overlay<[u64; 2]>,
+}
+
+impl Overlays {
+    fn clear(&mut self) {
+        self.dram.clear();
+        self.busy.clear();
+        self.link.clear();
+        self.finc_bumps.clear();
+    }
+}
+
 /// Read-only state shared by every shard of one phase.
 struct PhaseShared {
     cfg: MachineConfig,
@@ -206,7 +245,7 @@ impl PhaseShared {
                 .iter()
                 .map(|n| Arc::clone(n.port.mem_arena()))
                 .collect(),
-            dram: nodes.iter().map(|n| n.port.dram().clone()).collect(),
+            dram: nodes.iter().map(|n| *n.port.dram()).collect(),
             busy: hot.iter().map(|h| h.shell_busy_until).collect(),
             links: links.to_vec(),
             finc: nodes.iter().map(|n| n.fetchinc.clone()).collect(),
@@ -224,33 +263,11 @@ pub struct PhasePe<'a> {
     /// for the phase like the node itself.
     hot: &'a mut NodeHot,
     sh: &'a PhaseShared,
-    /// Private evolution of the remote nodes' DRAM timing this shard has
-    /// touched, each seeded from the phase-start snapshot on first touch.
-    rdram: Overlay<Dram>,
-    /// Private evolution of the remote shell occupancies touched.
-    rbusy: Overlay<u64>,
-    /// Private evolution of the link-occupancy clocks touched.
-    rlink: Overlay<u64>,
-    /// This shard's own increments of remote fetch&increment registers.
-    finc_bumps: Overlay<[u64; 2]>,
-    /// Outbound effects in issue order.
-    effects: Vec<TimedEffect>,
-}
-
-impl<'a> PhasePe<'a> {
-    fn new(pe: usize, node: &'a mut Node, hot: &'a mut NodeHot, sh: &'a PhaseShared) -> Self {
-        PhasePe {
-            pe,
-            node,
-            hot,
-            sh,
-            rdram: Overlay::default(),
-            rbusy: Overlay::default(),
-            rlink: Overlay::default(),
-            finc_bumps: Overlay::default(),
-            effects: Vec::new(),
-        }
-    }
+    /// This shard's overlays, empty at shard entry.
+    ov: &'a mut Overlays,
+    /// Outbound effects in issue order: the machine's retained log for
+    /// this PE, empty at phase entry.
+    effects: &'a mut Vec<TimedEffect>,
 }
 
 /// The `Logged` policy: a remote target is priced against this shard's
@@ -279,19 +296,17 @@ impl OpCore for PhasePe<'_> {
         (self.node, self.hot)
     }
     fn link_busy(&self, l: usize) -> u64 {
-        self.rlink.get(&l).copied().unwrap_or(self.sh.links[l])
+        self.ov.link.get(&l).copied().unwrap_or(self.sh.links[l])
     }
     fn set_link_busy(&mut self, l: usize, until: u64) {
-        self.rlink.insert(l, until);
+        self.ov.link.insert(l, until);
     }
     fn remote_busy(&mut self, target: usize) -> &mut u64 {
-        self.rbusy.entry(target).or_insert(self.sh.busy[target])
+        self.ov.busy.entry(target).or_insert(self.sh.busy[target])
     }
     fn remote_dram(&mut self, target: usize) -> &mut Dram {
         let sh = self.sh;
-        self.rdram
-            .entry(target)
-            .or_insert_with(|| sh.dram[target].clone())
+        self.ov.dram.entry(target).or_insert(sh.dram[target])
     }
     fn remote_arena(&self, target: usize) -> &Arc<MemArena> {
         &self.sh.mems[target]
@@ -305,7 +320,7 @@ impl OpCore for PhasePe<'_> {
         self.remote_dram(target).access(off)
     }
     fn remote_fetch_inc(&mut self, target: usize, reg: usize) -> u64 {
-        let bumps = self.finc_bumps.entry(target).or_default();
+        let bumps = self.ov.finc_bumps.entry(target).or_default();
         let ticket = self.sh.finc[target].get(reg) + bumps[reg];
         bumps[reg] += 1;
         ticket
@@ -332,39 +347,53 @@ impl OpCore for PhasePe<'_> {
     }
 }
 
-fn run_shard<T>(
-    pe: usize,
-    node: &mut Node,
-    hot: &mut NodeHot,
+/// Runs the shards in `shards` one after another on this thread,
+/// appending each one's outbound effects to its log (empty on entry).
+fn run_shards<'a, T: 'a>(
+    shards: impl IntoIterator<Item = Shard<'a, T>>,
     sh: &PhaseShared,
-    state: &mut T,
     f: &(impl Fn(&mut Cpu, &mut T) + Sync),
-) -> Vec<TimedEffect> {
-    let mut shard = PhasePe::new(pe, node, hot, sh);
-    f(&mut Cpu { m: &mut shard, pe }, state);
-    shard.effects
+) {
+    let mut ov = Overlays::default();
+    for (pe, node, hot, state, log) in shards {
+        debug_assert!(log.is_empty(), "a retained log is cleared after its merge");
+        ov.clear();
+        let mut shard = PhasePe {
+            pe,
+            node,
+            hot,
+            sh,
+            ov: &mut ov,
+            effects: log,
+        };
+        f(&mut Cpu { m: &mut shard, pe }, state);
+    }
 }
 
-/// Reorders `items` in place so position `i` holds the element that was
-/// at `order[i]` (cycle-walking swaps, no scratch buffer of `T`).
-fn permute_in_place<T>(items: &mut [T], order: &[usize]) {
-    debug_assert_eq!(items.len(), order.len());
-    let mut visited = vec![false; order.len()];
-    for start in 0..order.len() {
-        if visited[start] {
-            continue;
-        }
-        let mut i = start;
-        loop {
-            visited[i] = true;
-            let next = order[i];
-            if next == start {
-                break;
-            }
-            items.swap(i, next);
-            i = next;
-        }
-    }
+/// One PE's share of a phase: its id and exclusive borrows of its node,
+/// hot scalars, per-PE state and retained effect log.
+type Shard<'a, T> = (
+    usize,
+    &'a mut Node,
+    &'a mut NodeHot,
+    &'a mut T,
+    &'a mut Vec<TimedEffect>,
+);
+
+/// Every PE's [`Shard`], in PE order.
+fn shards<'a, T>(
+    nodes: &'a mut [Node],
+    hot: &'a mut [NodeHot],
+    states: &'a mut [T],
+    logs: &'a mut [Vec<TimedEffect>],
+) -> impl Iterator<Item = Shard<'a, T>> {
+    nodes
+        .iter_mut()
+        .zip(hot)
+        .zip(states)
+        .zip(logs)
+        .enumerate()
+        .map(|(pe, (((node, hot), state), log))| (pe, node, hot, state, log))
 }
 
 /// Merge key of one effect: `(time, src, seq)`, where `seq` is the
@@ -390,75 +419,55 @@ fn merge_order(logs: &[Vec<TimedEffect>]) -> Vec<MergeKey> {
     keys
 }
 
-/// Runs the shards on `threads` workers and returns every shard's effect
-/// log, indexed by PE.
-fn run_parallel<T: Send>(
-    nodes: &mut [Node],
-    hot: &mut [NodeHot],
-    states: &mut [T],
+/// Runs the shards on `threads` threads — the caller and `threads - 1`
+/// scoped workers.
+///
+/// The torus is partitioned into canonical sub-cubes — the same shapes
+/// the gang scheduler allocates — and each thread runs one sub-cube's
+/// shards. A thread's PEs are topological neighbours, so the snapshot
+/// lines its shards touch stay hot within one thread instead of
+/// striding the whole machine. The split is by reference: one pass
+/// over the machine sorts every PE's [`Shard`] borrows into its block's
+/// list, and nothing is moved, so the machine is in PE order whether
+/// the phase returns or unwinds. Each shard writes its effects into the
+/// log at its own PE index.
+///
+/// Workers are spawned per phase, not pooled: `t3d-machine` forbids
+/// `unsafe`, and a scoped spawn costs tens of microseconds, little
+/// beside a large phase.
+fn run_parallel<'a, T: Send + 'a>(
+    shards: impl Iterator<Item = Shard<'a, T>>,
     sh: &PhaseShared,
     threads: usize,
     f: &(impl Fn(&mut Cpu, &mut T) + Sync),
-) -> Vec<Vec<TimedEffect>> {
-    // Partition the torus into canonical sub-cubes — the same shapes the
-    // gang scheduler allocates — and give each worker one sub-cube. A
-    // worker's PEs are topological neighbours, so the snapshot lines its
-    // shards touch stay hot within one worker instead of striding the
-    // whole machine. The node/hot/state arrays are permuted into
-    // sub-cube order for the duration of the phase (merge keys carry
-    // real PE ids, so the permutation cannot affect results).
+) {
     let blocks = subcube::partition(sh.torus.config().dims, threads);
-    let order: Vec<usize> = blocks
-        .iter()
-        .flat_map(|b| b.coords().into_iter().map(|c| sh.torus.node_of(c) as usize))
-        .collect();
-    debug_assert_eq!(order.len(), nodes.len());
-    permute_in_place(nodes, &order);
-    permute_in_place(hot, &order);
-    permute_in_place(states, &order);
-    let mut logs: Vec<Vec<TimedEffect>> = Vec::with_capacity(order.len());
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut node_rest = &mut *nodes;
-        let mut hot_rest = &mut *hot;
-        let mut state_rest = &mut *states;
-        let mut base = 0usize;
-        for b in &blocks {
-            let take = b.pes() as usize;
-            let (nchunk, nrest) = node_rest.split_at_mut(take);
-            let (hchunk, hrest) = hot_rest.split_at_mut(take);
-            let (schunk, srest) = state_rest.split_at_mut(take);
-            node_rest = nrest;
-            hot_rest = hrest;
-            state_rest = srest;
-            let pes = &order[base..base + take];
-            base += take;
-            handles.push(s.spawn(move || {
-                nchunk
-                    .iter_mut()
-                    .zip(hchunk.iter_mut())
-                    .zip(schunk.iter_mut())
-                    .zip(pes.iter())
-                    .map(|(((node, hot), state), &pe)| run_shard(pe, node, hot, sh, state, f))
-                    .collect::<Vec<_>>()
-            }));
+    let mut block_of = vec![0usize; sh.mems.len()];
+    for (b, block) in blocks.iter().enumerate() {
+        for c in block.coords() {
+            block_of[sh.torus.node_of(c) as usize] = b;
         }
-        for h in handles {
-            match h.join() {
-                Ok(v) => logs.extend(v),
-                Err(e) => std::panic::resume_unwind(e),
+    }
+    let mut lists: Vec<Vec<Shard<'a, T>>> = blocks
+        .iter()
+        .map(|b| Vec::with_capacity(b.pes() as usize))
+        .collect();
+    for shard in shards {
+        lists[block_of[shard.0]].push(shard);
+    }
+    let mine = lists.pop().expect("a partition has at least one block");
+    std::thread::scope(|s| {
+        let workers: Vec<_> = lists
+            .into_iter()
+            .map(|list| s.spawn(move || run_shards(list, sh, f)))
+            .collect();
+        run_shards(mine, sh, f);
+        for w in workers {
+            if let Err(e) = w.join() {
+                std::panic::resume_unwind(e);
             }
         }
     });
-    let mut inv = vec![0usize; order.len()];
-    for (i, &o) in order.iter().enumerate() {
-        inv[o] = i;
-    }
-    permute_in_place(nodes, &inv);
-    permute_in_place(hot, &inv);
-    permute_in_place(states, &inv);
-    permute_in_place(&mut logs, &inv);
-    logs
 }
 
 impl Machine {
@@ -495,23 +504,23 @@ impl Machine {
             states.len()
         );
         self.normalize_for_phase();
-        let logs = {
+        // The logs are taken out for the phase and handed back cleared,
+        // with their capacity, after the merge; a panicking phase drops
+        // them and the next phase starts afresh.
+        let mut logs = std::mem::take(&mut self.phase_logs);
+        logs.resize_with(n, Vec::new);
+        {
             let (cfg, torus, nodes, hot, links) = self.phase_parts();
             let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
-            let threads = driver.threads_for(n);
-            if threads <= 1 {
-                nodes
-                    .iter_mut()
-                    .zip(hot.iter_mut())
-                    .zip(states.iter_mut())
-                    .enumerate()
-                    .map(|(pe, ((node, hot), state))| run_shard(pe, node, hot, &sh, state, &f))
-                    .collect()
-            } else {
-                run_parallel(nodes, hot, states, &sh, threads, &f)
+            let shards = shards(nodes, hot, states, &mut logs);
+            match driver.threads_for(n) {
+                1 => run_shards(shards, &sh, &f),
+                threads => run_parallel(shards, &sh, threads, &f),
             }
-        };
+        }
         self.apply_effects(&logs, &merge_order(&logs));
+        logs.iter_mut().for_each(Vec::clear);
+        self.phase_logs = logs;
     }
 
     /// Applies the shards' effects to the real nodes in merge order
@@ -626,6 +635,29 @@ mod tests {
                 seq,
                 run(PhaseDriver::Par(threads)),
                 "parallel shards with {threads} threads diverged from the oracle"
+            );
+        }
+    }
+
+    #[test]
+    fn shard_logs_keep_their_capacity_across_phases() {
+        for driver in [PhaseDriver::Seq, PhaseDriver::Par(2)] {
+            let mut m = Machine::new(MachineConfig::t3d(8));
+            assert!(m.phase_logs.is_empty(), "no log before the first phase");
+            m.sharded_phase(driver, exchange);
+            m.barrier_all();
+            let caps: Vec<usize> = m.phase_logs.iter().map(Vec::capacity).collect();
+            assert!(caps.iter().all(|&c| c > 0), "every shard logged: {caps:?}");
+            assert!(
+                m.phase_logs.iter().all(Vec::is_empty),
+                "cleared after merge"
+            );
+            m.sharded_phase(driver, exchange);
+            m.barrier_all();
+            let again: Vec<usize> = m.phase_logs.iter().map(Vec::capacity).collect();
+            assert_eq!(
+                again, caps,
+                "{driver:?}: a second identical phase regrew a log"
             );
         }
     }
@@ -862,17 +894,13 @@ mod tests {
     fn tied_merge_keys_apply_identically_under_seq_and_par() {
         // The body really produces both kinds of tie.
         let mut m = Machine::new(MachineConfig::t3d(4));
-        let logs = {
+        let mut logs: Vec<Vec<TimedEffect>> = (0..4).map(|_| Vec::new()).collect();
+        {
             let (cfg, torus, nodes, hot, links) = m.phase_parts();
             let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
             let f = |cpu: &mut Cpu, (): &mut ()| tied_deposits(cpu);
-            nodes
-                .iter_mut()
-                .zip(hot.iter_mut())
-                .enumerate()
-                .map(|(pe, (node, hot))| run_shard(pe, node, hot, &sh, &mut (), &f))
-                .collect::<Vec<_>>()
-        };
+            run_shards(shards(nodes, hot, &mut [(); 4], &mut logs), &sh, &f);
+        }
         let keys = merge_order(&logs);
         let tie_across_sources = keys
             .windows(2)

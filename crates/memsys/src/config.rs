@@ -37,7 +37,8 @@ pub struct DramConfig {
     /// The paper infers 16 KB: "strides of 16 KB or greater result in
     /// off-page DRAM accesses with each subsequent load".
     pub page_bytes: u64,
-    /// Number of interleaved banks (4 on the T3D node).
+    /// Number of interleaved banks (4 on the T3D node; at most
+    /// [`MAX_BANKS`](crate::dram::MAX_BANKS)).
     pub banks: u64,
     /// Cost in cycles of an access that hits the open page (22 cy /
     /// 145 ns on the T3D).

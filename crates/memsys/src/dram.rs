@@ -15,6 +15,11 @@
 
 use crate::config::DramConfig;
 
+/// The most banks a [`Dram`] models. The open-page table is an inline
+/// array of this length, so copying a DRAM's timing state (as a sharded
+/// phase's entry snapshot does for every node) never touches the heap.
+pub const MAX_BANKS: usize = 8;
+
 /// Stateful page-mode DRAM timing model.
 ///
 /// # Example
@@ -31,11 +36,12 @@ use crate::config::DramConfig;
 /// // 64 KB away: same bank, different page -> full memory cycle.
 /// assert_eq!(dram.access(64 * 1024), cfg.bank_busy_cy);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Dram {
     cfg: DramConfig,
-    /// Open page id per bank (`None` until first touched).
-    open: Vec<Option<u64>>,
+    /// Open page id per bank (`None` until first touched); entries past
+    /// `cfg.banks` stay `None`.
+    open: [Option<u64>; MAX_BANKS],
     /// Bank used by the most recent access.
     last_bank: Option<u64>,
     /// `log2(page_bytes)` when the page size is a power of two (it is in
@@ -48,9 +54,18 @@ pub struct Dram {
 
 impl Dram {
     /// Creates a DRAM model with all pages closed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.banks` is zero or above [`MAX_BANKS`].
     pub fn new(cfg: DramConfig) -> Self {
+        assert!(
+            (1..=MAX_BANKS as u64).contains(&cfg.banks),
+            "DRAM bank count must be 1..={MAX_BANKS}, got {}",
+            cfg.banks
+        );
         Dram {
-            open: vec![None; cfg.banks as usize],
+            open: [None; MAX_BANKS],
             last_bank: None,
             page_shift: (cfg.page_bytes.is_power_of_two()).then(|| cfg.page_bytes.trailing_zeros()),
             bank_mask: (cfg.banks.is_power_of_two()).then(|| cfg.banks - 1),
@@ -120,9 +135,7 @@ impl Dram {
 
     /// Closes all pages (e.g. after a refresh); timing state is reset.
     pub fn reset(&mut self) {
-        for p in &mut self.open {
-            *p = None;
-        }
+        self.open = [None; MAX_BANKS];
         self.last_bank = None;
     }
 }
@@ -194,7 +207,7 @@ mod tests {
     fn peek_does_not_change_state() {
         let mut d = dram();
         d.access(0);
-        let before = d.clone();
+        let before = d;
         let _ = d.peek(123456);
         assert_eq!(d.open, before.open);
         assert_eq!(d.last_bank, before.last_bank);
@@ -231,5 +244,13 @@ mod tests {
             assert_eq!(d.page_of(pa), pa / 3000, "page of {pa}");
             assert_eq!(d.bank_of(pa), (pa / 3000) % 3, "bank of {pa}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM bank count must be 1..=8, got 9")]
+    fn bank_counts_beyond_the_inline_table_are_rejected() {
+        let mut cfg = MemConfig::t3d().dram;
+        cfg.banks = 9;
+        let _ = Dram::new(cfg);
     }
 }

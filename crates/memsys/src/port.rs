@@ -555,7 +555,7 @@ impl Clone for MemPort {
             l1: self.l1.clone(),
             l2: self.l2.clone(),
             wbuf: self.wbuf.clone(),
-            dram: self.dram.clone(),
+            dram: self.dram,
             mem: Arc::new(self.mem.deep_clone()),
             offset_mask: self.offset_mask,
             outbox: self.outbox.clone(),
