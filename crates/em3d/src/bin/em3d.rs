@@ -11,7 +11,7 @@
 //! malformed flag value, exits with status 2 and names the flag.
 
 use em3d::{run_version, Em3dParams, Version};
-use t3d_perf::cli;
+use t3d_perf::{cli, OpKind};
 
 /// Flags that take a value.
 const VALUE_FLAGS: [&str; 7] = [
@@ -109,11 +109,11 @@ fn main() {
                     "          {:>10}: remote ops {} (loads {}, stores {}, fetches {}, blts {}), barriers via {} fences",
                     v.label(),
                     ops.remote_ops(),
-                    ops.loads_remote,
-                    ops.stores_remote,
-                    ops.fetches,
-                    ops.blts,
-                    ops.memory_barriers,
+                    ops[OpKind::LdRemote],
+                    ops[OpKind::StRemote],
+                    ops[OpKind::Fetch],
+                    ops[OpKind::BltStart],
+                    ops[OpKind::Fence],
                 );
             }
         }

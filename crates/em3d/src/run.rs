@@ -787,28 +787,29 @@ mod tests {
 
     #[test]
     fn op_breakdown_matches_each_versions_mechanism() {
+        use t3d_machine::OpKind::*;
         let p = Em3dParams::tiny(50.0);
         let simple = run_version(NPROCS, p, Version::Simple).ops;
-        assert!(simple.loads_remote > 0, "Simple reads remotely per edge");
-        assert_eq!(simple.fetches, 0);
-        assert_eq!(simple.blts, 0);
+        assert!(simple[LdRemote] > 0, "Simple reads remotely per edge");
+        assert_eq!(simple[Fetch], 0);
+        assert_eq!(simple[BltStart], 0);
 
         let get = run_version(NPROCS, p, Version::Get).ops;
-        assert!(get.fetches > 0, "Get pipelines through the prefetch queue");
-        assert_eq!(get.fetches, get.pops, "every fetch gets popped");
+        assert!(get[Fetch] > 0, "Get pipelines through the prefetch queue");
+        assert_eq!(get[Fetch], get[Pop], "every fetch gets popped");
 
         let put = run_version(NPROCS, p, Version::Put).ops;
-        assert!(put.stores_remote > 0);
-        assert_eq!(put.loads_remote, 0, "Put never issues a remote read");
+        assert!(put[StRemote] > 0);
+        assert_eq!(put[LdRemote], 0, "Put never issues a remote read");
 
         let bulk = run_version(NPROCS, p, Version::Bulk).ops;
         assert!(
-            bulk.fetches > 0 || bulk.blts > 0,
+            bulk[Fetch] > 0 || bulk[BltStart] > 0,
             "Bulk moves ghosts with prefetch loops or the BLT"
         );
 
         let ss = run_version(NPROCS, p, Version::StoreSync).ops;
-        assert_eq!(ss.ack_waits, 0, "one-way stores never wait for acks");
+        assert_eq!(ss[AckWait], 0, "one-way stores never wait for acks");
     }
 
     #[test]

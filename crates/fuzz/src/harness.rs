@@ -310,6 +310,7 @@ fn seq_par_divergence(seq: &RunRecord, par: &RunRecord) -> Option<String> {
 mod tests {
     use super::*;
     use crate::program::{Action, PhaseKind};
+    use t3d_machine::OpKind;
 
     fn two_phase_prog() -> Program {
         Program {
@@ -401,7 +402,7 @@ mod tests {
         assert!(d.is_some_and(|m| m.contains("phase count")));
 
         let mut one_more_load = seq.clone();
-        one_more_load.ops[0].loads_local += 1;
+        one_more_load.ops[0][OpKind::LdLocal] += 1;
         let d = seq_par_divergence(&seq, &one_more_load);
         assert!(d.is_some_and(|m| m.contains("op-counter")));
     }

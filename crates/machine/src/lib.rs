@@ -49,10 +49,10 @@ pub use machine::{BltHandle, Machine, MachineSizeError};
 pub use node::{EventStats, Node, NodeHot, OpStats};
 pub use phase::PhaseDriver;
 pub use snapshot::{MemSnapshot, SnapshotDiff};
-pub use trace::{TraceEvent, TraceKind, Tracer};
+pub use trace::{TraceEvent, Tracer};
 
 pub use t3d_perf as perf;
-pub use t3d_perf::{CostClass, PerfMode, PerfReport};
+pub use t3d_perf::{CostClass, OpKind, PerfMode, PerfReport};
 
 pub use t3d_memsys as memsys;
 pub use t3d_shell as shell;

@@ -2,9 +2,9 @@
 //! deterministic virtual time.
 
 use crate::config::MachineConfig;
-use crate::node::{EventStats, Node, NodeHot};
+use crate::node::{EventStats, Node, NodeHot, OpStats};
 use crate::ops::{Deposit, OpCore, TimedEffect};
-use crate::trace::{TraceEvent, TraceKind, Tracer};
+use crate::trace::Tracer;
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena};
 use t3d_perf::{
@@ -45,6 +45,25 @@ pub struct BltHandle {
     /// Cycles of overlappable DMA streaming.
     pub stream_cy: u64,
 }
+
+/// The `ops.*` registry counters [`Machine::perf`] reports, each the sum
+/// of its kinds' counts. Kinds absent here (annex sets, status polls,
+/// swap-register loads, BLT waits, barriers) are counted per node and
+/// sampled, but report no `ops.*` counter.
+const OPS_COUNTERS: [(&str, &[OpKind]); 12] = [
+    ("ops.ld.local", &[OpKind::LdLocal]),
+    ("ops.ld.remote", &[OpKind::LdRemote]),
+    ("ops.st.local", &[OpKind::StLocal]),
+    ("ops.st.remote", &[OpKind::StRemote]),
+    ("ops.fetch", &[OpKind::Fetch]),
+    ("ops.pop", &[OpKind::Pop]),
+    ("ops.fence", &[OpKind::Fence]),
+    ("ops.blt", &[OpKind::BltStart]),
+    ("ops.msg.send", &[OpKind::MsgSend]),
+    ("ops.msg.recv", &[OpKind::MsgRecv]),
+    ("ops.atomic", &[OpKind::FetchInc, OpKind::Swap]),
+    ("ops.ack.wait", &[OpKind::AckWait]),
+];
 
 /// The simulated CRAY-T3D.
 #[derive(Debug)]
@@ -232,8 +251,7 @@ impl Machine {
             let p = &mut self.nodes[pe].perf;
             p.credit(CostClass::BarrierOverhead, overhead);
             p.credit(CostClass::BarrierWait, delta - overhead);
-            p.sample(OpKind::Barrier, delta);
-            self.trace(pe, TraceKind::Barrier, 0, start);
+            self.retire(pe, OpKind::Barrier, pe, 0, start);
         }
     }
 
@@ -262,7 +280,7 @@ impl Machine {
             .credit(CostClass::BarrierOverhead, start_cy);
         let t = self.hot[pe].clock;
         self.barrier.start(pe, t);
-        self.trace(pe, TraceKind::FuzzyBarrierStart, 0, now);
+        self.retire(pe, OpKind::BarrierStart, pe, 0, now);
     }
 
     /// Completes the fuzzy barrier for *all* nodes (driver-level: every
@@ -285,12 +303,10 @@ impl Machine {
             let aligned = start.max(done);
             self.hot[pe].clock = aligned + self.cfg.shell.barrier_end_cy;
             let end_cy = self.cfg.shell.barrier_end_cy;
-            let delta = self.hot[pe].clock - start;
             let p = &mut self.nodes[pe].perf;
             p.credit(CostClass::BarrierOverhead, end_cy);
             p.credit(CostClass::BarrierWait, aligned - start);
-            p.sample(OpKind::Barrier, delta);
-            self.trace(pe, TraceKind::FuzzyBarrierEnd, 0, start);
+            self.retire(pe, OpKind::Barrier, pe, 0, start);
         }
     }
 
@@ -335,7 +351,7 @@ impl Machine {
             // Rebase attribution at the zeroed clock (collection state is
             // preserved; accumulated credits from before the reset would
             // otherwise break conservation against the new clocks).
-            let on = node.perf.on;
+            let on = node.perf.is_on();
             node.perf.restart(on, 0);
             node.port.set_perf(on);
         }
@@ -347,14 +363,14 @@ impl Machine {
         self.phase_log.clear();
     }
 
-    /// A node's operation counters.
-    pub fn op_stats(&self, pe: usize) -> crate::node::OpStats {
+    /// A node's operation counts.
+    pub fn op_stats(&self, pe: usize) -> OpStats {
         self.nodes[pe].ops
     }
 
-    /// Clears a node's operation counters.
+    /// Clears a node's operation counts.
     pub fn clear_op_stats(&mut self, pe: usize) {
-        self.nodes[pe].ops = crate::node::OpStats::default();
+        self.nodes[pe].ops = OpStats::default();
     }
 
     // ------------------------------------------------------------------
@@ -435,20 +451,12 @@ impl Machine {
                 elapsed: self.hot[pe].clock.saturating_sub(node.perf.base_clock),
                 ledger,
             });
-            hists.merge(&node.perf.hists);
-            let ops = node.ops;
-            registry.count("ops.ld.local", ops.loads_local);
-            registry.count("ops.ld.remote", ops.loads_remote);
-            registry.count("ops.st.local", ops.stores_local);
-            registry.count("ops.st.remote", ops.stores_remote);
-            registry.count("ops.fetch", ops.fetches);
-            registry.count("ops.pop", ops.pops);
-            registry.count("ops.fence", ops.memory_barriers);
-            registry.count("ops.blt", ops.blts);
-            registry.count("ops.msg.send", ops.msgs_sent);
-            registry.count("ops.msg.recv", ops.msgs_received);
-            registry.count("ops.atomic", ops.atomics);
-            registry.count("ops.ack.wait", ops.ack_waits);
+            if let Some(h) = node.perf.hists() {
+                hists.merge(h);
+            }
+            for (name, kinds) in OPS_COUNTERS {
+                registry.count(name, kinds.iter().map(|&k| node.ops[k]).sum());
+            }
             let mem = node.port.stats();
             registry.count("mem.l1.hits", mem.l1_hits);
             registry.count("mem.l1.misses", mem.l1_misses);
@@ -461,7 +469,7 @@ impl Machine {
         registry.count("barrier.episodes", self.barrier.episodes());
         registry.count("trace.dropped", self.tracer.dropped());
         registry.gauge("wbuf.pending", wbuf_pending);
-        for kind in t3d_perf::OpKind::ALL {
+        for kind in OpKind::ALL {
             let h = hists.get(kind);
             if h.count() > 0 {
                 registry.observe_hist(&format!("lat.{}", kind.label()), h);
@@ -484,7 +492,7 @@ impl Machine {
             .tracer
             .events()
             .map(|e| Span {
-                name: e.kind.label(),
+                name: e.label(),
                 cat: "event".to_string(),
                 tid: e.pe as u64,
                 start: e.start,
@@ -570,17 +578,8 @@ impl OpCore for Machine {
         self.link_busy[l] = until;
     }
     #[inline]
-    fn trace(&mut self, pe: usize, kind: TraceKind, addr: u64, start: u64) {
-        if self.tracer.is_enabled() {
-            let cycles = self.hot[pe].clock - start;
-            self.tracer.record(TraceEvent {
-                pe: pe as u32,
-                kind,
-                addr,
-                start,
-                cycles,
-            });
-        }
+    fn tracer(&mut self) -> Option<&mut Tracer> {
+        self.tracer.is_enabled().then_some(&mut self.tracer)
     }
     fn remote_busy(&mut self, target: usize) -> &mut u64 {
         &mut self.hot[target].shell_busy_until
@@ -1027,15 +1026,15 @@ mod tests {
         cpu.memory_barrier();
         cpu.wait_write_acks();
         let _ = cpu.ld8(cpu.va(1, 0x100));
-        let kinds: Vec<TraceKind> = m.tracer().events().map(|e| e.kind).collect();
+        let kinds: Vec<(OpKind, u32)> = m.tracer().events().map(|e| (e.kind, e.target)).collect();
         assert_eq!(
             kinds,
             vec![
-                TraceKind::AnnexSet(1),
-                TraceKind::StoreRemote(1),
-                TraceKind::MemoryBarrier,
-                TraceKind::AckWait,
-                TraceKind::LoadRemote(1),
+                (OpKind::AnnexSet, 1),
+                (OpKind::StRemote, 1),
+                (OpKind::Fence, 0),
+                (OpKind::AckWait, 0),
+                (OpKind::LdRemote, 1),
             ]
         );
         let total: u64 = m.tracer().events().map(|e| e.cycles).sum();
@@ -1043,6 +1042,21 @@ mod tests {
         assert!(m.tracer().dump().contains("st.remote->1"));
         m.clear_trace();
         assert!(m.tracer().is_empty());
+    }
+
+    #[test]
+    fn re_enabling_with_less_capacity_trims_the_trace() {
+        let mut m = machine2();
+        m.enable_trace(64);
+        let mut cpu = Cpu::new(&mut m, 0);
+        for i in 0..10 {
+            cpu.st8(0x40 + 8 * i, i);
+        }
+        m.enable_trace(4);
+        Cpu::new(&mut m, 0).memory_barrier();
+        assert_eq!(m.tracer().len(), 4);
+        assert_eq!(m.tracer().dropped(), 7);
+        assert_eq!(m.tracer().events().last().unwrap().kind, OpKind::Fence);
     }
 
     #[test]

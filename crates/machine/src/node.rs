@@ -1,59 +1,53 @@
 //! One node: Alpha core state, memory port and shell units.
 
 use crate::config::MachineConfig;
+use std::ops::{Index, IndexMut};
 use t3d_memsys::{MemArena, MemPort};
-use t3d_perf::{CostClass, PerfAccum};
+use t3d_perf::{CostClass, OpKind, PerfAccum, OP_KINDS};
 
-/// Counters of the operations a node has issued (instrumentation: the
-/// communication/computation breakdowns in the application study).
+/// Counts of the operations a node has issued, one per [`OpKind`]
+/// (instrumentation: the communication/computation breakdowns in the
+/// application study). Indexed by kind: `stats[OpKind::LdRemote]`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
-    /// Local loads.
-    pub loads_local: u64,
-    /// Remote (annex-translated) loads, cached or uncached.
-    pub loads_remote: u64,
-    /// Local stores.
-    pub stores_local: u64,
-    /// Remote stores.
-    pub stores_remote: u64,
-    /// Prefetch issues.
-    pub fetches: u64,
-    /// Prefetch queue pops.
-    pub pops: u64,
-    /// Memory barriers.
-    pub memory_barriers: u64,
-    /// BLT invocations (contiguous or strided).
-    pub blts: u64,
-    /// Messages sent.
-    pub msgs_sent: u64,
-    /// Messages received.
-    pub msgs_received: u64,
-    /// Atomic operations (fetch&increment, swap).
-    pub atomics: u64,
-    /// Acknowledgement waits (status-bit spins).
-    pub ack_waits: u64,
+    counts: [u64; OP_KINDS],
 }
 
 impl OpStats {
     /// Accumulates another node's counters into this one.
     pub fn accumulate(&mut self, other: &OpStats) {
-        self.loads_local += other.loads_local;
-        self.loads_remote += other.loads_remote;
-        self.stores_local += other.stores_local;
-        self.stores_remote += other.stores_remote;
-        self.fetches += other.fetches;
-        self.pops += other.pops;
-        self.memory_barriers += other.memory_barriers;
-        self.blts += other.blts;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_received += other.msgs_received;
-        self.atomics += other.atomics;
-        self.ack_waits += other.ack_waits;
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
+        }
     }
 
-    /// Remote communication operations of all kinds.
+    /// Remote communication operations of all kinds: remote loads and
+    /// stores, prefetches, BLTs and atomics.
     pub fn remote_ops(&self) -> u64 {
-        self.loads_remote + self.stores_remote + self.fetches + self.blts + self.atomics
+        [
+            OpKind::LdRemote,
+            OpKind::StRemote,
+            OpKind::Fetch,
+            OpKind::BltStart,
+            OpKind::FetchInc,
+            OpKind::Swap,
+        ]
+        .into_iter()
+        .map(|k| self[k])
+        .sum()
+    }
+}
+
+impl Index<OpKind> for OpStats {
+    type Output = u64;
+    fn index(&self, kind: OpKind) -> &u64 {
+        &self.counts[kind.index()]
+    }
+}
+
+impl IndexMut<OpKind> for OpStats {
+    fn index_mut(&mut self, kind: OpKind) -> &mut u64 {
+        &mut self.counts[kind.index()]
     }
 }
 use t3d_shell::{
@@ -129,7 +123,7 @@ pub struct Node {
     /// order — the basis for Split-C `storeSync` (data-counting
     /// completion detection).
     incoming: Vec<(u64, u64)>,
-    /// Operation counters.
+    /// Operation counts, by kind.
     pub ops: OpStats,
     /// Cycle-attribution accumulator for costs the machine layer charges
     /// directly (shell, network, waits); the memory port keeps its own
@@ -160,23 +154,20 @@ impl Node {
     }
 
     /// Memory barrier at `hot.clock`: drains the write buffer in one
-    /// closed form and returns the cost. The port ledger takes the
-    /// `WbufDrain` credit.
-    pub(crate) fn memory_barrier(&mut self, hot: &mut NodeHot) -> u64 {
+    /// closed form. The port ledger takes the `WbufDrain` credit.
+    pub(crate) fn memory_barrier(&mut self, hot: &mut NodeHot) {
         let now = hot.clock;
         let (n, last) = self
             .port
             .wbuf_due_times()
             .fold((0, 0), |(n, last), due| (n + 1, last.max(due)));
         self.events.wait(n, now, last);
-        let cost = self.port.memory_barrier(now);
-        hot.clock = now + cost;
-        cost
+        hot.clock = now + self.port.memory_barrier(now);
     }
 
     /// Spins on the status bit until every outstanding write is acked:
     /// the wait to the last ack plus one final poll, all `AckWait`.
-    pub(crate) fn wait_write_acks(&mut self, hot: &mut NodeHot) -> u64 {
+    pub(crate) fn wait_write_acks(&mut self, hot: &mut NodeHot) {
         let now = hot.clock;
         let pending = self.acks.pending_times().len() as u64;
         self.events
@@ -184,33 +175,30 @@ impl Node {
         let cost = self.acks.wait_clear(now);
         hot.clock = now + cost;
         self.perf.credit(CostClass::AckWait, cost);
-        cost
     }
 
     /// Pops the prefetch queue at `hot.clock`, waiting for the head's
-    /// data if it has not arrived. Returns `(value, cost)`.
+    /// data if it has not arrived. Returns the value.
     ///
     /// # Errors
     ///
     /// The conditions of [`PrefetchUnit::pop`], before any clock motion.
-    pub(crate) fn pop_prefetch(&mut self, hot: &mut NodeHot) -> Result<(u64, u64), PopError> {
+    pub(crate) fn pop_prefetch(&mut self, hot: &mut NodeHot) -> Result<u64, PopError> {
         let now = hot.clock;
         self.events.wait_one(now, self.prefetch.head_arrival()?);
         let (value, cost) = self.prefetch.pop(now)?;
         hot.clock = now + cost;
         self.perf.credit(CostClass::PrefetchWait, cost);
-        Ok((value, cost))
+        Ok(value)
     }
 
-    /// Joins a BLT stream that completes at `completion`; returns the
-    /// cycles waited, all `BltWait`.
-    pub(crate) fn blt_wait(&mut self, hot: &mut NodeHot, completion: u64) -> u64 {
+    /// Joins a BLT stream that completes at `completion`; the cycles
+    /// waited are all `BltWait`.
+    pub(crate) fn blt_wait(&mut self, hot: &mut NodeHot, completion: u64) {
         let now = hot.clock;
         self.events.wait_one(now, completion);
         hot.clock = now.max(completion);
-        let waited = hot.clock - now;
-        self.perf.credit(CostClass::BltWait, waited);
-        waited
+        self.perf.credit(CostClass::BltWait, hot.clock - now);
     }
 
     /// Writes `data` at `off` functionally and invalidates every L1 line

@@ -29,7 +29,7 @@
 use crate::config::MachineConfig;
 use crate::machine::{BltHandle, Machine};
 use crate::node::{Node, NodeHot};
-use crate::trace::TraceKind;
+use crate::trace::{TraceEvent, Tracer};
 use std::sync::Arc;
 use t3d_memsys::{round_u64, Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{CostClass, OpKind};
@@ -154,9 +154,11 @@ pub(crate) trait OpCore {
     fn link_busy(&self, l: usize) -> u64;
     /// Sets directed link `l`'s occupancy-until clock.
     fn set_link_busy(&mut self, l: usize, until: u64);
-    /// Records an op `pe` issued at `start`. Records nothing by default:
-    /// sharded phases are not traced.
-    fn trace(&mut self, _pe: usize, _kind: TraceKind, _addr: u64, _start: u64) {}
+    /// The trace buffer ops record into: the machine's under `Live`;
+    /// none by default, since sharded phases are not traced.
+    fn tracer(&mut self) -> Option<&mut Tracer> {
+        None
+    }
 
     // ---- the remote-target policy: `target` is never the issuer ---------
 
@@ -384,6 +386,60 @@ pub(crate) trait OpCore {
         }
     }
 
+    /// Records an op of `pe`'s that retired having begun at `start`, the
+    /// one place an op is recorded: it counts the op under `kind`,
+    /// samples `kind`'s latency lane with the cycles since `start` when
+    /// profiling is on, and traces it, acting on `target` at `addr`,
+    /// when tracing is on.
+    #[inline]
+    fn retire(&mut self, pe: usize, kind: OpKind, target: usize, addr: u64, start: u64) {
+        let (node, hot) = self.parts(pe);
+        let cycles = hot.clock - start;
+        node.ops[kind] += 1;
+        node.perf.sample(kind, cycles);
+        if let Some(tracer) = self.tracer() {
+            tracer.record(TraceEvent {
+                pe: pe as u32,
+                kind,
+                target: target as u32,
+                addr,
+                start,
+                cycles,
+            });
+        }
+    }
+
+    /// Records an op of `pe`'s that found nothing to do (a pop of an
+    /// empty or unready queue, a receive with no message): it counts
+    /// under `kind` but is neither sampled nor traced.
+    fn retire_empty(&mut self, pe: usize, kind: OpKind) {
+        self.parts(pe).0.ops[kind] += 1;
+    }
+
+    /// Times the round trip of an atomic op `pe` sends `target` now,
+    /// whose memory side takes `dram` cycles (0 for fetch&increment,
+    /// served from a shell register): advances `pe`'s clock by the whole
+    /// of it and credits the parts. Returns when the request reaches the
+    /// network and how long it queued for its route.
+    fn amo_round_trip(&mut self, pe: usize, target: usize, dram: u64) -> (u64, u64) {
+        let shell = self.cfg().shell;
+        let now = self.parts(pe).1.clock;
+        let one_way = self.one_way(pe, target);
+        let rtt = 2 * one_way;
+        let ready = now + shell.remote_read_shell_cy / 2 + one_way;
+        let lqueue = self.link_contend(pe, target, ready, link_occupancy_cy(8));
+        let queue = self.contend(pe, target, ready + lqueue, dram + 20);
+        let (node, hot) = self.parts(pe);
+        hot.clock += shell.remote_read_shell_cy + rtt + shell.amo_extra_cy + dram + queue + lqueue;
+        let p = &mut node.perf;
+        p.credit(CostClass::ShellLaunch, shell.remote_read_shell_cy);
+        p.credit(CostClass::NetHop, rtt);
+        p.credit(CostClass::Amo, shell.amo_extra_cy);
+        p.credit(CostClass::RemoteDram, dram);
+        p.credit(CostClass::Contention, queue + lqueue);
+        (ready, lqueue)
+    }
+
     // ---- the ops ----------------------------------------------------------
 
     /// See [`crate::Cpu::advance`].
@@ -405,7 +461,7 @@ pub(crate) trait OpCore {
         let cost = node.annex.update(idx, entry);
         hot.clock += cost;
         node.perf.credit(CostClass::AnnexUpdate, cost);
-        self.trace(pe, TraceKind::AnnexSet(entry.pe), idx as u64, now);
+        self.retire(pe, OpKind::AnnexSet, entry.pe as usize, idx as u64, now);
     }
 
     /// See [`crate::Cpu::ld`].
@@ -414,13 +470,10 @@ pub(crate) trait OpCore {
         let l1 = self.cfg().mem.l1;
         if aidx == 0 {
             let (node, hot) = self.parts(pe);
-            node.ops.loads_local += 1;
             let now = hot.clock;
-            let cost = node.port.read(now, va, buf);
-            hot.clock = now + cost;
-            node.perf.sample(OpKind::LdLocal, cost);
+            hot.clock = now + node.port.read(now, va, buf);
             self.deliver_outbox(pe);
-            self.trace(pe, TraceKind::LoadLocal, va, now);
+            self.retire(pe, OpKind::LdLocal, pe, va, now);
             return;
         }
         let line_mask = l1.line as u64 - 1;
@@ -430,7 +483,6 @@ pub(crate) trait OpCore {
             "remote load must not cross a cache line"
         );
         let (node, hot) = self.parts(pe);
-        node.ops.loads_remote += 1;
         let entry = node.annex.entry(aidx);
         let target = entry.pe as usize;
         let now = hot.clock;
@@ -447,8 +499,7 @@ pub(crate) trait OpCore {
             buf.copy_from_slice(&line[o..o + buf.len()]);
             hot.clock = now + cost + l1.hit_cy;
             node.perf.credit(CostClass::L1Hit, l1.hit_cy);
-            node.perf.sample(OpKind::LdRemote, cost + l1.hit_cy);
-            self.trace(pe, TraceKind::LoadRemote(entry.pe), va, now);
+            self.retire(pe, OpKind::LdRemote, target, va, now);
             return;
         }
         let shell = self.cfg().shell;
@@ -493,10 +544,8 @@ pub(crate) trait OpCore {
             self.parts(pe).0.port.forward_pending(line_pa, line_buf);
             buf.copy_from_slice(&line_buf[o..o + buf.len()]);
         }
-        let (node, hot) = self.parts(pe);
-        hot.clock = now + cost;
-        node.perf.sample(OpKind::LdRemote, cost);
-        self.trace(pe, TraceKind::LoadRemote(entry.pe), va, now);
+        self.parts(pe).1.clock = now + cost;
+        self.retire(pe, OpKind::LdRemote, target, va, now);
     }
 
     /// See [`crate::Cpu::st`].
@@ -504,12 +553,10 @@ pub(crate) trait OpCore {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
-        let (cost, kind_op, kind) = if aidx == 0 {
-            node.ops.stores_local += 1;
+        let (cost, kind, target) = if aidx == 0 {
             let cost = node.port.write(now, va, bytes);
-            (cost, OpKind::StLocal, TraceKind::StoreLocal)
+            (cost, OpKind::StLocal, pe)
         } else {
-            node.ops.stores_remote += 1;
             let entry = node.annex.entry(aidx);
             let target = entry.pe as usize;
             assert!(target < self.pe_count(), "store to nonexistent PE {target}");
@@ -531,25 +578,21 @@ pub(crate) trait OpCore {
             };
             let port = &mut self.parts(pe).0.port;
             let cost = port.write_to(now, va, bytes, WriteTarget::Remote(sink));
-            (cost, OpKind::StRemote, TraceKind::StoreRemote(entry.pe))
+            (cost, OpKind::StRemote, target)
         };
-        let (node, hot) = self.parts(pe);
-        hot.clock = now + cost;
-        node.perf.sample(kind_op, cost);
+        self.parts(pe).1.clock = now + cost;
         self.deliver_outbox(pe);
-        self.trace(pe, kind, va, now);
+        self.retire(pe, kind, target, va, now);
     }
 
     /// See [`crate::Cpu::memory_barrier`].
     fn memory_barrier(&mut self, pe: usize) {
         let (node, hot) = self.parts(pe);
-        node.ops.memory_barriers += 1;
         let now = hot.clock;
-        let cost = node.memory_barrier(hot);
-        node.perf.sample(OpKind::Fence, cost);
+        node.memory_barrier(hot);
         node.prefetch.note_memory_barrier(hot.clock);
         self.deliver_outbox(pe);
-        self.trace(pe, TraceKind::MemoryBarrier, 0, now);
+        self.retire(pe, OpKind::Fence, pe, 0, now);
     }
 
     /// See [`crate::Cpu::poll_status`].
@@ -559,25 +602,22 @@ pub(crate) trait OpCore {
         let (clear, cost) = node.acks.poll(now);
         hot.clock = now + cost;
         node.perf.credit(CostClass::AckWait, cost);
-        self.trace(pe, TraceKind::StatusPoll, 0, now);
+        self.retire(pe, OpKind::StatusPoll, pe, 0, now);
         clear
     }
 
     /// See [`crate::Cpu::wait_write_acks`].
     fn wait_write_acks(&mut self, pe: usize) {
         let (node, hot) = self.parts(pe);
-        node.ops.ack_waits += 1;
         let now = hot.clock;
-        let cost = node.wait_write_acks(hot);
-        node.perf.sample(OpKind::AckWait, cost);
-        self.trace(pe, TraceKind::AckWait, 0, now);
+        node.wait_write_acks(hot);
+        self.retire(pe, OpKind::AckWait, pe, 0, now);
     }
 
     /// See [`crate::Cpu::fetch`].
     fn fetch(&mut self, pe: usize, va: u64) -> bool {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let (node, hot) = self.parts(pe);
-        node.ops.fetches += 1;
         let target = if aidx == 0 {
             pe
         } else {
@@ -599,28 +639,28 @@ pub(crate) trait OpCore {
             Some(c) => {
                 hot.clock = now + tlb + c;
                 node.perf.credit(CostClass::PrefetchIssue, c);
-                node.perf.sample(OpKind::Fetch, tlb + c);
                 true
             }
             None => {
                 hot.clock = now + tlb;
-                node.perf.sample(OpKind::Fetch, tlb);
                 false
             }
         };
-        self.trace(pe, TraceKind::Fetch(target as u32), va, now);
+        self.retire(pe, OpKind::Fetch, target, va, now);
         issued
     }
 
     /// See [`crate::Cpu::pop_prefetch`].
     fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
         let (node, hot) = self.parts(pe);
-        node.ops.pops += 1;
         let now = hot.clock;
-        let (value, cost) = node.pop_prefetch(hot)?;
-        node.perf.sample(OpKind::Pop, cost);
-        self.trace(pe, TraceKind::Pop, 0, now);
-        Ok(value)
+        let popped = node.pop_prefetch(hot);
+        if popped.is_ok() {
+            self.retire(pe, OpKind::Pop, pe, 0, now);
+        } else {
+            self.retire_empty(pe, OpKind::Pop);
+        }
+        popped
     }
 
     /// See [`crate::Cpu::blt_start`].
@@ -634,7 +674,6 @@ pub(crate) trait OpCore {
         bytes: u64,
     ) -> BltHandle {
         let (node, hot) = self.parts(pe);
-        node.ops.blts += 1;
         let now = hot.clock;
         let timing = node.blt.start(now, dir, bytes);
         // The DMA stream holds its route from the moment it starts
@@ -686,7 +725,6 @@ pub(crate) trait OpCore {
         elem_bytes: u64,
         stride_bytes: u64,
     ) -> BltHandle {
-        self.parts(pe).0.ops.blts += 1;
         assert!(count > 0 && elem_bytes > 0, "strided BLT must move data");
         assert!(
             stride_bytes >= elem_bytes,
@@ -755,28 +793,24 @@ pub(crate) trait OpCore {
         let (node, hot) = self.parts(pe);
         hot.clock = now + startup;
         node.perf.credit(CostClass::BltStartup, startup);
-        node.perf.sample(OpKind::BltStart, startup);
-        self.trace(pe, TraceKind::Blt(target as u32), remote_off, now);
+        self.retire(pe, OpKind::BltStart, target, remote_off, now);
     }
 
     /// See [`crate::Cpu::blt_wait`].
     fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
-        let waited = node.blt_wait(hot, handle.completion);
-        node.perf.sample(OpKind::BltWait, waited);
-        self.trace(pe, TraceKind::BltWait, 0, now);
+        node.blt_wait(hot, handle.completion);
+        self.retire(pe, OpKind::BltWait, pe, 0, now);
     }
 
     /// See [`crate::Cpu::msg_send`].
     fn msg_send(&mut self, pe: usize, dst: usize, words: [u64; 4]) {
         let send_cy = self.cfg().shell.msg_send_cy;
         let (node, hot) = self.parts(pe);
-        node.ops.msgs_sent += 1;
         let now = hot.clock;
         hot.clock += send_cy;
         node.perf.credit(CostClass::MsgSend, send_cy);
-        node.perf.sample(OpKind::MsgSend, send_cy);
         let sent = hot.clock;
         let occ = link_occupancy_cy(32);
         let lqueue = self.link_contend(pe, dst, sent, occ);
@@ -794,44 +828,27 @@ pub(crate) trait OpCore {
             eff: Effect::Msg(msg),
         };
         self.effect(pe, e);
-        self.trace(pe, TraceKind::MsgSend(dst as u32), 0, now);
+        self.retire(pe, OpKind::MsgSend, dst, 0, now);
     }
 
     /// See [`crate::Cpu::msg_receive`].
     fn msg_receive(&mut self, pe: usize) -> Option<Message> {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
-        node.ops.msgs_received += 1;
-        let (msg, cost) = node.msgq.receive(now)?;
+        let Some((msg, cost)) = node.msgq.receive(now) else {
+            self.retire_empty(pe, OpKind::MsgRecv);
+            return None;
+        };
         hot.clock = now + cost;
         node.perf.credit(CostClass::MsgRecv, cost);
-        node.perf.sample(OpKind::MsgRecv, cost);
-        self.trace(pe, TraceKind::MsgRecv, 0, now);
+        self.retire(pe, OpKind::MsgRecv, pe, 0, now);
         Some(msg)
     }
 
     /// See [`crate::Cpu::fetch_inc`].
     fn fetch_inc(&mut self, pe: usize, target: usize, reg: usize) -> u64 {
-        let shell = self.cfg().shell;
-        let (node, hot) = self.parts(pe);
-        node.ops.atomics += 1;
-        let now = hot.clock;
-        let one_way = self.one_way(pe, target);
-        let rtt = 2 * one_way;
-        let ready = now + shell.remote_read_shell_cy / 2 + one_way;
-        let occ = link_occupancy_cy(8);
-        let lqueue = self.link_contend(pe, target, ready, occ);
-        let queue = self.contend(pe, target, ready + lqueue, 20);
-        let cost = shell.remote_read_shell_cy + rtt + shell.amo_extra_cy + queue + lqueue;
-        let (node, hot) = self.parts(pe);
-        hot.clock += cost;
-        let p = &mut node.perf;
-        p.credit(CostClass::ShellLaunch, shell.remote_read_shell_cy);
-        p.credit(CostClass::NetHop, rtt);
-        p.credit(CostClass::Amo, shell.amo_extra_cy);
-        p.credit(CostClass::Contention, queue + lqueue);
-        p.sample(OpKind::FetchInc, cost);
-        self.trace(pe, TraceKind::FetchInc(target as u32), reg as u64, now);
+        let now = self.parts(pe).1.clock;
+        let (ready, lqueue) = self.amo_round_trip(pe, target, 0);
         let ticket = if target == pe {
             self.parts(pe).0.fetchinc.fetch_inc(reg)
         } else {
@@ -841,10 +858,11 @@ pub(crate) trait OpCore {
             time: ready,
             target: target as u32,
             busy: Some((ready + lqueue, 20)),
-            link: Some((ready, occ)),
+            link: Some((ready, link_occupancy_cy(8))),
             eff: Effect::FetchInc { reg },
         };
         self.effect(pe, e);
+        self.retire(pe, OpKind::FetchInc, target, reg as u64, now);
         ticket
     }
 
@@ -853,14 +871,13 @@ pub(crate) trait OpCore {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
         node.swap.load(value);
-        self.trace(pe, TraceKind::SwapLoad, 0, now);
+        self.retire(pe, OpKind::SwapLoad, pe, 0, now);
     }
 
     /// See [`crate::Cpu::atomic_swap`].
     fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let node = self.parts(pe).0;
-        node.ops.atomics += 1;
         let target = if aidx == 0 {
             pe
         } else {
@@ -877,24 +894,9 @@ pub(crate) trait OpCore {
         } else {
             self.remote_swap(pe, target, off)
         };
-        let shell = self.cfg().shell;
         let now = self.parts(pe).1.clock;
-        let one_way = self.one_way(pe, target);
-        let ready = now + shell.remote_read_shell_cy / 2 + one_way;
-        let lqueue = self.link_contend(pe, target, ready, link_occupancy_cy(8));
-        let queue = self.contend(pe, target, ready + lqueue, dram + 20);
-        let rtt = 2 * one_way;
-        let cost = shell.remote_read_shell_cy + rtt + shell.amo_extra_cy + dram + queue + lqueue;
-        let (node, hot) = self.parts(pe);
-        hot.clock += cost;
-        let p = &mut node.perf;
-        p.credit(CostClass::ShellLaunch, shell.remote_read_shell_cy);
-        p.credit(CostClass::NetHop, rtt);
-        p.credit(CostClass::Amo, shell.amo_extra_cy);
-        p.credit(CostClass::RemoteDram, dram);
-        p.credit(CostClass::Contention, queue + lqueue);
-        p.sample(OpKind::Swap, cost);
-        self.trace(pe, TraceKind::Swap(target as u32), va, now);
+        self.amo_round_trip(pe, target, dram);
+        self.retire(pe, OpKind::Swap, target, va, now);
         old_mem
     }
 }

@@ -36,8 +36,9 @@
 //! remote-target policy: price a remote target against the overlays and
 //! log a `TimedEffect`. The phase closure reaches its shard through a
 //! [`Cpu`] the driver binds to the shard's own PE, so it cannot issue
-//! ops as another PE. Sharded phases record no per-op
-//! [`TraceKind`](crate::TraceKind) events: the tracer belongs to the
+//! ops as another PE. A shard's ops are counted and latency-sampled in
+//! its own node, like the direct engine's, but record no
+//! [`TraceEvent`](crate::TraceEvent)s: the tracer belongs to the
 //! machine, which a shard cannot reach.
 //!
 //! When every shard has run, the logs are merged in deterministic order

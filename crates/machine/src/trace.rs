@@ -1,85 +1,16 @@
 //! Optional event tracing.
 //!
 //! When enabled, the machine records every architectural operation with
-//! its issuing node, virtual start time and cost — the simulator
-//! equivalent of the logic-analyzer traces a gray-box study leans on
-//! when a probe's numbers look wrong. Tracing is off by default and
-//! costs nothing when off.
+//! its issuing node, target PE, virtual start time and cost — the
+//! simulator equivalent of the logic-analyzer traces a gray-box study
+//! leans on when a probe's numbers look wrong. An event is named by the
+//! same [`OpKind`] the op is counted and latency-sampled under: each op
+//! records all three in one place. Tracing is off by default, costs
+//! nothing when off, and covers direct-engine ops only (sharded phases
+//! are not traced).
 
 use std::collections::VecDeque;
-
-/// What kind of operation an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Local load.
-    LoadLocal,
-    /// Remote load via the annex (target PE attached).
-    LoadRemote(u32),
-    /// Local store.
-    StoreLocal,
-    /// Remote store via the annex.
-    StoreRemote(u32),
-    /// Memory barrier.
-    MemoryBarrier,
-    /// Prefetch issue.
-    Fetch(u32),
-    /// Prefetch queue pop.
-    Pop,
-    /// Acknowledgement wait (status-bit spin).
-    AckWait,
-    /// BLT invocation.
-    Blt(u32),
-    /// Message send.
-    MsgSend(u32),
-    /// Message receive (interrupt).
-    MsgRecv,
-    /// Fetch&increment.
-    FetchInc(u32),
-    /// Atomic swap.
-    Swap(u32),
-    /// Swap-buffer readback after an atomic swap.
-    SwapLoad,
-    /// Global barrier episode.
-    Barrier,
-    /// Write-ack status-bit poll (non-blocking).
-    StatusPoll,
-    /// BLT completion wait.
-    BltWait,
-    /// DTB annex register write (target PE attached).
-    AnnexSet(u32),
-    /// Fuzzy barrier arrival (work may continue until the wait).
-    FuzzyBarrierStart,
-    /// Fuzzy barrier completion wait.
-    FuzzyBarrierEnd,
-}
-
-impl TraceKind {
-    /// Short text label (used by the dump and the Chrome-trace export).
-    pub fn label(self) -> String {
-        match self {
-            TraceKind::LoadLocal => "ld.local".into(),
-            TraceKind::LoadRemote(t) => format!("ld.remote->{t}"),
-            TraceKind::StoreLocal => "st.local".into(),
-            TraceKind::StoreRemote(t) => format!("st.remote->{t}"),
-            TraceKind::MemoryBarrier => "mb".into(),
-            TraceKind::Fetch(t) => format!("fetch->{t}"),
-            TraceKind::Pop => "pop".into(),
-            TraceKind::AckWait => "ack.wait".into(),
-            TraceKind::Blt(t) => format!("blt->{t}"),
-            TraceKind::MsgSend(t) => format!("msg.send->{t}"),
-            TraceKind::MsgRecv => "msg.recv".into(),
-            TraceKind::FetchInc(t) => format!("f&i->{t}"),
-            TraceKind::Swap(t) => format!("swap->{t}"),
-            TraceKind::SwapLoad => "swap.load".into(),
-            TraceKind::Barrier => "barrier".into(),
-            TraceKind::StatusPoll => "status.poll".into(),
-            TraceKind::BltWait => "blt.wait".into(),
-            TraceKind::AnnexSet(t) => format!("annex.set->{t}"),
-            TraceKind::FuzzyBarrierStart => "fbar.start".into(),
-            TraceKind::FuzzyBarrierEnd => "fbar.end".into(),
-        }
-    }
-}
+use t3d_perf::OpKind;
 
 /// One recorded operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +18,13 @@ pub struct TraceEvent {
     /// Issuing node.
     pub pe: u32,
     /// Operation kind.
-    pub kind: TraceKind,
-    /// Address operand (virtual address or offset; 0 where meaningless).
+    pub kind: OpKind,
+    /// The PE the operation acts on: the remote node of a remote load,
+    /// store, prefetch, BLT, message or atomic, or the annex register's
+    /// new target; the issuer itself otherwise.
+    pub target: u32,
+    /// Address operand (virtual address, offset or register index; 0
+    /// where meaningless).
     pub addr: u64,
     /// Node clock when the operation began.
     pub start: u64,
@@ -96,19 +32,34 @@ pub struct TraceEvent {
     pub cycles: u64,
 }
 
+impl TraceEvent {
+    /// Short text label: the kind's label, plus `->target` when the
+    /// operation acts on another PE (used by the dump and the
+    /// Chrome-trace export).
+    pub fn label(&self) -> String {
+        if self.target == self.pe {
+            self.kind.label().to_string()
+        } else {
+            format!("{}->{}", self.kind.label(), self.target)
+        }
+    }
+}
+
 /// A bounded trace buffer (oldest events drop when full).
 ///
 /// # Example
 ///
 /// ```
-/// use t3d_machine::{Cpu, Machine, MachineConfig};
+/// use t3d_machine::{Cpu, Machine, MachineConfig, OpKind};
 ///
 /// let mut m = Machine::new(MachineConfig::t3d(2));
 /// m.enable_trace(128);
 /// let mut cpu = Cpu::new(&mut m, 0);
 /// cpu.st8(0x40, 7);
 /// cpu.memory_barrier();
-/// assert_eq!(m.tracer().len(), 2);
+/// let kinds: Vec<OpKind> = m.tracer().events().map(|e| e.kind).collect();
+/// assert_eq!(kinds, [OpKind::StLocal, OpKind::Fence]);
+/// assert!(m.tracer().dump().contains("fence"));
 /// print!("{}", m.tracer().dump());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -120,16 +71,15 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Enables tracing with space for `cap` events.
-    pub fn enable(&mut self, cap: usize) {
+    /// Enables tracing with space for `cap` events. Events held beyond
+    /// a smaller new capacity drop, oldest first, and count as dropped.
+    pub(crate) fn enable(&mut self, cap: usize) {
         assert!(cap > 0, "trace buffer needs capacity");
         self.enabled = true;
         self.cap = cap;
-    }
-
-    /// Disables tracing (the buffer is kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
+        let excess = self.events.len().saturating_sub(cap);
+        self.events.drain(..excess);
+        self.dropped += excess as u64;
     }
 
     /// Whether events are being recorded.
@@ -138,7 +88,7 @@ impl Tracer {
     }
 
     /// Records an event (no-op when disabled).
-    pub fn record(&mut self, ev: TraceEvent) {
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
         if !self.enabled {
             return;
         }
@@ -190,7 +140,7 @@ impl Tracer {
                 "[{:>10}] PE{:<3} {:<16} addr={:#010x} cost={} cy\n",
                 e.start,
                 e.pe,
-                e.kind.label(),
+                e.label(),
                 e.addr,
                 e.cycles
             ));
@@ -206,7 +156,8 @@ mod tests {
     fn ev(pe: u32, start: u64) -> TraceEvent {
         TraceEvent {
             pe,
-            kind: TraceKind::LoadLocal,
+            kind: OpKind::LdLocal,
+            target: pe,
             addr: 0x40,
             start,
             cycles: 1,
@@ -242,14 +193,15 @@ mod tests {
         t.enable(8);
         t.record(TraceEvent {
             pe: 1,
-            kind: TraceKind::FetchInc(0),
+            kind: OpKind::FetchInc,
+            target: 0,
             addr: 0,
             start: 100,
             cycles: 109,
         });
         let d = t.dump();
         assert!(d.contains("PE1"));
-        assert!(d.contains("f&i->0"));
+        assert!(d.contains("fetch-inc->0"));
         assert!(d.contains("cost=109"));
         assert!(
             d.starts_with("trace: 1 events held, 0 dropped (cap 8)"),
@@ -267,6 +219,20 @@ mod tests {
         assert!(t
             .dump()
             .starts_with("trace: 2 events held, 3 dropped (cap 2)"));
+    }
+
+    #[test]
+    fn shrinking_the_capacity_trims_the_buffer() {
+        let mut t = Tracer::default();
+        t.enable(64);
+        for i in 0..10 {
+            t.record(ev(0, i));
+        }
+        t.enable(4);
+        assert_eq!((t.len(), t.dropped()), (4, 6));
+        assert_eq!(t.events().next().unwrap().start, 6, "oldest drop first");
+        t.record(ev(0, 10));
+        assert_eq!((t.len(), t.dropped()), (4, 7));
     }
 
     #[test]

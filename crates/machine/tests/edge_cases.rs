@@ -2,7 +2,7 @@
 //! compiler writer gets bitten.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver};
+use t3d_machine::{Cpu, Machine, MachineConfig, OpKind, PhaseDriver};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::FuncCode;
 
@@ -182,15 +182,20 @@ fn op_stats_track_every_category() {
     cpu.msg_send(1, [0; 4]);
     let _ = cpu.fetch_inc(1, 0);
     let s = m.op_stats(0);
-    assert_eq!(s.stores_local, 1);
-    assert_eq!(s.stores_remote, 1);
-    assert_eq!(s.loads_local, 1);
-    assert_eq!(s.loads_remote, 1);
-    assert_eq!(s.fetches, 1);
-    assert_eq!(s.pops, 1);
-    assert_eq!(s.memory_barriers, 1);
-    assert_eq!(s.msgs_sent, 1);
-    assert_eq!(s.atomics, 1);
+    for kind in [
+        OpKind::StLocal,
+        OpKind::StRemote,
+        OpKind::LdLocal,
+        OpKind::LdRemote,
+        OpKind::Fetch,
+        OpKind::Pop,
+        OpKind::Fence,
+        OpKind::MsgSend,
+        OpKind::FetchInc,
+        OpKind::AnnexSet,
+    ] {
+        assert_eq!(s[kind], 1, "{kind:?}");
+    }
     assert_eq!(s.remote_ops(), 4);
     m.clear_op_stats(0);
     assert_eq!(m.op_stats(0).remote_ops(), 0);

@@ -1,22 +1,49 @@
-//! Trace coverage audit: every architectural operation a [`Cpu`] or
-//! the [`Machine`] issues must emit exactly one trace event per invocation — no silent ops.
+//! Op-record audit: every architectural operation a [`Cpu`] or the
+//! [`Machine`] issues is recorded exactly once, under one [`OpKind`] —
+//! one count, one latency sample (profiling on) and one trace event
+//! (tracing on) per invocation. No silent ops, and the three records
+//! agree.
 //!
-//! This pins the fixes for the paths that used to record nothing:
-//! remote loads satisfied by a stale L1 line, `poll_status`, `blt_wait`,
-//! `annex_set`, `swap_load` and the fuzzy barrier pair.
+//! This pins the paths that once recorded nothing: remote loads
+//! satisfied by a stale L1 line, `poll_status`, `blt_wait`, `annex_set`,
+//! `swap_load` and the fuzzy barrier pair. The one pinned difference:
+//! a failed pop and an empty receive perform no operation, so they are
+//! counted but neither sampled nor traced.
 
-use t3d_machine::{Cpu, Machine, MachineConfig, TraceKind};
-use t3d_shell::blt::BltDirection;
-use t3d_shell::FuncCode;
+use t3d_machine::shell::blt::BltDirection;
+use t3d_machine::shell::FuncCode;
+use t3d_machine::{Cpu, Machine, MachineConfig, OpKind, PerfMode, PhaseDriver};
 
-fn count(m: &Machine, f: impl Fn(TraceKind) -> bool) -> usize {
-    m.tracer().events().filter(|e| f(e.kind)).count()
+/// Trace events of `kind` acting on `target`.
+fn traced(m: &Machine, kind: OpKind, target: u32) -> usize {
+    m.tracer()
+        .events()
+        .filter(|e| e.kind == kind && e.target == target)
+        .count()
+}
+
+/// `kind`'s three records over the whole machine: `(counted, sampled,
+/// traced)`.
+fn records(m: &Machine, kind: OpKind) -> (u64, u64, u64) {
+    let counted = (0..m.nodes()).map(|pe| m.op_stats(pe)[kind]).sum();
+    let sampled = (0..m.nodes())
+        .map(|pe| m.node(pe).perf.hists().unwrap().get(kind).count())
+        .sum();
+    let traced = m.tracer().events().filter(|e| e.kind == kind).count();
+    (counted, sampled, traced as u64)
+}
+
+/// A two-PE machine with profiling and tracing both on.
+fn recording_machine() -> Machine {
+    let mut m = Machine::new(MachineConfig::t3d(2));
+    m.set_perf_mode(PerfMode::Counters);
+    m.enable_trace(4096);
+    m
 }
 
 #[test]
-fn every_architectural_op_emits_exactly_one_trace_event() {
-    let mut m = Machine::new(MachineConfig::t3d(2));
-    m.enable_trace(4096);
+fn every_op_is_counted_sampled_and_traced_exactly_once() {
+    let mut m = recording_machine();
     let mut expected = 0usize;
 
     // Annex updates (3: two load flavours plus the swap flavour later).
@@ -25,7 +52,7 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     cpu.annex_set(2, 1, FuncCode::Cached);
     cpu.annex_set(3, 1, FuncCode::Swap);
     expected += 3;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::AnnexSet(1))), 3);
+    assert_eq!(traced(&m, OpKind::AnnexSet, 1), 3);
 
     // Loads: local, remote uncached, remote cached (fill), and the
     // once-silent path — a remote load satisfied by the resident line.
@@ -33,13 +60,13 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     let _ = cpu.ld8(0x40);
     let _ = cpu.ld8(cpu.va(1, 0x100));
     let _ = cpu.ld8(cpu.va(2, 0x200));
-    let _ = cpu.ld8(cpu.va(2, 0x200)); // L1 hit: early return must still trace
+    let _ = cpu.ld8(cpu.va(2, 0x200)); // L1 hit: early return must still record
     expected += 4;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::LoadLocal)), 1);
+    assert_eq!(traced(&m, OpKind::LdLocal, 0), 1);
     assert_eq!(
-        count(&m, |k| matches!(k, TraceKind::LoadRemote(1))),
+        traced(&m, OpKind::LdRemote, 1),
         3,
-        "the L1-hit early return must emit a LoadRemote event too"
+        "the L1-hit early return must record a remote load too"
     );
 
     // Stores: one local, one remote.
@@ -47,8 +74,8 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     cpu.st8(0x48, 7);
     cpu.st8(cpu.va(1, 0x108), 9);
     expected += 2;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::StoreLocal)), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::StoreRemote(1))), 1);
+    assert_eq!(traced(&m, OpKind::StLocal, 0), 1);
+    assert_eq!(traced(&m, OpKind::StRemote, 1), 1);
 
     // Fence / status machinery.
     let mut cpu = Cpu::new(&mut m, 0);
@@ -56,18 +83,18 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     let _ = cpu.poll_status();
     cpu.wait_write_acks();
     expected += 3;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::MemoryBarrier)), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::StatusPoll)), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::AckWait)), 1);
+    assert_eq!(traced(&m, OpKind::Fence, 0), 1);
+    assert_eq!(traced(&m, OpKind::StatusPoll, 0), 1);
+    assert_eq!(traced(&m, OpKind::AckWait, 0), 1);
 
     // Prefetch issue + pop (fence in between so the pop succeeds).
     let mut cpu = Cpu::new(&mut m, 0);
     assert!(cpu.fetch(cpu.va(1, 0x300)));
     cpu.memory_barrier();
     let _ = cpu.pop_prefetch().unwrap();
-    expected += 3; // fetch + mb + pop
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::Fetch(1))), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::Pop)), 1);
+    expected += 3; // fetch + fence + pop
+    assert_eq!(traced(&m, OpKind::Fetch, 1), 1);
+    assert_eq!(traced(&m, OpKind::Pop, 0), 1);
 
     // BLT: start (contiguous + strided) and the completion waits.
     let mut cpu = Cpu::new(&mut m, 0);
@@ -76,11 +103,11 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     let hs = cpu.blt_start_strided(BltDirection::Read, 0x3000, 1, 0x4000, 4, 8, 64);
     cpu.blt_wait(hs);
     expected += 4;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::Blt(1))), 2);
+    assert_eq!(traced(&m, OpKind::BltStart, 1), 2);
     assert_eq!(
-        count(&m, |k| matches!(k, TraceKind::BltWait)),
+        traced(&m, OpKind::BltWait, 0),
         2,
-        "BLT completion waits must be traced"
+        "BLT completion waits must be recorded"
     );
 
     // Messages (advance the receiver past the arrival time first).
@@ -89,8 +116,8 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     rx.advance(1_000_000);
     let _ = rx.msg_receive().unwrap();
     expected += 2;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::MsgSend(1))), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::MsgRecv)), 1);
+    assert_eq!(traced(&m, OpKind::MsgSend, 1), 1);
+    assert_eq!(traced(&m, OpKind::MsgRecv, 1), 1);
 
     // Atomics: fetch&inc, swap-register load, atomic swap.
     let mut cpu = Cpu::new(&mut m, 0);
@@ -98,36 +125,96 @@ fn every_architectural_op_emits_exactly_one_trace_event() {
     cpu.swap_load(5);
     let _ = cpu.atomic_swap(cpu.va(3, 0x400));
     expected += 3;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::FetchInc(1))), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::SwapLoad)), 1);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::Swap(1))), 1);
+    assert_eq!(traced(&m, OpKind::FetchInc, 1), 1);
+    assert_eq!(traced(&m, OpKind::SwapLoad, 0), 1);
+    assert_eq!(traced(&m, OpKind::Swap, 1), 1);
 
-    // Fuzzy barrier: one start per node, one end per node.
+    // Fuzzy barrier: one start per node; the end is a barrier episode.
     m.fuzzy_barrier_start(0);
     m.fuzzy_barrier_start(1);
     m.fuzzy_barrier_end_all();
     expected += 4;
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::FuzzyBarrierStart)), 2);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::FuzzyBarrierEnd)), 2);
+    assert_eq!(traced(&m, OpKind::BarrierStart, 0), 1);
+    assert_eq!(traced(&m, OpKind::BarrierStart, 1), 1);
+    assert_eq!(records(&m, OpKind::Barrier).2, 2);
 
-    // Hardware barrier: fences every node (one MemoryBarrier each) and
-    // records one Barrier episode per node.
+    // Hardware barrier: fences every node (one fence each) and records
+    // one barrier episode per node.
     m.barrier_all();
-    expected += 4; // 2 MemoryBarrier + 2 Barrier on a 2-node machine
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::Barrier)), 2);
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::MemoryBarrier)), 4);
+    expected += 4; // 2 fences + 2 barriers on a 2-node machine
+    assert_eq!(records(&m, OpKind::Barrier).2, 4);
+    assert_eq!(records(&m, OpKind::Fence).2, 4);
 
     // The whole stream is accounted for: nothing silent, nothing extra.
     assert_eq!(m.tracer().dropped(), 0);
     assert_eq!(m.tracer().len(), expected, "{}", m.tracer().dump());
+
+    // Every kind was issued, and its three records agree.
+    for kind in OpKind::ALL {
+        let (counted, sampled, traced) = records(&m, kind);
+        assert!(counted > 0, "{kind:?} was never issued");
+        assert_eq!((sampled, traced), (counted, counted), "{kind:?}");
+    }
 }
 
 #[test]
-fn failed_pop_is_not_an_architectural_completion() {
-    // A pop that returns NotDeparted/Empty performs no operation; the
-    // trace stays op-accurate by not recording it.
-    let mut m = Machine::new(MachineConfig::t3d(2));
-    m.enable_trace(64);
-    assert!(Cpu::new(&mut m, 0).pop_prefetch().is_err());
-    assert_eq!(count(&m, |k| matches!(k, TraceKind::Pop)), 0);
+fn failed_pop_and_empty_receive_are_counted_but_not_sampled_or_traced() {
+    // A pop that returns NotDeparted/Empty and a receive that finds no
+    // message perform no operation: the sample and the trace stay
+    // op-accurate by leaving them out, while the count keeps every
+    // attempt (the allreduce patterns spin on empty receives).
+    let mut m = recording_machine();
+    let mut cpu = Cpu::new(&mut m, 0);
+    assert!(cpu.pop_prefetch().is_err());
+    assert!(cpu.msg_receive().is_none());
+    assert!(cpu.msg_receive().is_none());
+    assert_eq!(records(&m, OpKind::Pop), (1, 0, 0));
+    assert_eq!(records(&m, OpKind::MsgRecv), (2, 0, 0));
+    assert!(m.tracer().is_empty());
+    let ops = m.perf().registry;
+    assert_eq!(ops.counter("ops.pop"), 1);
+    assert_eq!(ops.counter("ops.msg.recv"), 2);
+    assert!(ops.hist("lat.pop").is_none());
+}
+
+/// Every PE's op counts after a sharded phase of every op kind a shard
+/// may issue, under `driver`.
+fn sharded_counts(driver: PhaseDriver) -> Vec<t3d_machine::OpStats> {
+    let mut m = Machine::new(MachineConfig::t3d(8));
+    m.set_perf_mode(PerfMode::Counters);
+    m.sharded_phase(driver, |cpu| {
+        let pe = cpu.pe();
+        let right = (pe + 1) % cpu.nodes();
+        cpu.annex_set(1, right as u32, FuncCode::Uncached);
+        cpu.st8(0x40, pe as u64);
+        cpu.st8(cpu.va(1, 0x100), pe as u64);
+        let _ = cpu.ld8(0x40);
+        let _ = cpu.ld8(cpu.va(1, 0x200));
+        let _ = cpu.poll_status();
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        let _ = cpu.fetch(cpu.va(1, 0x300));
+        cpu.memory_barrier();
+        let _ = cpu.pop_prefetch();
+        let _ = cpu.pop_prefetch(); // empty: counted only
+        let h = cpu.blt_start(BltDirection::Read, 0x1000, right, 0x2000, 64);
+        cpu.blt_wait(h);
+        cpu.msg_send(right, [pe as u64; 4]);
+        let _ = cpu.msg_receive(); // not yet arrived: counted only
+        let _ = cpu.fetch_inc(right, 0);
+        cpu.swap_load(pe as u64);
+        let _ = cpu.atomic_swap(0x400); // a shard swaps only locally
+    });
+    (0..m.nodes()).map(|pe| m.op_stats(pe)).collect()
+}
+
+#[test]
+fn sharded_op_counts_match_across_drivers() {
+    let seq = sharded_counts(PhaseDriver::Seq);
+    assert_eq!(seq[3][OpKind::Pop], 2, "the empty pop counts");
+    assert_eq!(seq[3][OpKind::Fence], 2);
+    assert_eq!(seq[3][OpKind::MsgRecv], 1, "the empty receive counts");
+    for driver in [PhaseDriver::Par(2), PhaseDriver::Par(3)] {
+        assert_eq!(sharded_counts(driver), seq, "{driver:?}");
+    }
 }

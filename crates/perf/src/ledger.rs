@@ -232,9 +232,11 @@ impl Ledger {
 }
 
 /// Number of [`OpKind`] variants (latency-histogram lanes).
-pub const OP_KINDS: usize = 15;
+pub const OP_KINDS: usize = 19;
 
-/// Operation kinds with per-op latency histograms in the registry.
+/// The machine's op vocabulary: every architectural operation a PE
+/// issues is one of these kinds, and is counted, sampled into its
+/// latency lane and traced under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Local load.
@@ -265,12 +267,21 @@ pub enum OpKind {
     BltStart,
     /// BLT completion wait.
     BltWait,
-    /// Global barrier episode.
+    /// Global barrier episode, hardware or fuzzy (the fuzzy barrier's
+    /// completion wait).
     Barrier,
+    /// DTB annex register write.
+    AnnexSet,
+    /// Write-ack status-bit poll (non-blocking).
+    StatusPoll,
+    /// Swap-register load ahead of an atomic swap.
+    SwapLoad,
+    /// Fuzzy-barrier arrival (work may continue until the wait).
+    BarrierStart,
 }
 
 impl OpKind {
-    /// Every kind, in lane order.
+    /// Every kind, in lane order (declaration order).
     pub const ALL: [OpKind; OP_KINDS] = [
         OpKind::LdLocal,
         OpKind::LdRemote,
@@ -287,9 +298,14 @@ impl OpKind {
         OpKind::BltStart,
         OpKind::BltWait,
         OpKind::Barrier,
+        OpKind::AnnexSet,
+        OpKind::StatusPoll,
+        OpKind::SwapLoad,
+        OpKind::BarrierStart,
     ];
 
-    /// Stable registry key (`lat.` prefix added by the report builder).
+    /// Stable label: the registry key (`lat.` prefix added by the
+    /// report builder) and the trace label.
     pub fn label(self) -> &'static str {
         match self {
             OpKind::LdLocal => "ld.local",
@@ -307,11 +323,17 @@ impl OpKind {
             OpKind::BltStart => "blt.start",
             OpKind::BltWait => "blt.wait",
             OpKind::Barrier => "barrier",
+            OpKind::AnnexSet => "annex.set",
+            OpKind::StatusPoll => "status.poll",
+            OpKind::SwapLoad => "swap.load",
+            OpKind::BarrierStart => "fbar.start",
         }
     }
 
-    fn index(self) -> usize {
-        Self::ALL.iter().position(|&k| k == self).unwrap()
+    /// The kind's lane: its position in [`OpKind::ALL`].
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -354,28 +376,40 @@ impl OpHists {
     }
 }
 
-/// A PE's perf accumulator: the on/off gate, the attribution baseline,
-/// the ledger and the latency histograms. Owned by node state so the
-/// sharded phase engine carries it thread-privately — sequential and
-/// parallel drivers accumulate identically.
+/// A PE's perf accumulator: the attribution baseline, the ledger and
+/// the latency histograms. Owned by node state so the sharded phase
+/// engine carries it thread-privately — sequential and parallel drivers
+/// accumulate identically.
+///
+/// The histograms are most of its size (about 10 KB a PE), so they are
+/// held only while collection is on, and their presence is the on/off
+/// gate: an unprofiled machine builds and runs without them.
 #[derive(Debug, Clone, Default)]
 pub struct PerfAccum {
-    /// Whether credits are collected.
-    pub on: bool,
     /// The PE's clock when collection was (re)enabled; elapsed =
     /// clock − base.
     pub base_clock: u64,
     /// The attribution ledger.
     pub ledger: Ledger,
-    /// Per-op latency histograms.
-    pub hists: OpHists,
+    hists: Option<Box<OpHists>>,
 }
 
 impl PerfAccum {
+    /// Whether credits and samples are collected.
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        self.hists.is_some()
+    }
+
+    /// The per-op latency histograms, while collection is on.
+    pub fn hists(&self) -> Option<&OpHists> {
+        self.hists.as_deref()
+    }
+
     /// Credits cycles to a class (no-op when off or zero).
     #[inline]
     pub fn credit(&mut self, class: CostClass, cycles: u64) {
-        if self.on && cycles > 0 {
+        if self.is_on() && cycles > 0 {
             self.ledger.add(class, cycles);
         }
     }
@@ -383,18 +417,21 @@ impl PerfAccum {
     /// Records one operation's total cost (no-op when off).
     #[inline]
     pub fn sample(&mut self, kind: OpKind, cycles: u64) {
-        if self.on {
-            self.hists.record(kind, cycles);
+        if let Some(hists) = &mut self.hists {
+            hists.record(kind, cycles);
         }
     }
 
-    /// (Re)starts collection with a fresh ledger, baselined at `clock`;
-    /// `on = false` stops collection and clears the state.
+    /// (Re)starts collection with a fresh ledger and histograms,
+    /// baselined at `clock`; `on = false` stops collection, clears the
+    /// ledger and drops the histograms.
     pub fn restart(&mut self, on: bool, clock: u64) {
-        self.on = on;
         self.base_clock = clock;
         self.ledger.clear();
-        self.hists.clear();
+        match (&mut self.hists, on) {
+            (Some(hists), true) => hists.clear(),
+            (hists, _) => *hists = on.then(Box::default),
+        }
     }
 }
 
@@ -410,6 +447,17 @@ mod tests {
         assert_eq!(labels.len(), COST_CLASSES);
         for (i, c) in CostClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
+        }
+    }
+
+    #[test]
+    fn op_kind_lanes_follow_all_and_labels_are_distinct() {
+        let mut labels: Vec<&str> = OpKind::ALL.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), OP_KINDS);
+        for (i, k) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i);
         }
     }
 
@@ -437,12 +485,16 @@ mod tests {
         p.credit(CostClass::Compute, 5);
         p.sample(OpKind::LdLocal, 5);
         assert_eq!(p.ledger.total(), 0);
-        assert_eq!(p.hists.get(OpKind::LdLocal).count(), 0);
+        assert!(p.hists().is_none());
         p.restart(true, 100);
         p.credit(CostClass::Compute, 5);
         p.sample(OpKind::LdLocal, 5);
         assert_eq!(p.ledger.total(), 5);
         assert_eq!(p.base_clock, 100);
-        assert_eq!(p.hists.get(OpKind::LdLocal).count(), 1);
+        assert_eq!(p.hists().unwrap().get(OpKind::LdLocal).count(), 1);
+        p.restart(true, 200);
+        assert_eq!(p.hists().unwrap().get(OpKind::LdLocal).count(), 0);
+        p.restart(false, 300);
+        assert!(!p.is_on() && p.hists().is_none());
     }
 }

@@ -2,17 +2,20 @@
 //! trace.
 //!
 //! Raw shell programs (no `splitc` runtime) still leave a full record
-//! in [`t3d_machine::Tracer`]. This pass walks it with write-buffer
-//! shadow state: which stores each PE still has buffered (cleared by
-//! its fences), which prefetches are outstanding, and every store's
-//! position in the stream. It reports the same [`DiagKind`] vocabulary
-//! as the split-phase analyzer, with 8-byte access granularity (the
-//! trace does not carry lengths — a documented imprecision).
+//! in [`t3d_machine::Tracer`]: one [`TraceEvent`](t3d_machine::TraceEvent)
+//! per op, named by the machine's one op vocabulary, [`OpKind`], with
+//! the PE it acts on. This pass walks it with write-buffer shadow
+//! state: which stores each PE still has buffered (cleared by its
+//! fences, ack waits and barriers, hardware or fuzzy), which prefetches
+//! are outstanding, and every store's position in the stream. It
+//! reports the same [`DiagKind`] vocabulary as the split-phase
+//! analyzer, with 8-byte access granularity (the trace does not carry
+//! lengths — a documented imprecision).
 //!
 //! # Example
 //!
 //! ```
-//! use t3d_machine::{Cpu, Machine, MachineConfig};
+//! use t3d_machine::{Cpu, Machine, MachineConfig, OpKind};
 //! use t3d_shell::FuncCode;
 //!
 //! let mut m = Machine::new(MachineConfig::t3d(2));
@@ -24,11 +27,13 @@
 //! cpu.annex_set(2, 1, FuncCode::Uncached);
 //! cpu.st8(cpu.va(1, 0x100), 7);
 //! let _ = cpu.ld8(cpu.va(2, 0x100));
+//! let stream: Vec<_> = m.tracer().events().map(|e| (e.kind, e.target)).collect();
+//! assert_eq!(stream[2..], [(OpKind::StRemote, 1), (OpKind::LdRemote, 1)]);
 //! let report = t3dsan::trace_scan::scan_trace(&m);
 //! assert_eq!(report.kinds(), vec![t3dsan::DiagKind::AnnexSynonymHazard]);
 //! ```
 
-use t3d_machine::{Machine, TraceKind};
+use t3d_machine::{Machine, OpKind};
 
 use crate::report::{DiagKind, Diagnostic, Report};
 
@@ -95,9 +100,9 @@ pub fn scan_trace(m: &Machine) -> Report {
     for (i, e) in m.tracer().events().enumerate() {
         events += 1;
         let idx = i as u64;
-        let pe = e.pe;
+        let (pe, t) = (e.pe, e.target);
         match e.kind {
-            TraceKind::StoreRemote(t) => {
+            OpKind::StRemote => {
                 let (reg, off) = m.split_va(e.addr);
                 pending.push(PendingStore {
                     writer: pe,
@@ -111,7 +116,7 @@ pub fn scan_trace(m: &Machine) -> Report {
                     idx,
                 });
             }
-            TraceKind::StoreLocal => {
+            OpKind::StLocal => {
                 pending.push(PendingStore {
                     writer: pe,
                     target: pe,
@@ -124,13 +129,10 @@ pub fn scan_trace(m: &Machine) -> Report {
                     idx,
                 });
             }
-            TraceKind::MemoryBarrier
-            | TraceKind::AckWait
-            | TraceKind::Barrier
-            | TraceKind::FuzzyBarrierEnd => {
+            OpKind::Fence | OpKind::AckWait | OpKind::Barrier => {
                 pending.retain(|p| p.writer != pe);
             }
-            TraceKind::LoadRemote(t) => {
+            OpKind::LdRemote => {
                 let (reg, off) = m.split_va(e.addr);
                 if let Some(p) = pending
                     .iter()
@@ -166,7 +168,7 @@ pub fn scan_trace(m: &Machine) -> Report {
                     );
                 }
             }
-            TraceKind::LoadLocal => {
+            OpKind::LdLocal => {
                 if let Some(p) = pending
                     .iter()
                     .find(|p| p.target == pe && p.writer != pe && overlap(p.off, e.addr))
@@ -183,7 +185,7 @@ pub fn scan_trace(m: &Machine) -> Report {
                     );
                 }
             }
-            TraceKind::StatusPoll if pending.iter().any(|p| p.writer == pe && p.target != pe) => {
+            OpKind::StatusPoll if pending.iter().any(|p| p.writer == pe && p.target != pe) => {
                 diag(
                     &mut diagnostics,
                     DiagKind::StaleStoreRead,
@@ -195,7 +197,7 @@ pub fn scan_trace(m: &Machine) -> Report {
                     "status bit polled with writes still in the write buffer (fence first)".into(),
                 );
             }
-            TraceKind::Fetch(t) => {
+            OpKind::Fetch => {
                 let (_, off) = m.split_va(e.addr);
                 fetches[pe as usize].push(Fetch {
                     target: t,
@@ -203,7 +205,7 @@ pub fn scan_trace(m: &Machine) -> Report {
                     idx,
                 });
             }
-            TraceKind::Pop if !fetches[pe as usize].is_empty() => {
+            OpKind::Pop if !fetches[pe as usize].is_empty() => {
                 let f = fetches[pe as usize].remove(0);
                 if let Some(h) = history
                     .iter()

@@ -477,7 +477,7 @@ impl ScCtx<'_> {
 mod tests {
     use crate::runtime::SplitC;
     use crate::GlobalPtr;
-    use t3d_machine::{Cpu, MachineConfig};
+    use t3d_machine::{Cpu, MachineConfig, OpKind};
 
     fn sc() -> SplitC {
         SplitC::new(MachineConfig::t3d(2))
@@ -702,7 +702,11 @@ mod tests {
             ctx.bulk_read_strided(dst, GlobalPtr::new(1, src), count, 8, 16);
             let cost = ctx.clock() - t0;
             assert!(cost >= 27_000, "BLT start-up paid");
-            assert_eq!(ctx.machine().op_stats(0).blts, 1, "one BLT invocation");
+            assert_eq!(
+                ctx.machine().op_stats(0)[OpKind::BltStart],
+                1,
+                "one BLT invocation"
+            );
         });
     }
 

@@ -29,7 +29,7 @@ use splitc::SplitC;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
-use t3d_machine::{Cpu, Machine, MachineConfig, PerfMode};
+use t3d_machine::{Cpu, Machine, MachineConfig, OpKind, PerfMode};
 use t3d_memsys::arena::CHUNK_BYTES;
 use t3d_shell::FuncCode;
 
@@ -182,7 +182,7 @@ fn remote_loads_and_fenced_remote_stores_rarely_allocate() {
         allocs * 1000 < n,
         "{allocs} allocations over {n} remote ops (limit: under 1 per 1,000)"
     );
-    assert_eq!(m.node(0).ops.stores_remote, (10_000 + n) / 2);
+    assert_eq!(m.node(0).ops[OpKind::StRemote], (10_000 + n) / 2);
 }
 
 /// A machine with torus-link and shell contention modelled.
