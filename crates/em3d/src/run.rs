@@ -626,9 +626,7 @@ fn run_version_inner(
     let cycles = sc.max_clock() - t0;
     let clock_fnv = (0..nprocs as usize)
         .map(|pe| sc.machine_ref().clock(pe))
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
-            (h ^ c).wrapping_mul(0x100_0000_01b3)
-        });
+        .fold(t3d_perf::FNV_OFFSET, t3d_perf::fnv1a_word);
     let mut ops = OpStats::default();
     for pe in 0..nprocs as usize {
         ops.accumulate(&sc.machine_ref().node(pe).ops);

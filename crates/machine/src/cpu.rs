@@ -8,10 +8,12 @@
 //! one call into that core for this PE, so the same probe code runs
 //! under both. A shard's handle is built only by the phase driver, for
 //! the shard's own PE, so a phase closure cannot issue ops as another
-//! PE.
+//! PE. While the machine logs ops, every method also appends its call
+//! to the [op log](crate::oplog), through one helper.
 
 use crate::machine::{BltHandle, Machine};
 use crate::node::Node;
+use crate::oplog::{CpuOp, Va};
 use crate::ops::OpCore;
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
@@ -34,6 +36,8 @@ use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
 pub struct Cpu<'m> {
     pub(crate) m: &'m mut dyn OpCore,
     pub(crate) pe: usize,
+    /// Whether the backend logs this handle's calls (see [`crate::oplog`]).
+    logging: bool,
 }
 
 impl<'m> Cpu<'m> {
@@ -44,17 +48,40 @@ impl<'m> Cpu<'m> {
     /// Panics if `pe` does not exist.
     pub fn new(m: &'m mut Machine, pe: usize) -> Self {
         assert!(pe < m.nodes(), "PE {pe} out of range");
-        Cpu { m, pe }
+        let logging = m.log.is_some();
+        Cpu::bind(m, pe, logging)
+    }
+
+    /// Binds a handle to PE `pe` of `core`, logging its calls or not.
+    pub(crate) fn bind(m: &'m mut dyn OpCore, pe: usize, logging: bool) -> Self {
+        Cpu { m, pe, logging }
     }
 
     /// A handle to the same PE that borrows this one, for callers that
     /// hold a `Cpu` for a shorter time than its backend lives.
     #[inline]
     pub fn reborrow(&mut self) -> Cpu<'_> {
-        Cpu {
-            m: &mut *self.m,
-            pe: self.pe,
+        Cpu::bind(&mut *self.m, self.pe, self.logging)
+    }
+
+    /// Makes one call and, when the backend logs, appends it as the op
+    /// `op` builds: the one place a `Cpu` call is logged.
+    #[inline]
+    fn log<R>(&mut self, op: impl FnOnce(&Self) -> CpuOp, f: impl FnOnce(&mut Self) -> R) -> R {
+        if !self.logging {
+            return f(self);
         }
+        let start = self.clock();
+        let out = f(self);
+        let op = op(self);
+        self.m.log_op(self.pe, op, start);
+        out
+    }
+
+    /// `va` as its annex register and offset.
+    fn split(&self, va: u64) -> Va {
+        let (annex, off) = t3d_shell::annex::split_pa(va, self.m.cfg().mem.offset_bits);
+        Va { annex, off }
     }
 
     /// This node's id.
@@ -87,12 +114,6 @@ impl<'m> Cpu<'m> {
         self.m.part(self.pe).0
     }
 
-    /// This node's state, mutably (advanced probes).
-    #[inline]
-    pub fn node_mut(&mut self) -> &mut Node {
-        self.m.parts(self.pe).0
-    }
-
     /// Node `pe`'s state, read-only.
     ///
     /// # Panics
@@ -118,7 +139,7 @@ impl<'m> Cpu<'m> {
     /// Charges computation cycles.
     #[inline]
     pub fn advance(&mut self, cycles: u64) {
-        self.m.advance(self.pe, cycles);
+        self.log(|_| CpuOp::Advance(cycles), |c| c.m.advance(c.pe, cycles));
     }
 
     /// Builds a virtual address from an annex index and offset.
@@ -135,14 +156,15 @@ impl<'m> Cpu<'m> {
     /// Panics if `idx` is 0 or PE `pe` does not exist.
     #[inline]
     pub fn annex_set(&mut self, idx: usize, pe: u32, func: FuncCode) {
-        self.m.annex_set(self.pe, idx, AnnexEntry { pe, func });
+        let op = |_: &Self| CpuOp::AnnexSet(idx, pe, func);
+        self.log(op, |c| c.m.annex_set(c.pe, idx, AnnexEntry { pe, func }));
     }
 
     /// Loads a 64-bit word.
     #[inline]
     pub fn ld8(&mut self, va: u64) -> u64 {
         let mut buf = [0u8; 8];
-        self.m.ld(self.pe, va, &mut buf);
+        self.ld(va, &mut buf);
         u64::from_le_bytes(buf)
     }
 
@@ -160,13 +182,14 @@ impl<'m> Cpu<'m> {
     /// Panics on out-of-range accesses.
     #[inline]
     pub fn ld(&mut self, va: u64, buf: &mut [u8]) {
-        self.m.ld(self.pe, va, buf);
+        let len = buf.len();
+        self.log(|c| CpuOp::Ld(c.split(va), len), |c| c.m.ld(c.pe, va, buf));
     }
 
     /// Stores a 64-bit word (non-blocking).
     #[inline]
     pub fn st8(&mut self, va: u64, value: u64) {
-        self.m.st(self.pe, va, &value.to_le_bytes());
+        self.st(va, &value.to_le_bytes());
     }
 
     /// Stores `bytes` at `va` (annex-translated). The store is
@@ -179,14 +202,17 @@ impl<'m> Cpu<'m> {
     /// Panics if the store crosses a cache line or is out of range.
     #[inline]
     pub fn st(&mut self, va: u64, bytes: &[u8]) {
-        self.m.st(self.pe, va, bytes);
+        self.log(
+            |c| CpuOp::St(c.split(va), bytes.into()),
+            |c| c.m.st(c.pe, va, bytes),
+        );
     }
 
     /// Issues a memory barrier: drains the write buffer (pushing out any
     /// pending prefetch requests with it).
     #[inline]
     pub fn memory_barrier(&mut self) {
-        self.m.memory_barrier(self.pe);
+        self.log(|_| CpuOp::Fence, |c| c.m.memory_barrier(c.pe));
     }
 
     /// Polls the remote-write status bit once: `true` if no remote write
@@ -194,21 +220,21 @@ impl<'m> Cpu<'m> {
     /// buffer are invisible — the Section 4.3 trap.
     #[inline]
     pub fn poll_status(&mut self) -> bool {
-        self.m.poll_status(self.pe)
+        self.log(|_| CpuOp::StatusPoll, |c| c.m.poll_status(c.pe))
     }
 
     /// Spins until every remote write that has left the processor is
     /// acknowledged. (Fence first — see [`Cpu::poll_status`].)
     #[inline]
     pub fn wait_write_acks(&mut self) {
-        self.m.wait_write_acks(self.pe);
+        self.log(|_| CpuOp::AckWait, |c| c.m.wait_write_acks(c.pe));
     }
 
     /// Issues a binding prefetch of the word at `va`. Returns `false` if
     /// the 16-entry queue is full (the caller must pop first).
     #[inline]
     pub fn fetch(&mut self, va: u64) -> bool {
-        self.m.fetch(self.pe, va)
+        self.log(|c| CpuOp::Fetch(c.split(va)), |c| c.m.fetch(c.pe, va))
     }
 
     /// Pops the prefetch queue (a 23-cycle off-chip load), waiting for
@@ -221,7 +247,7 @@ impl<'m> Cpu<'m> {
     /// write buffer (fence first).
     #[inline]
     pub fn pop_prefetch(&mut self) -> Result<u64, PopError> {
-        self.m.pop_prefetch(self.pe)
+        self.log(|_| CpuOp::Pop, |c| c.m.pop_prefetch(c.pe))
     }
 
     /// Starts a BLT transfer of `bytes` between this PE's local memory at
@@ -239,8 +265,11 @@ impl<'m> Cpu<'m> {
         remote_off: u64,
         bytes: u64,
     ) -> BltHandle {
-        self.m
-            .blt_start(self.pe, dir, local_off, target_pe, remote_off, bytes)
+        let op = |_: &Self| CpuOp::Blt(dir, local_off, target_pe, remote_off, bytes);
+        let call = |c: &mut Self| {
+            c.m.blt_start(c.pe, dir, local_off, target_pe, remote_off, bytes)
+        };
+        self.log(op, call)
     }
 
     /// Starts a *strided* BLT transfer: `count` elements of
@@ -267,47 +296,43 @@ impl<'m> Cpu<'m> {
         elem_bytes: u64,
         stride_bytes: u64,
     ) -> BltHandle {
-        self.m.blt_start_strided(
-            self.pe,
-            dir,
-            local_off,
-            target_pe,
-            remote_off,
-            count,
-            elem_bytes,
-            stride_bytes,
-        )
+        let (t, r, n, e, s) = (target_pe, remote_off, count, elem_bytes, stride_bytes);
+        let op = |_: &Self| CpuOp::BltStrided(dir, local_off, t, r, n, e, s);
+        let call = |c: &mut Self| c.m.blt_start_strided(c.pe, dir, local_off, t, r, n, e, s);
+        self.log(op, call)
     }
 
     /// Blocks until a BLT transfer completes.
     #[inline]
     pub fn blt_wait(&mut self, handle: BltHandle) {
-        self.m.blt_wait(self.pe, handle);
+        self.log(|_| CpuOp::BltWait(handle), |c| c.m.blt_wait(c.pe, handle));
     }
 
     /// Sends a four-word message to `dst` (the 122-cycle PAL call).
     #[inline]
     pub fn msg_send(&mut self, dst: usize, words: [u64; 4]) {
-        self.m.msg_send(self.pe, dst, words);
+        let op = |_: &Self| CpuOp::MsgSend(dst, words);
+        self.log(op, |c| c.m.msg_send(c.pe, dst, words));
     }
 
     /// Receives the oldest arrived message, paying the 25 µs interrupt
     /// (plus dispatch, in handler mode). `None` if nothing has arrived.
     #[inline]
     pub fn msg_receive(&mut self) -> Option<Message> {
-        self.m.msg_receive(self.pe)
+        self.log(|_| CpuOp::MsgRecv, |c| c.m.msg_receive(c.pe))
     }
 
     /// Remote fetch&increment on `target_pe`'s register `reg`.
     #[inline]
     pub fn fetch_inc(&mut self, target_pe: usize, reg: usize) -> u64 {
-        self.m.fetch_inc(self.pe, target_pe, reg)
+        let op = |_: &Self| CpuOp::FetchInc(target_pe, reg);
+        self.log(op, |c| c.m.fetch_inc(c.pe, target_pe, reg))
     }
 
     /// Loads this node's swap operand register.
     #[inline]
     pub fn swap_load(&mut self, value: u64) {
-        self.m.swap_load(self.pe, value);
+        self.log(|_| CpuOp::SwapLoad(value), |c| c.m.swap_load(c.pe, value));
     }
 
     /// Atomically exchanges the swap register with the word at `va`
@@ -319,13 +344,34 @@ impl<'m> Cpu<'m> {
     /// Panics inside a sharded phase if `va` names another PE.
     #[inline]
     pub fn atomic_swap(&mut self, va: u64) -> u64 {
-        self.m.atomic_swap(self.pe, va)
+        self.log(|c| CpuOp::Swap(c.split(va)), |c| c.m.atomic_swap(c.pe, va))
+    }
+
+    /// Flushes this node's cached copy of the line holding `va` (the
+    /// explicit flush a compiler emits after cached remote reads),
+    /// charging its 23 cycles as computation.
+    pub fn flush_line(&mut self, va: u64) {
+        self.log(
+            |c| CpuOp::FlushLine(c.split(va)),
+            |c| {
+                let cost = c.m.parts(c.pe).0.port.flush_line(va);
+                c.m.advance(c.pe, cost);
+            },
+        );
+    }
+
+    /// Invalidates this node's whole L1 cache, taking no cycles (callers
+    /// charge the flush loop they model).
+    pub fn invalidate_l1(&mut self) {
+        let call = |c: &mut Self| c.m.parts(c.pe).0.port.l1_mut().invalidate_all();
+        self.log(|_| CpuOp::InvalidateL1, call);
     }
 
     /// Functional memory write (no timing); flushes any cached copy.
     #[inline]
     pub fn poke_mem(&mut self, off: u64, bytes: &[u8]) {
-        self.node_mut().poke_and_invalidate(off, bytes);
+        let call = |c: &mut Self| c.m.parts(c.pe).0.poke_and_invalidate(off, bytes);
+        self.log(|_| CpuOp::Poke(off, bytes.into()), call);
     }
 
     /// Functional 64-bit read (no timing).

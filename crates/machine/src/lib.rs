@@ -16,6 +16,9 @@
 //! [`Cpu`] bound to its own PE's shard, and [`Machine::barrier_all`]
 //! aligns the clocks between phases.
 //!
+//! The [`oplog`] records every call of a run, on either engine, when
+//! asked, and [`Machine::replay`] makes the calls again.
+//!
 //! # Example
 //!
 //! ```
@@ -38,18 +41,18 @@ pub mod config;
 pub mod cpu;
 pub mod machine;
 pub mod node;
+pub mod oplog;
 mod ops;
 pub mod phase;
 pub mod snapshot;
-pub mod trace;
 
 pub use config::MachineConfig;
 pub use cpu::Cpu;
 pub use machine::{BltHandle, Machine, MachineSizeError};
 pub use node::{EventStats, Node, NodeHot, OpStats};
+pub use oplog::{CpuOp, LogEntry, Va};
 pub use phase::PhaseDriver;
 pub use snapshot::{MemSnapshot, SnapshotDiff};
-pub use trace::{TraceEvent, Tracer};
 
 pub use t3d_perf as perf;
 pub use t3d_perf::{CostClass, OpKind, PerfMode, PerfReport};

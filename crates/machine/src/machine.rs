@@ -2,9 +2,10 @@
 //! deterministic virtual time.
 
 use crate::config::MachineConfig;
+use crate::cpu::Cpu;
 use crate::node::{EventStats, Node, NodeHot, OpStats};
+use crate::oplog::{targets, CpuOp, LogEntry};
 use crate::ops::{Deposit, OpCore, TimedEffect};
-use crate::trace::Tracer;
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena};
 use t3d_perf::{
@@ -79,7 +80,8 @@ pub struct Machine {
     /// [`Torus::link_id`]); all zero unless `cfg.link_contention`.
     link_busy: Vec<u64>,
     barrier: BarrierUnit,
-    tracer: Tracer,
+    /// The op log, while logging is on (see [`crate::oplog`]).
+    pub(crate) log: Option<Vec<LogEntry>>,
     perf_mode: PerfMode,
     phase_log: PhaseLog,
     /// Every PE's sharded-phase effect log, kept empty between phases so
@@ -96,10 +98,7 @@ impl Machine {
     /// Panics if the node count is not a power of two ≥ 1 (see
     /// [`Machine::try_new`] for the non-panicking form).
     pub fn new(cfg: MachineConfig) -> Self {
-        match Self::try_new(cfg) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a machine from a configuration, rejecting node counts that
@@ -119,7 +118,7 @@ impl Machine {
             barrier: BarrierUnit::new(&cfg.shell, n as usize),
             torus,
             cfg,
-            tracer: Tracer::default(),
+            log: None,
             perf_mode: PerfMode::Off,
             phase_log: PhaseLog::default(),
             phase_logs: Vec::new(),
@@ -146,11 +145,6 @@ impl Machine {
         &self.nodes[pe]
     }
 
-    /// Mutable access to a node (advanced probes and setup).
-    pub fn node_mut(&mut self, pe: usize) -> &mut Node {
-        &mut self.nodes[pe]
-    }
-
     /// Nanoseconds per cycle.
     pub fn cycle_ns(&self) -> f64 {
         self.cfg.cycle_ns()
@@ -171,24 +165,16 @@ impl Machine {
         t3d_shell::annex::pa_with_annex(offset, annex_idx, self.offset_bits())
     }
 
-    /// Splits a virtual address into `(annex index, local offset)`.
-    pub fn split_va(&self, va: u64) -> (usize, u64) {
-        t3d_shell::annex::split_pa(va, self.offset_bits())
+    /// Starts logging every call (see [`crate::oplog`]), keeping any
+    /// entries logged so far, or stops and drops the log.
+    pub fn log_ops(&mut self, on: bool) {
+        self.log = on.then(|| self.log.take().unwrap_or_default());
     }
 
-    /// Enables event tracing with a buffer of `cap` events.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.tracer.enable(cap);
-    }
-
-    /// The trace buffer (events, drop count, text dump).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Clears the trace buffer.
-    pub fn clear_trace(&mut self) {
-        self.tracer.clear();
+    /// The op log: every call since logging started, in issue order
+    /// (empty while logging is off).
+    pub fn op_log(&self) -> &[LogEntry] {
+        self.log.as_deref().unwrap_or_default()
     }
 
     /// Completions `pe`'s waits have run past, and the cycles its clock
@@ -201,12 +187,12 @@ impl Machine {
     // Ops by a named PE: only what `perfbench` calls; the rest are `Cpu`'s
     // ------------------------------------------------------------------
 
-    /// [`Cpu::fetch_inc`](crate::Cpu::fetch_inc) as `pe`; kept for `perfbench`'s scale workload.
+    /// [`Cpu::fetch_inc`] as `pe`; kept for `perfbench`'s scale workload.
     pub fn fetch_inc(&mut self, pe: usize, target_pe: usize, reg: usize) -> u64 {
-        OpCore::fetch_inc(self, pe, target_pe, reg)
+        Cpu::new(self, pe).fetch_inc(target_pe, reg)
     }
 
-    /// [`Cpu::blt_start`](crate::Cpu::blt_start) as `pe`; kept for `perfbench`'s scale workload.
+    /// [`Cpu::blt_start`] as `pe`; kept for `perfbench`'s scale workload.
     pub fn blt_start(
         &mut self,
         pe: usize,
@@ -216,12 +202,12 @@ impl Machine {
         remote_off: u64,
         bytes: u64,
     ) -> BltHandle {
-        OpCore::blt_start(self, pe, dir, local_off, target_pe, remote_off, bytes)
+        Cpu::new(self, pe).blt_start(dir, local_off, target_pe, remote_off, bytes)
     }
 
-    /// [`Cpu::blt_wait`](crate::Cpu::blt_wait) as `pe`; kept for `perfbench`'s scale workload.
+    /// [`Cpu::blt_wait`] as `pe`; kept for `perfbench`'s scale workload.
     pub fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
-        OpCore::blt_wait(self, pe, handle);
+        Cpu::new(self, pe).blt_wait(handle);
     }
 
     // ------------------------------------------------------------------
@@ -233,8 +219,14 @@ impl Machine {
     /// All pending writes are fenced first, as `allStoreSync` requires.
     pub fn barrier_all(&mut self) {
         for pe in 0..self.nodes.len() {
-            OpCore::memory_barrier(self, pe);
+            Cpu::new(self, pe).memory_barrier();
         }
+        self.barrier_wire();
+    }
+
+    /// [`Machine::barrier_all`] after its fences: every node arrives,
+    /// and every clock aligns to the wire's settle time.
+    pub(crate) fn barrier_wire(&mut self) {
         for pe in 0..self.nodes.len() {
             let t = self.hot[pe].clock + self.cfg.shell.barrier_start_cy;
             self.barrier.start(pe, t);
@@ -251,13 +243,9 @@ impl Machine {
             let p = &mut self.nodes[pe].perf;
             p.credit(CostClass::BarrierOverhead, overhead);
             p.credit(CostClass::BarrierWait, delta - overhead);
-            self.retire(pe, OpKind::Barrier, pe, 0, start);
+            self.retire(pe, OpKind::Barrier, start);
+            self.log_op(pe, CpuOp::Barrier, start);
         }
-    }
-
-    /// Completed machine-wide barrier episodes.
-    pub fn barrier_episodes(&self) -> u64 {
-        self.barrier.episodes()
     }
 
     // ------------------------------------------------------------------
@@ -272,15 +260,14 @@ impl Machine {
     ///
     /// Panics if this node already started the current episode.
     pub fn fuzzy_barrier_start(&mut self, pe: usize) {
-        let now = self.hot[pe].clock;
-        self.hot[pe].clock += self.cfg.shell.barrier_start_cy;
-        let start_cy = self.cfg.shell.barrier_start_cy;
+        let (now, start_cy) = (self.hot[pe].clock, self.cfg.shell.barrier_start_cy);
+        self.hot[pe].clock = now + start_cy;
         self.nodes[pe]
             .perf
             .credit(CostClass::BarrierOverhead, start_cy);
-        let t = self.hot[pe].clock;
-        self.barrier.start(pe, t);
-        self.retire(pe, OpKind::BarrierStart, pe, 0, now);
+        self.barrier.start(pe, now + start_cy);
+        self.retire(pe, OpKind::BarrierStart, now);
+        self.log_op(pe, CpuOp::BarrierStart, now);
     }
 
     /// Completes the fuzzy barrier for *all* nodes (driver-level: every
@@ -306,7 +293,8 @@ impl Machine {
             let p = &mut self.nodes[pe].perf;
             p.credit(CostClass::BarrierOverhead, end_cy);
             p.credit(CostClass::BarrierWait, aligned - start);
-            self.retire(pe, OpKind::Barrier, pe, 0, start);
+            self.retire(pe, OpKind::Barrier, start);
+            self.log_op(pe, CpuOp::BarrierEnd, start);
         }
     }
 
@@ -322,7 +310,7 @@ impl Machine {
     /// Writes a node's memory functionally (no timing); flushes any
     /// cached copy so the value is authoritative.
     pub fn poke_mem(&mut self, pe: usize, off: u64, bytes: &[u8]) {
-        self.nodes[pe].poke_and_invalidate(off, bytes);
+        Cpu::new(self, pe).poke_mem(off, bytes);
     }
 
     /// Reads a u64 functionally.
@@ -415,22 +403,18 @@ impl Machine {
     /// Opens a named phase in the perf report (no-op unless profiling).
     /// Phases are flat: beginning a phase ends any open one.
     pub fn perf_begin_phase(&mut self, label: &str) {
-        if !self.perf_mode.counters() {
-            return;
+        if self.perf_mode.counters() {
+            let (now, snap) = (self.perf_ref_clock(), self.merged_perf_ledger());
+            self.phase_log.begin(label, now, snap);
         }
-        let now = self.perf_ref_clock();
-        let snap = self.merged_perf_ledger();
-        self.phase_log.begin(label, now, snap);
     }
 
     /// Closes the open phase (no-op unless profiling / nothing is open).
     pub fn perf_end_phase(&mut self) {
-        if !self.perf_mode.counters() {
-            return;
+        if self.perf_mode.counters() {
+            let (now, snap) = (self.perf_ref_clock(), self.merged_perf_ledger());
+            self.phase_log.end(now, snap);
         }
-        let now = self.perf_ref_clock();
-        let snap = self.merged_perf_ledger();
-        self.phase_log.end(now, snap);
     }
 
     /// Assembles the perf report: per-PE attribution (node + memory-port
@@ -467,7 +451,6 @@ impl Machine {
             wbuf_pending += node.port.wbuf_pending() as i64;
         }
         registry.count("barrier.episodes", self.barrier.episodes());
-        registry.count("trace.dropped", self.tracer.dropped());
         registry.gauge("wbuf.pending", wbuf_pending);
         for kind in OpKind::ALL {
             let h = hists.get(kind);
@@ -483,20 +466,24 @@ impl Machine {
         }
     }
 
-    /// Exports a `chrome://tracing` timeline: one row per PE built from
-    /// the tracer's events (see [`Machine::enable_trace`]), plus
-    /// a machine-wide row (tid 10000) carrying the named phase spans.
+    /// Exports a `chrome://tracing` timeline: one row per PE with a
+    /// slice per logged op (see [`Machine::log_ops`]), labelled with its
+    /// kind and, for an op on another PE, `->target`, plus a
+    /// machine-wide row (tid 10000) carrying the named phase spans.
     /// Returns pretty-printed Chrome-trace JSON.
     pub fn perf_chrome_trace(&self) -> String {
-        let mut spans: Vec<Span> = self
-            .tracer
-            .events()
-            .map(|e| Span {
-                name: e.label(),
-                cat: "event".to_string(),
-                tid: e.pe as u64,
-                start: e.start,
-                dur: e.cycles,
+        let mut spans: Vec<Span> = targets(self.op_log())
+            .filter_map(|(e, target)| {
+                let kind = e.op.kind()?.label();
+                let to = (target != e.pe).then(|| format!("->{target}"));
+                let to = to.unwrap_or_default();
+                Some(Span {
+                    name: format!("{kind}{to}"),
+                    cat: "event".to_string(),
+                    tid: u64::from(e.pe),
+                    start: e.start,
+                    dur: e.cycles,
+                })
             })
             .collect();
         for rec in self.phase_log.records() {
@@ -531,6 +518,20 @@ impl Machine {
     pub(crate) fn normalize_for_phase(&mut self) {
         for pe in 0..self.nodes.len() {
             self.settle(pe);
+        }
+    }
+
+    /// Joins a sharded phase that began when PE 0's clock read `start`
+    /// into the op log, while logging: the phase entry, then every
+    /// shard's calls in PE order.
+    pub(crate) fn log_phase(&mut self, start: u64) {
+        if self.log.is_some() {
+            let calls = self.nodes.iter().map(|node| node.oplog.len()).sum();
+            self.log_op(0, CpuOp::Phase(calls), start);
+            let log = self.log.as_mut().expect("logging");
+            self.nodes
+                .iter_mut()
+                .for_each(|node| log.append(&mut node.oplog));
         }
     }
 
@@ -577,9 +578,8 @@ impl OpCore for Machine {
     fn set_link_busy(&mut self, l: usize, until: u64) {
         self.link_busy[l] = until;
     }
-    #[inline]
-    fn tracer(&mut self) -> Option<&mut Tracer> {
-        self.tracer.is_enabled().then_some(&mut self.tracer)
+    fn op_log(&mut self) -> Option<&mut Vec<LogEntry>> {
+        self.log.as_mut()
     }
     fn remote_busy(&mut self, target: usize) -> &mut u64 {
         &mut self.hot[target].shell_busy_until
@@ -701,8 +701,9 @@ mod tests {
         let mut cpu = Cpu::new(&mut m, 0);
         assert_eq!(cpu.ld8(va), 1, "stale cached copy");
         // Explicit flush (23 cycles) makes the next read fresh.
-        let flush = cpu.node_mut().port.flush_line(va);
-        cpu.advance(flush);
+        let t0 = cpu.clock();
+        cpu.flush_line(va);
+        assert_eq!(cpu.clock() - t0, 23);
         assert_eq!(cpu.ld8(va), 2);
     }
 
@@ -1013,57 +1014,41 @@ mod tests {
         m.barrier_all();
         assert_eq!(m.clock(0), m.clock(1));
         assert!(m.clock(0) >= 5000 + 50);
-        assert_eq!(m.barrier_episodes(), 1);
+        assert_eq!(m.perf().registry.counter("barrier.episodes"), 1);
     }
 
     #[test]
-    fn trace_records_the_operation_stream() {
+    fn log_records_the_operation_stream() {
         let mut m = machine2();
-        m.enable_trace(64);
+        m.log_ops(true);
         let mut cpu = Cpu::new(&mut m, 0);
         cpu.annex_set(1, 1, FuncCode::Uncached);
         cpu.st8(cpu.va(1, 0x100), 1);
         cpu.memory_barrier();
         cpu.wait_write_acks();
         let _ = cpu.ld8(cpu.va(1, 0x100));
-        let kinds: Vec<(OpKind, u32)> = m.tracer().events().map(|e| (e.kind, e.target)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (OpKind::AnnexSet, 1),
-                (OpKind::StRemote, 1),
-                (OpKind::Fence, 0),
-                (OpKind::AckWait, 0),
-                (OpKind::LdRemote, 1),
-            ]
-        );
-        let total: u64 = m.tracer().events().map(|e| e.cycles).sum();
-        assert!(total > 0);
-        assert!(m.tracer().dump().contains("st.remote->1"));
-        m.clear_trace();
-        assert!(m.tracer().is_empty());
+        let kinds: Vec<(Option<OpKind>, u32)> = targets(m.op_log())
+            .map(|(e, target)| (e.op.kind(), target))
+            .collect();
+        let expect = [
+            (OpKind::AnnexSet, 1),
+            (OpKind::StRemote, 1),
+            (OpKind::Fence, 0),
+            (OpKind::AckWait, 0),
+            (OpKind::LdRemote, 1),
+        ];
+        assert_eq!(kinds, expect.map(|(k, t)| (Some(k), t)));
+        assert!(m.op_log().iter().map(|e| e.cycles).sum::<u64>() > 0);
+        assert!(m.perf_chrome_trace().contains("st.remote->1"));
+        m.log_ops(false);
+        assert!(m.op_log().is_empty());
     }
 
     #[test]
-    fn re_enabling_with_less_capacity_trims_the_trace() {
-        let mut m = machine2();
-        m.enable_trace(64);
-        let mut cpu = Cpu::new(&mut m, 0);
-        for i in 0..10 {
-            cpu.st8(0x40 + 8 * i, i);
-        }
-        m.enable_trace(4);
-        Cpu::new(&mut m, 0).memory_barrier();
-        assert_eq!(m.tracer().len(), 4);
-        assert_eq!(m.tracer().dropped(), 7);
-        assert_eq!(m.tracer().events().last().unwrap().kind, OpKind::Fence);
-    }
-
-    #[test]
-    fn tracing_off_costs_nothing_and_records_nothing() {
+    fn logging_off_records_nothing() {
         let mut m = machine2();
         Cpu::new(&mut m, 0).st8(0x40, 1);
-        assert!(m.tracer().is_empty());
+        assert!(m.op_log().is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One node: Alpha core state, memory port and shell units.
 
 use crate::config::MachineConfig;
+use crate::oplog::LogEntry;
 use std::ops::{Index, IndexMut};
 use t3d_memsys::{MemArena, MemPort};
 use t3d_perf::{CostClass, OpKind, PerfAccum, OP_KINDS};
@@ -132,6 +133,9 @@ pub struct Node {
     pub perf: PerfAccum,
     /// Completions this node's waits ran past.
     pub events: EventStats,
+    /// This node's calls in the running sharded phase, while the machine
+    /// logs ops; joined into the machine's log after the phase.
+    pub(crate) oplog: Vec<LogEntry>,
 }
 
 impl Node {
@@ -150,6 +154,7 @@ impl Node {
             ops: OpStats::default(),
             perf: PerfAccum::default(),
             events: EventStats::default(),
+            oplog: Vec::new(),
         }
     }
 

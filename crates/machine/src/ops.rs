@@ -29,7 +29,7 @@
 use crate::config::MachineConfig;
 use crate::machine::{BltHandle, Machine};
 use crate::node::{Node, NodeHot};
-use crate::trace::{TraceEvent, Tracer};
+use crate::oplog::{CpuOp, LogEntry};
 use std::sync::Arc;
 use t3d_memsys::{round_u64, Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{CostClass, OpKind};
@@ -154,11 +154,10 @@ pub(crate) trait OpCore {
     fn link_busy(&self, l: usize) -> u64;
     /// Sets directed link `l`'s occupancy-until clock.
     fn set_link_busy(&mut self, l: usize, until: u64);
-    /// The trace buffer ops record into: the machine's under `Live`;
-    /// none by default, since sharded phases are not traced.
-    fn tracer(&mut self) -> Option<&mut Tracer> {
-        None
-    }
+    /// The op log calls append to: the machine's under `Live` (none
+    /// while logging is off), the shard node's under `Logged` (read only
+    /// while the phase logs).
+    fn op_log(&mut self) -> Option<&mut Vec<LogEntry>>;
 
     // ---- the remote-target policy: `target` is never the issuer ---------
 
@@ -207,10 +206,8 @@ pub(crate) trait OpCore {
         let dram = self.read_live(target, off, &mut buf);
         let old_mem = u64::from_le_bytes(buf);
         let to_mem = self.parts(pe).0.swap.exchange(old_mem);
-        self.parts(target)
-            .0
-            .port
-            .service_remote_write(off, &to_mem.to_le_bytes(), None);
+        let port = &mut self.parts(target).0.port;
+        port.service_remote_write(off, &to_mem.to_le_bytes(), None);
         (old_mem, dram)
     }
 
@@ -387,22 +384,24 @@ pub(crate) trait OpCore {
     }
 
     /// Records an op of `pe`'s that retired having begun at `start`, the
-    /// one place an op is recorded: it counts the op under `kind`,
-    /// samples `kind`'s latency lane with the cycles since `start` when
-    /// profiling is on, and traces it, acting on `target` at `addr`,
-    /// when tracing is on.
+    /// one place an op is recorded: it counts the op under `kind` and,
+    /// when profiling is on, samples `kind`'s latency lane with the
+    /// cycles since `start`.
     #[inline]
-    fn retire(&mut self, pe: usize, kind: OpKind, target: usize, addr: u64, start: u64) {
+    fn retire(&mut self, pe: usize, kind: OpKind, start: u64) {
         let (node, hot) = self.parts(pe);
-        let cycles = hot.clock - start;
         node.ops[kind] += 1;
-        node.perf.sample(kind, cycles);
-        if let Some(tracer) = self.tracer() {
-            tracer.record(TraceEvent {
+        node.perf.sample(kind, hot.clock - start);
+    }
+
+    /// Logs a call of `pe`'s that began at `start`, while the machine
+    /// logs (see [`crate::oplog`]).
+    fn log_op(&mut self, pe: usize, op: CpuOp, start: u64) {
+        let cycles = self.parts(pe).1.clock - start;
+        if let Some(log) = self.op_log() {
+            log.push(LogEntry {
                 pe: pe as u32,
-                kind,
-                target: target as u32,
-                addr,
+                op,
                 start,
                 cycles,
             });
@@ -411,7 +410,7 @@ pub(crate) trait OpCore {
 
     /// Records an op of `pe`'s that found nothing to do (a pop of an
     /// empty or unready queue, a receive with no message): it counts
-    /// under `kind` but is neither sampled nor traced.
+    /// under `kind` but is not sampled.
     fn retire_empty(&mut self, pe: usize, kind: OpKind) {
         self.parts(pe).0.ops[kind] += 1;
     }
@@ -451,17 +450,17 @@ pub(crate) trait OpCore {
 
     /// See [`crate::Cpu::annex_set`].
     fn annex_set(&mut self, pe: usize, idx: usize, entry: AnnexEntry) {
+        let target = entry.pe;
         assert!(
-            (entry.pe as usize) < self.pe_count(),
-            "annex target PE {} does not exist",
-            entry.pe
+            (target as usize) < self.pe_count(),
+            "annex target PE {target} does not exist"
         );
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
         let cost = node.annex.update(idx, entry);
         hot.clock += cost;
         node.perf.credit(CostClass::AnnexUpdate, cost);
-        self.retire(pe, OpKind::AnnexSet, entry.pe as usize, idx as u64, now);
+        self.retire(pe, OpKind::AnnexSet, now);
     }
 
     /// See [`crate::Cpu::ld`].
@@ -473,7 +472,7 @@ pub(crate) trait OpCore {
             let now = hot.clock;
             hot.clock = now + node.port.read(now, va, buf);
             self.deliver_outbox(pe);
-            self.retire(pe, OpKind::LdLocal, pe, va, now);
+            self.retire(pe, OpKind::LdLocal, now);
             return;
         }
         let line_mask = l1.line as u64 - 1;
@@ -499,7 +498,7 @@ pub(crate) trait OpCore {
             buf.copy_from_slice(&line[o..o + buf.len()]);
             hot.clock = now + cost + l1.hit_cy;
             node.perf.credit(CostClass::L1Hit, l1.hit_cy);
-            self.retire(pe, OpKind::LdRemote, target, va, now);
+            self.retire(pe, OpKind::LdRemote, now);
             return;
         }
         let shell = self.cfg().shell;
@@ -545,7 +544,7 @@ pub(crate) trait OpCore {
             buf.copy_from_slice(&line_buf[o..o + buf.len()]);
         }
         self.parts(pe).1.clock = now + cost;
-        self.retire(pe, OpKind::LdRemote, target, va, now);
+        self.retire(pe, OpKind::LdRemote, now);
     }
 
     /// See [`crate::Cpu::st`].
@@ -553,9 +552,8 @@ pub(crate) trait OpCore {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
-        let (cost, kind, target) = if aidx == 0 {
-            let cost = node.port.write(now, va, bytes);
-            (cost, OpKind::StLocal, pe)
+        let (cost, kind) = if aidx == 0 {
+            (node.port.write(now, va, bytes), OpKind::StLocal)
         } else {
             let entry = node.annex.entry(aidx);
             let target = entry.pe as usize;
@@ -578,11 +576,11 @@ pub(crate) trait OpCore {
             };
             let port = &mut self.parts(pe).0.port;
             let cost = port.write_to(now, va, bytes, WriteTarget::Remote(sink));
-            (cost, OpKind::StRemote, target)
+            (cost, OpKind::StRemote)
         };
         self.parts(pe).1.clock = now + cost;
         self.deliver_outbox(pe);
-        self.retire(pe, kind, target, va, now);
+        self.retire(pe, kind, now);
     }
 
     /// See [`crate::Cpu::memory_barrier`].
@@ -592,7 +590,7 @@ pub(crate) trait OpCore {
         node.memory_barrier(hot);
         node.prefetch.note_memory_barrier(hot.clock);
         self.deliver_outbox(pe);
-        self.retire(pe, OpKind::Fence, pe, 0, now);
+        self.retire(pe, OpKind::Fence, now);
     }
 
     /// See [`crate::Cpu::poll_status`].
@@ -602,7 +600,7 @@ pub(crate) trait OpCore {
         let (clear, cost) = node.acks.poll(now);
         hot.clock = now + cost;
         node.perf.credit(CostClass::AckWait, cost);
-        self.retire(pe, OpKind::StatusPoll, pe, 0, now);
+        self.retire(pe, OpKind::StatusPoll, now);
         clear
     }
 
@@ -611,18 +609,15 @@ pub(crate) trait OpCore {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
         node.wait_write_acks(hot);
-        self.retire(pe, OpKind::AckWait, pe, 0, now);
+        self.retire(pe, OpKind::AckWait, now);
     }
 
     /// See [`crate::Cpu::fetch`].
     fn fetch(&mut self, pe: usize, va: u64) -> bool {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
         let (node, hot) = self.parts(pe);
-        let target = if aidx == 0 {
-            pe
-        } else {
-            node.annex.entry(aidx).pe as usize
-        };
+        // Register 0 names this PE.
+        let target = node.annex.entry(aidx).pe as usize;
         let now = hot.clock;
         let tlb = node.port.tlb_access(va);
         let net = self.cfg().shell.prefetch_net_cy;
@@ -632,22 +627,15 @@ pub(crate) trait OpCore {
         let (dram, queue) = self.serve_read(pe, target, off, &mut buf, ready);
         let latency = net + 2 * one_way + dram + queue;
         let (node, hot) = self.parts(pe);
-        let issued = match node
+        // A full queue issues nothing and costs only the TLB access.
+        let issued = node
             .prefetch
-            .issue(now + tlb, u64::from_le_bytes(buf), latency)
-        {
-            Some(c) => {
-                hot.clock = now + tlb + c;
-                node.perf.credit(CostClass::PrefetchIssue, c);
-                true
-            }
-            None => {
-                hot.clock = now + tlb;
-                false
-            }
-        };
-        self.retire(pe, OpKind::Fetch, target, va, now);
-        issued
+            .issue(now + tlb, u64::from_le_bytes(buf), latency);
+        hot.clock = now + tlb + issued.unwrap_or(0);
+        node.perf
+            .credit(CostClass::PrefetchIssue, issued.unwrap_or(0));
+        self.retire(pe, OpKind::Fetch, now);
+        issued.is_some()
     }
 
     /// See [`crate::Cpu::pop_prefetch`].
@@ -656,7 +644,7 @@ pub(crate) trait OpCore {
         let now = hot.clock;
         let popped = node.pop_prefetch(hot);
         if popped.is_ok() {
-            self.retire(pe, OpKind::Pop, pe, 0, now);
+            self.retire(pe, OpKind::Pop, now);
         } else {
             self.retire_empty(pe, OpKind::Pop);
         }
@@ -685,9 +673,8 @@ pub(crate) trait OpCore {
         match dir {
             BltDirection::Read => {
                 let src = self.arena(pe, target);
-                self.parts(pe)
-                    .0
-                    .deposit_from(local_off, &src, remote_off, bytes);
+                let node = self.parts(pe).0;
+                node.deposit_from(local_off, &src, remote_off, bytes);
                 if self.cfg().link_contention {
                     self.effect(pe, link_reserve(target, inject, occ));
                 }
@@ -704,7 +691,7 @@ pub(crate) trait OpCore {
                 },
             ),
         }
-        self.blt_started(pe, target, remote_off, now, timing.startup_cy);
+        self.blt_started(pe, now, timing.startup_cy);
         BltHandle {
             completion,
             startup_cy: timing.startup_cy,
@@ -780,7 +767,7 @@ pub(crate) trait OpCore {
                 }
             }
         }
-        self.blt_started(pe, target, remote_off, now, timing.startup_cy);
+        self.blt_started(pe, now, timing.startup_cy);
         BltHandle {
             completion,
             startup_cy: timing.startup_cy,
@@ -789,11 +776,11 @@ pub(crate) trait OpCore {
     }
 
     /// Stalls `pe` for a BLT's OS startup, all `BltStartup`.
-    fn blt_started(&mut self, pe: usize, target: usize, remote_off: u64, now: u64, startup: u64) {
+    fn blt_started(&mut self, pe: usize, now: u64, startup: u64) {
         let (node, hot) = self.parts(pe);
         hot.clock = now + startup;
         node.perf.credit(CostClass::BltStartup, startup);
-        self.retire(pe, OpKind::BltStart, target, remote_off, now);
+        self.retire(pe, OpKind::BltStart, now);
     }
 
     /// See [`crate::Cpu::blt_wait`].
@@ -801,7 +788,7 @@ pub(crate) trait OpCore {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
         node.blt_wait(hot, handle.completion);
-        self.retire(pe, OpKind::BltWait, pe, 0, now);
+        self.retire(pe, OpKind::BltWait, now);
     }
 
     /// See [`crate::Cpu::msg_send`].
@@ -828,7 +815,7 @@ pub(crate) trait OpCore {
             eff: Effect::Msg(msg),
         };
         self.effect(pe, e);
-        self.retire(pe, OpKind::MsgSend, dst, 0, now);
+        self.retire(pe, OpKind::MsgSend, now);
     }
 
     /// See [`crate::Cpu::msg_receive`].
@@ -841,7 +828,7 @@ pub(crate) trait OpCore {
         };
         hot.clock = now + cost;
         node.perf.credit(CostClass::MsgRecv, cost);
-        self.retire(pe, OpKind::MsgRecv, pe, 0, now);
+        self.retire(pe, OpKind::MsgRecv, now);
         Some(msg)
     }
 
@@ -862,7 +849,7 @@ pub(crate) trait OpCore {
             eff: Effect::FetchInc { reg },
         };
         self.effect(pe, e);
-        self.retire(pe, OpKind::FetchInc, target, reg as u64, now);
+        self.retire(pe, OpKind::FetchInc, now);
         ticket
     }
 
@@ -871,24 +858,17 @@ pub(crate) trait OpCore {
         let (node, hot) = self.parts(pe);
         let now = hot.clock;
         node.swap.load(value);
-        self.retire(pe, OpKind::SwapLoad, pe, 0, now);
+        self.retire(pe, OpKind::SwapLoad, now);
     }
 
     /// See [`crate::Cpu::atomic_swap`].
     fn atomic_swap(&mut self, pe: usize, va: u64) -> u64 {
         let (aidx, off) = t3d_shell::annex::split_pa(va, self.cfg().mem.offset_bits);
-        let node = self.parts(pe).0;
-        let target = if aidx == 0 {
-            pe
-        } else {
-            let entry = node.annex.entry(aidx);
-            assert_eq!(
-                entry.func,
-                FuncCode::Swap,
-                "annex entry must select the swap flavour"
-            );
-            entry.pe as usize
-        };
+        // Register 0 names this PE; any other must select the swap flavour.
+        let entry = self.parts(pe).0.annex.entry(aidx);
+        let swap = aidx == 0 || entry.func == FuncCode::Swap;
+        assert!(swap, "annex entry must select the swap flavour");
+        let target = entry.pe as usize;
         let (old_mem, dram) = if target == pe {
             self.swap_live(pe, target, off)
         } else {
@@ -896,7 +876,7 @@ pub(crate) trait OpCore {
         };
         let now = self.parts(pe).1.clock;
         self.amo_round_trip(pe, target, dram);
-        self.retire(pe, OpKind::Swap, target, va, now);
+        self.retire(pe, OpKind::Swap, now);
         old_mem
     }
 }

@@ -37,9 +37,10 @@
 //! log a `TimedEffect`. The phase closure reaches its shard through a
 //! [`Cpu`] the driver binds to the shard's own PE, so it cannot issue
 //! ops as another PE. A shard's ops are counted and latency-sampled in
-//! its own node, like the direct engine's, but record no
-//! [`TraceEvent`](crate::TraceEvent)s: the tracer belongs to the
-//! machine, which a shard cannot reach.
+//! its own node, like the direct engine's, and, while the machine logs
+//! ops, appended to the shard's own op log; after the phase the machine
+//! joins the shard logs in PE order behind one phase entry, so the
+//! [`oplog`](crate::oplog) does not depend on the driver.
 //!
 //! When every shard has run, the logs are merged in deterministic order
 //! — `(virtual time, source PE, issue sequence)` — and applied to the
@@ -89,6 +90,7 @@ use crate::config::MachineConfig;
 use crate::cpu::Cpu;
 use crate::machine::Machine;
 use crate::node::{Node, NodeHot};
+use crate::oplog::LogEntry;
 use crate::ops::{Deposit, Effect, OpCore, TimedEffect};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -229,6 +231,8 @@ struct PhaseShared {
     links: Vec<u64>,
     /// Phase-start snapshot of every node's fetch&increment registers.
     finc: Vec<FetchIncRegs>,
+    /// Whether the shards log their calls.
+    logging: bool,
 }
 
 impl PhaseShared {
@@ -238,6 +242,7 @@ impl PhaseShared {
         nodes: &[Node],
         hot: &[NodeHot],
         links: &[u64],
+        logging: bool,
     ) -> Self {
         PhaseShared {
             cfg: *cfg,
@@ -250,6 +255,7 @@ impl PhaseShared {
             busy: hot.iter().map(|h| h.shell_busy_until).collect(),
             links: links.to_vec(),
             finc: nodes.iter().map(|n| n.fetchinc.clone()).collect(),
+            logging,
         }
     }
 }
@@ -301,6 +307,9 @@ impl OpCore for PhasePe<'_> {
     }
     fn set_link_busy(&mut self, l: usize, until: u64) {
         self.ov.link.insert(l, until);
+    }
+    fn op_log(&mut self) -> Option<&mut Vec<LogEntry>> {
+        Some(&mut self.node.oplog)
     }
     fn remote_busy(&mut self, target: usize) -> &mut u64 {
         self.ov.busy.entry(target).or_insert(self.sh.busy[target])
@@ -359,6 +368,7 @@ fn run_shards<'a, T: 'a>(
     for (pe, node, hot, state, log) in shards {
         debug_assert!(log.is_empty(), "a retained log is cleared after its merge");
         ov.clear();
+        node.oplog.clear(); // what a panicking phase left
         let mut shard = PhasePe {
             pe,
             node,
@@ -367,7 +377,7 @@ fn run_shards<'a, T: 'a>(
             ov: &mut ov,
             effects: log,
         };
-        f(&mut Cpu { m: &mut shard, pe }, state);
+        f(&mut Cpu::bind(&mut shard, pe, sh.logging), state);
     }
 }
 
@@ -510,9 +520,10 @@ impl Machine {
         // them and the next phase starts afresh.
         let mut logs = std::mem::take(&mut self.phase_logs);
         logs.resize_with(n, Vec::new);
+        let (logging, start) = (self.log.is_some(), self.clock(0));
         {
             let (cfg, torus, nodes, hot, links) = self.phase_parts();
-            let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
+            let sh = PhaseShared::capture(cfg, torus, nodes, hot, links, logging);
             let shards = shards(nodes, hot, states, &mut logs);
             match driver.threads_for(n) {
                 1 => run_shards(shards, &sh, &f),
@@ -522,6 +533,7 @@ impl Machine {
         self.apply_effects(&logs, &merge_order(&logs));
         logs.iter_mut().for_each(Vec::clear);
         self.phase_logs = logs;
+        self.log_phase(start);
     }
 
     /// Applies the shards' effects to the real nodes in merge order
@@ -898,7 +910,7 @@ mod tests {
         let mut logs: Vec<Vec<TimedEffect>> = (0..4).map(|_| Vec::new()).collect();
         {
             let (cfg, torus, nodes, hot, links) = m.phase_parts();
-            let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
+            let sh = PhaseShared::capture(cfg, torus, nodes, hot, links, false);
             let f = |cpu: &mut Cpu, (): &mut ()| tied_deposits(cpu);
             run_shards(shards(nodes, hot, &mut [(); 4], &mut logs), &sh, &f);
         }

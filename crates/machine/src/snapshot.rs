@@ -22,10 +22,7 @@
 //! single-byte divergence.
 
 use crate::machine::Machine;
-
-/// FNV-1a offset basis and prime, as in the EM3D clock fingerprint.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+use t3d_perf::{fnv1a_word, FNV_OFFSET, FNV_PRIME};
 
 /// Bytes per checksum word.
 const WORD: usize = 8;
@@ -180,30 +177,29 @@ impl MemSnapshot {
     ///
     /// The hash runs over little-endian 64-bit *words* of each node's
     /// region (a zero-padded final word if the length is not a multiple
-    /// of eight), then the clocks, using the same FNV-1a parameters as
-    /// the EM3D clock fingerprint. Word granularity keeps the hash one
-    /// multiply per eight bytes, and the zero words around each node's
-    /// captured data fold in without being visited (see the
-    /// [module docs](self)).
+    /// of eight), then the clocks, with the word step of
+    /// [`t3d_perf::fnv1a_word`], as the EM3D clock fingerprint does.
+    /// Word granularity keeps the hash one multiply per eight bytes, and
+    /// the zero words around each node's captured data fold in without
+    /// being visited (see the [module docs](self)).
     pub fn fnv64(&self) -> u64 {
-        let step = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
         let words = self.len.div_ceil(WORD);
-        let mut h = FNV_BASIS;
+        let mut h = FNV_OFFSET;
         for c in &self.mem {
             h = fold_zero_words(h, c.start / WORD);
             let mut chunks = c.data.chunks_exact(WORD);
             for w in &mut chunks {
-                h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+                h = fnv1a_word(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
             }
             let rem = chunks.remainder();
             if !rem.is_empty() {
                 let mut w = [0u8; WORD];
                 w[..rem.len()].copy_from_slice(rem);
-                h = step(h, u64::from_le_bytes(w));
+                h = fnv1a_word(h, u64::from_le_bytes(w));
             }
             h = fold_zero_words(h, words - c.span().end.div_ceil(WORD));
         }
-        self.clocks.iter().fold(h, |h, &c| step(h, c))
+        self.clocks.iter().fold(h, |h, &c| fnv1a_word(h, c))
     }
 
     /// Like [`MemSnapshot::diff`] but ignoring clocks — the comparison
@@ -416,8 +412,8 @@ mod tests {
     /// (the last zero-padded), then the clocks: the checksum as
     /// documented, computed here from `peek_mem` bytes.
     fn dense_fnv(mems: &[Vec<u8>], clocks: &[u64]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut step = |w: u64| h = (h ^ w).wrapping_mul(0x100_0000_01b3);
+        let mut h = FNV_OFFSET;
+        let mut step = |w: u64| h = fnv1a_word(h, w);
         for m in mems {
             for c in m.chunks(8) {
                 let mut w = [0u8; 8];

@@ -92,7 +92,7 @@ fn va_split_roundtrip() {
     for idx in [0usize, 1, 17, 31] {
         for off in [0u64, 8, 0x7FF_FFF8] {
             let va = m.va(idx, off);
-            assert_eq!(m.split_va(va), (idx, off));
+            assert_eq!(t3d_shell::annex::split_pa(va, m.offset_bits()), (idx, off));
         }
     }
 }

@@ -1,48 +1,48 @@
 //! Op-record audit: every architectural operation a [`Cpu`] or the
 //! [`Machine`] issues is recorded exactly once, under one [`OpKind`] —
-//! one count, one latency sample (profiling on) and one trace event
-//! (tracing on) per invocation. No silent ops, and the three records
-//! agree.
+//! one count, one latency sample (profiling on) and one op-log entry
+//! (logging on) per invocation, on the direct engine and inside sharded
+//! phases. No silent ops, and the three records agree.
 //!
 //! This pins the paths that once recorded nothing: remote loads
 //! satisfied by a stale L1 line, `poll_status`, `blt_wait`, `annex_set`,
 //! `swap_load` and the fuzzy barrier pair. The one pinned difference:
 //! a failed pop and an empty receive perform no operation, so they are
-//! counted but neither sampled nor traced.
+//! counted and logged but not sampled.
 
+use t3d_machine::oplog::targets;
 use t3d_machine::shell::blt::BltDirection;
 use t3d_machine::shell::FuncCode;
-use t3d_machine::{Cpu, Machine, MachineConfig, OpKind, PerfMode, PhaseDriver};
+use t3d_machine::{Cpu, LogEntry, Machine, MachineConfig, OpKind, OpStats, PerfMode, PhaseDriver};
 
-/// Trace events of `kind` acting on `target`.
-fn traced(m: &Machine, kind: OpKind, target: u32) -> usize {
-    m.tracer()
-        .events()
-        .filter(|e| e.kind == kind && e.target == target)
+/// Log entries of `kind` acting on `target`.
+fn logged(m: &Machine, kind: OpKind, target: u32) -> usize {
+    targets(m.op_log())
+        .filter(|(e, t)| e.op.kind() == Some(kind) && *t == target)
         .count()
 }
 
 /// `kind`'s three records over the whole machine: `(counted, sampled,
-/// traced)`.
+/// logged)`.
 fn records(m: &Machine, kind: OpKind) -> (u64, u64, u64) {
     let counted = (0..m.nodes()).map(|pe| m.op_stats(pe)[kind]).sum();
     let sampled = (0..m.nodes())
         .map(|pe| m.node(pe).perf.hists().unwrap().get(kind).count())
         .sum();
-    let traced = m.tracer().events().filter(|e| e.kind == kind).count();
-    (counted, sampled, traced as u64)
+    let logged = m.op_log().iter().filter(|e| e.op.kind() == Some(kind));
+    (counted, sampled, logged.count() as u64)
 }
 
-/// A two-PE machine with profiling and tracing both on.
+/// A two-PE machine with profiling and logging both on.
 fn recording_machine() -> Machine {
     let mut m = Machine::new(MachineConfig::t3d(2));
     m.set_perf_mode(PerfMode::Counters);
-    m.enable_trace(4096);
+    m.log_ops(true);
     m
 }
 
 #[test]
-fn every_op_is_counted_sampled_and_traced_exactly_once() {
+fn every_op_is_counted_sampled_and_logged_exactly_once() {
     let mut m = recording_machine();
     let mut expected = 0usize;
 
@@ -52,7 +52,7 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     cpu.annex_set(2, 1, FuncCode::Cached);
     cpu.annex_set(3, 1, FuncCode::Swap);
     expected += 3;
-    assert_eq!(traced(&m, OpKind::AnnexSet, 1), 3);
+    assert_eq!(logged(&m, OpKind::AnnexSet, 1), 3);
 
     // Loads: local, remote uncached, remote cached (fill), and the
     // once-silent path — a remote load satisfied by the resident line.
@@ -62,9 +62,9 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     let _ = cpu.ld8(cpu.va(2, 0x200));
     let _ = cpu.ld8(cpu.va(2, 0x200)); // L1 hit: early return must still record
     expected += 4;
-    assert_eq!(traced(&m, OpKind::LdLocal, 0), 1);
+    assert_eq!(logged(&m, OpKind::LdLocal, 0), 1);
     assert_eq!(
-        traced(&m, OpKind::LdRemote, 1),
+        logged(&m, OpKind::LdRemote, 1),
         3,
         "the L1-hit early return must record a remote load too"
     );
@@ -74,8 +74,8 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     cpu.st8(0x48, 7);
     cpu.st8(cpu.va(1, 0x108), 9);
     expected += 2;
-    assert_eq!(traced(&m, OpKind::StLocal, 0), 1);
-    assert_eq!(traced(&m, OpKind::StRemote, 1), 1);
+    assert_eq!(logged(&m, OpKind::StLocal, 0), 1);
+    assert_eq!(logged(&m, OpKind::StRemote, 1), 1);
 
     // Fence / status machinery.
     let mut cpu = Cpu::new(&mut m, 0);
@@ -83,9 +83,9 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     let _ = cpu.poll_status();
     cpu.wait_write_acks();
     expected += 3;
-    assert_eq!(traced(&m, OpKind::Fence, 0), 1);
-    assert_eq!(traced(&m, OpKind::StatusPoll, 0), 1);
-    assert_eq!(traced(&m, OpKind::AckWait, 0), 1);
+    assert_eq!(logged(&m, OpKind::Fence, 0), 1);
+    assert_eq!(logged(&m, OpKind::StatusPoll, 0), 1);
+    assert_eq!(logged(&m, OpKind::AckWait, 0), 1);
 
     // Prefetch issue + pop (fence in between so the pop succeeds).
     let mut cpu = Cpu::new(&mut m, 0);
@@ -93,8 +93,8 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     cpu.memory_barrier();
     let _ = cpu.pop_prefetch().unwrap();
     expected += 3; // fetch + fence + pop
-    assert_eq!(traced(&m, OpKind::Fetch, 1), 1);
-    assert_eq!(traced(&m, OpKind::Pop, 0), 1);
+    assert_eq!(logged(&m, OpKind::Fetch, 1), 1);
+    assert_eq!(logged(&m, OpKind::Pop, 0), 1);
 
     // BLT: start (contiguous + strided) and the completion waits.
     let mut cpu = Cpu::new(&mut m, 0);
@@ -103,9 +103,9 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     let hs = cpu.blt_start_strided(BltDirection::Read, 0x3000, 1, 0x4000, 4, 8, 64);
     cpu.blt_wait(hs);
     expected += 4;
-    assert_eq!(traced(&m, OpKind::BltStart, 1), 2);
+    assert_eq!(logged(&m, OpKind::BltStart, 1), 2);
     assert_eq!(
-        traced(&m, OpKind::BltWait, 0),
+        logged(&m, OpKind::BltWait, 0),
         2,
         "BLT completion waits must be recorded"
     );
@@ -115,9 +115,9 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     let mut rx = Cpu::new(&mut m, 1);
     rx.advance(1_000_000);
     let _ = rx.msg_receive().unwrap();
-    expected += 2;
-    assert_eq!(traced(&m, OpKind::MsgSend, 1), 1);
-    assert_eq!(traced(&m, OpKind::MsgRecv, 1), 1);
+    expected += 3; // the advance is logged too, under no kind
+    assert_eq!(logged(&m, OpKind::MsgSend, 1), 1);
+    assert_eq!(logged(&m, OpKind::MsgRecv, 1), 1);
 
     // Atomics: fetch&inc, swap-register load, atomic swap.
     let mut cpu = Cpu::new(&mut m, 0);
@@ -125,17 +125,17 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     cpu.swap_load(5);
     let _ = cpu.atomic_swap(cpu.va(3, 0x400));
     expected += 3;
-    assert_eq!(traced(&m, OpKind::FetchInc, 1), 1);
-    assert_eq!(traced(&m, OpKind::SwapLoad, 0), 1);
-    assert_eq!(traced(&m, OpKind::Swap, 1), 1);
+    assert_eq!(logged(&m, OpKind::FetchInc, 1), 1);
+    assert_eq!(logged(&m, OpKind::SwapLoad, 0), 1);
+    assert_eq!(logged(&m, OpKind::Swap, 1), 1);
 
     // Fuzzy barrier: one start per node; the end is a barrier episode.
     m.fuzzy_barrier_start(0);
     m.fuzzy_barrier_start(1);
     m.fuzzy_barrier_end_all();
     expected += 4;
-    assert_eq!(traced(&m, OpKind::BarrierStart, 0), 1);
-    assert_eq!(traced(&m, OpKind::BarrierStart, 1), 1);
+    assert_eq!(logged(&m, OpKind::BarrierStart, 0), 1);
+    assert_eq!(logged(&m, OpKind::BarrierStart, 1), 1);
     assert_eq!(records(&m, OpKind::Barrier).2, 2);
 
     // Hardware barrier: fences every node (one fence each) and records
@@ -146,42 +146,44 @@ fn every_op_is_counted_sampled_and_traced_exactly_once() {
     assert_eq!(records(&m, OpKind::Fence).2, 4);
 
     // The whole stream is accounted for: nothing silent, nothing extra.
-    assert_eq!(m.tracer().dropped(), 0);
-    assert_eq!(m.tracer().len(), expected, "{}", m.tracer().dump());
+    assert_eq!(m.op_log().len(), expected, "{:#?}", m.op_log());
 
     // Every kind was issued, and its three records agree.
     for kind in OpKind::ALL {
-        let (counted, sampled, traced) = records(&m, kind);
+        let (counted, sampled, logged) = records(&m, kind);
         assert!(counted > 0, "{kind:?} was never issued");
-        assert_eq!((sampled, traced), (counted, counted), "{kind:?}");
+        assert_eq!((sampled, logged), (counted, counted), "{kind:?}");
     }
 }
 
 #[test]
-fn failed_pop_and_empty_receive_are_counted_but_not_sampled_or_traced() {
+fn failed_pop_and_empty_receive_are_counted_and_logged_but_not_sampled() {
     // A pop that returns NotDeparted/Empty and a receive that finds no
-    // message perform no operation: the sample and the trace stay
-    // op-accurate by leaving them out, while the count keeps every
-    // attempt (the allreduce patterns spin on empty receives).
+    // message perform no operation: the sample stays op-accurate by
+    // leaving them out, while the count and the log keep every attempt
+    // (the allreduce patterns spin on empty receives), each logged call
+    // taking no cycles.
     let mut m = recording_machine();
     let mut cpu = Cpu::new(&mut m, 0);
     assert!(cpu.pop_prefetch().is_err());
     assert!(cpu.msg_receive().is_none());
     assert!(cpu.msg_receive().is_none());
-    assert_eq!(records(&m, OpKind::Pop), (1, 0, 0));
-    assert_eq!(records(&m, OpKind::MsgRecv), (2, 0, 0));
-    assert!(m.tracer().is_empty());
+    assert_eq!(records(&m, OpKind::Pop), (1, 0, 1));
+    assert_eq!(records(&m, OpKind::MsgRecv), (2, 0, 2));
+    assert!(m.op_log().iter().all(|e| e.cycles == 0));
     let ops = m.perf().registry;
     assert_eq!(ops.counter("ops.pop"), 1);
     assert_eq!(ops.counter("ops.msg.recv"), 2);
     assert!(ops.hist("lat.pop").is_none());
 }
 
-/// Every PE's op counts after a sharded phase of every op kind a shard
-/// may issue, under `driver`.
-fn sharded_counts(driver: PhaseDriver) -> Vec<t3d_machine::OpStats> {
+/// Every PE's op counts and the op log after a sharded phase of every
+/// op kind a shard may issue, under `driver`; checks every kind's count
+/// against its samples and log entries.
+fn sharded_records(driver: PhaseDriver) -> (Vec<OpStats>, Vec<LogEntry>) {
     let mut m = Machine::new(MachineConfig::t3d(8));
     m.set_perf_mode(PerfMode::Counters);
+    m.log_ops(true);
     m.sharded_phase(driver, |cpu| {
         let pe = cpu.pe();
         let right = (pe + 1) % cpu.nodes();
@@ -205,16 +207,35 @@ fn sharded_counts(driver: PhaseDriver) -> Vec<t3d_machine::OpStats> {
         cpu.swap_load(pe as u64);
         let _ = cpu.atomic_swap(0x400); // a shard swaps only locally
     });
-    (0..m.nodes()).map(|pe| m.op_stats(pe)).collect()
+    for kind in OpKind::ALL {
+        let (counted, sampled, logged) = records(&m, kind);
+        // Per PE: one empty pop and one empty receive, never sampled.
+        let empty = if matches!(kind, OpKind::Pop | OpKind::MsgRecv) {
+            8
+        } else {
+            0
+        };
+        assert_eq!((sampled + empty, logged), (counted, counted), "{kind:?}");
+    }
+    let counts = (0..m.nodes()).map(|pe| m.op_stats(pe)).collect();
+    (counts, m.op_log().to_vec())
 }
 
 #[test]
-fn sharded_op_counts_match_across_drivers() {
-    let seq = sharded_counts(PhaseDriver::Seq);
-    assert_eq!(seq[3][OpKind::Pop], 2, "the empty pop counts");
-    assert_eq!(seq[3][OpKind::Fence], 2);
-    assert_eq!(seq[3][OpKind::MsgRecv], 1, "the empty receive counts");
+fn sharded_ops_are_recorded_identically_under_every_driver() {
+    let (counts, log) = sharded_records(PhaseDriver::Seq);
+    assert_eq!(counts[3][OpKind::Pop], 2, "the empty pop counts");
+    assert_eq!(counts[3][OpKind::Fence], 2);
+    assert_eq!(counts[3][OpKind::MsgRecv], 1, "the empty receive counts");
+    // One phase entry, then every shard's calls in PE order.
+    assert_eq!(log[0].op, t3d_machine::CpuOp::Phase(log.len() - 1));
+    assert!(log[1..].windows(2).all(|w| w[0].pe <= w[1].pe));
+    assert_eq!(log.iter().filter(|e| e.pe == 3).count(), 19);
     for driver in [PhaseDriver::Par(2), PhaseDriver::Par(3)] {
-        assert_eq!(sharded_counts(driver), seq, "{driver:?}");
+        assert_eq!(
+            sharded_records(driver),
+            (counts.clone(), log.clone()),
+            "{driver:?}"
+        );
     }
 }

@@ -41,17 +41,6 @@ pub struct PortStats {
     pub tlb_misses: u64,
 }
 
-impl PortStats {
-    /// Load hit ratio (0..1); zero when no loads were issued.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.l1_hits + self.l1_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l1_hits as f64 / total as f64
-        }
-    }
-}
 use crate::dram::Dram;
 use crate::l2::L2Cache;
 use crate::tlb::Tlb;
@@ -759,7 +748,6 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.l1_misses, 64);
         assert_eq!(s.l1_hits, 192);
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-9);
         // Same-line stores merge (issue outpaces nothing: no stalls)...
         p.clear_stats();
         for i in 0..64u64 {

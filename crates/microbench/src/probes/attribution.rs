@@ -41,32 +41,66 @@ impl PartialEq for ScenarioRun {
     }
 }
 
-/// One named attribution scenario.
+/// One named attribution scenario: a program run on a fresh machine of
+/// its own size.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
     /// Stable name (the key in `BENCH_micro.json`).
     pub name: &'static str,
-    /// Runs the scenario under the given phase driver, returning the
-    /// attribution report and checksum. The driver is a bit-identity
-    /// contract; scenarios that never enter a sharded phase ignore it.
-    pub run: fn(PhaseDriver) -> ScenarioRun,
+    /// PEs of the scenario's machine.
+    pes: u32,
+    /// Bytes of memory per node.
+    mem: usize,
+    /// The program: runs on the machine under the given phase driver
+    /// and hands it back. The driver is a bit-identity contract;
+    /// scenarios that never enter a sharded phase ignore it.
+    body: fn(Machine, PhaseDriver) -> Machine,
+}
+
+impl Scenario {
+    /// A fresh machine for the scenario, profiling on.
+    pub fn machine(&self) -> Machine {
+        let mut m = Machine::new(MachineConfig::t3d_with_mem(self.pes, self.mem));
+        m.set_perf_mode(PerfMode::Counters);
+        m
+    }
+
+    /// Runs the scenario on `m`, a machine fresh from
+    /// [`Scenario::machine`] (one that logs its ops, say), and returns
+    /// it.
+    pub fn run_on(&self, m: Machine, driver: PhaseDriver) -> Machine {
+        (self.body)(m, driver)
+    }
+
+    /// Runs the scenario on a fresh machine under `driver`, returning
+    /// the attribution report and checksum.
+    pub fn run(&self, driver: PhaseDriver) -> ScenarioRun {
+        let t = std::time::Instant::now();
+        let m = self.machine();
+        let setup = t.elapsed().as_secs_f64();
+        ScenarioRun::of(&self.run_on(m, driver), setup)
+    }
 }
 
 /// Every scenario confines its traffic to the first megabyte of each
 /// node, so the checksum region covers all bytes any of them can touch.
 const SNAP_BYTES: u64 = 1 << 20;
 
-/// Captures the scenario's result: report plus state fingerprint. The
-/// snapshot copy and FNV pass touch [`SNAP_BYTES`] per PE — on a tiny
-/// scenario that verification sweep, not the simulation, dominates the
-/// host wall time — so its host seconds join the excluded overhead.
-fn finish(m: &Machine, setup_secs: f64) -> ScenarioRun {
-    let t = std::time::Instant::now();
-    let checksum = m.snapshot_region(0, SNAP_BYTES).fnv64();
-    ScenarioRun {
-        report: m.perf(),
-        checksum,
-        setup_secs: setup_secs + t.elapsed().as_secs_f64(),
+impl ScenarioRun {
+    /// Captures a scenario's result on `m`: report plus state
+    /// fingerprint, after `setup_secs` of setup. The snapshot copy and
+    /// FNV pass touch the first megabyte of each PE — on a tiny
+    /// scenario that verification sweep, not the simulation, dominates
+    /// the host wall time — so its host seconds join the excluded
+    /// overhead.
+    pub fn of(m: &Machine, setup_secs: f64) -> ScenarioRun {
+        let t = std::time::Instant::now();
+        let checksum = m.snapshot_region(0, SNAP_BYTES).fnv64();
+        ScenarioRun {
+            report: m.perf(),
+            checksum,
+            setup_secs: setup_secs + t.elapsed().as_secs_f64(),
+        }
     }
 }
 
@@ -75,55 +109,81 @@ pub fn all() -> &'static [Scenario] {
     &[
         Scenario {
             name: "local.read.stream",
-            run: local_read_stream,
+            pes: 1,
+            mem: NODE_MEM,
+            body: local_read_stream,
         },
         Scenario {
             name: "local.write.burst",
-            run: local_write_burst,
+            pes: 1,
+            mem: NODE_MEM,
+            body: local_write_burst,
         },
         Scenario {
             name: "remote.read.uncached",
-            run: remote_read_uncached,
+            pes: 2,
+            mem: NODE_MEM,
+            body: remote_read_uncached,
         },
         Scenario {
             name: "remote.read.cached",
-            run: remote_read_cached,
+            pes: 2,
+            mem: NODE_MEM,
+            body: remote_read_cached,
         },
         Scenario {
             name: "remote.write.block",
-            run: remote_write_block,
+            pes: 2,
+            mem: NODE_MEM,
+            body: remote_write_block,
         },
         Scenario {
             name: "remote.write.pipeline",
-            run: remote_write_pipeline,
+            pes: 2,
+            mem: NODE_MEM,
+            body: remote_write_pipeline,
         },
         Scenario {
             name: "prefetch.pipeline",
-            run: prefetch_pipeline,
+            pes: 2,
+            mem: NODE_MEM,
+            body: prefetch_pipeline,
         },
         Scenario {
             name: "bulk.blt",
-            run: bulk_blt,
+            pes: 2,
+            mem: NODE_MEM,
+            body: bulk_blt,
         },
         Scenario {
             name: "sync.barrier",
-            run: sync_barrier,
+            pes: 4,
+            mem: NODE_MEM,
+            body: sync_barrier,
         },
         Scenario {
             name: "sync.fetchinc",
-            run: sync_fetchinc,
+            pes: 2,
+            mem: NODE_MEM,
+            body: sync_fetchinc,
         },
         Scenario {
             name: "msg.pingpong",
-            run: msg_pingpong,
+            pes: 2,
+            mem: NODE_MEM,
+            body: msg_pingpong,
         },
         Scenario {
             name: "phase.exchange",
-            run: phase_exchange,
+            pes: 4,
+            mem: NODE_MEM,
+            body: phase_exchange,
         },
         Scenario {
             name: "splitc.getput",
-            run: splitc_getput,
+            pes: 4,
+            mem: FULL_MEM,
+            body: splitc_getput,
         },
     ]
 }
@@ -135,12 +195,10 @@ pub fn all() -> &'static [Scenario] {
 /// unaffected — the throughput bench's cycle gate pins that).
 const NODE_MEM: usize = 2 << 20;
 
-fn machine(pes: u32) -> (Machine, f64) {
-    let t = std::time::Instant::now();
-    let mut m = Machine::new(MachineConfig::t3d_with_mem(pes, NODE_MEM));
-    m.set_perf_mode(PerfMode::Counters);
-    (m, t.elapsed().as_secs_f64())
-}
+/// A full-size 16 MB T3D node, for the Split-C runtime: it anchors its
+/// active-message region at the top of memory, so shrinking node memory
+/// would move those addresses and change DRAM timing.
+const FULL_MEM: usize = 16 << 20;
 
 fn aim(cpu: &mut Cpu, target: u32, func: FuncCode) -> u64 {
     cpu.annex_set(1, target, func);
@@ -149,8 +207,7 @@ fn aim(cpu: &mut Cpu, target: u32, func: FuncCode) -> u64 {
 
 /// Strided local reads: a miss pass over 16 KB, then a hit pass over the
 /// resident prefix — L1 hits, DRAM page hits and misses all appear.
-fn local_read_stream(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(1);
+fn local_read_stream(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     for i in 0..512u64 {
         let _ = cpu.ld8(i * 32);
@@ -158,13 +215,12 @@ fn local_read_stream(_d: PhaseDriver) -> ScenarioRun {
     for i in 0..256u64 {
         let _ = cpu.ld8(i * 8);
     }
-    finish(&m, setup)
+    m
 }
 
 /// Local write bursts: merging stores within a line, page-hopping stores
 /// that stall the write buffer, and the drain at the barrier.
-fn local_write_burst(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(1);
+fn local_write_burst(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     for i in 0..128u64 {
         cpu.st8(i * 8, i);
@@ -173,36 +229,33 @@ fn local_write_burst(_d: PhaseDriver) -> ScenarioRun {
         cpu.st8(i * 16 * 1024, i);
     }
     cpu.memory_barrier();
-    finish(&m, setup)
+    m
 }
 
 /// The Figure 4 uncached probe, attributed: shell launch, network and
 /// remote DRAM should dominate.
-fn remote_read_uncached(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn remote_read_uncached(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for i in 0..64u64 {
         let _ = cpu.ld8(base + i * 64);
     }
-    finish(&m, setup)
+    m
 }
 
 /// Cached remote reads at word stride: one line fill amortized over
 /// three L1 hits.
-fn remote_read_cached(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn remote_read_cached(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     let base = aim(&mut cpu, 1, FuncCode::Cached);
     for i in 0..256u64 {
         let _ = cpu.ld8(base + i * 8);
     }
-    finish(&m, setup)
+    m
 }
 
 /// Blocking remote writes: store, fence, ack wait — every iteration.
-fn remote_write_block(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn remote_write_block(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for i in 0..32u64 {
@@ -210,13 +263,12 @@ fn remote_write_block(_d: PhaseDriver) -> ScenarioRun {
         cpu.memory_barrier();
         cpu.wait_write_acks();
     }
-    finish(&m, setup)
+    m
 }
 
 /// Pipelined remote writes (Figure 7's put idiom): a burst of stores,
 /// one fence, one ack wait.
-fn remote_write_pipeline(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn remote_write_pipeline(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for i in 0..64u64 {
@@ -224,12 +276,11 @@ fn remote_write_pipeline(_d: PhaseDriver) -> ScenarioRun {
     }
     cpu.memory_barrier();
     cpu.wait_write_acks();
-    finish(&m, setup)
+    m
 }
 
 /// Prefetch groups (Figure 6's group-of-4 sweep): issue, fence, pop.
-fn prefetch_pipeline(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn prefetch_pipeline(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     let base = aim(&mut cpu, 1, FuncCode::Uncached);
     for g in 0..16u64 {
@@ -244,46 +295,42 @@ fn prefetch_pipeline(_d: PhaseDriver) -> ScenarioRun {
             cpu.pop_prefetch().expect("fetched values must pop");
         }
     }
-    finish(&m, setup)
+    m
 }
 
 /// One BLT block write and its completion wait.
-fn bulk_blt(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn bulk_blt(mut m: Machine, _d: PhaseDriver) -> Machine {
     for i in 0..512u64 {
         m.poke_mem(0, 0x8000 + i * 8, &i.to_le_bytes());
     }
     let mut cpu = Cpu::new(&mut m, 0);
     let h = cpu.blt_start(BltDirection::Write, 0x8000, 1, 0x8000, 4096);
     cpu.blt_wait(h);
-    finish(&m, setup)
+    m
 }
 
 /// Skewed barrier episodes: overhead plus wait for the laggard.
-fn sync_barrier(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(4);
+fn sync_barrier(mut m: Machine, _d: PhaseDriver) -> Machine {
     for round in 0..8u64 {
         for pe in 0..4usize {
             Cpu::new(&mut m, pe).advance(50 + (pe as u64) * 37 + round * 11);
         }
         m.barrier_all();
     }
-    finish(&m, setup)
+    m
 }
 
 /// Fetch&increment tickets against a remote register.
-fn sync_fetchinc(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn sync_fetchinc(mut m: Machine, _d: PhaseDriver) -> Machine {
     let mut cpu = Cpu::new(&mut m, 0);
     for _ in 0..32 {
         let _ = cpu.fetch_inc(1, 0);
     }
-    finish(&m, setup)
+    m
 }
 
 /// Message ping-pong: the 122-cycle PAL send and the receive dispatch.
-fn msg_pingpong(_d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(2);
+fn msg_pingpong(mut m: Machine, _d: PhaseDriver) -> Machine {
     for round in 0..8u64 {
         Cpu::new(&mut m, 0).msg_send(1, [round, 0, 0, 0]);
         let target = m.clock(0) + 10_000;
@@ -296,13 +343,12 @@ fn msg_pingpong(_d: PhaseDriver) -> ScenarioRun {
         tx.advance(target.saturating_sub(tx.clock()));
         tx.msg_receive().expect("pong arrived");
     }
-    finish(&m, setup)
+    m
 }
 
 /// A bulk-synchronous neighbour exchange through the sharded engine —
 /// the scenario that exercises the parallel driver's attribution.
-fn phase_exchange(d: PhaseDriver) -> ScenarioRun {
-    let (mut m, setup) = machine(4);
+fn phase_exchange(mut m: Machine, d: PhaseDriver) -> Machine {
     for _ in 0..4 {
         m.sharded_phase(d, |cpu| {
             let pe = cpu.pe();
@@ -322,16 +368,12 @@ fn phase_exchange(d: PhaseDriver) -> ScenarioRun {
         });
         m.barrier_all();
     }
-    finish(&m, setup)
+    m
 }
 
 /// Split-C gets and puts through the parallel phase driver.
-fn splitc_getput(d: PhaseDriver) -> ScenarioRun {
-    // Full-size nodes: the Split-C runtime anchors its active-message
-    // region at the top of memory, so shrinking node memory would move
-    // those addresses and change DRAM timing.
-    let t = std::time::Instant::now();
-    let mut sc = SplitC::new(MachineConfig::t3d(4));
+fn splitc_getput(m: Machine, d: PhaseDriver) -> Machine {
+    let mut sc = SplitC::from_machine(m);
     let src = sc.alloc(256, 8);
     let dst = sc.alloc(256, 8);
     for pe in 0..4usize {
@@ -339,8 +381,6 @@ fn splitc_getput(d: PhaseDriver) -> ScenarioRun {
             sc.machine().poke8(pe, src + i * 8, pe as u64 * 100 + i);
         }
     }
-    sc.machine().set_perf_mode(PerfMode::Counters);
-    let setup = t.elapsed().as_secs_f64();
     for _ in 0..2 {
         sc.par_phase_with(d, |ctx| {
             let right = ((ctx.pe() + 1) % ctx.nodes()) as u32;
@@ -353,7 +393,7 @@ fn splitc_getput(d: PhaseDriver) -> ScenarioRun {
         });
         sc.barrier();
     }
-    finish(sc.machine_ref(), setup)
+    sc.into_machine()
 }
 
 #[cfg(test)]
@@ -363,7 +403,7 @@ mod tests {
     #[test]
     fn every_scenario_attributes_something() {
         for s in all() {
-            let run = (s.run)(PhaseDriver::Seq);
+            let run = s.run(PhaseDriver::Seq);
             assert!(run.report.total() > 0, "{} attributed no cycles", s.name);
             assert_ne!(run.checksum, 0, "{} produced no fingerprint", s.name);
         }
@@ -373,7 +413,7 @@ mod tests {
     fn remote_scenarios_show_remote_cycles() {
         for name in ["remote.read.uncached", "remote.write.block", "bulk.blt"] {
             let s = all().iter().find(|s| s.name == name).unwrap();
-            let report = (s.run)(PhaseDriver::Seq).report;
+            let report = s.run(PhaseDriver::Seq).report;
             assert!(
                 report.remote_share() > 0.2,
                 "{name} remote share {:.2}",

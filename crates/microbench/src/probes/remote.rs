@@ -52,7 +52,7 @@ fn probe_raw_cell(m: &mut Machine, op: RemoteOp, size: u64, stride: u64) -> f64 
         // Cached reads must not be satisfied by the previous pass's
         // lines: flush, as the real probe effectively does by sizing.
         if op == RemoteOp::CachedRead {
-            cpu.node_mut().port.l1_mut().invalidate_all();
+            cpu.invalidate_l1();
         }
         let t0 = cpu.clock();
         let mut accesses = 0u64;

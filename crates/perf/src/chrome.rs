@@ -12,7 +12,7 @@ pub struct Span {
     /// Event name shown on the slice.
     pub name: String,
     /// Category (Chrome lets the viewer filter on it); e.g. `"event"`
-    /// for tracer events, `"phase"` for program phases.
+    /// for op-log slices, `"phase"` for program phases.
     pub cat: String,
     /// Track id: the PE number for per-PE rows, or a large sentinel for
     /// machine-wide rows (phases, barriers).

@@ -46,6 +46,7 @@
 pub mod bench;
 pub mod chrome;
 pub mod cli;
+pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod ledger;
@@ -56,6 +57,7 @@ pub mod throughput;
 
 pub use bench::{compare, BenchDoc, BenchEntry};
 pub use chrome::{chrome_trace, Span};
+pub use fnv::{fnv1a, fnv1a_word, FNV_OFFSET, FNV_PRIME};
 pub use hist::Hist;
 pub use ledger::{CostClass, Ledger, OpHists, OpKind, PerfAccum, COST_CLASSES, OP_KINDS};
 pub use reference::Reference;

@@ -44,11 +44,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Reads a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Reads a histogram.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
@@ -183,7 +178,7 @@ mod tests {
         b.observe("lat.ld.remote", 87);
         a.merge(&b);
         assert_eq!(a.counter("ops.reads"), 15);
-        assert_eq!(a.gauge_value("wbuf.pending"), Some(7));
+        assert_eq!(a.gauges().collect::<Vec<_>>(), [("wbuf.pending", 7)]);
         assert_eq!(a.hist("lat.ld.remote").unwrap().count(), 2);
     }
 

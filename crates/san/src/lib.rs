@@ -17,9 +17,9 @@
 //!   lock transfer — plus shadow write records per address range. Reads
 //!   are checked against un-synced or vector-clock-concurrent writes.
 //! * The **trace scanner** ([`trace_scan::scan_trace`]) runs the same
-//!   checks, more coarsely, straight over the machine's architectural
-//!   trace (`t3d_machine::TraceEvent`) — useful for raw shell programs
-//!   that never go through the runtime.
+//!   checks straight over the machine's op log
+//!   (`t3d_machine::oplog`), with each access's exact byte span —
+//!   useful for raw shell programs that never go through the runtime.
 //!
 //! Enable it through `SplitcConfig::sanitize` or the `T3D_SAN`
 //! environment variable (`1`/`collect` to collect, `2`/`panic` to abort

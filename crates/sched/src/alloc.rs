@@ -194,15 +194,6 @@ impl PartitionAllocator {
             }
         }
     }
-
-    /// Whether an allocation of `pe_count` PEs would currently succeed
-    /// (without performing it).
-    pub fn would_fit(&self, pe_count: u32) -> bool {
-        let want = u64::from(pe_count.max(1)).next_power_of_two();
-        let order = want.trailing_zeros();
-        order <= self.max_order
-            && (order..=self.max_order).any(|k| !self.free[k as usize].is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -218,10 +209,8 @@ mod tests {
         let b = a.alloc(32).expect("whole machine fits");
         assert_eq!(b.pes(), 32);
         assert_eq!(a.free_pes(), 0);
-        assert!(!a.would_fit(1));
         a.free(b);
         assert_eq!(a.free_pes(), 32);
-        assert!(a.would_fit(32));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use splitc::{GlobalPtr, SplitC};
 use t3d_machine::{Cpu, MachineConfig, PhaseDriver};
 use t3d_prng::Rng;
 
-use crate::metrics::fnv1a;
+use crate::metrics::{fnv1a, FNV_OFFSET};
 
 /// Node memory for kernel machines: none of the kernels at scheduler
 /// sizes touches more than a few hundred kilobytes per PE, and smaller
@@ -312,7 +312,7 @@ pub fn run_stencil(
 
     // Self-check + fingerprint over the final field.
     let mut total = 0.0;
-    let mut fnv = fnv1a(0xcbf2_9ce4_8422_2325, &[]);
+    let mut fnv = FNV_OFFSET;
     for p in 0..nodes {
         for i in 1..=cells {
             let bits = sc.machine().peek8(p, cell_base + i * 8);
@@ -523,7 +523,7 @@ pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSort
     total.sort_unstable();
     assert_eq!(total, expected, "sample sort must be a sorting permutation");
 
-    let mut fnv = fnv1a(0xcbf2_9ce4_8422_2325, &[]);
+    let mut fnv = FNV_OFFSET;
     for k in &total {
         fnv = fnv1a(fnv, &k.to_le_bytes());
     }
@@ -697,7 +697,7 @@ pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
     let x_ref = thomas_tridiag(&b_host);
     let scale = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
     let mut max_rel_err = 0.0f64;
-    let mut fnv = fnv1a(0xcbf2_9ce4_8422_2325, &[]);
+    let mut fnv = FNV_OFFSET;
     for pe in 0..pe_count as usize {
         for i in 0..local_n {
             let gi = pe as u64 * local_n + i;

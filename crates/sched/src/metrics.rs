@@ -8,20 +8,9 @@
 
 use t3d_perf::hist::Hist;
 
-/// One FNV-1a step over `bytes`, continuing from `state`. Seed with
-/// [`FNV_OFFSET`]; the scheduler chains every job's ledger entry
-/// through one running state to fingerprint the whole run.
-pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The byte-step FNV-1a the scheduler chains every job's ledger entry
+/// through, from [`FNV_OFFSET`], to fingerprint the whole run.
+pub use t3d_perf::{fnv1a, FNV_OFFSET};
 
 /// A histogram compressed to the figures a BENCH document keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,21 +95,6 @@ impl FleetMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn fnv_chains() {
-        let whole = fnv1a(FNV_OFFSET, b"foobar");
-        let chained = fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar");
-        assert_eq!(whole, chained);
-    }
 
     #[test]
     fn utilization_and_queue_depth_are_time_weighted() {

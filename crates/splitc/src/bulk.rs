@@ -380,13 +380,12 @@ impl ScCtx<'_> {
             self.m.advance(self.cfg.bulk_loop_cy);
             let at_line_end = ((src.addr() + w * 8) % line == line - 8) || (w + 1) * 8 >= bytes;
             if at_line_end && !batched_flush {
-                let cost = self.m.node_mut().port.flush_line(va);
-                self.m.advance(cost);
+                self.m.flush_line(va);
             }
             w += 1;
         }
         if batched_flush {
-            self.m.node_mut().port.l1_mut().invalidate_all();
+            self.m.invalidate_l1();
             self.m.advance(FULL_CACHE_FLUSH_CY);
         }
     }

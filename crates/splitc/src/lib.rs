@@ -77,7 +77,7 @@ pub use annex::AnnexPolicy;
 pub use config::SplitcConfig;
 pub use gptr::GlobalPtr;
 pub use lock::GlobalLock;
-pub use op::{AddrSpan, OpFootprint, ScOp, ScOpKind};
+pub use op::{AddrSpan, OpFootprint, ScOp};
 pub use record::RecEvent;
 pub use runtime::{NodeRt, ScCtx, SplitC};
 pub use spread::SpreadArray;

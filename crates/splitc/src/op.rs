@@ -206,105 +206,6 @@ pub enum ScOp {
     },
 }
 
-/// The discriminant of an [`ScOp`], for static consumers (the `t3d-lint`
-/// analyzer, op-kind histograms, shrinker heuristics) that classify ops
-/// without destructuring them.
-///
-/// [`ScOp::kind`] maps every variant exhaustively, so adding an `ScOp`
-/// variant without extending this enum (and [`ScOpKind::ALL`]) is a
-/// compile error rather than a silently unanalyzed op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)] // mirrors ScOp variant-for-variant
-pub enum ScOpKind {
-    Advance,
-    ReadU64,
-    WriteU64,
-    ReadU32,
-    WriteU32,
-    ByteRead,
-    ByteWrite,
-    Get,
-    Put,
-    Sync,
-    StoreU64,
-    StoreSync,
-    BulkRead,
-    BulkWrite,
-    BulkGet,
-    BulkPut,
-    BulkReadStrided,
-    BulkWriteStrided,
-    AmAdd,
-    AmPoll,
-    LockTryAcquire,
-    LockRelease,
-    LockIsHeld,
-    LockGuardedWrite,
-    LockFreeIfHeld,
-}
-
-impl ScOpKind {
-    /// Every kind, in [`ScOp`] declaration order.
-    pub const ALL: [ScOpKind; 25] = [
-        ScOpKind::Advance,
-        ScOpKind::ReadU64,
-        ScOpKind::WriteU64,
-        ScOpKind::ReadU32,
-        ScOpKind::WriteU32,
-        ScOpKind::ByteRead,
-        ScOpKind::ByteWrite,
-        ScOpKind::Get,
-        ScOpKind::Put,
-        ScOpKind::Sync,
-        ScOpKind::StoreU64,
-        ScOpKind::StoreSync,
-        ScOpKind::BulkRead,
-        ScOpKind::BulkWrite,
-        ScOpKind::BulkGet,
-        ScOpKind::BulkPut,
-        ScOpKind::BulkReadStrided,
-        ScOpKind::BulkWriteStrided,
-        ScOpKind::AmAdd,
-        ScOpKind::AmPoll,
-        ScOpKind::LockTryAcquire,
-        ScOpKind::LockRelease,
-        ScOpKind::LockIsHeld,
-        ScOpKind::LockGuardedWrite,
-        ScOpKind::LockFreeIfHeld,
-    ];
-
-    /// The variant name (stable, used in histograms and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            ScOpKind::Advance => "Advance",
-            ScOpKind::ReadU64 => "ReadU64",
-            ScOpKind::WriteU64 => "WriteU64",
-            ScOpKind::ReadU32 => "ReadU32",
-            ScOpKind::WriteU32 => "WriteU32",
-            ScOpKind::ByteRead => "ByteRead",
-            ScOpKind::ByteWrite => "ByteWrite",
-            ScOpKind::Get => "Get",
-            ScOpKind::Put => "Put",
-            ScOpKind::Sync => "Sync",
-            ScOpKind::StoreU64 => "StoreU64",
-            ScOpKind::StoreSync => "StoreSync",
-            ScOpKind::BulkRead => "BulkRead",
-            ScOpKind::BulkWrite => "BulkWrite",
-            ScOpKind::BulkGet => "BulkGet",
-            ScOpKind::BulkPut => "BulkPut",
-            ScOpKind::BulkReadStrided => "BulkReadStrided",
-            ScOpKind::BulkWriteStrided => "BulkWriteStrided",
-            ScOpKind::AmAdd => "AmAdd",
-            ScOpKind::AmPoll => "AmPoll",
-            ScOpKind::LockTryAcquire => "LockTryAcquire",
-            ScOpKind::LockRelease => "LockRelease",
-            ScOpKind::LockIsHeld => "LockIsHeld",
-            ScOpKind::LockGuardedWrite => "LockGuardedWrite",
-            ScOpKind::LockFreeIfHeld => "LockFreeIfHeld",
-        }
-    }
-}
-
 /// A contiguous byte range on one PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddrSpan {
@@ -346,37 +247,6 @@ pub struct OpFootprint {
 }
 
 impl ScOp {
-    /// The discriminant of this op (exhaustive; see [`ScOpKind`]).
-    pub fn kind(&self) -> ScOpKind {
-        match self {
-            ScOp::Advance { .. } => ScOpKind::Advance,
-            ScOp::ReadU64 { .. } => ScOpKind::ReadU64,
-            ScOp::WriteU64 { .. } => ScOpKind::WriteU64,
-            ScOp::ReadU32 { .. } => ScOpKind::ReadU32,
-            ScOp::WriteU32 { .. } => ScOpKind::WriteU32,
-            ScOp::ByteRead { .. } => ScOpKind::ByteRead,
-            ScOp::ByteWrite { .. } => ScOpKind::ByteWrite,
-            ScOp::Get { .. } => ScOpKind::Get,
-            ScOp::Put { .. } => ScOpKind::Put,
-            ScOp::Sync => ScOpKind::Sync,
-            ScOp::StoreU64 { .. } => ScOpKind::StoreU64,
-            ScOp::StoreSync { .. } => ScOpKind::StoreSync,
-            ScOp::BulkRead { .. } => ScOpKind::BulkRead,
-            ScOp::BulkWrite { .. } => ScOpKind::BulkWrite,
-            ScOp::BulkGet { .. } => ScOpKind::BulkGet,
-            ScOp::BulkPut { .. } => ScOpKind::BulkPut,
-            ScOp::BulkReadStrided { .. } => ScOpKind::BulkReadStrided,
-            ScOp::BulkWriteStrided { .. } => ScOpKind::BulkWriteStrided,
-            ScOp::AmAdd { .. } => ScOpKind::AmAdd,
-            ScOp::AmPoll => ScOpKind::AmPoll,
-            ScOp::LockTryAcquire { .. } => ScOpKind::LockTryAcquire,
-            ScOp::LockRelease { .. } => ScOpKind::LockRelease,
-            ScOp::LockIsHeld { .. } => ScOpKind::LockIsHeld,
-            ScOp::LockGuardedWrite { .. } => ScOpKind::LockGuardedWrite,
-            ScOp::LockFreeIfHeld { .. } => ScOpKind::LockFreeIfHeld,
-        }
-    }
-
     /// The byte ranges this op touches when issued by `pe` on a machine
     /// shaped like `cfg` (exhaustive; see [`OpFootprint`]).
     pub fn touched_addrs(&self, pe: u32, cfg: &MachineConfig) -> OpFootprint {
@@ -823,7 +693,7 @@ mod tests {
     }
 
     /// One op per variant, covering the whole surface (the fixture for
-    /// the kind()/touched_addrs() exhaustiveness tests below).
+    /// the touched_addrs() exhaustiveness test below).
     fn one_of_each() -> Vec<ScOp> {
         let gp = GlobalPtr::new(1, 0x100);
         vec![
@@ -895,55 +765,32 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_has_a_distinct_kind_in_declaration_order() {
-        let ops = one_of_each();
-        assert_eq!(
-            ops.len(),
-            ScOpKind::ALL.len(),
-            "fixture covers every variant"
-        );
-        for (op, &kind) in ops.iter().zip(ScOpKind::ALL.iter()) {
-            assert_eq!(op.kind(), kind, "{op:?}");
-        }
-        let names: std::collections::HashSet<&str> =
-            ScOpKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), ScOpKind::ALL.len(), "names are unique");
-        for (op, &kind) in ops.iter().zip(ScOpKind::ALL.iter()) {
-            assert!(
-                format!("{op:?}").starts_with(kind.name()),
-                "name {:?} matches the Debug form of {op:?}",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
     fn every_variant_has_a_footprint() {
         let cfg = MachineConfig::t3d(4);
         for op in one_of_each() {
             let fp = op.touched_addrs(0, &cfg);
             assert!(!fp.oob, "in-bounds fixture op flagged oob: {op:?}");
-            match op.kind() {
+            match op {
                 // Pure control / synchronization: no data spans.
-                ScOpKind::Advance
-                | ScOpKind::Sync
-                | ScOpKind::StoreSync
-                | ScOpKind::AmPoll
-                | ScOpKind::LockTryAcquire
-                | ScOpKind::LockRelease
-                | ScOpKind::LockIsHeld
-                | ScOpKind::LockFreeIfHeld => {
+                ScOp::Advance { .. }
+                | ScOp::Sync
+                | ScOp::StoreSync { .. }
+                | ScOp::AmPoll
+                | ScOp::LockTryAcquire { .. }
+                | ScOp::LockRelease { .. }
+                | ScOp::LockIsHeld { .. }
+                | ScOp::LockFreeIfHeld { .. } => {
                     assert!(fp.reads.is_empty() && fp.writes.is_empty(), "{op:?}");
                 }
-                ScOpKind::ReadU64 | ScOpKind::ReadU32 | ScOpKind::ByteRead => {
+                ScOp::ReadU64 { .. } | ScOp::ReadU32 { .. } | ScOp::ByteRead { .. } => {
                     assert!(!fp.reads.is_empty() && fp.writes.is_empty(), "{op:?}");
                 }
-                ScOpKind::WriteU64
-                | ScOpKind::WriteU32
-                | ScOpKind::ByteWrite
-                | ScOpKind::Put
-                | ScOpKind::StoreU64
-                | ScOpKind::LockGuardedWrite => {
+                ScOp::WriteU64 { .. }
+                | ScOp::WriteU32 { .. }
+                | ScOp::ByteWrite { .. }
+                | ScOp::Put { .. }
+                | ScOp::StoreU64 { .. }
+                | ScOp::LockGuardedWrite { .. } => {
                     assert!(fp.reads.is_empty() && !fp.writes.is_empty(), "{op:?}");
                 }
                 // Transfers and the AM add read one side, write the other.

@@ -124,16 +124,27 @@ impl SplitC {
     /// Builds a runtime over a freshly constructed machine with the
     /// default (paper) Split-C configuration.
     pub fn new(mcfg: MachineConfig) -> Self {
-        Self::with_config(mcfg, SplitcConfig::t3d())
+        Self::from_machine(Machine::new(mcfg))
+    }
+
+    /// Builds a runtime with the default (paper) Split-C configuration
+    /// over `m`, a machine that has run no program yet (one that logs
+    /// its ops, say).
+    pub fn from_machine(m: Machine) -> Self {
+        Self::over(m, SplitcConfig::t3d())
     }
 
     /// Builds a runtime with an explicit Split-C configuration. The
     /// `T3D_SAN` environment variable overrides `cfg.sanitize`
     /// (`1`/`collect`, `2`/`panic`, `0`/`off`).
     pub fn with_config(mcfg: MachineConfig, cfg: SplitcConfig) -> Self {
+        Self::over(Machine::new(mcfg), cfg)
+    }
+
+    fn over(m: Machine, cfg: SplitcConfig) -> Self {
         let mut cfg = cfg;
         cfg.sanitize = SanitizeMode::effective(cfg.sanitize);
-        let m = Machine::new(mcfg);
+        let mcfg = *m.config();
         let n = m.nodes();
         let annex_regs = mcfg.shell.annex_entries;
         let am_region = mcfg.mem.mem_bytes as u64 - cfg.am_slots * AM_SLOT_BYTES;
@@ -176,6 +187,11 @@ impl SplitC {
     /// Immutable machine access.
     pub fn machine_ref(&self) -> &Machine {
         &self.m
+    }
+
+    /// The underlying machine, giving up the runtime.
+    pub fn into_machine(self) -> Machine {
+        self.m
     }
 
     /// Number of processors.

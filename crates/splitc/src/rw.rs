@@ -103,8 +103,7 @@ impl ScCtx<'_> {
         // with the single-register policies that is register 1.
         let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Cached);
         let va = self.m.va(idx, gp.addr());
-        let cost = self.m.node_mut().port.flush_line(va);
-        self.m.advance(cost);
+        self.m.flush_line(va);
         self.san_emit(
             SanOp::CacheFlush {
                 target: gp.pe(),

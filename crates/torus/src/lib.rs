@@ -184,11 +184,6 @@ impl Torus {
         self.hops(a, b) as f64 * self.cfg.hop_cy
     }
 
-    /// Round-trip network cost between two nodes, in (fractional) cycles.
-    pub fn round_trip_cy(&self, a: u32, b: u32) -> f64 {
-        2.0 * self.one_way_cy(a, b)
-    }
-
     /// The dimension-order route from `a` to `b`, inclusive of both
     /// endpoints. X is resolved first, then Y, then Z, taking the shorter
     /// way around each ring. This collects [`walk`](Self::walk).
@@ -246,17 +241,6 @@ impl Torus {
         assert!(dim < 3, "dimension {dim} out of range");
         assert!(dir < 2, "direction {dir} out of range");
         self.node_of(c) as usize * 6 + dim * 2 + dir
-    }
-
-    /// Inverse of [`link_id`](Self::link_id): the source coordinate,
-    /// dimension and direction of a dense link id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn link_of(&self, id: usize) -> (Coord, usize, usize) {
-        assert!(id < self.num_links(), "link id {id} out of range");
-        (self.coord_of((id / 6) as u32), (id % 6) / 2, id % 2)
     }
 
     /// The dense link id of one adjacent route step `a → b` (as produced
@@ -493,7 +477,6 @@ mod tests {
     fn network_cost_is_2_5_cycles_per_hop() {
         let t = torus32();
         assert_eq!(t.one_way_cy(0, 1), 2.5);
-        assert_eq!(t.round_trip_cy(0, 1), 5.0);
     }
 
     #[test]

@@ -15,17 +15,11 @@
 use em3d::{run_version_profiled, run_version_profiled_contended, Em3dParams, Version};
 use t3d_machine::PhaseDriver;
 
-/// FNV-1a over a stream of words — the same chaining idiom the
-/// scheduler's `ledger_fnv` uses.
+/// Byte-step FNV-1a over a stream of words — the same chaining idiom
+/// the scheduler's `ledger_fnv` uses.
 fn fnv_chain(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let fold = |h, w: &u64| t3d_perf::fnv1a(h, &w.to_le_bytes());
+    words.iter().fold(t3d_perf::FNV_OFFSET, fold)
 }
 
 fn main() {

@@ -173,7 +173,7 @@ fn run_micro(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
         // Machine-construction time folds into the throughput block's
         // `setup` stat.
         doc.entries.push(bench_entry(s.name, opts, || {
-            let run = (s.run)(driver);
+            let run = s.run(driver);
             Run {
                 report: run.report,
                 checksum: run.checksum,

@@ -11,6 +11,7 @@
 use em3d::{run_version, run_version_with, Em3dParams, Version};
 use t3d_machine::{Machine, MachineConfig, PhaseDriver};
 use t3d_microbench::probes::{local, sync};
+use t3d_perf::{fnv1a, fnv1a_word, FNV_OFFSET};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::FuncCode;
 
@@ -79,9 +80,7 @@ fn fingerprint(m: &Machine) -> Vec<u64> {
         fp.push(m.clock(pe));
         let mut buf = vec![0u8; 8192];
         m.peek_mem(pe, 0, &mut buf);
-        fp.push(buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        }));
+        fp.push(fnv1a(FNV_OFFSET, &buf));
     }
     fp
 }
@@ -181,13 +180,7 @@ fn hundred_parallel_phases_hash_stably() {
                 let _ = cpu.fetch_inc(peer as usize, 1);
             });
             m.barrier_all();
-            hashes.push(
-                fingerprint(&m)
-                    .iter()
-                    .fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
-                        (h ^ v).wrapping_mul(0x100_0000_01b3)
-                    }),
-            );
+            hashes.push(fingerprint(&m).into_iter().fold(FNV_OFFSET, fnv1a_word));
         }
         hashes
     };

@@ -25,22 +25,22 @@ fn assert_conserves(name: &str, report: &PerfReport) {
 #[test]
 fn every_scenario_conserves_cycles_under_seq() {
     for s in attribution::all() {
-        assert_conserves(s.name, &(s.run)(PhaseDriver::Seq).report);
+        assert_conserves(s.name, &s.run(PhaseDriver::Seq).report);
     }
 }
 
 #[test]
 fn every_scenario_conserves_cycles_under_par() {
     for s in attribution::all() {
-        assert_conserves(s.name, &(s.run)(PhaseDriver::Par(4)).report);
+        assert_conserves(s.name, &s.run(PhaseDriver::Par(4)).report);
     }
 }
 
 #[test]
 fn scenario_reports_are_bit_identical_across_drivers() {
     for s in attribution::all() {
-        let seq = (s.run)(PhaseDriver::Seq);
-        let par = (s.run)(PhaseDriver::Par(4));
+        let seq = s.run(PhaseDriver::Seq);
+        let par = s.run(PhaseDriver::Par(4));
         // ScenarioRun equality covers the report AND the state checksum.
         assert_eq!(seq, par, "{}: Seq and Par(4) runs differ", s.name);
         assert_eq!(
@@ -124,7 +124,7 @@ fn perf_off_collects_nothing_and_costs_nothing() {
 fn timeline_mode_exports_a_chrome_trace() {
     let mut m = Machine::new(MachineConfig::t3d(2));
     m.set_perf_mode(PerfMode::Counters);
-    m.enable_trace(65_536);
+    m.log_ops(true);
     let mut cpu = Cpu::new(&mut m, 0);
     cpu.st8(0x100, 7);
     cpu.memory_barrier();

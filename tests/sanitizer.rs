@@ -174,7 +174,7 @@ fn hashed_policy_never_trips_the_synonym_hazard() {
 #[test]
 fn trace_scan_flags_the_raw_machine_hazards() {
     let mut m = Machine::new(MachineConfig::t3d(2));
-    m.enable_trace(1024);
+    m.log_ops(true);
     Cpu::new(&mut m, 0).annex_set(1, 1, FuncCode::Uncached);
     Cpu::new(&mut m, 0).annex_set(2, 1, FuncCode::Uncached);
     Cpu::new(&mut m, 1).st8(0x200, 99); // PE 1 buffers a local store

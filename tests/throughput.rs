@@ -14,7 +14,7 @@ fn measured(name: &str, driver: PhaseDriver) -> t3d_perf::Throughput {
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("no scenario {name}"));
     measure(ThroughputSpec { warmup: 1, runs: 2 }, || {
-        let run = (s.run)(driver);
+        let run = s.run(driver);
         RunSample {
             sim_cycles: run.report.total(),
             sim_ops: 0,
@@ -41,7 +41,7 @@ fn every_scenario_is_measurable_under_both_drivers() {
     for s in attribution::all() {
         for driver in [PhaseDriver::Seq, PhaseDriver::Par(4)] {
             let t = measure(ThroughputSpec { warmup: 0, runs: 2 }, || {
-                let run = (s.run)(driver);
+                let run = s.run(driver);
                 RunSample {
                     sim_cycles: run.report.total(),
                     sim_ops: 0,
