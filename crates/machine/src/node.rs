@@ -120,9 +120,11 @@ pub struct Node {
     pub msgq: MsgQueue,
     /// Block transfer engine.
     pub blt: BltUnit,
-    /// Log of remote-write arrivals `(virtual time, bytes)` in time
-    /// order — the basis for Split-C `storeSync` (data-counting
-    /// completion detection).
+    /// Log of remote-write arrivals in time order — the basis for
+    /// Split-C `storeSync` (data-counting completion detection). Each
+    /// entry is `(virtual time, running byte total)`: the bytes of that
+    /// arrival and every one before it, so both arrival queries are
+    /// binary searches.
     incoming: Vec<(u64, u64)>,
     /// Operation counts, by kind.
     pub ops: OpStats,
@@ -227,14 +229,17 @@ impl Node {
 
     /// Logs `bytes` of remote-write data arriving at virtual time `t`.
     /// Arrivals come nearly in time order, so the entry is placed by a
-    /// search from the back, after every entry at or before `t`.
+    /// search from the back, after every entry at or before `t`, and the
+    /// running totals from there on grow by `bytes`.
     pub(crate) fn note_arrival(&mut self, t: u64, bytes: u64) {
         let at = self
             .incoming
             .iter()
             .rposition(|&(u, _)| u <= t)
             .map_or(0, |i| i + 1);
-        self.incoming.insert(at, (t, bytes));
+        let before = at.checked_sub(1).map_or(0, |i| self.incoming[i].1);
+        self.incoming.insert(at, (t, before));
+        self.incoming[at..].iter_mut().for_each(|e| e.1 += bytes);
     }
 
     /// Empties the arrival log (a new `storeSync` epoch).
@@ -244,17 +249,18 @@ impl Node {
 
     /// The remote-write arrivals `(virtual time, bytes)` logged so far,
     /// in time order.
-    pub fn arrivals(&self) -> &[(u64, u64)] {
-        &self.incoming
+    pub fn arrivals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let totals = std::iter::once(0).chain(self.incoming.iter().map(|&(_, total)| total));
+        self.incoming
+            .iter()
+            .zip(totals)
+            .map(|(&(t, total), before)| (t, total - before))
     }
 
     /// Total bytes of remote-write data that had arrived by `now`.
     pub fn bytes_arrived_by(&self, now: u64) -> u64 {
-        self.incoming
-            .iter()
-            .take_while(|&&(t, _)| t <= now)
-            .map(|&(_, b)| b)
-            .sum()
+        let n = self.incoming.partition_point(|&(t, _)| t <= now);
+        n.checked_sub(1).map_or(0, |i| self.incoming[i].1)
     }
 
     /// Earliest virtual time at which cumulative arrivals reach
@@ -263,17 +269,17 @@ impl Node {
         if target_bytes == 0 {
             return Some(0);
         }
-        let mut acc = 0u64;
-        self.incoming.iter().find_map(|&(t, b)| {
-            acc += b;
-            (acc >= target_bytes).then_some(t)
-        })
+        let i = self
+            .incoming
+            .partition_point(|&(_, total)| total < target_bytes);
+        self.incoming.get(i).map(|&(t, _)| t)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use t3d_prng::Rng;
 
     #[test]
     fn arrival_accounting() {
@@ -289,9 +295,46 @@ mod tests {
         // The log stays in time order; a tie lands after the entries it
         // ties with.
         n.note_arrival(100, 4);
-        assert_eq!(n.arrivals(), [(50, 8), (100, 8), (100, 4), (200, 16)]);
+        let log: Vec<_> = n.arrivals().collect();
+        assert_eq!(log, [(50, 8), (100, 8), (100, 4), (200, 16)]);
         assert_eq!(n.bytes_arrived_by(100), 20);
         assert_eq!(n.arrival_time_of(20), Some(100));
         assert_eq!(n.arrival_time_of(21), Some(200));
+    }
+
+    /// The running totals answer both queries exactly as a linear scan
+    /// of the arrivals would, with arrivals out of order, tied in time,
+    /// and of zero bytes.
+    #[test]
+    fn arrival_queries_match_a_linear_model() {
+        Rng::cases(0xA221, 64, |_, rng| {
+            let mut n = Node::new(&MachineConfig::t3d(2), 0);
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..rng.gen_range(0u32..40) {
+                let (t, bytes) = (rng.gen_range(0u64..30), rng.gen_range(0u64..3) * 8);
+                n.note_arrival(t, bytes);
+                let at = model.partition_point(|&(u, _)| u <= t);
+                model.insert(at, (t, bytes));
+                assert_eq!(n.arrivals().collect::<Vec<_>>(), model);
+                let total: u64 = model.iter().map(|&(_, b)| b).sum();
+                for now in 0..32 {
+                    let by: u64 = model
+                        .iter()
+                        .filter(|&&(u, _)| u <= now)
+                        .map(|&(_, b)| b)
+                        .sum();
+                    assert_eq!(n.bytes_arrived_by(now), by);
+                }
+                for target in 0..=total + 1 {
+                    let mut acc = 0;
+                    let when = model.iter().find_map(|&(u, b)| {
+                        acc += b;
+                        (acc >= target).then_some(u)
+                    });
+                    let when = if target == 0 { Some(0) } else { when };
+                    assert_eq!(n.arrival_time_of(target), when, "{target} in {model:?}");
+                }
+            }
+        });
     }
 }

@@ -35,7 +35,7 @@ use t3d_memsys::{round_u64, Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{CostClass, OpKind};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode, Message, PopError};
-use t3d_torus::{RouteWalk, Torus};
+use t3d_torus::Torus;
 
 /// Cycles a transfer of `bytes` occupies each link of its route: the
 /// T3D moves two bytes per link per cycle, and even a one-byte request
@@ -284,29 +284,19 @@ pub(crate) trait OpCore {
     /// transfer that reaches the network at `ready` and occupies each
     /// route link for `occupancy_cy` (its bytes at two per cycle). The
     /// transfer waits for the hottest link of its route to clear, then
-    /// holds every link of the route until it finishes. Zero unless link
-    /// contention modeling is enabled.
+    /// holds every link of the route until it finishes: one pass over
+    /// the route's link runs takes the max of their clocks, a second
+    /// sets them. Zero unless link contention modeling is enabled.
     fn link_contend(&mut self, pe: usize, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
         if !self.cfg().link_contention || pe == target {
             return 0;
         }
-        let mut walk = self.torus().walk(pe as u32, target as u32);
-        self.hold_route(&mut walk, ready, occupancy_cy) - ready
-    }
-
-    /// Holds the links left in `walk` for `occupancy_cy` from the latest
-    /// of `ready` and their clocks, and returns that start. The route is
-    /// walked once: each link's clock is read on the way into the
-    /// recursion and set on the way out, when the start is known. The
-    /// recursion is as deep as the route is long: at most half of each
-    /// ring's extent per dimension.
-    fn hold_route(&mut self, walk: &mut RouteWalk, ready: u64, occupancy_cy: u64) -> u64 {
-        let Some((_, l)) = walk.next() else {
-            return ready;
-        };
-        let start = self.hold_route(walk, ready.max(self.link_busy(l)), occupancy_cy);
-        self.set_link_busy(l, start + occupancy_cy);
-        start
+        let route = self.torus().link_runs(pe as u32, target as u32);
+        let start = route.links().fold(ready, |s, l| s.max(self.link_busy(l)));
+        route
+            .links()
+            .for_each(|l| self.set_link_busy(l, start + occupancy_cy));
+        start - ready
     }
 
     /// Serves a read of `buf.len()` bytes at `target`'s `off` whose

@@ -246,7 +246,7 @@ fn observe(mut m: Machine, seen: Vec<u64>) -> Observed {
         clocks: (0..n).map(|pe| m.clock(pe)).collect(),
         ops: (0..n).map(|pe| m.op_stats(pe)).collect(),
         events: (0..n).map(|pe| m.event_stats(pe)).collect(),
-        incoming: (0..n).map(|pe| m.node(pe).arrivals().to_vec()).collect(),
+        incoming: (0..n).map(|pe| m.node(pe).arrivals().collect()).collect(),
         dram,
         finc: (0..n)
             .map(|pe| [m.node(pe).fetchinc.get(0), m.node(pe).fetchinc.get(1)])

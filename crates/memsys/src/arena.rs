@@ -184,9 +184,10 @@ fn byte_range_mask(lo: usize, hi: usize) -> u64 {
 /// Copies `n` bytes from `src` cells at byte `so` to `dst` cells at byte
 /// `dco`, where `so` and `dco` sit at the same position within a word: a
 /// masked head word, whole-word moves, then a masked tail word. A `None`
-/// source is an uncommitted chunk and reads as zeros. Words move in
-/// ascending order, so a source above an overlapping destination in the
-/// same cells is read before it is overwritten.
+/// source is an uncommitted chunk and reads as zeros, so its body is a
+/// plain zero-store loop. Words move in ascending order, so a source
+/// above an overlapping destination in the same cells is read before it
+/// is overwritten.
 fn copy_cells(dst: &[AtomicU64], dco: usize, src: Option<&[AtomicU64]>, so: usize, n: usize) {
     debug_assert_eq!(dco % WORD, so % WORD);
     let word = |i: usize| src.map_or(0, |c| c[i].load(Ordering::Relaxed));
@@ -197,10 +198,17 @@ fn copy_cells(dst: &[AtomicU64], dco: usize, src: Option<&[AtomicU64]>, so: usiz
         store_masked(&dst[d], word(s), byte_range_mask(b, b + h));
         (d, s, left) = (d + 1, s + 1, left - h);
     }
-    while left >= WORD {
-        dst[d].store(word(s), Ordering::Relaxed);
-        (d, s, left) = (d + 1, s + 1, left - WORD);
+    let words = left / WORD;
+    let body = &dst[d..d + words];
+    match src {
+        Some(c) => {
+            for (to, from) in body.iter().zip(&c[s..s + words]) {
+                to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+        None => body.iter().for_each(|to| to.store(0, Ordering::Relaxed)),
     }
+    (d, s, left) = (d + words, s + words, left % WORD);
     if left > 0 {
         store_masked(&dst[d], word(s), byte_range_mask(0, left));
     }

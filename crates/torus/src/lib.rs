@@ -16,6 +16,8 @@ pub mod subcube;
 
 pub use subcube::SubCube;
 
+use std::sync::Arc;
+
 /// A position in the torus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Coord {
@@ -104,20 +106,34 @@ impl Default for TorusConfig {
 #[derive(Debug, Clone)]
 pub struct Torus {
     cfg: TorusConfig,
+    /// Coordinate of every node, by id: a load in place of the
+    /// divisions. Shared, so a clone does not allocate.
+    coords: Arc<[Coord]>,
 }
 
 impl Torus {
-    /// Creates a torus.
+    /// Creates a torus and its per-node coordinate table.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if the node count exceeds
+    /// `u32::MAX`.
     pub fn new(cfg: TorusConfig) -> Self {
+        let (nx, ny, nz) = cfg.dims;
         assert!(
-            cfg.dims.0 > 0 && cfg.dims.1 > 0 && cfg.dims.2 > 0,
+            nx > 0 && ny > 0 && nz > 0,
             "all torus dimensions must be positive"
         );
-        Torus { cfg }
+        let nodes = nx.checked_mul(ny).and_then(|p| p.checked_mul(nz));
+        let nodes = nodes.unwrap_or_else(|| panic!("torus {:?} has too many nodes", cfg.dims));
+        let coords = (0..nodes)
+            .map(|n| Coord {
+                x: n % nx,
+                y: n / nx % ny,
+                z: n / (nx * ny),
+            })
+            .collect();
+        Torus { cfg, coords }
     }
 
     /// The configuration this torus was built with.
@@ -127,7 +143,7 @@ impl Torus {
 
     /// Total number of nodes.
     pub fn nodes(&self) -> u32 {
-        self.cfg.dims.0 * self.cfg.dims.1 * self.cfg.dims.2
+        self.coords.len() as u32
     }
 
     /// Coordinate of a node id (X varies fastest).
@@ -137,12 +153,9 @@ impl Torus {
     /// Panics if `node` is out of range.
     #[inline]
     pub fn coord_of(&self, node: u32) -> Coord {
-        assert!(node < self.nodes(), "node {node} out of range");
-        let (nx, ny, _) = self.cfg.dims;
-        Coord {
-            x: node % nx,
-            y: (node / nx) % ny,
-            z: node / (nx * ny),
+        match self.coords.get(node as usize) {
+            Some(&c) => c,
+            None => panic!("node {node} out of range"),
         }
     }
 
@@ -185,42 +198,71 @@ impl Torus {
     }
 
     /// The dimension-order route from `a` to `b`, inclusive of both
-    /// endpoints. X is resolved first, then Y, then Z, taking the shorter
-    /// way around each ring. This collects [`walk`](Self::walk).
+    /// endpoints: each hop of [`link_runs`](Self::link_runs) steps from
+    /// the node its link leaves to the next node along the link's ring.
     pub fn route(&self, a: u32, b: u32) -> Vec<Coord> {
-        std::iter::once(self.coord_of(a))
-            .chain(self.walk(a, b).map(|(c, _)| c))
-            .collect()
+        let dims = [self.cfg.dims.0, self.cfg.dims.1, self.cfg.dims.2];
+        let mut route = vec![self.coord_of(a)];
+        for l in self.link_runs(a, b).links() {
+            let Coord { x, y, z } = self.coord_of((l / 6) as u32);
+            let (mut c, d) = ([x, y, z], l % 6 / 2);
+            let e = dims[d];
+            c[d] = (if l % 2 == 1 { c[d] + e - 1 } else { c[d] + 1 }) % e;
+            route.push(Coord {
+                x: c[0],
+                y: c[1],
+                z: c[2],
+            });
+        }
+        route
     }
 
-    /// Walks the dimension-order route from `a` to `b` without
-    /// allocating: one item per hop, the node the hop reaches and the
-    /// dense id of the link it crosses (equal to
-    /// [`step_link_id`](Self::step_link_id) of the hop's endpoints). The
-    /// walk has exactly [`hops`](Self::hops)`(a, b)` items.
-    ///
-    /// Setting out divides each endpoint into coordinates; each hop
-    /// after that is a compare and an add, with no division.
+    /// The dense ids of the links the dimension-order route from `a` to
+    /// `b` crosses, in order, without allocating. X is resolved first,
+    /// then Y, then Z, each the shorter way around its ring (ties go
+    /// plus, so an extent-2 ring always steps plus). The hops along one
+    /// ring cross links one node stride apart, so each ring's links are
+    /// at most two arithmetic runs, split where the route wraps; the
+    /// runs hold exactly [`hops`](Self::hops)`(a, b)` links, each equal
+    /// to [`step_link_id`](Self::step_link_id) of its hop.
     ///
     /// # Panics
     ///
     /// Panics if `a` or `b` is out of range.
     #[inline]
-    pub fn walk(&self, a: u32, b: u32) -> RouteWalk {
+    pub fn link_runs(&self, a: u32, b: u32) -> LinkRuns {
         let (ca, cb) = (self.coord_of(a), self.coord_of(b));
         let (nx, ny, nz) = self.cfg.dims;
-        let mut w = RouteWalk {
-            dims: [nx, ny, nz],
-            strides: [1, nx, nx * ny],
-            cur: [ca.x, ca.y, ca.z],
-            dst: [cb.x, cb.y, cb.z],
-            node: a,
-            dim: 0,
-            left: 0,
-            minus: false,
-        };
-        w.enter(0);
-        w
+        let mut out = LinkRuns::default();
+        let mut node = a;
+        let rings = [
+            (nx, 1, ca.x, cb.x),
+            (ny, nx, ca.y, cb.y),
+            (nz, nx * ny, ca.z, cb.z),
+        ];
+        for (d, (e, stride, v, t)) in rings.into_iter().enumerate() {
+            if v == t {
+                continue;
+            }
+            let fwd = if t > v { t - v } else { t + e - v };
+            let minus = fwd > e - fwd;
+            // Hops in all, hops before the ring wraps, and the
+            // coordinate it wraps to.
+            let (hops, before, wrap) = if minus {
+                (e - fwd, v + 1, e - 1)
+            } else {
+                (fwd, e - v, 0)
+            };
+            let base = node - v * stride;
+            let link = |c: u32| (base + c * stride) as usize * 6 + d * 2 + usize::from(minus);
+            let step = 6 * stride as isize * if minus { -1 } else { 1 };
+            out.push(link(v), step, hops.min(before));
+            if hops > before {
+                out.push(link(wrap), step, hops - before);
+            }
+            node = base + t * stride;
+        }
+        out
     }
 
     /// Number of directed links: six per node (±X, ±Y, ±Z). Dense link
@@ -297,84 +339,50 @@ impl Torus {
     }
 }
 
-/// The allocation-free dimension-order route walk of
-/// [`Torus::walk`]: yields `(node reached, link id crossed)` per hop.
-///
-/// The walk keeps the current node's id next to its coordinates and
-/// steps both together: a hop adds or subtracts the dimension's node
-/// stride, and a hop off the end of a ring wraps with one compare.
-#[derive(Debug, Clone)]
-pub struct RouteWalk {
-    dims: [u32; 3],
-    /// Node-id distance of one step along each dimension.
-    strides: [u32; 3],
-    cur: [u32; 3],
-    dst: [u32; 3],
-    /// Node id of `cur`.
-    node: u32,
-    /// Dimension being resolved (3 once the walk has arrived).
-    dim: usize,
-    /// Hops left along `dim`.
-    left: u32,
-    /// Whether `dim` is resolved in the minus direction.
-    minus: bool,
+/// One arithmetic run of directed link ids along a ring of a route:
+/// `first`, `first + step`, … (`count` ids in all). A hop along a ring
+/// moves one node stride, so `step` is `±6·stride`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LinkRun {
+    /// The first link id.
+    pub first: usize,
+    /// The distance between consecutive link ids.
+    pub step: isize,
+    /// Number of links.
+    pub count: u32,
 }
 
-impl RouteWalk {
-    /// Moves to the first dimension at or after `from` that still
-    /// differs, choosing the shorter way around its ring (ties go plus,
-    /// so an extent-2 ring always steps plus).
+impl LinkRun {
+    /// The run's link ids, in route order.
     #[inline]
-    fn enter(&mut self, from: usize) {
-        for d in from..3 {
-            let (e, v, t) = (self.dims[d], self.cur[d], self.dst[d]);
-            if v != t {
-                let fwd = if t > v { t - v } else { t + e - v };
-                let bwd = e - fwd;
-                self.dim = d;
-                self.minus = fwd > bwd;
-                self.left = fwd.min(bwd);
-                return;
-            }
-        }
-        self.dim = 3;
-        self.left = 0;
+    pub fn links(self) -> impl Iterator<Item = usize> {
+        (0..self.count as isize).map(move |i| self.first.wrapping_add_signed(i * self.step))
     }
 }
 
-impl Iterator for RouteWalk {
-    type Item = (Coord, usize);
+/// The links of one dimension-order route, from
+/// [`Torus::link_runs`]: at most two runs per dimension, held inline.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LinkRuns {
+    runs: [LinkRun; 6],
+    len: usize,
+}
 
+impl LinkRuns {
+    fn push(&mut self, first: usize, step: isize, count: u32) {
+        self.runs[self.len] = LinkRun { first, step, count };
+        self.len += 1;
+    }
+
+    /// The runs, in route order.
+    pub fn runs(&self) -> &[LinkRun] {
+        &self.runs[..self.len]
+    }
+
+    /// Every link id of the route, in order.
     #[inline]
-    fn next(&mut self) -> Option<(Coord, usize)> {
-        if self.left == 0 {
-            return None;
-        }
-        let (d, from) = (self.dim, self.node as usize);
-        let (last, stride) = (self.dims[d] - 1, self.strides[d]);
-        let c = &mut self.cur[d];
-        if self.minus {
-            if *c == 0 {
-                *c = last;
-                self.node += stride * last;
-            } else {
-                *c -= 1;
-                self.node -= stride;
-            }
-        } else if *c == last {
-            *c = 0;
-            self.node -= stride * last;
-        } else {
-            *c += 1;
-            self.node += stride;
-        }
-        let link = from * 6 + d * 2 + usize::from(self.minus);
-        self.left -= 1;
-        if self.left == 0 {
-            self.enter(d + 1);
-        }
-        let [x, y, z] = self.cur;
-        Some((Coord { x, y, z }, link))
+    pub fn links(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs().iter().flat_map(|r| r.links())
     }
 }
 
@@ -486,6 +494,42 @@ mod tests {
             let t = Torus::new(cfg);
             assert_eq!(t.nodes(), n, "for_nodes({n}) gave dims {:?}", cfg.dims);
         }
+    }
+
+    /// The table agrees with the division formula, and round-trips
+    /// through `node_of`, on tori whose extents are not powers of two.
+    #[test]
+    fn coordinate_table_matches_division() {
+        for dims in [(3, 5, 7), (13, 1, 1), (1, 6, 1), (2, 1, 9)] {
+            let t = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+            let (nx, ny, nz) = dims;
+            assert_eq!(t.nodes(), nx * ny * nz);
+            for n in 0..t.nodes() {
+                let c = t.coord_of(n);
+                assert_eq!((c.x, c.y, c.z), (n % nx, n / nx % ny, n / (nx * ny)));
+                assert_eq!(t.node_of(c), n, "{dims:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn link_runs_split_only_at_a_wrap() {
+        let t = torus32();
+        for a in 0..t.nodes() {
+            for b in 0..t.nodes() {
+                let runs = t.link_runs(a, b);
+                assert!(runs.runs().iter().all(|r| r.count > 0), "{a} -> {b}");
+            }
+        }
+        // On a ring of 8, 1 -> 6 goes minus through the wrap (leaving
+        // x = 1 and 0, then 7), and 6 -> 1 goes plus (6 and 7, then 0).
+        let ring = Torus::new(TorusConfig {
+            dims: (8, 1, 1),
+            hop_cy: 2.5,
+        });
+        let run = |first, step, count| LinkRun { first, step, count };
+        assert_eq!(ring.link_runs(1, 6).runs(), [run(7, -6, 2), run(43, -6, 1)]);
+        assert_eq!(ring.link_runs(6, 1).runs(), [run(36, 6, 2), run(0, 6, 1)]);
     }
 
     #[test]

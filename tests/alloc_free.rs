@@ -362,7 +362,7 @@ fn store_sync_arrival_queries_never_allocate() {
     }
     cpu.memory_barrier();
     cpu.wait_write_acks();
-    let logged: u64 = m.node(1).arrivals().iter().map(|&(_, b)| b).sum();
+    let logged: u64 = m.node(1).arrivals().map(|(_, b)| b).sum();
     assert_eq!(logged, 256 * 8);
     let mut last = None;
     let allocs = allocations(|| {
