@@ -617,6 +617,7 @@ impl OpCore for Machine {
 mod tests {
     use super::*;
     use crate::cpu::Cpu;
+    use t3d_memsys::arena::GRANULE_BYTES;
     use t3d_shell::{FuncCode, PopError};
 
     fn machine2() -> Machine {
@@ -1143,7 +1144,7 @@ mod tests {
 
     #[test]
     fn fresh_machine_commits_no_node_memory() {
-        // Construction must not touch the demand-chunked arenas: a
+        // Construction must not touch the demand-committed arenas: a
         // 1024-PE machine with 16 MB nodes is a 16 GB address space but
         // a metadata-sized allocation until programs store to it.
         for cfg in [
@@ -1156,6 +1157,68 @@ mod tests {
                 let resident = m.node(pe).port.mem_arena().resident_bytes();
                 assert_eq!(resident, 0, "PE {pe} of {} committed memory", m.nodes());
             }
+        }
+    }
+
+    #[test]
+    fn a_store_and_a_blt_per_pe_commit_two_granules_each() {
+        // Node memory is committed in 8 KB granules: one word stored at
+        // 0x1000 and one 8 KB BLT landing at 0x8000 cost each PE two
+        // granules (16 MB over 1024 PEs), not the 64 KB region both
+        // addresses share.
+        let mut m = Machine::new(MachineConfig::t3d_link_contended(1024));
+        let n = m.nodes();
+        for pe in 0..n {
+            let mut cpu = Cpu::new(&mut m, pe);
+            cpu.st8(0x1000, pe as u64 + 1);
+            cpu.memory_barrier();
+            let h = cpu.blt_start(BltDirection::Write, 0x2000, (pe + n / 2) % n, 0x8000, 8192);
+            cpu.blt_wait(h);
+        }
+        let total: usize = (0..n)
+            .map(|pe| m.node(pe).port.mem_arena().resident_bytes())
+            .sum();
+        assert!(
+            total <= n * 2 * GRANULE_BYTES,
+            "{total} bytes committed on {n} PEs"
+        );
+        assert_eq!(m.peek8(n - 1, 0x1000), n as u64);
+    }
+
+    #[test]
+    fn a_direct_transpose_lands_every_word() {
+        // Every PE bulk-writes a pattern of its own to the PE half the
+        // machine away, all injected at once so the streams stack on
+        // shared links. Each landing word must carry its sender's
+        // pattern, and each node commits just its source and landing
+        // granules.
+        let mut m = Machine::new(MachineConfig::t3d_link_contended(64));
+        let n = m.nodes();
+        let word = |pe: usize, w: u64| (pe as u64 + 1) << 32 | w;
+        for pe in 0..n {
+            let src: Vec<u8> = (0..1024).flat_map(|w| word(pe, w).to_le_bytes()).collect();
+            m.poke_mem(pe, 0x2000, &src);
+        }
+        let handles: Vec<_> = (0..n)
+            .map(|pe| {
+                let to = (pe + n / 2) % n;
+                Cpu::new(&mut m, pe).blt_start(BltDirection::Write, 0x2000, to, 0x8000, 8192)
+            })
+            .collect();
+        for (pe, h) in handles.into_iter().enumerate() {
+            Cpu::new(&mut m, pe).blt_wait(h);
+        }
+        m.barrier_all();
+        for pe in 0..n {
+            let from = (pe + n / 2) % n;
+            for w in 0..1024 {
+                let got = m.peek8(pe, 0x8000 + 8 * w);
+                assert_eq!(got, word(from, w), "PE {pe} word {w}");
+            }
+            assert_eq!(m.peek8(pe, 0x7FF8), 0, "PE {pe} below the landing zone");
+            assert_eq!(m.peek8(pe, 0xA000), 0, "PE {pe} above the landing zone");
+            let resident = m.node(pe).port.mem_arena().resident_bytes();
+            assert_eq!(resident, 2 * GRANULE_BYTES, "PE {pe}");
         }
     }
 

@@ -9,8 +9,8 @@
 //! A snapshot costs the nonzero data it holds, not nodes × region: each
 //! node's capture keeps only the words from the first to the last one
 //! holding a nonzero byte, found by scanning the arena's committed
-//! chunks ([`MemArena::nonzero_span`](t3d_memsys::MemArena::nonzero_span));
-//! a node whose region lies in uncommitted chunks costs nothing. The
+//! granules ([`MemArena::nonzero_span`](t3d_memsys::MemArena::nonzero_span));
+//! a node whose region lies in uncommitted granules costs nothing. The
 //! checksum folds each run of `k` zero words in as one multiply by the
 //! FNV prime to the `k`th power — FNV-1a over a zero word is a multiply
 //! by the prime — so every value matches the dense hash bit for bit.
@@ -405,7 +405,8 @@ mod tests {
         assert_eq!(c.to_string(), "PE 1: clock 5 vs 6");
     }
 
-    /// Bytes per arena chunk (the unit memory is committed in).
+    /// A 64 KB span of node memory: one arena region, covering whole
+    /// commit granules, so its edges are granule edges.
     const CHUNK: u64 = 64 * 1024;
 
     /// FNV-1a over the dense region bytes in 8-byte little-endian words
@@ -474,7 +475,7 @@ mod tests {
             let end = base + len;
             let mut m = Machine::new(MachineConfig::t3d_with_mem(4, mem as usize));
             // PE 0 untouched; PE 1 holds committed zeros over the whole
-            // region; PEs 2 and 3 hold nonzero words at chunk edges, at the
+            // region; PEs 2 and 3 hold nonzero words at granule edges, at the
             // region's first and last bytes and at random places.
             if len > 0 {
                 m.poke_mem(1, base, &vec![0; len as usize]);

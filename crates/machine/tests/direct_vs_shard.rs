@@ -306,8 +306,9 @@ fn one_active_pe_matches_direct_engine_under_contention() {
 
 // ---- BLT edge cases -------------------------------------------------
 
-/// Bytes per arena chunk (the memory system commits memory in 64 KB
-/// chunks on first write).
+/// A 64 KB span of node memory: one arena region, covering whole 8 KB
+/// commit granules (the memory system commits memory a granule at a
+/// time on first write), so a chunk's edges are granule edges.
 const CHUNK: u64 = 64 * 1024;
 /// Bytes of each PE's memory the BLT cases cover: chunks 0, 1 and 3
 /// hold a pattern, chunk 2 is never written before the BLT.

@@ -21,38 +21,61 @@
 //! this one) to another, word cell to word cell when both offsets sit
 //! at the same position within a word: a BLT deposit costs its bytes
 //! once. [`MemArena::nonzero_span`] finds the first and last nonzero
-//! byte of a range reading only committed chunks, so a snapshot stores
-//! and hashes that span and treats the rest as zero.
+//! byte of a range reading only committed granules, so a snapshot
+//! stores and hashes that span and treats the rest as zero.
 //!
-//! The arena is **demand-chunked**: the byte space is divided into
-//! fixed-size chunks that are allocated lazily, zero-filled, on first
-//! write. A fresh 16 MB arena is a table of empty [`OnceLock`] slots —
-//! a few hundred bytes — so constructing a 1024-PE machine does not
-//! eagerly commit gigabytes. Reads of untouched chunks observe zeros,
-//! exactly as an eager zeroed allocation would, and a snapshot skips
-//! them without reading, so `snapshot_region`/`fnv64` checksums are
-//! bit-identical to a dense pass and cost only the committed bytes.
+//! The arena is **demand-committed** in two levels. The byte space is
+//! divided into 64 KB regions ([`REGION_BYTES`]), and a fresh 16 MB
+//! arena is a table of 256 empty [`OnceLock`] region slots — a few
+//! kilobytes — so constructing a 1024-PE machine does not eagerly commit
+//! gigabytes. A region's small table of granule slots is allocated on
+//! the region's first write, and an 8 KB commit granule
+//! ([`GRANULE_BYTES`]) of zeroed word cells on the granule's first
+//! write. The granule is small because a commit costs more than its
+//! bytes' RSS: once the host heap has been recycled, the allocator's
+//! calloc cannot hand out fresh pre-zeroed pages and must zero every
+//! byte it returns, so a PE whose program stores a few words pays for
+//! zeroing, scanning and keeping resident one granule, not one region.
+//! Reads of uncommitted granules observe zeros, exactly as an eager
+//! zeroed allocation would, and a snapshot skips them without reading,
+//! so `snapshot_region`/`fnv64` checksums are bit-identical to a dense
+//! pass and cost only the committed bytes.
 //!
 //! Relaxed atomics compile to plain loads and stores on every platform
 //! we care about; there is no synchronization cost on the hot path.
 //! Determinism is *not* provided by this type — it comes from the
 //! sharded phase contract (a location written by its owner during a
 //! phase must not be read remotely in the same phase), enforced by
-//! convention and checked by the determinism oracle tests. Chunk
-//! *initialization* is thread-safe regardless: `OnceLock` guarantees a
-//! single zeroed allocation wins even under racing first writes.
+//! convention and checked by the determinism oracle tests. Region and
+//! granule *initialization* is thread-safe regardless: `OnceLock`
+//! guarantees a single allocation wins even under racing first writes.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Bytes per lazily-allocated chunk. 64 KB: big enough that chunk-table
-/// indexing is invisible next to DRAM-model costs, small enough that a
-/// microbenchmark touching one page commits one chunk, not a node's
-/// whole memory. A multiple of the word size, so no word straddles two
-/// chunks.
-pub const CHUNK_BYTES: usize = 64 * 1024;
+/// Bytes per commit granule: the unit of node memory allocated, zeroed,
+/// on first write (not to be confused with the DRAM or TLB page). 8 KB:
+/// the allocator zeroes every byte of a commit once its heap has been
+/// recycled, so a PE that stores a few words should pay for 8 KB, not
+/// for a 64 KB region. A multiple of the word size and of the
+/// write-buffer line, so no word or line straddles two granules.
+pub const GRANULE_BYTES: usize = 8 * 1024;
+
+/// Bytes of address space per slot of the arena's top-level table. 64
+/// KB keeps a fresh 16 MB arena's table at 256 slots; a region's table
+/// of [`GRANULE_BYTES`] granule slots is allocated on its first write.
+pub const REGION_BYTES: usize = 64 * 1024;
+
+/// Granule slots per region.
+const GRANULES: usize = REGION_BYTES / GRANULE_BYTES;
+
+/// One granule's word cells.
+type Cells = Box<[AtomicU64]>;
+
+/// One region's granule slots.
+type Region = Box<[OnceLock<Cells>]>;
 
 /// Bytes per word cell.
 const WORD: usize = 8;
@@ -78,13 +101,13 @@ const SPREAD: [u64; 256] = {
 /// Allocates `words` zeroed word cells.
 ///
 /// The memory comes from `alloc_zeroed` rather than from initializing
-/// each atomic cell: the allocator satisfies it from the OS's pre-zeroed
-/// pages (calloc fast path), so a chunk's untouched pages are never
-/// committed.
+/// each atomic cell: where the allocator can, it hands out the OS's
+/// pre-zeroed pages (calloc fast path); from recycled heap it zeroes the
+/// bytes itself, which is why granules are small.
 #[allow(unsafe_code)]
-fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
-    assert!(words > 0, "chunks are never empty");
-    let layout = Layout::array::<AtomicU64>(words).expect("chunk layout");
+fn zeroed_words(words: usize) -> Cells {
+    assert!(words > 0, "granules are never empty");
+    let layout = Layout::array::<AtomicU64>(words).expect("granule layout");
     // SAFETY: `layout` has non-zero size (asserted above). All-zero bits
     // are a valid `AtomicU64` (it has the bit validity of `u64`), so the
     // zeroed allocation is `words` initialized cells. The pointer was
@@ -100,7 +123,7 @@ fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
     }
 }
 
-/// Copies bytes `co..co + out.len()` of one chunk's cells into `out`:
+/// Copies bytes `co..co + out.len()` of one granule's cells into `out`:
 /// an unaligned head word, whole words, then a tail word.
 #[inline]
 fn read_cells(cells: &[AtomicU64], co: usize, out: &mut [u8]) {
@@ -120,7 +143,7 @@ fn read_cells(cells: &[AtomicU64], co: usize, out: &mut [u8]) {
     }
 }
 
-/// Writes `src` over bytes `co..co + src.len()` of one chunk's cells:
+/// Writes `src` over bytes `co..co + src.len()` of one granule's cells:
 /// an unaligned head word, whole-word stores, then a tail word.
 #[inline]
 fn write_cells(cells: &[AtomicU64], co: usize, src: &[u8]) {
@@ -184,7 +207,7 @@ fn byte_range_mask(lo: usize, hi: usize) -> u64 {
 /// Copies `n` bytes from `src` cells at byte `so` to `dst` cells at byte
 /// `dco`, where `so` and `dco` sit at the same position within a word: a
 /// masked head word, whole-word moves, then a masked tail word. A `None`
-/// source is an uncommitted chunk and reads as zeros, so its body is a
+/// source is an uncommitted granule and reads as zeros, so its body is a
 /// plain zero-store loop. Words move in ascending order, so a source
 /// above an overlapping destination in the same cells is read before it
 /// is overwritten.
@@ -215,20 +238,22 @@ fn copy_cells(dst: &[AtomicU64], dco: usize, src: Option<&[AtomicU64]>, so: usiz
 }
 
 /// A fixed-size, zero-initialized byte array with interior mutability
-/// and demand-allocated backing chunks of word cells.
+/// and demand-allocated backing granules of word cells.
 #[derive(Debug)]
 pub struct MemArena {
     len: usize,
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    /// One slot per [`REGION_BYTES`] of address space; a region's table
+    /// of [`GRANULES`] granule slots is allocated on its first write.
+    regions: Box<[OnceLock<Region>]>,
 }
 
 impl MemArena {
-    /// Creates an arena of `len` zeroed bytes. No chunk is allocated
-    /// until first written; reads of unallocated chunks return zeros.
+    /// Creates an arena of `len` zeroed bytes. No granule is allocated
+    /// until first written; reads of unallocated granules return zeros.
     pub fn new(len: usize) -> Self {
-        let n = len.div_ceil(CHUNK_BYTES);
-        let chunks = (0..n).map(|_| OnceLock::new()).collect();
-        MemArena { len, chunks }
+        let n = len.div_ceil(REGION_BYTES);
+        let regions = (0..n).map(|_| OnceLock::new()).collect();
+        MemArena { len, regions }
     }
 
     /// Size in bytes.
@@ -242,41 +267,54 @@ impl MemArena {
         self.len == 0
     }
 
-    /// Bytes actually committed to allocated chunks — the demand-paged
-    /// footprint, as opposed to [`len`](Self::len), the addressable
-    /// size.
+    /// Bytes actually committed to allocated granules — the
+    /// demand-paged footprint, as opposed to [`len`](Self::len), the
+    /// addressable size.
     pub fn resident_bytes(&self) -> usize {
-        (0..self.chunks.len())
-            .filter(|&i| self.chunks[i].get().is_some())
-            .map(|i| self.chunk_len(i))
+        (0..self.len.div_ceil(GRANULE_BYTES))
+            .filter(|&i| self.granule(i).is_some())
+            .map(|i| self.granule_len(i))
             .sum()
     }
 
-    /// The byte length of chunk `i` (the last chunk may be short).
+    /// The byte length of granule `i` (the last granule may be short).
     #[inline]
-    fn chunk_len(&self, i: usize) -> usize {
-        CHUNK_BYTES.min(self.len - i * CHUNK_BYTES)
+    fn granule_len(&self, i: usize) -> usize {
+        GRANULE_BYTES.min(self.len - i * GRANULE_BYTES)
     }
 
-    /// The chunk backing byte `i * CHUNK_BYTES`, allocating it (zeroed)
-    /// on first use. A short tail chunk rounds up to whole words; the
-    /// padding bytes past [`len`](Self::len) are never addressed.
+    /// The cells backing byte `i * GRANULE_BYTES`, or `None` while the
+    /// granule is uncommitted (it reads as zeros). Every read goes
+    /// through here.
     #[inline]
-    fn chunk_mut(&self, i: usize) -> &[AtomicU64] {
-        self.chunks[i].get_or_init(|| zeroed_words(self.chunk_len(i).div_ceil(WORD)))
+    fn granule(&self, i: usize) -> Option<&[AtomicU64]> {
+        self.regions[i / GRANULES].get()?[i % GRANULES]
+            .get()
+            .map(|c| &c[..])
     }
 
-    /// Splits `off..off + len` at chunk boundaries and calls `f` with
-    /// each piece's chunk index, offset within the chunk and range
+    /// The cells backing byte `i * GRANULE_BYTES`, allocating the
+    /// region's granule table and the granule (zeroed) on first use. A
+    /// short tail granule rounds up to whole words; the padding bytes
+    /// past [`len`](Self::len) are never addressed.
+    #[inline]
+    fn granule_mut(&self, i: usize) -> &[AtomicU64] {
+        let table = self.regions[i / GRANULES]
+            .get_or_init(|| (0..GRANULES).map(|_| OnceLock::new()).collect());
+        table[i % GRANULES].get_or_init(|| zeroed_words(self.granule_len(i).div_ceil(WORD)))
+    }
+
+    /// Splits `off..off + len` at granule boundaries and calls `f` with
+    /// each piece's granule index, offset within the granule and range
     /// within the span.
     #[inline]
     fn spans(&self, off: usize, len: usize, mut f: impl FnMut(usize, usize, Range<usize>)) {
         let mut done = 0;
         while done < len {
             let pos = off + done;
-            let (ci, co) = (pos / CHUNK_BYTES, pos % CHUNK_BYTES);
-            let span = (len - done).min(self.chunk_len(ci) - co);
-            f(ci, co, done..done + span);
+            let (gi, go) = (pos / GRANULE_BYTES, pos % GRANULE_BYTES);
+            let span = (len - done).min(self.granule_len(gi) - go);
+            f(gi, go, done..done + span);
             done += span;
         }
     }
@@ -296,10 +334,10 @@ impl MemArena {
             off + buf.len(),
             self.len
         );
-        self.spans(off, buf.len(), |ci, co, r| {
+        self.spans(off, buf.len(), |gi, go, r| {
             let out = &mut buf[r];
-            match self.chunks[ci].get() {
-                Some(cells) => read_cells(cells, co, out),
+            match self.granule(gi) {
+                Some(cells) => read_cells(cells, go, out),
                 None => out.fill(0),
             }
         });
@@ -326,8 +364,8 @@ impl MemArena {
             off + bytes.len(),
             self.len
         );
-        self.spans(off, bytes.len(), |ci, co, r| {
-            write_cells(self.chunk_mut(ci), co, &bytes[r]);
+        self.spans(off, bytes.len(), |gi, go, r| {
+            write_cells(self.granule_mut(gi), go, &bytes[r]);
         });
     }
 
@@ -353,20 +391,20 @@ impl MemArena {
             self.len
         );
         assert!(bytes.len() <= 64, "a mask selects at most 64 bytes");
-        // One chunk lookup per piece (a write-buffer line never straddles
-        // a chunk, so one per line), and only for a piece the mask
-        // selects bytes of; then word by word, a fully selected word as
-        // one plain store.
-        self.spans(off, bytes.len(), |ci, co, r| {
+        // One granule lookup per piece (a write-buffer line never
+        // straddles a granule, so one per line), and only for a piece the
+        // mask selects bytes of; then word by word, a fully selected word
+        // as one plain store.
+        self.spans(off, bytes.len(), |gi, go, r| {
             let sel_piece = (mask >> r.start) & (u64::MAX >> (64 - r.len()));
             if sel_piece == 0 {
                 return;
             }
-            let cells = self.chunk_mut(ci);
+            let cells = self.granule_mut(gi);
             let src = &bytes[r];
             let mut i = 0;
             while i < src.len() {
-                let pos = co + i;
+                let pos = go + i;
                 let b = pos % WORD;
                 let n = (WORD - b).min(src.len() - i);
                 let sel = (sel_piece >> i) as u8 & low_bits(n);
@@ -384,13 +422,13 @@ impl MemArena {
     /// Copies `len` bytes of `src` starting at `src_offset` to
     /// `offset` in this arena, with the result of a copy through a
     /// temporary buffer (memmove): `src` may be this very arena, with
-    /// overlapping ranges. Commits exactly the chunks
+    /// overlapping ranges. Commits exactly the granules
     /// [`write`](Self::write) of the same span would.
     ///
     /// When the two offsets sit at the same position within a word, the
     /// bytes move word cell to word cell; otherwise they pass through a
     /// small stack buffer. Either way nothing is allocated but
-    /// destination chunks.
+    /// destination granules.
     ///
     /// # Panics
     ///
@@ -410,13 +448,12 @@ impl MemArena {
             let mut done = 0;
             while done < len {
                 let (dp, sp) = (d + done, s + done);
-                let (dci, dco) = (dp / CHUNK_BYTES, dp % CHUNK_BYTES);
-                let (sci, sco) = (sp / CHUNK_BYTES, sp % CHUNK_BYTES);
+                let (dgi, dgo) = (dp / GRANULE_BYTES, dp % GRANULE_BYTES);
+                let (sgi, sgo) = (sp / GRANULE_BYTES, sp % GRANULE_BYTES);
                 let n = (len - done)
-                    .min(self.chunk_len(dci) - dco)
-                    .min(src.chunk_len(sci) - sco);
-                let cells = src.chunks[sci].get().map(|c| &c[..]);
-                copy_cells(self.chunk_mut(dci), dco, cells, sco, n);
+                    .min(self.granule_len(dgi) - dgo)
+                    .min(src.granule_len(sgi) - sgo);
+                copy_cells(self.granule_mut(dgi), dgo, src.granule(sgi), sgo, n);
                 done += n;
             }
             return;
@@ -434,8 +471,8 @@ impl MemArena {
 
     /// The shortest span holding every nonzero byte of
     /// `offset..offset + len`, or `None` if they are all zero. Only
-    /// committed chunks are read: an uncommitted chunk is zero without
-    /// looking.
+    /// committed granules are read: an uncommitted granule is zero
+    /// without looking.
     ///
     /// # Panics
     ///
@@ -450,17 +487,17 @@ impl MemArena {
             self.len
         );
         let mut span: Option<Range<usize>> = None;
-        self.spans(off, len, |ci, co, r| {
-            let Some(cells) = self.chunks[ci].get() else {
+        self.spans(off, len, |gi, go, r| {
+            let Some(cells) = self.granule(gi) else {
                 return;
             };
-            let end = co + r.len();
-            let (w0, w1) = (co / WORD, end.div_ceil(WORD));
+            let end = go + r.len();
+            let (w0, w1) = (go / WORD, end.div_ceil(WORD));
             // Word `w` with any bytes outside `co..end` cleared.
             let word = |w: usize| {
                 let mut v = cells[w].load(Ordering::Relaxed);
                 if w == w0 {
-                    v &= u64::MAX << (8 * (co % WORD));
+                    v &= u64::MAX << (8 * (go % WORD));
                 }
                 if w + 1 == w1 && end % WORD != 0 {
                     v &= u64::MAX >> (8 * (WORD - end % WORD));
@@ -471,7 +508,7 @@ impl MemArena {
                 return;
             };
             let last = (first..w1).rev().find(|&w| word(w) != 0).unwrap_or(first);
-            let at = ci * CHUNK_BYTES;
+            let at = gi * GRANULE_BYTES;
             let lo = at + first * WORD + word(first).trailing_zeros() as usize / 8;
             let hi = at + (last + 1) * WORD - word(last).leading_zeros() as usize / 8;
             span = Some(span.as_ref().map_or(lo, |s| s.start)..hi);
@@ -480,13 +517,13 @@ impl MemArena {
     }
 
     /// A deep copy with the same contents (used by `MemPort::clone`).
-    /// Only chunks the source has committed are allocated in the copy,
-    /// so cloning a mostly-untouched arena stays cheap.
+    /// Only granules the source has committed are allocated in the
+    /// copy, so cloning a mostly-untouched arena stays cheap.
     pub fn deep_clone(&self) -> Self {
         let clone = MemArena::new(self.len);
-        for (i, slot) in self.chunks.iter().enumerate() {
-            if let Some(src) = slot.get() {
-                let dst = clone.chunk_mut(i);
+        for i in 0..self.len.div_ceil(GRANULE_BYTES) {
+            if let Some(src) = self.granule(i) {
+                let dst = clone.granule_mut(i);
                 for (d, s) in dst.iter().zip(src.iter()) {
                     d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
                 }
@@ -514,16 +551,44 @@ mod tests {
     #[test]
     fn fresh_arena_commits_nothing() {
         let a = MemArena::new(16 << 20);
-        assert_eq!(a.resident_bytes(), 0, "construction allocates no chunks");
+        assert_eq!(a.resident_bytes(), 0, "construction allocates no granules");
         let mut buf = [0u8; 64];
         a.read(1 << 20, &mut buf);
-        assert_eq!(a.resident_bytes(), 0, "reads allocate no chunks");
+        assert_eq!(a.resident_bytes(), 0, "reads allocate no granules");
         a.set(1 << 20, 1);
         assert_eq!(
             a.resident_bytes(),
-            CHUNK_BYTES,
-            "first write commits one chunk"
+            GRANULE_BYTES,
+            "first write commits one granule"
         );
+    }
+
+    #[test]
+    fn resident_bytes_count_the_distinct_granules_written() {
+        let a = MemArena::new(4 * REGION_BYTES);
+        let mut written = std::collections::BTreeSet::new();
+        let mut check = |off: usize, n: usize, what: &str| {
+            written.extend(off / GRANULE_BYTES..=(off + n - 1) / GRANULE_BYTES);
+            assert_eq!(a.resident_bytes(), written.len() * GRANULE_BYTES, "{what}");
+        };
+        a.set(3, 1);
+        check(3, 1, "one byte");
+        let off = 2 * GRANULE_BYTES - 3;
+        a.write(off as u64, &[7; 8]);
+        check(off, 8, "a write straddling a granule boundary");
+        let off = REGION_BYTES - 4;
+        a.write(off as u64, &[9; 8]);
+        check(off, 8, "a write straddling a region boundary");
+        // Word to word, then through the bounce buffer.
+        let fresh = MemArena::new(a.len());
+        let (off, n) = (2 * REGION_BYTES + 100, GRANULE_BYTES + 200);
+        a.copy_from(off as u64, &fresh, 4, n);
+        check(off, n, "a word copy from an uncommitted source");
+        let (off, n) = (3 * REGION_BYTES + 1, 300);
+        a.copy_from(off as u64, &fresh, 0, n);
+        check(off, n, "a byte copy from an uncommitted source");
+        a.copy_from(off as u64 + 4, &a, off as u64, 64);
+        check(off + 4, 64, "a copy within committed granules");
     }
 
     #[test]
@@ -537,28 +602,28 @@ mod tests {
     }
 
     #[test]
-    fn spans_crossing_chunk_boundaries_roundtrip() {
-        let a = MemArena::new(3 * CHUNK_BYTES + 7);
-        let off = CHUNK_BYTES as u64 - 3; // straddles chunks 0 and 1
+    fn spans_crossing_region_boundaries_roundtrip() {
+        let a = MemArena::new(3 * REGION_BYTES + 7);
+        let off = REGION_BYTES as u64 - 3; // straddles regions 0 and 1
         let data: Vec<u8> = (0..16u8).collect();
         a.write(off, &data);
         let mut buf = [0u8; 16];
         a.read(off, &mut buf);
         assert_eq!(&buf[..], &data[..]);
-        // A long read over committed, uncommitted and short-tail chunks.
+        // A long read over committed, uncommitted and short-tail granules.
         let mut all = vec![0xAAu8; a.len()];
         a.read(0, &mut all);
-        assert_eq!(&all[CHUNK_BYTES - 3..CHUNK_BYTES + 13], &data[..]);
-        assert!(all[..CHUNK_BYTES - 3].iter().all(|&b| b == 0));
-        assert!(all[CHUNK_BYTES + 13..].iter().all(|&b| b == 0));
+        assert_eq!(&all[REGION_BYTES - 3..REGION_BYTES + 13], &data[..]);
+        assert!(all[..REGION_BYTES - 3].iter().all(|&b| b == 0));
+        assert!(all[REGION_BYTES + 13..].iter().all(|&b| b == 0));
     }
 
     #[test]
-    fn short_tail_chunk_is_addressable() {
-        let a = MemArena::new(2 * CHUNK_BYTES + 5);
-        a.write(2 * CHUNK_BYTES as u64, &[9, 8, 7, 6, 5]);
-        assert_eq!(a.get(2 * CHUNK_BYTES as u64 + 4), 5);
-        assert_eq!(a.resident_bytes(), 5, "tail chunk is allocated short");
+    fn short_tail_granule_is_addressable() {
+        let a = MemArena::new(2 * REGION_BYTES + 5);
+        a.write(2 * REGION_BYTES as u64, &[9, 8, 7, 6, 5]);
+        assert_eq!(a.get(2 * REGION_BYTES as u64 + 4), 5);
+        assert_eq!(a.resident_bytes(), 5, "tail granule is allocated short");
     }
 
     #[test]
@@ -582,12 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn deep_clone_copies_only_committed_chunks() {
-        let a = MemArena::new(4 * CHUNK_BYTES);
-        a.set(3 * CHUNK_BYTES as u64, 42);
+    fn deep_clone_copies_only_committed_granules() {
+        let a = MemArena::new(4 * REGION_BYTES);
+        a.set(3 * REGION_BYTES as u64, 42);
         let b = a.deep_clone();
-        assert_eq!(b.resident_bytes(), CHUNK_BYTES);
-        assert_eq!(b.get(3 * CHUNK_BYTES as u64), 42);
+        assert_eq!(b.resident_bytes(), GRANULE_BYTES);
+        assert_eq!(b.get(3 * REGION_BYTES as u64), 42);
         assert_eq!(b.get(0), 0);
     }
 
@@ -609,9 +674,10 @@ mod tests {
     }
 
     #[test]
-    fn racing_first_writes_to_one_chunk_all_land() {
-        // OnceLock must arbitrate racing chunk initializations.
-        let a = std::sync::Arc::new(MemArena::new(CHUNK_BYTES));
+    fn racing_first_writes_to_one_granule_all_land() {
+        // OnceLock must arbitrate racing region and granule
+        // initializations.
+        let a = std::sync::Arc::new(MemArena::new(REGION_BYTES));
         std::thread::scope(|s| {
             for t in 0..8u8 {
                 let a = std::sync::Arc::clone(&a);
@@ -623,7 +689,7 @@ mod tests {
         for t in 0..8u8 {
             assert_eq!(a.get(t as u64 * 128 + 64), t + 1);
         }
-        assert_eq!(a.resident_bytes(), CHUNK_BYTES);
+        assert_eq!(a.resident_bytes(), GRANULE_BYTES);
     }
 
     #[test]
@@ -675,15 +741,15 @@ mod tests {
         }
         assert_eq!(model_read(&a), want);
         // An empty mask writes nothing and commits nothing new.
-        let b = MemArena::new(CHUNK_BYTES);
+        let b = MemArena::new(GRANULE_BYTES);
         b.write_masked(3, &[9; 8], 0);
         assert_eq!(b.get(3), 0);
     }
 
     #[test]
-    fn spans_crossing_a_chunk_at_an_odd_offset() {
-        let a = MemArena::new(2 * CHUNK_BYTES);
-        let off = CHUNK_BYTES as u64 - 5;
+    fn spans_crossing_a_granule_at_an_odd_offset() {
+        let a = MemArena::new(2 * GRANULE_BYTES);
+        let off = GRANULE_BYTES as u64 - 5;
         let data: Vec<u8> = (1..=19u8).collect();
         a.write(off, &data);
         let mut buf = [0u8; 19];
@@ -697,22 +763,22 @@ mod tests {
         }
         a.read(off, &mut buf);
         assert_eq!(&buf[..], &want[..]);
-        assert_eq!(a.resident_bytes(), 2 * CHUNK_BYTES);
+        assert_eq!(a.resident_bytes(), 2 * GRANULE_BYTES);
     }
 
     #[test]
-    fn tail_chunk_shorter_than_a_word_multiple() {
-        let len = CHUNK_BYTES + 13;
+    fn tail_granule_shorter_than_a_word_multiple() {
+        let len = GRANULE_BYTES + 13;
         let a = MemArena::new(len);
         let data: Vec<u8> = (100..113u8).collect();
-        a.write(CHUNK_BYTES as u64, &data);
+        a.write(GRANULE_BYTES as u64, &data);
         assert_eq!(
             a.resident_bytes(),
             13,
-            "tail chunk counts its bytes, not its words"
+            "tail granule counts its bytes, not its words"
         );
         let mut buf = [0u8; 13];
-        a.read(CHUNK_BYTES as u64, &mut buf);
+        a.read(GRANULE_BYTES as u64, &mut buf);
         assert_eq!(&buf[..], &data[..]);
         a.set(len as u64 - 1, 0x7F);
         assert_eq!(a.get(len as u64 - 1), 0x7F);
@@ -752,7 +818,7 @@ mod tests {
 
     #[test]
     fn random_spans_match_a_byte_model() {
-        let len = 2 * CHUNK_BYTES + 29;
+        let len = 2 * REGION_BYTES + 29;
         let a = MemArena::new(len);
         let mut model = vec![0u8; len];
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -789,7 +855,7 @@ mod tests {
 
     #[test]
     fn copies_match_a_memmove_model_and_commit_like_writes() {
-        let len = 3 * CHUNK_BYTES + 29;
+        let len = 3 * REGION_BYTES + 29;
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             x ^= x << 13;
@@ -798,16 +864,16 @@ mod tests {
             x
         };
         for case in 0..600 {
-            // Chunk 1 of the source arena is never written.
+            // Region 1 of the source arena is never written.
             let (a, b) = (MemArena::new(len), MemArena::new(len));
-            for (arena, base) in [(&a, 0), (&a, 2 * CHUNK_BYTES), (&b, CHUNK_BYTES)] {
-                let data: Vec<u8> = (0..CHUNK_BYTES).map(|_| next() as u8).collect();
-                arena.write(base as u64, &data[..CHUNK_BYTES.min(len - base)]);
+            for (arena, base) in [(&a, 0), (&a, 2 * REGION_BYTES), (&b, REGION_BYTES)] {
+                let data: Vec<u8> = (0..REGION_BYTES).map(|_| next() as u8).collect();
+                arena.write(base as u64, &data[..REGION_BYTES.min(len - base)]);
             }
             let n = match case % 3 {
                 0 => (next() % 40) as usize,
                 1 => (next() % 700) as usize,
-                _ => (next() as usize) % (CHUNK_BYTES + 100),
+                _ => (next() as usize) % (REGION_BYTES + 100),
             };
             let s = (next() as usize) % (len - n + 1);
             let d = if case % 4 == 0 {
@@ -822,9 +888,9 @@ mod tests {
             let src_bytes = model_read(&a);
             want[d..d + n].copy_from_slice(&src_bytes[s..s + n]);
             let written = MemArena::new(len);
-            for (i, slot) in dst.chunks.iter().enumerate() {
-                if slot.get().is_some() {
-                    written.set((i * CHUNK_BYTES) as u64, 0);
+            for i in 0..len.div_ceil(GRANULE_BYTES) {
+                if dst.granule(i).is_some() {
+                    written.set((i * GRANULE_BYTES) as u64, 0);
                 }
             }
             written.write(d as u64, &vec![0; n]);
@@ -840,14 +906,14 @@ mod tests {
 
     #[test]
     fn nonzero_span_finds_the_outermost_nonzero_bytes() {
-        let len = 3 * CHUNK_BYTES + 13;
+        let len = 3 * REGION_BYTES + 13;
         let a = MemArena::new(len);
         assert_eq!(a.nonzero_span(0, len), None, "fresh arena");
-        a.write(CHUNK_BYTES as u64, &[0; 64]);
-        assert_eq!(a.nonzero_span(0, len), None, "a committed chunk of zeros");
-        a.set(CHUNK_BYTES as u64 + 5, 1);
-        a.set(2 * CHUNK_BYTES as u64 + 2, 7);
-        let (lo, hi) = (CHUNK_BYTES as u64 + 5, 2 * CHUNK_BYTES as u64 + 3);
+        a.write(REGION_BYTES as u64, &[0; 64]);
+        assert_eq!(a.nonzero_span(0, len), None, "a committed granule of zeros");
+        a.set(REGION_BYTES as u64 + 5, 1);
+        a.set(2 * REGION_BYTES as u64 + 2, 7);
+        let (lo, hi) = (REGION_BYTES as u64 + 5, 2 * REGION_BYTES as u64 + 3);
         assert_eq!(a.nonzero_span(0, len), Some(lo..hi));
         // Windows that cut through the nonzero bytes' words.
         assert_eq!(a.nonzero_span(lo, 1), Some(lo..lo + 1));
@@ -857,7 +923,7 @@ mod tests {
         assert_eq!(a.nonzero_span(3, len - 3), Some(lo..len as u64));
         assert_eq!(
             a.resident_bytes(),
-            2 * CHUNK_BYTES + 13,
+            2 * GRANULE_BYTES + 13,
             "scans commit nothing"
         );
     }

@@ -37,8 +37,8 @@
 
 // `deny` rather than `forbid`: the arena carries the crate's one
 // audited `#[allow(unsafe_code)]` block (a zeroed `alloc_zeroed`
-// allocation boxed as `[AtomicU64]`, which keeps chunk allocation on
-// the calloc fast path). Everything else stays unsafe-free.
+// allocation boxed as `[AtomicU64]`, which keeps granule allocation on
+// calloc). Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

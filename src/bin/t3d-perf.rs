@@ -28,7 +28,7 @@
 //! time: the fastest of several 1024-PE constructions, in seconds at
 //! the speed of `t3d_perf`'s reference loop, must stay under
 //! `SCALE_NEW_BOUND_S`, the observable contract of the
-//! demand-chunked memory arenas.
+//! demand-committed memory arenas.
 //!
 //! `--out DIR` writes the fresh documents (default: current directory);
 //! `--compare DIR` additionally checks them against `DIR/BENCH_*.json`
@@ -236,7 +236,8 @@ const SCALE_NEW_SAMPLES: usize = 5;
 /// the reference speed (14.6 µs per PE). The fastest of five measured
 /// 1.6–4.1 ms on a 2-core KVM guest, plain and link-contended, so this
 /// leaves over 3× headroom. Construction that grows with node memory
-/// rather than node count (committing even one 64 KB chunk per PE) is
+/// rather than node count (committing even one 8 KB arena granule per
+/// PE, which calloc must zero once the heap has been recycled) is
 /// caught exactly by the `resident_bytes` and heap-byte pins in the
 /// tests; this bound catches a per-PE slowdown they cannot see.
 const SCALE_NEW_BOUND_S: f64 = 0.015;

@@ -19,7 +19,7 @@
 //!
 //! Machine construction costs metadata per PE, never node memory: the
 //! heap bytes per PE are the same at 8 and at 1024 PEs, and less than
-//! one arena chunk. A snapshot costs the nonzero span of each PE's
+//! one 64 KB arena region. A snapshot costs the nonzero span of each PE's
 //! region plus a few words per PE, not the region's bytes.
 //!
 //! The binary installs a counting global allocator. Counts are kept per
@@ -30,7 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
 use t3d_machine::{Cpu, Machine, MachineConfig, OpKind, PerfMode};
-use t3d_memsys::arena::CHUNK_BYTES;
+use t3d_memsys::arena::REGION_BYTES;
 use t3d_shell::FuncCode;
 
 struct Counting;
@@ -292,8 +292,8 @@ fn construction_heap_bytes_per_pe_do_not_grow_with_the_machine() {
             "{arm}: {big} bytes per PE at 1024 PEs, over 1.25x the {small} at 8 PEs"
         );
         assert!(
-            big < CHUNK_BYTES as u64,
-            "{arm}: {big} bytes per PE, an arena chunk's worth or more"
+            big < REGION_BYTES as u64,
+            "{arm}: {big} bytes per PE, an arena region's worth or more"
         );
     }
 }
