@@ -35,6 +35,6 @@ pub mod run;
 
 pub use graph::{Em3dGraph, Em3dParams};
 pub use run::{
-    fig9_sweep, run_version, run_version_profiled, run_version_profiled_contended,
-    run_version_recorded, run_version_with, Em3dResult, Version,
+    fig9_sweep, run_version, run_version_observed, run_version_profiled,
+    run_version_profiled_contended, run_version_with, Em3dResult, Version,
 };

@@ -5,7 +5,7 @@
 //! reach the consumer, which is the whole point of the study.
 
 use crate::graph::{Em3dGraph, Em3dParams, Endpoint};
-use splitc::{GlobalPtr, RecEvent, SplitC};
+use splitc::{GlobalPtr, RecEvent, Report, SanitizeMode, SplitC, SplitcConfig};
 use std::collections::HashMap;
 use t3d_machine::{MachineConfig, OpStats, PerfMode, PerfReport, PhaseDriver};
 
@@ -441,7 +441,7 @@ pub fn run_version_with(
     params: Em3dParams,
     version: Version,
 ) -> Em3dResult {
-    run_version_inner(driver, nprocs, params, version, false, false, false).0
+    run_version_inner(driver, nprocs, params, version, Opts::default()).0
 }
 
 /// [`run_version_profiled`] with the opt-in contention models
@@ -456,23 +456,39 @@ pub fn run_version_profiled_contended(
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(driver, nprocs, params, version, true, false, true);
+    let opts = Opts {
+        profile: true,
+        contended: true,
+        ..Opts::default()
+    };
+    let (r, p, _, _) = run_version_inner(driver, nprocs, params, version, opts);
     (r, p.expect("profiling was requested"))
 }
 
-/// [`run_version_with`], with op recording: every runtime primitive the
-/// version issues (plus phase and barrier markers) is captured as
-/// per-PE [`RecEvent`] streams, the input `t3d-lint` analyzes. The
-/// result is bit-identical to an unrecorded run — recording is pure
-/// observation.
-pub fn run_version_recorded(
+/// [`run_version_with`] under sanitizer mode `sanitize` (`T3D_SAN`
+/// fills in [`SanitizeMode::Off`]), with op recording when `record` is
+/// set: every runtime primitive the version issues (plus phase and
+/// barrier markers) is captured as per-PE [`RecEvent`] streams, the
+/// input `t3d-lint` analyzes. Returns the streams (empty when not
+/// recording) and the sanitizer's report (`None` when it is off). The
+/// result is bit-identical to an unobserved run, and both are views of
+/// the runtime's one event log, so neither depends on the other being
+/// on.
+pub fn run_version_observed(
     driver: PhaseDriver,
     nprocs: u32,
     params: Em3dParams,
     version: Version,
-) -> (Em3dResult, Vec<Vec<RecEvent>>) {
-    let (r, _, log) = run_version_inner(driver, nprocs, params, version, false, true, false);
-    (r, log)
+    record: bool,
+    sanitize: SanitizeMode,
+) -> (Em3dResult, Vec<Vec<RecEvent>>, Option<Report>) {
+    let opts = Opts {
+        record,
+        sanitize,
+        ..Opts::default()
+    };
+    let (r, _, log, report) = run_version_inner(driver, nprocs, params, version, opts);
+    (r, log, report)
 }
 
 /// [`run_version_with`], with cycle attribution: the measured steps run
@@ -486,8 +502,25 @@ pub fn run_version_profiled(
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(driver, nprocs, params, version, true, false, false);
+    let opts = Opts {
+        profile: true,
+        ..Opts::default()
+    };
+    let (r, p, _, _) = run_version_inner(driver, nprocs, params, version, opts);
     (r, p.expect("profiling was requested"))
+}
+
+/// What a run observes besides its result.
+#[derive(Debug, Clone, Copy, Default)]
+struct Opts {
+    /// Attribute cycles to cost classes.
+    profile: bool,
+    /// Record the op streams.
+    record: bool,
+    /// Model target-shell and link contention.
+    contended: bool,
+    /// Sanitizer mode (`T3D_SAN` fills in `Off`).
+    sanitize: SanitizeMode,
 }
 
 fn run_version_inner(
@@ -495,20 +528,31 @@ fn run_version_inner(
     nprocs: u32,
     params: Em3dParams,
     version: Version,
-    profile: bool,
-    record: bool,
-    contended: bool,
-) -> (Em3dResult, Option<PerfReport>, Vec<Vec<RecEvent>>) {
+    opts: Opts,
+) -> (
+    Em3dResult,
+    Option<PerfReport>,
+    Vec<Vec<RecEvent>>,
+    Option<Report>,
+) {
+    let Opts {
+        profile,
+        record,
+        contended,
+        sanitize,
+    } = opts;
     let g = Em3dGraph::generate(params, nprocs);
     let mut cfg = MachineConfig::t3d_with_mem(nprocs, 4 * 1024 * 1024);
     if contended {
         cfg.contention = true;
         cfg.link_contention = true;
     }
-    let mut sc = SplitC::new(cfg);
-    if record {
-        sc.record_ops(true);
-    }
+    let scfg = SplitcConfig {
+        sanitize,
+        ..SplitcConfig::t3d()
+    };
+    let mut sc = SplitC::with_config(cfg, scfg);
+    sc.record_ops(record);
     let npp = params.nodes_per_pe as u64;
     let deg = params.degree as u64;
     let layout = Layout {
@@ -665,7 +709,8 @@ fn run_version_inner(
 
     // Negative sanitizer corpus: every EM3D version is properly
     // synchronized, so a run with `T3D_SAN` set must report nothing.
-    if let Some(report) = sc.san_report() {
+    let san_report = sc.san_report();
+    if let Some(report) = &san_report {
         assert!(
             report.is_empty(),
             "{}: sanitizer flagged a correct program:\n{}",
@@ -687,6 +732,7 @@ fn run_version_inner(
         },
         report,
         op_log,
+        san_report,
     )
 }
 

@@ -5,8 +5,8 @@
 //! bench gate. Only a change meant to move EM3D timing updates these
 //! constants, together with `BENCH_em3d.json`.
 
-use em3d::{run_version_recorded, run_version_with, Em3dParams, Version};
-use splitc::RecEvent;
+use em3d::{run_version_observed, run_version_with, Em3dParams, Version};
+use splitc::{RecEvent, SanitizeMode};
 use t3d_machine::PhaseDriver;
 
 const PES: u32 = 4;
@@ -100,7 +100,14 @@ fn every_version_keeps_its_phase_and_barrier_structure() {
     // before verification.
     let steps = 1 + params.steps;
     for pin in &PINS {
-        let (_, log) = run_version_recorded(PhaseDriver::Seq, PES, params, pin.version);
+        let (_, log, _) = run_version_observed(
+            PhaseDriver::Seq,
+            PES,
+            params,
+            pin.version,
+            true,
+            SanitizeMode::Off,
+        );
         let label = pin.version.label();
         let count = |want: &RecEvent| log[0].iter().filter(|e| *e == want).count();
         assert_eq!(

@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::clock::VectorClock;
-use crate::event::{merge_logs, SanEvent, SanOp, WriteKind, NO_REG};
+use crate::event::{SanEvent, SanOp, WriteKind, NO_REG};
 use crate::report::{DiagKind, Diagnostic, Report};
 use crate::SanitizeMode;
 
@@ -123,13 +123,6 @@ impl Sanitizer {
         for ev in events {
             self.apply(&ev);
         }
-    }
-
-    /// Merges per-PE logs by `(time, pe, seq)` — the sharded engine's
-    /// effect-log order — and applies them. Bit-identical for
-    /// sequential and parallel phase drivers.
-    pub fn ingest_logs(&mut self, logs: Vec<Vec<SanEvent>>) {
-        self.ingest(merge_logs(logs));
     }
 
     /// A machine-wide barrier (`barrier`/`all_store_sync`): fences every

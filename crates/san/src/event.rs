@@ -1,9 +1,9 @@
-//! The event vocabulary the instrumented runtime emits.
+//! The event vocabulary the analyzer consumes.
 //!
-//! Each `splitc` communication primitive appends one [`SanEvent`] to its
-//! node's [`SanLog`] (no machine interaction — instrumentation never
-//! perturbs virtual time). Logs are drained into the analyzer at phase
-//! boundaries and merged by `(time, pe, seq)`, the same total order the
+//! The `splitc` runtime logs each primitive once, in its per-node event
+//! log (no machine interaction — instrumentation never perturbs virtual
+//! time). At phase boundaries it turns the new entries into
+//! [`SanEvent`]s, merged by `(time, pe, seq)`, the same total order the
 //! sharded phase engine imposes on its effect log.
 
 /// Annex register index meaning "not tracked for this operation"
@@ -131,93 +131,4 @@ pub struct SanEvent {
     pub op: SanOp,
     /// The runtime entry point that emitted it (e.g. `"read_u64"`).
     pub source: &'static str,
-}
-
-/// A per-node event log (lives in the runtime's per-PE state so
-/// sharded phases can record without cross-PE contention).
-#[derive(Debug, Clone, Default)]
-pub struct SanLog {
-    enabled: bool,
-    seq: u64,
-    events: Vec<SanEvent>,
-}
-
-impl SanLog {
-    /// A log that records (pass `false` for a disabled, zero-cost one).
-    pub fn new(enabled: bool) -> Self {
-        SanLog {
-            enabled,
-            seq: 0,
-            events: Vec::new(),
-        }
-    }
-
-    /// Whether push actually records.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one event (no-op when disabled).
-    pub fn push(&mut self, pe: u32, time: u64, op: SanOp, source: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(SanEvent {
-            pe,
-            time,
-            seq,
-            op,
-            source,
-        });
-    }
-
-    /// Takes the recorded events, leaving the log empty (the sequence
-    /// counter keeps running so later events still order after).
-    pub fn drain(&mut self) -> Vec<SanEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Merges per-PE logs into the global analysis order `(time, pe, seq)`
-/// — deterministic regardless of which phase driver produced them.
-pub fn merge_logs(mut logs: Vec<Vec<SanEvent>>) -> Vec<SanEvent> {
-    let mut all: Vec<SanEvent> = logs.drain(..).flatten().collect();
-    all.sort_unstable_by_key(|e| (e.time, e.pe, e.seq));
-    all
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = SanLog::new(false);
-        log.push(0, 10, SanOp::GetSync, "sync");
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn merge_orders_by_time_then_pe_then_seq() {
-        let mut a = SanLog::new(true);
-        let mut b = SanLog::new(true);
-        a.push(0, 20, SanOp::GetSync, "sync");
-        a.push(0, 20, SanOp::GetSync, "sync");
-        b.push(1, 10, SanOp::GetSync, "sync");
-        let merged = merge_logs(vec![a.drain(), b.drain()]);
-        let key: Vec<(u64, u32, u64)> = merged.iter().map(|e| (e.time, e.pe, e.seq)).collect();
-        assert_eq!(key, vec![(10, 1, 0), (20, 0, 0), (20, 0, 1)]);
-    }
 }

@@ -10,7 +10,8 @@
 //! Two front ends feed one diagnostic vocabulary ([`DiagKind`]):
 //!
 //! * The **split-phase analyzer** ([`Sanitizer`]) consumes source-tagged
-//!   events ([`SanEvent`]) emitted by the instrumented `splitc` runtime.
+//!   events ([`SanEvent`]) that the `splitc` runtime derives from its
+//!   per-node event log.
 //!   It maintains one vector clock per PE, advanced on every operation
 //!   and joined across the sync edges the paper names — get `sync()`,
 //!   `storeSync`/`allStoreSync`, barriers, AM deposit→dispatch pairs and
@@ -23,10 +24,10 @@
 //!
 //! Enable it through `SplitcConfig::sanitize` or the `T3D_SAN`
 //! environment variable (`1`/`collect` to collect, `2`/`panic` to abort
-//! on the first finding; any other non-empty value panics). Per-PE event logs are merged by
-//! `(time, pe, seq)` — the same discipline the sharded phase engine
-//! uses for its effect log — so sequential and parallel phase drivers
-//! produce bit-identical reports.
+//! on the first finding; any other non-empty value panics). The runtime
+//! merges the per-PE events by `(time, pe, seq)` — the same discipline
+//! the sharded phase engine uses for its effect log — so sequential and
+//! parallel phase drivers produce bit-identical reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub mod trace_scan;
 
 pub use analyzer::Sanitizer;
 pub use clock::VectorClock;
-pub use event::{SanEvent, SanLog, SanOp, WriteKind, NO_REG};
+pub use event::{SanEvent, SanOp, WriteKind, NO_REG};
 pub use report::{DiagKind, Diagnostic, Report};
 
 /// How the sanitizer behaves when wired into a runtime.

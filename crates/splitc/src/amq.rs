@@ -16,9 +16,10 @@
 //! sequence matches.
 
 use crate::op::ScOp;
+use crate::record::RtKind;
 use crate::runtime::{ScCtx, AM_ADD_U64, AM_SLOT_BYTES};
 use t3d_shell::FuncCode;
-use t3dsan::SanOp;
+use t3dsan::NO_REG;
 
 impl ScCtx<'_> {
     /// Deposits an AM-equivalent message for `target_pe`: handler `id`
@@ -30,17 +31,21 @@ impl ScCtx<'_> {
     ///
     /// Panics if `target_pe` does not exist.
     pub fn am_deposit(&mut self, target_pe: usize, id: u64, args: [u64; 4]) {
-        // Only the plain-data add is recorded as itself; the byte/u32
-        // repair deposits are recorded by their issuing wrappers.
-        if id == AM_ADD_U64 {
-            self.rec(ScOp::AmAdd {
+        // Only the plain-data add is an op of the recorded program; the
+        // byte/u32 repairs are recorded by their issuing wrappers, and
+        // those and user handlers log a sanitizer-only deposit.
+        let e = if id == AM_ADD_U64 {
+            self.log_op(ScOp::AmAdd {
                 target_pe: target_pe as u32,
                 off: args[0],
                 delta: args[1],
-            });
-        }
+            })
+        } else {
+            self.log(RtKind::Deposit {
+                target_pe: target_pe as u32,
+            })
+        };
         assert!(target_pe < self.m.nodes(), "PE {target_pe} out of range");
-        self.rt.stats.am_deposits += 1;
         // Allocate a slot with the target's fetch&increment register 0.
         let ticket = self.m.fetch_inc(target_pe, 0);
         let slot = ticket % self.cfg.am_slots;
@@ -70,12 +75,7 @@ impl ScCtx<'_> {
             self.m.wait_write_acks();
         }
         self.m.advance(self.cfg.am_deposit_overhead_cy);
-        self.san_emit(
-            SanOp::AmDeposit {
-                target: target_pe as u32,
-            },
-            "am_deposit",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Polls this node's queue, dispatching every message present.
@@ -123,12 +123,10 @@ impl ScCtx<'_> {
             dispatched += 1;
         }
         if dispatched > 0 {
-            self.san_emit(
-                SanOp::AmDispatch {
-                    count: dispatched as u64,
-                },
-                "am_poll",
-            );
+            let e = self.log(RtKind::Dispatch {
+                count: dispatched as u64,
+            });
+            self.done(e, NO_REG);
         }
         dispatched
     }

@@ -20,7 +20,7 @@ use crate::op::ScOp;
 use crate::runtime::ScCtx;
 use t3d_shell::blt::BltDirection;
 use t3d_shell::FuncCode;
-use t3dsan::{SanOp, WriteKind, NO_REG};
+use t3dsan::NO_REG;
 
 /// Cost of flushing the entire cache in one batched operation, cheaper
 /// than per-line flushes beyond ~64 lines (the Figure 8 footnote's 8 KB
@@ -51,7 +51,7 @@ impl ScCtx<'_> {
     ///
     /// Panics if `bytes` is zero or not a multiple of 8.
     pub fn bulk_read(&mut self, local_off: u64, src: GlobalPtr, bytes: u64) {
-        self.rec(ScOp::BulkRead {
+        let e = self.log_op(ScOp::BulkRead {
             local_off,
             src,
             bytes,
@@ -60,11 +60,10 @@ impl ScCtx<'_> {
             bytes > 0 && bytes.is_multiple_of(8),
             "bulk transfers move whole words"
         );
-        self.rt.stats.bulk_ops += 1;
         if src.pe() as usize == self.pe() {
             self.local_copy(local_off, src.addr(), bytes);
         } else if bytes <= 8 {
-            // Delegates to read_u64, which emits its own event.
+            // Delegates to read_u64, whose entry carries the effect.
             let v = self.read_u64(src);
             self.m.st8(local_off, v);
             return;
@@ -73,15 +72,7 @@ impl ScCtx<'_> {
         } else {
             self.bulk_read_blt(local_off, src, bytes);
         }
-        self.san_emit(
-            SanOp::Read {
-                target: src.pe(),
-                addr: src.addr(),
-                len: bytes,
-                reg: NO_REG,
-            },
-            "bulk_read",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Blocking bulk write of `bytes` from local memory at `local_off`
@@ -91,7 +82,7 @@ impl ScCtx<'_> {
     ///
     /// Panics if `bytes` is zero or not a multiple of 8.
     pub fn bulk_write(&mut self, dst: GlobalPtr, local_off: u64, bytes: u64) {
-        self.rec(ScOp::BulkWrite {
+        let e = self.log_op(ScOp::BulkWrite {
             dst,
             local_off,
             bytes,
@@ -100,7 +91,6 @@ impl ScCtx<'_> {
             bytes > 0 && bytes.is_multiple_of(8),
             "bulk transfers move whole words"
         );
-        self.rt.stats.bulk_ops += 1;
         if dst.pe() as usize == self.pe() {
             self.local_copy(dst.addr(), local_off, bytes);
         } else {
@@ -108,16 +98,7 @@ impl ScCtx<'_> {
             self.m.memory_barrier();
             self.m.wait_write_acks();
         }
-        self.san_emit(
-            SanOp::Write {
-                target: dst.pe(),
-                addr: dst.addr(),
-                len: bytes,
-                kind: WriteKind::Blocking,
-                reg: NO_REG,
-            },
-            "bulk_write",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Non-blocking bulk get: initiates the transfer; completion at
@@ -127,7 +108,7 @@ impl ScCtx<'_> {
     ///
     /// Panics if `bytes` is zero or not a multiple of 8.
     pub fn bulk_get(&mut self, local_off: u64, src: GlobalPtr, bytes: u64) {
-        self.rec(ScOp::BulkGet {
+        let e = self.log_op(ScOp::BulkGet {
             local_off,
             src,
             bytes,
@@ -136,7 +117,6 @@ impl ScCtx<'_> {
             bytes > 0 && bytes.is_multiple_of(8),
             "bulk transfers move whole words"
         );
-        self.rt.stats.bulk_ops += 1;
         if src.pe() as usize == self.pe() {
             self.local_copy(local_off, src.addr(), bytes);
         } else if bytes < self.cfg.bulk_get_blt_min {
@@ -153,15 +133,7 @@ impl ScCtx<'_> {
             );
             self.rt.pending_blts.push(h.completion);
         }
-        self.san_emit(
-            SanOp::Read {
-                target: src.pe(),
-                addr: src.addr(),
-                len: bytes,
-                reg: NO_REG,
-            },
-            "bulk_get",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Non-blocking bulk put: non-blocking stores; completion at
@@ -171,7 +143,7 @@ impl ScCtx<'_> {
     ///
     /// Panics if `bytes` is zero or not a multiple of 8.
     pub fn bulk_put(&mut self, dst: GlobalPtr, local_off: u64, bytes: u64) {
-        self.rec(ScOp::BulkPut {
+        let e = self.log_op(ScOp::BulkPut {
             dst,
             local_off,
             bytes,
@@ -180,22 +152,12 @@ impl ScCtx<'_> {
             bytes > 0 && bytes.is_multiple_of(8),
             "bulk transfers move whole words"
         );
-        self.rt.stats.bulk_ops += 1;
         if dst.pe() as usize == self.pe() {
             self.local_copy(dst.addr(), local_off, bytes);
         } else {
             self.bulk_write_stores(dst, local_off, bytes);
         }
-        self.san_emit(
-            SanOp::Write {
-                target: dst.pe(),
-                addr: dst.addr(),
-                len: bytes,
-                kind: WriteKind::Put,
-                reg: NO_REG,
-            },
-            "bulk_put",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Strided bulk read: gathers `count` elements of `elem_bytes`
@@ -215,7 +177,7 @@ impl ScCtx<'_> {
         elem_bytes: u64,
         stride_bytes: u64,
     ) -> u64 {
-        self.rec(ScOp::BulkReadStrided {
+        let e = self.log_op(ScOp::BulkReadStrided {
             local_off,
             src,
             count,
@@ -233,7 +195,6 @@ impl ScCtx<'_> {
             stride_bytes >= elem_bytes,
             "stride must not overlap elements"
         );
-        self.rt.stats.bulk_ops += 1;
         let total = count * elem_bytes;
         if src.pe() as usize == self.pe() {
             for i in 0..count {
@@ -263,16 +224,7 @@ impl ScCtx<'_> {
             );
             self.m.blt_wait(h);
         }
-        // Conservative span: the whole strided extent at the source.
-        self.san_emit(
-            SanOp::Read {
-                target: src.pe(),
-                addr: src.addr(),
-                len: (count - 1) * stride_bytes + elem_bytes,
-                reg: NO_REG,
-            },
-            "bulk_read_strided",
-        );
+        self.done(e, NO_REG);
         total
     }
 
@@ -291,7 +243,7 @@ impl ScCtx<'_> {
         elem_bytes: u64,
         stride_bytes: u64,
     ) -> u64 {
-        self.rec(ScOp::BulkWriteStrided {
+        let e = self.log_op(ScOp::BulkWriteStrided {
             dst,
             local_off,
             count,
@@ -307,7 +259,6 @@ impl ScCtx<'_> {
             stride_bytes >= elem_bytes,
             "stride must not overlap elements"
         );
-        self.rt.stats.bulk_ops += 1;
         let total = count * elem_bytes;
         if dst.pe() as usize == self.pe() {
             for i in 0..count {
@@ -330,16 +281,7 @@ impl ScCtx<'_> {
             self.m.memory_barrier();
             self.m.wait_write_acks();
         }
-        self.san_emit(
-            SanOp::Write {
-                target: dst.pe(),
-                addr: dst.addr(),
-                len: (count - 1) * stride_bytes + elem_bytes,
-                kind: WriteKind::Blocking,
-                reg: NO_REG,
-            },
-            "bulk_write_strided",
-        );
+        self.done(e, NO_REG);
         total
     }
 

@@ -21,7 +21,7 @@ impl ScCtx<'_> {
     /// AM-equivalent queue. Takes effect when the owner polls (at the
     /// latest, the next [`crate::SplitC::barrier`]).
     pub fn byte_write(&mut self, gp: GlobalPtr, value: u8) {
-        self.rec(ScOp::ByteWrite { dst: gp, value });
+        self.log_op(ScOp::ByteWrite { dst: gp, value });
         if gp.pe() as usize == self.pe() {
             // The owner can update its own byte without a race.
             let word_off = gp.addr() & !7;
@@ -64,7 +64,7 @@ impl ScCtx<'_> {
     ///
     /// Panics if the address is not 4-byte aligned.
     pub fn write_u32(&mut self, gp: GlobalPtr, value: u32) {
-        self.rec(ScOp::WriteU32 { dst: gp, value });
+        self.log_op(ScOp::WriteU32 { dst: gp, value });
         assert_eq!(gp.addr() % 4, 0, "u32 writes must be 4-byte aligned");
         if gp.pe() as usize == self.pe() {
             let word_off = gp.addr() & !7;

@@ -15,9 +15,10 @@
 
 use crate::gptr::GlobalPtr;
 use crate::op::ScOp;
+use crate::record::RtKind;
 use crate::runtime::ScCtx;
 use t3d_shell::FuncCode;
-use t3dsan::{SanOp, WriteKind, NO_REG};
+use t3dsan::NO_REG;
 
 impl ScCtx<'_> {
     /// Split-phase read: initiates a fetch of `*gp` into local offset
@@ -40,21 +41,12 @@ impl ScCtx<'_> {
     /// });
     /// ```
     pub fn get(&mut self, local_off: u64, gp: GlobalPtr) {
-        self.rec(ScOp::Get { local_off, src: gp });
-        self.rt.stats.gets += 1;
+        let e = self.log_op(ScOp::Get { local_off, src: gp });
         if gp.pe() as usize == self.pe() {
             // Local get degenerates to a copy.
             let v = self.m.ld8(gp.addr());
             self.m.st8(local_off, v);
-            self.san_emit(
-                SanOp::Read {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                    len: 8,
-                    reg: NO_REG,
-                },
-                "get",
-            );
+            self.done(e, NO_REG);
             return;
         }
         // The hardware queue holds 16; drain when full, as the runtime
@@ -63,7 +55,8 @@ impl ScCtx<'_> {
             self.drain_gets(true);
             // The auto-drain fences and pops but does not ack-wait: gets
             // complete, puts may still be in flight.
-            self.san_emit(SanOp::GetDrain, "get");
+            let drain = self.log(RtKind::GetDrain);
+            self.done(drain, NO_REG);
         }
         let idx = self
             .rt
@@ -74,16 +67,7 @@ impl ScCtx<'_> {
         debug_assert!(issued, "queue was drained above");
         self.m.advance(self.cfg.get_table_cy);
         self.rt.pending_gets.push(local_off);
-        self.san_emit(
-            SanOp::GetIssue {
-                target: gp.pe(),
-                addr: gp.addr(),
-                len: 8,
-                local_off,
-                reg: idx as u32,
-            },
-            "get",
-        );
+        self.done(e, idx as u32);
     }
 
     /// Split-phase write: initiates a non-blocking store of `value` to
@@ -106,21 +90,11 @@ impl ScCtx<'_> {
     /// assert_eq!(sc.machine().peek8(1, cell + 40), 5);
     /// ```
     pub fn put(&mut self, gp: GlobalPtr, value: u64) {
-        self.rec(ScOp::Put { dst: gp, value });
-        self.rt.stats.puts += 1;
+        let e = self.log_op(ScOp::Put { dst: gp, value });
         if gp.pe() as usize == self.pe() {
             self.m.st8(gp.addr(), value);
             self.m.advance(self.cfg.put_check_cy);
-            self.san_emit(
-                SanOp::Write {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                    len: 8,
-                    kind: WriteKind::Put,
-                    reg: NO_REG,
-                },
-                "put",
-            );
+            self.done(e, NO_REG);
             return;
         }
         let idx = self
@@ -130,22 +104,13 @@ impl ScCtx<'_> {
         let va = self.m.va(idx, gp.addr());
         self.m.st8(va, value);
         self.m.advance(self.cfg.put_check_cy);
-        self.san_emit(
-            SanOp::Write {
-                target: gp.pe(),
-                addr: gp.addr(),
-                len: 8,
-                kind: WriteKind::Put,
-                reg: idx as u32,
-            },
-            "put",
-        );
+        self.done(e, idx as u32);
     }
 
     /// Waits for every outstanding `get`, `put` and non-blocking bulk
     /// operation issued by this node.
     pub fn sync(&mut self) {
-        self.rec(ScOp::Sync);
+        let e = self.log_op(ScOp::Sync);
         self.drain_gets(false);
         // The fence performed in drain (or here, if no gets) pushes puts
         // out of the write buffer; then the status bit covers them.
@@ -159,7 +124,7 @@ impl ScCtx<'_> {
                 self.m.advance(completion - now);
             }
         }
-        self.san_emit(SanOp::GetSync, "sync");
+        self.done(e, NO_REG);
     }
 
     /// Fences and drains the get table: pops each prefetch in order and

@@ -14,7 +14,7 @@ use crate::gptr::GlobalPtr;
 use crate::op::ScOp;
 use crate::runtime::ScCtx;
 use t3d_shell::FuncCode;
-use t3dsan::SanOp;
+use t3dsan::NO_REG;
 
 /// A lock word in the global address space (0 = free, 1 = held).
 ///
@@ -53,8 +53,7 @@ impl ScCtx<'_> {
     /// Attempts to take `lock` with one atomic swap. Returns `true` on
     /// acquisition.
     pub fn lock_try_acquire(&mut self, lock: GlobalLock) -> bool {
-        self.rec(ScOp::LockTryAcquire { word: lock.word() });
-        self.rt.stats.lock_ops += 1;
+        let e = self.log_op(ScOp::LockTryAcquire { word: lock.word() });
         let gp = lock.word();
         let va = if gp.pe() as usize == self.pe() {
             gp.addr()
@@ -65,13 +64,7 @@ impl ScCtx<'_> {
         self.m.swap_load(1);
         let acquired = self.m.atomic_swap(va) == 0;
         if acquired {
-            self.san_emit(
-                SanOp::LockAcquire {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                },
-                "lock_try_acquire",
-            );
+            self.done(e, NO_REG);
         }
         acquired
     }
@@ -83,8 +76,7 @@ impl ScCtx<'_> {
     /// Panics if the lock was not held (releasing a free lock is a
     /// program bug this simulator surfaces immediately).
     pub fn lock_release(&mut self, lock: GlobalLock) {
-        self.rec(ScOp::LockRelease { word: lock.word() });
-        self.rt.stats.lock_ops += 1;
+        let e = self.log_op(ScOp::LockRelease { word: lock.word() });
         let gp = lock.word();
         let va = if gp.pe() as usize == self.pe() {
             gp.addr()
@@ -95,13 +87,7 @@ impl ScCtx<'_> {
         self.m.swap_load(0);
         let old = self.m.atomic_swap(va);
         assert_eq!(old, 1, "released a lock that was not held");
-        self.san_emit(
-            SanOp::LockRelease {
-                target: gp.pe(),
-                addr: gp.addr(),
-            },
-            "lock_release",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Whether `lock` is currently held (functional peek; no timing).

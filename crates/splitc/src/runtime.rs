@@ -6,9 +6,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use crate::annex::AnnexState;
 use crate::config::SplitcConfig;
 use crate::op::ScOp;
-use crate::record::{RecEvent, RecLog};
+use crate::record::{self, EventLog, RecEvent, RtEvent, RtKind};
 use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver};
-use t3dsan::{Report, SanEvent, SanLog, SanOp, SanitizeMode, Sanitizer};
+use t3dsan::{Report, SanitizeMode, Sanitizer};
 
 /// An Active-Message-equivalent handler: runs at the *receiving* node,
 /// through that node's [`Cpu`] (on the whole machine in direct mode, on
@@ -47,49 +47,8 @@ pub struct NodeRt {
     pub pending_blts: Vec<u64>,
     /// Messages consumed from this node's AM-equivalent queue.
     pub am_consumed: u64,
-    /// Operation counters (instrumentation).
-    pub stats: RtStats,
-    /// Sanitizer event log (empty and free when the sanitizer is off).
-    pub(crate) san: SanLog,
-    /// Recorded op stream (empty and free when recording is off).
-    pub(crate) rec: RecLog,
-}
-
-/// Operation counters for one node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RtStats {
-    /// Blocking reads issued.
-    pub reads: u64,
-    /// Blocking writes issued.
-    pub writes: u64,
-    /// Gets issued.
-    pub gets: u64,
-    /// Puts issued.
-    pub puts: u64,
-    /// Signaling stores issued.
-    pub stores: u64,
-    /// Bulk operations issued.
-    pub bulk_ops: u64,
-    /// AM-equivalent deposits issued.
-    pub am_deposits: u64,
-    /// Lock operations issued (acquire attempts and releases).
-    pub lock_ops: u64,
-}
-
-impl RtStats {
-    /// Total runtime primitives issued, across every counter. Useful for
-    /// auditing that no primitive escapes instrumentation: a program that
-    /// issues a known number of operations must see exactly that total.
-    pub fn total(&self) -> u64 {
-        self.reads
-            + self.writes
-            + self.gets
-            + self.puts
-            + self.stores
-            + self.bulk_ops
-            + self.am_deposits
-            + self.lock_ops
-    }
+    /// The event log both the op recorder and the sanitizer read.
+    pub(crate) log: EventLog,
 }
 
 impl NodeRt {
@@ -100,9 +59,7 @@ impl NodeRt {
             store_watermark: 0,
             pending_blts: Vec::new(),
             am_consumed: 0,
-            stats: RtStats::default(),
-            san: SanLog::new(cfg.sanitize.is_on()),
-            rec: RecLog::default(),
+            log: EventLog::new(cfg.sanitize.is_on()),
         }
     }
 }
@@ -256,7 +213,7 @@ impl SplitC {
             self.on(pe, |ctx| f(ctx));
         }
         for rt in &mut self.rts {
-            rt.rec.push(RecEvent::PhaseEnd);
+            rt.log.mark(RecEvent::PhaseEnd);
         }
     }
 
@@ -301,7 +258,7 @@ impl SplitC {
         };
         self.rts = rts;
         for rt in &mut self.rts {
-            rt.rec.push(RecEvent::PhaseEnd);
+            rt.log.mark(RecEvent::PhaseEnd);
         }
         self.drain_san_logs();
         match result {
@@ -345,7 +302,7 @@ impl SplitC {
     /// existing log; use [`SplitC::take_op_log`] to drain it.
     pub fn record_ops(&mut self, on: bool) {
         for rt in &mut self.rts {
-            rt.rec.enabled = on;
+            rt.log.record = on;
         }
     }
 
@@ -353,15 +310,22 @@ impl SplitC {
     pub fn take_op_log(&mut self) -> Vec<Vec<RecEvent>> {
         self.rts
             .iter_mut()
-            .map(|rt| std::mem::take(&mut rt.rec.events))
+            .map(|rt| rt.log.take_recorded())
             .collect()
+    }
+
+    /// Node `pe`'s event log: everything since the last
+    /// [`SplitC::take_op_log`] while recording, or nothing between
+    /// `on`/phase calls when only the sanitizer reads it.
+    pub fn event_log(&self, pe: usize) -> &[RtEvent] {
+        &self.rts[pe].log.events
     }
 
     /// Global barrier: drains every node's AM-equivalent queue (so
     /// deposited handlers run), fences all writes and aligns all clocks.
     pub fn barrier(&mut self) {
         for rt in &mut self.rts {
-            rt.rec.push(RecEvent::Barrier);
+            rt.log.mark(RecEvent::Barrier);
         }
         for pe in 0..self.m.nodes() {
             self.on(pe, |ctx| ctx.am_poll());
@@ -378,7 +342,7 @@ impl SplitC {
     /// acknowledgement wait on every node, then the hardware barrier.
     pub fn all_store_sync(&mut self) {
         for rt in &mut self.rts {
-            rt.rec.push(RecEvent::AllStoreSync);
+            rt.log.mark(RecEvent::AllStoreSync);
         }
         for pe in 0..self.m.nodes() {
             let mut cpu = Cpu::new(&mut self.m, pe);
@@ -389,14 +353,13 @@ impl SplitC {
         self.barrier();
     }
 
-    /// Drains every node's sanitizer event log into the analyzer,
-    /// merged by `(time, pe, seq)` — the same total order the sharded
-    /// phase engine imposes on its effect log, so sequential and
-    /// parallel drivers analyze an identical stream.
+    /// Feeds every node's new log entries to the analyzer, merged by
+    /// `(time, pe, seq)` ([`record::drain_merged`]).
     fn drain_san_logs(&mut self) {
         if let Some(san) = &mut self.san {
-            let logs: Vec<Vec<SanEvent>> = self.rts.iter_mut().map(|rt| rt.san.drain()).collect();
-            san.ingest_logs(logs);
+            san.ingest(record::drain_merged(
+                self.rts.iter_mut().map(|rt| &mut rt.log),
+            ));
         }
     }
 
@@ -418,11 +381,6 @@ impl SplitC {
     /// The analyzer itself (`None` when off).
     pub fn sanitizer(&self) -> Option<&Sanitizer> {
         self.san.as_ref()
-    }
-
-    /// A node's operation counters.
-    pub fn stats(&self, pe: usize) -> RtStats {
-        self.rts[pe].stats
     }
 
     /// The maximum clock across nodes (elapsed virtual time).
@@ -491,20 +449,27 @@ impl<'a> ScCtx<'a> {
         self.rt
     }
 
-    /// Records one sanitizer event stamped with this node's clock
-    /// (free when the sanitizer is off; never touches the machine).
-    pub(crate) fn san_emit(&mut self, op: SanOp, source: &'static str) {
-        if self.rt.san.is_enabled() {
-            let t = self.m.clock();
-            self.rt.san.push(self.pe() as u32, t, op, source);
-        }
+    /// Logs `kind` at its issue (free when the log is off; never
+    /// touches the machine). Returns the entry for [`ScCtx::done`].
+    #[inline]
+    pub(crate) fn log(&mut self, kind: RtKind) -> Option<usize> {
+        self.rt.log.push(kind)
     }
 
-    /// Records one op on this node's stream (free when recording is
-    /// off). Called at the entry of every leaf runtime primitive.
+    /// Logs a primitive of the recorded program at its issue.
     #[inline]
-    pub(crate) fn rec(&mut self, op: ScOp) {
-        self.rt.rec.push(RecEvent::Op(op));
+    pub(crate) fn log_op(&mut self, op: ScOp) -> Option<usize> {
+        self.log(RtKind::Rec(RecEvent::Op(op)))
+    }
+
+    /// Stamps entry `e` complete at this node's clock, through annex
+    /// register `reg`.
+    #[inline]
+    pub(crate) fn done(&mut self, e: Option<usize>, reg: u32) {
+        if let Some(i) = e {
+            let t = self.m.clock();
+            self.rt.log.stamp(i, t, reg);
+        }
     }
 }
 

@@ -13,27 +13,19 @@
 
 use crate::gptr::GlobalPtr;
 use crate::op::ScOp;
+use crate::record::RtKind;
 use crate::runtime::ScCtx;
 use t3d_shell::FuncCode;
-use t3dsan::{SanOp, WriteKind, NO_REG};
+use t3dsan::NO_REG;
 
 impl ScCtx<'_> {
     /// Blocking read of a 64-bit word through a global pointer.
     pub fn read_u64(&mut self, gp: GlobalPtr) -> u64 {
-        self.rec(ScOp::ReadU64 { src: gp });
-        self.rt.stats.reads += 1;
+        let e = self.log_op(ScOp::ReadU64 { src: gp });
         if gp.pe() as usize == self.pe() {
             // Local region of the global space: an ordinary load.
             let v = self.m.ld8(gp.addr());
-            self.san_emit(
-                SanOp::Read {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                    len: 8,
-                    reg: NO_REG,
-                },
-                "read_u64",
-            );
+            self.done(e, NO_REG);
             return v;
         }
         let idx = self
@@ -43,15 +35,7 @@ impl ScCtx<'_> {
         let va = self.m.va(idx, gp.addr());
         let v = self.m.ld8(va);
         self.m.advance(self.cfg.read_overhead_cy);
-        self.san_emit(
-            SanOp::Read {
-                target: gp.pe(),
-                addr: gp.addr(),
-                len: 8,
-                reg: idx as u32,
-            },
-            "read_u64",
-        );
+        self.done(e, idx as u32);
         v
     }
 
@@ -66,51 +50,30 @@ impl ScCtx<'_> {
     /// stale; see [`ScCtx::flush_remote_line`]. Kept public because the
     /// bulk-transfer comparison of Figure 8 needs it.
     pub fn read_u64_cached(&mut self, gp: GlobalPtr) -> u64 {
-        self.rt.stats.reads += 1;
+        let e = self.log(RtKind::CachedRead { src: gp });
         if gp.pe() as usize == self.pe() {
             let v = self.m.ld8(gp.addr());
-            self.san_emit(
-                SanOp::Read {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                    len: 8,
-                    reg: NO_REG,
-                },
-                "read_u64_cached",
-            );
+            self.done(e, NO_REG);
             return v;
         }
         let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Cached);
         let va = self.m.va(idx, gp.addr());
         let v = self.m.ld8(va);
         self.m.advance(self.cfg.read_overhead_cy);
-        self.san_emit(
-            SanOp::CachedRead {
-                target: gp.pe(),
-                addr: gp.addr(),
-                len: 8,
-                reg: idx as u32,
-            },
-            "read_u64_cached",
-        );
+        self.done(e, idx as u32);
         v
     }
 
     /// Flushes the locally cached copy of a remote line (23 cycles —
     /// "equivalent to accessing main memory").
     pub fn flush_remote_line(&mut self, gp: GlobalPtr) {
+        let e = self.log(RtKind::Flush { line: gp });
         // The line may be cached under whichever annex index was used;
         // with the single-register policies that is register 1.
         let idx = self.rt.annex.ensure(&mut self.m, gp.pe(), FuncCode::Cached);
         let va = self.m.va(idx, gp.addr());
         self.m.flush_line(va);
-        self.san_emit(
-            SanOp::CacheFlush {
-                target: gp.pe(),
-                addr: gp.addr(),
-            },
-            "flush_remote_line",
-        );
+        self.done(e, NO_REG);
     }
 
     /// Blocking write of a 64-bit word through a global pointer. Waits
@@ -118,21 +81,11 @@ impl ScCtx<'_> {
     /// the language's sequential-consistency story (Section 4.5 explains
     /// why the *local* wait matters too).
     pub fn write_u64(&mut self, gp: GlobalPtr, value: u64) {
-        self.rec(ScOp::WriteU64 { dst: gp, value });
-        self.rt.stats.writes += 1;
+        let e = self.log_op(ScOp::WriteU64 { dst: gp, value });
         if gp.pe() as usize == self.pe() {
             self.m.st8(gp.addr(), value);
             self.m.memory_barrier();
-            self.san_emit(
-                SanOp::Write {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                    len: 8,
-                    kind: WriteKind::Blocking,
-                    reg: NO_REG,
-                },
-                "write_u64",
-            );
+            self.done(e, NO_REG);
             return;
         }
         let idx = self
@@ -146,16 +99,7 @@ impl ScCtx<'_> {
         self.m.memory_barrier();
         self.m.wait_write_acks();
         self.m.advance(self.cfg.write_overhead_cy);
-        self.san_emit(
-            SanOp::Write {
-                target: gp.pe(),
-                addr: gp.addr(),
-                len: 8,
-                kind: WriteKind::Blocking,
-                reg: idx as u32,
-            },
-            "write_u64",
-        );
+        self.done(e, idx as u32);
     }
 
     /// Blocking write of a double.

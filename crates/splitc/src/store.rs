@@ -18,7 +18,7 @@ use crate::gptr::GlobalPtr;
 use crate::op::ScOp;
 use crate::runtime::ScCtx;
 use t3d_shell::FuncCode;
-use t3dsan::{SanOp, WriteKind, NO_REG};
+use t3dsan::NO_REG;
 
 impl ScCtx<'_> {
     /// Signaling store of a 64-bit word (`*gp := value`). One-way: no
@@ -40,21 +40,11 @@ impl ScCtx<'_> {
     /// assert_eq!(sc.machine().peek8(2, cell), 9);
     /// ```
     pub fn store_u64(&mut self, gp: GlobalPtr, value: u64) {
-        self.rec(ScOp::StoreU64 { dst: gp, value });
-        self.rt.stats.stores += 1;
+        let e = self.log_op(ScOp::StoreU64 { dst: gp, value });
         if gp.pe() as usize == self.pe() {
             self.m.st8(gp.addr(), value);
             self.m.advance(self.cfg.store_check_cy);
-            self.san_emit(
-                SanOp::Write {
-                    target: gp.pe(),
-                    addr: gp.addr(),
-                    len: 8,
-                    kind: WriteKind::Store,
-                    reg: NO_REG,
-                },
-                "store_u64",
-            );
+            self.done(e, NO_REG);
             return;
         }
         let idx = self
@@ -64,16 +54,7 @@ impl ScCtx<'_> {
         let va = self.m.va(idx, gp.addr());
         self.m.st8(va, value);
         self.m.advance(self.cfg.store_check_cy);
-        self.san_emit(
-            SanOp::Write {
-                target: gp.pe(),
-                addr: gp.addr(),
-                len: 8,
-                kind: WriteKind::Store,
-                reg: idx as u32,
-            },
-            "store_u64",
-        );
+        self.done(e, idx as u32);
     }
 
     /// `storeSync(bytes)`: returns once `bytes` further bytes (beyond
@@ -86,7 +67,7 @@ impl ScCtx<'_> {
     /// executed and stored less than requested) — a deadlock in the
     /// program being simulated.
     pub fn store_sync(&mut self, bytes: u64) {
-        self.rec(ScOp::StoreSync { bytes });
+        let e = self.log_op(ScOp::StoreSync { bytes });
         let target = self.rt.store_watermark + bytes;
         let t = self.m.node().arrival_time_of(target).unwrap_or_else(|| {
             panic!(
@@ -99,7 +80,7 @@ impl ScCtx<'_> {
         let now = self.m.clock();
         let wait = t.saturating_sub(now);
         self.m.advance(wait + self.cfg.store_sync_check_cy);
-        self.san_emit(SanOp::StoreSyncWait, "store_sync");
+        self.done(e, NO_REG);
     }
 
     /// Bytes of store data that have arrived but not yet been awaited.

@@ -1,10 +1,42 @@
-//! Audit of the runtime's operation counters: a program that issues a
-//! known number of primitives must be counted exactly — every Split-C
-//! primitive family (rw / getput / store / bulk / amq / lock) bumps its
-//! counter, and nothing is double-counted.
+//! Audit of the runtime's event log: a program that issues a known
+//! number of primitives must be logged exactly — every Split-C
+//! primitive family (rw / getput / store / bulk / amq / lock) logs one
+//! entry per primitive, and nothing is logged twice.
 
-use splitc::{GlobalLock, GlobalPtr, SplitC};
+use splitc::record::RtKind;
+use splitc::{GlobalLock, GlobalPtr, RecEvent, ScOp, SplitC};
 use t3d_machine::MachineConfig;
+
+/// Node `pe`'s logged primitives, counted per family: reads, writes,
+/// gets, puts, stores, bulk ops, AM deposits, lock ops.
+fn counts(sc: &SplitC, pe: usize) -> [u64; 8] {
+    let mut n = [0u64; 8];
+    for e in sc.event_log(pe) {
+        let family = match e.kind {
+            RtKind::CachedRead { .. } => 0,
+            RtKind::Deposit { .. } => 6,
+            RtKind::Rec(RecEvent::Op(op)) => match op {
+                ScOp::ReadU64 { .. } => 0,
+                ScOp::WriteU64 { .. } => 1,
+                ScOp::Get { .. } => 2,
+                ScOp::Put { .. } => 3,
+                ScOp::StoreU64 { .. } => 4,
+                ScOp::BulkRead { .. }
+                | ScOp::BulkWrite { .. }
+                | ScOp::BulkGet { .. }
+                | ScOp::BulkPut { .. }
+                | ScOp::BulkReadStrided { .. }
+                | ScOp::BulkWriteStrided { .. } => 5,
+                ScOp::AmAdd { .. } => 6,
+                ScOp::LockTryAcquire { .. } | ScOp::LockRelease { .. } => 7,
+                _ => continue,
+            },
+            _ => continue,
+        };
+        n[family] += 1;
+    }
+    n
+}
 
 #[test]
 fn every_primitive_family_is_counted_exactly() {
@@ -13,6 +45,7 @@ fn every_primitive_family_is_counted_exactly() {
     let cell = sc.alloc(256, 8);
     let scratch = sc.alloc(256, 8);
     let lock = GlobalLock::new(GlobalPtr::new(2, lock_off));
+    sc.record_ops(true);
     for i in 0..8u64 {
         sc.machine().poke8(1, cell + i * 8, 10 + i);
     }
@@ -45,19 +78,21 @@ fn every_primitive_family_is_counted_exactly() {
         ctx.lock_release(lock);
     });
 
-    let s = sc.stats(0);
-    assert_eq!(s.reads, 3, "read_u64/read_u64_cached");
-    assert_eq!(s.writes, 2, "write_u64");
-    assert_eq!(s.gets, 3, "get");
-    assert_eq!(s.puts, 2, "put");
-    assert_eq!(s.stores, 2, "store_u64");
-    assert_eq!(s.bulk_ops, 2, "bulk_read + bulk_put");
-    assert_eq!(s.am_deposits, 1, "am_deposit");
-    assert_eq!(s.lock_ops, 2, "lock acquire + release");
-    assert_eq!(s.total(), 17, "no primitive escapes the audit");
+    let [reads, writes, gets, puts, stores, bulk_ops, am_deposits, lock_ops] = counts(&sc, 0);
+    assert_eq!(reads, 3, "read_u64/read_u64_cached");
+    assert_eq!(writes, 2, "write_u64");
+    assert_eq!(gets, 3, "get");
+    assert_eq!(puts, 2, "put");
+    assert_eq!(stores, 2, "store_u64");
+    assert_eq!(bulk_ops, 2, "bulk_read + bulk_put");
+    assert_eq!(am_deposits, 1, "am_deposit");
+    assert_eq!(lock_ops, 2, "lock acquire + release");
+    let total: u64 = counts(&sc, 0).iter().sum();
+    assert_eq!(total, 17, "no primitive escapes the audit");
 
     // Nothing ran on the other nodes, so nothing may be counted there.
     for pe in 1..4 {
-        assert_eq!(sc.stats(pe).total(), 0, "PE {pe} issued nothing");
+        let total: u64 = counts(&sc, pe).iter().sum();
+        assert_eq!(total, 0, "PE {pe} issued nothing");
     }
 }

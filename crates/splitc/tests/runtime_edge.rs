@@ -1,7 +1,8 @@
 //! Edge-case tests for the Split-C runtime: mixed split-phase traffic,
 //! policy switching, misuse detection.
 
-use splitc::{AnnexPolicy, GlobalPtr, SplitC, SplitcConfig, SpreadArray};
+use splitc::record::RtKind;
+use splitc::{AnnexPolicy, GlobalPtr, RecEvent, ScOp, SplitC, SplitcConfig, SpreadArray};
 use t3d_machine::{Cpu, MachineConfig};
 
 fn sc(p: u32) -> SplitC {
@@ -148,6 +149,7 @@ fn unregistered_handler_panics_at_dispatch() {
 fn stats_count_per_operation_kind() {
     let mut s = sc(2);
     let buf = s.alloc(256, 8);
+    s.record_ops(true);
     s.on(0, |ctx| {
         let _ = ctx.read_u64(GlobalPtr::new(1, buf));
         ctx.write_u64(GlobalPtr::new(1, buf), 1);
@@ -157,13 +159,18 @@ fn stats_count_per_operation_kind() {
         ctx.bulk_read(buf + 32, GlobalPtr::new(1, buf), 64);
         ctx.sync();
     });
-    let st = s.stats(0);
-    assert_eq!(st.reads, 1);
-    assert_eq!(st.writes, 1);
-    assert_eq!(st.gets, 1);
-    assert_eq!(st.puts, 1);
-    assert_eq!(st.stores, 1);
-    assert_eq!(st.bulk_ops, 1);
+    let count = |pick: fn(&ScOp) -> bool| {
+        s.event_log(0)
+            .iter()
+            .filter(|e| matches!(e.kind, RtKind::Rec(RecEvent::Op(op)) if pick(&op)))
+            .count()
+    };
+    assert_eq!(count(|op| matches!(op, ScOp::ReadU64 { .. })), 1);
+    assert_eq!(count(|op| matches!(op, ScOp::WriteU64 { .. })), 1);
+    assert_eq!(count(|op| matches!(op, ScOp::Get { .. })), 1);
+    assert_eq!(count(|op| matches!(op, ScOp::Put { .. })), 1);
+    assert_eq!(count(|op| matches!(op, ScOp::StoreU64 { .. })), 1);
+    assert_eq!(count(|op| matches!(op, ScOp::BulkRead { .. })), 1);
 }
 
 #[test]

@@ -33,8 +33,8 @@
 
 use std::process::ExitCode;
 
-use em3d::{run_version_recorded, Em3dParams, Version};
-use splitc::{GlobalPtr, ScOp, SplitcConfig};
+use em3d::{run_version_observed, Em3dParams, Version};
+use splitc::{GlobalPtr, SanitizeMode, ScOp, SplitcConfig};
 use t3d_fuzz::{case_seed, lint_case, parse_seed, program_for_seed};
 use t3d_lint::{lint, LintProgram, LintReport};
 use t3d_machine::{MachineConfig, PhaseDriver};
@@ -71,7 +71,9 @@ fn lint_em3d(which: &str) -> Result<Vec<Entry>, String> {
     Ok(versions
         .into_iter()
         .map(|v| {
-            let (_, streams) = run_version_recorded(PhaseDriver::from_env(), nprocs, params, v);
+            let driver = PhaseDriver::from_env();
+            let (_, streams, _) =
+                run_version_observed(driver, nprocs, params, v, true, SanitizeMode::Off);
             let report = lint(&LintProgram::from_recorded(streams), &mcfg, &scfg);
             Entry {
                 name: format!("em3d.{}", v.label()),

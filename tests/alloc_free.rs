@@ -14,8 +14,10 @@
 //!
 //! The Split-C driver steps hold to it as well: entering a node with
 //! `SplitC::on` borrows its runtime state in place, so a barrier, an
-//! empty SPMD phase and a tree collective cost no heap work per PE. A
-//! `storeSync` query scans the time-ordered arrival log in place.
+//! SPMD phase of reads, writes, puts, signaling stores and bulk puts,
+//! and a tree collective cost no heap work per PE: the runtime's event
+//! log stays off and empty unless recording or the sanitizer reads it.
+//! A `storeSync` query scans the time-ordered arrival log in place.
 //!
 //! Machine construction costs metadata per PE, never node memory: the
 //! heap bytes per PE are the same at 8 and at 1024 PEs, and less than
@@ -25,7 +27,7 @@
 //! The binary installs a counting global allocator. Counts are kept per
 //! thread, so the test harness's own threads do not disturb them.
 
-use splitc::SplitC;
+use splitc::{GlobalPtr, SplitC};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
@@ -245,13 +247,25 @@ fn direct_contiguous_blts_never_allocate() {
 fn splitc_driver_steps_never_allocate() {
     let mut sc = SplitC::new(MachineConfig::t3d(32));
     sc.machine().set_perf_mode(PerfMode::Off);
-    let (off, scratch) = (sc.alloc(8, 8), sc.alloc(8, 8));
+    let (off, scratch, data) = (sc.alloc(8, 8), sc.alloc(8, 8), sc.alloc(256, 8));
     for pe in 0..32 {
         sc.machine().poke8(pe, off, pe as u64 + 1);
     }
     let step = |sc: &mut SplitC| {
         sc.barrier();
-        sc.run_phase(|_| {});
+        // One primitive of each family but `get`, whose table
+        // (`NodeRt::pending_gets`) is reallocated after every drain.
+        // With recording and the sanitizer off, the event log must not
+        // allocate either.
+        sc.run_phase(|ctx| {
+            let right = GlobalPtr::new(((ctx.pe() + 1) % ctx.nodes()) as u32, data);
+            let v = ctx.read_u64(right);
+            ctx.write_u64(right, v);
+            ctx.put(right.local_add(8), v);
+            ctx.sync();
+            ctx.store_u64(right.local_add(16), v);
+            ctx.bulk_put(right.local_add(128), data + 64, 64);
+        });
         sc.all_reduce_u64(off, scratch, u64::max)
     };
     // Warm-up grows the reusable buffers (acknowledgement trackers,

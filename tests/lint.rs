@@ -14,8 +14,8 @@
 //! * **fuzz negative** — every program the checked-in fuzz corpus
 //!   denotes lints clean of hazard rules without being executed.
 
-use em3d::{run_version_recorded, Em3dParams, Version};
-use splitc::{GlobalPtr, RecEvent, ScOp, SplitcConfig};
+use em3d::{run_version_observed, Em3dParams, Version};
+use splitc::{GlobalPtr, RecEvent, SanitizeMode, ScOp, SplitcConfig};
 use t3d_fuzz::{case_seed, lint_case, program_for_seed};
 use t3d_lint::{lint, LintProgram, Rule};
 use t3d_machine::{MachineConfig, PhaseDriver};
@@ -375,23 +375,38 @@ fn em3d_versions_lint_hazard_free_with_pinned_advisories() {
         (Version::Bulk, &[]),
         (Version::StoreSync, &[]),
     ];
-    for (v, profile) in expected {
-        let (_, streams) = run_version_recorded(PhaseDriver::Seq, nprocs, params, v);
-        let r = lint(&LintProgram::from_recorded(streams), &mcfg, &scfg);
-        assert!(
-            r.is_hazard_free(),
-            "em3d.{} has static hazards:\n{}",
-            v.label(),
-            r.render_table()
-        );
-        let counts: Vec<(&str, u64)> = r.counts_by_rule().into_iter().collect();
-        assert_eq!(
-            counts,
-            profile,
-            "em3d.{} advisory profile changed:\n{}",
-            v.label(),
-            r.render_table()
-        );
+    // Each version under each driver: the recorded streams must match
+    // the sequential oracle's, and the pins hold for both.
+    let mut oracle = Vec::new();
+    for driver in [PhaseDriver::Seq, PhaseDriver::Par(2)] {
+        for (i, (v, profile)) in expected.into_iter().enumerate() {
+            let (_, streams, _) =
+                run_version_observed(driver, nprocs, params, v, true, SanitizeMode::Off);
+            if driver == PhaseDriver::Seq {
+                oracle.push(streams.clone());
+            } else {
+                assert!(
+                    streams == oracle[i],
+                    "em3d.{}: {driver:?} recorded other streams than Seq",
+                    v.label()
+                );
+            }
+            let r = lint(&LintProgram::from_recorded(streams), &mcfg, &scfg);
+            assert!(
+                r.is_hazard_free(),
+                "em3d.{} under {driver:?} has static hazards:\n{}",
+                v.label(),
+                r.render_table()
+            );
+            let counts: Vec<(&str, u64)> = r.counts_by_rule().into_iter().collect();
+            assert_eq!(
+                counts,
+                profile,
+                "em3d.{} under {driver:?}: advisory profile changed:\n{}",
+                v.label(),
+                r.render_table()
+            );
+        }
     }
 }
 

@@ -1,16 +1,16 @@
 //! t3dsan corpus: every hazard from `tests/hazards.rs` must be flagged
 //! with its expected kind, and properly synchronized programs must stay
-//! silent — under both the sequential and parallel phase drivers.
+//! silent — under both the sequential and parallel phase drivers, and
+//! whether or not op recording reads the same event log.
 
+use em3d::{run_version_observed, Em3dParams, Version};
 use splitc::{AnnexPolicy, DiagKind, GlobalLock, GlobalPtr, SanitizeMode, SplitC, SplitcConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use t3d_machine::{Cpu, Machine, MachineConfig, PhaseDriver};
 use t3d_shell::FuncCode;
 
 fn collect(nodes: u32) -> SplitC {
-    let mut cfg = SplitcConfig::t3d();
-    cfg.sanitize = SanitizeMode::Collect;
-    SplitC::with_config(MachineConfig::t3d(nodes), cfg)
+    collect_with(nodes, AnnexPolicy::SingleRegister)
 }
 
 fn report(sc: &SplitC) -> splitc::Report {
@@ -22,23 +22,26 @@ fn report(sc: &SplitC) -> splitc::Report {
 // ---------------------------------------------------------------------
 
 /// Section 5: a put nobody sync()ed, read by its target.
-#[test]
-fn unsynced_put_is_a_stale_store_read() {
-    let mut sc = collect(2);
+fn unsynced_put(sc: &mut SplitC) {
     let cell = sc.alloc(8, 8);
     sc.on(0, |ctx| ctx.put(GlobalPtr::new(1, cell), 7));
     sc.on(1, |ctx| {
         let _ = ctx.read_u64(GlobalPtr::new(1, cell));
     });
+}
+
+#[test]
+fn unsynced_put_is_a_stale_store_read() {
+    let mut sc = collect(2);
+    unsynced_put(&mut sc);
     let r = report(&sc);
     assert_eq!(r.kinds(), vec![DiagKind::StaleStoreRead]);
     assert!(r.diagnostics[0].detail.contains("sync()"), "{r:?}");
 }
 
 /// Section 7: a signaling store read before the target's storeSync.
-#[test]
-fn store_without_store_sync_is_flagged_and_store_sync_clears_it() {
-    let mut sc = collect(2);
+/// Returns the stored cell.
+fn store_read_early(sc: &mut SplitC) -> u64 {
     let cell = sc.alloc(16, 8);
     sc.on(0, |ctx| {
         ctx.store_u64(GlobalPtr::new(1, cell), 1);
@@ -47,20 +50,31 @@ fn store_without_store_sync_is_flagged_and_store_sync_clears_it() {
     sc.on(1, |ctx| {
         let _ = ctx.read_u64(GlobalPtr::new(1, cell)); // too early
     });
-    assert_eq!(report(&sc).kinds(), vec![DiagKind::StaleStoreRead]);
+    cell
+}
 
-    // The disciplined version stays at one diagnostic site.
+/// The disciplined read of [`store_read_early`]'s cell.
+fn store_synced_read(sc: &mut SplitC, cell: u64) {
     sc.on(1, |ctx| {
         ctx.store_sync(8);
         let _ = ctx.read_u64(GlobalPtr::new(1, cell));
     });
+}
+
+#[test]
+fn store_without_store_sync_is_flagged_and_store_sync_clears_it() {
+    let mut sc = collect(2);
+    let cell = store_read_early(&mut sc);
+    assert_eq!(report(&sc).kinds(), vec![DiagKind::StaleStoreRead]);
+
+    // The disciplined version stays at one diagnostic site.
+    store_synced_read(&mut sc, cell);
     assert_eq!(report(&sc).len(), 1, "{}", report(&sc).render_table());
 }
 
-/// Section 4.4: a cached line surviving the owner's update.
-#[test]
-fn stale_cached_line_is_flagged_until_flushed() {
-    let mut sc = collect(2);
+/// Section 4.4: a cached line surviving the owner's update. Returns
+/// the cached cell.
+fn stale_cached_line(sc: &mut SplitC) -> u64 {
     let cell = sc.alloc(8, 8);
     sc.on(0, |ctx| {
         let _ = ctx.read_u64_cached(GlobalPtr::new(1, cell));
@@ -69,45 +83,64 @@ fn stale_cached_line_is_flagged_until_flushed() {
     sc.on(0, |ctx| {
         let _ = ctx.read_u64_cached(GlobalPtr::new(1, cell)); // stale line
     });
+    cell
+}
+
+/// Flush [`stale_cached_line`]'s line, re-read.
+fn flushed_cached_read(sc: &mut SplitC, cell: u64) {
+    sc.on(0, |ctx| {
+        ctx.flush_remote_line(GlobalPtr::new(1, cell));
+        let _ = ctx.read_u64_cached(GlobalPtr::new(1, cell));
+    });
+}
+
+#[test]
+fn stale_cached_line_is_flagged_until_flushed() {
+    let mut sc = collect(2);
+    let cell = stale_cached_line(&mut sc);
     let r = report(&sc);
     assert_eq!(r.kinds(), vec![DiagKind::StaleStoreRead]);
     assert!(r.diagnostics[0].detail.contains("flush_remote_line"));
 
     // Flush, re-read: no new site.
-    sc.on(0, |ctx| {
-        ctx.flush_remote_line(GlobalPtr::new(1, cell));
-        let _ = ctx.read_u64_cached(GlobalPtr::new(1, cell));
-    });
+    flushed_cached_read(&mut sc, cell);
     assert_eq!(report(&sc).len(), 1);
 }
 
 /// Section 4.5: two PEs read-modify-write one word with no ordering.
-#[test]
-fn unordered_writes_to_one_word_are_conflicting_puts() {
-    let mut sc = collect(4);
+fn unordered_writes(sc: &mut SplitC) {
     let word = sc.alloc(8, 8);
     sc.on(1, |ctx| ctx.write_u64(GlobalPtr::new(0, word), 0xAA));
     sc.on(2, |ctx| ctx.write_u64(GlobalPtr::new(0, word), 0xBB00));
+}
+
+#[test]
+fn unordered_writes_to_one_word_are_conflicting_puts() {
+    let mut sc = collect(4);
+    unordered_writes(&mut sc);
     assert_eq!(report(&sc).kinds(), vec![DiagKind::ConflictingPuts]);
 }
 
 /// Section 4.5 (the repair): the same updates through the AM-based byte
-/// write are ordered by the queue and stay silent.
-#[test]
-fn byte_write_repair_is_silent() {
-    let mut sc = collect(4);
+/// write are ordered by the queue. Returns the word.
+fn byte_write_repair(sc: &mut SplitC) -> u64 {
     let word = sc.alloc(8, 8);
     sc.on(1, |ctx| ctx.byte_write(GlobalPtr::new(0, word), 0xAA));
     sc.on(2, |ctx| ctx.byte_write(GlobalPtr::new(0, word + 1), 0xBB));
     sc.barrier();
+    word
+}
+
+#[test]
+fn byte_write_repair_is_silent() {
+    let mut sc = collect(4);
+    let word = byte_write_repair(&mut sc);
     assert_eq!(sc.machine().peek8(0, word), 0xBBAA);
     assert!(report(&sc).is_empty(), "{}", report(&sc).render_table());
 }
 
 /// Section 5: reading a get's landing word before sync().
-#[test]
-fn landing_word_read_before_sync_is_flagged() {
-    let mut sc = collect(2);
+fn landing_word_read_early(sc: &mut SplitC) {
     let src = sc.alloc(8, 8);
     let dst = sc.alloc(8, 8);
     sc.on(0, |ctx| {
@@ -115,14 +148,18 @@ fn landing_word_read_before_sync_is_flagged() {
         let _ = ctx.read_u64(GlobalPtr::new(0, dst)); // undefined until sync
         ctx.sync();
     });
+}
+
+#[test]
+fn landing_word_read_before_sync_is_flagged() {
+    let mut sc = collect(2);
+    landing_word_read_early(&mut sc);
     assert_eq!(report(&sc).kinds(), vec![DiagKind::ReadBeforeGetSync]);
 }
 
 /// Section 5.2: a get completed after a store clobbered its source — the
 /// popped value predates the store.
-#[test]
-fn store_to_a_bound_gets_source_is_prefetch_order_misuse() {
-    let mut sc = collect(2);
+fn store_to_bound_source(sc: &mut SplitC) {
     let src = sc.alloc(8, 8);
     let dst = sc.alloc(8, 8);
     sc.on(0, |ctx| {
@@ -130,34 +167,45 @@ fn store_to_a_bound_gets_source_is_prefetch_order_misuse() {
         ctx.put(GlobalPtr::new(1, src), 99); // spoils the bound get
         ctx.sync();
     });
+}
+
+#[test]
+fn store_to_a_bound_gets_source_is_prefetch_order_misuse() {
+    let mut sc = collect(2);
+    store_to_bound_source(&mut sc);
     assert!(report(&sc).kinds().contains(&DiagKind::PrefetchOrderMisuse));
+}
+
+/// Section 3.4: a store then a read of one remote word, back to back.
+/// Under `UnsafeMulti` the runtime's own round-robin register
+/// allocation puts them on different registers.
+fn store_then_read(sc: &mut SplitC) {
+    let cell = sc.alloc(8, 8);
+    sc.on(0, |ctx| {
+        ctx.store_u64(GlobalPtr::new(1, cell), 2); // buffered via reg a
+        let _ = ctx.read_u64(GlobalPtr::new(1, cell)); // read via reg b
+    });
+}
+
+/// A runtime with annex policy `policy` and the sanitizer collecting.
+fn collect_with(nodes: u32, policy: AnnexPolicy) -> SplitC {
+    let mut cfg = SplitcConfig::t3d();
+    cfg.annex_policy = policy;
+    cfg.sanitize = SanitizeMode::Collect;
+    SplitC::with_config(MachineConfig::t3d(nodes), cfg)
 }
 
 /// Section 3.4: the UnsafeMulti synonym trap, via the runtime's own
 /// round-robin register allocation.
 #[test]
 fn unsafe_multi_policy_trips_the_synonym_hazard() {
-    let mut cfg = SplitcConfig::t3d();
-    cfg.annex_policy = AnnexPolicy::UnsafeMulti;
-    cfg.sanitize = SanitizeMode::Collect;
-    let mut sc = SplitC::with_config(MachineConfig::t3d(2), cfg);
-    let cell = sc.alloc(8, 8);
-    sc.on(0, |ctx| {
-        ctx.store_u64(GlobalPtr::new(1, cell), 2); // buffered via reg a
-        let _ = ctx.read_u64(GlobalPtr::new(1, cell)); // read via reg b
-    });
+    let mut sc = collect_with(2, AnnexPolicy::UnsafeMulti);
+    store_then_read(&mut sc);
     assert!(report(&sc).kinds().contains(&DiagKind::AnnexSynonymHazard));
 }
 
-/// The same program under the hashed policy maps PE 1 to one register:
-/// no synonym (the store is still un-synced, which is a separate,
-/// correctly-reported staleness).
-#[test]
-fn hashed_policy_never_trips_the_synonym_hazard() {
-    let mut cfg = SplitcConfig::t3d();
-    cfg.annex_policy = AnnexPolicy::HashedMulti;
-    cfg.sanitize = SanitizeMode::Collect;
-    let mut sc = SplitC::with_config(MachineConfig::t3d(8), cfg);
+/// Blocking writes and reads to seven PEs in turn.
+fn write_read_each_pe(sc: &mut SplitC) {
     let cell = sc.alloc(64, 8);
     sc.on(0, |ctx| {
         for t in 1..8u32 {
@@ -165,6 +213,13 @@ fn hashed_policy_never_trips_the_synonym_hazard() {
             let _ = ctx.read_u64(GlobalPtr::new(t, cell));
         }
     });
+}
+
+/// The hashed policy maps each PE to one register: no synonym.
+#[test]
+fn hashed_policy_never_trips_the_synonym_hazard() {
+    let mut sc = collect_with(8, AnnexPolicy::HashedMulti);
+    write_read_each_pe(&mut sc);
     assert!(report(&sc).is_empty(), "{}", report(&sc).render_table());
 }
 
@@ -335,11 +390,8 @@ fn lock_ordered_critical_sections_are_silent() {
     assert!(report(&sc).is_empty(), "{}", report(&sc).render_table());
 }
 
-/// The same unlocked counter updates ARE flagged: without the lock the
-/// two writes race.
-#[test]
-fn unlocked_counter_updates_are_flagged() {
-    let mut sc = collect(4);
+/// Unlocked counter updates by PEs 0 and 1.
+fn unlocked_counter(sc: &mut SplitC) {
     let counter = sc.alloc(8, 8);
     for pe in 0..2 {
         sc.on(pe, |ctx| {
@@ -347,6 +399,14 @@ fn unlocked_counter_updates_are_flagged() {
             ctx.write_u64(GlobalPtr::new(0, counter), v + 1);
         });
     }
+}
+
+/// The same unlocked counter updates ARE flagged: without the lock the
+/// two writes race.
+#[test]
+fn unlocked_counter_updates_are_flagged() {
+    let mut sc = collect(4);
+    unlocked_counter(&mut sc);
     assert!(report(&sc).kinds().contains(&DiagKind::ConflictingPuts));
 }
 
@@ -391,4 +451,100 @@ fn sanitizer_is_off_by_default() {
     let cell = sc.alloc(8, 8);
     sc.on(0, |ctx| ctx.put(GlobalPtr::new(1, cell), 7));
     assert!(sc.san_report().is_none());
+}
+
+// ---------------------------------------------------------------------
+// One event log, two readers.
+// ---------------------------------------------------------------------
+
+/// A positive-corpus case: machine size, annex policy and program.
+type Case = (u32, AnnexPolicy, fn(&mut SplitC));
+
+/// The positive corpus.
+const POSITIVE: [Case; 10] = [
+    (2, AnnexPolicy::SingleRegister, unsynced_put),
+    (2, AnnexPolicy::SingleRegister, |sc| {
+        let cell = store_read_early(sc);
+        store_synced_read(sc, cell);
+    }),
+    (2, AnnexPolicy::SingleRegister, |sc| {
+        let cell = stale_cached_line(sc);
+        flushed_cached_read(sc, cell);
+    }),
+    (4, AnnexPolicy::SingleRegister, unordered_writes),
+    (4, AnnexPolicy::SingleRegister, |sc| {
+        byte_write_repair(sc);
+    }),
+    (2, AnnexPolicy::SingleRegister, landing_word_read_early),
+    (2, AnnexPolicy::SingleRegister, store_to_bound_source),
+    (2, AnnexPolicy::UnsafeMulti, store_then_read),
+    (8, AnnexPolicy::HashedMulti, write_read_each_pe),
+    (4, AnnexPolicy::SingleRegister, unlocked_counter),
+];
+
+/// Op recording and the sanitizer read one event log. Turning
+/// recording on leaves the sanitizer's report (diagnostics and events
+/// processed) as it was, and turning the sanitizer on leaves the
+/// recorded streams as they were. (Under `T3D_SAN` the "off" runs
+/// sanitize too, and the second check compares like with like.)
+#[test]
+fn recording_and_sanitizing_read_one_log_independently() {
+    for (i, (nodes, policy, program)) in POSITIVE.into_iter().enumerate() {
+        let run = |sanitize, record| {
+            let mut cfg = SplitcConfig::t3d();
+            cfg.annex_policy = policy;
+            cfg.sanitize = sanitize;
+            let mut sc = SplitC::with_config(MachineConfig::t3d(nodes), cfg);
+            sc.record_ops(record);
+            program(&mut sc);
+            (sc.san_report(), sc.take_op_log())
+        };
+        let (alone, _) = run(SanitizeMode::Collect, false);
+        let (recorded, streams) = run(SanitizeMode::Collect, true);
+        let (_, unsanitized) = run(SanitizeMode::Off, true);
+        assert!(alone.as_ref().unwrap().events_processed > 0, "case {i}");
+        assert_eq!(alone, recorded, "case {i}: recording changed the report");
+        assert!(streams.iter().any(|s| !s.is_empty()), "case {i}");
+        assert_eq!(
+            streams, unsanitized,
+            "case {i}: sanitizing changed the streams"
+        );
+    }
+}
+
+/// The same independence over the seven EM3D versions.
+#[test]
+fn em3d_streams_and_reports_do_not_see_each_other() {
+    for v in Version::all() {
+        let run = |record, sanitize| {
+            let (_, streams, report) = run_version_observed(
+                PhaseDriver::Seq,
+                4,
+                Em3dParams::tiny(30.0),
+                v,
+                record,
+                sanitize,
+            );
+            (streams, report)
+        };
+        let (_, alone) = run(false, SanitizeMode::Collect);
+        let (streams, recorded) = run(true, SanitizeMode::Collect);
+        let (unsanitized, _) = run(true, SanitizeMode::Off);
+        assert!(
+            alone.as_ref().unwrap().events_processed > 0,
+            "em3d.{}",
+            v.label()
+        );
+        assert_eq!(
+            alone,
+            recorded,
+            "em3d.{}: recording changed the report",
+            v.label()
+        );
+        assert!(
+            streams == unsanitized,
+            "em3d.{}: sanitizing changed the streams",
+            v.label()
+        );
+    }
 }
