@@ -1246,6 +1246,55 @@ mod tests {
     }
 
     #[test]
+    fn link_clocks_match_a_hop_by_hop_route_model() {
+        // After a mix of direct hot-spot fetch&increments, BLT transposes
+        // and butterfly messages, every link clock equals a model that
+        // walks each op's route hop by hop (`Torus::route` and
+        // `step_link_id`). Each PE's target changes from pattern to
+        // pattern and repeats within the hot spot, so the route memo
+        // both misses and hits.
+        use crate::ops::link_occupancy_cy;
+        let mut m = Machine::new(MachineConfig::t3d_link_contended(64));
+        let (n, hot, shell) = (m.nodes(), 37, m.config().shell);
+        let mut model = vec![0u64; m.torus().num_links()];
+        let mut queued = 0;
+        let mut reserve = |m: &Machine, pe: usize, target: usize, ready: u64, occ: u64| {
+            let t = m.torus();
+            let route = t.route(pe as u32, target as u32);
+            let links: Vec<usize> = route
+                .windows(2)
+                .map(|w| t.step_link_id(w[0], w[1]))
+                .collect();
+            let start = links.iter().fold(ready, |s, &l| s.max(model[l]));
+            for &l in &links {
+                model[l] = start + occ;
+            }
+            queued += start - ready;
+        };
+        for round in 0..6 {
+            for pe in (0..2 * n).map(|i| i % n).filter(|&pe| pe != hot) {
+                let ready = m.clock(pe) + shell.remote_read_shell_cy / 2 + m.one_way(pe, hot);
+                let _ = Cpu::new(&mut m, pe).fetch_inc(hot, 0);
+                reserve(&m, pe, hot, ready, link_occupancy_cy(8));
+            }
+            for pe in 0..n {
+                let (to, now) = ((pe + n / 2) % n, m.clock(pe));
+                let h =
+                    Cpu::new(&mut m, pe).blt_start(BltDirection::Write, 0x2000, to, 0x8000, 512);
+                reserve(&m, pe, to, now + h.startup_cy, link_occupancy_cy(512));
+                Cpu::new(&mut m, pe).blt_wait(h);
+            }
+            for pe in 0..n {
+                let (to, sent) = (pe ^ (1 << round), m.clock(pe) + shell.msg_send_cy);
+                Cpu::new(&mut m, pe).msg_send(to, [pe as u64, round, 0, 0]);
+                reserve(&m, pe, to, sent, link_occupancy_cy(32));
+            }
+        }
+        assert!(queued > 0, "the mix never queued on a link");
+        assert_eq!(m.link_busy, model);
+    }
+
+    #[test]
     fn link_contention_queues_streams_sharing_a_link() {
         // On the (2, 2, 2) torus both 5 → 0 and 7 → 0 dimension-order
         // routes finish over the Z link (0,0,1) → (0,0,0); two

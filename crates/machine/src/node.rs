@@ -5,6 +5,7 @@ use crate::oplog::LogEntry;
 use std::ops::{Index, IndexMut};
 use t3d_memsys::{MemArena, MemPort};
 use t3d_perf::{CostClass, OpKind, PerfAccum, OP_KINDS};
+use t3d_torus::Torus;
 
 /// Counts of the operations a node has issued, one per [`OpKind`]
 /// (instrumentation: the communication/computation breakdowns in the
@@ -99,6 +100,65 @@ pub struct NodeHot {
     pub shell_busy_until: u64,
 }
 
+/// One PE's memo of its last link-contended route: the target and the
+/// dense ids of the links the dimension-order route to it crosses, in
+/// order, exactly as [`Torus::link_runs`] yields them. A pure cache:
+/// the route depends only on the torus and the two endpoints, which
+/// stay fixed for a node's life, so a hit yields the links a fresh
+/// derivation would.
+#[derive(Debug, Default)]
+pub(crate) struct RouteMemo {
+    /// The PE the memoised route leads to; `None` before the first.
+    target: Option<u32>,
+    /// The route's link ids in `links[..len]`. Sized once, at the first
+    /// refill, to the torus's longest route.
+    links: Box<[u32]>,
+    len: usize,
+}
+
+impl RouteMemo {
+    /// Folds `f` over the links of the route `pe -> target`, in order,
+    /// from `init`. When `target` differs from the memo's, the fold walks
+    /// `torus.link_runs(pe, target)` and refills the memo as it goes, so
+    /// a miss derives the route once, as a walk without a memo would.
+    /// Only the first refill allocates.
+    pub(crate) fn fold(
+        &mut self,
+        torus: &Torus,
+        pe: u32,
+        target: u32,
+        init: u64,
+        mut f: impl FnMut(u64, usize) -> u64,
+    ) -> u64 {
+        if self.target == Some(target) {
+            return self.links().iter().fold(init, |acc, &l| f(acc, l as usize));
+        }
+        if self.links.is_empty() {
+            assert!(
+                u32::try_from(torus.num_links()).is_ok(),
+                "link ids of a {}-node torus overflow u32",
+                torus.nodes()
+            );
+            self.links = vec![0; torus.diameter() as usize].into_boxed_slice();
+        }
+        let (mut acc, mut len) = (init, 0);
+        for run in torus.link_runs(pe, target).runs() {
+            for l in run.links() {
+                self.links[len] = l as u32;
+                len += 1;
+                acc = f(acc, l);
+            }
+        }
+        (self.target, self.len) = (Some(target), len);
+        acc
+    }
+
+    /// The memoised route's link ids, in order.
+    pub(crate) fn links(&self) -> &[u32] {
+        &self.links[..self.len]
+    }
+}
+
 /// A processing element: memory system + shell units. The per-PE hot
 /// scalars (clock, shell occupancy) live in the machine's [`NodeHot`]
 /// arena.
@@ -138,6 +198,10 @@ pub struct Node {
     /// This node's calls in the running sharded phase, while the machine
     /// logs ops; joined into the machine's log after the phase.
     pub(crate) oplog: Vec<LogEntry>,
+    /// The route of this PE's last link-contended transfer, kept with
+    /// the node so the direct engine, its shard and the phase merge's
+    /// replay of its effects all reuse it (see `OpCore::link_contend`).
+    pub(crate) route: RouteMemo,
 }
 
 impl Node {
@@ -157,6 +221,7 @@ impl Node {
             perf: PerfAccum::default(),
             events: EventStats::default(),
             oplog: Vec::new(),
+            route: RouteMemo::default(),
         }
     }
 
@@ -280,6 +345,38 @@ impl Node {
 mod tests {
     use super::*;
     use t3d_prng::Rng;
+    use t3d_torus::TorusConfig;
+
+    /// For every ordered pair of PEs, the memo folds over and keeps the
+    /// links `link_runs` gives, on tori with extent-1, extent-2, odd and
+    /// uneven rings. Each source visits its targets B, C, B in turn, so
+    /// a memo that kept a stale route across a target change fails.
+    #[test]
+    fn route_memo_yields_the_link_runs_route() {
+        for dims in [(4, 4, 2), (3, 5, 7), (2, 1, 9), (8, 1, 1), (16, 8, 8)] {
+            let torus = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+            let n = torus.nodes();
+            let mut seen = Vec::new();
+            for a in 0..n {
+                let mut memo = RouteMemo::default();
+                for b in (0..n).filter(|&b| b != a) {
+                    let c = (b + 1..b + n).map(|c| c % n).find(|&c| c != a).unwrap_or(b);
+                    for t in [b, c, b] {
+                        seen.clear();
+                        let sum = memo.fold(&torus, a, t, 7, |acc, l| {
+                            seen.push(l);
+                            acc + l as u64
+                        });
+                        let want = torus.link_runs(a, t);
+                        assert!(want.links().eq(seen.iter().copied()), "{dims:?} {a}->{t}");
+                        let kept = memo.links().iter().map(|&l| l as usize);
+                        assert!(want.links().eq(kept), "{dims:?} {a}->{t} kept");
+                        assert_eq!(sum, 7 + want.links().map(|l| l as u64).sum::<u64>());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn arrival_accounting() {

@@ -285,17 +285,24 @@ pub(crate) trait OpCore {
     /// route link for `occupancy_cy` (its bytes at two per cycle). The
     /// transfer waits for the hottest link of its route to clear, then
     /// holds every link of the route until it finishes: one pass over
-    /// the route's link runs takes the max of their clocks, a second
-    /// sets them. Zero unless link contention modeling is enabled.
+    /// the route's links takes the max of their clocks, a second sets
+    /// them. The links come from the issuer's route memo, which derives
+    /// them from [`Torus::link_runs`] only when the target changes. The
+    /// memo is taken out of `pe`'s node for the two passes and put back,
+    /// so nothing allocates. Zero unless link contention modeling is
+    /// enabled.
     fn link_contend(&mut self, pe: usize, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
         if !self.cfg().link_contention || pe == target {
             return 0;
         }
-        let route = self.torus().link_runs(pe as u32, target as u32);
-        let start = route.links().fold(ready, |s, l| s.max(self.link_busy(l)));
-        route
-            .links()
-            .for_each(|l| self.set_link_busy(l, start + occupancy_cy));
+        let mut memo = std::mem::take(&mut self.parts(pe).0.route);
+        let start = memo.fold(self.torus(), pe as u32, target as u32, ready, |s, l| {
+            s.max(self.link_busy(l))
+        });
+        for &l in memo.links() {
+            self.set_link_busy(l as usize, start + occupancy_cy);
+        }
+        self.parts(pe).0.route = memo;
         start - ready
     }
 

@@ -134,8 +134,8 @@ impl ScCtx<'_> {
             return;
         }
         self.m.memory_barrier();
-        let pending = std::mem::take(&mut self.rt.pending_gets);
-        for local_off in pending {
+        // Drained in place, so the table keeps its capacity.
+        for local_off in self.rt.pending_gets.drain(..) {
             let v = self
                 .m
                 .pop_prefetch()

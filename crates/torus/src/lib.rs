@@ -191,6 +191,13 @@ impl Torus {
             + Self::ring_dist(nz, ca.z, cb.z)
     }
 
+    /// The longest minimal route, in hops: half of each extent, rounded
+    /// down, summed over the three dimensions.
+    pub fn diameter(&self) -> u32 {
+        let (nx, ny, nz) = self.cfg.dims;
+        nx / 2 + ny / 2 + nz / 2
+    }
+
     /// One-way network cost between two nodes, in (fractional) cycles.
     #[inline]
     pub fn one_way_cy(&self, a: u32, b: u32) -> f64 {
@@ -428,13 +435,16 @@ mod tests {
 
     #[test]
     fn max_diameter_is_sum_of_half_extents() {
-        let t = torus32();
-        let max = (0..t.nodes())
-            .flat_map(|a| (0..t.nodes()).map(move |b| (a, b)))
-            .map(|(a, b)| t.hops(a, b))
-            .max()
-            .unwrap();
-        assert_eq!(max, 2 + 2 + 1);
+        for dims in [(4, 4, 2), (3, 5, 7), (2, 1, 9), (8, 1, 1)] {
+            let t = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+            let max = (0..t.nodes())
+                .flat_map(|a| (0..t.nodes()).map(move |b| (a, b)))
+                .map(|(a, b)| t.hops(a, b))
+                .max()
+                .unwrap();
+            assert_eq!(max, dims.0 / 2 + dims.1 / 2 + dims.2 / 2, "{dims:?}");
+            assert_eq!(t.diameter(), max, "{dims:?}");
+        }
     }
 
     #[test]

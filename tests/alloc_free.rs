@@ -9,8 +9,9 @@
 //! (the target's arrival log, amortised doubling).
 //!
 //! The direct shell ops hold to the same rule: a link-contended
-//! fetch&increment walks its route without a buffer, and a BLT lands its
-//! bytes arena to arena.
+//! fetch&increment reads its route from the issuing PE's route memo,
+//! sized once at the PE's first route and refilled in place when the
+//! target changes, and a BLT lands its bytes arena to arena.
 //!
 //! The Split-C driver steps hold to it as well: entering a node with
 //! `SplitC::on` borrows its runtime state in place, so a barrier, an
@@ -217,6 +218,36 @@ fn link_contended_fetch_inc_never_allocates() {
 }
 
 #[test]
+fn link_contended_fetch_inc_switching_target_never_allocates() {
+    // Each PE alternates between two targets, so every op misses its
+    // route memo and refills it from the torus; the warm-up round sizes
+    // each PE's memo.
+    let mut m = link_contended(64);
+    let n = m.nodes();
+    let round = |m: &mut Machine| {
+        (0..n)
+            .flat_map(|pe| [(pe, (pe + 1) % n), (pe, (pe + n / 2) % n)])
+            .fold(0u64, |acc, (pe, target)| {
+                acc.wrapping_add(Cpu::new(m, pe).fetch_inc(target, 0))
+            })
+    };
+    let _ = round(&mut m);
+    let rounds = 50u64;
+    let allocs = allocations(|| {
+        for _ in 0..rounds {
+            let _ = round(&mut m);
+        }
+    });
+    assert_eq!(m.node(1).fetchinc.get(0), (rounds + 1) * 2);
+    assert_eq!(
+        allocs,
+        0,
+        "{} target-switching fetch&increments allocated",
+        rounds * 128
+    );
+}
+
+#[test]
 fn direct_contiguous_blts_never_allocate() {
     let mut m = link_contended(16);
     for pe in 0..16 {
@@ -253,15 +284,15 @@ fn splitc_driver_steps_never_allocate() {
     }
     let step = |sc: &mut SplitC| {
         sc.barrier();
-        // One primitive of each family but `get`, whose table
-        // (`NodeRt::pending_gets`) is reallocated after every drain.
-        // With recording and the sanitizer off, the event log must not
-        // allocate either.
+        // One primitive of each family. The get table keeps its
+        // capacity across drains. With recording and the sanitizer off,
+        // the event log must not allocate either.
         sc.run_phase(|ctx| {
             let right = GlobalPtr::new(((ctx.pe() + 1) % ctx.nodes()) as u32, data);
             let v = ctx.read_u64(right);
             ctx.write_u64(right, v);
             ctx.put(right.local_add(8), v);
+            ctx.get(data + 200, right.local_add(24));
             ctx.sync();
             ctx.store_u64(right.local_add(16), v);
             ctx.bulk_put(right.local_add(128), data + 64, 64);
