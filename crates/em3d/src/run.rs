@@ -6,7 +6,6 @@
 
 use crate::graph::{Em3dGraph, Em3dParams, Endpoint};
 use splitc::{GlobalPtr, RecEvent, Report, SanitizeMode, SplitC, SplitcConfig};
-use std::collections::HashMap;
 use t3d_machine::{MachineConfig, OpStats, PerfMode, PerfReport, PhaseDriver};
 
 /// Which optimization level to run (Section 8, in paper order).
@@ -95,7 +94,7 @@ pub struct Em3dResult {
     /// hashes match.
     pub clock_fnv: u64,
     /// FNV-1a checksum over the settled working set and virtual clocks
-    /// after the post-measurement fence (via `Machine::snapshot_region`)
+    /// after the post-measurement fence (via `Machine::region_fnv64`)
     /// — the state fingerprint the throughput bench gates on, so a
     /// fast-but-wrong engine fails the run.
     pub mem_fnv: u64,
@@ -132,34 +131,33 @@ const LOCAL_EDGE: u32 = u32::MAX;
 impl HalfPlan {
     fn build(deps: &[Vec<Vec<Endpoint>>], nprocs: u32) -> Self {
         let n = nprocs as usize;
+        // Ghost slot of each endpoint (`pe * npp + idx`) of the consumer
+        // being planned, or `UNSEEN`; reset after each consumer, as are
+        // the per-source lists, so both are allocated once.
+        const UNSEEN: u32 = u32::MAX;
+        let npp = deps.iter().map(Vec::len).max().unwrap_or(0);
+        let mut slot_of = vec![UNSEEN; n * npp];
+        let mut per_src: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut edge_slot = Vec::with_capacity(n);
         let mut regions: Vec<Vec<BulkRegion>> = vec![Vec::new(); n];
         for c in 0..n {
             // Unique remote endpoints, grouped by source PE, first-seen
             // order within each source.
-            let mut per_src: Vec<Vec<u32>> = vec![Vec::new(); n];
-            let mut seen = std::collections::HashSet::new();
-            for node in &deps[c] {
-                for ep in node {
-                    if ep.pe as usize != c && seen.insert(*ep) {
-                        per_src[ep.pe as usize].push(ep.idx);
-                    }
+            for ep in deps[c].iter().flatten() {
+                let key = ep.pe as usize * npp + ep.idx as usize;
+                if ep.pe as usize != c && slot_of[key] == UNSEEN {
+                    slot_of[key] = 0;
+                    per_src[ep.pe as usize].push(ep.idx);
                 }
             }
-            // Endpoint -> ghost slot, needed only to resolve the edges.
-            let mut slot_of = HashMap::with_capacity(seen.len());
             let mut slot = 0u64;
-            for (s, indices) in per_src.into_iter().enumerate() {
+            for (s, indices) in per_src.iter().enumerate() {
                 if indices.is_empty() {
                     continue;
                 }
-                for (k, idx) in indices.iter().enumerate() {
-                    let ep = Endpoint {
-                        pe: s as u32,
-                        idx: *idx,
-                    };
+                for (k, &idx) in indices.iter().enumerate() {
                     let ghost = u32::try_from(slot + k as u64).expect("ghost slot fits u32");
-                    slot_of.insert(ep, ghost);
+                    slot_of[s * npp + idx as usize] = ghost;
                 }
                 regions[c].push(BulkRegion {
                     src: s as u32,
@@ -177,11 +175,17 @@ impl HalfPlan {
                         if ep.pe as usize == c {
                             LOCAL_EDGE
                         } else {
-                            slot_of[ep]
+                            slot_of[ep.pe as usize * npp + ep.idx as usize]
                         }
                     })
                     .collect(),
             );
+            for (s, indices) in per_src.iter_mut().enumerate() {
+                for &idx in indices.iter() {
+                    slot_of[s * npp + idx as usize] = UNSEEN;
+                }
+                indices.clear();
+            }
         }
         // Send-buffer offsets at each source: consumers in PE order.
         let mut send_cursor = vec![0u64; n];
@@ -684,7 +688,7 @@ fn run_version_inner(
     // State fingerprint over the whole working set (the send buffer is
     // the last allocation, so the region covers every layout field).
     let snap_end = layout.send + npp * deg * 8;
-    let mem_fnv = sc.machine_ref().snapshot_region(0, snap_end).fnv64();
+    let mem_fnv = sc.machine_ref().region_fnv64(0, snap_end);
 
     // Verify against the host reference (warm-up + measured steps).
     let (e_ref, h_ref) = reference(&g, params.steps + 1);

@@ -114,6 +114,17 @@ impl<'m> Cpu<'m> {
         self.m.part(self.pe).0
     }
 
+    /// Folds this node's remote-write arrival log up to its clock (see
+    /// [`Node::arrivals`]): every arrival at or before now collapses into
+    /// the last of them. Exact for every later `storeSync` query of this
+    /// node, since the folded answers are all in its past; bookkeeping,
+    /// not an op, so nothing is logged or counted.
+    #[inline]
+    pub fn fold_arrivals(&mut self) {
+        let (node, hot) = self.m.parts(self.pe);
+        node.fold_arrivals(hot.clock);
+    }
+
     /// Node `pe`'s state, read-only.
     ///
     /// # Panics

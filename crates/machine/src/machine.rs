@@ -501,7 +501,9 @@ impl Machine {
     }
 
     /// Earliest virtual time at which `target_bytes` of remote-write data
-    /// had arrived at `pe` (for `storeSync`).
+    /// had arrived at `pe` (for `storeSync`). A target inside a prefix
+    /// Split-C has [folded](crate::Cpu::fold_arrivals) is answered with
+    /// the folded time, at or before `pe`'s clock.
     pub fn arrival_time_of(&self, pe: usize, target_bytes: u64) -> Option<u64> {
         self.nodes[pe].arrival_time_of(target_bytes)
     }

@@ -184,7 +184,9 @@ pub struct Node {
     /// Split-C `storeSync` (data-counting completion detection). Each
     /// entry is `(virtual time, running byte total)`: the bytes of that
     /// arrival and every one before it, so both arrival queries are
-    /// binary searches.
+    /// binary searches. Split-C keeps it one epoch long by
+    /// [folding](Self::fold_arrivals) each passed prefix into its last
+    /// entry.
     incoming: Vec<(u64, u64)>,
     /// Operation counts, by kind.
     pub ops: OpStats,
@@ -312,8 +314,24 @@ impl Node {
         self.incoming.clear();
     }
 
+    /// Collapses every arrival at or before `upto` into the last of
+    /// them, whose running total already counts the folded bytes. No
+    /// query this node's owner makes at a clock of `upto` or later
+    /// changes: a target inside the folded prefix is answered with a
+    /// time at or before `upto`, which is already past, and an arrival
+    /// noted later at an earlier time still goes in before the folded
+    /// entry. Bookkeeping, not an op: nothing is counted or logged.
+    pub(crate) fn fold_arrivals(&mut self, upto: u64) {
+        let n = self.incoming.partition_point(|&(t, _)| t <= upto);
+        if n > 1 {
+            self.incoming.drain(..n - 1);
+        }
+    }
+
     /// The remote-write arrivals `(virtual time, bytes)` logged so far,
-    /// in time order.
+    /// in time order. After a [fold](crate::Cpu::fold_arrivals) one
+    /// entry carries every folded arrival's bytes at the latest folded
+    /// time.
     pub fn arrivals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let totals = std::iter::once(0).chain(self.incoming.iter().map(|&(_, total)| total));
         self.incoming
@@ -322,14 +340,18 @@ impl Node {
             .map(|(&(t, total), before)| (t, total - before))
     }
 
-    /// Total bytes of remote-write data that had arrived by `now`.
+    /// Total bytes of remote-write data that had arrived by `now`. A
+    /// `now` before a [folded](crate::Cpu::fold_arrivals) entry's time
+    /// sees none of its bytes; the owner never asks at such a time.
     pub fn bytes_arrived_by(&self, now: u64) -> u64 {
         let n = self.incoming.partition_point(|&(t, _)| t <= now);
         n.checked_sub(1).map_or(0, |i| self.incoming[i].1)
     }
 
     /// Earliest virtual time at which cumulative arrivals reach
-    /// `target_bytes`, if they ever do.
+    /// `target_bytes`, if they ever do. A target inside a
+    /// [folded](crate::Cpu::fold_arrivals) prefix is answered with the
+    /// folded time, which is at or before the owner's clock.
     pub fn arrival_time_of(&self, target_bytes: u64) -> Option<u64> {
         if target_bytes == 0 {
             return Some(0);

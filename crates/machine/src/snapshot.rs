@@ -14,6 +14,9 @@
 //! checksum folds each run of `k` zero words in as one multiply by the
 //! FNV prime to the `k`th power — FNV-1a over a zero word is a multiply
 //! by the prime — so every value matches the dense hash bit for bit.
+//! [`Machine::region_fnv64`] computes the same checksum without the
+//! capture, streaming each node's span through a stack buffer, for
+//! callers that only hash.
 //!
 //! [`Machine::corrupt_byte`] is the matching fault-injection hook: it
 //! flips one settled byte, exactly what a bug in the sharded phase
@@ -61,6 +64,47 @@ impl Capture {
     /// The region bytes `data` covers.
     fn span(&self) -> std::ops::Range<usize> {
         self.start..self.start + self.data.len()
+    }
+}
+
+/// FNV-1a over one node's region, fed its nonzero span in address
+/// order: the zero words around the span fold in without being visited.
+/// Both [`MemSnapshot::fnv64`] and [`Machine::region_fnv64`] hash
+/// through it.
+struct RegionHash {
+    h: u64,
+    /// Words in the region.
+    words: usize,
+    /// Words hashed so far.
+    next: usize,
+}
+
+impl RegionHash {
+    fn new(h: u64, words: usize) -> Self {
+        RegionHash { h, words, next: 0 }
+    }
+
+    /// Hashes `data` as the region's bytes from word `at` on, after the
+    /// zero words up to it; a short final word is zero-padded.
+    fn bytes(&mut self, at: usize, data: &[u8]) {
+        let mut h = fold_zero_words(self.h, at - self.next);
+        let mut chunks = data.chunks_exact(WORD);
+        for w in &mut chunks {
+            h = fnv1a_word(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut w = [0u8; WORD];
+            w[..rem.len()].copy_from_slice(rem);
+            h = fnv1a_word(h, u64::from_le_bytes(w));
+        }
+        self.h = h;
+        self.next = at + data.len().div_ceil(WORD);
+    }
+
+    /// The hash after the zero words to the region's end.
+    fn finish(self) -> u64 {
+        fold_zero_words(self.h, self.words - self.next)
     }
 }
 
@@ -184,21 +228,11 @@ impl MemSnapshot {
     /// being visited (see the [module docs](self)).
     pub fn fnv64(&self) -> u64 {
         let words = self.len.div_ceil(WORD);
-        let mut h = FNV_OFFSET;
-        for c in &self.mem {
-            h = fold_zero_words(h, c.start / WORD);
-            let mut chunks = c.data.chunks_exact(WORD);
-            for w in &mut chunks {
-                h = fnv1a_word(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                let mut w = [0u8; WORD];
-                w[..rem.len()].copy_from_slice(rem);
-                h = fnv1a_word(h, u64::from_le_bytes(w));
-            }
-            h = fold_zero_words(h, words - c.span().end.div_ceil(WORD));
-        }
+        let h = self.mem.iter().fold(FNV_OFFSET, |h, c| {
+            let mut r = RegionHash::new(h, words);
+            r.bytes(c.start / WORD, &c.data);
+            r.finish()
+        });
         self.clocks.iter().fold(h, |h, &c| fnv1a_word(h, c))
     }
 
@@ -245,15 +279,18 @@ impl Machine {
         let n = self.nodes();
         let mem = (0..n)
             .map(|pe| {
-                let arena = self.node(pe).port.mem_arena();
-                let Some(nz) = arena.nonzero_span(base, len) else {
+                let Some(span) = self.captured_span(pe, base, len) else {
                     return Capture::default();
                 };
-                let start = (nz.start - base) as usize / WORD * WORD;
-                let end = ((nz.end - base) as usize).next_multiple_of(WORD).min(len);
-                let mut data = vec![0u8; end - start];
-                arena.read(base + start as u64, &mut data);
-                Capture { start, data }
+                let mut data = vec![0u8; span.len()];
+                self.node(pe)
+                    .port
+                    .mem_arena()
+                    .read(base + span.start as u64, &mut data);
+                Capture {
+                    start: span.start,
+                    data,
+                }
             })
             .collect();
         MemSnapshot {
@@ -262,6 +299,43 @@ impl Machine {
             clocks: (0..n).map(|pe| self.clock(pe)).collect(),
             mem,
         }
+    }
+
+    /// `self.snapshot_region(base, bytes).fnv64()`, without the copy:
+    /// each node's captured span streams from its arena through a stack
+    /// buffer into the same fold, so the checksum allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region exceeds a node's memory.
+    pub fn region_fnv64(&self, base: u64, bytes: u64) -> u64 {
+        const PIECE: usize = 2048;
+        let len = bytes as usize;
+        let words = len.div_ceil(WORD);
+        let mut buf = [0u8; PIECE];
+        let h = (0..self.nodes()).fold(FNV_OFFSET, |h, pe| {
+            let mut r = RegionHash::new(h, words);
+            if let Some(span) = self.captured_span(pe, base, len) {
+                let arena = self.node(pe).port.mem_arena();
+                for at in span.clone().step_by(PIECE) {
+                    let piece = &mut buf[..PIECE.min(span.end - at)];
+                    arena.read(base + at as u64, piece);
+                    r.bytes(at / WORD, piece);
+                }
+            }
+            r.finish()
+        });
+        (0..self.nodes()).fold(h, |h, pe| fnv1a_word(h, self.clock(pe)))
+    }
+
+    /// The bytes of `[base, base + len)` a capture of `pe` holds, relative
+    /// to `base`: whole words from the first to the last one with a
+    /// nonzero byte, cut at the region's end; `None` if all are zero.
+    fn captured_span(&self, pe: usize, base: u64, len: usize) -> Option<std::ops::Range<usize>> {
+        let nz = self.node(pe).port.mem_arena().nonzero_span(base, len)?;
+        let start = (nz.start - base) as usize / WORD * WORD;
+        let end = ((nz.end - base) as usize).next_multiple_of(WORD).min(len);
+        Some(start..end)
     }
 
     /// Fault-injection hook: flips every bit of the byte at `off` on
@@ -496,6 +570,11 @@ mod tests {
             let da = dense(&m, base, len);
             let clocks: Vec<u64> = (0..4).map(|pe| m.clock(pe)).collect();
             assert_eq!(a.fnv64(), dense_fnv(&da, &clocks), "case {case}: checksum");
+            assert_eq!(
+                m.region_fnv64(base, len),
+                a.fnv64(),
+                "case {case}: streamed"
+            );
             for (pe, d) in da.iter().enumerate() {
                 assert_eq!(a.mem(pe), &d[..], "case {case}: PE {pe} bytes");
             }
@@ -520,6 +599,67 @@ mod tests {
             assert_eq!(a.diff(&b), want, "case {case}: diff (equal clocks)");
             assert_eq!(a == b, want.is_none(), "case {case}: equality");
             assert_eq!(a.fnv64() == b.fnv64(), want.is_none(), "case {case}");
+        }
+    }
+
+    /// The streamed checksum equals the snapshot's over random sparse
+    /// images on 1, 16 and 1,024 PEs: writes at granule and region
+    /// edges and at random places, granules left uncommitted, committed
+    /// zeros, unaligned bases and lengths, spans longer than the stream's
+    /// buffer, and nonzero clocks.
+    #[test]
+    fn streamed_checksums_match_snapshot_checksums() {
+        use t3d_memsys::arena::GRANULE_BYTES;
+        use t3d_prng::Rng;
+        let mem = 4 * CHUNK;
+        for (pes, cases) in [(1u32, 60), (16, 30), (1024, 4)] {
+            Rng::cases(0x5EED ^ u64::from(pes), cases, |case, rng| {
+                let mut m = Machine::new(MachineConfig::t3d_with_mem(pes, mem as usize));
+                let base = match case % 3 {
+                    0 => 0,
+                    1 => rng.gen_range(0..24u64),
+                    _ => rng.gen_range(0..2 * CHUNK),
+                };
+                let len = match case % 4 {
+                    0 => rng.gen_range(0..64u64),
+                    1 => rng.gen_range(0..mem - base).min(3 * CHUNK),
+                    _ => rng.gen_range(0..9000u64).min(mem - base),
+                };
+                let g = GRANULE_BYTES as u64;
+                let edges = [
+                    g - 1,
+                    g,
+                    3 * g - 3,
+                    CHUNK - 1,
+                    CHUNK,
+                    2 * CHUNK + 5,
+                    3 * CHUNK,
+                ];
+                for pe in 0..pes as usize {
+                    match rng.gen_range(0..4u32) {
+                        // Untouched: every granule uncommitted.
+                        0 => {}
+                        // Committed zeros.
+                        1 => m.poke_mem(pe, base, &vec![0; len.min(300) as usize]),
+                        _ => {
+                            for &at in &edges {
+                                if rng.gen_range(0..3u32) != 0 {
+                                    m.poke_mem(pe, at, &[rng.gen_range(1..256u32) as u8]);
+                                }
+                            }
+                            for _ in 0..rng.gen_range(0..6u32) {
+                                let at = base + rng.gen_range(0..len.max(1));
+                                m.poke_mem(pe, at.min(mem - 1), &[rng.gen_range(0..256u32) as u8]);
+                            }
+                        }
+                    }
+                    if rng.gen_range(0..2u32) == 1 {
+                        Cpu::new(&mut m, pe).advance(rng.gen_range(1..1000u64));
+                    }
+                }
+                let want = m.snapshot_region(base, len).fnv64();
+                assert_eq!(m.region_fnv64(base, len), want, "{pes} PEs, case {case}");
+            });
         }
     }
 }

@@ -28,8 +28,9 @@
 //! divided into 64 KB regions ([`REGION_BYTES`]), and a fresh 16 MB
 //! arena is a table of 256 empty [`OnceLock`] region slots — a few
 //! kilobytes — so constructing a 1024-PE machine does not eagerly commit
-//! gigabytes. A region's small table of granule slots is allocated on
-//! the region's first write, and an 8 KB commit granule
+//! gigabytes, and dropping one visits no slot past the last one written.
+//! A region's small table of granule slots is allocated on the region's
+//! first write, and an 8 KB commit granule
 //! ([`GRANULE_BYTES`]) of zeroed word cells on the granule's first
 //! write. The granule is small because a commit costs more than its
 //! bytes' RSS: once the host heap has been recycled, the allocator's
@@ -51,8 +52,9 @@
 //! guarantees a single allocation wins even under racing first writes.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+use std::mem::ManuallyDrop;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Bytes per commit granule: the unit of node memory allocated, zeroed,
@@ -244,7 +246,14 @@ pub struct MemArena {
     len: usize,
     /// One slot per [`REGION_BYTES`] of address space; a region's table
     /// of [`GRANULES`] granule slots is allocated on its first write.
-    regions: Box<[OnceLock<Region>]>,
+    /// The slots drop by hand (see the `Drop` impl), not one drop call
+    /// per slot.
+    regions: Box<[ManuallyDrop<OnceLock<Region>>]>,
+    /// One past the highest region slot ever filled: the drop visits no
+    /// slot beyond it. `Relaxed` suffices: it publishes nothing (each
+    /// table is published by its `OnceLock`) and is read only under
+    /// `&mut self`.
+    regions_end: AtomicUsize,
 }
 
 impl MemArena {
@@ -252,8 +261,12 @@ impl MemArena {
     /// until first written; reads of unallocated granules return zeros.
     pub fn new(len: usize) -> Self {
         let n = len.div_ceil(REGION_BYTES);
-        let regions = (0..n).map(|_| OnceLock::new()).collect();
-        MemArena { len, regions }
+        let regions = (0..n).map(|_| ManuallyDrop::new(OnceLock::new())).collect();
+        MemArena {
+            len,
+            regions,
+            regions_end: AtomicUsize::new(0),
+        }
     }
 
     /// Size in bytes.
@@ -299,8 +312,11 @@ impl MemArena {
     /// past [`len`](Self::len) are never addressed.
     #[inline]
     fn granule_mut(&self, i: usize) -> &[AtomicU64] {
-        let table = self.regions[i / GRANULES]
-            .get_or_init(|| (0..GRANULES).map(|_| OnceLock::new()).collect());
+        let r = i / GRANULES;
+        let table = self.regions[r].get_or_init(|| {
+            self.regions_end.fetch_max(r + 1, Ordering::Relaxed);
+            (0..GRANULES).map(|_| OnceLock::new()).collect()
+        });
         table[i % GRANULES].get_or_init(|| zeroed_words(self.granule_len(i).div_ceil(WORD)))
     }
 
@@ -530,6 +546,20 @@ impl MemArena {
             }
         }
         clone
+    }
+}
+
+/// Drops the regions ever filled and nothing else: a fresh 16 MB arena
+/// has 256 slots, and letting the compiler drop them costs one
+/// out-of-line call per slot, written or not. Taking a region out of its
+/// slot leaves an empty `OnceLock`, which owns nothing, so the
+/// `ManuallyDrop` slots leak nothing.
+impl Drop for MemArena {
+    fn drop(&mut self) {
+        let end = *self.regions_end.get_mut();
+        for slot in &mut self.regions[..end] {
+            drop(slot.take());
+        }
     }
 }
 

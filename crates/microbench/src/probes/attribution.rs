@@ -18,7 +18,7 @@ use t3d_shell::FuncCode;
 pub struct ScenarioRun {
     /// The profiler's cycle-attribution report.
     pub report: PerfReport,
-    /// FNV-1a checksum over [`Machine::snapshot_region`] (memory bytes
+    /// FNV-1a checksum over [`Machine::region_fnv64`] (memory bytes
     /// plus the virtual clocks) at scenario end. Identical across phase
     /// drivers and repeated runs; the throughput bench compares it so a
     /// fast-but-wrong engine fails instead of posting a great rate.
@@ -88,14 +88,14 @@ const SNAP_BYTES: u64 = 1 << 20;
 
 impl ScenarioRun {
     /// Captures a scenario's result on `m`: report plus state
-    /// fingerprint, after `setup_secs` of setup. The snapshot copy and
-    /// FNV pass touch the first megabyte of each PE — on a tiny
-    /// scenario that verification sweep, not the simulation, dominates
-    /// the host wall time — so its host seconds join the excluded
-    /// overhead.
+    /// fingerprint, after `setup_secs` of setup. The checksum pass
+    /// reads what each PE wrote in its first megabyte — on a tiny
+    /// scenario that verification sweep, not the simulation, can
+    /// dominate the host wall time — so its host seconds join the
+    /// excluded overhead.
     pub fn of(m: &Machine, setup_secs: f64) -> ScenarioRun {
         let t = std::time::Instant::now();
-        let checksum = m.snapshot_region(0, SNAP_BYTES).fnv64();
+        let checksum = m.region_fnv64(0, SNAP_BYTES);
         ScenarioRun {
             report: m.perf(),
             checksum,

@@ -331,6 +331,10 @@ impl SplitC {
             self.on(pe, |ctx| ctx.am_poll());
         }
         self.m.barrier_all();
+        // Every node's arrivals up to the barrier are in its past.
+        for pe in 0..self.m.nodes() {
+            Cpu::new(&mut self.m, pe).fold_arrivals();
+        }
         if let Some(san) = &mut self.san {
             san.global_barrier();
             san.check();

@@ -80,6 +80,8 @@ impl ScCtx<'_> {
         let now = self.m.clock();
         let wait = t.saturating_sub(now);
         self.m.advance(wait + self.cfg.store_sync_check_cy);
+        // Every arrival up to now is awaited or past: keep one epoch.
+        self.m.fold_arrivals();
         self.done(e, NO_REG);
     }
 

@@ -367,7 +367,7 @@ fn run_scale(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
                     let (mut m, mut setup) = scale_machine(pes, contended);
                     (s.run)(&mut m, driver);
                     let t = std::time::Instant::now();
-                    let checksum = m.snapshot_region(0, snap).fnv64();
+                    let checksum = m.region_fnv64(0, snap);
                     let report = m.perf();
                     setup += t.elapsed().as_secs_f64();
                     Run {

@@ -18,12 +18,14 @@
 //! SPMD phase of reads, writes, puts, signaling stores and bulk puts,
 //! and a tree collective cost no heap work per PE: the runtime's event
 //! log stays off and empty unless recording or the sanitizer reads it.
-//! A `storeSync` query scans the time-ordered arrival log in place.
+//! A `storeSync` query scans the time-ordered arrival log in place, and
+//! folding the log's passed prefix moves entries within it.
 //!
 //! Machine construction costs metadata per PE, never node memory: the
 //! heap bytes per PE are the same at 8 and at 1024 PEs, and less than
 //! one 64 KB arena region. A snapshot costs the nonzero span of each PE's
-//! region plus a few words per PE, not the region's bytes.
+//! region plus a few words per PE, not the region's bytes, and the
+//! streamed checksum of a region costs no heap at all.
 //!
 //! The binary installs a counting global allocator. Counts are kept per
 //! thread, so the test harness's own threads do not disturb them.
@@ -34,6 +36,7 @@ use std::cell::Cell;
 use t3d_machine::shell::blt::BltDirection;
 use t3d_machine::{Cpu, Machine, MachineConfig, OpKind, PerfMode};
 use t3d_memsys::arena::REGION_BYTES;
+use t3d_memsys::MemArena;
 use t3d_shell::FuncCode;
 
 struct Counting;
@@ -41,6 +44,11 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn free(bytes: usize) {
+    let _ = FREED.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 fn count(bytes: usize) {
@@ -64,10 +72,12 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        free(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free(layout.size());
         System.dealloc(ptr, layout);
     }
 }
@@ -417,4 +427,63 @@ fn store_sync_arrival_queries_never_allocate() {
     });
     assert!(last.is_some(), "every logged byte arrived");
     assert_eq!(allocs, 0, "{} storeSync queries allocated", logged / 8 + 1);
+}
+
+#[test]
+fn arrival_folds_never_allocate() {
+    let mut m = machine();
+    let mut cpu = Cpu::new(&mut m, 0);
+    cpu.annex_set(1, 1, FuncCode::Uncached);
+    for i in 0..256u64 {
+        let va = cpu.va(1, i * 8);
+        cpu.st8(va, i);
+    }
+    cpu.memory_barrier();
+    cpu.wait_write_acks();
+    let last = m.node(1).arrivals().last().expect("arrivals logged").0;
+    // PE 1's clock walks past the arrivals in steps, folding each time.
+    let allocs = allocations(|| {
+        let mut cpu = Cpu::new(&mut m, 1);
+        while cpu.clock() <= last {
+            cpu.advance(16);
+            cpu.fold_arrivals();
+        }
+    });
+    assert_eq!(m.node(1).arrivals().count(), 1, "every arrival folded");
+    assert_eq!(m.arrival_time_of(1, 256 * 8), Some(last));
+    assert_eq!(allocs, 0, "arrival folds allocated");
+}
+
+#[test]
+fn streamed_region_checksum_never_allocates() {
+    const PES: usize = 1024;
+    let mut m = link_contended(PES as u32);
+    for pe in (0..PES).step_by(3) {
+        m.poke_mem(pe, 0x1000 + pe as u64 * 8, &[pe as u8 | 1; 24]);
+    }
+    let mut fnv = 0;
+    let allocs = allocations(|| fnv = m.region_fnv64(0, SNAP_REGION));
+    assert_eq!(fnv, m.snapshot_region(0, SNAP_REGION).fnv64());
+    assert_eq!(allocs, 0, "a {PES}-PE streamed checksum allocated");
+}
+
+#[test]
+fn a_dropped_arena_frees_every_byte_it_committed() {
+    for writes in [
+        &[][..],
+        &[0][..],
+        &[5, 1 << 20, (16 << 20) - 1],
+        &[3 << 20, 7],
+    ] {
+        let freed = FREED.with(Cell::get);
+        let (_, bytes) = allocated(|| {
+            let a = MemArena::new(16 << 20);
+            for &at in writes {
+                a.set(at, 1);
+            }
+            drop(a);
+        });
+        let freed = FREED.with(Cell::get) - freed;
+        assert_eq!(freed, bytes, "writes at {writes:?}");
+    }
 }
