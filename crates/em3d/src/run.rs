@@ -651,16 +651,16 @@ fn run_version_inner(
         }
     };
 
-    // Warm-up step, then measured steps.
+    // Warm-up step, then measured steps. Restarting observation here
+    // zeroes the op counts and rebases attribution, so both cover
+    // exactly the measured region (the warm-up step is excluded).
     step(&mut sc);
-    for pe in 0..nprocs as usize {
-        sc.machine().clear_op_stats(pe);
-    }
-    if profile {
-        // Rebase attribution here so the report covers exactly the
-        // measured region (the warm-up step is excluded).
-        sc.machine().set_perf_mode(PerfMode::Counters);
-    }
+    let mode = if profile {
+        PerfMode::Counters
+    } else {
+        PerfMode::Off
+    };
+    sc.machine().set_perf_mode(mode);
     let t0 = sc.max_clock();
     for _ in 0..params.steps {
         step(&mut sc);

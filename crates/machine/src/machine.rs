@@ -325,40 +325,9 @@ impl Machine {
         self.poke_mem(pe, off, &v.to_le_bytes());
     }
 
-    /// Resets every node's timing state (caches, TLB, DRAM pages, write
-    /// buffers, clocks) while preserving memory contents. Probes call
-    /// this between trials.
-    pub fn reset_timing(&mut self) {
-        for pe in 0..self.nodes.len() {
-            self.nodes[pe].port.reset_timing();
-            self.deliver_outbox(pe);
-        }
-        for node in &mut self.nodes {
-            node.clear_arrivals();
-            node.acks.wait_clear(u64::MAX / 2);
-            // Rebase attribution at the zeroed clock (collection state is
-            // preserved; accumulated credits from before the reset would
-            // otherwise break conservation against the new clocks).
-            let on = node.perf.is_on();
-            node.perf.restart(on, 0);
-            node.port.set_perf(on);
-        }
-        for hot in &mut self.hot {
-            hot.clock = 0;
-            hot.shell_busy_until = 0;
-        }
-        self.link_busy.fill(0);
-        self.phase_log.clear();
-    }
-
     /// A node's operation counts.
     pub fn op_stats(&self, pe: usize) -> OpStats {
         self.nodes[pe].ops
-    }
-
-    /// Clears a node's operation counts.
-    pub fn clear_op_stats(&mut self, pe: usize) {
-        self.nodes[pe].ops = OpStats::default();
     }
 
     // ------------------------------------------------------------------
@@ -371,15 +340,16 @@ impl Machine {
     }
 
     /// Sets the profiling mode, restarting collection: every PE's
-    /// ledgers and histograms clear and rebase at its current clock, and
-    /// the phase log empties. Attribution is pure observation — no
-    /// virtual time changes.
+    /// ledgers and histograms clear and rebase at its current clock, its
+    /// op counts zero, and the phase log empties. Attribution is pure
+    /// observation — no virtual time changes.
     pub fn set_perf_mode(&mut self, mode: PerfMode) {
         self.perf_mode = mode;
         let on = mode.counters();
         for (node, hot) in self.nodes.iter_mut().zip(&self.hot) {
             node.perf.restart(on, hot.clock);
             node.port.set_perf(on);
+            node.ops = OpStats::default();
         }
         self.phase_log.clear();
     }
@@ -498,19 +468,6 @@ impl Machine {
             }
         }
         chrome_trace(&spans).render_pretty()
-    }
-
-    /// Earliest virtual time at which `target_bytes` of remote-write data
-    /// had arrived at `pe` (for `storeSync`). A target inside a prefix
-    /// Split-C has [folded](crate::Cpu::fold_arrivals) is answered with
-    /// the folded time, at or before `pe`'s clock.
-    pub fn arrival_time_of(&self, pe: usize, target_bytes: u64) -> Option<u64> {
-        self.nodes[pe].arrival_time_of(target_bytes)
-    }
-
-    /// Clears a node's arrival log (a new `storeSync` epoch).
-    pub fn clear_incoming(&mut self, pe: usize) {
-        self.nodes[pe].clear_arrivals();
     }
 
     /// Pushes every write already due out of each node's write buffer and
@@ -1121,9 +1078,9 @@ mod tests {
             cpu.st8(cpu.va(1, 0xD000 + i * 64), i);
         }
         cpu.memory_barrier();
-        let t = m.arrival_time_of(1, 32).expect("32 bytes arrived");
+        let t = m.node(1).arrival_time_of(32).expect("32 bytes arrived");
         assert!(t > 0);
-        assert_eq!(m.arrival_time_of(1, 33), None);
+        assert_eq!(m.node(1).arrival_time_of(33), None);
     }
 
     #[test]

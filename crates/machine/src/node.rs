@@ -309,11 +309,6 @@ impl Node {
         self.incoming[at..].iter_mut().for_each(|e| e.1 += bytes);
     }
 
-    /// Empties the arrival log (a new `storeSync` epoch).
-    pub(crate) fn clear_arrivals(&mut self) {
-        self.incoming.clear();
-    }
-
     /// Collapses every arrival at or before `upto` into the last of
     /// them, whose running total already counts the folded bytes. No
     /// query this node's owner makes at a clock of `upto` or later

@@ -132,12 +132,6 @@ impl Dram {
             self.cfg.page_miss_cy
         }
     }
-
-    /// Closes all pages (e.g. after a refresh); timing state is reset.
-    pub fn reset(&mut self) {
-        self.open = [None; MAX_BANKS];
-        self.last_bank = None;
-    }
 }
 
 #[cfg(test)]
@@ -211,14 +205,6 @@ mod tests {
         let _ = d.peek(123456);
         assert_eq!(d.open, before.open);
         assert_eq!(d.last_bank, before.last_bank);
-    }
-
-    #[test]
-    fn reset_closes_everything() {
-        let mut d = dram();
-        d.access(0);
-        d.reset();
-        assert_eq!(d.access(0), 31, "after reset the first access misses again");
     }
 
     #[test]

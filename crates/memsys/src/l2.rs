@@ -74,13 +74,6 @@ impl L2Cache {
         let idx = ((pa >> self.line_shift) & self.index_mask) as usize;
         self.tags[idx] == Some(tag)
     }
-
-    /// Invalidates every line.
-    pub fn invalidate_all(&mut self) {
-        for t in &mut self.tags {
-            *t = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -131,13 +124,5 @@ mod tests {
         assert!(!c.contains(64), "still absent");
         c.access(64);
         assert!(c.contains(64));
-    }
-
-    #[test]
-    fn invalidate_all_empties() {
-        let mut c = l2();
-        c.access(0);
-        c.invalidate_all();
-        assert!(!c.contains(0));
     }
 }

@@ -509,28 +509,6 @@ impl MemPort {
     pub fn stats(&self) -> PortStats {
         self.stats
     }
-
-    /// Clears the event counters.
-    pub fn clear_stats(&mut self) {
-        self.stats = PortStats::default();
-    }
-
-    /// Resets all timing state (caches, TLB, write buffer, DRAM pages)
-    /// while preserving memory contents. Probes use this between trials.
-    pub fn reset_timing(&mut self) {
-        self.l1.invalidate_all();
-        if let Some(l2) = &mut self.l2 {
-            l2.invalidate_all();
-        }
-        self.tlb.reset();
-        self.dram.reset();
-        // Any pending writes are applied instantly; remote entries land
-        // in the outbox for the machine layer to deliver.
-        let (wbuf, mut sink) = self.wbuf_and_sink();
-        let _ = wbuf.drain_all(u64::MAX / 2, &mut sink);
-        wbuf.reset();
-        self.wbuf_next_due = u64::MAX;
-    }
 }
 
 impl Clone for MemPort {
@@ -707,18 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_timing_preserves_memory() {
-        let mut p = port();
-        let c = p.write(0, 0xB000, &42u64.to_le_bytes());
-        let _ = p.memory_barrier(c);
-        p.reset_timing();
-        let mut buf = [0u8; 8];
-        p.peek_mem(0xB000, &mut buf);
-        assert_eq!(u64::from_le_bytes(buf), 42);
-        assert_eq!(p.l1().valid_lines(), 0);
-    }
-
-    #[test]
     fn apply_due_retires_exactly_at_the_buffered_completion() {
         // The port caches the write buffer's next-due time to skip the
         // drain call between events; the cache must not delay retirement.
@@ -749,27 +715,20 @@ mod tests {
         assert_eq!(s.l1_misses, 64);
         assert_eq!(s.l1_hits, 192);
         // Same-line stores merge (issue outpaces nothing: no stalls)...
-        p.clear_stats();
         for i in 0..64u64 {
             now += p.write(now, 0x4000 + i * 8, &[1; 8]);
         }
-        assert!(
-            p.stats().wbuf_merges >= 24,
-            "merges: {}",
-            p.stats().wbuf_merges
-        );
+        let merges = p.stats().wbuf_merges - s.wbuf_merges;
+        assert!(merges >= 24, "merges: {merges}");
         // ...while distinct-line bursts outpace the retire pipeline and
         // stall for entries.
-        p.clear_stats();
+        let s = p.stats();
         for i in 0..64u64 {
             now += p.write(now, 0x8000 + i * 64, &[1; 8]);
         }
-        assert_eq!(p.stats().wbuf_merges, 0);
-        assert!(
-            p.stats().wbuf_stalls > 0,
-            "stalls: {}",
-            p.stats().wbuf_stalls
-        );
+        assert_eq!(p.stats().wbuf_merges, s.wbuf_merges);
+        let stalls = p.stats().wbuf_stalls - s.wbuf_stalls;
+        assert!(stalls > 0, "stalls: {stalls}");
     }
 
     #[test]

@@ -108,13 +108,6 @@ impl Tlb {
     pub fn hits(&self) -> u64 {
         self.hits
     }
-
-    /// Drops all translations and resets counters.
-    pub fn reset(&mut self) {
-        self.pages.clear();
-        self.misses = 0;
-        self.hits = 0;
-    }
 }
 
 #[cfg(test)]
@@ -227,14 +220,5 @@ mod tests {
         let odd = Tlb::new(cfg);
         assert_eq!(odd.page_of(5999), 1);
         assert_eq!(odd.page_of(6000), 2);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut tlb = Tlb::new(MemConfig::t3d().tlb);
-        tlb.access(0);
-        tlb.reset();
-        assert_eq!(tlb.misses(), 0);
-        assert!(tlb.access(0) > 0);
     }
 }

@@ -370,21 +370,6 @@ impl WriteBuffer {
         cost
     }
 
-    /// Resets the retire pipeline (entries must already be drained).
-    /// Used by probe harnesses between trials, together with the clock
-    /// reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if entries are still pending.
-    pub fn reset(&mut self) {
-        assert!(
-            self.entries.is_empty(),
-            "drain the buffer before resetting it"
-        );
-        self.pipe_tail = 0.0;
-    }
-
     /// Read forwarding: overlays every pending byte for exactly this full
     /// physical line address onto `line_buf` (oldest entries first).
     ///

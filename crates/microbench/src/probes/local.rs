@@ -20,11 +20,11 @@ pub enum Op {
     Write,
 }
 
-/// Runs the sawtooth probe for one (size, stride) cell and returns the
-/// average latency in cycles.
-fn probe_cell(m: &mut Machine, op: Op, size: u64, stride: u64) -> f64 {
-    m.reset_timing();
-    let mut cpu = Cpu::new(m, 0);
+/// Runs the sawtooth probe for one (size, stride) cell on a fresh
+/// machine and returns the average latency in cycles.
+fn probe_cell(cfg: MachineConfig, op: Op, size: u64, stride: u64) -> f64 {
+    let mut m = Machine::new(cfg);
+    let mut cpu = Cpu::new(&mut m, 0);
     // Two passes: the first warms caches/TLB, the second is measured —
     // the probe's analogue of the paper's repetition loop with overhead
     // subtracted.
@@ -54,8 +54,7 @@ fn probe_cell(m: &mut Machine, op: Op, size: u64, stride: u64) -> f64 {
 /// `cap_stride` bounds the largest stride probed (use `u64::MAX` for the
 /// full paper sweep).
 pub fn profile(cfg: MachineConfig, op: Op, sizes: &[u64], cap_stride: u64) -> StrideProfile {
-    let mut m = Machine::new(cfg);
-    let cycle_ns = m.cycle_ns();
+    let cycle_ns = cfg.cycle_ns();
     let strides = all_strides(sizes, cap_stride);
     let mut avg_ns = Vec::new();
     for &size in sizes {
@@ -65,7 +64,7 @@ pub fn profile(cfg: MachineConfig, op: Op, sizes: &[u64], cap_stride: u64) -> St
             .map(|&st| {
                 valid
                     .contains(&st)
-                    .then(|| probe_cell(&mut m, op, size, st) * cycle_ns)
+                    .then(|| probe_cell(cfg, op, size, st) * cycle_ns)
             })
             .collect();
         avg_ns.push(row);

@@ -14,9 +14,9 @@ use t3d_machine::{Cpu, Machine, MachineConfig};
 use t3d_shell::FuncCode;
 
 /// Average per-element cost (ns) of a raw prefetch group of size `g`.
-pub fn raw_group_cost(m: &mut Machine, g: usize) -> f64 {
-    m.reset_timing();
-    let mut cpu = Cpu::new(m, 0);
+pub fn raw_group_cost(g: usize) -> f64 {
+    let mut m = Machine::new(MachineConfig::t3d(2));
+    let mut cpu = Cpu::new(&mut m, 0);
     cpu.annex_set(1, 1, FuncCode::Uncached);
     // Warm the TLB for the remote segment.
     let _ = cpu.ld8(cpu.va(1, 0));
@@ -34,9 +34,9 @@ pub fn raw_group_cost(m: &mut Machine, g: usize) -> f64 {
 }
 
 /// Average per-element cost (ns) of a Split-C `get` group of size `g`.
-pub fn splitc_group_cost(sc: &mut SplitC, g: usize) -> f64 {
-    sc.machine().reset_timing();
-    sc.on(0, |ctx| {
+pub fn splitc_group_cost(g: usize) -> f64 {
+    let mut sc = SplitC::new(MachineConfig::t3d(2));
+    let cy = sc.on(0, |ctx| {
         // Warm TLB.
         let _ = ctx.read_u64(GlobalPtr::new(1, 0));
         let t0 = ctx.clock();
@@ -47,15 +47,16 @@ pub fn splitc_group_cost(sc: &mut SplitC, g: usize) -> f64 {
             );
         }
         ctx.sync();
-        (ctx.clock() - t0) as f64 / g as f64 * 6.666_666_666_666_667
-    })
+        (ctx.clock() - t0) as f64 / g as f64
+    });
+    cy * sc.machine_ref().cycle_ns()
 }
 
 /// Average cost (ns) of `g` blocking uncached reads (the Figure 6
 /// reference line).
-pub fn blocking_group_cost(m: &mut Machine, g: usize) -> f64 {
-    m.reset_timing();
-    let mut cpu = Cpu::new(m, 0);
+pub fn blocking_group_cost(g: usize) -> f64 {
+    let mut m = Machine::new(MachineConfig::t3d(2));
+    let mut cpu = Cpu::new(&mut m, 0);
     cpu.annex_set(1, 1, FuncCode::Uncached);
     let _ = cpu.ld8(cpu.va(1, 0));
     let t0 = cpu.clock();
@@ -69,15 +70,13 @@ pub fn blocking_group_cost(m: &mut Machine, g: usize) -> f64 {
 /// Figure 6: per-element latency vs group size for raw prefetch,
 /// Split-C `get`, and blocking reads.
 pub fn group_sweep() -> Vec<Series> {
-    let mut m = Machine::new(MachineConfig::t3d(2));
-    let mut sc = SplitC::new(MachineConfig::t3d(2));
     let mut raw = Vec::new();
     let mut get = Vec::new();
     let mut blocking = Vec::new();
     for g in 1..=16usize {
-        raw.push((g as u64, raw_group_cost(&mut m, g)));
-        get.push((g as u64, splitc_group_cost(&mut sc, g)));
-        blocking.push((g as u64, blocking_group_cost(&mut m, g)));
+        raw.push((g as u64, raw_group_cost(g)));
+        get.push((g as u64, splitc_group_cost(g)));
+        blocking.push((g as u64, blocking_group_cost(g)));
     }
     vec![
         Series {
@@ -142,10 +141,9 @@ mod tests {
 
     #[test]
     fn single_prefetch_slower_than_blocking_read_by_about_15_cycles() {
-        let mut m = Machine::new(MachineConfig::t3d(2));
-        let pf = raw_group_cost(&mut m, 1);
-        let bl = blocking_group_cost(&mut m, 1);
-        let delta_cy = (pf - bl) / m.cycle_ns();
+        let pf = raw_group_cost(1);
+        let bl = blocking_group_cost(1);
+        let delta_cy = (pf - bl) / MachineConfig::t3d(2).cycle_ns();
         assert!(
             (5.0..35.0).contains(&delta_cy),
             "single prefetch is {delta_cy:.0} cy over a blocking read (paper: ~15)"
@@ -154,9 +152,8 @@ mod tests {
 
     #[test]
     fn group_of_16_costs_about_31_cycles_per_element() {
-        let mut m = Machine::new(MachineConfig::t3d(2));
-        let ns = raw_group_cost(&mut m, 16);
-        let cy = ns / m.cycle_ns();
+        let ns = raw_group_cost(16);
+        let cy = ns / MachineConfig::t3d(2).cycle_ns();
         assert!(
             (27.0..36.0).contains(&cy),
             "pipelined prefetch {cy:.0} cy (paper: 31)"
@@ -165,9 +162,8 @@ mod tests {
 
     #[test]
     fn latency_mostly_hidden_by_group_16() {
-        let mut m = Machine::new(MachineConfig::t3d(2));
-        let single = raw_group_cost(&mut m, 1);
-        let full = raw_group_cost(&mut m, 16);
+        let single = raw_group_cost(1);
+        let full = raw_group_cost(16);
         assert!(
             full < single * 0.4,
             "group of 16 ({full:.0} ns) hides most of single-prefetch latency ({single:.0} ns)"

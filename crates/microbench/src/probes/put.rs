@@ -12,9 +12,9 @@ use splitc::{GlobalPtr, SplitC};
 use t3d_machine::{Cpu, Machine, MachineConfig};
 use t3d_shell::FuncCode;
 
-fn probe_raw(m: &mut Machine, size: u64, stride: u64) -> f64 {
-    m.reset_timing();
-    let mut cpu = Cpu::new(m, 0);
+fn probe_raw(size: u64, stride: u64) -> f64 {
+    let mut m = Machine::new(MachineConfig::t3d(2));
+    let mut cpu = Cpu::new(&mut m, 0);
     cpu.annex_set(1, 1, FuncCode::Uncached);
     for pass in 0..2 {
         let t0 = cpu.clock();
@@ -35,8 +35,8 @@ fn probe_raw(m: &mut Machine, size: u64, stride: u64) -> f64 {
     unreachable!()
 }
 
-fn probe_put(sc: &mut SplitC, size: u64, stride: u64) -> f64 {
-    sc.machine().reset_timing();
+fn probe_put(size: u64, stride: u64) -> f64 {
+    let mut sc = SplitC::new(MachineConfig::t3d(2));
     for pass in 0..2 {
         let r = sc.on(0, |ctx| {
             let t0 = ctx.clock();
@@ -58,12 +58,11 @@ fn probe_put(sc: &mut SplitC, size: u64, stride: u64) -> f64 {
     unreachable!()
 }
 
-/// Figure 7: the non-blocking store profile and the Split-C put profile.
+/// Figure 7: the non-blocking store profile and the Split-C put profile,
+/// each cell on a fresh two-node T3D.
 pub fn nonblocking_profiles(sizes: &[u64], cap_stride: u64) -> Vec<StrideProfile> {
     let cycle_ns = MachineConfig::t3d(2).cycle_ns();
     let strides = all_strides(sizes, cap_stride);
-    let mut m = Machine::new(MachineConfig::t3d(2));
-    let mut sc = SplitC::new(MachineConfig::t3d(2));
     let mut raw_rows = Vec::new();
     let mut put_rows = Vec::new();
     for &size in sizes {
@@ -71,21 +70,13 @@ pub fn nonblocking_profiles(sizes: &[u64], cap_stride: u64) -> Vec<StrideProfile
         raw_rows.push(
             strides
                 .iter()
-                .map(|&st| {
-                    valid
-                        .contains(&st)
-                        .then(|| probe_raw(&mut m, size, st) * cycle_ns)
-                })
+                .map(|&st| valid.contains(&st).then(|| probe_raw(size, st) * cycle_ns))
                 .collect(),
         );
         put_rows.push(
             strides
                 .iter()
-                .map(|&st| {
-                    valid
-                        .contains(&st)
-                        .then(|| probe_put(&mut sc, size, st) * cycle_ns)
-                })
+                .map(|&st| valid.contains(&st).then(|| probe_put(size, st) * cycle_ns))
                 .collect(),
         );
     }

@@ -39,14 +39,14 @@ impl RemoteOp {
     }
 }
 
-fn probe_raw_cell(m: &mut Machine, op: RemoteOp, size: u64, stride: u64) -> f64 {
-    m.reset_timing();
+fn probe_raw_cell(op: RemoteOp, size: u64, stride: u64) -> f64 {
+    let mut m = Machine::new(MachineConfig::t3d(2));
     let func = if op == RemoteOp::CachedRead {
         FuncCode::Cached
     } else {
         FuncCode::Uncached
     };
-    let mut cpu = Cpu::new(m, 0);
+    let mut cpu = Cpu::new(&mut m, 0);
     cpu.annex_set(1, 1, func);
     for pass in 0..2 {
         // Cached reads must not be satisfied by the previous pass's
@@ -80,8 +80,8 @@ fn probe_raw_cell(m: &mut Machine, op: RemoteOp, size: u64, stride: u64) -> f64 
     unreachable!()
 }
 
-fn probe_splitc_cell(sc: &mut SplitC, op: RemoteOp, size: u64, stride: u64) -> f64 {
-    sc.machine().reset_timing();
+fn probe_splitc_cell(op: RemoteOp, size: u64, stride: u64) -> f64 {
+    let mut sc = SplitC::new(MachineConfig::t3d(2));
     for pass in 0..2 {
         let r = sc.on(0, |ctx| {
             let t0 = ctx.clock();
@@ -108,28 +108,21 @@ fn probe_splitc_cell(sc: &mut SplitC, op: RemoteOp, size: u64, stride: u64) -> f
     unreachable!()
 }
 
-/// Runs one remote profile over a (size, stride) grid on a two-node T3D.
+/// Runs one remote profile over a (size, stride) grid, each cell on a
+/// fresh two-node T3D.
 pub fn profile(op: RemoteOp, sizes: &[u64], cap_stride: u64) -> StrideProfile {
     let cycle_ns = MachineConfig::t3d(2).cycle_ns();
     let strides = all_strides(sizes, cap_stride);
-    let splitc = matches!(op, RemoteOp::SplitcRead | RemoteOp::SplitcWrite);
-    let mut m = (!splitc).then(|| Machine::new(MachineConfig::t3d(2)));
-    let mut sc = splitc.then(|| SplitC::new(MachineConfig::t3d(2)));
+    let probe = match op {
+        RemoteOp::SplitcRead | RemoteOp::SplitcWrite => probe_splitc_cell,
+        _ => probe_raw_cell,
+    };
     let mut avg_ns = Vec::new();
     for &size in sizes {
         let valid = strides_for(size, cap_stride);
         let row = strides
             .iter()
-            .map(|&st| {
-                valid.contains(&st).then(|| {
-                    let cy = match (&mut m, &mut sc) {
-                        (Some(m), _) => probe_raw_cell(m, op, size, st),
-                        (_, Some(sc)) => probe_splitc_cell(sc, op, size, st),
-                        _ => unreachable!(),
-                    };
-                    cy * cycle_ns
-                })
-            })
+            .map(|&st| valid.contains(&st).then(|| probe(op, size, st) * cycle_ns))
             .collect();
         avg_ns.push(row);
     }
@@ -164,15 +157,15 @@ pub fn write_profiles(sizes: &[u64], cap_stride: u64) -> Vec<StrideProfile> {
 /// Returns `(hops, avg ns)` and the fitted per-hop one-way cost in
 /// cycles.
 pub fn hop_sweep() -> (Vec<(u64, f64)>, f64) {
-    let mut m = Machine::new(MachineConfig::t3d(64)); // 4x4x4
+    let cfg = MachineConfig::t3d(64); // 4x4x4
     let mut points = Vec::new();
     let max_hops = 6u32; // diameter of a 4x4x4 torus
     for hops in 1..=max_hops {
+        let mut m = Machine::new(cfg);
         // Find a node at exactly this distance.
         let target = (0..64u32)
             .find(|&n| m.torus().hops(0, n) == hops)
             .expect("4x4x4 torus has all distances up to 6");
-        m.reset_timing();
         let mut cpu = Cpu::new(&mut m, 0);
         cpu.annex_set(1, target, FuncCode::Uncached);
         let _ = cpu.ld8(cpu.va(1, 8)); // TLB warm
@@ -186,16 +179,14 @@ pub fn hop_sweep() -> (Vec<(u64, f64)>, f64) {
     }
     // Least-squares slope of latency (cycles) vs hops, halved for the
     // one-way per-hop cost (the probe sees a round trip).
-    let n = points.len() as f64;
+    let (n, cycle_ns) = (points.len() as f64, cfg.cycle_ns());
     let sx: f64 = points.iter().map(|(h, _)| *h as f64).sum();
-    let sy: f64 = points.iter().map(|(_, ns)| ns / CYCLE_NS).sum();
-    let sxy: f64 = points.iter().map(|(h, ns)| *h as f64 * ns / CYCLE_NS).sum();
+    let sy: f64 = points.iter().map(|(_, ns)| ns / cycle_ns).sum();
+    let sxy: f64 = points.iter().map(|(h, ns)| *h as f64 * ns / cycle_ns).sum();
     let sxx: f64 = points.iter().map(|(h, _)| (*h as f64).powi(2)).sum();
     let slope_rt = (n * sxy - sx * sy) / (n * sxx - sx * sx);
     (points, slope_rt / 2.0)
 }
-
-const CYCLE_NS: f64 = 1000.0 / 150.0;
 
 /// Section 4.2's cross-machine comparison: the T3D's remote read against
 /// contemporary large-scale shared-memory machines. DASH and KSR1 are

@@ -314,12 +314,6 @@ fn splitc_driver_steps_never_allocate() {
     let _ = step(&mut sc);
     let mut allocs = 0;
     for _ in 0..20 {
-        // Each collective appends to the arrival logs that `storeSync`
-        // counts; start every step in a fresh epoch, as the warm-up did,
-        // so the logs reuse their capacity.
-        for pe in 0..32 {
-            sc.machine().clear_incoming(pe);
-        }
         allocs += allocations(|| assert_eq!(step(&mut sc), 32));
     }
     // `T3D_SAN` switches the sanitizer on whatever the configuration
@@ -422,7 +416,7 @@ fn store_sync_arrival_queries_never_allocate() {
     let mut last = None;
     let allocs = allocations(|| {
         for target in (0..=logged).step_by(8) {
-            last = m.arrival_time_of(1, target);
+            last = m.node(1).arrival_time_of(target);
         }
     });
     assert!(last.is_some(), "every logged byte arrived");
@@ -450,7 +444,7 @@ fn arrival_folds_never_allocate() {
         }
     });
     assert_eq!(m.node(1).arrivals().count(), 1, "every arrival folded");
-    assert_eq!(m.arrival_time_of(1, 256 * 8), Some(last));
+    assert_eq!(m.node(1).arrival_time_of(256 * 8), Some(last));
     assert_eq!(allocs, 0, "arrival folds allocated");
 }
 

@@ -130,3 +130,67 @@ fn cached_reads_and_flushes_replay_exactly() {
     assert_eq!(m.peek8(0, dst + 8 * 1000), 1000);
     assert_replays("cached reads", &m, fresh);
 }
+
+#[test]
+fn message_driven_stores_replay_exactly() {
+    // EM3D's message-driven pattern: each round every PE stores words
+    // into both neighbours, then waits for its own with `storeSync` and
+    // sums them, with no barrier between rounds. Split-C folds each
+    // arrival log after every wait; the fold is bookkeeping, not an
+    // op, so a replay (which never folds) must reproduce the run from
+    // the logged calls alone.
+    const PES: u32 = 4;
+    const ROUNDS: u64 = 8;
+    const WORDS: u64 = 4;
+    const ROUND_BYTES: u64 = 2 * WORDS * 8;
+    let fresh = || {
+        let mut m = Machine::new(MachineConfig::t3d(PES));
+        m.set_perf_mode(PerfMode::Counters);
+        m
+    };
+    let mut logs = Vec::new();
+    for driver in DRIVERS {
+        let mut m = fresh();
+        m.log_ops(true);
+        let mut sc = SplitC::from_machine(m);
+        let inbox = sc.alloc(ROUNDS * ROUND_BYTES, 8);
+        let sums = sc.alloc(ROUNDS * 8, 8);
+        for round in 0..ROUNDS {
+            let slots = inbox + round * ROUND_BYTES;
+            sc.par_phase_with(driver, |ctx| {
+                let (pe, n) = (ctx.pe() as u64, ctx.nodes() as u64);
+                for (side, to) in [(0, (pe + 1) % n), (1, (pe + n - 1) % n)] {
+                    for w in 0..WORDS {
+                        let slot = slots + (side * WORDS + w) * 8;
+                        ctx.store_u64(GlobalPtr::new(to as u32, slot), pe * 100 + round * 10 + w);
+                    }
+                }
+            });
+            sc.par_phase_with(driver, |ctx| {
+                ctx.store_sync(ROUND_BYTES);
+                let sum = (0..2 * WORDS).map(|i| ctx.ops().ld8(slots + i * 8)).sum();
+                ctx.ops().st8(sums + round * 8, sum);
+            });
+        }
+        for pe in 0..PES as usize {
+            // Each wait folded every arrival it awaited into one entry,
+            // which still counts every byte.
+            let node = sc.machine_ref().node(pe);
+            assert_eq!(node.arrivals().count(), 1, "PE {pe}: log not folded");
+            assert_eq!(node.bytes_arrived_by(u64::MAX), ROUNDS * ROUND_BYTES);
+        }
+        sc.barrier();
+        let m = sc.into_machine();
+        for pe in 0..PES as u64 {
+            let (n, at) = (PES as u64, pe as usize);
+            let (right, left) = ((pe + 1) % n, (pe + n - 1) % n);
+            for round in 0..ROUNDS {
+                let sent = |from: u64| (0..WORDS).map(|w| from * 100 + round * 10 + w).sum::<u64>();
+                assert_eq!(m.peek8(at, sums + round * 8), sent(left) + sent(right));
+            }
+        }
+        assert_replays("message-driven stores", &m, fresh);
+        logs.push(m.op_log().to_vec());
+    }
+    assert!(logs[0] == logs[1], "Seq and Par(2) logged differently");
+}
